@@ -12,7 +12,7 @@ from .aggregate import (CumulativeUtility, GlobalValues, Solution,
                         cumulative_local_utility, det_stoch_exponential,
                         global_values, sharpe_hansen_convert, solve_schedule,
                         strategy_descriptor)
-from .drift import VariationFunction, drift_of_variation, is_sigma_special
+from .drift import VariationFunction, drift_of_variation
 from .duality import (CoincidenceReport, DensityDiagnostics, MVSignedMeasure,
                       SignMoments, compare_mv_mmv, density_diagnostics,
                       mellin_sign_moments, mv_signed_measure,
@@ -39,7 +39,7 @@ __all__ = [
     "compounding_dual", "cumulative_local_utility", "det_stoch_exponential",
     "global_values", "sharpe_hansen_convert", "solve_schedule",
     "strategy_descriptor",
-    "VariationFunction", "drift_of_variation", "is_sigma_special",
+    "VariationFunction", "drift_of_variation",
     "CoincidenceReport", "DensityDiagnostics", "MVSignedMeasure",
     "SignMoments", "compare_mv_mmv", "density_diagnostics",
     "mellin_sign_moments", "mv_signed_measure", "sigma_martingale_residual",

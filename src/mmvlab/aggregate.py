@@ -49,6 +49,21 @@ class Solution:
         return tuple(opt.lambda_hat for opt in self.atom_optima)
 
 
+def _split_schedule(model: MarketModel, schedule) -> tuple[list, list]:
+    """Segment and scheduled-jump directions of a Solution or a plain list.
+
+    A plain list holds one direction per segment, then one per scheduled
+    jump, in model order.
+    """
+    if isinstance(schedule, Solution):
+        return list(schedule.segment_lambdas()), list(schedule.atom_lambdas())
+    lams = [np.atleast_1d(np.asarray(v, dtype=float)) for v in schedule]
+    n_seg = len(model.segments)
+    if len(lams) != n_seg + len(model.atoms):
+        raise ValueError("schedule length does not match the model's time points")
+    return lams[:n_seg], lams[n_seg:]
+
+
 @dataclass(frozen=True)
 class CumulativeUtility:
     """Clock integral of twice the maximal local utility rate.
@@ -86,6 +101,11 @@ class GlobalValues:
     mhr2: float
     scale: float
     finite: bool
+
+
+#: values reported for a model whose dual value is infinite
+INFINITE_VALUES = GlobalValues(u0=0.5, v0=math.inf, msr2=math.inf, mhr2=1.0,
+                               scale=math.inf, finite=False)
 
 
 @dataclass(frozen=True)
@@ -178,8 +198,7 @@ def global_values(cu: CumulativeUtility) -> GlobalValues:
     det = det_stoch_exponential(cu, -1.0)
     if (not cu.finite) or det.nonpositive_factor or det.value <= 0.0 \
             or not math.isfinite(det.value):
-        return GlobalValues(u0=0.5, v0=math.inf, msr2=math.inf, mhr2=1.0,
-                            scale=math.inf, finite=False)
+        return INFINITE_VALUES
     u0 = 0.5 * (1.0 - det.value)
     v0 = 0.5 * (1.0 / det.value - 1.0)
     return GlobalValues(u0=u0, v0=v0, msr2=2.0 * v0, mhr2=2.0 * u0,

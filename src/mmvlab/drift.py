@@ -29,7 +29,7 @@ import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import NonIntegrable, QuadratureError, UnsupportedMeasure
-from .measures import FiniteAtoms, GenericMapped1D, JumpMeasure, merge_atoms, truncate
+from .measures import FiniteAtoms, JumpMeasure, truncate
 from .model import LocalCharacteristics
 
 #: drift values are floats extended with -inf (never +inf)
@@ -174,52 +174,3 @@ def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics,
     if val == math.inf:
         raise NonIntegrable("positive part of the variation diverges")
     return head + val
-
-
-def is_sigma_special(xi: VariationFunction, chars: LocalCharacteristics,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> bool:
-    """Whether the variation's large values are integrable (drift exists in R).
-
-    True when the integral of |xi| over {|xi| > 1} is finite, so the
-    compensated drift is an ordinary real number.
-    """
-    jumps = chars.jumps
-    if jumps is None or isinstance(jumps, FiniteAtoms):
-        return True
-    tag = GROWTH_ORDERS[xi.growth]
-
-    def big(x):
-        v = np.asarray(xi.fn(x), dtype=float)
-        return np.where(np.abs(v) > 1.0, np.abs(v), 0.0)
-
-    for side in (-1, +1):
-        order = jumps.moment_sup_order(side)
-        if math.isnan(order):
-            continue
-        if tag < order:
-            continue
-        est, _ = _probe_growth(big, side, jumps.support_scale())
-        if est > max(order - 0.5, 0.0):
-            return False
-    try:
-        val = jumps.integrate(big, _breakpoints(xi), cfg)
-    except QuadratureError:
-        return False
-    return math.isfinite(val) and val < NEG_DIVERGENCE_THRESHOLD
-
-
-def pushforward(xi: VariationFunction, jumps: JumpMeasure) -> JumpMeasure:
-    """Image of the jump measure under xi (injective on the support).
-
-    Finite atoms map exactly, with mass at zero dropped (an image that
-    does not move is not a jump).  Density families are wrapped; the
-    wrapper verifies strict monotonicity of the map on the support.
-    """
-    if isinstance(jumps, FiniteAtoms):
-        x = jumps.points[:, 0] if jumps.dim == 1 else jumps.points
-        vals = np.asarray(xi.fn(x), dtype=float).reshape(-1, 1)
-        keep = np.abs(vals[:, 0]) > 0.0
-        return merge_atoms(vals[keep], jumps.masses[keep])
-    if jumps.dim != 1:
-        raise UnsupportedMeasure("pushforward of a multidimensional density")
-    return GenericMapped1D(jumps, xi.fn)

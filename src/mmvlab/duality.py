@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
-from .aggregate import Solution, cumulative_local_utility, global_values, solve_schedule
+from .aggregate import (Solution, _split_schedule, cumulative_local_utility,
+                        global_values, solve_schedule)
 from .drift import VariationFunction, drift_of_variation
 from .errors import InfiniteValue
 from .localutil import UtilityKind, _kind
@@ -84,16 +85,6 @@ class CoincidenceReport:
     note: str
 
 
-def _schedules(model: MarketModel, schedule) -> tuple[list, list]:
-    if isinstance(schedule, Solution):
-        return list(schedule.segment_lambdas()), list(schedule.atom_lambdas())
-    lams = [np.atleast_1d(np.asarray(v, dtype=float)) for v in schedule]
-    n_seg = len(model.segments)
-    if len(lams) != n_seg + len(model.atoms):
-        raise ValueError("schedule length does not match the model's time points")
-    return lams[:n_seg], lams[n_seg:]
-
-
 def sigma_martingale_residual(model: MarketModel, schedule, kind,
                               cfg: QuadConfig = DEFAULT_QUAD) -> tuple[np.ndarray, ...]:
     """Drift of the density-weighted increments at each time point.
@@ -104,7 +95,7 @@ def sigma_martingale_residual(model: MarketModel, schedule, kind,
     candidate.  Raises NonIntegrable when a defining integral diverges.
     """
     kind = _kind(kind)
-    seg_lams, atom_lams = _schedules(model, schedule)
+    seg_lams, atom_lams = _split_schedule(model, schedule)
     out = [foc_residual(lam, seg.chars, kind, cfg)
            for seg, lam in zip(model.segments, seg_lams)]
     out.extend(foc_residual(lam, atom.chars, kind, cfg)
@@ -120,7 +111,7 @@ def zero_density_probability(model: MarketModel, schedule,
     the cap, so the complement is a survival event: exponential in the
     segment crossing intensities, one factor per scheduled jump.
     """
-    seg_lams, atom_lams = _schedules(model, schedule)
+    seg_lams, atom_lams = _split_schedule(model, schedule)
     theta = 0.0
     for seg, lam in zip(model.segments, seg_lams):
         jumps = seg.chars.jumps
@@ -163,7 +154,7 @@ def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
         raise InfiniteValue("dual value is infinite; no density candidate exists")
     residuals = sigma_martingale_residual(model, sol, sol.kind, cfg)
     max_resid = max((float(np.abs(r).max()) for r in residuals), default=0.0)
-    seg_lams, atom_lams = _schedules(model, sol)
+    seg_lams, atom_lams = _split_schedule(model, sol)
     return DensityDiagnostics(
         mean=1.0,
         second_moment=gv.scale,
@@ -228,7 +219,7 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
     """
     if p not in (0, 1, 2):
         raise ValueError("moment order p must be 0, 1 or 2")
-    seg_lams, atom_lams = _schedules(model, schedule)
+    seg_lams, atom_lams = _split_schedule(model, schedule)
     exps = []
     for even in (True, False):
         acc = 0.0
@@ -257,7 +248,7 @@ def mv_signed_measure(model: MarketModel,
         raise InfiniteValue(
             "quadratic dual value is infinite; no separating measure exists")
     sm0 = mellin_sign_moments(model, sol, 0, cfg)
-    seg_lams, atom_lams = _schedules(model, sol)
+    seg_lams, atom_lams = _split_schedule(model, sol)
     return MVSignedMeasure(
         mean=1.0,
         variance=gv.msr2,
@@ -310,7 +301,7 @@ def compare_mv_mmv(model: MarketModel,
         return CoincidenceReport("not_applicable", True, None, None,
                                  "monotone dual value is infinite")
     sol_mv = solve_schedule(model, UtilityKind.MV, cfg)
-    seg_mv, atom_mv = _schedules(model, sol_mv)
+    seg_mv, atom_mv = _split_schedule(model, sol_mv)
     cap_ok = _crossing_free(model, seg_mv, atom_mv, strict=True)
     gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())
             / (1.0 + float(np.abs(b.lambda_hat).max()))

@@ -11,17 +11,17 @@ Every family supports the same small protocol:
   one-sided tail integral of |x|^k is finite (exclusive bound; ``inf``
   when every polynomial moment exists, ``nan`` when unknown),
 * ``sample(gen, size)``: draws from the normalized probability law,
-* ``total_mass``, ``support_scale``, ``effective_bounds``.
+* ``total_mass``, ``support_scale``.
 
-Wrapper families (exponential yield transform, cap, generic injective
-image) translate breakpoints and half-space queries into base
-coordinates recursively, so a capped exponential-yield Gaussian still
-integrates with exact kink placement.
+Wrapper families (exponential yield transform, cap) translate
+breakpoints and half-space queries into base coordinates recursively,
+so a capped exponential-yield Gaussian still integrates with exact
+kink placement.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,6 @@ from ._quad import (DEFAULT_QUAD, QuadConfig, hermite_gaussian, laguerre_tail,
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Marker for the fixed truncation convention.
-
-    The truncation function is componentwise: h(x)_i = x_i when
-    |x_i| <= 1 and 0 otherwise.  The bound is not configurable; the
-    dataclass exists so signatures can state which convention they use.
-    """
-
-    bound: float = TRUNCATION_BOUND
 
 
 def truncate(x: np.ndarray) -> np.ndarray:
@@ -80,9 +68,6 @@ class JumpMeasure:
         raise NotImplementedError
 
     def support_scale(self) -> float:
-        raise NotImplementedError
-
-    def effective_bounds(self) -> tuple[float, float]:
         raise NotImplementedError
 
 
@@ -138,12 +123,6 @@ class FiniteAtoms(JumpMeasure):
         if self.masses.size == 0:
             return 1.0
         return float(np.max(np.abs(self.points)))
-
-    def effective_bounds(self) -> tuple[float, float]:
-        if self.dim != 1 or self.masses.size == 0:
-            raise UnsupportedMeasure("bounds are one-dimensional")
-        x = self.points[:, 0]
-        return float(x.min()), float(x.max())
 
 
 def merge_atoms(points: np.ndarray, masses: np.ndarray) -> FiniteAtoms:
@@ -227,10 +206,6 @@ class Gaussian1D(JumpMeasure):
     def support_scale(self) -> float:
         return abs(self.mean) + 3.0 * self.sd
 
-    def effective_bounds(self) -> tuple[float, float]:
-        return (self.mean - DEFAULT_QUAD.gauss_span * self.sd,
-                self.mean + DEFAULT_QUAD.gauss_span * self.sd)
-
 
 @dataclass(frozen=True)
 class ExpTails1D(JumpMeasure):
@@ -298,9 +273,6 @@ class ExpTails1D(JumpMeasure):
     def support_scale(self) -> float:
         return 3.0 * max(1.0 / self.a, 1.0 / self.b)
 
-    def effective_bounds(self) -> tuple[float, float]:
-        return (-60.0 / self.a, 60.0 / self.b)
-
 
 @dataclass(frozen=True)
 class TabulatedDensity1D(JumpMeasure):
@@ -364,9 +336,6 @@ class TabulatedDensity1D(JumpMeasure):
     def support_scale(self) -> float:
         return max(abs(float(self.grid[0])), abs(float(self.grid[-1])))
 
-    def effective_bounds(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
-
 
 @dataclass(frozen=True)
 class ExpYieldMeasure(JumpMeasure):
@@ -415,10 +384,6 @@ class ExpYieldMeasure(JumpMeasure):
         s = self.base.support_scale()
         return max(abs(math.expm1(s)), abs(math.expm1(-s)))
 
-    def effective_bounds(self) -> tuple[float, float]:
-        lo, hi = self.base.effective_bounds()
-        return math.expm1(lo), math.expm1(hi)
-
 
 @dataclass(frozen=True)
 class CappedMeasure(JumpMeasure):
@@ -464,93 +429,3 @@ class CappedMeasure(JumpMeasure):
     def support_scale(self) -> float:
         return self.base.support_scale()
 
-    def effective_bounds(self) -> tuple[float, float]:
-        lo, hi = self.base.effective_bounds()
-        return lo, min(hi, self.cap)
-
-
-@dataclass(frozen=True)
-class GenericMapped1D(JumpMeasure):
-    """Image of a one-dimensional base measure under an injective map.
-
-    Monotonicity is verified on a probe grid at construction; half-space
-    queries and breakpoint translation invert the map by bisection, so
-    this wrapper is slower and less exact than the named transforms but
-    supports arbitrary strictly monotone images.
-    """
-
-    base: JumpMeasure
-    fwd: object                      # vectorized callable
-    increasing: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.base.dim != 1:
-            raise UnsupportedMeasure("generic image of a multidimensional measure")
-        lo, hi = self.base.effective_bounds()
-        grid = np.linspace(lo, hi, 513)
-        vals = np.asarray(self.fwd(grid), dtype=float)
-        d = np.diff(vals)
-        if np.all(d > 0.0):
-            inc = True
-        elif np.all(d < 0.0):
-            inc = False
-        else:
-            raise UnsupportedMeasure("image map is not strictly monotone on the support")
-        object.__setattr__(self, "increasing", inc)
-
-    def total_mass(self) -> float:
-        return self.base.total_mass()
-
-    def _preimage(self, y: float) -> float | None:
-        lo, hi = self.base.effective_bounds()
-        flo = float(self.fwd(np.array([lo]))[0])
-        fhi = float(self.fwd(np.array([hi]))[0])
-        ylo, yhi = (flo, fhi) if self.increasing else (fhi, flo)
-        if not (ylo < y < yhi):
-            return None
-        a, b = lo, hi
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = float(self.fwd(np.array([m]))[0])
-            if (fm < y) == self.increasing:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        inner = [p for p in (self._preimage(b) for b in breakpoints) if p is not None]
-        return self.base.integrate(lambda x: f(np.asarray(self.fwd(x))), inner, cfg)
-
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.total_mass() if hit else 0.0
-        t = level / lam
-        bot, top = self.effective_bounds()
-        if t <= bot:
-            above = self.total_mass()
-        elif t >= top:
-            above = 0.0
-        else:
-            x0 = self._preimage(t)
-            upper = self.base.mass_scaled_ge(1.0, x0, strict)
-            above = upper if self.increasing else self.total_mass() - upper
-        return above if lam > 0.0 else self.total_mass() - above
-
-    def moment_sup_order(self, side: int) -> float:
-        return math.nan              # unknown: callers must not trust tails
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return np.asarray(self.fwd(self.base.sample(gen, size)))
-
-    def support_scale(self) -> float:
-        lo, hi = self.effective_bounds()
-        return max(abs(lo), abs(hi), 1e-12)
-
-    def effective_bounds(self) -> tuple[float, float]:
-        lo, hi = self.base.effective_bounds()
-        a = float(self.fwd(np.array([lo]))[0])
-        b = float(self.fwd(np.array([hi]))[0])
-        return (a, b) if a <= b else (b, a)

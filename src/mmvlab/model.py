@@ -208,14 +208,20 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{where}: expected a finite number")
+    return x
 
 
 def _vector(value, dim: int, where: str) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if dim != 1:
             raise SchemaError(f"{where}: scalar given for dimension {dim}")
-        return np.array([float(value)])
+        return np.array([_number(value, where)])
     if not isinstance(value, (list, tuple)) or len(value) != dim:
         raise SchemaError(f"{where}: expected a vector of length {dim}")
     return np.array([_number(v, where) for v in value])
@@ -225,7 +231,7 @@ def _matrix(value, dim: int, where: str) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if dim != 1:
             raise SchemaError(f"{where}: scalar given for dimension {dim}")
-        return np.array([[float(value)]])
+        return np.array([[_number(value, where)]])
     if not isinstance(value, (list, tuple)) or len(value) != dim:
         raise SchemaError(f"{where}: expected a {dim}x{dim} matrix")
     return np.stack([_vector(row, dim, where) for row in value])

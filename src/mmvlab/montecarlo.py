@@ -7,32 +7,32 @@ recursion: invest the direction times the gap below the bliss level,
 clamped at zero for the monotone kind, unclamped for the plain
 quadratic kind.
 
-Determinism contract: every path owns a counter-based stream keyed by
-(seed, unit index), so results are bit-identical for any execution
-order, chunking, or thread count.  Within a unit the draw order is
-fixed: diffusion normals for all step rows, then Poisson jump counts,
-then jump sizes segment by segment, then one uniform (plus a possible
-size draw) per scheduled jump.  An antithetic unit is a pair of paths
-sharing every draw except the sign of the normals.
+Determinism contract: every unit owns a counter-based stream keyed by
+(seed, unit index), so output is a pure function of (seed, n_paths,
+n_steps, antithetic), and the first n paths of a study are the paths of
+the n-path study.  Within a unit the draw order is fixed: diffusion
+normals for all step rows, then Poisson jump counts, then jump sizes
+segment by segment, then one uniform per scheduled jump.  An antithetic
+unit is a pair of paths sharing every draw except the sign of the
+normals.  Units are drawn serially in blocks of fixed size, and each
+block goes through the vectorized wealth recursion at once.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
-from .aggregate import Solution, solve_schedule
+from .aggregate import Solution, _split_schedule, solve_schedule
 from .errors import InvariantError, UnsupportedMeasure
 from .localutil import UtilityKind, _kind, utility
-from .measures import FiniteAtoms
 from .model import MarketModel, small_jump_mean
 
-_CHUNK_UNITS = 2048
+# Units per block.  Larger blocks do not run faster, and their
+# (paths, rows) temporaries raise the peak memory of a study.
+_BLOCK_UNITS = 256
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class SimConfig:
 
     n_steps counts diffusion steps per segment; scheduled jumps get
     extra zero-length rows of their own.  Output is a pure function of
-    (seed, n_paths, n_steps, antithetic) regardless of parallelism.
+    (seed, n_paths, n_steps, antithetic).
     """
 
     n_paths: int
@@ -155,21 +155,8 @@ class _Grid:
         self.has_diffusion = any(v is not None for v in self.vols)
 
         self.atom_rows = np.flatnonzero(self.atom_index >= 0)
-        self.atom_points = []
-        self.atom_cum = []
-        self.atom_laws = []
-        for atom in model.atoms:
-            law = atom.law
-            self.atom_laws.append(law)
-            if isinstance(law, FiniteAtoms):
-                self.atom_points.append(law.points)
-                self.atom_cum.append(np.cumsum(law.masses))
-            else:
-                if not math.isfinite(law.total_mass()):
-                    raise UnsupportedMeasure(
-                        "scheduled jump law must have finite mass")
-                self.atom_points.append(None)
-                self.atom_cum.append(None)
+        self.atom_points = [atom.law.points for atom in model.atoms]
+        self.atom_cum = [np.cumsum(atom.law.masses) for atom in model.atoms]
 
 
 def _draw_unit(gen: np.random.Generator, grid: _Grid):
@@ -207,15 +194,9 @@ def _draw_unit(gen: np.random.Generator, grid: _Grid):
     for j, row in enumerate(grid.atom_rows):
         u = gen.uniform()
         cum = grid.atom_cum[j]
-        if cum is not None:
-            k = int(np.searchsorted(cum, u, side="right"))
-            if k < cum.size:
-                base[row] = grid.atom_points[j][k]
-        else:
-            law = grid.atom_laws[j]
-            if u < law.total_mass():
-                v = np.asarray(law.sample(gen, 1), dtype=float)
-                base[row] = v.reshape(-1)[:grid.dim] if v.ndim == 1 else v[0]
+        k = int(np.searchsorted(cum, u, side="right"))
+        if k < cum.size:
+            base[row] = grid.atom_points[j][k]
     return base, diff
 
 
@@ -231,41 +212,23 @@ def _unit_layout(sim: SimConfig) -> tuple[int, int]:
     return sim.n_paths, 1
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("MMVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _blocks(sim: SimConfig, grid: _Grid):
+    """Yield (first path index, increments) for each block of units.
 
-
-def _run_units(sim: SimConfig, grid: _Grid, per_path):
-    """Drive per_path(path_index, increments) over all paths.
-
-    Units are processed in chunks of fixed size; chunks may run on a
-    thread pool.  per_path must write only to disjoint per-path slots.
+    increments has shape (paths, rows, dim); the paths of unit k are
+    consecutive, the base + diff path first.
     """
     n_units, per_unit = _unit_layout(sim)
-
-    def run_chunk(lo: int, hi: int) -> None:
+    for lo in range(0, n_units, _BLOCK_UNITS):
+        hi = min(lo + _BLOCK_UNITS, n_units)
+        block = np.empty((hi - lo, per_unit, grid.n_rows, grid.dim))
         for unit in range(lo, hi):
-            gen = _unit_generator(sim.seed, unit)
-            base, diff = _draw_unit(gen, grid)
-            for k in range(per_unit):
-                idx = unit * per_unit + k
-                if idx >= sim.n_paths:
-                    break
-                per_path(idx, base + diff if k == 0 else base - diff)
-
-    bounds = list(range(0, n_units, _CHUNK_UNITS)) + [n_units]
-    chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    threads = _n_threads()
-    if threads == 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            run_chunk(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda c: run_chunk(*c), chunks))
+            base, diff = _draw_unit(_unit_generator(sim.seed, unit), grid)
+            np.add(base, diff, out=block[unit - lo, 0])
+            if per_unit == 2:
+                np.subtract(base, diff, out=block[unit - lo, 1])
+        first = lo * per_unit
+        yield first, block.reshape(-1, grid.n_rows, grid.dim)[:sim.n_paths - first]
 
 
 def simulate_paths(model: MarketModel, sim: SimConfig,
@@ -282,24 +245,11 @@ def simulate_paths(model: MarketModel, sim: SimConfig,
         raise InvariantError(
             "path set too large to materialize; use run_wealth_study")
     out = np.empty((sim.n_paths, grid.n_rows, grid.dim))
-
-    def per_path(idx: int, inc: np.ndarray) -> None:
-        out[idx] = inc
-
-    _run_units(sim, grid, per_path)
+    for first, inc in _blocks(sim, grid):
+        out[first:first + inc.shape[0]] = inc
     return PathSet(increments=out, t_end=grid.t_end, dt=grid.dt,
                    seg_index=grid.seg_index, atom_index=grid.atom_index,
                    model=model, config=sim)
-
-
-def _split_schedule(model: MarketModel, schedule):
-    if isinstance(schedule, Solution):
-        return list(schedule.segment_lambdas()), list(schedule.atom_lambdas())
-    lams = [np.atleast_1d(np.asarray(v, dtype=float)) for v in schedule]
-    n_seg = len(model.segments)
-    if len(lams) != n_seg + len(model.atoms):
-        raise InvariantError("schedule length does not match the model")
-    return lams[:n_seg], lams[n_seg:]
 
 
 def _row_directions(model: MarketModel, grid_seg: np.ndarray,
@@ -322,6 +272,34 @@ def _bliss(x: float, gamma: float, scale: float) -> float:
     return x + scale / gamma
 
 
+def _gap_products(increments: np.ndarray, lam_rows: np.ndarray,
+                  mmv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Running gap factors and capped products of (paths, rows, dim) increments.
+
+    With u = increments . direction per row, the gap to bliss after row
+    r is the initial gap times g[:, r], the running product of 1 - u.
+    For the monotone kind g freezes at its first value <= 0: wealth has
+    reached bliss and stays.  capped is the product of 1 - min(u, 1).
+    """
+    u = np.einsum("prd,rd->pr", increments, lam_rows)
+    g = np.cumprod(1.0 - u, axis=1)
+    if mmv:
+        crossed = g <= 0.0
+        hit = np.flatnonzero(crossed.any(axis=1))
+        first = crossed[hit].argmax(axis=1)
+        later = np.arange(g.shape[1])[None, :] > first[:, None]
+        g[hit] = np.where(later, g[hit, first][:, None], g[hit])
+    np.minimum(u, 1.0, out=u)
+    np.subtract(1.0, u, out=u)
+    return g, np.prod(u, axis=1)
+
+
+def _path_products(paths: PathSet, schedule, mmv: bool):
+    lam_rows = _row_directions(paths.model, paths.seg_index,
+                               paths.atom_index, schedule)
+    return _gap_products(paths.increments, lam_rows, mmv)
+
+
 def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
                      gamma: float = 1.0, scale: float = 1.0) -> np.ndarray:
     """Wealth paths of the gap strategy; shape (n_paths, n_rows + 1).
@@ -330,22 +308,12 @@ def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
     clamped at zero for the monotone kind.  The defaults give the
     normalized problem: start at 0, bliss level 1.
     """
-    kind = _kind(kind)
-    lam_rows = _row_directions(paths.model, paths.seg_index,
-                               paths.atom_index, schedule)
+    mmv = _kind(kind) is UtilityKind.MMV
     bliss = _bliss(x, gamma, scale)
-    u = np.einsum("prd,rd->pr", paths.increments, lam_rows)
-    cp = np.cumprod(1.0 - u, axis=1)
-    if kind is UtilityKind.MMV:
-        crossed = cp <= 0.0
-        has = crossed.any(axis=1)
-        first = crossed.argmax(axis=1)
-        frozen = np.take_along_axis(cp, first[:, None], axis=1)
-        later = np.arange(cp.shape[1])[None, :] > first[:, None]
-        cp = np.where(has[:, None] & later, frozen, cp)
+    g, _ = _path_products(paths, schedule, mmv)
     w = np.empty((paths.n_paths, paths.n_rows + 1))
     w[:, 0] = x
-    w[:, 1:] = bliss - (bliss - x) * cp
+    w[:, 1:] = bliss - (bliss - x) * g
     return w
 
 
@@ -355,10 +323,7 @@ def capped_exponential(paths: PathSet, schedule) -> np.ndarray:
     Equals (bliss - W_T)+ / (bliss - x) for the monotone recursion
     pathwise; also the unnormalized dual density candidate.
     """
-    lam_rows = _row_directions(paths.model, paths.seg_index,
-                               paths.atom_index, schedule)
-    u = np.einsum("prd,rd->pr", paths.increments, lam_rows)
-    return np.prod(1.0 - np.minimum(u, 1.0), axis=1)
+    return _path_products(paths, schedule, mmv=False)[1]
 
 
 @dataclass(frozen=True)
@@ -381,7 +346,7 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     """Simulate and reduce to terminal wealth without storing paths.
 
     Solves for the optimal schedule when none is passed.  Memory is
-    O(n_paths + n_rows), so large path counts are fine.
+    O(n_paths + block size x n_rows), so large path counts are fine.
     """
     kind = _kind(kind)
     if solution is None:
@@ -394,37 +359,25 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     w_t = np.empty(sim.n_paths)
     capped = np.empty(sim.n_paths)
     r_t = np.empty((sim.n_paths, grid.dim))
-
-    def per_path(idx: int, inc: np.ndarray) -> None:
-        u = np.einsum("rd,rd->r", inc, lam_rows)
-        cp = np.cumprod(1.0 - u)
-        capped[idx] = np.prod(1.0 - np.minimum(u, 1.0))
-        g_t = cp[-1]
-        if mmv:
-            crossed = np.flatnonzero(cp <= 0.0)
-            if crossed.size:
-                g_t = cp[crossed[0]]
-        w_t[idx] = bliss - (bliss - x) * g_t
-        r_t[idx] = inc.sum(axis=0)
-
-    _run_units(sim, grid, per_path)
+    for first, inc in _blocks(sim, grid):
+        span = slice(first, first + inc.shape[0])
+        g, capped[span] = _gap_products(inc, lam_rows, mmv)
+        w_t[span] = bliss - (bliss - x) * g[:, -1]
+        r_t[span] = inc.sum(axis=1)
     return WealthStudy(terminal_wealth=w_t, capped_exponential=capped,
                        terminal_increment=r_t, kind=kind, bliss=bliss,
                        n_rows=grid.n_rows, config=sim)
-
-
-_PLAIN_FUNCTIONALS = ("mean", "second_moment", "utility_mmv", "utility_mv",
-                      "prob_ge_one")
 
 
 def estimate_stats(values, functional: str = "mean",
                    antithetic: bool = False) -> PathStats:
     """Sample estimate with standard error for one functional.
 
-    With antithetic pairing the error is computed over pair averages
-    (consecutive values form a pair), which is the valid estimator for
-    mirrored draws.  The Sharpe functional uses the large-sample error
-    formula and ignores pairing.
+    With antithetic pairing the estimate and its error are computed over
+    pair averages (consecutive values form a pair), which is the valid
+    estimator for mirrored draws; a lone last value is left out.  The
+    Sharpe functional uses the large-sample error formula and ignores
+    pairing.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
@@ -452,26 +405,9 @@ def estimate_stats(values, functional: str = "mean",
     if antithetic and n >= 4:
         m = n // 2
         units = 0.5 * (t[0:2 * m:2] + t[1:2 * m:2])
-        if n % 2:
-            units = np.append(units, t[-1])
     else:
         units = t
     k = units.size
     est = float(units.mean())
     se = float(units.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0
     return PathStats(est, se, n)
-
-
-def dump_paths_csv(paths: PathSet, wealth: np.ndarray | None, file_path) -> None:
-    """Write `path,step,t,R,W` rows; R is the running level per path."""
-    levels = np.cumsum(paths.increments, axis=1)
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "step", "t", "R", "W"])
-        for p in range(paths.n_paths):
-            for r in range(paths.n_rows):
-                lvl = levels[p, r]
-                r_txt = "%.17g" % lvl[0] if lvl.size == 1 else \
-                    ";".join("%.17g" % x for x in lvl)
-                w_txt = "" if wealth is None else "%.17g" % wealth[p, r + 1]
-                writer.writerow([p, r, "%.17g" % paths.t_end[r], r_txt, w_txt])

@@ -9,7 +9,6 @@ paths: drifts are checked against plain weighted sums and sampling,
 optima against dense grid scans of a four-line objective.
 """
 import math
-import os
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from mmvlab import (DEFAULT_QUAD, CumulativeUtility, FiniteAtoms,
                     run_wealth_study, serialize_model, sharpe_hansen_convert,
                     utility, utility_variation, wealth_recursion,
                     simulate_paths, VariationFunction)
-from mmvlab.montecarlo import capped_exponential
+from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
 
 def random_atom_chars(gen, dim=1, n_points=None):
@@ -195,23 +194,19 @@ def check_pathwise_identity(model, solution, n_paths=512, n_steps=64, seed=3):
     return float(np.max(gap))
 
 
-def check_thread_determinism(model, solution, kind="mmv",
-                             sim=SimConfig(64, 16, seed=7)):
-    """Terminal arrays must be bit-identical for any MMVLAB_THREADS."""
-    results = []
-    saved = os.environ.get("MMVLAB_THREADS")
-    try:
-        for threads in ("1", "3"):
-            os.environ["MMVLAB_THREADS"] = threads
-            st = run_wealth_study(model, sim, kind, solution=solution)
-            results.append((st.terminal_wealth.copy(),
-                            st.capped_exponential.copy(),
-                            st.terminal_increment.copy()))
-    finally:
-        if saved is None:
-            os.environ.pop("MMVLAB_THREADS", None)
-        else:
-            os.environ["MMVLAB_THREADS"] = saved
-    (w1, c1, r1), (w3, c3, r3) = results
-    return (np.array_equal(w1, w3) and np.array_equal(c1, c3)
-            and np.array_equal(r1, r3))
+def check_prefix_determinism(model, solution, kind="mmv", n_steps=16, seed=7):
+    """A study of n paths must equal the first n paths of a longer study.
+
+    The shorter study ends one path into its second block of units and
+    the longer one spans three blocks, so this also checks that neither
+    the block boundaries nor the path count change a draw.
+    """
+    n_paths = 2 * _BLOCK_UNITS + 1
+    n_long = 4 * _BLOCK_UNITS + 3
+    short = run_wealth_study(model, SimConfig(n_paths, n_steps, seed=seed),
+                             kind, solution=solution)
+    long = run_wealth_study(model, SimConfig(n_long, n_steps, seed=seed),
+                            kind, solution=solution)
+    return all(np.array_equal(getattr(short, name), getattr(long, name)[:n_paths])
+               for name in ("terminal_wealth", "capped_exponential",
+                            "terminal_increment"))

@@ -285,7 +285,7 @@ def test_criterion_8():
     inv = properties.check_exponential_inversion()
     round_trip = properties.check_sr_hr_roundtrip()
     path = properties.check_pathwise_identity(model, sol)
-    threads = properties.check_thread_determinism(model, sol)
+    prefix = properties.check_prefix_determinism(model, sol)
     elapsed = time.perf_counter() - t0
 
     c.need(lin <= 1e-10, f"drift linearity {lin!r}")
@@ -295,9 +295,9 @@ def test_criterion_8():
     c.need(inv <= 1e-12, f"exponential inversion {inv!r}")
     c.need(round_trip <= 1e-14, f"ratio round trip {round_trip!r}")
     c.need(path <= 1e-12, f"pathwise identity {path!r}")
-    c.need(threads, "thread count changes simulation output")
+    c.need(prefix, "a study is not a prefix of a longer study")
     c.need(elapsed < 60.0, f"runtime {elapsed:.1f}s")
     c.finish(f"linearity {lin:.1e}, truncation {trunc:.1e}, "
              f"concavity {conc:.1e}, grid {grid:.1e}, inversion {inv:.1e}, "
              f"roundtrip {round_trip:.1e}, pathwise {path:.1e}, "
-             f"threads bit-exact, {elapsed:.1f}s")
+             f"prefix bit-exact, {elapsed:.1f}s")

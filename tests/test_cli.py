@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, formats, determinism."""
+import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -78,6 +80,26 @@ class TestExitCodes:
 
     def test_atoms_max_too_small(self, capsys):
         assert run(["reproduce", "--example", "5", "--atoms-max", "1"]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(horizon=math.nan),
+        lambda c: c.update(horizon=10 ** 400),
+        lambda c: c["segments"][0].update(b=math.nan),
+        lambda c: c["segments"][0].update(c=math.inf),
+        lambda c: c.update(atoms=[{"time": 0.5, "points": [[0.5], [-0.5]],
+                                   "masses": [0.2, math.nan]}]),
+        lambda c: c["segments"][0].update(jumps={
+            "family": "gaussian", "mean": 0.0, "variance": 0.01,
+            "rate": math.inf}),
+    ], ids=["nan_horizon", "huge_int_horizon", "nan_drift", "inf_covariance", "nan_atom_mass",
+            "inf_jump_rate"])
+    def test_non_finite_config_number(self, edit, tmp_path, capsys):
+        config = copy.deepcopy(ZERO_CONFIG)
+        edit(config)
+        p = tmp_path / "non_finite.json"
+        p.write_text(json.dumps(config))     # written as NaN / Infinity
+        assert run(["solve", str(p)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestReproduce:

@@ -1,4 +1,4 @@
-"""Drift of a variation: closed forms, divergence handling, pushforward."""
+"""Drift of a variation: closed forms and divergence handling."""
 import math
 
 import numpy as np
@@ -6,8 +6,7 @@ import pytest
 
 from mmvlab import (FiniteAtoms, Gaussian1D, LocalCharacteristics,
                     NonIntegrable, VariationFunction, drift_of_variation,
-                    is_sigma_special, local_utility)
-from mmvlab.drift import pushforward
+                    local_utility)
 from mmvlab.localutil import utility_variation
 
 import properties
@@ -82,22 +81,5 @@ def test_positive_divergence_raises(ex3):
                            hess0=2.0 * np.eye(1), growth="quadratic")
     with pytest.raises(NonIntegrable):
         drift_of_variation(xi, chars)
-    assert not is_sigma_special(xi, chars)
 
 
-def test_sigma_special_for_atoms_and_no_jumps(ex1):
-    xi = utility_variation([1.0, 1.0], "mv", dim=2)
-    assert is_sigma_special(xi, ex1.atoms[0].chars)
-    bare = LocalCharacteristics(np.array([0.1]), np.array([[0.3]]), None)
-    assert is_sigma_special(utility_variation(1.0, "mv", dim=1), bare)
-
-
-def test_pushforward_of_atoms_drops_the_zero_image():
-    law = FiniteAtoms(np.array([[-1.0], [0.5], [2.0]]),
-                      np.array([0.2, 0.3, 0.1]))
-    xi = VariationFunction(fn=lambda x: np.asarray(x) * (np.asarray(x) - 2.0),
-                           grad0=np.array([-2.0]), hess0=np.array([[2.0]]))
-    image = pushforward(xi, law)
-    rows = sorted((float(p[0]), float(m))
-                  for p, m in zip(image.points, image.masses))
-    assert rows == [(-0.75, 0.3), (3.0, 0.2)]

@@ -1,0 +1,40 @@
+"""Byte-for-byte comparison of CLI reports against committed goldens.
+
+The files under tests/data/ are the JSON stdout of the commands below;
+a refactor that keeps every figure must reproduce them exactly.
+Example 5 at 200 atoms fails its monotone partial-sum check (the
+series has not yet grown past the threshold), so it exits 1.
+"""
+from pathlib import Path
+
+import pytest
+
+from mmvlab.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+EX2 = "src/mmvlab/examples_data/ex2.json"
+
+CASES = [
+    ("reproduce_ex1.json", ["reproduce", "--example", "1"], 0),
+    ("reproduce_ex2.json", ["reproduce", "--example", "2"], 0),
+    ("reproduce_ex3.json", ["reproduce", "--example", "3"], 0),
+    ("reproduce_ex4.json", ["reproduce", "--example", "4"], 0),
+    ("reproduce_ex5_atoms200.json",
+     ["reproduce", "--example", "5", "--atoms-max", "200"], 1),
+    ("reproduce_ex6_atoms200.json",
+     ["reproduce", "--example", "6", "--atoms-max", "200"], 0),
+    ("simulate_ex2_mv.json",
+     ["simulate", EX2, "--kind", "mv", "--paths", "1000", "--steps", "50",
+      "--seed", "3"], 0),
+    ("simulate_ex2_mmv.json",
+     ["simulate", EX2, "--kind", "mmv", "--paths", "1000", "--steps", "50",
+      "--seed", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)         # the simulate report echoes the config path
+    assert run(argv + ["--format", "json"]) == code
+    assert capsys.readouterr().out == (DATA / name).read_text()

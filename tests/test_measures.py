@@ -38,7 +38,6 @@ class TestFiniteAtoms:
         assert self.LAW.mass_scaled_ge(0.0, -1.0) == pytest.approx(1.0)
 
     def test_bounds_and_scale(self):
-        assert self.LAW.effective_bounds() == (-0.5, 1.0)
         assert self.LAW.support_scale() == 1.0
         assert self.LAW.moment_sup_order(1) == math.inf
 
@@ -52,8 +51,6 @@ class TestFiniteAtoms:
         law = FiniteAtoms(np.array([[1.0, 0.0], [0.0, 1.0]]),
                           np.array([0.3, 0.4]))
         assert law.mass_scaled_ge([1.0, 0.0], 0.5) == pytest.approx(0.3)
-        with pytest.raises(UnsupportedMeasure):
-            law.effective_bounds()
 
     def test_sample_frequencies(self, rng):
         draws = self.LAW.sample(rng, 20000)

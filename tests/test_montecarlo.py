@@ -7,7 +7,7 @@ import pytest
 from mmvlab import (InvariantError, PathStats, SimConfig, build_model,
                     estimate_stats, run_wealth_study, simulate_paths,
                     wealth_recursion)
-from mmvlab.montecarlo import capped_exponential, dump_paths_csv
+from mmvlab.montecarlo import capped_exponential
 
 import properties
 
@@ -37,8 +37,8 @@ class TestDeterminism:
         b = simulate_paths(ex2, sim)
         assert np.array_equal(a.increments, b.increments)
 
-    def test_thread_count_does_not_change_results(self, ex2, ex2_sol_mmv):
-        assert properties.check_thread_determinism(ex2, ex2_sol_mmv)
+    def test_study_is_a_prefix_of_a_longer_study(self, ex2, ex2_sol_mmv):
+        assert properties.check_prefix_determinism(ex2, ex2_sol_mmv)
 
     def test_seeds_differ(self, ex2):
         a = simulate_paths(ex2, SimConfig(n_paths=8, n_steps=8, seed=1))
@@ -132,6 +132,13 @@ class TestEstimates:
         assert st.estimate == 2.0
         assert st.std_error == 0.0
 
+    def test_antithetic_odd_count_uses_complete_pairs(self):
+        # pair means 2 and 4; the lone last value 100 is left out
+        st = estimate_stats([1.0, 3.0, 4.0, 4.0, 100.0], antithetic=True)
+        assert st.estimate == 3.0
+        assert st.std_error == pytest.approx(1.0, abs=1e-15)
+        assert st.n == 5
+
     def test_functionals(self):
         assert estimate_stats([1.0, 2.0], "second_moment").estimate == 2.5
         assert estimate_stats([0.5, 1.0, 2.0, 0.0],
@@ -161,14 +168,3 @@ class TestEstimates:
         with pytest.raises(InvariantError):
             PathStats(1.0, -0.1, 5)
 
-
-def test_dump_paths_csv(tmp_path):
-    model = pure_diffusion_model()
-    ps = simulate_paths(model, SimConfig(n_paths=3, n_steps=4, seed=1))
-    w = wealth_recursion(ps, [[0.5]], "mv")
-    out = tmp_path / "paths.csv"
-    dump_paths_csv(ps, w, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,t,R,W"
-    assert len(lines) == 1 + 3 * 4
-    assert lines[1].split(",")[0] == "0"
