@@ -26,7 +26,7 @@ from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import DomainError, InfiniteValue
 from .localutil import UtilityKind, _kind
 from .model import MarketModel
-from .optimize import LocalOptimum, maximize_local_utility
+from .optimize import LocalOptimum, maximize_atom_laws, maximize_local_utility
 
 _DIVERGENCE_MIN_ATOMS = 64
 _DIVERGENCE_TAIL_FRAC = 0.01
@@ -128,12 +128,19 @@ class StrategyDescriptor:
 
 def solve_schedule(model: MarketModel, kind,
                    cfg: QuadConfig = DEFAULT_QUAD) -> Solution:
-    """Maximize the local utility at every segment and scheduled jump."""
+    """Maximize the local utility at every segment and scheduled jump.
+
+    The scheduled jumps of a one-asset model are solved exactly in one
+    batch, straight from their laws.
+    """
     kind = _kind(kind)
     seg_opts = tuple(maximize_local_utility(seg.chars, kind, cfg)
                      for seg in model.segments)
-    atom_opts = tuple(maximize_local_utility(atom.chars, kind, cfg)
-                      for atom in model.atoms)
+    if model.dim == 1:
+        atom_opts = maximize_atom_laws([atom.law for atom in model.atoms], kind)
+    else:
+        atom_opts = tuple(maximize_local_utility(atom.chars, kind, cfg)
+                          for atom in model.atoms)
     return Solution(model, kind, seg_opts, atom_opts)
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
-from .aggregate import (INFINITE_VALUES, GlobalValues,
+from .aggregate import (INFINITE_VALUES, GlobalValues, Solution,
                         cumulative_local_utility, global_values, solve_schedule)
 from .duality import (compare_mv_mmv, density_diagnostics,
                       mellin_sign_moments, mv_signed_measure,
@@ -326,8 +326,9 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _quad_config(args)
     model = _load_model(args.config, cfg)
-    if args.paths < 1 or args.steps < 1:
-        raise _UsageError("--paths and --steps must be positive")
+    if args.paths < 4 or args.steps < 1:
+        # antithetic estimates need two complete pairs of paths
+        raise _UsageError("--paths must be at least 4 and --steps positive")
     sol, cu, gv, warnings, source = _solve_bundle(model, args.kind, cfg)
     sim = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
@@ -374,7 +375,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _diag_monotone(model, cfg) -> tuple[dict, list[str]]:
+def _diag_monotone(model, cfg) -> tuple[dict, list[str], Solution]:
     sol, cu, gv, warnings, source = _solve_bundle(model, "mmv", cfg)
     block: dict = {"values": _values_block(gv, source)}
     if gv.finite:
@@ -394,14 +395,14 @@ def _diag_monotone(model, cfg) -> tuple[dict, list[str]]:
         block["density"] = None
         warnings.append("monotone dual value is infinite; "
                         "no density candidate exists")
-    return block, warnings
+    return block, warnings, sol
 
 
-def _diag_quadratic(model, cfg) -> tuple[dict, list[str]]:
+def _diag_quadratic(model, cfg) -> tuple[dict, list[str], Solution]:
     sol, cu, gv, warnings, source = _solve_bundle(model, "mv", cfg)
     block: dict = {"values": _values_block(gv, source)}
     if gv.finite:
-        meas = mv_signed_measure(model, cfg)
+        meas = mv_signed_measure(model, cfg, solution=sol)
         block["signed_measure"] = {
             "mean": _v(meas.mean),
             "variance": _v(meas.variance),
@@ -412,7 +413,7 @@ def _diag_quadratic(model, cfg) -> tuple[dict, list[str]]:
         block["signed_measure"] = None
         warnings.append("quadratic dual value is infinite; "
                         "no separating measure exists")
-    return block, warnings
+    return block, warnings, sol
 
 
 def _cmd_diagnose(args) -> int:
@@ -427,9 +428,10 @@ def _cmd_diagnose(args) -> int:
         "n_atom_violations": len(na.atom_violations),
         "methods": dict(na.methods),
     }
-    mono, warn_m = _diag_monotone(model, cfg)
-    quad, warn_q = _diag_quadratic(model, cfg)
-    cmp_report = compare_mv_mmv(model, cfg)
+    mono, warn_m, sol_mmv = _diag_monotone(model, cfg)
+    quad, warn_q, sol_mv = _diag_quadratic(model, cfg)
+    cmp_report = compare_mv_mmv(model, cfg, mv_solution=sol_mv,
+                                mmv_solution=sol_mmv)
     comparison = {
         "verdict": cmp_report.verdict,
         "square_integrable": cmp_report.square_integrable,
@@ -561,7 +563,8 @@ def _reproduce_3(cfg, atoms_max=None):
     residuals = sigma_martingale_residual(model, sol_mmv, "mmv", cfg)
     max_resid = max(float(np.abs(r).max()) for r in residuals)
     lam_mv0 = float(sol_mv.segment_optima[0].lambda_hat[0])
-    verdict = compare_mv_mmv(model, cfg).verdict
+    verdict = compare_mv_mmv(model, cfg, mv_solution=sol_mv,
+                             mmv_solution=sol_mmv).verdict
     figures = {
         "monotone_direction": _v(lam0),
         "crossing_intensity": _v(theta),
@@ -687,7 +690,7 @@ def _reproduce_6(cfg, atoms_max=None):
         mean = float(atom.law.masses @ atom.law.points[:, 0])
         worst_mean = max(worst_mean, abs(mean + n / (n ** 3 + 1.0)))
     try:
-        mv_signed_measure(model, cfg)
+        mv_signed_measure(model, cfg, solution=sol_mv)
         no_measure = False
     except InfiniteValue as exc:
         no_measure = True

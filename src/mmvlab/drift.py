@@ -16,9 +16,7 @@ reports the supremum of its finite one-sided moment orders, and the
 integrand carries a polynomial growth tag.  When the tag meets or
 exceeds the available order, the integrand's actual growth is probed on
 that side (a capped integrand tagged "quadratic" is really bounded past
-its kink, so probing prevents false infinities).  Only genuinely
-ambiguous cases fall through to quadrature with negative-part-first
-splitting against a divergence threshold.
+its kink, so probing prevents false infinities).
 """
 from __future__ import annotations
 
@@ -37,8 +35,6 @@ ExtendedReal = float
 
 GROWTH_ORDERS = {"bounded": 0.0, "linear": 1.0, "quadratic": 2.0,
                  "superquadratic": math.inf}
-
-NEG_DIVERGENCE_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,8 @@ def _probe_growth(psi, side: int, scale: float) -> tuple[float, float]:
 
 
 def _screen_side(psi, jumps: JumpMeasure, side: int, tag_order: float) -> str:
-    """Classify one tail: 'safe', 'threshold', 'neg_diverge' or 'pos_diverge'."""
+    """Classify one tail: 'safe', 'neg_diverge' or 'pos_diverge'."""
     order = jumps.moment_sup_order(side)
-    if math.isnan(order):
-        return "threshold"
     if tag_order < order:
         return "safe"
     est, sign = _probe_growth(psi, side, jumps.support_scale())
@@ -154,19 +148,7 @@ def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics,
     if "pos_diverge" in states:
         raise NonIntegrable("positive part of the variation diverges")
 
-    bps = _breakpoints(xi)
-    if "threshold" in states:
-        neg = jumps.integrate(lambda x: np.minimum(psi(x), 0.0), bps, cfg)
-        if math.isnan(neg):
-            raise QuadratureError("negative part did not evaluate")
-        if neg <= -NEG_DIVERGENCE_THRESHOLD:
-            return -math.inf
-        pos = jumps.integrate(lambda x: np.maximum(psi(x), 0.0), bps, cfg)
-        if math.isnan(pos) or pos >= NEG_DIVERGENCE_THRESHOLD:
-            raise NonIntegrable("positive part of the variation diverges")
-        return head + neg + pos
-
-    val = jumps.integrate(psi, bps, cfg)
+    val = jumps.integrate(psi, _breakpoints(xi), cfg)
     if math.isnan(val):
         raise QuadratureError("jump integral did not evaluate")
     if val == -math.inf:

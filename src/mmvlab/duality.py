@@ -79,7 +79,7 @@ class CoincidenceReport:
     """Whether the two preference kinds pick the same strategy and dual."""
 
     verdict: str                      # "coincide" | "differ" | "not_applicable"
-    square_integrable: bool | None
+    square_integrable: bool
     cap_condition: bool | None        # no jump ever crosses the bliss cap
     max_lambda_gap: float | None
     note: str
@@ -235,14 +235,16 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
                        phi_minus=0.5 * (exps[0] - exps[1]))
 
 
-def mv_signed_measure(model: MarketModel,
-                      cfg: QuadConfig = DEFAULT_QUAD) -> MVSignedMeasure:
+def mv_signed_measure(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
+                      solution: Solution | None = None) -> MVSignedMeasure:
     """Sign structure of the plain-quadratic dual candidate.
 
-    Raises InfiniteValue when the quadratic dual value diverges, in
-    which case no separating object of this kind exists at all.
+    Solves the plain problem if no solution is passed.  Raises
+    InfiniteValue when the quadratic dual value diverges, in which case
+    no separating object of this kind exists at all.
     """
-    sol = solve_schedule(model, UtilityKind.MV, cfg)
+    sol = solution if solution is not None else solve_schedule(
+        model, UtilityKind.MV, cfg)
     gv = global_values(cumulative_local_utility(model, UtilityKind.MV, cfg, sol))
     if not gv.finite:
         raise InfiniteValue(
@@ -257,25 +259,20 @@ def mv_signed_measure(model: MarketModel,
     )
 
 
-def _square_integrable(model: MarketModel) -> bool | None:
-    """Second moments of all increments finite?  None when undecidable."""
-    known = True
-    for chars in [seg.chars for seg in model.segments] \
-            + [atom.chars for atom in model.atoms]:
-        jumps = chars.jumps
-        if jumps is None:
-            continue
-        for side in (-1, +1):
-            order = jumps.moment_sup_order(side)
-            if math.isnan(order):
-                known = False
-            elif order <= 2.0:
-                return False
-    return True if known else None
+def _square_integrable(model: MarketModel) -> bool:
+    """Second moments of all increments finite?
+
+    Scheduled jumps are finite atom laws, so only segment jump laws
+    can lack them.
+    """
+    return all(seg.chars.jumps.moment_sup_order(side) > 2.0
+               for seg in model.segments if seg.chars.jumps is not None
+               for side in (-1, +1))
 
 
-def compare_mv_mmv(model: MarketModel,
-                   cfg: QuadConfig = DEFAULT_QUAD) -> CoincidenceReport:
+def compare_mv_mmv(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
+                   mv_solution: Solution | None = None,
+                   mmv_solution: Solution | None = None) -> CoincidenceReport:
     """Do the monotone and plain kinds share strategy and dual measure?
 
     Needs square-integrable increments and a finite monotone dual
@@ -283,24 +280,22 @@ def compare_mv_mmv(model: MarketModel,
     verdict is not_applicable.  The authoritative test is the cap
     condition: no jump may cross the bliss level under the quadratic
     optimum.  The direction gap between the two optima is reported as a
-    cross-check and any disagreement is noted.
+    cross-check and any disagreement is noted.  Either kind is solved
+    here only when its solution is not passed.
     """
-    sq = _square_integrable(model)
-    if sq is None:
-        return CoincidenceReport("not_applicable", None, None, None,
-                                 "jump tail decay unknown; cannot certify "
-                                 "square integrability")
-    if not sq:
+    if not _square_integrable(model):
         return CoincidenceReport("not_applicable", False, None, None,
                                  "increments are not square integrable; the "
                                  "equivalence theory does not apply")
-    sol_mmv = solve_schedule(model, UtilityKind.MMV, cfg)
+    sol_mmv = mmv_solution if mmv_solution is not None else solve_schedule(
+        model, UtilityKind.MMV, cfg)
     gv_mmv = global_values(cumulative_local_utility(
         model, UtilityKind.MMV, cfg, sol_mmv))
     if not gv_mmv.finite:
         return CoincidenceReport("not_applicable", True, None, None,
                                  "monotone dual value is infinite")
-    sol_mv = solve_schedule(model, UtilityKind.MV, cfg)
+    sol_mv = mv_solution if mv_solution is not None else solve_schedule(
+        model, UtilityKind.MV, cfg)
     seg_mv, atom_mv = _split_schedule(model, sol_mv)
     cap_ok = _crossing_free(model, seg_mv, atom_mv, strict=True)
     gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())

@@ -9,7 +9,7 @@ Every family supports the same small protocol:
   ``{x : lam . x >= level}`` (strictly greater when asked),
 * ``moment_sup_order(side)``: supremum of the orders k for which the
   one-sided tail integral of |x|^k is finite (exclusive bound; ``inf``
-  when every polynomial moment exists, ``nan`` when unknown),
+  when every polynomial moment exists),
 * ``sample(gen, size)``: draws from the normalized probability law,
 * ``total_mass``, ``support_scale``.
 
@@ -36,6 +36,15 @@ def truncate(x: np.ndarray) -> np.ndarray:
     """Componentwise truncation h(x)_i = x_i * 1{|x_i| <= 1}."""
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= TRUNCATION_BOUND, x, 0.0)
+
+
+def _row_sums(values, rows, n_rows: int) -> np.ndarray:
+    """Sums of values grouped by row index, added in array order.
+
+    A row summed alone and the same row inside a larger array give the
+    same bits, which np.dot and pairwise np.sum do not promise.
+    """
+    return np.bincount(rows, weights=values, minlength=n_rows)
 
 
 def _as_direction(lam, dim: int | None) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import InvariantError, SchemaError, UnsupportedMeasure
 from .measures import (CappedMeasure, ExpTails1D, ExpYieldMeasure, FiniteAtoms,
-                       Gaussian1D, JumpMeasure, TabulatedDensity1D, merge_atoms,
-                       truncate)
+                       Gaussian1D, JumpMeasure, TabulatedDensity1D, _row_sums,
+                       merge_atoms, truncate)
 
 _TIME_TOL = 1e-12
 
@@ -92,10 +92,25 @@ class JumpAtom:
 
     @property
     def chars(self) -> LocalCharacteristics:
-        d = self.law.dim
-        b = np.array([self.law.integrate(lambda x, i=i: _component_trunc(x, i, d))
-                      for i in range(d)])
-        return LocalCharacteristics(b, np.zeros((d, d)), self.law)
+        """Characteristics at the jump time, built on first use and kept.
+
+        In one dimension the truncated drift is summed in atom order, as
+        the batched scheduled-jump solver sums it, so both see the same
+        bits.
+        """
+        cached = self.__dict__.get("_chars")
+        if cached is None:
+            law = self.law
+            d = law.dim
+            if d == 1:
+                b = _row_sums(law.masses * truncate(law.points[:, 0]),
+                              np.zeros(law.masses.size, dtype=np.intp), 1)
+            else:
+                b = np.array([law.integrate(lambda x, i=i: _component_trunc(x, i, d))
+                              for i in range(d)])
+            cached = LocalCharacteristics(b, np.zeros((d, d)), law)
+            object.__setattr__(self, "_chars", cached)
+        return cached
 
 
 def _component_trunc(x, i: int, dim: int):

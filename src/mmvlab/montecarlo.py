@@ -375,9 +375,9 @@ def estimate_stats(values, functional: str = "mean",
 
     With antithetic pairing the estimate and its error are computed over
     pair averages (consecutive values form a pair), which is the valid
-    estimator for mirrored draws; a lone last value is left out.  The
-    Sharpe functional uses the large-sample error formula and ignores
-    pairing.
+    estimator for mirrored draws; a lone last value is left out, and at
+    least two complete pairs are needed.  The Sharpe functional uses the
+    large-sample error formula and ignores pairing.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
@@ -402,12 +402,13 @@ def estimate_stats(values, functional: str = "mean",
         t = (v >= 1.0).astype(float)
     else:
         raise InvariantError(f"unknown functional {functional!r}")
-    if antithetic and n >= 4:
+    if antithetic:
+        if n < 4:
+            raise InvariantError("need at least two antithetic pairs for an estimate")
         m = n // 2
         units = 0.5 * (t[0:2 * m:2] + t[1:2 * m:2])
     else:
         units = t
-    k = units.size
     est = float(units.mean())
-    se = float(units.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0
+    se = float(units.std(ddof=1)) / math.sqrt(units.size)
     return PathStats(est, se, n)

@@ -2,18 +2,34 @@
 
 The map lam -> local utility is concave, equals 0 at lam = 0, and may
 be -inf outside a convex domain when the jump tails are too heavy for
-the quadratic penalty.  The search therefore starts by restricting to
-the directions whose tail moments support a finite value, classifies
-rays by their asymptotic slope (a positive slope means the value is
-unbounded and is only flagged, never chased), and then runs
-derivative-free golden-section refinement: directly in one dimension,
-coordinate sweeps plus a gradient polish in several.
+the quadratic penalty.
+
+Time points whose jumps are finitely many atoms, or absent, are solved
+exactly.  In one dimension the local utility is piecewise quadratic.
+The plain kind is a single quadratic B lam - C lam^2/2, maximized at
+lam = B/C.  The monotone kind freezes each outcome x at its bliss point
+lam = 1/x, so its first-order condition is continuous, piecewise
+linear and nonincreasing with kinks there; the maximizer is the root on
+the first piece where the condition turns nonpositive.  Past the last
+kink only the losses and the diffusion still curve the utility: with
+neither, a zero slope there is a plateau, resolved to its minimum-norm
+end, and a positive slope makes the value unbounded (flagged, never
+chased).  Many one-dimensional time points are solved at once in a flat
+layout (`maximize_atom_laws`).  In several dimensions the plain kind is
+the minimum-norm solution of C lam = B.
+
+The rest is searched.  One-dimensional laws given by a density are
+first restricted to the directions whose tail moments support a finite
+value, monotone-kind rays are classified by their asymptotic slope, and
+golden-section refinement runs along the line.  The monotone kind on
+several-dimensional atoms gets coordinate sweeps plus a gradient and
+Newton polish.
 
 Optima need not be unique: the monotone utility is flat beyond its
 bliss level, so whole segments of directions can attain the maximum.
-Ties are resolved toward the minimum-norm maximizer, first along the
-segment between the two sweep orders' results, then along the ray to
-the origin.
+Ties are resolved toward the minimum-norm maximizer; the searches do it
+first along the segment between the two sweep orders' results, then
+along the ray to the origin.
 """
 from __future__ import annotations
 
@@ -25,9 +41,10 @@ import numpy as np
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import drift_of_variation
 from .errors import NonIntegrable, OptimizationError, QuadratureError
-from .localutil import (UtilityKind, _kind, asymptotic_slope, slope_variation,
+from .localutil import (UtilityKind, _kind, asymptotic_slope, local_utility,
+                        slope_variation, utility, utility_slope,
                         utility_variation)
-from .measures import FiniteAtoms
+from .measures import FiniteAtoms, _row_sums, truncate
 from .model import LocalCharacteristics
 
 _INVPHI = 0.6180339887498949
@@ -43,8 +60,8 @@ class LocalOptimum:
     when the maximizer is pinned by the finiteness domain or a null or
     flat model direction (the first-order residual need not vanish
     there), and "unbounded_flagged" when some ray has positive
-    asymptotic slope, in which case lambda_hat is only the best point
-    the capped search visited.
+    asymptotic slope, in which case lambda_hat is only the start of
+    that ray (exact solver) or the best point the capped search visited.
     """
 
     lambda_hat: np.ndarray
@@ -73,65 +90,210 @@ def _try_foc(lam, chars, kind, cfg) -> np.ndarray | None:
     return res if np.all(np.isfinite(res)) else None
 
 
-def _objective(chars: LocalCharacteristics, kind, cfg):
-    """Scalar objective for d = 1, plain closure on finite atoms for speed."""
-    kind = _kind(kind)
-    jumps = chars.jumps
-    b = float(chars.b_trunc[0])
-    cc = float(chars.cov[0, 0])
-    if isinstance(jumps, FiniteAtoms):
-        xs = [float(x) for x in jumps.points[:, 0]]
-        ms = [float(m) for m in jumps.masses]
-        hs = [x if abs(x) <= 1.0 else 0.0 for x in xs]
-        terms = list(zip(xs, ms, hs))
-        if kind is UtilityKind.MMV:
-            def f(lam: float) -> float:
-                s = b * lam - 0.5 * cc * lam * lam
-                for x, m, h in terms:
-                    u = lam * x
-                    s += m * ((u - 0.5 * u * u if u < 1.0 else 0.5) - lam * h)
-                return s
-        else:
-            def f(lam: float) -> float:
-                s = b * lam - 0.5 * cc * lam * lam
-                for x, m, h in terms:
-                    u = lam * x
-                    s += m * (u - 0.5 * u * u - lam * h)
-                return s
-        return f
+def _slope_tol(b):
+    """Slopes within this of zero count as flat."""
+    return 1e-12 * (1.0 + np.abs(b))
 
-    def f(lam: float) -> float:
-        return drift_of_variation(utility_variation([lam], kind, 1), chars, cfg)
+
+# ---------------------------------------------------------------------------
+# exact solver: finite atoms or no jumps
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """One-dimensional time points with finite-atom or no jumps, flat.
+
+    Row r has truncated drift b[r] and diffusion c[r]; its atoms are the
+    entries of x (outcomes) and m (masses) with row[i] == r, in law
+    order, so memory grows with the total number of atoms.
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    x: np.ndarray
+    m: np.ndarray
+    row: np.ndarray
+
+    def sums(self, values) -> np.ndarray:
+        return _row_sums(values, self.row, self.b.size)
+
+
+def _rows_from_chars(chars: LocalCharacteristics) -> _Rows:
+    if chars.jumps is None:
+        x = m = np.empty(0)
+    else:
+        x, m = chars.jumps.points[:, 0], chars.jumps.masses
+    keep = m > 0.0
+    return _Rows(chars.b_trunc[:1], chars.cov[0, :1], x[keep], m[keep],
+                 np.zeros(int(keep.sum()), dtype=np.intp))
+
+
+def _rows_from_laws(laws) -> _Rows:
+    """Rows of scheduled jumps: drift the mean of h, as in JumpAtom.chars."""
+    x = np.concatenate([law.points[:, 0] for law in laws])
+    m = np.concatenate([law.masses for law in laws])
+    row = np.repeat(np.arange(len(laws)), [law.masses.size for law in laws])
+    b = _row_sums(m * truncate(x), row, len(laws))
+    keep = m > 0.0
+    return _Rows(b, np.zeros(len(laws)), x[keep], m[keep], row[keep])
+
+
+def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
+    """Monotone-kind maximizer of every row by a root scan over its kinks.
+
+    Works on the side of the origin the slope points to, with outcomes
+    y = side * x: on that side the gains y > 0 have kinks 1/y, past
+    which they are frozen.  The first-order condition at mu >= 0 is
+    side*b0 - c mu + sum m y (1 - mu y)+; a bisection over each row's
+    sorted kinks finds the first kink where it is <= 0, and the root is
+    the closed form on the piece before it.  Returns (lam, unbounded,
+    plateau).
+    """
+    n_rows = rows.b.size
+    r = rows.row
+    side = np.where(slope0 < 0.0, -1.0, 1.0)
+    y = side[r] * rows.x
+    my, myy = rows.m * y, rows.m * y * y
+    gain = y > 0.0
+    idx = np.flatnonzero(gain)
+    kink = 1.0 / y[idx]
+    order = np.lexsort((kink, r[idx]))
+    idx, kink = idx[order], kink[order]
+    n_kinks = np.bincount(r[idx], minlength=n_rows)
+    first = np.cumsum(n_kinks) - n_kinks
+    rank = np.zeros(y.size, dtype=np.intp)
+    rank[idx] = np.arange(idx.size) - first[r[idx]]
+    padded = np.append(kink, 0.0)
+
+    def kink_at(j, valid, default):
+        return np.where(valid, padded[np.where(valid, first + j, kink.size)], default)
+
+    sb0 = side * b0
+    tail_slope = sb0 + rows.sums(np.where(gain, 0.0, my))
+    flat_tail = ~riskless & (rows.c + rows.sums(np.where(gain, 0.0, myy)) <= 0.0)
+    unbounded = flat_tail & (tail_slope > tol)
+    plateau = flat_tail & ~unbounded & (tail_slope >= -tol)
+    last = kink_at(n_kinks - 1, n_kinks > 0, 0.0)
+
+    lo = np.zeros(n_rows, dtype=np.intp)
+    hi = np.where(riskless | unbounded | plateau, 0, n_kinks)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            break
+        mid = (lo + hi) // 2
+        t = kink_at(mid, open_, 0.0)
+        foc = sb0 - rows.c * t + rows.sums(my * np.maximum(1.0 - t[r] * y, 0.0))
+        down = foc <= 0.0
+        hi = np.where(open_ & down, mid, hi)
+        lo = np.where(open_ & ~down, mid + 1, lo)
+
+    active = ~gain | (rank >= lo[r])
+    slope = sb0 + rows.sums(np.where(active, my, 0.0))
+    curv = rows.c + rows.sums(np.where(active, myy, 0.0))
+    mu = np.clip(slope / np.where(curv > 0.0, curv, 1.0),
+                 kink_at(lo - 1, lo > 0, 0.0), kink_at(lo, lo < n_kinks, np.inf))
+    mu = np.where(unbounded | plateau, last, mu)
+    return side * np.where(riskless, 0.0, mu), unbounded, plateau
+
+
+def _solve_rows(rows: _Rows, kind) -> list[LocalOptimum]:
+    """Exact optima of all rows; value, residual and flags vectorized."""
+    kind = _kind(kind)
+    x, m, r = rows.x, rows.m, rows.row
+    h = truncate(x)
+    b0 = rows.b - rows.sums(m * h)          # zero-truncation drift
+    slope0 = b0 + rows.sums(m * x)          # B, the slope at the origin
+    curv0 = rows.c + rows.sums(m * x * x)   # C, the curvature at the origin
+    tol = _slope_tol(rows.b)
+    riskless = curv0 <= 0.0
+    unbounded = riskless & (np.abs(slope0) > tol)
+    if kind is UtilityKind.MV:
+        lam = np.where(riskless, 0.0, slope0 / np.where(riskless, 1.0, curv0))
+        tie = np.zeros(rows.b.size, dtype=bool)
+    else:
+        lam, tail_unbounded, tie = _scan_kinks(rows, b0, slope0, riskless, tol)
+        unbounded |= tail_unbounded
+
+    value = rows.b * lam - 0.5 * rows.c * lam * lam + rows.sums(
+        m * (utility(kind, lam[r] * x) - lam[r] * h))
+    if np.any(value < 0.0):     # rounding around a maximum at the origin
+        lam = np.where(value < 0.0, 0.0, lam)
+        value = np.maximum(value, 0.0)
+    foc = rows.b - rows.c * lam + rows.sums(
+        m * (x * utility_slope(kind, lam[r] * x) - h))
+    flags = np.where(unbounded, "unbounded_flagged",
+                     np.where(riskless | (np.abs(foc) > _FOC_TOL),
+                              "flat_direction", "interior")).tolist()
+    lam, foc = lam.reshape(-1, 1), foc.reshape(-1, 1)
+    return [LocalOptimum(lam[i], v, foc[i], flag, t)
+            for i, (v, flag, t) in enumerate(zip(value.tolist(), flags,
+                                                 tie.tolist()))]
+
+
+def maximize_atom_laws(laws, kind) -> tuple[LocalOptimum, ...]:
+    """Exact optima at many one-dimensional scheduled jumps at once.
+
+    Each law is the increment law of a fixed jump time, whose
+    characteristics are those of `JumpAtom.chars` (truncated drift the
+    mean of h, no diffusion); no characteristics are built.  Each
+    optimum equals `maximize_local_utility` on those characteristics
+    bit for bit.
+    """
+    if not laws:
+        return ()
+    if any(law.dim != 1 for law in laws):
+        raise OptimizationError("batched atom laws must be one-dimensional")
+    opts = _solve_rows(_rows_from_laws(laws), kind)
+    if not all(math.isfinite(o.value) for o in opts):
+        raise OptimizationError("exact solver produced a non-finite value")
+    return tuple(opts)
+
+
+def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+    """Minimum-norm maximizer lam = C^+ B on finite atoms or no jumps.
+
+    The local utility is B . lam - lam' C lam / 2 with B = b + sum m (x - h)
+    and C = c + sum m x x', for the plain kind always and for the
+    monotone kind when there are no jumps.  When C is singular the
+    maximizers form lam + null(C) and the minimum-norm one is taken; a
+    part of B in null(C) is a riskless drift, so the value is unbounded.
+    """
+    B = chars.b_trunc.copy()
+    C = chars.cov.copy()
+    if chars.jumps is not None:
+        x, m = chars.jumps.points, chars.jumps.masses
+        B += m @ (x - truncate(x))
+        C += (x * m[:, None]).T @ x
+    w, V = np.linalg.eigh(C)
+    curved = w > chars.dim * np.finfo(float).eps * max(float(w.max()), 0.0)
+    lam = V[:, curved] @ ((V[:, curved].T @ B) / w[curved])
+    unbounded = bool(np.any(np.abs(V[:, ~curved].T @ B)
+                            > _slope_tol(float(np.abs(chars.b_trunc).max()))))
+    value = local_utility(lam, chars, kind, cfg)
+    if value < 0.0:
+        lam, value = np.zeros(chars.dim), 0.0
+    res = foc_residual(lam, chars, kind, cfg)
+    if unbounded:
+        flag = "unbounded_flagged"
+    else:
+        flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
+    return LocalOptimum(lam, float(value), res, flag,
+                        bool(not unbounded and not curved.all()))
+
+
+# ---------------------------------------------------------------------------
+# searches: one-dimensional density laws, monotone kind on n-d atoms
+
+
+def _objective(chars: LocalCharacteristics, kind, cfg):
+    """The local utility as a function of lam (a float when d = 1)."""
+    kind = _kind(kind)
+
+    def f(lam) -> float:
+        return drift_of_variation(utility_variation(lam, kind, chars.dim), chars, cfg)
 
     return f
-
-
-def _foc_closure(chars: LocalCharacteristics, kind):
-    """Exact scalar gradient for d = 1 finite-atom laws, or None."""
-    kind = _kind(kind)
-    jumps = chars.jumps
-    if jumps is not None and not isinstance(jumps, FiniteAtoms):
-        return None
-    b = float(chars.b_trunc[0])
-    cc = float(chars.cov[0, 0])
-    if jumps is None:
-        terms = []
-    else:
-        xs = [float(x) for x in jumps.points[:, 0]]
-        ms = [float(m) for m in jumps.masses]
-        hs = [x if abs(x) <= 1.0 else 0.0 for x in xs]
-        terms = list(zip(xs, ms, hs))
-    mmv = kind is UtilityKind.MMV
-
-    def foc(lam: float) -> float:
-        s = b - cc * lam
-        for x, m, h in terms:
-            u = lam * x
-            gp = (1.0 - u) if (u < 1.0 or not mmv) else 0.0
-            s += m * (x * gp - h)
-        return s
-
-    return foc
 
 
 def _golden_max(f, a: float, b: float) -> tuple[float, float]:
@@ -272,23 +434,16 @@ def _secant_polish(obj, foc, x: float, lo: float, hi: float) -> float:
 
 
 def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+    """Line search for a one-dimensional jump law given by a density."""
     kind = _kind(kind)
     jumps = chars.jumps
-    if jumps is None:
-        orders = (math.inf, math.inf)
-        total = 0.0
-    else:
-        orders = (jumps.moment_sup_order(-1), jumps.moment_sup_order(+1))
-        total = jumps.total_mass()
-
-    def heavy_ok(order: float) -> bool:
-        return math.isnan(order) or order > 2.0
-
+    # the quadratic penalty needs second moments on the side it meets
+    ok_neg, ok_pos = (jumps.moment_sup_order(side) > 2.0 for side in (-1, +1))
     if kind is UtilityKind.MV:
-        allow_pos = allow_neg = heavy_ok(orders[0]) and heavy_ok(orders[1])
+        allow_pos = allow_neg = ok_neg and ok_pos
     else:
-        allow_pos = heavy_ok(orders[0])   # losses come from the left tail
-        allow_neg = heavy_ok(orders[1])
+        allow_pos = ok_neg   # losses come from the left tail
+        allow_neg = ok_pos
 
     def finish(lam, val, foc_at, flag, tie):
         res = _try_foc([lam], chars, kind, cfg) if foc_at else None
@@ -302,40 +457,34 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     if not (allow_pos or allow_neg):
         return finish(0.0, 0.0, True, "flat_direction", False)
 
-    tol_m = 1e-13 * (1.0 + total)
-    mass_pos = jumps.mass_scaled_ge(np.array([1.0]), 0.0, strict=True) \
-        if jumps is not None else 0.0
-    mass_neg = jumps.mass_scaled_ge(np.array([-1.0]), 0.0, strict=True) \
-        if jumps is not None else 0.0
+    tol_m = 1e-13 * (1.0 + jumps.total_mass())
+    mass_pos = jumps.mass_scaled_ge(np.array([1.0]), 0.0, strict=True)
+    mass_neg = jumps.mass_scaled_ge(np.array([-1.0]), 0.0, strict=True)
     cc = float(chars.cov[0, 0])
+    slope_tol = _slope_tol(float(chars.b_trunc[0]))
     if cc <= 0.0 and mass_pos <= tol_m and mass_neg <= tol_m:
         # no risk at all: the value is linear in lam
         slope = asymptotic_slope([1.0], chars, cfg)
-        if abs(slope) <= 1e-12 * (1.0 + abs(float(chars.b_trunc[0]))):
+        if abs(slope) <= slope_tol:
             return finish(0.0, 0.0, True, "flat_direction", False)
         return finish(0.0, 0.0, False, "unbounded_flagged", False)
 
-    slope_tol = 1e-12 * (1.0 + float(np.abs(chars.b_trunc).max()))
-    flagged = False
-    if allow_pos and asymptotic_slope([1.0], chars, cfg) > slope_tol:
-        flagged = True
-    if allow_neg and asymptotic_slope([-1.0], chars, cfg) > slope_tol:
-        flagged = True
+    # Past every bliss point the monotone utility keeps only the
+    # zero-truncation drift, so a positive asymptotic slope is a free
+    # lunch; the plain kind penalizes every jump and has no such limit.
+    flagged = kind is UtilityKind.MMV and (
+        (allow_pos and asymptotic_slope([1.0], chars, cfg) > slope_tol)
+        or (allow_neg and asymptotic_slope([-1.0], chars, cfg) > slope_tol))
 
     f = _objective(chars, kind, cfg)
-    scale = jumps.support_scale() if jumps is not None else max(math.sqrt(cc), 1e-6)
-    width = 1.0 / max(scale, 1e-12)
+    width = 1.0 / max(jumps.support_scale(), 1e-12)
     lo, hi, hit_cap = _expand(f, width, allow_neg, allow_pos)
     flagged = flagged or hit_cap
     lam, val = _golden_max(f, lo, hi)
     if val < 0.0:
         lam, val = 0.0, 0.0
 
-    fast_foc = _foc_closure(chars, kind)
-
     def foc_scalar(x: float) -> float | None:
-        if fast_foc is not None:
-            return fast_foc(x)
         r = _try_foc([x], chars, kind, cfg)
         return None if r is None else float(r[0])
 
@@ -479,9 +628,7 @@ def _maximize_nd(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     d = chars.dim
     jumps = chars.jumps
 
-    def f(lam: np.ndarray) -> float:
-        return drift_of_variation(utility_variation(lam, kind, d), chars, cfg)
-
+    f = _objective(chars, kind, cfg)
     scale = jumps.support_scale() if jumps is not None else 1.0
     width = 1.0 / max(scale, 1e-12)
     lam_a, val_a = _coordinate_sweep(f, d, range(d), width)
@@ -521,15 +668,24 @@ def maximize_local_utility(chars: LocalCharacteristics, kind,
                            cfg: QuadConfig = DEFAULT_QUAD) -> LocalOptimum:
     """Globally maximize the concave local utility in the position direction.
 
-    One-dimensional models get domain restriction by tail moments, slope
-    classification, bracketed golden section and a secant polish of the
-    stationarity residual; multidimensional models (finite atom laws
-    only, d <= 4) get coordinate sweeps in both orders with a gradient
-    polish and the segment tie-break.
+    Finite-atom and jump-free time points are solved exactly: in one
+    dimension by the closed form (plain kind) or the kink scan (monotone
+    kind), in several by the minimum-norm closed form, except for the
+    monotone kind on several-dimensional atoms.  That case gets
+    coordinate sweeps in both orders with a gradient and Newton polish
+    and the segment tie-break (d <= 4); one-dimensional density laws get
+    domain restriction by tail moments, slope classification, bracketed
+    golden section and a secant polish of the stationarity residual.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")
-    if chars.dim == 1:
+    kind = _kind(kind)
+    exact = chars.jumps is None or isinstance(chars.jumps, FiniteAtoms)
+    if exact and chars.dim == 1:
+        opt = _solve_rows(_rows_from_chars(chars), kind)[0]
+    elif exact and (kind is UtilityKind.MV or chars.jumps is None):
+        opt = _maximize_quadratic(chars, kind, cfg)
+    elif chars.dim == 1:
         opt = _maximize_1d(chars, kind, cfg)
     else:
         opt = _maximize_nd(chars, kind, cfg)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from mmvlab import (DEFAULT_QUAD, CumulativeUtility, FiniteAtoms,
+from mmvlab import (DEFAULT_QUAD, CumulativeUtility, FiniteAtoms, JumpAtom,
                     LocalCharacteristics, SimConfig, build_model,
                     compounding_dual, det_stoch_exponential,
                     drift_of_variation, maximize_local_utility,
@@ -33,6 +33,23 @@ def random_atom_chars(gen, dim=1, n_points=None):
     b = gen.uniform(-0.3, 0.3, size=dim)
     c = np.diag(gen.uniform(0.05, 0.3, size=dim))
     return LocalCharacteristics(b, c, FiniteAtoms(pts, masses))
+
+
+def random_jump_chars(gen, losses=True):
+    """Scheduled-jump characteristics: no diffusion, drift the mean of h.
+
+    Without a loss outcome nothing curves the monotone utility past the
+    last bliss point, so its maximum is a plateau there.
+    """
+    n = int(gen.integers(2, 6))
+    if losses:
+        pts = gen.uniform(-0.9, 1.5, size=n)
+        pts[0] = -abs(pts[0]) - 0.05
+    else:
+        pts = gen.uniform(0.05, 1.5, size=n)
+    masses = gen.uniform(0.05, 0.4, size=n)
+    masses *= gen.uniform(0.3, 1.0) / masses.sum()
+    return JumpAtom(1.0, FiniteAtoms(pts[:, None], masses)).chars
 
 
 def combine_variations(a, xi, b, eta):
@@ -138,21 +155,34 @@ def _grid_objective(chars, kind):
 
     coarse = np.linspace(-60.0, 60.0, 24001)
     v = val(coarse)
-    k = int(np.argmax(v))
+    # the smallest |lam| at the maximum, so a plateau is scanned at its start
+    near = np.flatnonzero(v >= v.max() - 1e-12 * (1.0 + abs(v.max())))
+    k = int(near[np.argmin(np.abs(coarse[near]))])
     assert 0 < k < coarse.size - 1, "oracle grid clipped the optimum"
     fine = np.linspace(coarse[k - 1], coarse[k + 1], 20001)
     return float(np.max(val(fine)))
 
 
 def check_optimizer_vs_grid(n_models=50, seed=13):
-    """Worst |optimizer value - dense grid value| over random atom models."""
-    gen = np.random.default_rng(seed)
+    """Worst |optimizer value - dense grid value| over random atom models.
+
+    Three families of n_models each: atoms with diffusion, scheduled
+    jumps (no diffusion) with a loss outcome, and scheduled jumps
+    without one, whose monotone maximum is a plateau.
+    """
+    families = [
+        (np.random.default_rng(seed), random_atom_chars),
+        (np.random.default_rng([seed, 1]), random_jump_chars),
+        (np.random.default_rng([seed, 2]),
+         lambda gen: random_jump_chars(gen, losses=False)),
+    ]
     worst = 0.0
-    for _ in range(n_models):
-        chars = random_atom_chars(gen)
-        for kind in ("mv", "mmv"):
-            opt = maximize_local_utility(chars, kind)
-            worst = max(worst, abs(opt.value - _grid_objective(chars, kind)))
+    for gen, draw in families:
+        for _ in range(n_models):
+            chars = draw(gen)
+            for kind in ("mv", "mmv"):
+                opt = maximize_local_utility(chars, kind)
+                worst = max(worst, abs(opt.value - _grid_objective(chars, kind)))
     return worst
 
 

@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mmvlab
+from mmvlab import DEFAULT_QUAD, solve_schedule
 from mmvlab.cli import run
 
 ZERO_CONFIG = {
@@ -180,6 +183,11 @@ class TestSimulate:
 
     def test_bad_path_count(self, zero_config_path, capsys):
         assert run(["simulate", zero_config_path, "--paths", "0"]) == 2
+        # antithetic estimates need two complete pairs
+        assert run(["simulate", zero_config_path, "--paths", "3"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run(["simulate", zero_config_path, "--paths", "4",
+                    "--steps", "4"]) == 0
 
 
 def test_diagnose_zero_model(zero_config_path, capsys):
@@ -187,6 +195,20 @@ def test_diagnose_zero_model(zero_config_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["no_arbitrage"]["holds"] is True
     assert report["comparison"]["verdict"] == "coincide"
+
+
+def test_diagnose_solves_each_kind_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(model, kind, cfg=DEFAULT_QUAD):
+        calls.append(str(kind))
+        return solve_schedule(model, kind, cfg)
+
+    for module in (mmvlab.aggregate, mmvlab.cli, mmvlab.duality):
+        monkeypatch.setattr(module, "solve_schedule", counting)
+    ex1 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex1.json")
+    assert run(["diagnose", ex1]) == 0
+    assert sorted(calls) == ["mmv", "mv"]
 
 
 def test_module_entry_point():

@@ -96,6 +96,9 @@ class TestSignedMeasure:
         with pytest.raises(InfiniteValue):
             mv_signed_measure(example_model(6, atoms_max=80))
 
+    def test_passed_solution_is_used(self, ex2, ex2_sol_mv):
+        assert mv_signed_measure(ex2, solution=ex2_sol_mv) == mv_signed_measure(ex2)
+
 
 class TestDensityDiagnostics:
     def test_diffusive(self, ex2, ex2_sol_mmv):
@@ -159,6 +162,10 @@ class TestCoincidence:
             assert rep.cap_condition is None
             assert rep.max_lambda_gap is None
             assert "square integrable" in rep.note
+
+    def test_passed_solutions_are_used(self, ex2, ex2_sol_mv, ex2_sol_mmv):
+        assert compare_mv_mmv(ex2, mv_solution=ex2_sol_mv,
+                              mmv_solution=ex2_sol_mmv) == compare_mv_mmv(ex2)
 
     def test_divergent_series_not_applicable(self):
         rep = compare_mv_mmv(example_model(6, atoms_max=100))

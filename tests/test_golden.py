@@ -3,7 +3,8 @@
 The files under tests/data/ are the JSON stdout of the commands below;
 a refactor that keeps every figure must reproduce them exactly.
 Example 5 at 200 atoms fails its monotone partial-sum check (the
-series has not yet grown past the threshold), so it exits 1.
+series has not yet grown past the threshold), so it exits 1; at 2 000
+atoms, where a numerical search once stalled on some bets, it passes.
 """
 from pathlib import Path
 
@@ -22,6 +23,8 @@ CASES = [
     ("reproduce_ex4.json", ["reproduce", "--example", "4"], 0),
     ("reproduce_ex5_atoms200.json",
      ["reproduce", "--example", "5", "--atoms-max", "200"], 1),
+    ("reproduce_ex5_atoms2000.json",
+     ["reproduce", "--example", "5", "--atoms-max", "2000"], 0),
     ("reproduce_ex6_atoms200.json",
      ["reproduce", "--example", "6", "--atoms-max", "200"], 0),
     ("simulate_ex2_mv.json",

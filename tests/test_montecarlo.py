@@ -139,6 +139,14 @@ class TestEstimates:
         assert st.std_error == pytest.approx(1.0, abs=1e-15)
         assert st.n == 5
 
+    def test_antithetic_needs_two_complete_pairs(self):
+        # one mirrored pair is a single draw: no standard error exists
+        for values in ([1.0, 3.0], [1.0, 3.0, 7.0]):
+            with pytest.raises(InvariantError):
+                estimate_stats(values, antithetic=True)
+        st = estimate_stats([1.0, 3.0, 3.0, 5.0], antithetic=True)
+        assert (st.estimate, st.std_error) == (3.0, 1.0)
+
     def test_functionals(self):
         assert estimate_stats([1.0, 2.0], "second_moment").estimate == 2.5
         assert estimate_stats([0.5, 1.0, 2.0, 0.0],

@@ -1,11 +1,17 @@
-"""Local utility maximization: pinned optima, flags, grid cross-checks."""
+"""Local utility maximization: pinned optima, flags, exact-solver properties."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmvlab import (LocalCharacteristics, foc_residual, local_utility,
-                    maximize_local_utility)
+from mmvlab import (DEFAULT_QUAD, ExpTails1D, FiniteAtoms, InfiniteValue,
+                    JumpAtom, LocalCharacteristics, MarketModel, Segment,
+                    cumulative_local_utility, example_model, foc_residual,
+                    local_utility, maximize_local_utility, solve_schedule)
+from mmvlab.optimize import _maximize_1d, maximize_atom_laws
 
 import properties
 
@@ -96,3 +102,139 @@ def test_unbounded_ray_is_flagged():
     opt = maximize_local_utility(chars, "mv")
     assert opt.boundedness == "unbounded_flagged"
     assert math.isfinite(opt.value)
+
+
+def test_bounded_quadratic_optimum_on_gain_atoms_is_not_flagged():
+    # no loss outcome and no diffusion: only the monotone kind has a free
+    # lunch past the last bliss point; the plain kind penalizes every jump
+    chars = LocalCharacteristics(
+        np.array([1.0]), np.zeros((1, 1)),
+        FiniteAtoms(np.array([[0.2], [0.4]]), np.array([1.0, 1.0])))
+    mv = maximize_local_utility(chars, "mv")
+    assert mv.boundedness == "interior"
+    assert float(mv.lambda_hat[0]) == pytest.approx(5.0, rel=1e-14)
+    assert mv.value == pytest.approx(2.5, rel=1e-14)
+    assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), ())
+    cu = cumulative_local_utility(model, "mv")
+    assert cu.continuous_part == pytest.approx(5.0, rel=1e-14)
+    with pytest.raises(InfiniteValue):
+        cumulative_local_utility(model, "mmv")
+
+
+def test_bounded_quadratic_optimum_on_gain_density_is_not_flagged():
+    # the same on the quadrature path: one-sided exponential gains
+    chars = LocalCharacteristics(np.array([1.0]), np.zeros((1, 1)),
+                                 ExpTails1D(0.0, 1.0, 2.0, 4.0))
+    mv = maximize_local_utility(chars, "mv")
+    assert mv.boundedness == "interior"
+    jumps = chars.jumps
+    h = jumps.integrate(lambda x: np.where(np.abs(x) <= 1.0, x, 0.0), (1.0,))
+    B = 1.0 + jumps.integrate(lambda x: x, (1.0,)) - h
+    C = jumps.integrate(lambda x: x * x, (1.0,))
+    assert float(mv.lambda_hat[0]) == pytest.approx(B / C, rel=1e-8)
+    assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
+
+
+def _example5_closed_form(n):
+    """Monotone optimum of example 5's bet n, exactly: B1/C1 on the piece
+    where the unit windfall is frozen and the other two outcomes are not."""
+    w = Fraction(1, n * n)
+    loss, gain = -Fraction(1, n ** 3), Fraction(1, n * n)
+    b1 = (Fraction(1, 2) - w) * loss + Fraction(1, 2) * gain
+    c1 = (Fraction(1, 2) - w) * loss ** 2 + Fraction(1, 2) * gain ** 2
+    return float(b1 / c1)
+
+
+def test_example5_monotone_bet_is_exact():
+    # a numerical search stalled on this bet and reported it interior
+    model = example_model(5, atoms_max=1990)
+    atom = model.atoms[1989 - 2]
+    want = _example5_closed_form(1989)
+    got = solve_schedule(model, "mmv").atom_optima[1989 - 2]
+    assert float(got.lambda_hat[0]) == pytest.approx(want, rel=1e-12)
+    assert got.boundedness == "interior"
+    single = maximize_local_utility(atom.chars, "mmv")
+    assert float(single.lambda_hat[0]) == pytest.approx(want, rel=1e-12)
+
+
+def test_plateau_takes_its_minimum_norm_end():
+    # gains only, no diffusion: the monotone utility is flat past 1/0.25
+    law = FiniteAtoms(np.array([[0.5], [0.25], [1.0]]), np.array([0.2, 0.3, 0.1]))
+    opt = maximize_local_utility(JumpAtom(1.0, law).chars, "mmv")
+    assert opt.tie_break_applied
+    assert opt.boundedness == "interior"
+    assert float(opt.lambda_hat[0]) == 4.0
+    assert opt.value == pytest.approx(0.3, rel=1e-14)   # every outcome frozen at 1/2
+    mirrored = FiniteAtoms(-law.points, law.masses)
+    opt = maximize_local_utility(JumpAtom(1.0, mirrored).chars, "mmv")
+    assert float(opt.lambda_hat[0]) == -4.0 and opt.tie_break_applied
+
+
+def test_multidimensional_quadratic_flags_a_riskless_drift():
+    # both outcomes move asset 1 only, yet asset 2 drifts: a free lunch
+    chars = LocalCharacteristics(
+        np.array([0.0, 0.3]), np.zeros((2, 2)),
+        FiniteAtoms(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([0.3, 0.3])))
+    assert maximize_local_utility(chars, "mv").boundedness == "unbounded_flagged"
+    flat = LocalCharacteristics(np.array([0.0, 0.0]), chars.cov, chars.jumps)
+    opt = maximize_local_utility(flat, "mv")
+    assert opt.boundedness == "interior" and opt.tie_break_applied
+    assert opt.lambda_hat[1] == 0.0
+
+
+_POINTS = st.floats(-2.0, 3.0).filter(lambda v: abs(v) >= 1e-3)
+
+
+@st.composite
+def atom_laws(draw):
+    """A scheduled-jump law: 1-5 nonzero outcomes, total mass at most one."""
+    pts = draw(st.lists(_POINTS, min_size=1, max_size=5))
+    ms = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(pts),
+                                max_size=len(pts))))
+    ms *= draw(st.floats(0.1, 1.0)) / ms.sum()
+    return FiniteAtoms(np.array(pts)[:, None], ms)
+
+
+@given(atom_laws(), st.floats(0.05, 20.0), st.sampled_from(["mv", "mmv"]))
+@settings(max_examples=150, deadline=None)
+def test_rescaling_jumps_rescales_the_optimum(law, s, kind):
+    scaled = FiniteAtoms(s * law.points, law.masses)
+    a, b = maximize_atom_laws([law, scaled], kind)
+    assert float(b.lambda_hat[0]) * s == pytest.approx(float(a.lambda_hat[0]),
+                                                       rel=1e-10)
+    assert b.value == pytest.approx(a.value, rel=1e-10, abs=1e-14)
+
+
+@given(st.lists(atom_laws(), min_size=1, max_size=6),
+       st.sampled_from(["mv", "mmv"]))
+@settings(max_examples=100, deadline=None)
+def test_batched_schedule_equals_single_points_bit_for_bit(laws, kind):
+    atoms = tuple(JumpAtom(0.1 * (i + 1), law) for i, law in enumerate(laws))
+    segment = Segment(0.0, 1.0, LocalCharacteristics(np.zeros(1), np.zeros((1, 1)),
+                                                     None))
+    model = MarketModel(1.0, 1, (segment,), atoms)
+    batched = solve_schedule(model, kind).atom_optima
+    for atom, got in zip(atoms, batched):
+        want = maximize_local_utility(atom.chars, kind)
+        assert got.lambda_hat.tobytes() == want.lambda_hat.tobytes()
+        assert got.foc_residual.tobytes() == want.foc_residual.tobytes()
+        assert (got.value, got.boundedness, got.tie_break_applied) \
+            == (want.value, want.boundedness, want.tie_break_applied)
+
+
+@given(atom_laws(), st.floats(-0.5, 0.5), st.floats(0.0, 0.3))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_closed_form_matches_the_line_search(law, b, c):
+    chars = LocalCharacteristics(np.array([b]), np.array([[c]]), law)
+    exact = maximize_local_utility(chars, "mv")
+    searched = _maximize_1d(chars, "mv", DEFAULT_QUAD)
+    assert exact.boundedness == "interior"
+    assert exact.value >= searched.value - 1e-12 * (1.0 + searched.value)
+    assert exact.value == pytest.approx(searched.value, rel=1e-9, abs=1e-12)
+    # the search settles for any point within 1e-13 of the best value, so
+    # at optima worth about 1e-10 or less it may pull lam toward 0 and
+    # report a flat direction; its lam is only comparable when interior
+    if searched.boundedness == "interior":
+        assert float(exact.lambda_hat[0]) == pytest.approx(
+            float(searched.lambda_hat[0]), rel=1e-5, abs=1e-6)
