@@ -80,8 +80,13 @@ def _v(value, source: str = "analytic", se=None) -> dict:
     return node
 
 
-def _stat(ps) -> dict:
-    return _v(float(ps.estimate), "mc", se=float(ps.std_error))
+def _stat(ps, target=None) -> dict:
+    """A Monte Carlo estimate; with an analytic target, also its pull,
+    (estimate - target) / se, when the standard error is positive."""
+    node = _v(float(ps.estimate), "mc", se=float(ps.std_error))
+    if target is not None and ps.std_error > 0.0:
+        node["pull"] = (float(ps.estimate) - target) / float(ps.std_error)
+    return node
 
 
 def _check(name: str, actual, expected, tol=None, mode: str = "abs",
@@ -337,21 +342,33 @@ def _cmd_simulate(args) -> int:
                              scale=1.0, solution=sol, cfg=cfg)
     anti = sim.antithetic
     util_functional = f"utility_{args.kind}"
+    # analytic values of the normalized optimum, where the theory gives one
+    targets = {}
+    if gv.finite:
+        targets["expected_utility"] = gv.u0
+        if args.kind == "mv":
+            targets["terminal_wealth_mean"] = gv.mhr2
+            targets["terminal_wealth_second_moment"] = gv.mhr2
+        else:
+            targets["prob_wealth_ge_one"] = zero_density_probability(model, sol, cfg)
+            targets["density_mean"] = 1.0
+            targets["density_second_moment"] = gv.scale
     estimates = {
-        "terminal_wealth_mean": _stat(
-            estimate_stats(study.terminal_wealth, "mean", anti)),
-        "terminal_wealth_second_moment": _stat(
-            estimate_stats(study.terminal_wealth, "second_moment", anti)),
-        "prob_wealth_ge_one": _stat(
-            estimate_stats(study.terminal_wealth, "prob_ge_one", anti)),
-        "expected_utility": _stat(
-            estimate_stats(study.terminal_wealth, util_functional, anti)),
+        name: _stat(estimate_stats(study.terminal_wealth, functional, anti),
+                    targets.get(name))
+        for name, functional in (
+            ("terminal_wealth_mean", "mean"),
+            ("terminal_wealth_second_moment", "second_moment"),
+            ("prob_wealth_ge_one", "prob_ge_one"),
+            ("expected_utility", util_functional))
     }
     if gv.finite and gv.mhr2 < 1.0:
         z = study.capped_exponential / (1.0 - gv.mhr2)
-        estimates["density_mean"] = _stat(estimate_stats(z, "mean", anti))
+        estimates["density_mean"] = _stat(estimate_stats(z, "mean", anti),
+                                          targets.get("density_mean"))
         estimates["density_second_moment"] = _stat(
-            estimate_stats(z, "second_moment", anti))
+            estimate_stats(z, "second_moment", anti),
+            targets.get("density_second_moment"))
     else:
         warnings.append("dual density undefined (infinite value); "
                         "density estimates omitted")

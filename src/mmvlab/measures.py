@@ -92,8 +92,8 @@ class FiniteAtoms(JumpMeasure):
         ms = np.asarray(self.masses, dtype=float).ravel()
         if pts.shape[0] != ms.shape[0]:
             raise InvariantError("points and masses disagree in length")
-        if np.any(ms < 0.0):
-            raise InvariantError("negative atom mass")
+        if not np.all(ms >= 0.0):
+            raise InvariantError("negative or NaN atom mass")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", ms)
         object.__setattr__(self, "dim", pts.shape[1])
@@ -166,10 +166,12 @@ class Gaussian1D(JumpMeasure):
     rate: float
 
     def __post_init__(self):
-        if self.variance <= 0.0:
-            raise InvariantError("gaussian variance must be positive")
-        if self.rate < 0.0:
-            raise InvariantError("negative jump rate")
+        if not math.isfinite(self.mean):
+            raise InvariantError("gaussian mean must be finite")
+        if not 0.0 < self.variance < math.inf:
+            raise InvariantError("gaussian variance must be positive and finite")
+        if not 0.0 <= self.rate < math.inf:
+            raise InvariantError("jump rate must be non-negative and finite")
 
     @property
     def sd(self) -> float:
@@ -226,10 +228,10 @@ class ExpTails1D(JumpMeasure):
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise InvariantError("tail rates must be positive")
-        if self.c_minus < 0.0 or self.c_plus < 0.0:
-            raise InvariantError("negative tail coefficient")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise InvariantError("tail rates must be positive and finite")
+        if not (0.0 <= self.c_minus < math.inf and 0.0 <= self.c_plus < math.inf):
+            raise InvariantError("tail coefficients must be non-negative and finite")
 
     def total_mass(self) -> float:
         return self.c_minus / self.a + self.c_plus / self.b
@@ -296,10 +298,12 @@ class TabulatedDensity1D(JumpMeasure):
         d = np.asarray(self.density, dtype=float).ravel()
         if x.size != d.size or x.size < 2:
             raise InvariantError("grid and density must match, length >= 2")
+        if not np.all(np.isfinite(x)):
+            raise InvariantError("grid values must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise InvariantError("grid must be strictly increasing")
-        if np.any(d < 0.0):
-            raise InvariantError("negative density value")
+        if not np.all((d >= 0.0) & (d < math.inf)):
+            raise InvariantError("density values must be non-negative and finite")
         if self.quadrature != "trapezoid":
             raise UnsupportedMeasure(f"unknown quadrature rule {self.quadrature!r}")
         object.__setattr__(self, "grid", x)
@@ -404,6 +408,8 @@ class CappedMeasure(JumpMeasure):
     def __post_init__(self):
         if self.base.dim != 1:
             raise UnsupportedMeasure("cap transform is one-dimensional")
+        if not math.isfinite(self.cap):
+            raise InvariantError("cap must be finite")
 
     def total_mass(self) -> float:
         return self.base.total_mass()

@@ -7,15 +7,28 @@ recursion: invest the direction times the gap below the bliss level,
 clamped at zero for the monotone kind, unclamped for the plain
 quadratic kind.
 
-Determinism contract: every unit owns a counter-based stream keyed by
-(seed, unit index), so output is a pure function of (seed, n_paths,
-n_steps, antithetic), and the first n paths of a study are the paths of
-the n-path study.  Within a unit the draw order is fixed: diffusion
-normals for all step rows, then Poisson jump counts, then jump sizes
-segment by segment, then one uniform per scheduled jump.  An antithetic
-unit is a pair of paths sharing every draw except the sign of the
-normals.  Units are drawn serially in blocks of fixed size, and each
-block goes through the vectorized wealth recursion at once.
+Determinism contract: paths are drawn in units (an antithetic pair of
+paths, or one path), and units in blocks of _BLOCK_UNITS = 256.  Block
+k draws from one counter-based Philox stream keyed by (seed, k) and
+always draws all 256 units, however many paths are asked for; the last
+block is cut to the path count.  Output is therefore a pure function of
+(seed, n_paths, n_steps, antithetic), and the first n paths of a study
+are the paths of the n-path study.  Within a block the draw order is
+fixed:
+
+1. diffusion normals, one (units, rows, dim) array (only when some
+   segment diffuses; rows of scheduled jumps have zero volatility);
+2. jump counts, one (units, jumping segments) array of Poisson totals
+   per unit and segment with a positive jump rate;
+3. for each jumping segment in order, one uniform per jump, units in
+   order, that places the jump in a step row with probability
+   proportional to the row's dt, then the jump sizes in the same order;
+4. one (units, scheduled jumps) array of uniforms that pick each
+   scheduled jump's outcome.
+
+An antithetic unit is a pair of paths sharing every draw except the
+sign of the normals.  Each block goes through the vectorized wealth
+reduce at once.
 """
 from __future__ import annotations
 
@@ -30,8 +43,9 @@ from .errors import InvariantError, UnsupportedMeasure
 from .localutil import UtilityKind, _kind, utility
 from .model import MarketModel, small_jump_mean
 
-# Units per block.  Larger blocks do not run faster, and their
-# (paths, rows) temporaries raise the peak memory of a study.
+# Units per block.  The block size is part of the stream layout: changing
+# it changes every draw.  A block's (units, rows) temporaries take about
+# 4 MB at 2 000 rows.
 _BLOCK_UNITS = 256
 
 
@@ -94,7 +108,7 @@ class PathSet:
 
 
 class _Grid:
-    """Precomputed row layout and per-segment sampling data."""
+    """Row layout of the step grid and the data one block of draws needs."""
 
     def __init__(self, model: MarketModel, n_steps: int, cfg: QuadConfig):
         self.dim = model.dim
@@ -120,88 +134,93 @@ class _Grid:
         self.atom_index = np.array([r[4] for r in rows], dtype=int)
         self.n_rows = len(rows)
 
-        step_rows = np.flatnonzero(self.seg_index >= 0)
-        self.step_rows = step_rows
-        self.n_step_rows = step_rows.size
-        self.step_dt = self.dt[step_rows]
-
-        # per-row deterministic move: zero-truncation drift times dt
+        # per row: the deterministic move (zero-truncation drift times dt)
+        # and sqrt(dt) times a square root of the covariance, zero on the
+        # rows of scheduled jumps
         self.drift = np.zeros((self.n_rows, self.dim))
-        self.vols: list[np.ndarray | None] = []
-        self.seg_laws = []
-        self.seg_step_pos: list[np.ndarray] = []   # positions in step order
-        rates = np.zeros(self.n_step_rows)
+        vol = np.zeros((self.n_rows, self.dim, self.dim))
+        # (mean count, rows, cumulative dt share of the rows, law) of every
+        # segment with a positive jump rate
+        self.jump_segments = []
         for i, seg in enumerate(model.segments):
             chars = seg.chars
             jumps = chars.jumps
-            if jumps is not None and not math.isfinite(jumps.total_mass()):
+            rate = 0.0 if jumps is None else jumps.total_mass()
+            if not math.isfinite(rate):
                 raise UnsupportedMeasure(
                     "infinite-activity jump measure cannot be simulated")
+            seg_rows = np.flatnonzero(self.seg_index == i)
+            dt = self.dt[seg_rows]
             b0 = np.atleast_1d(chars.b_trunc) - small_jump_mean(chars, cfg)
-            pos = np.flatnonzero(self.seg_index[step_rows] == i)
-            self.seg_step_pos.append(pos)
-            self.drift[step_rows[pos]] = b0[None, :] * self.dt[step_rows[pos], None]
+            self.drift[seg_rows] = b0[None, :] * dt[:, None]
             cov = np.atleast_2d(chars.cov)
             if np.any(cov):
                 w, v = np.linalg.eigh(cov)
-                self.vols.append(v * np.sqrt(np.clip(w, 0.0, None)))
-            else:
-                self.vols.append(None)
-            self.seg_laws.append(jumps)
-            if jumps is not None:
-                rates[pos] = jumps.total_mass()
-        self.step_rates = rates
-        self.has_jumps = bool(np.any(rates > 0.0))
-        self.has_diffusion = any(v is not None for v in self.vols)
+                vol[seg_rows] = (np.sqrt(dt)[:, None, None]
+                                 * (v * np.sqrt(np.clip(w, 0.0, None))))
+            if rate > 0.0:
+                share = np.cumsum(dt)
+                self.jump_segments.append(
+                    (rate * seg.length, seg_rows, share / share[-1], jumps))
+        self.vol = vol if np.any(vol) else None
 
-        self.atom_rows = np.flatnonzero(self.atom_index >= 0)
-        self.atom_points = [atom.law.points for atom in model.atoms]
-        self.atom_cum = [np.cumsum(atom.law.masses) for atom in model.atoms]
+        self.atom_rows = np.empty(len(model.atoms), dtype=int)
+        scheduled = np.flatnonzero(self.atom_index >= 0)
+        self.atom_rows[self.atom_index[scheduled]] = scheduled
+        self.atom_laws = [(atom.law.points, np.cumsum(atom.law.masses))
+                          for atom in model.atoms]
 
 
-def _draw_unit(gen: np.random.Generator, grid: _Grid):
-    """One unit's increments split as (shared part, diffusion part).
+def _draw_block(gen: np.random.Generator, grid: _Grid,
+                per_unit: int) -> np.ndarray:
+    """Increments of one block of _BLOCK_UNITS units, in the draw order
+    of the module docstring; shape (units * per_unit, rows, dim).
 
-    The shared part collects drift, compound-Poisson jumps and the
-    scheduled jump draws; the diffusion part is linear in the normals,
-    so the antithetic partner of base + diff is exactly base - diff.
+    Per unit a shared part collects drift, compound-Poisson jumps and
+    the scheduled jump draws; the diffusion part is linear in the
+    normals, so the antithetic partner of base + diff is base - diff.
     """
-    base = grid.drift.copy()
-    diff = np.zeros_like(base)
-    if grid.has_diffusion and grid.n_step_rows:
-        z = gen.standard_normal((grid.n_step_rows, grid.dim))
-        for i, pos in enumerate(grid.seg_step_pos):
-            vol = grid.vols[i]
-            if vol is None or pos.size == 0:
-                continue
-            rows = grid.step_rows[pos]
-            diff[rows] = np.sqrt(grid.step_dt[pos])[:, None] * (z[pos] @ vol.T)
-    if grid.has_jumps:
-        counts = gen.poisson(grid.step_rates * grid.step_dt)
-        for i, pos in enumerate(grid.seg_step_pos):
-            law = grid.seg_laws[i]
-            if law is None or pos.size == 0:
-                continue
-            c = counts[pos]
+    units, n_rows, dim = _BLOCK_UNITS, grid.n_rows, grid.dim
+    diff = None
+    if grid.vol is not None:
+        z = gen.standard_normal((units, n_rows, dim))
+        diff = z[..., 0, None] * grid.vol[:, :, 0]
+        for k in range(1, dim):
+            diff += z[..., k, None] * grid.vol[:, :, k]
+        del z
+    base = np.repeat(grid.drift[None], units, axis=0)
+    if grid.jump_segments:
+        counts = gen.poisson([s[0] for s in grid.jump_segments],
+                             size=(units, len(grid.jump_segments)))
+        flat = base.reshape(units * n_rows, dim)
+        unit_offset = np.arange(units) * n_rows
+        for s, (_, rows, share, law) in enumerate(grid.jump_segments):
+            c = counts[:, s]
             total = int(c.sum())
             if total == 0:
                 continue
+            row = rows[np.searchsorted(share, gen.random(total), side="right")]
             sizes = np.asarray(law.sample(gen, total), dtype=float)
-            if sizes.ndim == 1:
-                sizes = sizes[:, None]
-            target = np.repeat(grid.step_rows[pos], c)
-            np.add.at(base, target, sizes)
-    for j, row in enumerate(grid.atom_rows):
-        u = gen.uniform()
-        cum = grid.atom_cum[j]
-        k = int(np.searchsorted(cum, u, side="right"))
-        if k < cum.size:
-            base[row] = grid.atom_points[j][k]
-    return base, diff
+            np.add.at(flat, np.repeat(unit_offset, c) + row,
+                      sizes.reshape(total, dim))
+    if grid.atom_laws:
+        u = gen.random((units, len(grid.atom_laws)))
+        for j, (points, cum) in enumerate(grid.atom_laws):
+            k = np.searchsorted(cum, u[:, j], side="right")
+            hit = k < cum.size
+            base[hit, grid.atom_rows[j]] = points[k[hit]]
+    block = np.empty((units, per_unit, n_rows, dim))
+    if diff is None:
+        block[:] = base[:, None]
+    else:
+        np.add(base, diff, out=block[:, 0])
+        if per_unit == 2:
+            np.subtract(base, diff, out=block[:, 1])
+    return block.reshape(units * per_unit, n_rows, dim)
 
 
-def _unit_generator(seed: int, unit: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, unit], dtype=np.uint64)
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -216,19 +235,14 @@ def _blocks(sim: SimConfig, grid: _Grid):
     """Yield (first path index, increments) for each block of units.
 
     increments has shape (paths, rows, dim); the paths of unit k are
-    consecutive, the base + diff path first.
+    consecutive, the base + diff path first.  The last block is drawn
+    in full and cut to the path count.
     """
     n_units, per_unit = _unit_layout(sim)
-    for lo in range(0, n_units, _BLOCK_UNITS):
-        hi = min(lo + _BLOCK_UNITS, n_units)
-        block = np.empty((hi - lo, per_unit, grid.n_rows, grid.dim))
-        for unit in range(lo, hi):
-            base, diff = _draw_unit(_unit_generator(sim.seed, unit), grid)
-            np.add(base, diff, out=block[unit - lo, 0])
-            if per_unit == 2:
-                np.subtract(base, diff, out=block[unit - lo, 1])
-        first = lo * per_unit
-        yield first, block.reshape(-1, grid.n_rows, grid.dim)[:sim.n_paths - first]
+    for block in range(-(-n_units // _BLOCK_UNITS)):
+        first = block * _BLOCK_UNITS * per_unit
+        inc = _draw_block(_block_generator(sim.seed, block), grid, per_unit)
+        yield first, inc[:sim.n_paths - first]
 
 
 def simulate_paths(model: MarketModel, sim: SimConfig,
@@ -272,32 +286,45 @@ def _bliss(x: float, gamma: float, scale: float) -> float:
     return x + scale / gamma
 
 
-def _gap_products(increments: np.ndarray, lam_rows: np.ndarray,
-                  mmv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Running gap factors and capped products of (paths, rows, dim) increments.
+def _gap_factors(increments: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
+    """Factors 1 - u of (paths, rows, dim) increments, u = increment . direction.
 
-    With u = increments . direction per row, the gap to bliss after row
-    r is the initial gap times g[:, r], the running product of 1 - u.
-    For the monotone kind g freezes at its first value <= 0: wealth has
-    reached bliss and stays.  capped is the product of 1 - min(u, 1).
+    The gap to bliss after row r is the initial gap times the product
+    of the factors up to r.
     """
-    u = np.einsum("prd,rd->pr", increments, lam_rows)
-    g = np.cumprod(1.0 - u, axis=1)
-    if mmv:
-        crossed = g <= 0.0
-        hit = np.flatnonzero(crossed.any(axis=1))
-        first = crossed[hit].argmax(axis=1)
-        later = np.arange(g.shape[1])[None, :] > first[:, None]
-        g[hit] = np.where(later, g[hit, first][:, None], g[hit])
-    np.minimum(u, 1.0, out=u)
-    np.subtract(1.0, u, out=u)
-    return g, np.prod(u, axis=1)
+    f = np.einsum("prd,rd->pr", increments, lam_rows)
+    np.subtract(1.0, f, out=f)
+    return f
 
 
-def _path_products(paths: PathSet, schedule, mmv: bool):
+def _terminal_gaps(f: np.ndarray, mmv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal gap factor and capped product of (paths, rows) factors.
+
+    The gap factor is the product of all factors, and for the monotone
+    kind of the factors up to the first one <= 0: wealth has reached
+    bliss there and stays.  The capped product is the product of
+    1 - min(u, 1) = max(f, 0), which is 0 on every path with such a
+    factor.  The gap factor equals the last column of the running
+    product in wealth_recursion bit for bit, as long as np.prod
+    multiplies along the rows in the order np.cumprod does (the tests
+    compare the two).
+    """
+    g = np.prod(f, axis=1)
+    hit = np.flatnonzero(f.min(axis=1) <= 0.0)
+    capped = g.copy()
+    capped[hit] = 0.0
+    if mmv and hit.size:
+        fh = f[hit]
+        first = (fh <= 0.0).argmax(axis=1)
+        fh[np.arange(fh.shape[1])[None, :] > first[:, None]] = 1.0
+        g[hit] = np.prod(fh, axis=1)
+    return g, capped
+
+
+def _path_factors(paths: PathSet, schedule) -> np.ndarray:
     lam_rows = _row_directions(paths.model, paths.seg_index,
                                paths.atom_index, schedule)
-    return _gap_products(paths.increments, lam_rows, mmv)
+    return _gap_factors(paths.increments, lam_rows)
 
 
 def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
@@ -310,7 +337,14 @@ def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
     """
     mmv = _kind(kind) is UtilityKind.MMV
     bliss = _bliss(x, gamma, scale)
-    g, _ = _path_products(paths, schedule, mmv)
+    g = np.cumprod(_path_factors(paths, schedule), axis=1)
+    if mmv:
+        # freeze the running product at its first value <= 0
+        crossed = g <= 0.0
+        hit = np.flatnonzero(crossed.any(axis=1))
+        first = crossed[hit].argmax(axis=1)
+        later = np.arange(g.shape[1])[None, :] > first[:, None]
+        g[hit] = np.where(later, g[hit, first][:, None], g[hit])
     w = np.empty((paths.n_paths, paths.n_rows + 1))
     w[:, 0] = x
     w[:, 1:] = bliss - (bliss - x) * g
@@ -323,7 +357,7 @@ def capped_exponential(paths: PathSet, schedule) -> np.ndarray:
     Equals (bliss - W_T)+ / (bliss - x) for the monotone recursion
     pathwise; also the unnormalized dual density candidate.
     """
-    return _path_products(paths, schedule, mmv=False)[1]
+    return _terminal_gaps(_path_factors(paths, schedule), mmv=False)[1]
 
 
 @dataclass(frozen=True)
@@ -361,8 +395,8 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     r_t = np.empty((sim.n_paths, grid.dim))
     for first, inc in _blocks(sim, grid):
         span = slice(first, first + inc.shape[0])
-        g, capped[span] = _gap_products(inc, lam_rows, mmv)
-        w_t[span] = bliss - (bliss - x) * g[:, -1]
+        g, capped[span] = _terminal_gaps(_gap_factors(inc, lam_rows), mmv)
+        w_t[span] = bliss - (bliss - x) * g
         r_t[span] = inc.sum(axis=1)
     return WealthStudy(terminal_wealth=w_t, capped_exponential=capped,
                        terminal_increment=r_t, kind=kind, bliss=bliss,

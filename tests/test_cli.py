@@ -180,6 +180,38 @@ class TestSimulate:
         assert est["terminal_wealth_mean"]["value"] == 0.0
         assert est["terminal_wealth_mean"]["source"] == "mc"
         assert "se" in est["terminal_wealth_mean"]
+        assert "pull" not in est["terminal_wealth_mean"]    # se is 0
+
+    @pytest.mark.parametrize("kind,with_pull", [
+        ("mv", {"terminal_wealth_mean", "terminal_wealth_second_moment",
+                "expected_utility"}),
+        ("mmv", {"prob_wealth_ge_one", "expected_utility", "density_mean",
+                 "density_second_moment"})])
+    def test_pulls_against_analytic_values(self, kind, with_pull, capsys):
+        ex2 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex2.json")
+        assert run(["simulate", ex2, "--kind", kind, "--paths", "200",
+                    "--steps", "20", "--seed", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        values = {k: v["value"] for k, v in report["values"].items()
+                  if isinstance(v, dict)}
+        model = mmvlab.example_model(2)
+        targets = {
+            "terminal_wealth_mean": values["max_squared_hansen"],
+            "terminal_wealth_second_moment": values["max_squared_hansen"],
+            "expected_utility": values["best_utility"],
+            "prob_wealth_ge_one": mmvlab.zero_density_probability(
+                model, solve_schedule(model, "mmv")),
+            "density_mean": 1.0,
+            "density_second_moment": values["wealth_scale"],
+        }
+        est = report["estimates"]
+        pulled = {name for name, node in est.items()
+                  if isinstance(node, dict) and "pull" in node}
+        assert pulled == with_pull
+        for name in with_pull:
+            node = est[name]
+            want = (node["value"] - targets[name]) / node["se"]
+            assert node["pull"] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_bad_path_count(self, zero_config_path, capsys):
         assert run(["simulate", zero_config_path, "--paths", "0"]) == 2

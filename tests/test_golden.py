@@ -1,7 +1,15 @@
 """Byte-for-byte comparison of CLI reports against committed goldens.
 
 The files under tests/data/ are the JSON stdout of the commands below;
-a refactor that keeps every figure must reproduce them exactly.
+a refactor that keeps every figure must reproduce them exactly.  To
+regenerate one after a deliberate change of figures, run its command
+from the repository root, for example
+
+    PYTHONPATH=src python -m mmvlab simulate src/mmvlab/examples_data/ex2.json \
+        --kind mv --paths 1000 --steps 50 --seed 3 --format json \
+        > tests/data/simulate_ex2_mv.json
+
+(progress goes to stderr), and say in the change which figures moved.
 Example 5 at 200 atoms fails its monotone partial-sum check (the
 series has not yet grown past the threshold), so it exits 1; at 2 000
 atoms, where a numerical search once stalled on some bets, it passes.

@@ -47,6 +47,10 @@ class TestFiniteAtoms:
         with pytest.raises(InvariantError):
             FiniteAtoms(np.array([[0.1]]), np.array([-0.1]))
 
+    def test_nan_mass_is_rejected(self):
+        with pytest.raises(InvariantError):
+            FiniteAtoms(np.array([[0.1], [0.2]]), np.array([0.5, math.nan]))
+
     def test_two_dimensional_direction(self):
         law = FiniteAtoms(np.array([[1.0, 0.0], [0.0, 1.0]]),
                           np.array([0.3, 0.4]))
@@ -86,6 +90,13 @@ class TestGaussian:
         with pytest.raises(InvariantError):
             Gaussian1D(0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("mean,variance,rate", [
+        (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (0.0, math.nan, 1.0),
+        (0.0, math.inf, 1.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)])
+    def test_non_finite_parameters_are_rejected(self, mean, variance, rate):
+        with pytest.raises(InvariantError):
+            Gaussian1D(mean, variance, rate)
+
     def test_zero_rate_integrates_to_zero(self):
         assert Gaussian1D(0.0, 1.0, 0.0).integrate(square) == 0.0
 
@@ -120,6 +131,14 @@ class TestExpTails:
         with pytest.raises(InvariantError):
             ExpTails1D(-1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_parameters_are_rejected(self, slot, bad):
+        params = [1.5, 4.0, 0.5, 2.0]
+        params[slot] = bad
+        with pytest.raises(InvariantError):
+            ExpTails1D(*params)
+
 
 class TestTabulated:
     T = TabulatedDensity1D(np.linspace(-1.0, 1.0, 201),
@@ -143,6 +162,15 @@ class TestTabulated:
         with pytest.raises(UnsupportedMeasure):
             TabulatedDensity1D(np.array([0.0, 1.0]), np.ones(2),
                                quadrature="simpson")
+
+    @pytest.mark.parametrize("grid,density", [
+        ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, math.inf], [1.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0])])
+    def test_non_finite_values_are_rejected(self, grid, density):
+        with pytest.raises(InvariantError):
+            TabulatedDensity1D(np.array(grid), np.array(density))
 
     def test_sample_within_bounds(self, rng):
         draws = self.T.sample(rng, 1000)
@@ -210,6 +238,11 @@ class TestCapped:
         assert self.C.moment_sup_order(1) == math.inf
         assert self.C.moment_sup_order(-1) \
             == self.BASE.moment_sup_order(-1)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_cap_is_rejected(self, cap):
+        with pytest.raises(InvariantError):
+            CappedMeasure(self.BASE, cap=cap)
 
     def test_sample_respects_cap(self, rng):
         draws = self.C.sample(rng, 2000)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mmvlab import (InvariantError, PathStats, SimConfig, build_model,
-                    estimate_stats, run_wealth_study, simulate_paths,
-                    wealth_recursion)
-from mmvlab.montecarlo import capped_exponential
+                    estimate_stats, example_model, run_wealth_study,
+                    simulate_paths, solve_schedule, wealth_recursion)
+from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
 import properties
 
@@ -27,6 +27,25 @@ def zero_model():
         "horizon": 1.0, "dimension": 1,
         "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
                       "b": [0.0], "c": [[0.0]]}],
+    })
+
+
+def split_jump_model(rate):
+    """Two unit segments with jumps of size exactly 2 and no drift.
+
+    The first jumps at `rate` and is split by a scheduled jump at t = 0.3,
+    so its step rows have unequal dt; the second has a jump law of zero
+    mass.  A step row's increment is twice its jump count.
+    """
+    seg = {"b_kind": "trunc", "b": 0.0, "c": 0.0}
+    return build_model({
+        "horizon": 2.0, "dimension": 1,
+        "segments": [
+            dict(seg, t_start=0.0, t_end=1.0, jumps={
+                "family": "finite_atoms", "points": [[2.0]], "masses": [rate]}),
+            dict(seg, t_start=1.0, t_end=2.0, jumps={
+                "family": "finite_atoms", "points": [[2.0]], "masses": [0.0]})],
+        "atoms": [{"time": 0.3, "points": [[0.5]], "masses": [0.5]}],
     })
 
 
@@ -96,6 +115,43 @@ class TestScheduledJumpSampling:
             assert h == pytest.approx(m, abs=4 * math.sqrt(m * (1 - m) / 4000))
 
 
+class TestCompoundPoissonSampling:
+    RATE = 3.0
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        sim = SimConfig(n_paths=self.N, n_steps=4, seed=13, antithetic=False)
+        return simulate_paths(split_jump_model(self.RATE), sim)
+
+    @staticmethod
+    def jump_counts(paths, seg):
+        counts = paths.increments[:, paths.seg_index == seg, 0] / 2.0
+        assert np.array_equal(counts, np.round(counts))
+        return counts
+
+    def test_path_count_has_poisson_mean_and_variance(self, paths):
+        n = self.jump_counts(paths, 0).sum(axis=1)
+        mean = self.RATE * 1.0
+        assert abs(n.mean() - mean) <= 4 * math.sqrt(mean / self.N)
+        # the sample variance of a Poisson count has variance
+        # (mean + 2 mean^2) / N to leading order
+        assert abs(n.var(ddof=1) - mean) \
+            <= 4 * math.sqrt((mean + 2 * mean ** 2) / self.N)
+
+    def test_rows_share_jumps_in_proportion_to_dt(self, paths):
+        dt = paths.dt[paths.seg_index == 0]
+        assert dt.min() < dt.max()
+        per_row = self.jump_counts(paths, 0).sum(axis=0)
+        total = per_row.sum()
+        share = dt / dt.sum()
+        se = np.sqrt(share * (1.0 - share) / total)
+        assert np.all(np.abs(per_row / total - share) <= 4 * se)
+
+    def test_rate_zero_segment_gets_no_jumps(self, paths):
+        assert np.all(self.jump_counts(paths, 1) == 0.0)
+
+
 class TestStudy:
     def test_terminal_increment_mean_matches_the_drift(self, ex2,
                                                        ex2_sol_mv):
@@ -105,14 +161,29 @@ class TestStudy:
                             antithetic=True)
         assert abs(st.estimate - EX2_DRIFT_OF_ID) <= 3 * st.std_error
 
-    def test_study_matches_materialized_paths(self, ex2, ex2_sol_mmv):
-        sim = SimConfig(n_paths=64, n_steps=16, seed=7)
-        study = run_wealth_study(ex2, sim, "mmv", solution=ex2_sol_mmv)
-        ps = simulate_paths(ex2, sim)
-        w = wealth_recursion(ps, ex2_sol_mmv, "mmv")
-        assert np.array_equal(study.terminal_wealth, w[:, -1])
-        assert np.array_equal(study.capped_exponential,
-                              capped_exponential(ps, ex2_sol_mmv))
+    def test_study_matches_materialized_paths(self):
+        # Odd path counts over two blocks of units, paired and unpaired.
+        # Monotone paths cross bliss on examples 1, 2 and 5; example 6's
+        # bets are tuned so that no scaled jump reaches 1.
+        sims = (SimConfig(n_paths=2 * _BLOCK_UNITS + 1, n_steps=16, seed=7),
+                SimConfig(n_paths=_BLOCK_UNITS + 1, n_steps=16, seed=7,
+                          antithetic=False))
+        for example, atoms_max, crosses in ((1, None, True), (2, None, True),
+                                            (5, 40, True), (6, 60, False)):
+            model = example_model(example, atoms_max=atoms_max)
+            for kind in ("mv", "mmv"):
+                sol = solve_schedule(model, kind)
+                for sim in sims:
+                    study = run_wealth_study(model, sim, kind, solution=sol)
+                    ps = simulate_paths(model, sim)
+                    w = wealth_recursion(ps, sol, kind)
+                    assert np.array_equal(study.terminal_wealth, w[:, -1])
+                    assert np.array_equal(study.capped_exponential,
+                                          capped_exponential(ps, sol))
+                    if kind == "mmv":
+                        crossed = study.capped_exponential == 0.0
+                        assert np.any(crossed) == crosses
+                        assert np.all(w[crossed, -1] >= study.bliss)
 
     def test_materialization_guard(self, ex2):
         with pytest.raises(InvariantError):
