@@ -92,8 +92,8 @@ class FiniteAtoms(JumpMeasure):
         ms = np.asarray(self.masses, dtype=float).ravel()
         if pts.shape[0] != ms.shape[0]:
             raise InvariantError("points and masses disagree in length")
-        if not np.all(ms >= 0.0):
-            raise InvariantError("negative or NaN atom mass")
+        if not ((ms >= 0.0).all() and np.isfinite(pts).all()):
+            raise InvariantError("atom masses must be non-negative and points finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", ms)
         object.__setattr__(self, "dim", pts.shape[1])

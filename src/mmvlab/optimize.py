@@ -16,18 +16,24 @@ neither, a zero slope there is a plateau, resolved to its minimum-norm
 end, and a positive slope makes the value unbounded (flagged, never
 chased).  Many one-dimensional time points are solved at once in a flat
 layout (`maximize_atom_laws`).  In several dimensions the plain kind is
-the minimum-norm solution of C lam = B.
+the minimum-norm solution of C lam = B.  For either kind a drift along
+null(C) is riskless, and an optimum beyond the float range cannot be
+represented; both are flagged unbounded and reported at the origin.
 
-The rest is searched.  One-dimensional laws given by a density are
-first restricted to the directions whose tail moments support a finite
-value, monotone-kind rays are classified by their asymptotic slope, and
-golden-section refinement runs along the line.  The monotone kind on
-several-dimensional atoms gets coordinate sweeps plus a gradient and
-Newton polish.
+One-dimensional laws given by a density are first restricted to the
+directions whose tail moments support a finite value, and monotone-kind
+rays are classified by their asymptotic slope.  The slope of the local
+utility along the allowed side never increases, so the maximizer is the
+first point where it stops pointing outward: a bracket grown from the
+law's scale by factors of 4 and a bisection on the slope find it, and
+the objective is evaluated once, there.  That zero is also the
+sigma-martingale condition of the dual density, and the minimum-norm
+end of any flat stretch.
 
-Optima need not be unique: the monotone utility is flat beyond its
-bliss level, so whole segments of directions can attain the maximum.
-Ties are resolved toward the minimum-norm maximizer; the searches do it
+The monotone kind on several-dimensional atoms is the one case still
+searched: coordinate sweeps plus a gradient and Newton polish.  Its
+optima need not be unique, since the monotone utility is flat beyond
+its bliss level; ties are resolved toward the minimum-norm maximizer,
 first along the segment between the two sweep orders' results, then
 along the ray to the origin.
 """
@@ -60,8 +66,10 @@ class LocalOptimum:
     when the maximizer is pinned by the finiteness domain or a null or
     flat model direction (the first-order residual need not vanish
     there), and "unbounded_flagged" when some ray has positive
-    asymptotic slope, in which case lambda_hat is only the start of
-    that ray (exact solver) or the best point the capped search visited.
+    asymptotic slope.  lambda_hat is then the start of that ray (exact
+    solver) or the farthest point the capped bracket reached; a riskless
+    drift, or an optimum beyond the float range, is reported at the
+    origin with value 0.  value is always finite and nonnegative.
     """
 
     lambda_hat: np.ndarray
@@ -208,18 +216,21 @@ def _solve_rows(rows: _Rows, kind) -> list[LocalOptimum]:
     tol = _slope_tol(rows.b)
     riskless = curv0 <= 0.0
     unbounded = riskless & (np.abs(slope0) > tol)
-    if kind is UtilityKind.MV:
-        lam = np.where(riskless, 0.0, slope0 / np.where(riskless, 1.0, curv0))
-        tie = np.zeros(rows.b.size, dtype=bool)
-    else:
-        lam, tail_unbounded, tie = _scan_kinks(rows, b0, slope0, riskless, tol)
-        unbounded |= tail_unbounded
-
-    value = rows.b * lam - 0.5 * rows.c * lam * lam + rows.sums(
-        m * (utility(kind, lam[r] * x) - lam[r] * h))
-    if np.any(value < 0.0):     # rounding around a maximum at the origin
-        lam = np.where(value < 0.0, 0.0, lam)
-        value = np.maximum(value, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is UtilityKind.MV:
+            lam = np.where(riskless, 0.0, slope0 / np.where(riskless, 1.0, curv0))
+            tie = np.zeros(rows.b.size, dtype=bool)
+        else:
+            lam, tail_unbounded, tie = _scan_kinks(rows, b0, slope0, riskless, tol)
+            unbounded |= tail_unbounded
+        value = rows.b * lam - 0.5 * rows.c * lam * lam + rows.sums(
+            m * (utility(kind, lam[r] * x) - lam[r] * h))
+    # an optimum beyond the float range is reported like a riskless row
+    overflow = ~(np.isfinite(lam) & np.isfinite(value))
+    unbounded |= overflow
+    # a negative value is rounding around a maximum at the origin
+    lam = np.where(overflow | (value < 0.0), 0.0, lam)
+    value = np.where(overflow, 0.0, np.maximum(value, 0.0))
     foc = rows.b - rows.c * lam + rows.sums(
         m * (x * utility_slope(kind, lam[r] * x) - h))
     flags = np.where(unbounded, "unbounded_flagged",
@@ -244,20 +255,19 @@ def maximize_atom_laws(laws, kind) -> tuple[LocalOptimum, ...]:
         return ()
     if any(law.dim != 1 for law in laws):
         raise OptimizationError("batched atom laws must be one-dimensional")
-    opts = _solve_rows(_rows_from_laws(laws), kind)
-    if not all(math.isfinite(o.value) for o in opts):
-        raise OptimizationError("exact solver produced a non-finite value")
-    return tuple(opts)
+    return tuple(_solve_rows(_rows_from_laws(laws), kind))
 
 
-def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
-    """Minimum-norm maximizer lam = C^+ B on finite atoms or no jumps.
+def _quadratic_form(chars: LocalCharacteristics):
+    """B, C and whether B has a part in null(C), on finite atoms or no jumps.
 
-    The local utility is B . lam - lam' C lam / 2 with B = b + sum m (x - h)
-    and C = c + sum m x x', for the plain kind always and for the
-    monotone kind when there are no jumps.  When C is singular the
-    maximizers form lam + null(C) and the minimum-norm one is taken; a
-    part of B in null(C) is a riskless drift, so the value is unbounded.
+    B = b + sum m (x - h) and C = c + sum m x x' are the slope and the
+    negative curvature of the local utility at the origin.  Along a
+    direction in null(C) no outcome moves and nothing diffuses, so the
+    local utility of either kind is linear there with slope B: a part
+    of B in null(C) is a riskless drift and the value is unbounded.
+    Returns (B, eigenvalues and eigenvectors of C, which eigenvalues
+    curve, riskless).
     """
     B = chars.b_trunc.copy()
     C = chars.cov.copy()
@@ -267,19 +277,40 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
         C += (x * m[:, None]).T @ x
     w, V = np.linalg.eigh(C)
     curved = w > chars.dim * np.finfo(float).eps * max(float(w.max()), 0.0)
-    lam = V[:, curved] @ ((V[:, curved].T @ B) / w[curved])
-    unbounded = bool(np.any(np.abs(V[:, ~curved].T @ B)
-                            > _slope_tol(float(np.abs(chars.b_trunc).max()))))
-    value = local_utility(lam, chars, kind, cfg)
+    riskless = bool(np.any(np.abs(V[:, ~curved].T @ B)
+                           > _slope_tol(float(np.abs(chars.b_trunc).max()))))
+    return B, w, V, curved, riskless
+
+
+def _unbounded_at_origin(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+    """An unbounded time point reported like a riskless row: lam = 0, value 0."""
+    zero = np.zeros(chars.dim)
+    return LocalOptimum(zero, 0.0, _try_foc(zero, chars, kind, cfg), "unbounded_flagged")
+
+
+def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+    """Minimum-norm maximizer lam = C^+ B on finite atoms or no jumps.
+
+    The local utility is B . lam - lam' C lam / 2, for the plain kind
+    always and for the monotone kind when there are no jumps.  When C
+    is singular the maximizers form lam + null(C) and the minimum-norm
+    one is taken; a riskless drift, or an optimum beyond the float
+    range, is flagged unbounded.
+    """
+    B, w, V, curved, riskless = _quadratic_form(chars)
+    if riskless:
+        return _unbounded_at_origin(chars, kind, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = V[:, curved] @ ((V[:, curved].T @ B) / w[curved])
+        value = (local_utility(lam, chars, kind, cfg) if np.isfinite(lam).all()
+                 else math.nan)
+    if not math.isfinite(value):
+        return _unbounded_at_origin(chars, kind, cfg)
     if value < 0.0:
         lam, value = np.zeros(chars.dim), 0.0
     res = foc_residual(lam, chars, kind, cfg)
-    if unbounded:
-        flag = "unbounded_flagged"
-    else:
-        flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
-    return LocalOptimum(lam, float(value), res, flag,
-                        bool(not unbounded and not curved.all()))
+    flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
+    return LocalOptimum(lam, float(value), res, flag, bool(not curved.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +318,7 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
 
 
 def _objective(chars: LocalCharacteristics, kind, cfg):
-    """The local utility as a function of lam (a float when d = 1)."""
+    """The local utility as a function of the direction array lam."""
     kind = _kind(kind)
 
     def f(lam) -> float:
@@ -297,11 +328,10 @@ def _objective(chars: LocalCharacteristics, kind, cfg):
 
 
 def _golden_max(f, a: float, b: float) -> tuple[float, float]:
-    """Golden-section maximum of a concave f on [a, b].
+    """Golden-section maximum of a concave, finite f on [a, b].
 
     Stops when the interval is below 1e-10 relative width or the best
-    value stalls at the 1e-14 level.  Ties between -inf probes are
-    broken toward the origin, where the value is finite by definition.
+    value stalls at the 1e-14 level.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -311,11 +341,7 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     for _ in range(400):
         if (b - a) <= 1e-10 * (1.0 + max(abs(a), abs(b))):
             break
-        if fc == fd and fc == -math.inf:
-            left = d <= 0.0   # finite region (which holds 0) lies rightward
-        else:
-            left = fc >= fd
-        if left:
+        if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
@@ -335,54 +361,22 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _expand(f, width: float, allow_neg: bool, allow_pos: bool,
-            max_steps: int = 40) -> tuple[float, float, bool]:
-    """Grow [lo, hi] around 0 by factors of 4 until the ends stop improving."""
-    hit_cap = False
-    lo = -width if allow_neg else 0.0
-    hi = width if allow_pos else 0.0
-    for sign in (-1.0, 1.0):
-        if sign < 0 and not allow_neg:
-            continue
-        if sign > 0 and not allow_pos:
-            continue
-        end = sign * width
-        fend = f(end)
-        steps = 0
-        while steps < max_steps:
-            new = 4.0 * end
-            fnew = f(new)
-            end = new
-            if not (fnew > fend + 1e-14 * (1.0 + abs(fend))):
-                break
-            fend = fnew
-            steps += 1
-        if steps >= max_steps:
-            hit_cap = True
-        if sign < 0:
-            lo = end
-        else:
-            hi = end
-    return lo, hi, hit_cap
-
-
 def _ray_shrink(f, lam: np.ndarray, val: float) -> tuple[np.ndarray, float, bool]:
     """Pull the maximizer toward the origin through any flat plateau.
 
     Finds the smallest t with f(t lam) within 1e-13 of the maximum.  A
     capped objective is exactly constant over a macroscopic stretch of
     the ray, while around a strict maximum the tolerance band has width
-    sqrt(noise/curvature), which can reach 1e-5 of the ray under
-    quadrature noise.  Only shrinks spanning more than 1% of the ray
-    are treated as real plateaus; anything narrower keeps the polished
-    point.
+    sqrt(noise/curvature).  Only shrinks spanning more than 1% of the
+    ray are treated as real plateaus; anything narrower keeps the
+    polished point.
     """
     if not np.any(lam) or not math.isfinite(val):
         return lam, val, False
     eps = 1e-13 * (1.0 + abs(val))
 
     def ok(t: float) -> bool:
-        return f(t * lam if lam.size > 1 else float(t * lam[0])) >= val - eps
+        return f(t * lam) >= val - eps
 
     if ok(0.0):
         return np.zeros_like(lam), 0.0, True
@@ -396,45 +390,15 @@ def _ray_shrink(f, lam: np.ndarray, val: float) -> tuple[np.ndarray, float, bool
     if t_hi >= 1.0 - 1e-2:
         return lam, val, False
     new = t_hi * lam
-    new_val = f(new if lam.size > 1 else float(new[0]))
-    return new, float(new_val), True
-
-
-def _secant_polish(obj, foc, x: float, lo: float, hi: float) -> float:
-    """Sharpen a 1-d stationary point by secant iteration on the gradient."""
-    x0 = x
-    f0 = foc(x0)
-    if f0 is None:
-        return x
-    x1 = x0 + 1e-6 * (1.0 + abs(x0))
-    if x1 > hi:
-        x1 = x0 - 1e-6 * (1.0 + abs(x0))
-    f1 = foc(x1)
-    if f1 is None:
-        return x
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not math.isfinite(x2) or x2 < lo or x2 > hi \
-                or abs(x2 - x1) > 0.5 * (1.0 + abs(x1)):
-            break
-        x0, f0 = x1, f1
-        x1 = x2
-        f1 = foc(x1)
-        if f1 is None:
-            return x0
-        if abs(f1) <= 1e-15:
-            break
-    better = x1 if abs(f1) <= abs(f0) else x0
-    # Quadrature-backed objectives carry relative noise around rtol, so
-    # a polished point may look slightly worse than the incumbent even
-    # when its gradient is orders of magnitude smaller.
-    return better if obj(better) >= obj(x) - 1e-9 * (1.0 + abs(obj(x))) else x
+    return new, float(f(new)), True
 
 
 def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
-    """Line search for a one-dimensional jump law given by a density."""
+    """Bisection on the slope for a one-dimensional jump law given by a density.
+
+    The slope of the concave local utility never increases away from the
+    origin, so its first zero is the minimum-norm maximizer.
+    """
     kind = _kind(kind)
     jumps = chars.jumps
     # the quadratic penalty needs second moments on the side it meets
@@ -444,30 +408,30 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     else:
         allow_pos = ok_neg   # losses come from the left tail
         allow_neg = ok_pos
+    res0 = _try_foc([0.0], chars, kind, cfg)
 
-    def finish(lam, val, foc_at, flag, tie):
-        res = _try_foc([lam], chars, kind, cfg) if foc_at else None
+    def finish(lam, val, res, flag=None, tie=False):
         if flag is None:
-            if res is not None and float(np.abs(res).max()) <= _FOC_TOL:
-                flag = "interior"
-            else:
-                flag = "flat_direction"
+            interior = res is not None and abs(float(res[0])) <= _FOC_TOL
+            flag = "interior" if interior else "flat_direction"
         return LocalOptimum(np.array([lam]), float(val), res, flag, tie)
 
+    def origin():
+        # a one-sided domain pins the maximizer at its edge
+        return finish(0.0, 0.0, res0,
+                      None if allow_pos and allow_neg else "flat_direction")
+
     if not (allow_pos or allow_neg):
-        return finish(0.0, 0.0, True, "flat_direction", False)
+        return origin()
 
     tol_m = 1e-13 * (1.0 + jumps.total_mass())
-    mass_pos = jumps.mass_scaled_ge(np.array([1.0]), 0.0, strict=True)
-    mass_neg = jumps.mass_scaled_ge(np.array([-1.0]), 0.0, strict=True)
-    cc = float(chars.cov[0, 0])
     slope_tol = _slope_tol(float(chars.b_trunc[0]))
-    if cc <= 0.0 and mass_pos <= tol_m and mass_neg <= tol_m:
+    if float(chars.cov[0, 0]) <= 0.0 and all(
+            jumps.mass_scaled_ge(np.array([s]), 0.0, strict=True) <= tol_m
+            for s in (-1.0, 1.0)):
         # no risk at all: the value is linear in lam
-        slope = asymptotic_slope([1.0], chars, cfg)
-        if abs(slope) <= slope_tol:
-            return finish(0.0, 0.0, True, "flat_direction", False)
-        return finish(0.0, 0.0, False, "unbounded_flagged", False)
+        flat = abs(asymptotic_slope([1.0], chars, cfg)) <= slope_tol
+        return finish(0.0, 0.0, res0, "flat_direction" if flat else "unbounded_flagged")
 
     # Past every bliss point the monotone utility keeps only the
     # zero-truncation drift, so a positive asymptotic slope is a free
@@ -476,30 +440,43 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
         (allow_pos and asymptotic_slope([1.0], chars, cfg) > slope_tol)
         or (allow_neg and asymptotic_slope([-1.0], chars, cfg) > slope_tol))
 
-    f = _objective(chars, kind, cfg)
-    width = 1.0 / max(jumps.support_scale(), 1e-12)
-    lo, hi, hit_cap = _expand(f, width, allow_neg, allow_pos)
-    flagged = flagged or hit_cap
-    lam, val = _golden_max(f, lo, hi)
-    if val < 0.0:
-        lam, val = 0.0, 0.0
+    # The slope at the origin picks the side.  It is not finite only when
+    # the tail opposite the one allowed side lacks a first moment, and
+    # then it points into that side without bound.
+    down = res0 is not None and float(res0[0]) < 0.0
+    side = -1.0 if not allow_pos or (allow_neg and down) else 1.0
+    if res0 is not None and side * float(res0[0]) <= 0.0:
+        return origin()
 
-    def foc_scalar(x: float) -> float | None:
-        r = _try_foc([x], chars, kind, cfg)
-        return None if r is None else float(r[0])
+    def slope(t: float) -> float:
+        return side * float(foc_residual([side * t], chars, kind, cfg)[0])
 
-    if not flagged and val > 0.0:
-        lam = _secant_polish(f, foc_scalar, lam, lo, hi)
-        val = f(lam)
-    arr, val, tie = _ray_shrink(f, np.array([lam]), val)
-    lam = float(arr[0])
-
-    if flagged:
-        return finish(lam, val, True, "unbounded_flagged", tie)
-    constrained = (lam == 0.0) and not (allow_pos and allow_neg)
-    if constrained:
-        return finish(0.0, 0.0, True, "flat_direction", tie)
-    return finish(lam, val, True, None, tie)
+    # grow [lo, hi] until the slope at hi stops being positive, then bisect
+    lo, hi = 0.0, 1.0 / max(jumps.support_scale(), 1e-12)
+    s_hi = slope(hi)
+    for _ in range(40):
+        if s_hi <= 0.0:
+            break
+        lo, hi = hi, 4.0 * hi
+        s_hi = slope(hi)
+    flagged = flagged or s_hi > 0.0
+    flat_top = abs(s_hi) <= slope_tol
+    for _ in range(100):
+        if flagged or hi - lo <= 1e-15 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        s_mid = slope(mid)
+        if s_mid <= 0.0:
+            hi, s_hi = mid, s_mid
+        else:
+            lo = mid
+    val = local_utility(side * hi, chars, kind, cfg)
+    if val < 0.0:     # rounding around a maximum at the origin
+        return origin()
+    # a slope that also vanishes beyond hi makes hi the near end of a plateau
+    tie = bool(not flagged and flat_top and abs(slope(2.0 * hi)) <= slope_tol)
+    return finish(side * hi, val, np.array([side * s_hi]),
+                  "unbounded_flagged" if flagged else None, tie)
 
 
 def _coordinate_sweep(f, d: int, order, width: float) -> tuple[np.ndarray, float]:
@@ -624,13 +601,15 @@ def _newton_polish(f, lam, val, chars, kind, cfg):
 
 
 def _maximize_nd(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+    """Monotone kind on several-dimensional atoms: sweeps and polish."""
     kind = _kind(kind)
     d = chars.dim
-    jumps = chars.jumps
+    *_, riskless = _quadratic_form(chars)
+    if riskless:
+        return _unbounded_at_origin(chars, kind, cfg)
 
     f = _objective(chars, kind, cfg)
-    scale = jumps.support_scale() if jumps is not None else 1.0
-    width = 1.0 / max(scale, 1e-12)
+    width = 1.0 / max(chars.jumps.support_scale(), 1e-12)
     lam_a, val_a = _coordinate_sweep(f, d, range(d), width)
     lam_a, val_a = _gradient_polish(f, lam_a, val_a, chars, kind, cfg)
     lam_a, val_a = _newton_polish(f, lam_a, val_a, chars, kind, cfg)
@@ -673,22 +652,19 @@ def maximize_local_utility(chars: LocalCharacteristics, kind,
     kind), in several by the minimum-norm closed form, except for the
     monotone kind on several-dimensional atoms.  That case gets
     coordinate sweeps in both orders with a gradient and Newton polish
-    and the segment tie-break (d <= 4); one-dimensional density laws get
-    domain restriction by tail moments, slope classification, bracketed
-    golden section and a secant polish of the stationarity residual.
+    and the segment tie-break (d <= 4).  One-dimensional density laws
+    are restricted by tail moments to the directions of finite value;
+    their maximizer is the first zero of the slope, found by bisection.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")
     kind = _kind(kind)
     exact = chars.jumps is None or isinstance(chars.jumps, FiniteAtoms)
     if exact and chars.dim == 1:
-        opt = _solve_rows(_rows_from_chars(chars), kind)[0]
-    elif exact and (kind is UtilityKind.MV or chars.jumps is None):
-        opt = _maximize_quadratic(chars, kind, cfg)
-    elif chars.dim == 1:
-        opt = _maximize_1d(chars, kind, cfg)
-    else:
-        opt = _maximize_nd(chars, kind, cfg)
+        return _solve_rows(_rows_from_chars(chars), kind)[0]
+    if exact and (kind is UtilityKind.MV or chars.jumps is None):
+        return _maximize_quadratic(chars, kind, cfg)
+    opt = (_maximize_1d if chars.dim == 1 else _maximize_nd)(chars, kind, cfg)
     if not math.isfinite(opt.value) or opt.value < 0.0:
         raise OptimizationError("search did not produce a finite nonnegative value")
     return opt

@@ -104,6 +104,24 @@ class TestExitCodes:
         assert run(["solve", str(p)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("kind", ["mv", "mmv"])
+    def test_optimum_beyond_the_float_range(self, kind, tmp_path, capsys):
+        # lam = b / c overflows: flagged unbounded, values infinite
+        config = copy.deepcopy(ZERO_CONFIG)
+        config["segments"][0].update(b=[1e300], c=[[1e-300]])
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(config))
+        assert run(["solve", str(p), "--kind", kind]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out.lower()
+        report = json.loads(out)
+        row = report["solution"]["per_time"][0]
+        assert row["boundedness"] == "unbounded_flagged"
+        assert row["direction"]["value"] == [0.0]
+        assert row["local_value"]["value"] == 0.0
+        assert report["solution"]["values"]["dual_value"]["value"] == "inf"
+        assert report["warnings"]
+
 
 class TestReproduce:
     def test_example_4_passes_in_text_format(self, capsys):

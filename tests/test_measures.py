@@ -51,6 +51,13 @@ class TestFiniteAtoms:
         with pytest.raises(InvariantError):
             FiniteAtoms(np.array([[0.1], [0.2]]), np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        with pytest.raises(InvariantError):
+            FiniteAtoms(np.array([[bad], [0.5]]), np.array([0.5, 0.5]))
+        with pytest.raises(InvariantError):
+            FiniteAtoms(np.array([[0.5, 0.0], [0.0, bad]]), np.array([0.5, 0.5]))
+
     def test_two_dimensional_direction(self):
         law = FiniteAtoms(np.array([[1.0, 0.0], [0.0, 1.0]]),
                           np.array([0.3, 0.4]))

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmvlab
 from mmvlab import (DEFAULT_QUAD, ExpTails1D, FiniteAtoms, InfiniteValue,
                     JumpAtom, LocalCharacteristics, MarketModel, Segment,
-                    cumulative_local_utility, example_model, foc_residual,
-                    local_utility, maximize_local_utility, solve_schedule)
+                    build_model, cumulative_local_utility, density_diagnostics,
+                    example_model, foc_residual, local_utility,
+                    maximize_local_utility, solve_schedule)
+from mmvlab.drift import drift_of_variation
 from mmvlab.optimize import _maximize_1d, maximize_atom_laws
 
 import properties
@@ -136,6 +139,60 @@ def test_bounded_quadratic_optimum_on_gain_density_is_not_flagged():
     assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
 
 
+def _tabulated_model(x, density, b, c, b_kind="trunc"):
+    return build_model({"horizon": 1.0, "dimension": 1, "segments": [
+        {"t_start": 0.0, "t_end": 1.0, "b_kind": b_kind, "b": b, "c": c,
+         "jumps": {"family": "tabulated", "x": list(x), "density": list(density),
+                   "quadrature": "trapezoid"}}]})
+
+
+def test_tabulated_gains_plateau_takes_its_minimum_norm_end():
+    # gains on [0.2, 0.5] only, no drift past them, no diffusion: the
+    # monotone utility is flat from 1/0.2 on, every gain frozen at 1/2
+    model = _tabulated_model(np.linspace(0.2, 0.5, 31).tolist(), [1.0] * 31,
+                             0.0, 0.0, b_kind="zero")
+    opt = maximize_local_utility(model.segments[0].chars, "mmv")
+    assert float(opt.lambda_hat[0]) == pytest.approx(5.0, rel=1e-12)
+    assert opt.value == pytest.approx(0.15, rel=1e-14)
+    assert opt.tie_break_applied
+
+
+def test_tabulated_monotone_optimum_certifies_the_dual_density():
+    # a node at the kink 1/lam makes the trapezoid objective differ from
+    # the integral of its slope; the optimum is the slope's zero, which
+    # is the sigma-martingale condition of the dual density
+    rng = np.random.default_rng(5)
+    lo, hi = -rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.8)
+    x = np.linspace(lo, hi, 41)
+    centre, width = rng.uniform(0.5 * lo, 0.5 * hi), rng.uniform(0.05, 0.3)
+    dens = rng.uniform(0.5, 2.0) * np.exp(-0.5 * ((x - centre) / width) ** 2) / width
+    model = _tabulated_model(x.tolist(), dens.tolist(), float(rng.uniform(0.02, 0.3)),
+                             float(rng.uniform(0.01, 0.09)))
+    sol = solve_schedule(model, "mmv")
+    opt = sol.segment_optima[0]
+    assert opt.boundedness == "interior"
+    assert abs(float(opt.foc_residual[0])) <= 1e-8
+    assert density_diagnostics(model, solution=sol).is_sigma_martingale
+
+
+@pytest.mark.parametrize("example", [2, 3])
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
+    # a bracket and a bisection on the slope: about 55 drift evaluations
+    calls = []
+
+    def counting(xi, chars, cfg=DEFAULT_QUAD):
+        calls.append(xi)
+        return drift_of_variation(xi, chars, cfg)
+
+    for module in (mmvlab.optimize, mmvlab.localutil):
+        monkeypatch.setattr(module, "drift_of_variation", counting)
+    for seg in example_model(example).segments:
+        calls.clear()
+        maximize_local_utility(seg.chars, kind)
+        assert 1 <= len(calls) <= 70
+
+
 def _example5_closed_form(n):
     """Monotone optimum of example 5's bet n, exactly: B1/C1 on the piece
     where the unit windfall is frozen and the other two outcomes are not."""
@@ -173,10 +230,14 @@ def test_plateau_takes_its_minimum_norm_end():
 
 def test_multidimensional_quadratic_flags_a_riskless_drift():
     # both outcomes move asset 1 only, yet asset 2 drifts: a free lunch
+    # for either kind, reported at the origin like a riskless row
     chars = LocalCharacteristics(
         np.array([0.0, 0.3]), np.zeros((2, 2)),
         FiniteAtoms(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([0.3, 0.3])))
-    assert maximize_local_utility(chars, "mv").boundedness == "unbounded_flagged"
+    for kind in ("mv", "mmv"):
+        opt = maximize_local_utility(chars, kind)
+        assert opt.boundedness == "unbounded_flagged"
+        assert opt.lambda_hat.tolist() == [0.0, 0.0] and opt.value == 0.0
     flat = LocalCharacteristics(np.array([0.0, 0.0]), chars.cov, chars.jumps)
     opt = maximize_local_utility(flat, "mv")
     assert opt.boundedness == "interior" and opt.tie_break_applied
@@ -232,9 +293,5 @@ def test_quadratic_closed_form_matches_the_line_search(law, b, c):
     assert exact.boundedness == "interior"
     assert exact.value >= searched.value - 1e-12 * (1.0 + searched.value)
     assert exact.value == pytest.approx(searched.value, rel=1e-9, abs=1e-12)
-    # the search settles for any point within 1e-13 of the best value, so
-    # at optima worth about 1e-10 or less it may pull lam toward 0 and
-    # report a flat direction; its lam is only comparable when interior
-    if searched.boundedness == "interior":
-        assert float(exact.lambda_hat[0]) == pytest.approx(
-            float(searched.lambda_hat[0]), rel=1e-5, abs=1e-6)
+    assert float(exact.lambda_hat[0]) == pytest.approx(
+        float(searched.lambda_hat[0]), rel=1e-9, abs=1e-12)
