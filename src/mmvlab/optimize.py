@@ -30,15 +30,18 @@ the objective is evaluated once, there.  That zero is also the
 sigma-martingale condition of the dual density, and the minimum-norm
 end of any flat stretch.
 
-The monotone kind on several-dimensional atoms is the one case still
-searched: coordinate sweeps plus a gradient and Newton polish.  Its
-optima need not be unique, since the monotone utility is flat beyond
-its bliss level; ties are resolved toward the minimum-norm maximizer,
-first along the segment between the two sweep orders' results, then
-along the ray to the origin.
+The monotone kind on several-dimensional atoms is exact too.  Its
+local utility is concave and piecewise quadratic: on the set S of atoms
+it caps it has slope B_S and curvature C_S, and the minimum-norm
+maximizer is C_S^+ B_S for the S that maximizer caps strictly.  A
+regularized Newton solve, with an exact line search over the bliss
+kinks, reads off S (`_capped_atoms`); the optima need not be unique,
+since the monotone utility is flat beyond its bliss level, and a
+small cone test tells whether they are (`_ties`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +51,10 @@ from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import drift_of_variation
 from .errors import NonIntegrable, OptimizationError, QuadratureError
 from .localutil import (UtilityKind, _kind, asymptotic_slope, local_utility,
-                        slope_variation, utility, utility_slope,
-                        utility_variation)
+                        slope_variation, utility, utility_slope)
 from .measures import FiniteAtoms, _row_sums, truncate
 from .model import LocalCharacteristics
 
-_INVPHI = 0.6180339887498949
 _FOC_TOL = 1e-8
 _MAX_DIM = 4
 
@@ -65,11 +66,14 @@ class LocalOptimum:
     boundedness is "interior" for a stationary maximum, "flat_direction"
     when the maximizer is pinned by the finiteness domain or a null or
     flat model direction (the first-order residual need not vanish
-    there), and "unbounded_flagged" when some ray has positive
-    asymptotic slope.  lambda_hat is then the start of that ray (exact
-    solver) or the farthest point the capped bracket reached; a riskless
-    drift, or an optimum beyond the float range, is reported at the
-    origin with value 0.  value is always finite and nonnegative.
+    there), and "unbounded_flagged" when the value is unbounded.
+    lambda_hat is then the start of the unbounded ray on one-dimensional
+    atoms and the farthest point the capped bracket reached on a density
+    law; an unbounded several-dimensional point, a riskless drift and an
+    optimum beyond the float range are reported at the origin with value
+    0.  tie_break_applied marks a maximizer set of more than one point,
+    of which lambda_hat is the minimum-norm one.  value is always finite
+    and nonnegative.
     """
 
     lambda_hat: np.ndarray
@@ -258,23 +262,25 @@ def maximize_atom_laws(laws, kind) -> tuple[LocalOptimum, ...]:
     return tuple(_solve_rows(_rows_from_laws(laws), kind))
 
 
-def _quadratic_form(chars: LocalCharacteristics):
-    """B, C and whether B has a part in null(C), on finite atoms or no jumps.
+def _quadratic_form(chars: LocalCharacteristics, capped=None):
+    """B_S, C_S and whether B_S has a part in null(C_S), on atoms or no jumps.
 
-    B = b + sum m (x - h) and C = c + sum m x x' are the slope and the
-    negative curvature of the local utility at the origin.  Along a
-    direction in null(C) no outcome moves and nothing diffuses, so the
-    local utility of either kind is linear there with slope B: a part
-    of B in null(C) is a riskless drift and the value is unbounded.
-    Returns (B, eigenvalues and eigenvectors of C, which eigenvalues
-    curve, riskless).
+    S is the set of atoms in the mask `capped` (none by default).  Where
+    the monotone kind caps exactly those, the local utility is, up to a
+    constant, B_S . lam - lam' C_S lam / 2 with B_S = b + sum_{not S}
+    m x - sum m h and C_S = c + sum_{not S} m x x'; the plain kind is
+    that, with S empty, everywhere.  A maximizer capping S zeroes the
+    gradient B_S - C_S lam, so a part of B_S in null(C_S) means none
+    exists.  Returns (B_S, eigenvalues and eigenvectors of C_S, which
+    eigenvalues curve, riskless).
     """
     B = chars.b_trunc.copy()
     C = chars.cov.copy()
     if chars.jumps is not None:
         x, m = chars.jumps.points, chars.jumps.masses
-        B += m @ (x - truncate(x))
-        C += (x * m[:, None]).T @ x
+        free = x if capped is None else np.where(capped[:, None], 0.0, x)
+        B += m @ (free - truncate(x))
+        C += (free * m[:, None]).T @ free
     w, V = np.linalg.eigh(C)
     curved = w > chars.dim * np.finfo(float).eps * max(float(w.max()), 0.0)
     riskless = bool(np.any(np.abs(V[:, ~curved].T @ B)
@@ -288,16 +294,117 @@ def _unbounded_at_origin(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum
     return LocalOptimum(zero, 0.0, _try_foc(zero, chars, kind, cfg), "unbounded_flagged")
 
 
-def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
-    """Minimum-norm maximizer lam = C^+ B on finite atoms or no jumps.
+def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
+    """The atoms the minimum-norm monotone maximizer caps, as a mask.
 
-    The local utility is B . lam - lam' C lam / 2, for the plain kind
-    always and for the monotone kind when there are no jumps.  When C
-    is singular the maximizers form lam + null(C) and the minimum-norm
-    one is taken; a riskless drift, or an optimum beyond the float
-    range, is flagged unbounded.
+    With B0 = b - sum m h and g(z) = min(z, 1) - min(z, 1)^2 / 2 the
+    monotone utility on atoms is U(lam) = B0 . lam - lam' c lam / 2 +
+    sum m g(lam . x): concave and piecewise quadratic.  Two maximizers
+    share c lam and every (1 - lam . x)+, so the maximizer set is cut
+    out by fixing those.  Let S be the atoms with lam . x > 1 at the
+    minimum-norm maximizer lam^; atoms at their bliss point count as
+    free.  Every direction in null(C_S) keeps c lam and the free atoms
+    fixed and the capped ones capped near lam^, so it moves within the
+    maximizer set both ways; lam^ is therefore orthogonal to null(C_S)
+    and equals C_S^+ B_S.  U is unbounded exactly when some p has
+    c p = 0, x . p >= 0 for every atom and B0 . p > 0; any S holding
+    the atoms with x . p > 0, which cap far out along p, then has p in
+    null(C_S) and B_S . p = B0 . p > 0.
+
+    S is read off the maximizer of U - eps |lam|^2 / 2, which tends to
+    lam^ as eps -> 0.  Newton's method finds it from the origin: each
+    direction solves (C_S + eps I) p = grad on the current piece, and
+    along lam + t p the slope is piecewise linear in t with a kink
+    where an atom reaches its bliss point, so the best t in [0, 1] is
+    exact.  A step that crosses no kink and leaves the free atoms as
+    they were has landed on the stationary point, and one that no
+    longer moves lam is at it to rounding.  eps is 1e-10 of the trace
+    of C_0.
     """
-    B, w, V, curved, riskless = _quadratic_form(chars)
+    x, m = chars.jumps.points, chars.jumps.masses
+    xm = x * m[:, None]
+    b0 = chars.b_trunc - m @ truncate(x)
+    trace = float(np.trace(chars.cov + xm.T @ x))
+    if trace <= 0.0:          # no atom moves: nothing ever caps
+        return np.zeros(m.size, dtype=bool)
+    c = chars.cov + 1e-10 * trace * np.eye(chars.dim)
+    lam = np.zeros(chars.dim)
+    free = np.ones(m.size, dtype=bool)
+    for _ in range(200):
+        gap = 1.0 - x @ lam
+        pull = b0 - c @ lam
+        p = np.linalg.solve(c + xm[free].T @ x[free], pull + np.maximum(gap, 0.0) @ xm)
+        y = x @ p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = gap / y
+        t = np.concatenate(([0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]))
+        slope = pull @ p - (p @ c @ p) * t + np.maximum(gap - t[:, None] * y, 0.0) @ (m * y)
+        # the slope falls, so its zero (or an end of [0, 1]) is interpolated exactly
+        lam, last = lam + np.interp(0.0, -slope, t) * p, lam
+        was, free = free, x @ lam < 1.0
+        if (t.size == 2 and np.array_equal(free, was)) or \
+                np.linalg.norm(lam - last) <= 1e-15 * np.linalg.norm(lam):
+            break
+    return x @ lam > 1.0
+
+
+def _cone_has_ray(A: np.ndarray) -> bool:
+    """Whether some nonzero u has A u >= 0 (rows of A scaled to unit length).
+
+    The cone holds a line when A has a null space.  Otherwise it is
+    pointed, and if it is not {0} it has an edge: a line on which k - 1
+    independent rows of A vanish, with the other rows of one sign.
+    """
+    n, k = A.shape
+    if k == 0:
+        return False
+    A = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
+
+    def null(M):
+        if M.shape[0] == 0:
+            return np.eye(k)
+        _, s, vt = np.linalg.svd(M)
+        return vt[int(np.sum(s > 1e-9)):].T
+
+    if null(A).shape[1] > 0:
+        return True
+    for rows in itertools.combinations(range(n), k - 1):
+        u = null(A[list(rows)])
+        if u.shape[1] == 1:
+            v = A @ u[:, 0]
+            if (v >= -1e-9).all() or (v <= 1e-9).all():
+                return True
+    return False
+
+
+def _ties(chars: LocalCharacteristics, kind, lam, curved) -> bool:
+    """Whether the maximizer set holds points besides lam.
+
+    For the plain kind it is lam + null(C).  For the monotone kind on
+    atoms a step p keeps the value exactly when it keeps c lam and
+    every (1 - lam . x)+: p lies in the null space N of c and of the
+    atoms short of their bliss point, and no atom at its bliss point
+    drops below it (x . p >= 0).
+    """
+    if kind is UtilityKind.MV or chars.jumps is None:
+        return bool(not curved.all())
+    x, m = chars.jumps.points, chars.jumps.masses
+    z = x @ lam
+    _, _, V, curved, _ = _quadratic_form(chars, z > 1.0 - 1e-9)
+    return _cone_has_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ V[:, ~curved])
+
+
+def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg,
+                        capped=None) -> LocalOptimum:
+    """Minimum-norm maximizer lam = C_S^+ B_S on finite atoms or no jumps.
+
+    S is the set of capped atoms: empty for the plain kind, which is
+    B . lam - lam' C lam / 2 everywhere, and for the monotone kind
+    without jumps; `_capped_atoms` for the monotone kind on atoms.
+    When C_S is singular the minimum-norm point is taken; a riskless
+    drift, or an optimum beyond the float range, is flagged unbounded.
+    """
+    B, w, V, curved, riskless = _quadratic_form(chars, capped)
     if riskless:
         return _unbounded_at_origin(chars, kind, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,87 +417,11 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
         lam, value = np.zeros(chars.dim), 0.0
     res = foc_residual(lam, chars, kind, cfg)
     flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
-    return LocalOptimum(lam, float(value), res, flag, bool(not curved.all()))
+    return LocalOptimum(lam, float(value), res, flag, _ties(chars, kind, lam, curved))
 
 
 # ---------------------------------------------------------------------------
-# searches: one-dimensional density laws, monotone kind on n-d atoms
-
-
-def _objective(chars: LocalCharacteristics, kind, cfg):
-    """The local utility as a function of the direction array lam."""
-    kind = _kind(kind)
-
-    def f(lam) -> float:
-        return drift_of_variation(utility_variation(lam, kind, chars.dim), chars, cfg)
-
-    return f
-
-
-def _golden_max(f, a: float, b: float) -> tuple[float, float]:
-    """Golden-section maximum of a concave, finite f on [a, b].
-
-    Stops when the interval is below 1e-10 relative width or the best
-    value stalls at the 1e-14 level.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(fc, fd)
-    stall = 0
-    for _ in range(400):
-        if (b - a) <= 1e-10 * (1.0 + max(abs(a), abs(b))):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        now = max(fc, fd)
-        if abs(now - best) <= 1e-14 * (1.0 + abs(now)):
-            stall += 1
-            if stall >= 12:
-                break
-        else:
-            stall = 0
-        if now > best:
-            best = now
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _ray_shrink(f, lam: np.ndarray, val: float) -> tuple[np.ndarray, float, bool]:
-    """Pull the maximizer toward the origin through any flat plateau.
-
-    Finds the smallest t with f(t lam) within 1e-13 of the maximum.  A
-    capped objective is exactly constant over a macroscopic stretch of
-    the ray, while around a strict maximum the tolerance band has width
-    sqrt(noise/curvature).  Only shrinks spanning more than 1% of the
-    ray are treated as real plateaus; anything narrower keeps the
-    polished point.
-    """
-    if not np.any(lam) or not math.isfinite(val):
-        return lam, val, False
-    eps = 1e-13 * (1.0 + abs(val))
-
-    def ok(t: float) -> bool:
-        return f(t * lam) >= val - eps
-
-    if ok(0.0):
-        return np.zeros_like(lam), 0.0, True
-    t_lo, t_hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if ok(mid):
-            t_hi = mid
-        else:
-            t_lo = mid
-    if t_hi >= 1.0 - 1e-2:
-        return lam, val, False
-    new = t_hi * lam
-    return new, float(f(new)), True
+# search: one-dimensional density laws
 
 
 def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
@@ -479,192 +510,30 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
                   "unbounded_flagged" if flagged else None, tie)
 
 
-def _coordinate_sweep(f, d: int, order, width: float) -> tuple[np.ndarray, float]:
-    lam = np.zeros(d)
-    val = 0.0
-    stalled = 0
-    for _ in range(80):
-        moved = 0.0
-        prev_val = val
-        for i in order:
-            base = lam.copy()
-
-            def g(t: float) -> float:
-                v = base.copy()
-                v[i] = t
-                return f(v)
-
-            center = base[i]
-            end_lo, end_hi = center - width, center + width
-            flo, fhi = g(end_lo), g(end_hi)
-            for _ in range(40):
-                new = center + 4.0 * (end_hi - center)
-                fnew = g(new)
-                end_hi = new
-                if not (fnew > fhi + 1e-14 * (1.0 + abs(fhi))):
-                    break
-                fhi = fnew
-            for _ in range(40):
-                new = center + 4.0 * (end_lo - center)
-                fnew = g(new)
-                end_lo = new
-                if not (fnew > flo + 1e-14 * (1.0 + abs(flo))):
-                    break
-                flo = fnew
-            t, vt = _golden_max(g, end_lo, end_hi)
-            moved = max(moved, abs(t - base[i]))
-            lam = base
-            lam[i] = t
-            val = vt
-        if moved <= 1e-12 * (1.0 + float(np.linalg.norm(lam))):
-            break
-        # a capped objective is flat on its maximizer set, so the point
-        # can wander forever without gaining value; stop and leave the
-        # rest to the polish and tie-break stages
-        if val <= prev_val + 1e-14 * (1.0 + abs(val)):
-            stalled += 1
-            if stalled >= 2:
-                break
-        else:
-            stalled = 0
-    return lam, val
-
-
-def _gradient_polish(f, lam, val, chars, kind, cfg):
-    for _ in range(40):
-        grad = _try_foc(lam, chars, kind, cfg)
-        if grad is None or float(np.abs(grad).max()) <= 1e-10:
-            break
-        direction = grad / float(np.linalg.norm(grad))
-
-        def g(s: float) -> float:
-            return f(lam + s * direction)
-
-        hi = 1.0
-        fhi = g(hi)
-        for _ in range(30):
-            fnew = g(4.0 * hi)
-            if not (fnew > fhi + 1e-14 * (1.0 + abs(fhi))):
-                break
-            hi *= 4.0
-            fhi = fnew
-        s, vs = _golden_max(g, 0.0, 4.0 * hi)
-        if vs <= val + 1e-16 * (1.0 + abs(val)):
-            break
-        lam = lam + s * direction
-        val = vs
-    return lam, val
-
-
-def _newton_polish(f, lam, val, chars, kind, cfg):
-    """Damped Newton on the stationarity system.
-
-    Steepest ascent crawls in the narrow valleys of an ill-conditioned
-    second moment; Newton restores them in a handful of steps.  Steps
-    are accepted only on strict improvement, so a singular or useless
-    Jacobian (plateaus, kink crossings) degrades to a no-op and points
-    on a flat maximizer set are left where they are for the tie-break.
-    """
-    d = lam.size
-    for _ in range(30):
-        g = _try_foc(lam, chars, kind, cfg)
-        if g is None:
-            return lam, val
-        if float(np.abs(g).max()) <= 1e-12:
-            break
-        jac = np.empty((d, d))
-        h = 1e-6 * (1.0 + float(np.abs(lam).max()))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            gj = _try_foc(lam + e, chars, kind, cfg)
-            if gj is None:
-                return lam, val
-            jac[:, j] = (gj - g) / h
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return lam, val
-        if not np.all(np.isfinite(step)):
-            return lam, val
-        t = 1.0
-        for _ in range(20):
-            cand = lam + t * step
-            vc = f(cand)
-            if vc > val + 1e-13 * (1.0 + abs(val)):
-                lam, val = cand, vc
-                break
-            t *= 0.5
-        else:
-            return lam, val
-    return lam, val
-
-
-def _maximize_nd(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
-    """Monotone kind on several-dimensional atoms: sweeps and polish."""
-    kind = _kind(kind)
-    d = chars.dim
-    *_, riskless = _quadratic_form(chars)
-    if riskless:
-        return _unbounded_at_origin(chars, kind, cfg)
-
-    f = _objective(chars, kind, cfg)
-    width = 1.0 / max(chars.jumps.support_scale(), 1e-12)
-    lam_a, val_a = _coordinate_sweep(f, d, range(d), width)
-    lam_a, val_a = _gradient_polish(f, lam_a, val_a, chars, kind, cfg)
-    lam_a, val_a = _newton_polish(f, lam_a, val_a, chars, kind, cfg)
-    lam_b, val_b = _coordinate_sweep(f, d, range(d - 1, -1, -1), width)
-    lam_b, val_b = _gradient_polish(f, lam_b, val_b, chars, kind, cfg)
-    lam_b, val_b = _newton_polish(f, lam_b, val_b, chars, kind, cfg)
-
-    tie = False
-    lam, val = (lam_a, val_a) if val_a >= val_b else (lam_b, val_b)
-    gap = float(np.linalg.norm(lam_a - lam_b))
-    if gap > 1e-8 * (1.0 + float(np.linalg.norm(lam_a))) \
-            and abs(val_a - val_b) <= 1e-12 * (1.0 + abs(val_a)):
-        # the maximizer set contains the whole segment; take its
-        # minimum-norm point, in closed form
-        seg = lam_b - lam_a
-        t = float(np.clip(-(lam_a @ seg) / (seg @ seg), 0.0, 1.0))
-        cand = lam_a + t * seg
-        v = f(cand)
-        if v >= val - 1e-12 * (1.0 + abs(val)):
-            lam, val, tie = cand, v, True
-    lam, val, shrunk = _ray_shrink(f, lam, val)
-    tie = tie or shrunk
-    if val < 0.0:
-        lam, val = np.zeros(d), 0.0
-
-    res = _try_foc(lam, chars, kind, cfg)
-    if res is not None and float(np.abs(res).max()) <= _FOC_TOL:
-        flag = "interior"
-    else:
-        flag = "flat_direction"
-    return LocalOptimum(lam, float(val), res, flag, tie)
-
-
 def maximize_local_utility(chars: LocalCharacteristics, kind,
                            cfg: QuadConfig = DEFAULT_QUAD) -> LocalOptimum:
     """Globally maximize the concave local utility in the position direction.
 
     Finite-atom and jump-free time points are solved exactly: in one
     dimension by the closed form (plain kind) or the kink scan (monotone
-    kind), in several by the minimum-norm closed form, except for the
-    monotone kind on several-dimensional atoms.  That case gets
-    coordinate sweeps in both orders with a gradient and Newton polish
-    and the segment tie-break (d <= 4).  One-dimensional density laws
-    are restricted by tail moments to the directions of finite value;
-    their maximizer is the first zero of the slope, found by bisection.
+    kind), in several by the minimum-norm closed form C_S^+ B_S, whose
+    capped set S is empty for the plain kind and read off a regularized
+    Newton solve for the monotone kind on atoms (d <= 4).  An unbounded
+    several-dimensional point is reported at the origin.  One-dimensional
+    density laws are restricted by tail moments to the directions of
+    finite value; their maximizer is the first zero of the slope, found
+    by bisection.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")
     kind = _kind(kind)
-    exact = chars.jumps is None or isinstance(chars.jumps, FiniteAtoms)
-    if exact and chars.dim == 1:
-        return _solve_rows(_rows_from_chars(chars), kind)[0]
-    if exact and (kind is UtilityKind.MV or chars.jumps is None):
-        return _maximize_quadratic(chars, kind, cfg)
-    opt = (_maximize_1d if chars.dim == 1 else _maximize_nd)(chars, kind, cfg)
+    if chars.jumps is None or isinstance(chars.jumps, FiniteAtoms):
+        if chars.dim == 1:
+            return _solve_rows(_rows_from_chars(chars), kind)[0]
+        capped = (_capped_atoms(chars) if kind is UtilityKind.MMV
+                  and chars.jumps is not None else None)
+        return _maximize_quadratic(chars, kind, cfg, capped)
+    opt = _maximize_1d(chars, kind, cfg)
     if not math.isfinite(opt.value) or opt.value < 0.0:
         raise OptimizationError("search did not produce a finite nonnegative value")
     return opt

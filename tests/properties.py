@@ -8,6 +8,7 @@ The independent oracles here deliberately avoid the package's own code
 paths: drifts are checked against plain weighted sums and sampling,
 optima against dense grid scans of a four-line objective.
 """
+import itertools
 import math
 
 import numpy as np
@@ -184,6 +185,102 @@ def check_optimizer_vs_grid(n_models=50, seed=13):
                 opt = maximize_local_utility(chars, kind)
                 worst = max(worst, abs(opt.value - _grid_objective(chars, kind)))
     return worst
+
+
+_ND_FAMILIES = ("diffusion", "singular_c", "drift_only", "scheduled_jump", "gains_only")
+
+
+def random_nd_atom_chars(gen, family, dim, n_points):
+    """Several-dimensional atom characteristics of one of _ND_FAMILIES.
+
+    Diffusion and singular c draw a full-rank and a rank-deficient
+    covariance, drift-only laws have none; scheduled jumps have the
+    drift of `JumpAtom.chars`, and gains only put every outcome in the
+    positive orthant, where the monotone maximum is a plateau.
+    """
+    lo = 0.05 if family == "gains_only" else -0.9
+    pts = gen.uniform(lo, 1.5, size=(n_points, dim))
+    masses = gen.uniform(0.05, 0.4, size=n_points)
+    masses *= gen.uniform(0.3, 1.0) / masses.sum()
+    if family in ("scheduled_jump", "gains_only"):
+        return JumpAtom(1.0, FiniteAtoms(pts, masses)).chars
+    b = gen.uniform(-0.3, 0.3, size=dim)
+    if family == "drift_only":
+        c = np.zeros((dim, dim))
+    else:
+        a = gen.normal(size=(dim, int(gen.integers(1, dim)) if family == "singular_c"
+                             else dim))
+        c = 0.1 * a @ a.T
+    return LocalCharacteristics(b, c, FiniteAtoms(pts, masses))
+
+
+def _enumerated_mmv_optimum(chars):
+    """Minimum-norm monotone maximizer on atoms by trying every capped set.
+
+    On the set S of capped atoms the utility is the quadratic with slope
+    B_S and curvature C_S; a stationary point C_S^+ B_S that caps exactly
+    S is a global maximizer.  Returns (value, lam, C_S), or None when no
+    piece has one, which for a concave piecewise quadratic means the
+    value is unbounded.
+    """
+    x, m = chars.jumps.points, chars.jumps.masses
+    b0 = chars.b_trunc - m @ np.where(np.abs(x) <= 1.0, x, 0.0)
+    capped = np.array(list(itertools.product([False, True], repeat=m.size)))
+    free = (~capped)[:, :, None] * x
+    B = b0 + np.einsum("i,sij->sj", m, free)
+    C = chars.cov + np.einsum("sij,sik->sjk", free * m[None, :, None], free)
+    lam = np.einsum("sjk,sk->sj", np.linalg.pinv(C), B)
+    resid = np.linalg.norm(np.einsum("sjk,sk->sj", C, lam) - B, axis=1)
+    scale = np.linalg.norm(B, axis=1) + np.linalg.norm(C, axis=(1, 2)) \
+        * np.linalg.norm(lam, axis=1)
+    z = lam @ x.T
+    tol = 1e-9 * (1.0 + np.abs(z))
+    ok = (resid <= 1e-9 * scale) & np.all(np.where(capped, z >= 1.0 - tol,
+                                                   z <= 1.0 + tol), axis=1)
+    if not ok.any():
+        return None
+    lam, C = lam[ok], C[ok]
+    u = np.minimum(lam @ x.T, 1.0)
+    value = (lam @ b0 - 0.5 * np.einsum("sj,jk,sk->s", lam, chars.cov, lam)
+             + (u - 0.5 * u * u) @ m)
+    best = value >= value.max() - 1e-12 * (1.0 + abs(value.max()))
+    k = np.flatnonzero(best)[np.argmin(np.linalg.norm(lam[best], axis=1))]
+    return float(value[k]), lam[k], C[k]
+
+
+def check_atoms_nd_vs_enumeration(n_laws=200, seed=11):
+    """Monotone optima on several-dimensional atoms against enumeration.
+
+    Draws n_laws laws with d = 2, 3, 4 and 2 to 7 atoms, cycling
+    through _ND_FAMILIES.  Returns the worst value error relative to
+    the size of the terms the utility sums, the worst relative error of
+    lam against the minimum-norm maximizer (per unit of cond(C_S)
+    beyond 1e6), and the number of laws whose unboundedness flag
+    disagrees.
+    """
+    gen = np.random.default_rng(seed)
+    worst_value = worst_lam = 0.0
+    flag_errors = 0
+    for k in range(n_laws):
+        family = _ND_FAMILIES[k % len(_ND_FAMILIES)]
+        chars = random_nd_atom_chars(gen, family, int(gen.integers(2, 5)),
+                                     int(gen.integers(2, 8)))
+        want = _enumerated_mmv_optimum(chars)
+        got = maximize_local_utility(chars, "mmv")
+        if (want is None) != (got.boundedness == "unbounded_flagged"):
+            flag_errors += 1
+        elif want is not None:
+            value, lam, C = want
+            # the value sums terms of size |C_S| |lam|^2, and C_S^+ B_S is
+            # determined only to rounding times the condition of C_S
+            sv = np.linalg.svd(C, compute_uv=False)
+            cond = sv[0] / sv[sv > sv[0] * sv.size * np.finfo(float).eps][-1]
+            norm = float(np.linalg.norm(lam))
+            worst_value = max(worst_value, abs(got.value - value)
+                              / (1.0 + abs(value) + sv[0] * norm * norm))
+            worst_lam = max(worst_lam, float(np.linalg.norm(got.lambda_hat - lam))
+                            / (1.0 + norm) / max(1.0, 1e-6 * cond))
+    return float(worst_value), float(worst_lam), flag_errors
 
 
 def check_exponential_inversion(n_cases=500, seed=17):

@@ -123,6 +123,25 @@ class TestExitCodes:
         assert report["warnings"]
 
 
+    def test_several_dimensional_free_lunch_is_flagged(self, tmp_path, capsys):
+        # B0 = (0.05, 0.05) drives lam = (1, 1) past both bliss points,
+        # where the atoms no longer curve the value: unbounded
+        config = {"horizon": 1.0, "dimension": 2, "segments": [{
+            "t_start": 0.0, "t_end": 1.0, "b_kind": "trunc", "b": [0.2, 0.2],
+            "c": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"family": "finite_atoms", "points": [[0.5, 0.0], [0.0, 0.5]],
+                      "masses": [0.3, 0.3]}}]}
+        p = tmp_path / "free_lunch.json"
+        p.write_text(json.dumps(config))
+        assert run(["solve", str(p), "--kind", "mmv"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = report["solution"]["per_time"][0]
+        assert row["boundedness"] == "unbounded_flagged"
+        assert row["direction"]["value"] == [0.0, 0.0]
+        assert row["local_value"]["value"] == 0.0
+        assert any("unbounded" in w for w in report["warnings"])
+
+
 class TestReproduce:
     def test_example_4_passes_in_text_format(self, capsys):
         assert run(["reproduce", "--example", "4", "--format", "text"]) == 0
@@ -259,6 +278,17 @@ def test_diagnose_solves_each_kind_once(monkeypatch, capsys):
     ex1 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex1.json")
     assert run(["diagnose", ex1]) == 0
     assert sorted(calls) == ["mmv", "mv"]
+
+
+def test_diagnose_example_1_is_exact(capsys):
+    # the monotone optimum is (1/2, 1/2) and the plain one 105/221 each
+    ex1 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex1.json")
+    assert run(["diagnose", ex1]) == 0
+    report = json.loads(capsys.readouterr().out)
+    gap = report["comparison"]["max_direction_gap"]["value"]
+    assert gap == pytest.approx(11 / 652, rel=1e-12)
+    resid = report["monotone"]["density"]["max_martingale_residual"]["value"]
+    assert resid <= 1e-14
 
 
 def test_module_entry_point():

@@ -92,8 +92,49 @@ class TestScheduledJump:
         # the argmax is a whole segment; the tie-break picks its center
         opt = maximize_local_utility(ex1.atoms[0].chars, "mmv")
         assert opt.tie_break_applied
-        assert opt.lambda_hat == pytest.approx([0.5, 0.5], abs=1e-4)
+        assert opt.lambda_hat == pytest.approx([0.5, 0.5], abs=1e-14)
         assert opt.value == pytest.approx(0.2, abs=1e-10)
+
+    def test_monotone_optimum_costs_no_search(self, ex1, monkeypatch):
+        # one value and one slope per component, at the closed form
+        calls = []
+
+        def counting(xi, chars, cfg=DEFAULT_QUAD):
+            calls.append(xi)
+            return drift_of_variation(xi, chars, cfg)
+
+        for module in (mmvlab.optimize, mmvlab.localutil):
+            monkeypatch.setattr(module, "drift_of_variation", counting)
+        chars = ex1.atoms[0].chars
+        maximize_local_utility(chars, "mmv")
+        assert 1 <= len(calls) <= 2 * chars.dim + 1
+
+    def test_monotone_corner_of_two_bliss_points(self):
+        # the maximizers are the points past both bliss points; the
+        # nearest is the corner where both atoms sit at bliss
+        law = FiniteAtoms(np.array([[0.5, 0.2], [0.2, 0.5]]), np.array([0.3, 0.3]))
+        opt = maximize_local_utility(JumpAtom(1.0, law).chars, "mmv")
+        assert opt.lambda_hat == pytest.approx([1 / 0.7, 1 / 0.7], rel=1e-14)
+        assert opt.value == pytest.approx(0.3, rel=1e-14)
+        assert opt.boundedness == "interior"
+        assert opt.tie_break_applied
+
+    def test_diffusive_monotone_optimum_is_unique(self):
+        chars = LocalCharacteristics(
+            np.array([0.1, 0.05]), np.array([[0.1, 0.02], [0.02, 0.2]]),
+            FiniteAtoms(np.array([[0.5, 0.2], [0.2, 0.5], [-0.3, -0.1]]),
+                        np.array([0.3, 0.3, 0.2])))
+        opt = maximize_local_utility(chars, "mmv")
+        assert opt.boundedness == "interior"
+        assert not opt.tie_break_applied
+
+
+def test_several_dimensional_monotone_optima_match_enumeration():
+    worst_value, worst_lam, flag_errors = \
+        properties.check_atoms_nd_vs_enumeration(n_laws=250, seed=11)
+    assert flag_errors == 0
+    assert worst_value <= 1e-12
+    assert worst_lam <= 1e-9
 
 
 def test_optimizer_matches_dense_grid():
