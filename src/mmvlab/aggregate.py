@@ -131,17 +131,25 @@ def solve_schedule(model: MarketModel, kind,
     """Maximize the local utility at every segment and scheduled jump.
 
     The scheduled jumps of a one-asset model are solved exactly in one
-    batch, straight from their laws.
+    batch, straight from their laws.  The optima are kept on the model
+    instance, per kind and quadrature config, so each is solved once
+    however many diagnostics ask for it; a model built again from the
+    same config solves again.  The memo holds only the optima, not the
+    Solution, so it makes no reference cycle through the model.
     """
     kind = _kind(kind)
-    seg_opts = tuple(maximize_local_utility(seg.chars, kind, cfg)
-                     for seg in model.segments)
-    if model.dim == 1:
-        atom_opts = maximize_atom_laws([atom.law for atom in model.atoms], kind)
-    else:
-        atom_opts = tuple(maximize_local_utility(atom.chars, kind, cfg)
-                          for atom in model.atoms)
-    return Solution(model, kind, seg_opts, atom_opts)
+    memo = model.__dict__.setdefault("_optima", {})
+    optima = memo.get((kind, cfg))
+    if optima is None:
+        seg_opts = tuple(maximize_local_utility(seg.chars, kind, cfg)
+                         for seg in model.segments)
+        if model.dim == 1:
+            atom_opts = maximize_atom_laws([atom.law for atom in model.atoms], kind)
+        else:
+            atom_opts = tuple(maximize_local_utility(atom.chars, kind, cfg)
+                              for atom in model.atoms)
+        optima = memo[(kind, cfg)] = (seg_opts, atom_opts)
+    return Solution(model, kind, *optima)
 
 
 def _diverges(continuous: float, incs: list[float]) -> bool:

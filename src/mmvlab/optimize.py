@@ -25,10 +25,11 @@ directions whose tail moments support a finite value, and monotone-kind
 rays are classified by their asymptotic slope.  The slope of the local
 utility along the allowed side never increases, so the maximizer is the
 first point where it stops pointing outward: a bracket grown from the
-law's scale by factors of 4 and a bisection on the slope find it, and
-the objective is evaluated once, there.  That zero is also the
-sigma-martingale condition of the dual density, and the minimum-norm
-end of any flat stretch.
+law's scale by factors of 4, Chandrupatla's interpolating steps on the
+slope and a bisection down to adjacent doubles find it, in about ten
+slope evaluations, and the objective is evaluated once, there.  That
+zero is also the sigma-martingale condition of the dual density, and
+the minimum-norm end of any flat stretch.
 
 The monotone kind on several-dimensional atoms is exact too.  Its
 local utility is concave and piecewise quadratic: on the set S of atoms
@@ -56,6 +57,7 @@ from .measures import FiniteAtoms, _row_sums, truncate
 from .model import LocalCharacteristics
 
 _FOC_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 _MAX_DIM = 4
 
 
@@ -73,7 +75,8 @@ class LocalOptimum:
     optimum beyond the float range are reported at the origin with value
     0.  tie_break_applied marks a maximizer set of more than one point,
     of which lambda_hat is the minimum-norm one.  value is always finite
-    and nonnegative.
+    and nonnegative.  The optima this module returns have read-only
+    arrays, since solved schedules share them.
     """
 
     lambda_hat: np.ndarray
@@ -241,6 +244,8 @@ def _solve_rows(rows: _Rows, kind) -> list[LocalOptimum]:
                      np.where(riskless | (np.abs(foc) > _FOC_TOL),
                               "flat_direction", "interior")).tolist()
     lam, foc = lam.reshape(-1, 1), foc.reshape(-1, 1)
+    lam.setflags(write=False)   # row views of a read-only array are read-only
+    foc.setflags(write=False)
     return [LocalOptimum(lam[i], v, foc[i], flag, t)
             for i, (v, flag, t) in enumerate(zip(value.tolist(), flags,
                                                  tie.tolist()))]
@@ -424,11 +429,74 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg,
 # search: one-dimensional density laws
 
 
+def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
+    """The first double at which a nonincreasing f stops being positive.
+
+    Takes a bracket with f(lo) > 0 >= f(hi) and returns (x, f(x)).
+    Chandrupatla's step (Adv. Eng. Software 28, 1997) narrows it: the
+    newest end a, the other end b and the end c that a replaced fit an
+    inverse quadratic when they pass his test, and its zero is the next
+    point; otherwise, or when three steps have not halved the bracket,
+    the next point bisects it.  Every point keeps a tolerance, one ulp
+    of the larger end but at least atol, from the ends, so once the
+    estimate is that close the next point lands past it and the bracket
+    collapses.  When a is an exact zero and c is not, the next point is
+    one tolerance from a, where the first zero most likely is; two zeros
+    in a row fail the test, so a flat stretch is bisected.  A bisection
+    on the float lattice then ends with the two ends adjacent doubles,
+    or atol apart where an ulp is smaller than atol: the result is the
+    first double past the last positive value, whatever path the
+    bracket took.
+    """
+    a, fa = hi, f_hi
+    b, fb = lo, f_lo
+    c = fc = math.nan
+    t = 0.5
+    widths = [abs(b - a)]
+    while True:
+        tol = max(_EPS * max(abs(a), abs(b)), atol)
+        if widths[-1] <= 2.0 * tol:
+            break
+        tl = tol / widths[-1]
+        x = a + min(max(t, tl), 1.0 - tl) * (b - a)
+        if not min(a, b) < x < max(a, b):
+            break       # rounding left no double strictly inside
+        fx = f(x)
+        if (fx <= 0.0) == (fa <= 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        widths.append(abs(b - a))
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            t = 0.5
+        elif fa == 0.0 and fc != 0.0:
+            t = 0.0
+        elif phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+    lo, hi, f_hi = (b, a, fa) if fa <= 0.0 else (a, b, fb)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > atol and lo < mid < hi:
+        f_mid = f(mid)
+        if f_mid <= 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi, f_hi
+
+
 def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
-    """Bisection on the slope for a one-dimensional jump law given by a density.
+    """Root of the slope for a one-dimensional jump law given by a density.
 
     The slope of the concave local utility never increases away from the
-    origin, so its first zero is the minimum-norm maximizer.
+    origin, so its first zero is the minimum-norm maximizer: the first
+    double where the slope stops being positive (`_first_nonpositive`).
     """
     kind = _kind(kind)
     jumps = chars.jumps
@@ -482,25 +550,20 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     def slope(t: float) -> float:
         return side * float(foc_residual([side * t], chars, kind, cfg)[0])
 
-    # grow [lo, hi] until the slope at hi stops being positive, then bisect
-    lo, hi = 0.0, 1.0 / max(jumps.support_scale(), 1e-12)
+    # grow [lo, hi] until the slope at hi stops being positive
+    lo, s_lo = 0.0, math.inf if res0 is None else side * float(res0[0])
+    hi = scale = 1.0 / max(jumps.support_scale(), 1e-12)
     s_hi = slope(hi)
     for _ in range(40):
         if s_hi <= 0.0:
             break
-        lo, hi = hi, 4.0 * hi
+        lo, s_lo, hi = hi, s_hi, 4.0 * hi
         s_hi = slope(hi)
     flagged = flagged or s_hi > 0.0
     flat_top = abs(s_hi) <= slope_tol
-    for _ in range(100):
-        if flagged or hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        s_mid = slope(mid)
-        if s_mid <= 0.0:
-            hi, s_hi = mid, s_mid
-        else:
-            lo = mid
+    if not flagged:
+        # directions within eps^2 of the law's scale count as zero
+        hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
     val = local_utility(side * hi, chars, kind, cfg)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()
@@ -522,7 +585,8 @@ def maximize_local_utility(chars: LocalCharacteristics, kind,
     several-dimensional point is reported at the origin.  One-dimensional
     density laws are restricted by tail moments to the directions of
     finite value; their maximizer is the first zero of the slope, found
-    by bisection.
+    by interpolating steps in a sign bracket that end on the float
+    lattice.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")
@@ -532,8 +596,12 @@ def maximize_local_utility(chars: LocalCharacteristics, kind,
             return _solve_rows(_rows_from_chars(chars), kind)[0]
         capped = (_capped_atoms(chars) if kind is UtilityKind.MMV
                   and chars.jumps is not None else None)
-        return _maximize_quadratic(chars, kind, cfg, capped)
-    opt = _maximize_1d(chars, kind, cfg)
-    if not math.isfinite(opt.value) or opt.value < 0.0:
-        raise OptimizationError("search did not produce a finite nonnegative value")
+        opt = _maximize_quadratic(chars, kind, cfg, capped)
+    else:
+        opt = _maximize_1d(chars, kind, cfg)
+        if not math.isfinite(opt.value) or opt.value < 0.0:
+            raise OptimizationError("search did not produce a finite nonnegative value")
+    opt.lambda_hat.setflags(write=False)
+    if opt.foc_residual is not None:
+        opt.foc_residual.setflags(write=False)
     return opt

@@ -1,13 +1,17 @@
 """Clock aggregation, global values, ratio conversions, strategies."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import mmvlab
 from mmvlab import (CumulativeUtility, DomainError, InfiniteValue,
-                    UtilityKind, compounding_dual, cumulative_local_utility,
+                    UtilityKind, compare_mv_mmv, compounding_dual,
+                    cumulative_local_utility, density_diagnostics,
                     det_stoch_exponential, example_model, global_values,
-                    sharpe_hansen_convert, solve_schedule,
+                    mv_signed_measure, sharpe_hansen_convert, solve_schedule,
                     strategy_descriptor)
 
 import properties
@@ -18,6 +22,60 @@ def test_solution_structure(ex2_sol_mmv):
     assert len(ex2_sol_mmv.segment_optima) == 1
     assert ex2_sol_mmv.atom_optima == ()
     assert len(ex2_sol_mmv.segment_lambdas()) == 1
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    calls = []
+    solve = mmvlab.aggregate.maximize_local_utility
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(mmvlab.aggregate, "maximize_local_utility", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_optima_are_read_only(ex1, ex2, kind):
+    # a density segment, a two-asset atom and a batch of one-asset atoms
+    models = (ex2, ex1, example_model(5, atoms_max=10))
+    for model in models:
+        sol = solve_schedule(model, kind)
+        for opt in (*sol.segment_optima, *sol.atom_optima):
+            for arr in (opt.lambda_hat, opt.foc_residual):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+
+def test_a_solved_model_is_not_solved_again(count_solves):
+    model = example_model(2)
+    solve_schedule(model, "mv")
+    solve_schedule(model, "mmv")
+    assert len(count_solves) == 2
+    count_solves.clear()
+    mv_signed_measure(model)
+    compare_mv_mmv(model)
+    density_diagnostics(model)
+    for kind in ("mv", "mmv"):
+        cumulative_local_utility(model, kind)
+    assert count_solves == []
+    # the memo belongs to the model instance, not to its config
+    solve_schedule(example_model(2), "mv")
+    assert len(count_solves) == 1
+
+
+def test_the_memo_makes_no_reference_cycle():
+    model = example_model(2)
+    solve_schedule(model, "mmv")
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_single_jump_aggregation_is_exact(ex1):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mmvlab import (InfiniteValue, capped_variant, compare_mv_mmv,
+from mmvlab import (InfiniteValue, build_model, capped_variant, compare_mv_mmv,
                     cumulative_local_utility, density_diagnostics,
                     example_model, global_values, mellin_sign_moments,
                     mv_signed_measure, sigma_martingale_residual,
@@ -172,3 +174,45 @@ class TestCoincidence:
         assert rep.verdict == "not_applicable"
         assert rep.square_integrable is True
         assert "infinite" in rep.note
+
+
+@st.composite
+def density_laws(draw):
+    """A jump law given by a density: gaussian, exp_tails or tabulated."""
+    family = draw(st.sampled_from(["gaussian", "exp_tails", "tabulated"]))
+    if family == "gaussian":
+        return {"family": family, "mean": draw(st.floats(-0.1, 0.1)),
+                "variance": draw(st.floats(0.005, 0.04)), "rate": draw(st.floats(0.5, 2.0))}
+    if family == "exp_tails":
+        return {"family": family, "c_minus": draw(st.floats(0.5, 3.0)),
+                "a": draw(st.floats(6.0, 15.0)), "c_plus": draw(st.floats(0.5, 3.0)),
+                "b": draw(st.floats(6.0, 15.0))}
+    lo, hi = -draw(st.floats(0.2, 0.6)), draw(st.floats(0.2, 0.8))
+    x = np.linspace(lo, hi, draw(st.integers(21, 61)))
+    centre, width = draw(st.floats(0.5 * lo, 0.5 * hi)), draw(st.floats(0.05, 0.3))
+    dens = draw(st.floats(0.5, 2.0)) * np.exp(-0.5 * ((x - centre) / width) ** 2) / width
+    return {"family": family, "x": x.tolist(), "density": dens.tolist(),
+            "quadrature": "trapezoid"}
+
+
+@given(density_laws(), st.floats(0.05, 0.3), st.floats(0.01, 0.09),
+       st.booleans(), st.floats(0.05, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_cap_below_the_bliss_edge_makes_the_kinds_coincide(law, b, c, log_terms, frac):
+    # no capped jump reaches the plain kind's bliss level 1/lam_mv, so
+    # both kinds maximize the same utility on [0, 1/cap) and their
+    # directions agree to the bit
+    config = {"horizon": 1.0, "dimension": 1, "segments": [
+        {"t_start": 0.0, "t_end": 1.0, "b_kind": "zero", "b": b, "c": c, "jumps": law}]}
+    if log_terms:
+        config["yield_transform"] = "exp"
+    model = build_model(config)
+    lam = float(solve_schedule(model, "mv").segment_optima[0].lambda_hat[0])
+    assume(lam > 0.0)
+    cap = frac / lam
+    capped = capped_variant(model, cap)
+    lam_capped = float(solve_schedule(capped, "mv").segment_optima[0].lambda_hat[0])
+    assume(0.0 < lam_capped * cap < 1.0)
+    rep = compare_mv_mmv(capped)
+    assert rep.verdict == "coincide"
+    assert rep.max_lambda_gap == 0.0

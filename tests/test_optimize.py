@@ -219,7 +219,9 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 @pytest.mark.parametrize("example", [2, 3])
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
-    # a bracket and a bisection on the slope: about 55 drift evaluations
+    # a bracket, Chandrupatla's steps on the slope and a finish on the
+    # float lattice: example 3 mmv takes 16 drift evaluations, the others
+    # ten or fewer
     calls = []
 
     def counting(xi, chars, cfg=DEFAULT_QUAD):
@@ -231,7 +233,36 @@ def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     for seg in example_model(example).segments:
         calls.clear()
         maximize_local_utility(seg.chars, kind)
-        assert 1 <= len(calls) <= 70
+        assert 1 <= len(calls) <= 20
+
+
+@pytest.mark.parametrize("b", [2.2250738585e-313, 1e-300, 1e-12])
+def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
+    # a drift far below the law's scale puts the slope's first zero at
+    # the origin to working precision: the search stops eps^2 of the
+    # scale away instead of descending to subnormal directions
+    calls = []
+
+    def counting(xi, chars, cfg=DEFAULT_QUAD):
+        calls.append(xi)
+        return drift_of_variation(xi, chars, cfg)
+
+    for module in (mmvlab.optimize, mmvlab.localutil):
+        monkeypatch.setattr(module, "drift_of_variation", counting)
+    atom = LocalCharacteristics(np.array([b]), np.array([[0.25]]),
+                                FiniteAtoms(np.array([[1.0]]), np.array([1.0])))
+    exact = float(maximize_local_utility(atom, "mv").lambda_hat[0])   # b / 1.25
+    calls.clear()
+    searched = float(_maximize_1d(atom, "mv", DEFAULT_QUAD).lambda_hat[0])
+    # the quadrature slope b - 1 + (1 - 1.25 lam) rounds at 1e-16
+    assert searched == pytest.approx(exact, abs=1e-15)
+    assert len(calls) <= 100
+    density = LocalCharacteristics(np.array([b]), np.zeros((1, 1)),
+                                   ExpTails1D(1.0, 8.0, 1.0, 8.0))
+    calls.clear()
+    opt = maximize_local_utility(density, "mmv")
+    assert abs(float(opt.lambda_hat[0])) <= 1e-12
+    assert len(calls) <= 100
 
 
 def _example5_closed_form(n):
