@@ -199,8 +199,8 @@ def _quad_config(args) -> QuadConfig:
     tol = getattr(args, "tol_quad", None)
     if tol is None:
         return DEFAULT_QUAD
-    if tol <= 0.0:
-        raise _UsageError("--tol-quad must be positive")
+    if not 0.0 < tol < math.inf:
+        raise _UsageError("--tol-quad must be finite and positive")
     return QuadConfig(atol=tol, rtol=tol)
 
 
@@ -443,7 +443,6 @@ def _cmd_diagnose(args) -> int:
         "witness_direction": (None if na.witness_direction is None
                               else _v([float(x) for x in na.witness_direction])),
         "n_atom_violations": len(na.atom_violations),
-        "methods": dict(na.methods),
     }
     mono, warn_m, sol_mmv = _diag_monotone(model, cfg)
     quad, warn_q, sol_mv = _diag_quadratic(model, cfg)

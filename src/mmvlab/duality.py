@@ -15,13 +15,13 @@ cross-checks of the wealth identities.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
-from .aggregate import (Solution, _split_schedule, cumulative_local_utility,
+from .aggregate import (CumulativeUtility, Solution, _split_schedule,
+                        cumulative_local_utility, det_stoch_exponential,
                         global_values, solve_schedule)
 from .drift import VariationFunction, drift_of_variation
 from .errors import InfiniteValue
@@ -118,10 +118,10 @@ def zero_density_probability(model: MarketModel, schedule,
         if jumps is None:
             continue
         theta += seg.length * jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    survival = math.exp(-theta)
-    for atom, lam in zip(model.atoms, atom_lams):
-        survival *= 1.0 - atom.law.mass_scaled_ge(lam, 1.0, strict=False)
-    return 1.0 - survival
+    crossings = CumulativeUtility(theta, tuple(
+        (atom.time, atom.law.mass_scaled_ge(lam, 1.0, strict=False))
+        for atom, lam in zip(model.atoms, atom_lams)), True)
+    return 1.0 - det_stoch_exponential(crossings, -1.0).value
 
 
 def _crossing_free(model: MarketModel, seg_lams, atom_lams, strict: bool) -> bool:
@@ -226,11 +226,12 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
         for seg, lam in zip(model.segments, seg_lams):
             acc += seg.length * drift_of_variation(
                 _mellin_variation(lam, p, even), seg.chars, cfg)
-        factor = math.exp(acc)
+        jumps = []
         for atom, lam in zip(model.atoms, atom_lams):
             xi = _mellin_variation(lam, p, even)
-            factor *= 1.0 + atom.law.integrate(xi.fn, xi.kinks, cfg)
-        exps.append(factor)
+            jumps.append((atom.time, atom.law.integrate(xi.fn, xi.kinks, cfg)))
+        exps.append(det_stoch_exponential(
+            CumulativeUtility(acc, tuple(jumps), True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
 

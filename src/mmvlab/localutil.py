@@ -9,9 +9,12 @@ expansion; they differ only past the bliss point.
 The local utility of a position direction lam is the drift of the
 variation u -> g(lam . u) of the increments.  Its supremum over lam is
 finite exactly when the model admits no instantaneous free lunch, which
-`check_instantaneous_no_arbitrage` tests directly: exactly on finite
-atom laws via a cone test, and on a direction grid for diffusive or
-density-driven segments.
+`check_instantaneous_no_arbitrage` tests directly and exactly, in every
+dimension, with no direction grid: each time point restricts to the
+null space of its diffusion, where a free lunch is a riskless drift on
+the directions no charged outcome sees or a ray of one polyhedral cone,
+decided by nonnegative least squares on unit rows (`_cone_ray`).  The
+optimizer's tie test asks the same routine.
 """
 from __future__ import annotations
 
@@ -23,8 +26,11 @@ import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import ExtendedReal, VariationFunction, drift_of_variation
-from .measures import _as_direction
+from .measures import FiniteAtoms, _as_direction
 from .model import LocalCharacteristics, MarketModel, small_jump_mean
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class UtilityKind(str, Enum):
@@ -145,26 +151,34 @@ def asymptotic_slope(direction, chars: LocalCharacteristics,
 class NoArbReport:
     """Result of the instantaneous no-free-lunch scan.
 
-    `witness_direction` (with `witness_time`) is a direction whose
-    positions win without risk on some segment; `atom_violations` lists
-    (time, direction) pairs for scheduled jumps whose outcomes all lie
-    weakly on one side of a hyperplane.  `methods` records whether each
-    part of the scan was exact or grid-based.
+    `witness_direction` (with `witness_time`) is a unit direction whose
+    positions win without risk on the first segment that has one;
+    `atom_violations` lists (time, direction) pairs for scheduled jumps
+    whose outcomes all lie weakly on one side of a hyperplane, with some
+    strictly on the winning side.  Every verdict is exact to rounding.
     """
 
     holds: bool
     witness_direction: np.ndarray | None
     witness_time: float | None
     atom_violations: tuple[tuple[float, np.ndarray], ...]
-    methods: dict
+
+
+def _slope_tol(b):
+    """Slopes and drifts within this of zero count as flat."""
+    return 1e-12 * (1.0 + np.abs(b))
+
+
+#: singular values of unit rows, and unit-row residuals, below this are zero
+_RANK_TOL = 1e-9
 
 
 def _nnls(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative least squares min |A c - y| over c >= 0.
 
-    Active-set iteration; returns (c, residual y - A c).  The residual
-    r satisfies r . a_i <= 0 for every column, which is what the cone
-    test needs from it.
+    Active-set iteration (Lawson & Hanson 1974, ch. 23); returns (c,
+    residual y - A c).  The residual r satisfies r . a_i <= 0 for every
+    column, which is what the cone test needs from it.
     """
     m, n = A.shape
     c = np.zeros(n)
@@ -198,95 +212,116 @@ def _nnls(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, y - A @ c
 
 
-def _atom_witness(points: np.ndarray, masses: np.ndarray) -> np.ndarray | None:
-    """Direction with lam . x_i >= 0 for all outcomes, > 0 for one, or None.
+def _cone_ray(A: np.ndarray) -> np.ndarray | None:
+    """A nonzero u with A u >= 0, or None.
 
-    No such direction exists exactly when every -x_j lies in the convex
-    cone of the outcomes; the nonnegative least squares residual of that
-    membership problem is itself a witness when membership fails.
+    The rows a_j of A are scaled to unit length, so only directions
+    count.  A rank-deficient A has a null vector, which is such a ray.
+    Otherwise one exists exactly when some -a_j lies outside the convex
+    cone of the rows (Gordan), and the nonnegative least squares
+    residual r of that membership problem has A(-r) >= 0, a_j . (-r) > 0.
+    Rows with a positive coefficient in a representation found need no
+    test of their own.  With one column the test is the signs.
     """
-    pts = points[masses > 0.0]
-    A = pts.T
-    for j in range(pts.shape[0]):
-        xj = pts[j]
-        _, r = _nnls(A, -xj)
-        nrm2 = float(r @ r)
-        if nrm2 > (1e-9 * (1.0 + float(np.linalg.norm(xj)))) ** 2:
-            return -r / math.sqrt(nrm2)
+    n, k = A.shape
+    if k == 0:
+        return None
+    A = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
+    if k == 1:
+        return (np.ones(1) if (A >= 0.0).all()
+                else -np.ones(1) if (A <= 0.0).all() else None)
+    # k zero rows give V' its k rows when n < k, and change nothing else
+    _, s, vt = np.linalg.svd(np.vstack([A, np.zeros((k, k))]), full_matrices=False)
+    if s[-1] <= _RANK_TOL:
+        return vt[-1]
+    covered = np.zeros(n, dtype=bool)
+    for j in range(n):
+        if not covered[j]:
+            c, r = _nnls(A.T, -A[j])
+            if float(r @ r) > _RANK_TOL * _RANK_TOL:
+                return -r
+            covered |= c > 0.0
+            covered[j] = True
     return None
 
 
-def _direction_grid(dim: int, n: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[-1.0], [1.0]])
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if dim == 3:
-        # Fibonacci lattice on the sphere
-        i = np.arange(n) + 0.5
-        phi = np.pi * (1.0 + math.sqrt(5.0)) * i
-        z = 1.0 - 2.0 * i / n
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    gen = np.random.Generator(np.random.Philox(key=np.array([7, dim],
-                                                            dtype=np.uint64)))
-    pts = gen.standard_normal((n, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+def _free_lunch(b0: np.ndarray, N: np.ndarray, x: np.ndarray,
+                drift_tol: float) -> np.ndarray | None:
+    """A unit direction that wins without risk at one time point, or None.
+
+    b0 is the zero-truncation drift, the columns of N an orthonormal
+    basis of null(c) for the diffusion matrix c, and the rows of x the
+    charged outcomes.  lam wins when lam' c lam = 0, no outcome has
+    lam . x < 0, and lam . b0 >= 0 with some lam . x > 0, or lam . b0 != 0
+    with none.  Inside null(c), an outcome whose part there is below
+    1e-9 of its length is unseen.  A drift on the directions no outcome
+    sees is riskless; on the rest a win is a ray of [x; b0'] u >= 0
+    (`_cone_ray`).  Only directions of outcomes count, so rescaling one
+    never changes the verdict; drifts within drift_tol count as zero.
+    """
+    k = N.shape[1]
+    y = x @ N
+    if k < b0.size:
+        y = y[np.linalg.norm(y, axis=1) > _RANK_TOL * np.linalg.norm(x, axis=1)]
+    y = y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300)
+    _, s, vt = np.linalg.svd(np.vstack([y, np.zeros((k, k))]), full_matrices=False)
+    rank = int(np.sum(s > _RANK_TOL))
+    z = vt @ (N.T @ b0)         # the drift in a basis of seen, then unseen directions
+    if math.sqrt(z[rank:] @ z[rank:]) > drift_tol:
+        z[:rank] = 0.0
+    else:
+        beta = z[:rank] if math.sqrt(z[:rank] @ z[:rank]) > drift_tol else 0.0 * z[:rank]
+        u = _cone_ray(np.vstack([y @ vt[:rank].T, beta]))
+        if u is None:
+            return None
+        z = np.concatenate([u, np.zeros(k - rank)])
+    lam = N @ (vt.T @ z)
+    return lam / math.sqrt(lam @ lam)
+
+
+def _charged_outcomes(jumps, dim: int) -> np.ndarray:
+    """The outcomes a jump law charges: atoms' points, or density signs."""
+    if jumps is None:
+        return np.empty((0, dim))
+    if isinstance(jumps, FiniteAtoms):
+        return jumps.points[jumps.masses > 0.0]
+    tol = 1e-13 * (1.0 + jumps.total_mass())
+    return np.array([[s] for s in (-1.0, 1.0)
+                     if jumps.mass_scaled_ge([s], 0.0, strict=True) > tol]).reshape(-1, 1)
 
 
 def check_instantaneous_no_arbitrage(model: MarketModel,
-                                     cfg: QuadConfig = DEFAULT_QUAD,
-                                     n_directions: int = 1000) -> NoArbReport:
+                                     cfg: QuadConfig = DEFAULT_QUAD) -> NoArbReport:
     """Scan every segment and scheduled jump for riskless-win directions.
 
-    A direction violates on a segment when it sees no diffusion, no
-    jumps against it, and either jumps along it with a nonnegative
-    zero-truncation drift, or no jumps at all with a nonzero drift.
-    Scheduled jumps are tested exactly through the cone criterion.  In
-    one dimension the segment scan over the two signs is exact as well,
-    since all the conditions are invariant under positive scaling.
+    A direction wins without risk when it sees no diffusion, no charged
+    outcome against it, and either outcomes along it with a nonnegative
+    zero-truncation drift, or none with a nonzero drift.  Every time
+    point, in any dimension, is decided exactly by `_free_lunch`: a
+    segment on the null space of its diffusion (a full-rank diffusion
+    leaves none), its zero-truncation drift and its charged outcomes
+    (the atoms of a finite law, the signs a density law charges); a
+    scheduled jump on its outcomes alone, with no drift or diffusion.
     """
     witness = None
     witness_time = None
-    grid_cache: dict[int, np.ndarray] = {}
     for seg in model.segments:
         ch = seg.chars
-        dirs = grid_cache.setdefault(ch.dim, _direction_grid(ch.dim, n_directions))
-        tol_c = 1e-14 * (1.0 + float(np.trace(ch.cov)))
-        jumps = ch.jumps
-        total = jumps.total_mass() if jumps is not None else 0.0
-        tol_m = 1e-13 * (1.0 + total)
-        b0 = ch.b_trunc - (small_jump_mean(ch, cfg) if jumps is not None
-                           else np.zeros(ch.dim))
-        tol_d = 1e-11 * (1.0 + float(np.abs(ch.b_trunc).max()) + total)
-        for lam in dirs:
-            if float(lam @ ch.cov @ lam) > tol_c:
-                continue
-            if jumps is not None:
-                if jumps.mass_scaled_ge(-lam, 0.0, strict=True) > tol_m:
-                    continue
-                mpos = jumps.mass_scaled_ge(lam, 0.0, strict=True)
-            else:
-                mpos = 0.0
-            drift0 = float(lam @ b0)
-            bad = (drift0 > -tol_d) if mpos > tol_m else (abs(drift0) > tol_d)
-            if bad and witness is None:
-                # a deterministic segment wins in the direction of its drift
-                flip = mpos <= tol_m and drift0 < 0.0
-                witness = -np.array(lam, dtype=float) if flip \
-                    else np.array(lam, dtype=float)
-                witness_time = seg.t_start
+        w, V = np.linalg.eigh(ch.cov)
+        null_c = V[:, w <= ch.dim * _EPS * max(float(w.max()), 0.0)]
+        if null_c.size:
+            witness = _free_lunch(ch.b_trunc - small_jump_mean(ch, cfg), null_c,
+                                  _charged_outcomes(ch.jumps, ch.dim),
+                                  _slope_tol(float(np.abs(ch.b_trunc).max())))
+        if witness is not None:
+            witness_time = seg.t_start
+            break
     atom_violations = []
+    zero, whole = np.zeros(model.dim), np.eye(model.dim)
     for atom in model.atoms:
-        w = _atom_witness(atom.law.points, atom.law.masses)
+        w = _free_lunch(zero, whole, _charged_outcomes(atom.law, model.dim), 0.0)
         if w is not None:
             atom_violations.append((atom.time, w))
-    methods = {
-        "atoms": "exact-cone",
-        "segments": ("exact-signs" if model.dim == 1
-                     else f"direction-grid-{n_directions}"),
-    }
     return NoArbReport(holds=witness is None and not atom_violations,
                        witness_direction=witness, witness_time=witness_time,
-                       atom_violations=tuple(atom_violations), methods=methods)
+                       atom_violations=tuple(atom_violations))

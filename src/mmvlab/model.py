@@ -106,19 +106,11 @@ class JumpAtom:
                 b = _row_sums(law.masses * truncate(law.points[:, 0]),
                               np.zeros(law.masses.size, dtype=np.intp), 1)
             else:
-                b = np.array([law.integrate(lambda x, i=i: _component_trunc(x, i, d))
+                b = np.array([law.integrate(lambda x, i=i: truncate(x)[:, i])
                               for i in range(d)])
             cached = LocalCharacteristics(b, np.zeros((d, d)), law)
             object.__setattr__(self, "_chars", cached)
         return cached
-
-
-def _component_trunc(x, i: int, dim: int):
-    if dim == 1:
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= 1.0, x, 0.0)
-    h = truncate(x)
-    return h[:, i]
 
 
 @dataclass(frozen=True)
@@ -136,8 +128,8 @@ def small_jump_mean(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD)
     if chars.jumps is None:
         return np.zeros(d)
     return np.array([chars.jumps.integrate(
-        lambda x, i=i: _component_trunc(x, i, d), breakpoints=(-1.0, 1.0), cfg=cfg)
-        for i in range(d)])
+        truncate if d == 1 else lambda x, i=i: truncate(x)[:, i],
+        breakpoints=(-1.0, 1.0), cfg=cfg) for i in range(d)])
 
 
 def exp_transform(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD) -> LocalCharacteristics:

@@ -37,12 +37,11 @@ it caps it has slope B_S and curvature C_S, and the minimum-norm
 maximizer is C_S^+ B_S for the S that maximizer caps strictly.  A
 regularized Newton solve, with an exact line search over the bliss
 kinks, reads off S (`_capped_atoms`); the optima need not be unique,
-since the monotone utility is flat beyond its bliss level, and a
-small cone test tells whether they are (`_ties`).
+since the monotone utility is flat beyond its bliss level, and the
+cone test of `localutil` tells whether they are (`_ties`).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,13 +50,13 @@ import numpy as np
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import drift_of_variation
 from .errors import NonIntegrable, OptimizationError, QuadratureError
-from .localutil import (UtilityKind, _kind, asymptotic_slope, local_utility,
-                        slope_variation, utility, utility_slope)
+from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _slope_tol,
+                        asymptotic_slope, local_utility, slope_variation, utility,
+                        utility_slope)
 from .measures import FiniteAtoms, _row_sums, truncate
 from .model import LocalCharacteristics
 
 _FOC_TOL = 1e-8
-_EPS = float(np.finfo(float).eps)
 _MAX_DIM = 4
 
 
@@ -103,11 +102,6 @@ def _try_foc(lam, chars, kind, cfg) -> np.ndarray | None:
     except (NonIntegrable, QuadratureError):
         return None
     return res if np.all(np.isfinite(res)) else None
-
-
-def _slope_tol(b):
-    """Slopes within this of zero count as flat."""
-    return 1e-12 * (1.0 + np.abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -353,35 +347,6 @@ def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
     return x @ lam > 1.0
 
 
-def _cone_has_ray(A: np.ndarray) -> bool:
-    """Whether some nonzero u has A u >= 0 (rows of A scaled to unit length).
-
-    The cone holds a line when A has a null space.  Otherwise it is
-    pointed, and if it is not {0} it has an edge: a line on which k - 1
-    independent rows of A vanish, with the other rows of one sign.
-    """
-    n, k = A.shape
-    if k == 0:
-        return False
-    A = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
-
-    def null(M):
-        if M.shape[0] == 0:
-            return np.eye(k)
-        _, s, vt = np.linalg.svd(M)
-        return vt[int(np.sum(s > 1e-9)):].T
-
-    if null(A).shape[1] > 0:
-        return True
-    for rows in itertools.combinations(range(n), k - 1):
-        u = null(A[list(rows)])
-        if u.shape[1] == 1:
-            v = A @ u[:, 0]
-            if (v >= -1e-9).all() or (v <= 1e-9).all():
-                return True
-    return False
-
-
 def _ties(chars: LocalCharacteristics, kind, lam, curved) -> bool:
     """Whether the maximizer set holds points besides lam.
 
@@ -396,7 +361,7 @@ def _ties(chars: LocalCharacteristics, kind, lam, curved) -> bool:
     x, m = chars.jumps.points, chars.jumps.masses
     z = x @ lam
     _, _, V, curved, _ = _quadratic_form(chars, z > 1.0 - 1e-9)
-    return _cone_has_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ V[:, ~curved])
+    return _cone_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ V[:, ~curved]) is not None
 
 
 def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg,

@@ -78,6 +78,12 @@ class TestExitCodes:
     def test_bad_quad_tolerance(self, zero_config_path, capsys):
         assert run(["solve", zero_config_path, "--tol-quad", "0.0"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
+    def test_non_finite_quad_tolerance(self, tol, zero_config_path, capsys):
+        # a NaN or infinite tolerance never reaches the quadrature
+        assert run(["solve", zero_config_path, "--tol-quad", tol]) == 2
+        assert "--tol-quad must be finite and positive" in capsys.readouterr().err
+
     def test_atoms_max_outside_series_examples(self, capsys):
         assert run(["reproduce", "--example", "4", "--atoms-max", "50"]) == 2
 

@@ -1,13 +1,15 @@
 """Utility shapes, their variations, and the no-free-lunch scan."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mmvlab import (FiniteAtoms, LocalCharacteristics, build_model,
-                    check_instantaneous_no_arbitrage, local_utility, utility,
-                    maximize_local_utility)
-from mmvlab.localutil import (asymptotic_slope, slope_variation,
+                    check_instantaneous_no_arbitrage, example_model, local_utility,
+                    maximize_local_utility, solve_schedule, utility)
+from mmvlab.model import small_jump_mean
+from mmvlab.localutil import (_cone_ray, asymptotic_slope, slope_variation,
                               utility_slope, utility_variation)
 
 import properties
@@ -108,7 +110,6 @@ def test_no_arbitrage_flags_a_pure_drift_segment():
     assert not report.holds
     assert report.witness_direction == pytest.approx([1.0])
     assert report.witness_time == 0.0
-    assert report.methods["segments"] == "exact-signs"
 
 
 def test_no_arbitrage_flags_a_one_sided_atom():
@@ -128,4 +129,210 @@ def test_no_arbitrage_flags_a_one_sided_atom():
     pts = model.atoms[0].law.points
     assert np.all(pts @ w >= -1e-9)
     assert np.max(pts @ w) > 1e-9
-    assert report.methods["atoms"] == "exact-cone"
+
+
+# ---------------------------------------------------------------------------
+# the no-free-lunch scan against its definition
+
+
+def _segment_config(b, c, jumps=None, atoms=()):
+    d = len(b)
+    seg = {"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
+           "b": [float(v) for v in b], "c": [[float(v) for v in row] for row in c]}
+    if jumps is not None:
+        seg["jumps"] = {"family": "finite_atoms", "points": jumps[0].tolist(),
+                        "masses": jumps[1].tolist()}
+    return {"horizon": 1.0, "dimension": d, "segments": [seg],
+            "atoms": [{"time": 0.25 * (k + 1), "points": pts.tolist(),
+                       "masses": ms.tolist()} for k, (pts, ms) in enumerate(atoms)]}
+
+
+def _random_outcomes(gen, d):
+    """Atoms in general position, on one side of a plane, or in a subspace."""
+    n = int(gen.integers(1, 7))
+    pts = gen.uniform(-1.5, 1.5, size=(n, d))
+    shape = gen.integers(3)
+    if shape == 1:
+        v = gen.normal(size=d)
+        pts[pts @ v < 0.0] *= -1.0
+    elif shape == 2 and d > 1:
+        q = np.linalg.qr(gen.normal(size=(d, int(gen.integers(1, d)))))[0]
+        pts = pts @ q @ q.T
+    masses = gen.uniform(0.05, 0.4, size=n)
+    return pts, masses * gen.uniform(0.3, 0.9) / masses.sum()
+
+
+def _random_config(gen):
+    """One segment with a full, rank-deficient or zero covariance, optional
+    finite-atom jumps and drift, and up to two scheduled jumps, d in 1..4."""
+    d = int(gen.integers(1, 5))
+    rank = (d, int(gen.integers(0, d)), 0)[gen.integers(3)]
+    a = gen.normal(size=(d, rank))
+    # drifts from 1e-9 to 0.3 in size, or none
+    b = gen.uniform(-0.3, 0.3, size=d) * 10.0 ** gen.uniform(-8.0, 0.0) \
+        * (gen.random() < 0.8)
+    jumps = _random_outcomes(gen, d) if gen.random() < 0.6 else None
+    atoms = [_random_outcomes(gen, d) for _ in range(int(gen.integers(0, 3)))]
+    return _segment_config(b, 0.1 * a @ a.T, jumps, atoms)
+
+
+def _assert_free_lunch(lam, b0, c, x):
+    """lam sees no diffusion, no outcome against it, and wins by the drift
+    where no outcome is along it, or by the outcomes with a drift >= 0."""
+    assert np.linalg.norm(lam) == pytest.approx(1.0)
+    assert lam @ c @ lam <= 1e-12 * (1.0 + np.trace(c))
+    tol = 1e-9 * (1.0 + np.linalg.norm(x, axis=1))
+    assert np.all(x @ lam >= -tol)
+    if np.any(x @ lam > tol):
+        assert lam @ b0 >= -1e-12
+    else:
+        assert lam @ b0 > 0.0
+
+
+def _check_report(model):
+    """Every witness meets the definition; every unbounded optimum is flagged."""
+    report = check_instantaneous_no_arbitrage(model)
+    seg = model.segments[0].chars
+    if report.witness_direction is not None:
+        x = seg.jumps.points if seg.jumps is not None else np.empty((0, model.dim))
+        _assert_free_lunch(report.witness_direction,
+                           seg.b_trunc - small_jump_mean(seg), seg.cov, x)
+    violated = dict(report.atom_violations)
+    for atom in model.atoms:
+        if atom.time in violated:
+            # a scheduled jump has no drift or diffusion: it wins by outcomes
+            _assert_free_lunch(violated[atom.time], np.zeros(model.dim),
+                               np.zeros((model.dim, model.dim)), atom.law.points)
+    for kind in ("mv", "mmv"):
+        sol = solve_schedule(model, kind)
+        if sol.segment_optima[0].boundedness == "unbounded_flagged":
+            assert report.witness_direction is not None
+        for atom, opt in zip(model.atoms, sol.atom_optima):
+            if opt.boundedness == "unbounded_flagged":
+                assert atom.time in violated
+    return report
+
+
+def test_no_arbitrage_witnesses_meet_the_definition_on_random_models():
+    gen = np.random.default_rng(31)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        report = _check_report(build_model(_random_config(gen)))
+        verdicts[report.holds] += 1
+    # both verdicts occur often, so neither check above is vacuous
+    assert min(verdicts.values()) >= 60
+
+
+def test_scheduled_jump_verdict_ignores_outcome_scale():
+    gen = np.random.default_rng(37)
+    for _ in range(100):
+        d = int(gen.integers(1, 5))
+        pts, masses = _random_outcomes(gen, d)
+        config = _segment_config(np.zeros(d), 0.1 * np.eye(d), atoms=[(pts, masses)])
+        holds = check_instantaneous_no_arbitrage(build_model(config)).holds
+        for i, factor in itertools.product(range(pts.shape[0]),
+                                           (1e-8, 10.0 ** gen.uniform(-8.0, 8.0), 1e8)):
+            scaled = pts.copy()
+            scaled[i] *= factor
+            config = _segment_config(np.zeros(d), 0.1 * np.eye(d),
+                                     atoms=[(scaled, masses)])
+            assert check_instantaneous_no_arbitrage(build_model(config)).holds == holds
+
+
+def test_example5_bets_are_all_two_sided():
+    # bet outcomes as far apart as -9.5e-8 and 1 still oppose each other
+    report = check_instantaneous_no_arbitrage(example_model(5))
+    assert report.holds
+    assert report.atom_violations == ()
+
+
+def test_one_sided_bet_of_mixed_scales_is_flagged():
+    pts = np.array([[9.5e-8], [2.1e-5], [1.0]])
+    config = _segment_config([0.0], [[0.04]], atoms=[(pts, np.full(3, 0.2))])
+    report = check_instantaneous_no_arbitrage(build_model(config))
+    assert len(report.atom_violations) == 1
+    assert report.atom_violations[0][1] == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("jumps", [False, True], ids=["no_jumps", "jumps_in_range"])
+@pytest.mark.parametrize("v, b", [
+    ([[1.0], [-0.3]], [0.05, 0.1]),
+    (np.random.default_rng(1).normal(size=(3, 2)), [0.05, -0.1, 0.2]),
+    (np.random.default_rng(2).normal(size=(4, 3)), [0.1, 0.0, -0.05, 0.2]),
+], ids=["2d_rank1", "3d_rank2", "4d_rank3"])
+def test_singular_covariance_drift_is_flagged(v, b, jumps):
+    # a drift with a part in null(c) wins without risk when no jump sees
+    # that part; jumps along the columns of v lie in the range of c
+    v = np.asarray(v, dtype=float)
+    law = (np.vstack([v.T, -v.T]), np.full(2 * v.shape[1], 0.1)) if jumps else None
+    model = build_model(_segment_config(b, v @ v.T, law))
+    report = _check_report(model)
+    assert not report.holds
+    assert report.witness_time == 0.0
+    ch = model.segments[0].chars
+    x = ch.jumps.points if jumps else np.empty((0, model.dim))
+    _assert_free_lunch(report.witness_direction, ch.b_trunc - small_jump_mean(ch),
+                       ch.cov, x)
+    for kind in ("mv", "mmv"):
+        assert solve_schedule(model, kind).segment_optima[0].boundedness \
+            == "unbounded_flagged"
+
+
+def test_small_part_of_an_outcome_in_null_c_still_opposes_the_drift():
+    # c sees only e1; the one outcome's 1e-6 part along -e2 stands against
+    # the drift along e2, and the solver finds a bounded optimum
+    law = (np.array([[1.0, -1e-6]]), np.array([0.5]))
+    model = build_model(_segment_config([0.0, 0.1], [[1.0, 0.0], [0.0, 0.0]], law))
+    assert _check_report(model).holds
+    assert solve_schedule(model, "mv").segment_optima[0].boundedness != "unbounded_flagged"
+
+
+def _enumerated_cone_ray(A):
+    """Whether some u != 0 has A u >= 0, by enumerating the cone's edges.
+
+    The cone holds a line when A has a null space; otherwise, unless it
+    is {0}, it has an edge: a line on which k - 1 independent rows of A
+    vanish, with every other row of one sign.
+    """
+    n, k = A.shape
+    A = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
+
+    def null(M):
+        if M.shape[0] == 0:
+            return np.eye(k)
+        _, s, vt = np.linalg.svd(M)
+        return vt[int(np.sum(s > 1e-9)):].T
+
+    if null(A).shape[1] > 0:
+        return True
+    for rows in itertools.combinations(range(n), k - 1):
+        u = null(A[list(rows)])
+        if u.shape[1] == 1 and ((A @ u[:, 0] >= -1e-9).all()
+                                or (A @ u[:, 0] <= 1e-9).all()):
+            return True
+    return False
+
+
+def test_cone_ray_matches_edge_enumeration():
+    gen = np.random.default_rng(41)
+    found = 0
+    for _ in range(3000):
+        k, n = int(gen.integers(1, 5)), int(gen.integers(0, 9))
+        A = gen.normal(size=(n, k))
+        shape = gen.integers(4)
+        if shape == 1 and n:                       # one-sided rows
+            A[A @ gen.normal(size=k) < 0.0] *= -1.0
+        elif shape == 2 and k > 1:                 # rows in a subspace
+            q = np.linalg.qr(gen.normal(size=(k, int(gen.integers(1, k)))))[0]
+            A = A @ q @ q.T
+        elif shape == 3 and n:                     # one row rescaled
+            A[gen.integers(n)] *= 10.0 ** gen.uniform(-8.0, 8.0)
+        u = _cone_ray(A)
+        assert (u is not None) == _enumerated_cone_ray(A)
+        if u is not None:
+            found += 1
+            unit = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
+            assert np.linalg.norm(u) > 0.0
+            assert np.all(unit @ u >= -1e-9 * np.linalg.norm(u))
+    assert 500 <= found <= 2500
+    assert _cone_ray(np.zeros((3, 0))) is None
