@@ -22,7 +22,8 @@ from mmvlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
-EX2 = "src/mmvlab/examples_data/ex2.json"
+EX = "src/mmvlab/examples_data/ex{}.json"
+EX2 = EX.format(2)
 
 CASES = [
     ("reproduce_ex1.json", ["reproduce", "--example", "1"], 0),
@@ -41,6 +42,14 @@ CASES = [
     ("simulate_ex2_mmv.json",
      ["simulate", EX2, "--kind", "mmv", "--paths", "1000", "--steps", "50",
       "--seed", "3"], 0),
+    # the config parser, the scheduled parts of the dual diagnostics and
+    # the scheduled-jump draws, on one and on many scheduled jumps
+    *((f"diagnose_ex{i}.json", ["diagnose", EX.format(i)], 0) for i in (1, 5, 6)),
+    ("solve_ex5_mmv.json", ["solve", EX.format(5), "--kind", "mmv"], 0),
+    ("solve_ex6_mv.json", ["solve", EX.format(6), "--kind", "mv"], 0),
+    *((f"simulate_ex{i}_mmv.json",
+       ["simulate", EX.format(i), "--kind", "mmv", "--paths", "1000",
+        "--steps", "50", "--seed", "3"], 0) for i in (1, 6)),
 ]
 
 
