@@ -25,11 +25,13 @@ from .localutil import (UtilityKind, check_instantaneous_no_arbitrage,
                         local_utility, utility, utility_variation)
 from .measures import (ExpTails1D, FiniteAtoms, Gaussian1D, JumpMeasure,
                        TabulatedDensity1D, merge_atoms)
-from .model import (JumpAtom, LocalCharacteristics, MarketModel, Segment,
-                    build_model, cap_jumps, exp_transform, serialize_model)
+from .model import (JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps,
+                    Segment, build_model, cap_jumps, exp_transform,
+                    serialize_model)
 from .montecarlo import (PathStats, SimConfig, WealthStudy, estimate_stats,
                          run_wealth_study, simulate_paths, wealth_recursion)
-from .optimize import LocalOptimum, foc_residual, maximize_local_utility
+from .optimize import (AtomOptima, LocalOptimum, foc_residual,
+                       maximize_local_utility)
 
 __version__ = "0.1.0"
 
@@ -52,10 +54,10 @@ __all__ = [
     "utility", "utility_variation",
     "ExpTails1D", "FiniteAtoms", "Gaussian1D", "JumpMeasure",
     "TabulatedDensity1D", "merge_atoms",
-    "JumpAtom", "LocalCharacteristics", "MarketModel", "Segment",
+    "JumpAtom", "LocalCharacteristics", "MarketModel", "ScheduledJumps", "Segment",
     "build_model", "cap_jumps", "exp_transform", "serialize_model",
     "PathStats", "SimConfig", "WealthStudy", "estimate_stats",
     "run_wealth_study", "simulate_paths", "wealth_recursion",
-    "LocalOptimum", "foc_residual", "maximize_local_utility",
+    "AtomOptima", "LocalOptimum", "foc_residual", "maximize_local_utility",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import DomainError, InfiniteValue
 from .localutil import UtilityKind, _kind
 from .model import MarketModel
-from .optimize import LocalOptimum, maximize_atom_laws, maximize_local_utility
+from .optimize import AtomOptima, LocalOptimum, maximize_atom_laws, maximize_local_utility
 
 _DIVERGENCE_MIN_ATOMS = 64
 _DIVERGENCE_TAIL_FRAC = 0.01
@@ -40,28 +40,25 @@ class Solution:
     model: MarketModel
     kind: UtilityKind
     segment_optima: tuple[LocalOptimum, ...]
-    atom_optima: tuple[LocalOptimum, ...]
+    atom_optima: AtomOptima
 
     def segment_lambdas(self) -> tuple[np.ndarray, ...]:
         return tuple(opt.lambda_hat for opt in self.segment_optima)
 
-    def atom_lambdas(self) -> tuple[np.ndarray, ...]:
-        return tuple(opt.lambda_hat for opt in self.atom_optima)
 
+def _split_schedule(model: MarketModel, schedule) -> tuple[list, np.ndarray]:
+    """Segment directions and the (T, d) scheduled-jump directions.
 
-def _split_schedule(model: MarketModel, schedule) -> tuple[list, list]:
-    """Segment and scheduled-jump directions of a Solution or a plain list.
-
-    A plain list holds one direction per segment, then one per scheduled
-    jump, in model order.
+    The schedule is a Solution or a plain list holding one direction per
+    segment, then one per scheduled jump, in model order.
     """
     if isinstance(schedule, Solution):
-        return list(schedule.segment_lambdas()), list(schedule.atom_lambdas())
+        return list(schedule.segment_lambdas()), schedule.atom_optima.lambda_hat
     lams = [np.atleast_1d(np.asarray(v, dtype=float)) for v in schedule]
     n_seg = len(model.segments)
     if len(lams) != n_seg + len(model.atoms):
         raise ValueError("schedule length does not match the model's time points")
-    return lams[:n_seg], lams[n_seg:]
+    return lams[:n_seg], np.array(lams[n_seg:], dtype=float).reshape(-1, model.dim)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def solve_schedule(model: MarketModel, kind,
     """Maximize the local utility at every segment and scheduled jump.
 
     The scheduled jumps of a one-asset model are solved exactly in one
-    batch, straight from their laws.  The optima are kept on the model
+    batch, straight from the model's table.  The optima are kept on the model
     instance, per kind and quadrature config, so each is solved once
     however many diagnostics ask for it; a model built again from the
     same config solves again.  The memo holds only the optima, not the
@@ -144,10 +141,10 @@ def solve_schedule(model: MarketModel, kind,
         seg_opts = tuple(maximize_local_utility(seg.chars, kind, cfg)
                          for seg in model.segments)
         if model.dim == 1:
-            atom_opts = maximize_atom_laws([atom.law for atom in model.atoms], kind)
+            atom_opts = maximize_atom_laws(model.atoms, kind)
         else:
-            atom_opts = tuple(maximize_local_utility(atom.chars, kind, cfg)
-                              for atom in model.atoms)
+            atom_opts = AtomOptima.stack([maximize_local_utility(atom.chars, kind, cfg)
+                                          for atom in model.atoms], model.dim)
         optima = memo[(kind, cfg)] = (seg_opts, atom_opts)
     return Solution(model, kind, *optima)
 
@@ -166,14 +163,13 @@ def cumulative_local_utility(model: MarketModel, kind,
                              solution: Solution | None = None) -> CumulativeUtility:
     """Integrate twice the maximal local utility rate over the clock."""
     sol = solution if solution is not None else solve_schedule(model, kind, cfg)
-    for opt in (*sol.segment_optima, *sol.atom_optima):
-        if opt.boundedness == "unbounded_flagged":
-            raise InfiniteValue("local utility is unbounded at some time point")
+    if sol.atom_optima.unbounded.any() or any(
+            opt.boundedness == "unbounded_flagged" for opt in sol.segment_optima):
+        raise InfiniteValue("local utility is unbounded at some time point")
     cont = math.fsum(2.0 * opt.value * seg.length
                      for seg, opt in zip(model.segments, sol.segment_optima))
-    atoms = tuple((atom.time, 2.0 * opt.value)
-                  for atom, opt in zip(model.atoms, sol.atom_optima))
-    incs = [inc for _, inc in atoms]
+    incs = (2.0 * sol.atom_optima.value).tolist()
+    atoms = tuple(zip(model.atoms.times.tolist(), incs))
     return CumulativeUtility(cont, atoms, not _diverges(cont, incs))
 
 
@@ -260,10 +256,8 @@ def strategy_descriptor(model: MarketModel, kind, x: float = 0.0,
         entries.append((seg.t_start, {
             "type": "segment", "t_start": seg.t_start, "t_end": seg.t_end,
             "lambda": tuple(float(v) for v in opt.lambda_hat)}))
-    for atom, opt in zip(model.atoms, sol.atom_optima):
-        entries.append((atom.time, {
-            "type": "atom", "time": atom.time,
-            "lambda": tuple(float(v) for v in opt.lambda_hat)}))
+    for time, lam in zip(model.atoms.times.tolist(), sol.atom_optima.lambda_hat.tolist()):
+        entries.append((time, {"type": "atom", "time": time, "lambda": tuple(lam)}))
     entries.sort(key=lambda pair: pair[0])
     return StrategyDescriptor(tuple(e for _, e in entries), kind,
                               float(x), float(gamma), values.scale)

@@ -33,7 +33,7 @@ from .duality import (compare_mv_mmv, density_diagnostics,
                       sigma_martingale_residual, zero_density_probability)
 from .drift import drift_of_variation
 from .errors import InfiniteValue, InvariantError, MmvLabError, SchemaError
-from .examples import DEFAULT_ATOMS_MAX, example_model
+from .examples import DEFAULT_ATOMS_MAX, _bet_indices, example_model
 from .localutil import check_instantaneous_no_arbitrage, utility_variation
 from .model import build_model
 from .montecarlo import SimConfig, estimate_stats, run_wealth_study
@@ -243,19 +243,25 @@ def _opt_row(label: str, when: dict, opt) -> dict:
 
 
 def _solution_rows(model, sol) -> tuple[list, bool]:
-    rows = [
-        _opt_row("segment", {"t_start": _v(seg.t_start), "t_end": _v(seg.t_end)}, opt)
-        for seg, opt in zip(model.segments, sol.segment_optima)
-    ]
-    rows.extend(
-        _opt_row("scheduled_jump", {"time": _v(atom.time)}, opt)
-        for atom, opt in zip(model.atoms, sol.atom_optima)
-    )
-    if len(rows) > _MAX_PER_TIME_ROWS:
-        head = rows[:_MAX_PER_TIME_ROWS - 4]
-        tail = rows[-4:]
-        return head + tail, True
-    return rows, False
+    """Rows of the per-time table, segments first; the middle of a long
+    table is cut, and only the rows shown are built."""
+    n_seg = len(model.segments)
+    total = n_seg + len(model.atoms)
+    shown = range(total)
+    if total > _MAX_PER_TIME_ROWS:
+        shown = [*range(_MAX_PER_TIME_ROWS - 4), *range(total - 4, total)]
+    rows = []
+    for k in shown:
+        if k < n_seg:
+            seg = model.segments[k]
+            rows.append(_opt_row("segment", {"t_start": _v(seg.t_start),
+                                             "t_end": _v(seg.t_end)},
+                                 sol.segment_optima[k]))
+        else:
+            rows.append(_opt_row("scheduled_jump",
+                                 {"time": _v(float(model.atoms.times[k - n_seg]))},
+                                 sol.atom_optima[k - n_seg]))
+    return rows, total > _MAX_PER_TIME_ROWS
 
 
 def _values_block(gv: GlobalValues, source: str) -> dict:
@@ -630,20 +636,16 @@ def _reproduce_5(cfg, atoms_max=None):
     sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv", cfg)
     sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv", cfg)
 
-    def dev(n: int, value: float, target: float) -> float:
-        return n * abs(value - target)
+    n = np.arange(2, len(model.atoms) + 2)
+    late = n >= 10
+    mv, mmv = sol_mv.atom_optima, sol_mmv.atom_optima
 
-    worst_dir = worst_rate = worst_mhr = 0.0
-    for i, atom in enumerate(model.atoms):
-        n = i + 2
-        if n < 10:
-            continue
-        worst_dir = max(worst_dir, dev(
-            n, float(sol_mv.atom_optima[i].lambda_hat[0]), 1.5))
-        worst_rate = max(worst_rate, dev(
-            n, sol_mv.atom_optima[i].value / atom.activity_weight, 1.125))
-        worst_mhr = max(worst_mhr, dev(
-            n, 2.0 * sol_mmv.atom_optima[i].value, 0.5))
+    def worst(value: np.ndarray, target: float) -> float:
+        return float(np.max(n[late] * np.abs(value[late] - target), initial=0.0))
+
+    worst_dir = worst(mv.lambda_hat[:, 0], 1.5)
+    worst_rate = worst(mv.value / model.atoms.weights, 1.125)
+    worst_mhr = worst(2.0 * mmv.value, 0.5)
     incs_mv = [inc for _, inc in cu_mv.atom_increments]
     incs_mmv = [inc for _, inc in cu_mmv.atom_increments]
     partial_mv = math.fsum(incs_mv)
@@ -698,13 +700,13 @@ def _reproduce_6(cfg, atoms_max=None):
     model = example_model(6, atoms_max=n_max, cfg=cfg)
     sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv", cfg)
     sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv", cfg)
-    worst_hr = worst_mean = 0.0
-    for i, atom in enumerate(model.atoms):
-        n = i + 2
-        hr2 = 2.0 * sol_mv.atom_optima[i].value
-        worst_hr = max(worst_hr, abs(hr2 - 1.0 / (n + 1.0)))
-        mean = float(atom.law.masses @ atom.law.points[:, 0])
-        worst_mean = max(worst_mean, abs(mean + n / (n ** 3 + 1.0)))
+    jumps = model.atoms
+    n, _, cube = _bet_indices(len(jumps) + 1)
+    hr2 = 2.0 * sol_mv.atom_optima.value
+    worst_hr = float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0))
+    # every bet has two outcomes; each mean is its law's own dot product
+    mean = np.vecdot(jumps.masses.reshape(-1, 2), jumps.points[:, 0].reshape(-1, 2))
+    worst_mean = float(np.max(np.abs(mean + n / (cube.astype(float) + 1.0)), initial=0.0))
     try:
         mv_signed_measure(model, cfg, solution=sol_mv)
         no_measure = False

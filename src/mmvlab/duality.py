@@ -118,9 +118,9 @@ def zero_density_probability(model: MarketModel, schedule,
         if jumps is None:
             continue
         theta += seg.length * jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    crossings = CumulativeUtility(theta, tuple(
-        (atom.time, atom.law.mass_scaled_ge(lam, 1.0, strict=False))
-        for atom, lam in zip(model.atoms, atom_lams)), True)
+    crossings = CumulativeUtility(theta, tuple(zip(
+        model.atoms.times.tolist(),
+        model.atoms.mass_scaled_ge(atom_lams, 1.0, strict=False).tolist())), True)
     return 1.0 - det_stoch_exponential(crossings, -1.0).value
 
 
@@ -132,11 +132,9 @@ def _crossing_free(model: MarketModel, seg_lams, atom_lams, strict: bool) -> boo
         if jumps.mass_scaled_ge(lam, 1.0, strict) \
                 > _MASS_TOL * (1.0 + jumps.total_mass()):
             return False
-    for atom, lam in zip(model.atoms, atom_lams):
-        if atom.law.mass_scaled_ge(lam, 1.0, strict) \
-                > _MASS_TOL * (1.0 + atom.law.total_mass()):
-            return False
-    return True
+    atoms = model.atoms
+    return not np.any(atoms.mass_scaled_ge(atom_lams, 1.0, strict)
+                      > _MASS_TOL * (1.0 + atoms.total_mass()))
 
 
 def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
@@ -226,12 +224,9 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
         for seg, lam in zip(model.segments, seg_lams):
             acc += seg.length * drift_of_variation(
                 _mellin_variation(lam, p, even), seg.chars, cfg)
-        jumps = []
-        for atom, lam in zip(model.atoms, atom_lams):
-            xi = _mellin_variation(lam, p, even)
-            jumps.append((atom.time, atom.law.integrate(xi.fn, xi.kinks, cfg)))
-        exps.append(det_stoch_exponential(
-            CumulativeUtility(acc, tuple(jumps), True), 1.0).value)
+        jumps = model.atoms.integrate(_zeta(model.atoms.scaled(atom_lams), p, even))
+        exps.append(det_stoch_exponential(CumulativeUtility(
+            acc, tuple(zip(model.atoms.times.tolist(), jumps.tolist())), True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
 
@@ -301,8 +296,10 @@ def compare_mv_mmv(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
     cap_ok = _crossing_free(model, seg_mv, atom_mv, strict=True)
     gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())
             / (1.0 + float(np.abs(b.lambda_hat).max()))
-            for a, b in zip((*sol_mmv.segment_optima, *sol_mmv.atom_optima),
-                            (*sol_mv.segment_optima, *sol_mv.atom_optima))]
+            for a, b in zip(sol_mmv.segment_optima, sol_mv.segment_optima)]
+    a, b = sol_mmv.atom_optima.lambda_hat, sol_mv.atom_optima.lambda_hat
+    gaps.extend((np.abs(a - b).max(axis=1, initial=0.0)
+                 / (1.0 + np.abs(b).max(axis=1, initial=0.0))).tolist())
     max_gap = max(gaps, default=0.0)
     directions_agree = max_gap <= 1e-6
     verdict = "coincide" if cap_ok else "differ"

@@ -16,8 +16,7 @@ import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import SchemaError
-from .measures import FiniteAtoms, merge_atoms
-from .model import (JumpAtom, LocalCharacteristics, MarketModel, Segment,
+from .model import (LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     build_model, cap_jumps)
 
 EXAMPLE_IDS = (1, 2, 3, 4, 5, 6)
@@ -46,31 +45,45 @@ def _series_segment() -> Segment:
     return Segment(0.0, 2.0, chars)
 
 
-def _example5_atoms(n_max: int) -> tuple[JumpAtom, ...]:
+def _bet_indices(n_max: int):
+    """Bet indices n = 2..n_max with n^2 and n^3 as exact integers.
+
+    The per-bet formulas divide by Python ints, which round each power
+    to the nearest float once; converting exact integer powers does the
+    same.  n^3 fits int64 up to n = 2 097 151, past which it is computed
+    on Python ints.
+    """
+    n = np.arange(2, n_max + 1, dtype=np.int64)
+    big = n.astype(object) if n_max > 2_097_151 else n
+    return n, n * n, big ** 3
+
+
+def _bet_table(times, weights, points, masses) -> ScheduledJumps:
+    """Scheduled jumps of equal-sized one-dimensional bets, one per row."""
+    k = points.shape[1]
+    return ScheduledJumps(times, weights, points.reshape(-1, 1), masses.ravel(),
+                          np.repeat(np.arange(times.size), k))
+
+
+def _example5_atoms(n_max: int) -> ScheduledJumps:
     # Bet n: tiny loss 1/n^3, even-money gain 1/n^2, rare unit windfall.
     # Index starts at 2 so every mass is strictly positive.
-    atoms = []
-    for n in range(2, n_max + 1):
-        w = 1.0 / n ** 2
-        law = FiniteAtoms(
-            points=np.array([[-1.0 / n ** 3], [1.0 / n ** 2], [1.0]]),
-            masses=np.array([0.5 - w, 0.5, w]))
-        atoms.append(JumpAtom(time=2.0 - 1.0 / n, law=law, activity_weight=w))
-    return tuple(atoms)
+    n, n2, n3 = _bet_indices(n_max)
+    w = 1.0 / n2.astype(float)
+    points = np.stack([-1.0 / n3.astype(float), w, np.ones(n.size)], axis=1)
+    masses = np.stack([0.5 - w, np.full(n.size, 0.5), w], axis=1)
+    return _bet_table(2.0 - 1.0 / n.astype(float), w, points, masses)
 
 
-def _example6_atoms(n_max: int) -> tuple[JumpAtom, ...]:
+def _example6_atoms(n_max: int) -> ScheduledJumps:
     # Bet n: near-certain small loss against a rare gain close to 1,
     # tuned so the squared Hansen ratio is exactly 1/(n+1).
-    atoms = []
-    for n in range(2, n_max + 1):
-        d = float(n ** 3 + 1)
-        law = FiniteAtoms(
-            points=np.array([[-(n + 1.0) / d], [(n ** 3 - n) / d]]),
-            masses=np.array([n ** 3 / d, 1.0 / d]))
-        atoms.append(JumpAtom(time=2.0 - 1.0 / n, law=law,
-                              activity_weight=1.0 / n ** 2))
-    return tuple(atoms)
+    n, n2, n3 = _bet_indices(n_max)
+    nf = n.astype(float)
+    d = (n3 + 1).astype(float)
+    points = np.stack([-(nf + 1.0) / d, (n3 - n).astype(float) / d], axis=1)
+    masses = np.stack([n3.astype(float) / d, 1.0 / d], axis=1)
+    return _bet_table(2.0 - 1.0 / nf, 1.0 / n2.astype(float), points, masses)
 
 
 def example_model(example_id: int, atoms_max: int | None = None,
@@ -108,10 +121,6 @@ def capped_variant(model: MarketModel, cap: float,
     segments = tuple(
         Segment(seg.t_start, seg.t_end, cap_jumps(seg.chars, cap, cfg))
         for seg in model.segments)
-    atoms = tuple(
-        JumpAtom(atom.time,
-                 merge_atoms(np.minimum(atom.law.points, cap), atom.law.masses),
-                 atom.activity_weight)
-        for atom in model.atoms)
+    atoms = model.atoms.with_points(np.minimum(model.atoms.points, cap))
     return MarketModel(horizon=model.horizon, dim=model.dim,
                        segments=segments, atoms=atoms, source=None)

@@ -123,6 +123,21 @@ def local_utility(lam, chars: LocalCharacteristics, kind,
     return drift_of_variation(utility_variation(lam, kind, chars.dim), chars, cfg)
 
 
+def _diffuses(cov: np.ndarray, lam: np.ndarray) -> bool:
+    """Whether the diffusion moves along lam, relative to its own size.
+
+    Like `optimize._quadratic_form`'s test of which eigenvalues curve:
+    lam' c lam must exceed eps of the trace of c (in one dimension, its
+    only eigenvalue) per unit of |lam|^2.
+    """
+    return float(lam @ cov @ lam) > _EPS * float(np.trace(cov)) * float(lam @ lam)
+
+
+def _mass_tol(jumps) -> float:
+    """Masses below this share of the measure's total mass count as none."""
+    return 1e-13 * jumps.total_mass()
+
+
 def asymptotic_slope(direction, chars: LocalCharacteristics,
                      cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Limit slope of the local utility along a ray, per unit of |lam|.
@@ -131,15 +146,16 @@ def asymptotic_slope(direction, chars: LocalCharacteristics,
     minus infinity against jumps opposite the ray, so the slope is -inf
     in those cases.  Otherwise every jump along the ray is eventually
     capped or fully penalized and only the zero-truncation drift
-    survives.
+    survives.  Both tests are relative to the size of the diffusion and
+    of the jump measure, so rescaling the two together never changes the
+    verdict.
     """
     lam = _as_direction(direction, chars.dim)
-    if float(lam @ chars.cov @ lam) > 1e-14 * (1.0 + float(np.trace(chars.cov))):
+    if _diffuses(chars.cov, lam):
         return -math.inf
     jumps = chars.jumps
     if jumps is not None:
-        tol = 1e-13 * (1.0 + jumps.total_mass())
-        if jumps.mass_scaled_ge(-lam, 0.0, strict=True) > tol:
+        if jumps.mass_scaled_ge(-lam, 0.0, strict=True) > _mass_tol(jumps):
             return -math.inf
         sjm = small_jump_mean(chars, cfg)
     else:
@@ -285,7 +301,7 @@ def _charged_outcomes(jumps, dim: int) -> np.ndarray:
         return np.empty((0, dim))
     if isinstance(jumps, FiniteAtoms):
         return jumps.points[jumps.masses > 0.0]
-    tol = 1e-13 * (1.0 + jumps.total_mass())
+    tol = _mass_tol(jumps)
     return np.array([[s] for s in (-1.0, 1.0)
                      if jumps.mass_scaled_ge([s], 0.0, strict=True) > tol]).reshape(-1, 1)
 

@@ -8,6 +8,17 @@ segments, a unit weight at each fixed time.  Drifts are always stored
 under the componentwise unit truncation; configs may supply the
 zero-truncation drift instead and are converted on load.
 
+The fixed jump times are one columnar table, `ScheduledJumps`: times
+and activity weights per jump, points (N, d) and masses per outcome,
+and the jump index of each outcome, the outcomes of one jump
+contiguous and in law order.  A config's `atoms` block is parsed in
+flat passes (keys and shapes, then number types, one float conversion
+and finiteness check, then coincident points merged per jump and the
+law invariants checked as array reductions) and reports the first bad
+atom.  The solver, aggregation, the dual diagnostics and the simulator
+read the columns; indexing the table builds a `JumpAtom` view for the
+few readers that need one law object.
+
 The small-jump integrability invariant (the integral of |x|^2 ^ 1 is
 finite) holds structurally for every supported family: all four have
 finite total mass and bounded density near the origin.
@@ -15,6 +26,7 @@ finite total mass and bounded density near the origin.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +35,11 @@ from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import InvariantError, SchemaError, UnsupportedMeasure
 from .measures import (CappedMeasure, ExpTails1D, ExpYieldMeasure, FiniteAtoms,
                        Gaussian1D, JumpMeasure, TabulatedDensity1D, _row_sums,
-                       merge_atoms, truncate)
+                       merge_atoms, merge_rows, row_blocks, row_reduce,
+                       truncate)
 
 _TIME_TOL = 1e-12
+_MASS_SLACK = 1e-12     # a scheduled jump's total mass may exceed one by this
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,8 @@ class JumpAtom:
     `activity_weight` records the original clock weight when a model is
     built programmatically from a scheme with non-unit atom weights; it
     only rescales display rates, never the compounded increments.
+    Models keep their scheduled jumps in a `ScheduledJumps` table, and
+    indexing it builds these one-row views.
     """
 
     time: float
@@ -83,7 +99,7 @@ class JumpAtom:
     activity_weight: float = 1.0
 
     def __post_init__(self):
-        if self.law.total_mass() > 1.0 + 1e-12:
+        if self.law.total_mass() > 1.0 + _MASS_SLACK:
             raise InvariantError("atom law mass exceeds one")
         if self.law.masses.size and float(np.min(np.max(np.abs(self.law.points), axis=1))) <= 0.0:
             raise InvariantError("atom law charges the zero outcome")
@@ -92,34 +108,166 @@ class JumpAtom:
 
     @property
     def chars(self) -> LocalCharacteristics:
-        """Characteristics at the jump time, built on first use and kept.
+        """Characteristics at the jump time.
 
         In one dimension the truncated drift is summed in atom order, as
         the batched scheduled-jump solver sums it, so both see the same
         bits.
         """
-        cached = self.__dict__.get("_chars")
-        if cached is None:
-            law = self.law
-            d = law.dim
-            if d == 1:
-                b = _row_sums(law.masses * truncate(law.points[:, 0]),
-                              np.zeros(law.masses.size, dtype=np.intp), 1)
-            else:
-                b = np.array([law.integrate(lambda x, i=i: truncate(x)[:, i])
-                              for i in range(d)])
-            cached = LocalCharacteristics(b, np.zeros((d, d)), law)
-            object.__setattr__(self, "_chars", cached)
-        return cached
+        law = self.law
+        d = law.dim
+        if d == 1:
+            b = _row_sums(law.masses * truncate(law.points[:, 0]),
+                          np.zeros(law.masses.size, dtype=np.intp), 1)
+        else:
+            b = np.array([law.integrate(lambda x, i=i: truncate(x)[:, i])
+                          for i in range(d)])
+        return LocalCharacteristics(b, np.zeros((d, d)), law)
+
+
+def _first_bad_row(checks, n_rows: int):
+    """(row, message) of the first row failing one of `checks`, or None.
+
+    `checks` is a sequence of (rows failing, message) in the order a
+    single row is checked; a row's first failing check names it.
+    """
+    hits = np.zeros((len(checks), n_rows), dtype=bool)
+    for k, (rows, _) in enumerate(checks):
+        hits[k, rows] = True
+    bad = np.flatnonzero(hits.any(axis=0))
+    if not bad.size:
+        return None
+    r = int(bad[0])
+    return r, checks[int(np.argmax(hits[:, r]))][1]
+
+
+def _law_faults(points, masses, row, weights):
+    """The checks a row of scheduled jumps must pass, as (rows, message)."""
+    return [
+        (row[~(masses >= 0.0) | ~np.isfinite(points).all(axis=1)],
+         "atom masses must be non-negative and points finite"),
+        # summed as each law sums its own masses, so the bound sees its bits
+        (np.flatnonzero(row_reduce(lambda m: m.sum(axis=1), row, weights.size, masses)
+                        > 1.0 + _MASS_SLACK), "atom law mass exceeds one"),
+        (row[~points.any(axis=1)], "atom law charges the zero outcome"),
+        (np.flatnonzero(~(weights > 0.0)), "activity weight must be positive"),
+    ]
+
+
+class ScheduledJumps(Sequence):
+    """The scheduled jumps of a model as one flat table.
+
+    Jump t happens at times[t] with clock weight weights[t]; its
+    outcomes are the rows k of points (shape (N, d)) and masses with
+    row[k] == t, contiguous and in law order, and offsets[t] is the
+    first of them.  The table is checked once, by array reductions: no
+    negative mass or non-finite point, total mass at most one per jump,
+    no zero outcome, positive weights.  Its arrays are read-only.
+
+    As a sequence it holds one `JumpAtom` per jump, built on access, for
+    readers that need a single law object; the solver, the diagnostics
+    and the simulator read the columns.
+    """
+
+    def __init__(self, times, weights, points, masses, row):
+        columns = [np.array(times, dtype=float), np.array(weights, dtype=float),
+                   np.array(points, dtype=float), np.array(masses, dtype=float),
+                   np.array(row, dtype=np.intp)]
+        times, weights, points, masses, row = columns
+        n = times.size
+        if not (times.ndim == 1 and weights.shape == (n,) and points.ndim == 2
+                and masses.shape == row.shape == (points.shape[0],)):
+            raise InvariantError("scheduled-jump columns disagree in shape")
+        if row.size and (row[0] < 0 or row[-1] >= n or np.any(np.diff(row) < 0)):
+            raise InvariantError("scheduled-jump outcomes must be grouped by jump")
+        bad = _first_bad_row(_law_faults(points, masses, row, weights), n)
+        if bad is not None:
+            raise InvariantError(bad[1])
+        for col in columns:
+            col.setflags(write=False)
+        self.times, self.weights, self.points, self.masses, self.row = columns
+        counts = np.bincount(row, minlength=n)
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+
+    @classmethod
+    def from_atoms(cls, atoms, dim: int) -> "ScheduledJumps":
+        """The table of a sequence of JumpAtom, in the given order."""
+        return cls([a.time for a in atoms], [a.activity_weight for a in atoms],
+                   np.concatenate([np.empty((0, dim))] + [a.law.points for a in atoms]),
+                   np.concatenate([np.empty(0)] + [a.law.masses for a in atoms]),
+                   np.repeat(np.arange(len(atoms)), [a.law.masses.size for a in atoms]))
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    # Per-jump versions of the FiniteAtoms protocol, one value per jump.
+    # Each row is reduced on its own (`row_blocks`), so every value has
+    # the bits the jump's own law gives.
+
+    def total_mass(self) -> np.ndarray:
+        return row_reduce(lambda m: m.sum(axis=1), self.row, len(self), self.masses)
+
+    def scaled(self, lams) -> np.ndarray:
+        """lam_t . x for every outcome x of every jump t; lams is (T, d)."""
+        out = np.empty(self.masses.size)
+        for rows, idx in row_blocks(self.row, len(self)):
+            out[idx] = np.matvec(self.points[idx], lams[rows])
+        return out
+
+    def integrate(self, values) -> np.ndarray:
+        """Sum of mass times values over each jump's outcomes."""
+        return row_reduce(np.vecdot, self.row, len(self), self.masses, values)
+
+    def mass_scaled_ge(self, lams, level: float, strict: bool = False) -> np.ndarray:
+        """Mass of {x : lam_t . x >= level} (strictly greater when asked) per jump."""
+        s = self.scaled(lams)
+        top = row_reduce(lambda a: np.abs(a).max(axis=1), self.row, len(self), s)
+        tol = (1e-12 * (1.0 + abs(level) + top))[self.row]
+        sel = s > level + tol if strict else s >= level - tol
+        return row_reduce(lambda m: m.sum(axis=1), self.row[sel], len(self),
+                          self.masses[sel])
+
+    def with_points(self, points) -> "ScheduledJumps":
+        """The same jumps with new outcomes, coincident ones merged per jump."""
+        pts, ms, row = merge_rows(np.asarray(points, dtype=float), self.masses, self.row)
+        return ScheduledJumps(self.times, self.weights, pts, ms, row)
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, t: int) -> JumpAtom:
+        t = range(len(self))[t]
+        part = slice(self.offsets[t], self.offsets[t + 1])
+        return JumpAtom(float(self.times[t]),
+                        FiniteAtoms(self.points[part], self.masses[part]),
+                        float(self.weights[t]))
+
+    def __eq__(self, other):    # compares with a tuple of JumpAtom as a tuple does
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, list)) else NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
 class MarketModel:
+    """Horizon, segments and scheduled jumps of a market.
+
+    `atoms` may be given as a sequence of JumpAtom; it is converted once
+    to a `ScheduledJumps` table of dimension `dim`.
+    """
+
     horizon: float
     dim: int
     segments: tuple[Segment, ...]
-    atoms: tuple[JumpAtom, ...]
+    atoms: ScheduledJumps
     source: dict = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.atoms, ScheduledJumps):
+            object.__setattr__(self, "atoms", ScheduledJumps.from_atoms(self.atoms, self.dim))
+        elif self.atoms.dim != self.dim:
+            raise InvariantError("scheduled-jump dimension does not match the model")
 
 
 def small_jump_mean(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
@@ -212,13 +360,21 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float_or_inf(value) -> float:
     try:
-        x = float(value)
+        return float(value)
     except OverflowError:       # an integer beyond the float range
-        x = math.inf
+        return math.inf
+
+
+def _number(value, where: str) -> float:
+    if not _is_number(value):
+        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    x = _float_or_inf(value)
     if not math.isfinite(x):
         raise SchemaError(f"{where}: expected a finite number")
     return x
@@ -301,6 +457,136 @@ def _serialize_jumps(jumps: JumpMeasure | None):
     raise UnsupportedMeasure("transformed measures have no config form")
 
 
+# Stages of the per-atom checks, in the order one atom is checked.
+_KEYS, _TIME_TYPE, _TIME_VALUE, _LAW_SHAPE, _LAW_VALUE = range(5)
+
+
+def _first_non_number(values) -> int | None:
+    """Index of the first entry that is not an int or float (bool is not)."""
+    if set(map(type, values)) <= {int, float}:
+        return None
+    return next((k for k, v in enumerate(values) if not _is_number(v)), None)
+
+
+def _floats(values, where_of):
+    """The leading valid entries of values as floats, and the first fault.
+
+    An entry is valid when it is an int or float (not bool) whose float
+    value is finite.  Returns (array of the entries before the first
+    invalid one, None or (its index, SchemaError)).
+    """
+    k = _first_non_number(values)
+    numbers = values if k is None else values[:k]
+    try:
+        arr = np.array(numbers, dtype=float).reshape(len(numbers))
+    except OverflowError:   # an integer beyond the float range
+        arr = np.array([_float_or_inf(v) for v in numbers], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        j = int(bad[0])
+        return arr[:j], (j, SchemaError(f"{where_of(j)}: expected a finite number"))
+    if k is not None:
+        return arr, (k, SchemaError(f"{where_of(k)}: expected a number, "
+                                    f"got {type(values[k]).__name__}"))
+    return arr, None
+
+
+def _law_shape_fault(points, masses, dim: int, flat: list) -> str | None:
+    """Shape fault of one atom's points and masses; appends the coordinates."""
+    if not isinstance(points, (list, tuple)) or not points:
+        return "expected a nonempty list of points"
+    for p in points:
+        if isinstance(p, (list, tuple)) and len(p) == dim:
+            flat.extend(p)
+        elif dim == 1 and _is_number(p):
+            flat.append(p)
+        else:
+            return f"expected a vector of length {dim}"
+    if not isinstance(masses, (list, tuple)):
+        return "expected a list of masses"
+    if len(points) != len(masses):
+        return "points and masses disagree in length"
+    return None
+
+
+def _parse_atoms(raw, dim: int, horizon: float, exp: bool):
+    """The `atoms` block as a ScheduledJumps table and its normalized form.
+
+    One pass checks keys and shapes and collects flat lists; the numbers
+    are then type-checked, converted and checked for finiteness at once,
+    and the times and laws checked by array reductions.  Each check sees
+    the atoms whose inputs to it are valid, and the least (atom, stage)
+    among the faults found is raised: the error an atom-by-atom parse
+    raises first.
+    """
+    if not raw and isinstance(raw, (list, tuple, type(None))):
+        return ScheduledJumps.from_atoms((), dim), []
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError("config.atoms: expected a list")
+
+    def where(i):
+        return f"config.atoms[{i}]"
+
+    times, coords, masses, n_points = [], [], [], []
+    faults = []     # (atom, stage, error)
+    for i, atom in enumerate(raw):
+        if not (isinstance(atom, dict) and atom.keys() == _ATOM_KEYS):
+            try:
+                _require_keys(atom, _ATOM_KEYS, _ATOM_KEYS, where(i))
+            except SchemaError as exc:
+                faults.append((i, _KEYS, exc))
+                break
+        times.append(atom["time"])
+        n_before = len(coords)
+        shape = _law_shape_fault(atom["points"], atom["masses"], dim, coords)
+        if shape is not None:
+            del coords[n_before:]
+            faults.append((i, _LAW_SHAPE, SchemaError(f"{where(i)}: {shape}")))
+            break
+        masses.extend(atom["masses"])
+        n_points.append(len(atom["masses"]))
+
+    t, bad = _floats(times, where)
+    if bad is not None:
+        faults.append((bad[0], _TIME_TYPE, bad[1]))
+    outside = ~((0.0 < t) & (t <= horizon + _TIME_TOL))
+    late = np.flatnonzero(outside | (t <= np.concatenate(([0.0], t[:-1]))))
+    if late.size:
+        i = int(late[0])
+        faults.append((i, _TIME_VALUE, InvariantError(
+            f"{where(i)}: atom time outside (0, horizon]" if outside[i]
+            else f"{where(i)}: atom times must be strictly increasing")))
+
+    counts = np.array(n_points, dtype=np.intp)
+    ends = np.cumsum(counts)
+    atom_of = np.repeat(np.arange(counts.size), counts)
+    pts, bad = _floats(coords, lambda k: where(atom_of[k // dim]))
+    if bad is not None:
+        faults.append((int(atom_of[bad[0] // dim]), _LAW_SHAPE, bad[1]))
+    ms, bad = _floats(masses, lambda k: where(atom_of[k]))
+    if bad is not None:
+        faults.append((int(atom_of[bad[0]]), _LAW_SHAPE, bad[1]))
+
+    # the law checks see the atoms all of whose numbers are valid
+    n_atoms = int(np.searchsorted(ends, min(pts.size // dim, ms.size), side="right"))
+    n_out = int(ends[n_atoms - 1]) if n_atoms else 0
+    raw_pts, ms = pts[:n_out * dim].reshape(n_out, dim), ms[:n_out]
+    merged = merge_rows(np.expm1(raw_pts) if exp else raw_pts, ms, atom_of[:n_out])
+    weights = np.ones(n_atoms)
+    negative = (atom_of[:n_out][ms < 0.0], "atom masses must be non-negative")
+    bad = _first_bad_row([negative, *_law_faults(*merged, weights)], n_atoms)
+    if bad is not None:
+        faults.append((bad[0], _LAW_VALUE, InvariantError(f"{where(bad[0])}: {bad[1]}")))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+
+    table = ScheduledJumps(np.minimum(t, horizon), weights, *merged)
+    rows, mass_list = raw_pts.tolist(), ms.tolist()
+    norm = [{"time": time, "points": rows[b - c:b], "masses": mass_list[b - c:b]}
+            for time, b, c in zip(t.tolist(), ends.tolist(), counts.tolist())]
+    return table, norm
+
+
 def build_model(config: dict, cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
     """Validate a config mapping and assemble the market model.
 
@@ -361,34 +647,12 @@ def build_model(config: dict, cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
     if abs(cursor - horizon) > _TIME_TOL:
         raise InvariantError("segments must cover [0, horizon)")
 
-    atoms: list[JumpAtom] = []
-    norm_atoms = []
-    prev_time = 0.0
-    for i, atom in enumerate(config.get("atoms", []) or []):
-        where = f"config.atoms[{i}]"
-        _require_keys(atom, _ATOM_KEYS, _ATOM_KEYS, where)
-        time = _number(atom["time"], where)
-        if not 0.0 < time <= horizon + _TIME_TOL:
-            raise InvariantError(f"{where}: atom time outside (0, horizon]")
-        if time <= prev_time:
-            raise InvariantError(f"{where}: atom times must be strictly increasing")
-        prev_time = time
-        pts = _points(atom["points"], dim, where)
-        ms = np.array([_number(m, where) for m in atom["masses"]])
-        if pts.shape[0] != ms.size:
-            raise SchemaError(f"{where}: points and masses disagree in length")
-        if transform == "exp":
-            pts = np.expm1(pts)
-        law = merge_atoms(pts, ms)
-        atoms.append(JumpAtom(min(time, horizon), law))
-        norm_atoms.append({"time": time,
-                           "points": [list(map(float, p)) for p in np.atleast_2d(
-                               np.asarray(atom["points"], dtype=float).reshape(-1, dim))],
-                           "masses": [float(m) for m in ms]})
+    atoms, norm_atoms = _parse_atoms(config.get("atoms"), dim, horizon,
+                                     transform == "exp")
 
     source = {"horizon": horizon, "dimension": dim, "segments": norm_segments,
               "atoms": norm_atoms, "yield_transform": transform}
-    return MarketModel(horizon, dim, tuple(segments), tuple(atoms), source)
+    return MarketModel(horizon, dim, tuple(segments), atoms, source)
 
 
 def serialize_model(model: MarketModel) -> dict:

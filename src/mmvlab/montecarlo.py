@@ -114,7 +114,8 @@ class _Grid:
         self.dim = model.dim
         rows = []   # (t_end, tie, dt, seg, atom): steps sort before a
         t0 = 0.0    # jump scheduled at the same instant
-        atom_times = sorted({a.time for a in model.atoms})
+        table = model.atoms
+        atom_times = sorted(set(table.times.tolist()))
         for i, seg in enumerate(model.segments):
             t1 = t0 + seg.length
             edges = np.linspace(t0, t1, n_steps + 1)
@@ -124,8 +125,7 @@ class _Grid:
             for a, b in zip(edges[:-1], edges[1:]):
                 rows.append((b, 0, b - a, i, -1))
             t0 = t1
-        for j, atom in enumerate(model.atoms):
-            rows.append((atom.time, 1, 0.0, -1, j))
+        rows.extend((t, 1, 0.0, -1, j) for j, t in enumerate(table.times.tolist()))
         rows.sort(key=lambda r: (r[0], r[1]))
 
         self.t_end = np.array([r[0] for r in rows])
@@ -164,11 +164,20 @@ class _Grid:
                     (rate * seg.length, seg_rows, share / share[-1], jumps))
         self.vol = vol if np.any(vol) else None
 
-        self.atom_rows = np.empty(len(model.atoms), dtype=int)
+        self.atom_rows = np.empty(len(table), dtype=int)
         scheduled = np.flatnonzero(self.atom_index >= 0)
         self.atom_rows[self.atom_index[scheduled]] = scheduled
-        self.atom_laws = [(atom.law.points, np.cumsum(atom.law.masses))
-                          for atom in model.atoms]
+        self.jumps = table
+        # Each jump's cumulative masses, summed within the jump as np.cumsum
+        # sums one law, keyed (jump, cumulative mass) as complex numbers:
+        # numpy orders those lexicographically, so one searchsorted finds
+        # every jump's outcome without adding the jump index to the masses.
+        cum = table.masses.copy()
+        rank = np.arange(cum.size) - table.offsets[table.row]
+        for k in range(1, int(rank.max(initial=0)) + 1):
+            at = np.flatnonzero(rank == k)
+            cum[at] += cum[at - 1]
+        self.atom_keys = table.row + 1j * cum
 
 
 def _draw_block(gen: np.random.Generator, grid: _Grid,
@@ -203,12 +212,14 @@ def _draw_block(gen: np.random.Generator, grid: _Grid,
             sizes = np.asarray(law.sample(gen, total), dtype=float)
             np.add.at(flat, np.repeat(unit_offset, c) + row,
                       sizes.reshape(total, dim))
-    if grid.atom_laws:
-        u = gen.random((units, len(grid.atom_laws)))
-        for j, (points, cum) in enumerate(grid.atom_laws):
-            k = np.searchsorted(cum, u[:, j], side="right")
-            hit = k < cum.size
-            base[hit, grid.atom_rows[j]] = points[k[hit]]
+    jumps = grid.jumps
+    if len(jumps):
+        u = gen.random((units, len(jumps)))
+        t = np.arange(len(jumps))
+        k = np.searchsorted(grid.atom_keys, t + 1j * u, side="right")
+        hit = k < jumps.offsets[1:]
+        unit, t = np.nonzero(hit)
+        base[unit, grid.atom_rows[t]] = jumps.points[k[hit]]
     block = np.empty((units, per_unit, n_rows, dim))
     if diff is None:
         block[:] = base[:, None]
@@ -273,8 +284,8 @@ def _row_directions(model: MarketModel, grid_seg: np.ndarray,
     out = np.zeros((grid_seg.size, d))
     for i, lam in enumerate(seg_lams):
         out[grid_seg == i] = lam
-    for j, lam in enumerate(atom_lams):
-        out[grid_atom == j] = lam
+    scheduled = grid_atom >= 0
+    out[scheduled] = atom_lams[grid_atom[scheduled]]
     return out
 
 

@@ -43,6 +43,7 @@ cone test of `localutil` tells whether they are (`_ties`).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,11 @@ import numpy as np
 from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import drift_of_variation
 from .errors import NonIntegrable, OptimizationError, QuadratureError
-from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _slope_tol,
+from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _slope_tol,
                         asymptotic_slope, local_utility, slope_variation, utility,
                         utility_slope)
 from .measures import FiniteAtoms, _row_sums, truncate
-from .model import LocalCharacteristics
+from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
 _MAX_DIM = 4
@@ -83,6 +84,60 @@ class LocalOptimum:
     foc_residual: np.ndarray | None
     boundedness: str
     tie_break_applied: bool = False
+
+
+#: boundedness verdicts, indexed by the codes of `AtomOptima.flag`
+BOUNDEDNESS = ("interior", "flat_direction", "unbounded_flagged")
+_INTERIOR, _FLAT, _UNBOUNDED = range(3)
+
+
+@dataclass(frozen=True, eq=False)
+class AtomOptima(Sequence):
+    """Optima at many time points, one row each, as columns.
+
+    lambda_hat and foc_residual are (T, d), value (T,), flag (T,) codes
+    into BOUNDEDNESS and tie (T,) the tie_break_applied marks; every
+    array is read-only.  As a sequence it yields one LocalOptimum per
+    row, whose arrays are read-only row views.
+    """
+
+    lambda_hat: np.ndarray
+    value: np.ndarray
+    foc_residual: np.ndarray
+    flag: np.ndarray
+    tie: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.lambda_hat, self.value, self.foc_residual, self.flag, self.tie):
+            arr.setflags(write=False)
+
+    @classmethod
+    def stack(cls, optima, dim: int) -> "AtomOptima":
+        """Columns of a sequence of LocalOptimum at finite-atom time points,
+        whose residuals are always evaluated."""
+        return cls(np.array([o.lambda_hat for o in optima], dtype=float).reshape(-1, dim),
+                   np.array([o.value for o in optima], dtype=float),
+                   np.array([o.foc_residual for o in optima], dtype=float).reshape(-1, dim),
+                   np.array([BOUNDEDNESS.index(o.boundedness) for o in optima],
+                            dtype=np.int8),
+                   np.array([o.tie_break_applied for o in optima], dtype=bool))
+
+    @property
+    def unbounded(self) -> np.ndarray:
+        return self.flag == _UNBOUNDED
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    def __getitem__(self, i: int) -> LocalOptimum:
+        i = range(len(self))[i]
+        return LocalOptimum(self.lambda_hat[i], float(self.value[i]), self.foc_residual[i],
+                            BOUNDEDNESS[self.flag[i]], bool(self.tie[i]))
+
+    def __eq__(self, other):    # compares with a tuple of LocalOptimum as a tuple does
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, list)) else NotImplemented
+
+    __hash__ = None
 
 
 def foc_residual(lam, chars: LocalCharacteristics, kind,
@@ -137,14 +192,12 @@ def _rows_from_chars(chars: LocalCharacteristics) -> _Rows:
                  np.zeros(int(keep.sum()), dtype=np.intp))
 
 
-def _rows_from_laws(laws) -> _Rows:
+def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
     """Rows of scheduled jumps: drift the mean of h, as in JumpAtom.chars."""
-    x = np.concatenate([law.points[:, 0] for law in laws])
-    m = np.concatenate([law.masses for law in laws])
-    row = np.repeat(np.arange(len(laws)), [law.masses.size for law in laws])
-    b = _row_sums(m * truncate(x), row, len(laws))
+    x, m, row = jumps.points[:, 0], jumps.masses, jumps.row
+    b = _row_sums(m * truncate(x), row, len(jumps))
     keep = m > 0.0
-    return _Rows(b, np.zeros(len(laws)), x[keep], m[keep], row[keep])
+    return _Rows(b, np.zeros(len(jumps)), x[keep], m[keep], row[keep])
 
 
 def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
@@ -206,7 +259,7 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
     return side * np.where(riskless, 0.0, mu), unbounded, plateau
 
 
-def _solve_rows(rows: _Rows, kind) -> list[LocalOptimum]:
+def _solve_rows(rows: _Rows, kind) -> AtomOptima:
     """Exact optima of all rows; value, residual and flags vectorized."""
     kind = _kind(kind)
     x, m, r = rows.x, rows.m, rows.row
@@ -234,31 +287,26 @@ def _solve_rows(rows: _Rows, kind) -> list[LocalOptimum]:
     value = np.where(overflow, 0.0, np.maximum(value, 0.0))
     foc = rows.b - rows.c * lam + rows.sums(
         m * (x * utility_slope(kind, lam[r] * x) - h))
-    flags = np.where(unbounded, "unbounded_flagged",
-                     np.where(riskless | (np.abs(foc) > _FOC_TOL),
-                              "flat_direction", "interior")).tolist()
-    lam, foc = lam.reshape(-1, 1), foc.reshape(-1, 1)
-    lam.setflags(write=False)   # row views of a read-only array are read-only
-    foc.setflags(write=False)
-    return [LocalOptimum(lam[i], v, foc[i], flag, t)
-            for i, (v, flag, t) in enumerate(zip(value.tolist(), flags,
-                                                 tie.tolist()))]
+    flag = np.where(unbounded, _UNBOUNDED,
+                    np.where(riskless | (np.abs(foc) > _FOC_TOL), _FLAT, _INTERIOR))
+    return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1),
+                      flag.astype(np.int8), tie)
 
 
-def maximize_atom_laws(laws, kind) -> tuple[LocalOptimum, ...]:
-    """Exact optima at many one-dimensional scheduled jumps at once.
+def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
+    """Exact optima at every scheduled jump of a one-asset table at once.
 
-    Each law is the increment law of a fixed jump time, whose
+    Each row is the increment law of a fixed jump time, whose
     characteristics are those of `JumpAtom.chars` (truncated drift the
     mean of h, no diffusion); no characteristics are built.  Each
     optimum equals `maximize_local_utility` on those characteristics
     bit for bit.
     """
-    if not laws:
-        return ()
-    if any(law.dim != 1 for law in laws):
+    if jumps.dim != 1:
         raise OptimizationError("batched atom laws must be one-dimensional")
-    return tuple(_solve_rows(_rows_from_laws(laws), kind))
+    if not len(jumps):
+        return AtomOptima.stack((), 1)
+    return _solve_rows(_rows_from_table(jumps), kind)
 
 
 def _quadratic_form(chars: LocalCharacteristics, capped=None):
@@ -488,10 +536,9 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     if not (allow_pos or allow_neg):
         return origin()
 
-    tol_m = 1e-13 * (1.0 + jumps.total_mass())
     slope_tol = _slope_tol(float(chars.b_trunc[0]))
     if float(chars.cov[0, 0]) <= 0.0 and all(
-            jumps.mass_scaled_ge(np.array([s]), 0.0, strict=True) <= tol_m
+            jumps.mass_scaled_ge(np.array([s]), 0.0, strict=True) <= _mass_tol(jumps)
             for s in (-1.0, 1.0)):
         # no risk at all: the value is linear in lam
         flat = abs(asymptotic_slope([1.0], chars, cfg)) <= slope_tol

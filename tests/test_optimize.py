@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import (DEFAULT_QUAD, ExpTails1D, FiniteAtoms, InfiniteValue,
-                    JumpAtom, LocalCharacteristics, MarketModel, Segment,
+from mmvlab import (DEFAULT_QUAD, ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
+                    JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     build_model, cumulative_local_utility, density_diagnostics,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
@@ -333,7 +333,8 @@ def atom_laws(draw):
 @settings(max_examples=150, deadline=None)
 def test_rescaling_jumps_rescales_the_optimum(law, s, kind):
     scaled = FiniteAtoms(s * law.points, law.masses)
-    a, b = maximize_atom_laws([law, scaled], kind)
+    table = ScheduledJumps.from_atoms([JumpAtom(0.5, law), JumpAtom(1.0, scaled)], 1)
+    a, b = maximize_atom_laws(table, kind)
     assert float(b.lambda_hat[0]) * s == pytest.approx(float(a.lambda_hat[0]),
                                                        rel=1e-10)
     assert b.value == pytest.approx(a.value, rel=1e-10, abs=1e-14)
@@ -367,3 +368,43 @@ def test_quadratic_closed_form_matches_the_line_search(law, b, c):
     assert exact.value == pytest.approx(searched.value, rel=1e-9, abs=1e-12)
     assert float(exact.lambda_hat[0]) == pytest.approx(
         float(searched.lambda_hat[0]), rel=1e-9, abs=1e-12)
+
+
+def test_tiny_diffusion_still_bounds_the_monotone_ray():
+    # a diffusion of 1e-15 once fell below an absolute threshold, and the
+    # one-sided jumps left a positive asymptotic slope: a false free lunch
+    chars = LocalCharacteristics(np.array([0.1]), np.array([[1e-15]]),
+                                 ExpTails1D(0.0, 5.0, 1.0, 5.0))
+    assert maximize_local_utility(chars, "mv").boundedness == "interior"
+    opt = maximize_local_utility(chars, "mmv")
+    assert opt.boundedness == "interior"
+    assert math.isfinite(opt.value) and float(opt.lambda_hat[0]) > 1e13
+
+
+@st.composite
+def scaled_density_laws(draw):
+    """Drift, diffusion and a density jump law, with the jump rates of the law."""
+    b = draw(st.floats(-0.3, 0.3))
+    c = draw(st.floats(0.001, 0.1))
+    if draw(st.booleans()):
+        params = (draw(st.floats(0.0, 2.0)), draw(st.floats(3.0, 12.0)),
+                  draw(st.floats(0.0, 2.0)), draw(st.floats(3.0, 12.0)))
+        return b, c, lambda s: ExpTails1D(s * params[0], params[1], s * params[2], params[3])
+    mean, var, rate = (draw(st.floats(-0.2, 0.2)), draw(st.floats(0.001, 0.05)),
+                       draw(st.floats(0.1, 2.0)))
+    return b, c, lambda s: Gaussian1D(mean, var, s * rate)
+
+
+@given(scaled_density_laws(), st.floats(-20.0, 0.0), st.sampled_from(["mv", "mmv"]))
+@settings(max_examples=40, deadline=None)
+def test_rescaling_diffusion_and_jumps_keeps_an_interior_optimum(law, log_s, kind):
+    # scaling c and the jump measure by s scales the optimum by 1/s
+    b, c, jumps = law
+
+    def verdict(s):
+        chars = LocalCharacteristics(np.array([b]), np.array([[s * c]]), jumps(s))
+        return maximize_local_utility(chars, kind).boundedness
+
+    if verdict(1.0) == "interior":
+        for s in (10.0 ** log_s, 1e-5, 1e-10, 1e-14, 1e-17, 1e-20):
+            assert verdict(s) == "interior", s
