@@ -13,6 +13,10 @@ from the repository root, for example
 Example 5 at 200 atoms fails its monotone partial-sum check (the
 series has not yet grown past the threshold), so it exits 1; at 2 000
 atoms, where a numerical search once stalled on some bets, it passes.
+
+`scheduled_bets300.json` is a config, not a report: a diffusion
+segment (b = 0.1, c = 0.04) and bet n = 1..300 at time n/300 with
+outcomes -1, 1 and 10n, the last of mass 2e-4/n^2, and mean 0.2/n.
 """
 from pathlib import Path
 
@@ -45,6 +49,10 @@ CASES = [
     # the config parser, the scheduled parts of the dual diagnostics and
     # the scheduled-jump draws, on one and on many scheduled jumps
     *((f"diagnose_ex{i}.json", ["diagnose", EX.format(i)], 0) for i in (1, 5, 6)),
+    # 300 one-asset bets with summable increments, so both values are
+    # finite and the crossing and sign-moment products run over every jump
+    ("diagnose_scheduled_bets300.json",
+     ["diagnose", "tests/data/scheduled_bets300.json"], 0),
     ("solve_ex5_mmv.json", ["solve", EX.format(5), "--kind", "mmv"], 0),
     ("solve_ex6_mv.json", ["solve", EX.format(6), "--kind", "mv"], 0),
     *((f"simulate_ex{i}_mmv.json",
