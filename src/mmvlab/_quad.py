@@ -25,22 +25,19 @@ from .errors import QuadratureError
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
 
+_START_ORDER, _MAX_ORDER = 16, 4096
+#: Gaussian mass beyond this many standard deviations counts as zero when
+#: a kink forces panel splitting (12 sigma leaves less than 1e-31 outside)
+GAUSS_SPAN = 12.0
+
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the adaptive rules.
-
-    Convergence is declared when |I_2n - I_n| <= atol + rtol * |I_2n|.
-    `gauss_span` is the half-width, in standard deviations, beyond which
-    Gaussian mass is treated as zero when a kink forces panel splitting
-    (12 sigma leaves less than 1e-31 of mass outside).
-    """
+    """Tolerances of the adaptive rules: convergence is declared when
+    |I_2n - I_n| <= atol + rtol * |I_2n|."""
 
     atol: float = 1e-12
     rtol: float = 1e-10
-    start_order: int = 16
-    max_order: int = 4096
-    gauss_span: float = 12.0
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -61,12 +58,8 @@ def _herm_nodes(order: int):
     return np.polynomial.hermite.hermgauss(order)
 
 
-def _converged(prev: float, cur: float, cfg: QuadConfig) -> bool:
-    return abs(cur - prev) <= cfg.atol + cfg.rtol * abs(cur)
-
-
 def _adapt(evaluate, cfg: QuadConfig, max_order: int) -> float:
-    order = cfg.start_order
+    order = _START_ORDER
     prev = evaluate(order)
     if not math.isfinite(prev):
         return prev
@@ -75,7 +68,7 @@ def _adapt(evaluate, cfg: QuadConfig, max_order: int) -> float:
         cur = evaluate(order)
         if not math.isfinite(cur):
             return cur
-        if _converged(prev, cur, cfg):
+        if abs(cur - prev) <= cfg.atol + cfg.rtol * abs(cur):
             return cur
         prev = cur
     raise QuadratureError(f"no convergence by order {max_order}")
@@ -92,7 +85,7 @@ def legendre_panel(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD) -> flo
         t, w = _leg_nodes(order)
         return half * float(np.dot(w, f(mid + half * t)))
 
-    return _adapt(evaluate, cfg, cfg.max_order)
+    return _adapt(evaluate, cfg, _MAX_ORDER)
 
 
 def laguerre_tail(f, anchor: float, rate: float, direction: int,
@@ -113,7 +106,7 @@ def laguerre_tail(f, anchor: float, rate: float, direction: int,
         return float(np.dot(w, f(x))) / rate
 
     # Laguerre orders beyond ~512 gain nothing in float64.
-    return _adapt(evaluate, cfg, min(cfg.max_order, 512))
+    return _adapt(evaluate, cfg, 512)
 
 
 def hermite_gaussian(f, mean: float, sd: float,
@@ -128,7 +121,7 @@ def hermite_gaussian(f, mean: float, sd: float,
 
     # hermgauss weights underflow past order ~512; the panel-split path
     # covers anything that refuses to converge by then.
-    return _adapt(evaluate, cfg, min(cfg.max_order, 512))
+    return _adapt(evaluate, cfg, 512)
 
 
 def split_points(lo: float, hi: float, breakpoints) -> list[float]:

@@ -66,13 +66,21 @@ class CumulativeUtility:
     """Clock integral of twice the maximal local utility rate.
 
     continuous_part collects the segment contributions; atom_increments
-    holds one (time, increment) pair per scheduled jump.  finite is the
-    divergence verdict for the underlying (possibly truncated) series.
+    is a read-only copy, one float per scheduled jump in model order (at
+    the model's `atoms.times`).  finite is the divergence verdict for
+    the underlying (possibly truncated) series.
     """
 
     continuous_part: float
-    atom_increments: tuple[tuple[float, float], ...]
+    atom_increments: np.ndarray
     finite: bool
+
+    def __post_init__(self):
+        incs = np.array(self.atom_increments, dtype=float)
+        if incs.ndim != 1:
+            raise ValueError("atom_increments must be one increment per jump")
+        incs.setflags(write=False)
+        object.__setattr__(self, "atom_increments", incs)
 
 
 @dataclass(frozen=True)
@@ -149,11 +157,11 @@ def solve_schedule(model: MarketModel, kind,
     return Solution(model, kind, *optima)
 
 
-def _diverges(continuous: float, incs: list[float]) -> bool:
-    if len(incs) < _DIVERGENCE_MIN_ATOMS:
+def _diverges(continuous: float, incs: np.ndarray) -> bool:
+    if incs.size < _DIVERGENCE_MIN_ATOMS:
         return False
     partial = continuous + math.fsum(incs)
-    tail = math.fsum(incs[len(incs) // 2:])
+    tail = math.fsum(incs[incs.size // 2:])
     return (tail > _DIVERGENCE_TAIL_FRAC * (1.0 + abs(partial))
             or partial > _DIVERGENCE_PARTIAL_CAP)
 
@@ -168,26 +176,23 @@ def cumulative_local_utility(model: MarketModel, kind,
         raise InfiniteValue("local utility is unbounded at some time point")
     cont = math.fsum(2.0 * opt.value * seg.length
                      for seg, opt in zip(model.segments, sol.segment_optima))
-    incs = (2.0 * sol.atom_optima.value).tolist()
-    atoms = tuple(zip(model.atoms.times.tolist(), incs))
-    return CumulativeUtility(cont, atoms, not _diverges(cont, incs))
+    incs = 2.0 * sol.atom_optima.value
+    return CumulativeUtility(cont, incs, not _diverges(cont, incs))
 
 
 def det_stoch_exponential(cu: CumulativeUtility, sign: float = -1.0) -> DetExponential:
     """Stochastic exponential of sign * (the cumulative clock sum).
 
-    exp of the continuous part times the product of (1 + sign * jump);
-    a factor at or below zero is flagged, since the exponential is then
-    absorbed or oscillating rather than positive.
+    exp of the continuous part times the product of (1 + sign * jump),
+    taken in model order; a factor at or below zero is flagged, since
+    the exponential is then absorbed or oscillating rather than positive.
     """
-    value = math.exp(sign * cu.continuous_part)
-    bad = False
-    for _, inc in cu.atom_increments:
-        factor = 1.0 + sign * inc
-        if factor <= 0.0:
-            bad = True
-        value *= factor
-    return DetExponential(value, bad)
+    factors = 1.0 + sign * cu.atom_increments
+    with np.errstate(over="ignore", invalid="ignore"):
+        # accumulate multiplies strictly left to right; np.prod may regroup
+        value = np.multiply.accumulate(np.concatenate(
+            ([math.exp(sign * cu.continuous_part)], factors)))[-1]
+    return DetExponential(float(value), bool((factors <= 0.0).any()))
 
 
 def compounding_dual(cu: CumulativeUtility) -> CumulativeUtility:
@@ -196,12 +201,10 @@ def compounding_dual(cu: CumulativeUtility) -> CumulativeUtility:
     det_stoch_exponential(cu, -1) * det_stoch_exponential(dual, +1) = 1,
     the discrete compounding identity behind the u0 <-> v0 duality.
     """
-    dual = []
-    for t, inc in cu.atom_increments:
-        if inc >= 1.0:
-            raise DomainError("increment at or above 1 has no compounding dual")
-        dual.append((t, inc / (1.0 - inc)))
-    return CumulativeUtility(cu.continuous_part, tuple(dual), cu.finite)
+    incs = cu.atom_increments
+    if (incs >= 1.0).any():
+        raise DomainError("increment at or above 1 has no compounding dual")
+    return CumulativeUtility(cu.continuous_part, incs / (1.0 - incs), cu.finite)
 
 
 def global_values(cu: CumulativeUtility) -> GlobalValues:

@@ -301,11 +301,10 @@ def _solve_bundle(model, kind: str, cfg: QuadConfig):
 def _cumulative_block(cu, source: str) -> dict | None:
     if cu is None:
         return None
-    incs = [inc for _, inc in cu.atom_increments]
     return {
         "continuous_part": _v(cu.continuous_part, source),
-        "jump_increment_sum": _v(math.fsum(incs), source),
-        "n_jump_increments": len(incs),
+        "jump_increment_sum": _v(math.fsum(cu.atom_increments), source),
+        "n_jump_increments": cu.atom_increments.size,
         "finite": cu.finite,
     }
 
@@ -403,8 +402,7 @@ def _diag_monotone(model, cfg) -> tuple[dict, list[str], Solution]:
     block: dict = {"values": _values_block(gv, source)}
     if gv.finite:
         diag = density_diagnostics(model, cfg, solution=sol)
-        max_resid = max((max(abs(x) for x in row) if row else 0.0
-                         for row in diag.sigma_mart_residual), default=0.0)
+        max_resid = float(np.abs(diag.sigma_mart_residual).max(initial=0.0))
         block["density"] = {
             "mean": _v(diag.mean),
             "second_moment": _v(diag.second_moment),
@@ -583,7 +581,7 @@ def _reproduce_3(cfg, atoms_max=None):
     theta = seg.length * seg.chars.jumps.mass_scaled_ge(lam, 1.0, strict=False)
     p_zero = zero_density_probability(model, sol_mmv, cfg)
     residuals = sigma_martingale_residual(model, sol_mmv, "mmv", cfg)
-    max_resid = max(float(np.abs(r).max()) for r in residuals)
+    max_resid = float(np.abs(residuals).max())
     lam_mv0 = float(sol_mv.segment_optima[0].lambda_hat[0])
     verdict = compare_mv_mmv(model, cfg, mv_solution=sol_mv,
                              mmv_solution=sol_mmv).verdict
@@ -612,7 +610,7 @@ def _reproduce_4(cfg, atoms_max=None):
     sol, cu, gv, warnings, _ = _solve_bundle(model, "mmv", cfg)
     diag = density_diagnostics(model, cfg, solution=sol)
     lam0 = float(sol.segment_optima[0].lambda_hat[0])
-    resid = float(sigma_martingale_residual(model, sol, "mmv", cfg)[0][0])
+    resid = float(sigma_martingale_residual(model, sol, "mmv", cfg)[0, 0])
     drift_id = float(foc_residual([0.0], chars, "mv", cfg)[0])
     figures = {
         "monotone_direction": _v(lam0),
@@ -646,23 +644,21 @@ def _reproduce_5(cfg, atoms_max=None):
     worst_dir = worst(mv.lambda_hat[:, 0], 1.5)
     worst_rate = worst(mv.value / model.atoms.weights, 1.125)
     worst_mhr = worst(2.0 * mmv.value, 0.5)
-    incs_mv = [inc for _, inc in cu_mv.atom_increments]
-    incs_mmv = [inc for _, inc in cu_mmv.atom_increments]
+    lam1_mv, hr1_mv = float(mv.lambda_hat[0, 0]), 2.0 * float(mv.value[0])
+    lam1_mmv, hr1_mmv = float(mmv.lambda_hat[0, 0]), 2.0 * float(mmv.value[0])
+    incs_mv = cu_mv.atom_increments
     partial_mv = math.fsum(incs_mv)
-    tail_mv = math.fsum(incs_mv[len(incs_mv) // 2:])
-    partial_mmv = math.fsum(incs_mmv)
+    tail_mv = math.fsum(incs_mv[incs_mv.size // 2:])
+    partial_mmv = math.fsum(cu_mmv.atom_increments)
     figures = {
         "atoms_max": n_max,
         "worst_direction_margin": _v(worst_dir),
         "worst_rate_margin": _v(worst_rate),
         "worst_hansen_margin": _v(worst_mhr),
-        "first_bet_quadratic_direction": _v(
-            float(sol_mv.atom_optima[0].lambda_hat[0])),
-        "first_bet_squared_hansen": _v(2.0 * sol_mv.atom_optima[0].value),
-        "first_bet_monotone_direction": _v(
-            float(sol_mmv.atom_optima[0].lambda_hat[0])),
-        "first_bet_monotone_squared_hansen": _v(
-            2.0 * sol_mmv.atom_optima[0].value),
+        "first_bet_quadratic_direction": _v(lam1_mv),
+        "first_bet_squared_hansen": _v(hr1_mv),
+        "first_bet_monotone_direction": _v(lam1_mmv),
+        "first_bet_monotone_squared_hansen": _v(hr1_mmv),
         "quadratic_series_partial": _v(partial_mv),
         "quadratic_series_tail": _v(tail_mv),
         "quadratic_series_finite": cu_mv.finite,
@@ -673,14 +669,10 @@ def _reproduce_5(cfg, atoms_max=None):
         _check("worst_direction_margin", worst_dir, 5.0, mode="le"),
         _check("worst_rate_margin", worst_rate, 5.0, mode="le"),
         _check("worst_hansen_margin", worst_mhr, 5.0, mode="le"),
-        _check("first_bet_quadratic_direction",
-               float(sol_mv.atom_optima[0].lambda_hat[0]), 88.0 / 73.0, 1e-12),
-        _check("first_bet_squared_hansen",
-               2.0 * sol_mv.atom_optima[0].value, 121.0 / 292.0, 1e-12),
-        _check("first_bet_monotone_direction",
-               float(sol_mmv.atom_optima[0].lambda_hat[0]), 8.0 / 3.0, 1e-12),
-        _check("first_bet_monotone_squared_hansen",
-               2.0 * sol_mmv.atom_optima[0].value, 0.5, 1e-12),
+        _check("first_bet_quadratic_direction", lam1_mv, 88.0 / 73.0, 1e-12),
+        _check("first_bet_squared_hansen", hr1_mv, 121.0 / 292.0, 1e-12),
+        _check("first_bet_monotone_direction", lam1_mmv, 8.0 / 3.0, 1e-12),
+        _check("first_bet_monotone_squared_hansen", hr1_mmv, 0.5, 1e-12),
         _check("quadratic_series_finite", cu_mv.finite, True, mode="eq"),
         _check("quadratic_series_tail_small", tail_mv,
                0.01 * (1.0 + abs(partial_mv)), mode="le"),
@@ -703,6 +695,7 @@ def _reproduce_6(cfg, atoms_max=None):
     jumps = model.atoms
     n, _, cube = _bet_indices(len(jumps) + 1)
     hr2 = 2.0 * sol_mv.atom_optima.value
+    lam1 = float(sol_mv.atom_optima.lambda_hat[0, 0])
     worst_hr = float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0))
     # every bet has two outcomes; each mean is its law's own dot product
     mean = np.vecdot(jumps.masses.reshape(-1, 2), jumps.points[:, 0].reshape(-1, 2))
@@ -717,8 +710,7 @@ def _reproduce_6(cfg, atoms_max=None):
         "atoms_max": n_max,
         "worst_hansen_deviation": _v(worst_hr),
         "worst_mean_deviation": _v(worst_mean),
-        "first_bet_quadratic_direction": _v(
-            float(sol_mv.atom_optima[0].lambda_hat[0])),
+        "first_bet_quadratic_direction": _v(lam1),
         "quadratic_finite": gv_mv.finite,
         "monotone_finite": gv_mmv.finite,
         "separating_measure_exists": not no_measure,
@@ -731,8 +723,7 @@ def _reproduce_6(cfg, atoms_max=None):
         _check("monotone_flagged_infinite", gv_mmv.finite, False, mode="eq",
                source="heuristic"),
         _check("no_separating_measure", no_measure, True, mode="eq"),
-        _check("first_bet_quadratic_direction",
-               float(sol_mv.atom_optima[0].lambda_hat[0]), -1.5, 1e-12),
+        _check("first_bet_quadratic_direction", lam1, -1.5, 1e-12),
     ]
     return model, figures, checks, warn_v + warn_m
 
@@ -806,7 +797,7 @@ def _selftest_checks(cfg) -> list[dict]:
 
     model4 = example_model(4, cfg=cfg)
     sol4 = solve_schedule(model4, "mmv", cfg)
-    resid4 = float(sigma_martingale_residual(model4, sol4, "mmv", cfg)[0][0])
+    resid4 = float(sigma_martingale_residual(model4, sol4, "mmv", cfg)[0, 0])
     checks.append(_check("heavy_tail_residual", resid4, -1.0, 1e-8))
 
     # Pathwise identity: shortfall below bliss equals the capped product.

@@ -36,17 +36,17 @@ _MASS_TOL = 1e-12
 class DensityDiagnostics:
     """Analytic moments and pathologies of the dual density candidate.
 
-    sigma_mart_residual holds one tuple per time point (segments in
-    schedule order, then scheduled jumps); each entry is the
-    componentwise drift of the density-weighted increments, zero for a
-    true local martingale.
+    sigma_mart_residual is the read-only (time points, d) array of
+    `sigma_martingale_residual`: one row per segment in schedule order,
+    then per scheduled jump, each the componentwise drift of the
+    density-weighted increments, zero for a true local martingale.
     """
 
     mean: float
     second_moment: float
     variance: float
     p_zero: float
-    sigma_mart_residual: tuple[tuple[float, ...], ...]
+    sigma_mart_residual: np.ndarray
     equivalent: bool
     is_sigma_martingale: bool
 
@@ -86,13 +86,14 @@ class CoincidenceReport:
 
 
 def sigma_martingale_residual(model: MarketModel, schedule, kind,
-                              cfg: QuadConfig = DEFAULT_QUAD) -> tuple[np.ndarray, ...]:
+                              cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Drift of the density-weighted increments at each time point.
 
     Identical to the first-order-condition gradient at the scheduled
     directions, so a zero residual certifies simultaneously optimality
     of the schedule and the local martingale property of the dual
-    candidate.  Raises NonIntegrable when a defining integral diverges.
+    candidate.  One row per segment, then per scheduled jump, as a
+    read-only array.  Raises NonIntegrable when an integral diverges.
     """
     kind = _kind(kind)
     seg_lams, atom_lams = _split_schedule(model, schedule)
@@ -100,7 +101,9 @@ def sigma_martingale_residual(model: MarketModel, schedule, kind,
            for seg, lam in zip(model.segments, seg_lams)]
     out.extend(foc_residual(lam, atom.chars, kind, cfg)
                for atom, lam in zip(model.atoms, atom_lams))
-    return tuple(out)
+    res = np.array(out, dtype=float).reshape(-1, model.dim)
+    res.setflags(write=False)
+    return res
 
 
 def zero_density_probability(model: MarketModel, schedule,
@@ -118,13 +121,13 @@ def zero_density_probability(model: MarketModel, schedule,
         if jumps is None:
             continue
         theta += seg.length * jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    crossings = CumulativeUtility(theta, tuple(zip(
-        model.atoms.times.tolist(),
-        model.atoms.mass_scaled_ge(atom_lams, 1.0, strict=False).tolist())), True)
+    crossings = CumulativeUtility(
+        theta, model.atoms.mass_scaled_ge(atom_lams, 1.0, strict=False), True)
     return 1.0 - det_stoch_exponential(crossings, -1.0).value
 
 
-def _crossing_free(model: MarketModel, seg_lams, atom_lams, strict: bool) -> bool:
+def _crossing_free(model: MarketModel, schedule, strict: bool) -> bool:
+    seg_lams, atom_lams = _split_schedule(model, schedule)
     for seg, lam in zip(model.segments, seg_lams):
         jumps = seg.chars.jumps
         if jumps is None:
@@ -151,16 +154,14 @@ def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
     if not gv.finite:
         raise InfiniteValue("dual value is infinite; no density candidate exists")
     residuals = sigma_martingale_residual(model, sol, sol.kind, cfg)
-    max_resid = max((float(np.abs(r).max()) for r in residuals), default=0.0)
-    seg_lams, atom_lams = _split_schedule(model, sol)
     return DensityDiagnostics(
         mean=1.0,
         second_moment=gv.scale,
         variance=gv.msr2,
         p_zero=zero_density_probability(model, sol, cfg),
-        sigma_mart_residual=tuple(tuple(float(v) for v in r) for r in residuals),
-        equivalent=_crossing_free(model, seg_lams, atom_lams, strict=False),
-        is_sigma_martingale=max_resid <= residual_tol,
+        sigma_mart_residual=residuals,
+        equivalent=_crossing_free(model, sol, strict=False),
+        is_sigma_martingale=float(np.abs(residuals).max(initial=0.0)) <= residual_tol,
     )
 
 
@@ -225,8 +226,7 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
             acc += seg.length * drift_of_variation(
                 _mellin_variation(lam, p, even), seg.chars, cfg)
         jumps = model.atoms.integrate(_zeta(model.atoms.scaled(atom_lams), p, even))
-        exps.append(det_stoch_exponential(CumulativeUtility(
-            acc, tuple(zip(model.atoms.times.tolist(), jumps.tolist())), True), 1.0).value)
+        exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
 
@@ -246,12 +246,11 @@ def mv_signed_measure(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
         raise InfiniteValue(
             "quadratic dual value is infinite; no separating measure exists")
     sm0 = mellin_sign_moments(model, sol, 0, cfg)
-    seg_lams, atom_lams = _split_schedule(model, sol)
     return MVSignedMeasure(
         mean=1.0,
         variance=gv.msr2,
         negative_mass=sm0.phi_minus,
-        is_probability=_crossing_free(model, seg_lams, atom_lams, strict=True),
+        is_probability=_crossing_free(model, sol, strict=True),
     )
 
 
@@ -292,8 +291,7 @@ def compare_mv_mmv(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
                                  "monotone dual value is infinite")
     sol_mv = mv_solution if mv_solution is not None else solve_schedule(
         model, UtilityKind.MV, cfg)
-    seg_mv, atom_mv = _split_schedule(model, sol_mv)
-    cap_ok = _crossing_free(model, seg_mv, atom_mv, strict=True)
+    cap_ok = _crossing_free(model, sol_mv, strict=True)
     gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())
             / (1.0 + float(np.abs(b.lambda_hat).max()))
             for a, b in zip(sol_mmv.segment_optima, sol_mv.segment_optima)]

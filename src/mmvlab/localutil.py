@@ -317,7 +317,8 @@ def check_instantaneous_no_arbitrage(model: MarketModel,
     segment on the null space of its diffusion (a full-rank diffusion
     leaves none), its zero-truncation drift and its charged outcomes
     (the atoms of a finite law, the signs a density law charges); a
-    scheduled jump on its outcomes alone, with no drift or diffusion.
+    scheduled jump on its outcomes alone, with no drift or diffusion,
+    read as its slice of the model's table.
     """
     witness = None
     witness_time = None
@@ -334,10 +335,12 @@ def check_instantaneous_no_arbitrage(model: MarketModel,
             break
     atom_violations = []
     zero, whole = np.zeros(model.dim), np.eye(model.dim)
-    for atom in model.atoms:
-        w = _free_lunch(zero, whole, _charged_outcomes(atom.law, model.dim), 0.0)
+    table = model.atoms
+    charged, ends = table.masses > 0.0, table.offsets.tolist()
+    for time, lo, hi in zip(table.times.tolist(), ends[:-1], ends[1:]):
+        w = _free_lunch(zero, whole, table.points[lo:hi][charged[lo:hi]], 0.0)
         if w is not None:
-            atom_violations.append((atom.time, w))
+            atom_violations.append((time, w))
     return NoArbReport(holds=witness is None and not atom_violations,
                        witness_direction=witness, witness_time=witness_time,
                        atom_violations=tuple(atom_violations))

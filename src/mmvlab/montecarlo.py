@@ -41,6 +41,7 @@ from ._quad import DEFAULT_QUAD, QuadConfig
 from .aggregate import Solution, _split_schedule, solve_schedule
 from .errors import InvariantError, UnsupportedMeasure
 from .localutil import UtilityKind, _kind, utility
+from .measures import _sorted_unique
 from .model import MarketModel, small_jump_mean
 
 # Units per block.  The block size is part of the stream layout: changing
@@ -121,7 +122,7 @@ class _Grid:
             edges = np.linspace(t0, t1, n_steps + 1)
             inner = [t for t in atom_times if t0 < t < t1]
             if inner:
-                edges = np.unique(np.concatenate([edges, inner]))
+                edges = _sorted_unique(np.concatenate([edges, inner]))
             for a, b in zip(edges[:-1], edges[1:]):
                 rows.append((b, 0, b - a, i, -1))
             t0 = t1

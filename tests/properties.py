@@ -289,9 +289,8 @@ def check_exponential_inversion(n_cases=500, seed=17):
     worst = 0.0
     for _ in range(n_cases):
         n = int(gen.integers(0, 12))
-        incs = tuple((float(t), float(k)) for t, k in
-                     zip(np.sort(gen.uniform(0.0, 1.0, size=n)),
-                         gen.uniform(0.0, 0.9, size=n)))
+        gen.uniform(0.0, 1.0, size=n)       # the jump times, which aggregation ignores
+        incs = gen.uniform(0.0, 0.9, size=n)
         cu = CumulativeUtility(float(gen.uniform(0.0, 3.0)), incs, True)
         down = det_stoch_exponential(cu, -1.0).value
         up = det_stoch_exponential(compounding_dual(cu), +1.0).value

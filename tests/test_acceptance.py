@@ -225,10 +225,10 @@ def test_criterion_6():
                         n * abs(2.0 * sol_mmv.atom_optima[i].value - 0.5))
     cu_mv = cumulative_local_utility(model, "mv", solution=sol_mv)
     cu_mmv = cumulative_local_utility(model, "mmv", solution=sol_mmv)
-    incs = [v for _, v in cu_mv.atom_increments]
+    incs = cu_mv.atom_increments
     partial = math.fsum(incs)
-    tail = math.fsum(incs[len(incs) // 2:])
-    partial_mmv = math.fsum(v for _, v in cu_mmv.atom_increments)
+    tail = math.fsum(incs[incs.size // 2:])
+    partial_mmv = math.fsum(cu_mmv.atom_increments)
 
     c.need(worst_lam <= 5.0, f"n*|lam-3/2| reaches {worst_lam!r}")
     c.need(worst_val <= 5.0, f"n*|value/weight-9/8| reaches {worst_val!r}")

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmvlab
 from mmvlab import (CumulativeUtility, DomainError, InfiniteValue,
@@ -82,10 +84,9 @@ def test_single_jump_aggregation_is_exact(ex1):
     cu = cumulative_local_utility(ex1, "mmv")
     assert cu.continuous_part == 0.0
     assert cu.finite
-    assert len(cu.atom_increments) == 1
-    t, inc = cu.atom_increments[0]
-    assert t == 1.0
-    assert inc == pytest.approx(0.4, abs=1e-12)
+    assert cu.atom_increments.shape == (1,)
+    assert ex1.atoms.times.tolist() == [1.0]
+    assert cu.atom_increments[0] == pytest.approx(0.4, abs=1e-12)
     gv = global_values(cu)
     assert gv.finite
     assert gv.u0 == pytest.approx(0.2, abs=1e-12)
@@ -114,16 +115,66 @@ def test_exponential_inversion_identity():
 
 
 def test_compounding_dual_rejects_unit_increment():
-    cu = CumulativeUtility(0.0, ((0.5, 1.0),), True)
+    cu = CumulativeUtility(0.0, (1.0,), True)
     with pytest.raises(DomainError):
         compounding_dual(cu)
 
 
 def test_nonpositive_factor_is_flagged():
-    cu = CumulativeUtility(0.2, ((0.3, 1.0), (0.6, 0.5)), True)
+    cu = CumulativeUtility(0.2, (1.0, 0.5), True)
     det = det_stoch_exponential(cu, -1.0)
     assert det.nonpositive_factor
     assert det.value == 0.0
+
+
+def _sequential_exponential(continuous, incs, sign):
+    """The product as a loop takes it: one factor after another."""
+    value, bad = math.exp(sign * continuous), False
+    for inc in incs:
+        factor = 1.0 + sign * inc
+        bad = bad or factor <= 0.0
+        value *= factor
+    return value, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 3.0), st.lists(st.floats(0.0, 2.0), max_size=200),
+       st.sampled_from([-1.0, 1.0]))
+def test_exponential_multiplies_in_model_order(continuous, incs, sign):
+    det = det_stoch_exponential(CumulativeUtility(continuous, incs, True), sign)
+    value, bad = _sequential_exponential(continuous, incs, sign)
+    assert repr(det.value) == repr(value)       # bit for bit, signed zeros too
+    assert det.nonpositive_factor is bad
+
+
+def test_exponential_order_on_random_clock_sums():
+    gen = np.random.default_rng(31)
+    for n in (0, 1, 7, 8, 9, 64, 1000, 4097):
+        incs = gen.uniform(0.0, 1.2, size=n)
+        for sign in (-1.0, 1.0):
+            det = det_stoch_exponential(CumulativeUtility(0.7, incs, True), sign)
+            assert (det.value, det.nonpositive_factor) \
+                == _sequential_exponential(0.7, incs.tolist(), sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 0.99), max_size=30), st.floats(1.0, 1e6), st.data())
+def test_compounding_dual_rejects_any_increment_at_or_above_one(incs, big, data):
+    incs.insert(data.draw(st.integers(0, len(incs))), big)
+    with pytest.raises(DomainError):
+        compounding_dual(CumulativeUtility(0.0, incs, True))
+
+
+def test_increments_are_a_read_only_array_of_one_float_per_jump():
+    cu = cumulative_local_utility(example_model(5, atoms_max=10), "mv")
+    assert cu.atom_increments.dtype == float and cu.atom_increments.shape == (9,)
+    with pytest.raises(ValueError):
+        cu.atom_increments[0] = 0.0
+    passed = np.array([0.1, 0.2])
+    CumulativeUtility(0.0, passed, True)
+    assert passed.flags.writeable           # the caller's array is copied, not frozen
+    with pytest.raises(ValueError):         # (time, increment) pairs are refused
+        CumulativeUtility(0.0, ((0.5, 0.1),), True)
 
 
 def test_divergent_series_yields_the_saturated_values():
@@ -136,9 +187,8 @@ def test_ratio_identity_on_random_clock_sums():
     gen = np.random.default_rng(29)
     for _ in range(200):
         n = int(gen.integers(0, 8))
-        incs = tuple((float(t), float(k)) for t, k in
-                     zip(np.sort(gen.uniform(0.0, 1.0, size=n)),
-                         gen.uniform(0.0, 0.9, size=n)))
+        gen.uniform(0.0, 1.0, size=n)       # the jump times, which aggregation ignores
+        incs = gen.uniform(0.0, 0.9, size=n)
         gv = global_values(CumulativeUtility(float(gen.uniform(0.0, 2.0)),
                                              incs, True))
         # compare in the bounded coordinate: mhr2 = 1 - 1/scale is

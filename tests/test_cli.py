@@ -78,6 +78,18 @@ class TestExitCodes:
     def test_bad_quad_tolerance(self, zero_config_path, capsys):
         assert run(["solve", zero_config_path, "--tol-quad", "0.0"]) == 2
 
+    def test_valid_quad_tolerance(self, capsys):
+        ex2 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex2.json")
+        values = []
+        for extra in ([], ["--tol-quad", "1e-9"]):
+            assert run(["solve", ex2, "--format", "json"] + extra) == 0
+            block = json.loads(capsys.readouterr().out)["solution"]["values"]
+            values.append({k: v["value"] for k, v in block.items() if k != "finite"})
+        default, loose = values
+        assert loose.keys() == default.keys()
+        for key, value in default.items():
+            assert loose[key] == pytest.approx(value, abs=1e-6), key
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
     def test_non_finite_quad_tolerance(self, tol, zero_config_path, capsys):
         # a NaN or infinite tolerance never reaches the quadrature

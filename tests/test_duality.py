@@ -21,6 +21,15 @@ class TestResiduals:
         assert len(res) == 1
         assert float(np.abs(res[0]).max()) <= 1e-8
 
+    def test_residual_is_one_read_only_row_per_time_point(self, ex1):
+        res = sigma_martingale_residual(ex1, solve_schedule(ex1, "mmv"), "mmv")
+        assert res.shape == (2, 2) and res.dtype == float
+        with pytest.raises(ValueError):
+            res[0, 0] = 1.0
+        d = density_diagnostics(ex1)
+        assert d.sigma_mart_residual.shape == (2, 2)
+        assert not d.sigma_mart_residual.flags.writeable
+
     def test_residual_accepts_raw_schedules(self, ex2):
         got = sigma_martingale_residual(ex2, [[EX2_LAM_MV]], "mv")
         assert float(np.abs(got[0]).max()) <= 1e-6

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mmvlab import (FiniteAtoms, LocalCharacteristics, build_model,
+from mmvlab import (FiniteAtoms, JumpAtom, LocalCharacteristics, MarketModel,
+                    ScheduledJumps, Segment, build_model,
                     check_instantaneous_no_arbitrage, example_model, local_utility,
                     maximize_local_utility, solve_schedule, utility)
 from mmvlab.model import small_jump_mean
@@ -129,6 +130,26 @@ def test_no_arbitrage_flags_a_one_sided_atom():
     pts = model.atoms[0].law.points
     assert np.all(pts @ w >= -1e-9)
     assert np.max(pts @ w) > 1e-9
+
+
+def test_the_scan_reads_scheduled_jumps_from_the_table(monkeypatch):
+    # two-sided, one-sided, and one-sided once its zero-mass loss is
+    # ignored; the scan slices the table and builds no JumpAtom view
+    laws = [([[-0.5], [0.5]], [0.5, 0.5]), ([[0.5], [1.0]], [0.2, 0.3]),
+            ([[-1.0], [1.0]], [0.0, 0.5])]
+    atoms = [JumpAtom(t, FiniteAtoms(np.array(p), np.array(m)))
+             for t, (p, m) in zip((0.2, 0.5, 0.7), laws)]
+    chars = LocalCharacteristics(np.zeros(1), 0.04 * np.eye(1), None)
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), atoms)
+
+    def no_view(self, t):
+        raise AssertionError("a JumpAtom view was built")
+
+    monkeypatch.setattr(ScheduledJumps, "__getitem__", no_view)
+    report = check_instantaneous_no_arbitrage(model)
+    assert [t for t, _ in report.atom_violations] == [0.5, 0.7]
+    for _, w in report.atom_violations:
+        assert w == pytest.approx([1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Jump-measure families: closed-form moments, tail masses, transforms."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmvlab
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InvariantError,
                     TabulatedDensity1D, UnsupportedMeasure, merge_atoms)
-from mmvlab.measures import CappedMeasure, ExpYieldMeasure
+from mmvlab.measures import CappedMeasure, ExpYieldMeasure, _sorted_unique
 
 
 def ident(x):
@@ -265,3 +271,41 @@ def test_merge_atoms_combines_exact_duplicates():
     assert rows[0][0] == 0.25
     assert rows[0][1] == pytest.approx(0.3, abs=1e-15)
     assert rows[1] == (0.5, 0.3)
+
+
+def test_sorted_unique_is_np_unique(rng):
+    values = np.concatenate([rng.integers(-5, 5, size=200) / 4.0, [0.0, -0.0, 1e-300]])
+    got = _sorted_unique(values)
+    assert got.tobytes() == np.unique(values).tobytes()
+
+
+def test_no_run_imports_numpy_ma():
+    # np.unique imports numpy.ma (about 12 ms and 1 MB) on first use; a
+    # tabulated law with breakpoints inside its grid, and a scheduled
+    # jump inside a segment of the simulation grid, used to call it
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from mmvlab import (SimConfig, build_model, check_instantaneous_no_arbitrage,
+                            compare_mv_mmv, density_diagnostics, mv_signed_measure,
+                            run_wealth_study, solve_schedule)
+        seg = {"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc", "b": 0.1, "c": 0.04}
+        tab = build_model({"horizon": 1.0, "dimension": 1, "segments": [dict(seg, jumps={
+            "family": "tabulated", "x": np.linspace(-3.0, 3.0, 61).tolist(),
+            "density": [0.1] * 61, "quadrature": "trapezoid"})]})
+        for kind in ("mv", "mmv"):
+            solve_schedule(tab, kind)
+        density_diagnostics(tab)
+        mv_signed_measure(tab)
+        compare_mv_mmv(tab)
+        check_instantaneous_no_arbitrage(tab)
+        inner = build_model({"horizon": 1.0, "dimension": 1, "segments": [seg], "atoms": [
+            {"time": 0.37, "points": [[-0.5], [0.5]], "masses": [0.4, 0.6]}]})
+        run_wealth_study(inner, SimConfig(n_paths=8, n_steps=10, seed=1), "mmv")
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(mmvlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
