@@ -6,7 +6,6 @@ increments: per-time local optimization, aggregation into global values
 and ratios, dual-density diagnostics, and a reproducible Monte Carlo
 wealth study.
 """
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .aggregate import (CumulativeUtility, GlobalValues, Solution,
                         StrategyDescriptor, compounding_dual,
                         cumulative_local_utility, det_stoch_exponential,
@@ -18,8 +17,8 @@ from .duality import (CoincidenceReport, DensityDiagnostics, MVSignedMeasure,
                       mellin_sign_moments, mv_signed_measure,
                       sigma_martingale_residual, zero_density_probability)
 from .errors import (DomainError, InfiniteValue, InvariantError, MmvLabError,
-                     NonIntegrable, OptimizationError, QuadratureError,
-                     SchemaError, UnsupportedMeasure)
+                     NonIntegrable, OptimizationError, SchemaError,
+                     UnsupportedMeasure)
 from .examples import capped_variant, example_config, example_model
 from .localutil import (UtilityKind, check_instantaneous_no_arbitrage,
                         local_utility, utility, utility_variation)
@@ -36,7 +35,6 @@ from .optimize import (AtomOptima, LocalOptimum, foc_residual,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUAD", "QuadConfig",
     "CumulativeUtility", "GlobalValues", "Solution", "StrategyDescriptor",
     "compounding_dual", "cumulative_local_utility", "det_stoch_exponential",
     "global_values", "sharpe_hansen_convert", "solve_schedule",
@@ -47,7 +45,7 @@ __all__ = [
     "mellin_sign_moments", "mv_signed_measure", "sigma_martingale_residual",
     "zero_density_probability",
     "DomainError", "InfiniteValue", "InvariantError", "MmvLabError",
-    "NonIntegrable", "OptimizationError", "QuadratureError", "SchemaError",
+    "NonIntegrable", "OptimizationError", "SchemaError",
     "UnsupportedMeasure",
     "capped_variant", "example_config", "example_model",
     "UtilityKind", "check_instantaneous_no_arbitrage", "local_utility",

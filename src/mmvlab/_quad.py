@@ -1,134 +1,202 @@
-"""Adaptive one-dimensional quadrature helpers.
+"""Partial moments: exact integrals of piecewise quadratic integrands.
 
-Three rules cover every density family in the package:
-
-* Gauss-Hermite for full-line integrals against a Gaussian weight,
-* Gauss-Legendre for finite panels with the density folded into the
-  integrand,
-* Gauss-Laguerre for exponential tails, anchored at the innermost point
-  of the tail so the weight is exactly e^{-t}.
-
-Each rule doubles its order until two successive estimates agree to the
-configured tolerance.  Integrands with kinks must be split by the caller
-before any of these run; the rules themselves assume smoothness.
+Every one-dimensional integrand put against a jump law is a polynomial
+of degree at most two between its kinks (-1, 1 and the bliss point
+1/lam).  `Pieces` holds one: sorted edges, a coefficient row (c0, c1,
+c2) per piece and the value at each edge.  Atom and tabulated laws
+evaluate it; density laws integrate it piece by piece from partial
+moments.  On a piece on one side of 0, anchored at the end x0 nearest
+0, a density is rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma =
+0 for exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
+expanded about x0 keep their terms of one sign.  A short piece, |alpha|
+w + gamma w^2 <= 1 for its width w, is summed as the Taylor series of
+the whole integrand (`series_integral`), exact to rounding however
+narrow it is, where differences of antiderivatives would cancel.
+Longer pieces and tails use incomplete gamma functions of integer order
+and normal tail probabilities taken on the side away from the mean.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
-
-SQRT_PI = math.sqrt(math.pi)
-SQRT_2 = math.sqrt(2.0)
-
-_START_ORDER, _MAX_ORDER = 16, 4096
-#: Gaussian mass beyond this many standard deviations counts as zero when
-#: a kink forces panel splitting (12 sigma leaves less than 1e-31 outside)
-GAUSS_SPAN = 12.0
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances of the adaptive rules: convergence is declared when
-    |I_2n - I_n| <= atol + rtol * |I_2n|."""
-
-    atol: float = 1e-12
-    rtol: float = 1e-10
+_N = 48                                 # Taylor terms of a short piece
+_K = np.arange(_N)
+_FACT = np.array([math.factorial(k) for k in range(_N)], dtype=float)
+_INV = 1.0 / (_K + 1.0)
+_LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(4 * _N)])
+_BINOM = np.array([[math.comb(n, k) for k in range(_N)] for n in range(_N)], dtype=float)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-DEFAULT_QUAD = QuadConfig()
+class Pieces:
+    """Piecewise polynomial of degree at most two on the line.
 
-
-@lru_cache(maxsize=64)
-def _leg_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-@lru_cache(maxsize=64)
-def _lag_nodes(order: int):
-    return np.polynomial.laguerre.laggauss(order)
-
-
-@lru_cache(maxsize=32)
-def _herm_nodes(order: int):
-    return np.polynomial.hermite.hermgauss(order)
-
-
-def _adapt(evaluate, cfg: QuadConfig, max_order: int) -> float:
-    order = _START_ORDER
-    prev = evaluate(order)
-    if not math.isfinite(prev):
-        return prev
-    while order < max_order:
-        order *= 2
-        cur = evaluate(order)
-        if not math.isfinite(cur):
-            return cur
-        if abs(cur - prev) <= cfg.atol + cfg.rtol * abs(cur):
-            return cur
-        prev = cur
-    raise QuadratureError(f"no convergence by order {max_order}")
-
-
-def legendre_panel(f, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integral of f over the finite panel [a, b]."""
-    if not (b > a):
-        return 0.0
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def evaluate(order: int) -> float:
-        t, w = _leg_nodes(order)
-        return half * float(np.dot(w, f(mid + half * t)))
-
-    return _adapt(evaluate, cfg, _MAX_ORDER)
-
-
-def laguerre_tail(f, anchor: float, rate: float, direction: int,
-                  cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integral of f(x) * e^{-rate * |x - anchor|} over the tail.
-
-    direction=+1 integrates over [anchor, inf), direction=-1 over
-    (-inf, anchor].  The exponential weight is the rule's own; callers
-    pass f without it (density prefactors included in f are fine as long
-    as they are subexponential on the tail).
+    Piece j spans (edges[j-1], edges[j]), with edges[-1] = -inf and
+    edges[m] = inf for m edges; coef[j] = (c0, c1, c2) is c0 + c1 x +
+    c2 x^2 on it, and at[j] the value at edges[j] itself.
     """
-    if rate <= 0.0:
-        raise QuadratureError("nonpositive tail rate")
 
-    def evaluate(order: int) -> float:
-        t, w = _lag_nodes(order)
-        x = anchor + direction * t / rate
-        return float(np.dot(w, f(x))) / rate
+    __slots__ = ("edges", "coef", "at")
 
-    # Laguerre orders beyond ~512 gain nothing in float64.
-    return _adapt(evaluate, cfg, 512)
+    def __init__(self, edges, coef, at):
+        self.edges = np.asarray(edges, dtype=float)
+        self.coef = np.asarray(coef, dtype=float).reshape(-1, 3)
+        self.at = np.asarray(at, dtype=float)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self.edges, x)
+        c = self.coef[j]
+        value = c[..., 0] + c[..., 1] * x + c[..., 2] * x * x
+        if not self.edges.size:
+            return value
+        k = np.minimum(j, self.edges.size - 1)
+        return np.where(self.edges[k] == x, self.at[k], value)
+
+    def capped(self, cap: float) -> "Pieces":
+        """x -> self(min(x, cap)): one constant piece past the cap."""
+        j = int(np.count_nonzero(self.edges < cap))
+        v = float(self(cap))
+        return Pieces(np.append(self.edges[:j], cap),
+                      np.vstack([self.coef[:j + 1], [v, 0.0, 0.0]]),
+                      np.append(self.at[:j], v))
+
+    def spans(self, floor: float = -math.inf):
+        """(lo, hi, row) of every nonzero piece above floor, split at 0."""
+        j = int(np.searchsorted(self.edges, floor, side="right"))
+        bounds = [floor, *self.edges[j:].tolist(), math.inf]
+        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:]):
+            if not row.any():
+                continue
+            for a, b in ((lo, 0.0), (0.0, hi)) if lo < 0.0 < hi else ((lo, hi),):
+                if a < b:
+                    yield a, b, row
 
 
-def hermite_gaussian(f, mean: float, sd: float,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integral of f against the N(mean, sd^2) density over the full line."""
-    if sd <= 0.0:
-        raise QuadratureError("nonpositive standard deviation")
-
-    def evaluate(order: int) -> float:
-        t, w = _herm_nodes(order)
-        return float(np.dot(w, f(mean + SQRT_2 * sd * t))) / SQRT_PI
-
-    # hermgauss weights underflow past order ~512; the panel-split path
-    # covers anything that refuses to converge by then.
-    return _adapt(evaluate, cfg, 512)
+def poly_shift(row, x0: float, s: float, w: float = 1.0) -> np.ndarray:
+    """Coefficients in t/w of the row's polynomial at x0 + s t."""
+    c0, c1, c2 = row
+    return np.array([c0 + x0 * (c1 + x0 * c2), s * (c1 + 2.0 * c2 * x0) * w, c2 * w * w])
 
 
-def split_points(lo: float, hi: float, breakpoints) -> list[float]:
-    """Sorted panel edges: lo, the interior breakpoints, hi."""
-    edges = [lo]
-    for p in sorted(set(float(b) for b in breakpoints)):
-        if lo < p < hi:
-            edges.append(p)
-    edges.append(hi)
-    return edges
+def yield_shift(row, x0: float, s: float, w: float) -> np.ndarray:
+    """Taylor coefficients in t/w of the row's polynomial at expm1(x0 + s t)."""
+    c0, c1, c2 = row
+    y0 = math.expm1(x0)
+    step = math.exp(x0) * (s * w) ** _K / _FACT     # expm1(x0 + s t) - y0
+    step[0] = 0.0
+    out = (c1 + 2.0 * c2 * y0) * step + c2 * np.convolve(step, step)[:_N]
+    out[0] = c0 + y0 * (c1 + y0 * c2)
+    return out
+
+
+def series_integral(coef: np.ndarray, alpha: float, gamma: float, w: float) -> float:
+    """Integral over [0, w] of P(t) exp(-alpha t - gamma t^2), coef holding
+    P's Taylor coefficients in t/w: the exponential's follow from (n+1)
+    d[n+1] = -alpha d[n] - 2 gamma d[n-1] (units of w), and with |alpha| w
+    + gamma w^2 <= 1 the product series converges to rounding in 48 terms.
+    """
+    a, g = alpha * w, gamma * w * w
+    if g == 0.0:
+        d = (-a) ** _K / _FACT
+    else:
+        d = np.empty(_N)
+        d[0], d[1] = 1.0, -a
+        for n in range(1, _N - 1):
+            d[n + 1] = -(a * d[n] + 2.0 * g * d[n - 1]) / (n + 1)
+    return w * float(np.convolve(coef, d)[:_N] @ _INV)
+
+
+def exp_moments(alpha: float, w: float) -> np.ndarray:
+    """Integrals over [0, w] of t^k e^{-alpha t}, k <= 2, alpha > 0, by the
+    upward recurrence, stable once alpha w >= 1 (or w = inf)."""
+    if w == math.inf:
+        return np.array([1.0 / alpha, alpha ** -2, 2.0 * alpha ** -3])
+    e = math.exp(-alpha * w)
+    g0 = -math.expm1(-alpha * w) / alpha
+    g1 = (g0 - w * e) / alpha
+    return np.array([g0, g1, (2.0 * g1 - w * w * e) / alpha])
+
+
+def exp_integral(r: float, w: float) -> float:
+    """Integral over [0, w] of e^{-r t} for any real r; inf when it diverges."""
+    if w == math.inf:
+        return 1.0 / r if r > 0.0 else math.inf
+    if r == 0.0:
+        return w
+    if -r * w > 700.0:
+        return math.inf
+    return -math.expm1(-r * w) / r
+
+
+def gamma_ratios(x: float) -> np.ndarray:
+    """P(n + 1, x), n < 48, the chance that a Poisson(x) count exceeds n:
+    a tail of positive terms, or one minus a vanishing head for large x."""
+    if x == math.inf:
+        return np.ones(_N)
+    big = x >= 2.0 * _N
+    i = np.arange(_N if big else 4 * _N)
+    pmf = np.exp(i * math.log(x) - x - _LOG_FACT[:i.size])
+    if big:
+        return 1.0 - np.cumsum(pmf)
+    return np.cumsum(pmf[::-1])[::-1][1:_N + 1]
+
+
+def normal_local_moments(eta: float, width: float, n: int = _N) -> np.ndarray:
+    """Integrals over [0, width] of u^k phi(eta + u), k < n <= 48, by m[k+1] =
+    k m[k-1] - eta m[k] - width^k phi(eta + width): upward below eta = 4;
+    beyond, the tail moments are its minimal solution, summed downward
+    (Miller) to the tail probability, less the part past width."""
+    if eta > 4.0:
+        out = _normal_tail_moments(eta)
+        if width < math.inf and _phi(eta + width) > 0.0:
+            out -= width ** _K * (_BINOM @ (_normal_tail_moments(eta + width) / width ** _K))
+        return out[:n]
+    end = 0.0 if width == math.inf else _phi(eta + width)
+    out = [normal_probability(eta, eta + width)]
+    out.append(_phi(eta) - end - eta * out[0])
+    power = 1.0
+    for k in range(1, n - 1):
+        power = power * width if end else 0.0
+        out.append(k * out[k - 1] - eta * out[k] - power * end)
+    return np.array(out[:n])
+
+
+def _normal_tail_moments(eta: float) -> np.ndarray:
+    tail = normal_probability(eta, math.inf)
+    if tail == 0.0:
+        return np.zeros(_N)
+    f = [0.0, 1e-250]
+    for k in range(_N + 40, 0, -1):
+        f.append((f[-2] + eta * f[-1]) / k)
+    return np.array(f[:-_N - 1:-1]) * (tail / f[-1])
+
+
+def _phi(z: float) -> float:
+    return math.exp(-0.5 * z * z) * _INV_SQRT_2PI
+
+
+def normal_probability(za: float, zb: float) -> float:
+    """Standard normal mass of [za, zb], from upper tails on the side away
+    from the mean, so it keeps its relative precision in either tail."""
+    if za >= 0.0:
+        return 0.5 * (math.erfc(za / _SQRT2) - math.erfc(zb / _SQRT2))
+    if zb <= 0.0:
+        return 0.5 * (math.erfc(-zb / _SQRT2) - math.erfc(-za / _SQRT2))
+    return 1.0 - 0.5 * (math.erfc(-za / _SQRT2) + math.erfc(zb / _SQRT2))
+
+
+def dot_moments(coef, moments) -> float:
+    """Sum of coef[k] * moments[k], skipping zero coefficients.  The highest
+    infinite moment under a nonzero coefficient decides a divergence."""
+    total = 0.0
+    for k in range(len(coef) - 1, -1, -1):
+        if coef[k] == 0.0:
+            continue
+        if math.isinf(moments[k]):
+            return coef[k] * moments[k]
+        total += coef[k] * moments[k]
+    return total

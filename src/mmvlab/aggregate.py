@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import DomainError, InfiniteValue
 from .localutil import UtilityKind, _kind
 from .model import MarketModel
@@ -68,7 +68,9 @@ class CumulativeUtility:
     continuous_part collects the segment contributions; atom_increments
     is a read-only copy, one float per scheduled jump in model order (at
     the model's `atoms.times`).  finite is the divergence verdict for
-    the underlying (possibly truncated) series.
+    the underlying (possibly truncated) series.  The exact sums of the
+    increments, all of them and the last half, are taken once, on first
+    use, for the divergence test and every report that shows them.
     """
 
     continuous_part: float
@@ -81,6 +83,15 @@ class CumulativeUtility:
             raise ValueError("atom_increments must be one increment per jump")
         incs.setflags(write=False)
         object.__setattr__(self, "atom_increments", incs)
+
+    @cached_property
+    def increment_sum(self) -> float:
+        return math.fsum(self.atom_increments.tolist())
+
+    @cached_property
+    def tail_sum(self) -> float:
+        incs = self.atom_increments
+        return math.fsum(incs[incs.size // 2:].tolist())
 
 
 @dataclass(frozen=True)
@@ -131,53 +142,51 @@ class StrategyDescriptor:
     scale: float
 
 
-def solve_schedule(model: MarketModel, kind,
-                   cfg: QuadConfig = DEFAULT_QUAD) -> Solution:
+def solve_schedule(model: MarketModel, kind) -> Solution:
     """Maximize the local utility at every segment and scheduled jump.
 
     The scheduled jumps of a one-asset model are solved exactly in one
     batch, straight from the model's table.  The optima are kept on the model
-    instance, per kind and quadrature config, so each is solved once
+    instance, per kind, so each is solved once
     however many diagnostics ask for it; a model built again from the
     same config solves again.  The memo holds only the optima, not the
     Solution, so it makes no reference cycle through the model.
     """
     kind = _kind(kind)
     memo = model.__dict__.setdefault("_optima", {})
-    optima = memo.get((kind, cfg))
+    optima = memo.get(kind)
     if optima is None:
-        seg_opts = tuple(maximize_local_utility(seg.chars, kind, cfg)
+        seg_opts = tuple(maximize_local_utility(seg.chars, kind)
                          for seg in model.segments)
         if model.dim == 1:
             atom_opts = maximize_atom_laws(model.atoms, kind)
         else:
-            atom_opts = AtomOptima.stack([maximize_local_utility(atom.chars, kind, cfg)
+            atom_opts = AtomOptima.stack([maximize_local_utility(atom.chars, kind)
                                           for atom in model.atoms], model.dim)
-        optima = memo[(kind, cfg)] = (seg_opts, atom_opts)
+        optima = memo[kind] = (seg_opts, atom_opts)
     return Solution(model, kind, *optima)
 
 
-def _diverges(continuous: float, incs: np.ndarray) -> bool:
-    if incs.size < _DIVERGENCE_MIN_ATOMS:
+def _diverges(cu: CumulativeUtility) -> bool:
+    if cu.atom_increments.size < _DIVERGENCE_MIN_ATOMS:
         return False
-    partial = continuous + math.fsum(incs)
-    tail = math.fsum(incs[incs.size // 2:])
-    return (tail > _DIVERGENCE_TAIL_FRAC * (1.0 + abs(partial))
+    partial = cu.continuous_part + cu.increment_sum
+    return (cu.tail_sum > _DIVERGENCE_TAIL_FRAC * (1.0 + abs(partial))
             or partial > _DIVERGENCE_PARTIAL_CAP)
 
 
 def cumulative_local_utility(model: MarketModel, kind,
-                             cfg: QuadConfig = DEFAULT_QUAD,
                              solution: Solution | None = None) -> CumulativeUtility:
     """Integrate twice the maximal local utility rate over the clock."""
-    sol = solution if solution is not None else solve_schedule(model, kind, cfg)
+    sol = solution if solution is not None else solve_schedule(model, kind)
     if sol.atom_optima.unbounded.any() or any(
             opt.boundedness == "unbounded_flagged" for opt in sol.segment_optima):
         raise InfiniteValue("local utility is unbounded at some time point")
     cont = math.fsum(2.0 * opt.value * seg.length
                      for seg, opt in zip(model.segments, sol.segment_optima))
-    incs = 2.0 * sol.atom_optima.value
-    return CumulativeUtility(cont, incs, not _diverges(cont, incs))
+    cu = CumulativeUtility(cont, 2.0 * sol.atom_optima.value, True)
+    object.__setattr__(cu, "finite", not _diverges(cu))    # keeps the cached sums
+    return cu
 
 
 def det_stoch_exponential(cu: CumulativeUtility, sign: float = -1.0) -> DetExponential:
@@ -239,7 +248,6 @@ def sharpe_hansen_convert(hr2: float | None = None,
 
 def strategy_descriptor(model: MarketModel, kind, x: float = 0.0,
                         gamma: float = 1.0,
-                        cfg: QuadConfig = DEFAULT_QUAD,
                         solution: Solution | None = None) -> StrategyDescriptor:
     """Optimal feedback strategy for risk aversion gamma and capital x.
 
@@ -250,8 +258,8 @@ def strategy_descriptor(model: MarketModel, kind, x: float = 0.0,
     if not gamma > 0.0:
         raise DomainError("risk aversion gamma must be positive")
     kind = _kind(kind)
-    sol = solution if solution is not None else solve_schedule(model, kind, cfg)
-    values = global_values(cumulative_local_utility(model, kind, cfg, sol))
+    sol = solution if solution is not None else solve_schedule(model, kind)
+    values = global_values(cumulative_local_utility(model, kind, sol))
     if not values.finite:
         raise InfiniteValue("dual value is infinite; no finite bliss level exists")
     entries: list[tuple[float, dict]] = []

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .aggregate import (INFINITE_VALUES, GlobalValues, Solution,
                         cumulative_local_utility, global_values, solve_schedule)
 from .duality import (compare_mv_mmv, density_diagnostics,
@@ -195,16 +194,7 @@ def _emit(report: dict, args) -> None:
 # shared pipeline pieces
 
 
-def _quad_config(args) -> QuadConfig:
-    tol = getattr(args, "tol_quad", None)
-    if tol is None:
-        return DEFAULT_QUAD
-    if not 0.0 < tol < math.inf:
-        raise _UsageError("--tol-quad must be finite and positive")
-    return QuadConfig(atol=tol, rtol=tol)
-
-
-def _load_model(path: str, cfg: QuadConfig):
+def _load_model(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -214,7 +204,7 @@ def _load_model(path: str, cfg: QuadConfig):
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     try:
-        return build_model(config, cfg)
+        return build_model(config)
     except (SchemaError, InvariantError) as exc:
         raise _UsageError(f"config {path!r} rejected: {exc}") from exc
 
@@ -275,16 +265,16 @@ def _values_block(gv: GlobalValues, source: str) -> dict:
     }
 
 
-def _solve_bundle(model, kind: str, cfg: QuadConfig):
+def _solve_bundle(model, kind: str):
     """Solve, aggregate, and classify finiteness.
 
     Returns (solution, cumulative-or-None, global values, warnings,
     source tag for the value block).
     """
     warnings: list[str] = []
-    sol = solve_schedule(model, kind, cfg)
+    sol = solve_schedule(model, kind)
     try:
-        cu = cumulative_local_utility(model, kind, cfg, sol)
+        cu = cumulative_local_utility(model, kind, sol)
     except InfiniteValue as exc:
         warnings.append(f"{kind}: {exc}")
         return sol, None, INFINITE_VALUES, warnings, "analytic"
@@ -303,7 +293,7 @@ def _cumulative_block(cu, source: str) -> dict | None:
         return None
     return {
         "continuous_part": _v(cu.continuous_part, source),
-        "jump_increment_sum": _v(math.fsum(cu.atom_increments), source),
+        "jump_increment_sum": _v(cu.increment_sum, source),
         "n_jump_increments": cu.atom_increments.size,
         "finite": cu.finite,
     }
@@ -314,9 +304,8 @@ def _cumulative_block(cu, source: str) -> dict | None:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _quad_config(args)
-    model = _load_model(args.config, cfg)
-    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind, cfg)
+    model = _load_model(args.config)
+    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
     rows, truncated = _solution_rows(model, sol)
     report = {
         "command": {"name": "solve", "config": args.config, "kind": args.kind},
@@ -334,17 +323,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _quad_config(args)
-    model = _load_model(args.config, cfg)
+    model = _load_model(args.config)
     if args.paths < 4 or args.steps < 1:
         # antithetic estimates need two complete pairs of paths
         raise _UsageError("--paths must be at least 4 and --steps positive")
-    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind, cfg)
+    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
     sim = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
     # estimates line up with the dimensionless analytic ratios.
     study = run_wealth_study(model, sim, args.kind, x=0.0, gamma=1.0,
-                             scale=1.0, solution=sol, cfg=cfg)
+                             scale=1.0, solution=sol)
     anti = sim.antithetic
     util_functional = f"utility_{args.kind}"
     # analytic values of the normalized optimum, where the theory gives one
@@ -355,7 +343,7 @@ def _cmd_simulate(args) -> int:
             targets["terminal_wealth_mean"] = gv.mhr2
             targets["terminal_wealth_second_moment"] = gv.mhr2
         else:
-            targets["prob_wealth_ge_one"] = zero_density_probability(model, sol, cfg)
+            targets["prob_wealth_ge_one"] = zero_density_probability(model, sol)
             targets["density_mean"] = 1.0
             targets["density_second_moment"] = gv.scale
     estimates = {
@@ -397,11 +385,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _diag_monotone(model, cfg) -> tuple[dict, list[str], Solution]:
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv", cfg)
+def _diag_monotone(model) -> tuple[dict, list[str], Solution]:
+    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
     block: dict = {"values": _values_block(gv, source)}
     if gv.finite:
-        diag = density_diagnostics(model, cfg, solution=sol)
+        diag = density_diagnostics(model, solution=sol)
         max_resid = float(np.abs(diag.sigma_mart_residual).max(initial=0.0))
         block["density"] = {
             "mean": _v(diag.mean),
@@ -419,11 +407,11 @@ def _diag_monotone(model, cfg) -> tuple[dict, list[str], Solution]:
     return block, warnings, sol
 
 
-def _diag_quadratic(model, cfg) -> tuple[dict, list[str], Solution]:
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mv", cfg)
+def _diag_quadratic(model) -> tuple[dict, list[str], Solution]:
+    sol, cu, gv, warnings, source = _solve_bundle(model, "mv")
     block: dict = {"values": _values_block(gv, source)}
     if gv.finite:
-        meas = mv_signed_measure(model, cfg, solution=sol)
+        meas = mv_signed_measure(model, solution=sol)
         block["signed_measure"] = {
             "mean": _v(meas.mean),
             "variance": _v(meas.variance),
@@ -438,9 +426,8 @@ def _diag_quadratic(model, cfg) -> tuple[dict, list[str], Solution]:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = _quad_config(args)
-    model = _load_model(args.config, cfg)
-    na = check_instantaneous_no_arbitrage(model, cfg)
+    model = _load_model(args.config)
+    na = check_instantaneous_no_arbitrage(model)
     na_block = {
         "holds": na.holds,
         "witness_time": None if na.witness_time is None else _v(na.witness_time),
@@ -448,9 +435,9 @@ def _cmd_diagnose(args) -> int:
                               else _v([float(x) for x in na.witness_direction])),
         "n_atom_violations": len(na.atom_violations),
     }
-    mono, warn_m, sol_mmv = _diag_monotone(model, cfg)
-    quad, warn_q, sol_mv = _diag_quadratic(model, cfg)
-    cmp_report = compare_mv_mmv(model, cfg, mv_solution=sol_mv,
+    mono, warn_m, sol_mmv = _diag_monotone(model)
+    quad, warn_q, sol_mv = _diag_quadratic(model)
+    cmp_report = compare_mv_mmv(model, mv_solution=sol_mv,
                                 mmv_solution=sol_mmv)
     comparison = {
         "verdict": cmp_report.verdict,
@@ -477,13 +464,13 @@ def _cmd_diagnose(args) -> int:
 # reproduce
 
 
-def _reproduce_1(cfg, atoms_max=None):
-    model = example_model(1, cfg=cfg)
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv", cfg)
-    diag = density_diagnostics(model, cfg, solution=sol)
+def _reproduce_1(atoms_max=None):
+    model = example_model(1)
+    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
+    diag = density_diagnostics(model, solution=sol)
     atom = model.atoms[0]
     unit_values = [
-        drift_of_variation(utility_variation(e, "mmv", dim=2), atom.chars, cfg)
+        drift_of_variation(utility_variation(e, "mmv", dim=2), atom.chars)
         for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ]
     opt_val = sol.atom_optima[0].value
@@ -507,19 +494,19 @@ def _reproduce_1(cfg, atoms_max=None):
     return model, figures, checks, warnings
 
 
-def _reproduce_2(cfg, atoms_max=None):
-    model = example_model(2, cfg=cfg)
+def _reproduce_2(atoms_max=None):
+    model = example_model(2)
     seg = model.segments[0]
     jumps = seg.chars.jumps
-    sol_mv, cu_mv, gv_mv, warn_v, _ = _solve_bundle(model, "mv", cfg)
-    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv", cfg)
+    sol_mv, cu_mv, gv_mv, warn_v, _ = _solve_bundle(model, "mv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv")
     lam_mv = sol_mv.segment_optima[0].lambda_hat
     lam_mmv = sol_mmv.segment_optima[0].lambda_hat
     theta_mmv = seg.length * jumps.mass_scaled_ge(lam_mmv, 1.0, strict=False)
     theta_mv = seg.length * jumps.mass_scaled_ge(lam_mv, 1.0, strict=True)
-    p_zero = zero_density_probability(model, sol_mmv, cfg)
-    sm1 = mellin_sign_moments(model, sol_mv, 1, cfg)
-    sm2 = mellin_sign_moments(model, sol_mv, 2, cfg)
+    p_zero = zero_density_probability(model, sol_mmv)
+    sm1 = mellin_sign_moments(model, sol_mv, 1)
+    sm2 = mellin_sign_moments(model, sol_mv, 2)
     capped_mean = 1.0 - sm1.phi_plus
     capped_second = 1.0 - 2.0 * sm1.phi_plus + sm2.phi_plus
     excess_mean = sm1.phi_minus
@@ -571,19 +558,19 @@ def _reproduce_2(cfg, atoms_max=None):
     return model, figures, checks, warnings
 
 
-def _reproduce_3(cfg, atoms_max=None):
-    model = example_model(3, cfg=cfg)
+def _reproduce_3(atoms_max=None):
+    model = example_model(3)
     seg = model.segments[0]
-    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv", cfg)
-    sol_mv = solve_schedule(model, "mv", cfg)
+    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv")
+    sol_mv = solve_schedule(model, "mv")
     lam = sol_mmv.segment_optima[0].lambda_hat
     lam0 = float(lam[0])
     theta = seg.length * seg.chars.jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    p_zero = zero_density_probability(model, sol_mmv, cfg)
-    residuals = sigma_martingale_residual(model, sol_mmv, "mmv", cfg)
+    p_zero = zero_density_probability(model, sol_mmv)
+    residuals = sigma_martingale_residual(model, sol_mmv, "mmv")
     max_resid = float(np.abs(residuals).max())
     lam_mv0 = float(sol_mv.segment_optima[0].lambda_hat[0])
-    verdict = compare_mv_mmv(model, cfg, mv_solution=sol_mv,
+    verdict = compare_mv_mmv(model, mv_solution=sol_mv,
                              mmv_solution=sol_mmv).verdict
     figures = {
         "monotone_direction": _v(lam0),
@@ -604,14 +591,14 @@ def _reproduce_3(cfg, atoms_max=None):
     return model, figures, checks, warn_m
 
 
-def _reproduce_4(cfg, atoms_max=None):
-    model = example_model(4, cfg=cfg)
+def _reproduce_4(atoms_max=None):
+    model = example_model(4)
     chars = model.segments[0].chars
-    sol, cu, gv, warnings, _ = _solve_bundle(model, "mmv", cfg)
-    diag = density_diagnostics(model, cfg, solution=sol)
+    sol, cu, gv, warnings, _ = _solve_bundle(model, "mmv")
+    diag = density_diagnostics(model, solution=sol)
     lam0 = float(sol.segment_optima[0].lambda_hat[0])
-    resid = float(sigma_martingale_residual(model, sol, "mmv", cfg)[0, 0])
-    drift_id = float(foc_residual([0.0], chars, "mv", cfg)[0])
+    resid = float(sigma_martingale_residual(model, sol, "mmv")[0, 0])
+    drift_id = float(foc_residual([0.0], chars, "mv")[0])
     figures = {
         "monotone_direction": _v(lam0),
         "equivalent": diag.equivalent,
@@ -628,11 +615,11 @@ def _reproduce_4(cfg, atoms_max=None):
     return model, figures, checks, warnings
 
 
-def _reproduce_5(cfg, atoms_max=None):
+def _reproduce_5(atoms_max=None):
     n_max = DEFAULT_ATOMS_MAX[5] if atoms_max is None else atoms_max
-    model = example_model(5, atoms_max=n_max, cfg=cfg)
-    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv", cfg)
-    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv", cfg)
+    model = example_model(5, atoms_max=n_max)
+    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv")
 
     n = np.arange(2, len(model.atoms) + 2)
     late = n >= 10
@@ -646,10 +633,8 @@ def _reproduce_5(cfg, atoms_max=None):
     worst_mhr = worst(2.0 * mmv.value, 0.5)
     lam1_mv, hr1_mv = float(mv.lambda_hat[0, 0]), 2.0 * float(mv.value[0])
     lam1_mmv, hr1_mmv = float(mmv.lambda_hat[0, 0]), 2.0 * float(mmv.value[0])
-    incs_mv = cu_mv.atom_increments
-    partial_mv = math.fsum(incs_mv)
-    tail_mv = math.fsum(incs_mv[incs_mv.size // 2:])
-    partial_mmv = math.fsum(cu_mmv.atom_increments)
+    partial_mv, tail_mv = cu_mv.increment_sum, cu_mv.tail_sum
+    partial_mmv = cu_mmv.increment_sum
     figures = {
         "atoms_max": n_max,
         "worst_direction_margin": _v(worst_dir),
@@ -687,11 +672,11 @@ def _reproduce_5(cfg, atoms_max=None):
     return model, figures, checks, warn_v + warn_m
 
 
-def _reproduce_6(cfg, atoms_max=None):
+def _reproduce_6(atoms_max=None):
     n_max = DEFAULT_ATOMS_MAX[6] if atoms_max is None else atoms_max
-    model = example_model(6, atoms_max=n_max, cfg=cfg)
-    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv", cfg)
-    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv", cfg)
+    model = example_model(6, atoms_max=n_max)
+    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv")
     jumps = model.atoms
     n, _, cube = _bet_indices(len(jumps) + 1)
     hr2 = 2.0 * sol_mv.atom_optima.value
@@ -701,7 +686,7 @@ def _reproduce_6(cfg, atoms_max=None):
     mean = np.vecdot(jumps.masses.reshape(-1, 2), jumps.points[:, 0].reshape(-1, 2))
     worst_mean = float(np.max(np.abs(mean + n / (cube.astype(float) + 1.0)), initial=0.0))
     try:
-        mv_signed_measure(model, cfg, solution=sol_mv)
+        mv_signed_measure(model, solution=sol_mv)
         no_measure = False
     except InfiniteValue as exc:
         no_measure = True
@@ -732,10 +717,9 @@ _REPRODUCERS = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3,
                 4: _reproduce_4, 5: _reproduce_5, 6: _reproduce_6}
 
 
-def _run_reproduce(example_id: int, cfg, atoms_max) -> dict:
+def _run_reproduce(example_id: int, atoms_max) -> dict:
     t0 = time.perf_counter()
-    model, figures, checks, warnings = _REPRODUCERS[example_id](
-        cfg, atoms_max=atoms_max)
+    model, figures, checks, warnings = _REPRODUCERS[example_id](atoms_max=atoms_max)
     elapsed = time.perf_counter() - t0
     n_pass = sum(1 for c in checks if c["pass"])
     print(f"example {example_id}: {n_pass}/{len(checks)} checks passed "
@@ -751,7 +735,6 @@ def _run_reproduce(example_id: int, cfg, atoms_max) -> dict:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _quad_config(args)
     ids = list(_REPRODUCERS) if args.example == "all" else [int(args.example)]
     if args.atoms_max is not None:
         if args.atoms_max < 2:
@@ -759,7 +742,7 @@ def _cmd_reproduce(args) -> int:
         if not any(i in (5, 6) for i in ids):
             raise _UsageError("--atoms-max applies only to examples 5 and 6")
     blocks = [
-        _run_reproduce(i, cfg, args.atoms_max if i in (5, 6) else None)
+        _run_reproduce(i, args.atoms_max if i in (5, 6) else None)
         for i in ids
     ]
     all_pass = all(b["all_pass"] for b in blocks)
@@ -780,30 +763,30 @@ def _cmd_reproduce(args) -> int:
 # selftest
 
 
-def _selftest_checks(cfg) -> list[dict]:
+def _selftest_checks() -> list[dict]:
     checks = []
 
-    model1 = example_model(1, cfg=cfg)
-    sol1, cu1, gv1, _, _ = _solve_bundle(model1, "mmv", cfg)
+    model1 = example_model(1)
+    sol1, cu1, gv1, _, _ = _solve_bundle(model1, "mmv")
     checks.append(_check("two_asset_bet_utility_doubled", 2.0 * gv1.u0,
                          0.4, 1e-12))
     checks.append(_check("two_asset_bet_dual", gv1.v0, 1.0 / 3.0, 1e-12))
 
-    model3 = example_model(3, cfg=cfg)
-    sol3 = solve_schedule(model3, "mmv", cfg)
+    model3 = example_model(3)
+    sol3 = solve_schedule(model3, "mmv")
     checks.append(_check("one_sided_tails_direction",
                          float(sol3.segment_optima[0].lambda_hat[0]),
                          1.1080932585715102, 1e-8))
 
-    model4 = example_model(4, cfg=cfg)
-    sol4 = solve_schedule(model4, "mmv", cfg)
-    resid4 = float(sigma_martingale_residual(model4, sol4, "mmv", cfg)[0, 0])
+    model4 = example_model(4)
+    sol4 = solve_schedule(model4, "mmv")
+    resid4 = float(sigma_martingale_residual(model4, sol4, "mmv")[0, 0])
     checks.append(_check("heavy_tail_residual", resid4, -1.0, 1e-8))
 
     # Pathwise identity: shortfall below bliss equals the capped product.
-    model2 = example_model(2, cfg=cfg)
+    model2 = example_model(2)
     study = run_wealth_study(model2, SimConfig(n_paths=64, n_steps=16, seed=7),
-                             "mmv", cfg=cfg)
+                             "mmv")
     shortfall = np.maximum(1.0 - study.terminal_wealth, 0.0)
     gap = float(np.abs(shortfall - study.capped_exponential).max())
     checks.append(_check("pathwise_identity_gap", gap, 0.0, 1e-12))
@@ -811,8 +794,7 @@ def _selftest_checks(cfg) -> list[dict]:
 
 
 def _cmd_selftest(args) -> int:
-    cfg = _quad_config(args)
-    checks = _selftest_checks(cfg)
+    checks = _selftest_checks()
     all_pass = all(c["pass"] for c in checks)
     n_pass = sum(1 for c in checks if c["pass"])
     print(f"selftest: {n_pass}/{len(checks)} checks passed", file=sys.stderr)
@@ -834,8 +816,6 @@ def _add_output_flags(sp) -> None:
                     help="write the report to this file instead of stdout")
     sp.add_argument("--format", choices=("json", "csv", "text"),
                     default="json", help="report format (default json)")
-    sp.add_argument("--tol-quad", dest="tol_quad", type=float, default=None,
-                    metavar="X", help="quadrature tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,22 +1,21 @@
 """Drift of a variation of the driving process.
 
-For a smooth-enough function xi with xi(0) = 0, the image process
-xi(increments) is again of the modeled class, and its per-unit-activity
-drift is
+For a function xi with xi(0) = 0, the image process xi(increments) is
+again of the modeled class, and its per-unit-activity drift is
 
     grad0 . b_trunc + tr(hess0 . cov)/2 + integral of (xi - grad0 . h) dF,
 
-where h is the componentwise unit truncation.  The value lives in
-R union {-inf}: the negative part of the jump integral may diverge, in
-which case the drift is -inf by convention; a divergent positive part
-means no drift exists and raises NonIntegrable.
+where h is the componentwise unit truncation.  A variation carries that
+compensated jump integrand: in one dimension a `Pieces` polynomial
+between the kinks -1, 1 and 1/lam, which atom laws evaluate and density
+laws integrate exactly (`_quad`); in several, where only atom laws
+exist, a vectorized callable.
 
-Divergence is decided analytically when possible: each measure family
-reports the supremum of its finite one-sided moment orders, and the
-integrand carries a polynomial growth tag.  When the tag meets or
-exceeds the available order, the integrand's actual growth is probed on
-that side (a capped integrand tagged "quadratic" is really bounded past
-its kink, so probing prevents false infinities).
+The value lives in R union {-inf}.  A tail diverges exactly when a
+nonzero coefficient meets an infinite partial moment, in the direction
+of the coefficient's sign: a divergent negative part makes the drift
+-inf by convention, a divergent positive part (or both) raises
+NonIntegrable.
 """
 from __future__ import annotations
 
@@ -25,42 +24,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
-from .errors import NonIntegrable, QuadratureError, UnsupportedMeasure
-from .measures import FiniteAtoms, JumpMeasure, truncate
+from ._quad import Pieces
+from .errors import NonIntegrable, UnsupportedMeasure
+from .measures import FiniteAtoms
 from .model import LocalCharacteristics
 
 #: drift values are floats extended with -inf (never +inf)
 ExtendedReal = float
 
-GROWTH_ORDERS = {"bounded": 0.0, "linear": 1.0, "quadratic": 2.0,
-                 "superquadratic": math.inf}
-
 
 @dataclass(frozen=True)
 class VariationFunction:
-    """Vectorized integrand with its local expansion and tail metadata.
+    """Compensated jump integrand of a variation with its local expansion.
 
-    fn must vanish at the origin; grad0 and hess0 are its gradient and
-    (symmetric) Hessian there.  `growth` is a worst-case polynomial
-    growth tag used by the divergence screen, and `kinks` lists the
-    one-dimensional outer-coordinate points where fn or its derivative
-    jumps, so quadrature can split there.
+    integrand is x -> xi(x) - grad0 . h(x): a `Pieces` in one dimension,
+    a vectorized callable on (n, d) points otherwise.  grad0 and hess0
+    are xi's gradient and (symmetric) Hessian at the origin.
     """
 
-    fn: object
+    integrand: object
     grad0: np.ndarray
     hess0: np.ndarray
-    growth: str = "quadratic"
-    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.grad0, dtype=float))
         H = np.atleast_2d(np.asarray(self.hess0, dtype=float))
         if H.shape != (g.size, g.size):
             raise ValueError("hessian shape does not match gradient")
-        if self.growth not in GROWTH_ORDERS:
-            raise ValueError(f"unknown growth tag {self.growth!r}")
         object.__setattr__(self, "grad0", g)
         object.__setattr__(self, "hess0", 0.5 * (H + H.T))
 
@@ -69,61 +59,33 @@ class VariationFunction:
         return self.grad0.size
 
 
-def _compensated(xi: VariationFunction):
-    """The jump integrand xi(x) - grad0 . h(x), vectorized."""
-    d = xi.dim
-    g = xi.grad0
+def kinked_variation(lam: float, below, above, at_bliss: float,
+                     grad0, hess0) -> VariationFunction:
+    """The one-dimensional variation x -> F(lam x), compensated by grad0 h.
 
-    if d == 1:
-        g0 = float(g[0])
-
-        def psi(x):
-            x = np.asarray(x, dtype=float)
-            h = np.where(np.abs(x) <= 1.0, x, 0.0)
-            return np.asarray(xi.fn(x), dtype=float) - g0 * h
-
-        return psi
-
-    def psi(x):
-        return np.asarray(xi.fn(x), dtype=float) - truncate(x) @ g
-
-    return psi
-
-
-def _breakpoints(xi: VariationFunction) -> tuple[float, ...]:
-    pts = list(xi.kinks)
-    if float(np.max(np.abs(xi.grad0))) != 0.0:
-        pts.extend((-1.0, 1.0))     # truncation term jumps at the unit box
-    return tuple(pts)
+    F is the polynomial with coefficient row `below` (in x) where
+    lam x < 1, the row `above` where lam x > 1, and at_bliss at the
+    bliss point x = 1/lam itself.  h takes its inner values at -1 and 1.
+    """
+    g0 = float(np.atleast_1d(grad0)[0])
+    bliss = 1.0 / lam if lam != 0.0 else math.inf
+    edges = sorted({-1.0, 1.0, bliss} - {math.inf})
+    bounds = [edges[0] - 1.0, *edges, edges[-1] + 1.0]
+    coef, at = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        row = np.array(below if lam * mid < 1.0 else above, dtype=float)
+        if abs(mid) < 1.0:
+            row[1] -= g0
+        coef.append(row)
+    for e in edges:
+        row = below if lam * e < 1.0 else above
+        value = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e
+        at.append(value - g0 * e if abs(e) <= 1.0 else value)
+    return VariationFunction(Pieces(edges, coef, at), grad0, hess0)
 
 
-def _probe_growth(psi, side: int, scale: float) -> tuple[float, float]:
-    """Estimated polynomial order of |psi| on one tail, and psi's sign there."""
-    t0 = max(2.0, 2.0 * scale)
-    pts = side * t0 * np.array([1.0, 4.0, 16.0, 64.0])
-    vals = np.asarray(psi(pts), dtype=float)
-    mags = np.abs(vals)
-    if float(mags.max()) < 1e-12:
-        return 0.0, 0.0
-    lo = max(float(mags[0]), 1e-300)
-    hi = max(float(mags[-1]), 1e-300)
-    order = math.log(hi / lo) / math.log(abs(pts[-1] / pts[0]))
-    return max(order, 0.0), float(np.sign(vals[-1]))
-
-
-def _screen_side(psi, jumps: JumpMeasure, side: int, tag_order: float) -> str:
-    """Classify one tail: 'safe', 'neg_diverge' or 'pos_diverge'."""
-    order = jumps.moment_sup_order(side)
-    if tag_order < order:
-        return "safe"
-    est, sign = _probe_growth(psi, side, jumps.support_scale())
-    if est <= max(order - 0.5, 0.0):
-        return "safe"
-    return "neg_diverge" if sign < 0.0 else "pos_diverge"
-
-
-def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics,
-                       cfg: QuadConfig = DEFAULT_QUAD) -> ExtendedReal:
+def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics) -> ExtendedReal:
     """Per-unit-activity drift of the variation xi of the increments.
 
     Returns -inf when the negative part of the jump integral diverges;
@@ -135,24 +97,7 @@ def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics,
     jumps = chars.jumps
     if jumps is None:
         return head
-    psi = _compensated(xi)
-    if isinstance(jumps, FiniteAtoms):
-        return head + jumps.integrate(psi)
-
-    tag = GROWTH_ORDERS[xi.growth]
-    states = {_screen_side(psi, jumps, side, tag) for side in (-1, +1)}
-    if "neg_diverge" in states and "pos_diverge" in states:
-        raise NonIntegrable("both tails of the variation diverge")
-    if "neg_diverge" in states:
-        return -math.inf
-    if "pos_diverge" in states:
-        raise NonIntegrable("positive part of the variation diverges")
-
-    val = jumps.integrate(psi, _breakpoints(xi), cfg)
-    if math.isnan(val):
-        raise QuadratureError("jump integral did not evaluate")
-    if val == -math.inf:
-        return -math.inf
-    if val == math.inf:
+    val = jumps.integrate(xi.integrand)
+    if not (isinstance(jumps, FiniteAtoms) or val < math.inf):   # inf, or nan: both tails
         raise NonIntegrable("positive part of the variation diverges")
     return head + val

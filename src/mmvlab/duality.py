@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .aggregate import (CumulativeUtility, Solution, _split_schedule,
                         cumulative_local_utility, det_stoch_exponential,
                         global_values, solve_schedule)
-from .drift import VariationFunction, drift_of_variation
+from .drift import VariationFunction, drift_of_variation, kinked_variation
 from .errors import InfiniteValue
-from .localutil import UtilityKind, _kind
-from .model import MarketModel
+from .localutil import UtilityKind, _kind, utility_slope
+from .measures import _row_sums, truncate
+from .model import MarketModel, ScheduledJumps
 from .optimize import foc_residual
 
 _MASS_TOL = 1e-12
@@ -85,8 +85,27 @@ class CoincidenceReport:
     note: str
 
 
-def sigma_martingale_residual(model: MarketModel, schedule, kind,
-                              cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def _jump_residuals(atoms: ScheduledJumps, lams: np.ndarray, kind) -> np.ndarray:
+    """The (T, d) first-order residuals at the scheduled jumps from the
+    table's columns: `JumpAtom.chars`'s drift plus each law's sum of
+    m (x_i g'(lam . x) - h_i), all laws at once in one dimension and
+    with np.dot per law in several, as each `FiniteAtoms` sums itself."""
+    x, m, h = atoms.points, atoms.masses, truncate(atoms.points)
+    if atoms.dim == 1:
+        slope = utility_slope(kind, atoms.scaled(lams))
+        return (_row_sums(m * h[:, 0], atoms.row, len(atoms))
+                + atoms.integrate(x[:, 0] * slope - h[:, 0]))[:, None]
+    out = np.empty((len(atoms), atoms.dim))
+    ends = atoms.offsets.tolist()
+    for t, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        slope = utility_slope(kind, x[lo:hi] @ lams[t])
+        for i in range(atoms.dim):
+            out[t, i] = np.dot(m[lo:hi], h[lo:hi, i]) + np.dot(
+                m[lo:hi], x[lo:hi, i] * slope - h[lo:hi, i])
+    return out
+
+
+def sigma_martingale_residual(model: MarketModel, schedule, kind) -> np.ndarray:
     """Drift of the density-weighted increments at each time point.
 
     Identical to the first-order-condition gradient at the scheduled
@@ -97,17 +116,14 @@ def sigma_martingale_residual(model: MarketModel, schedule, kind,
     """
     kind = _kind(kind)
     seg_lams, atom_lams = _split_schedule(model, schedule)
-    out = [foc_residual(lam, seg.chars, kind, cfg)
-           for seg, lam in zip(model.segments, seg_lams)]
-    out.extend(foc_residual(lam, atom.chars, kind, cfg)
-               for atom, lam in zip(model.atoms, atom_lams))
-    res = np.array(out, dtype=float).reshape(-1, model.dim)
+    rows = [foc_residual(lam, seg.chars, kind) for seg, lam in zip(model.segments, seg_lams)]
+    res = np.concatenate([np.array(rows, dtype=float).reshape(-1, model.dim),
+                          _jump_residuals(model.atoms, atom_lams, kind)])
     res.setflags(write=False)
     return res
 
 
-def zero_density_probability(model: MarketModel, schedule,
-                             cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def zero_density_probability(model: MarketModel, schedule) -> float:
     """Probability that the dual density candidate hits zero.
 
     The density is absorbed at zero as soon as some increment crosses
@@ -140,8 +156,7 @@ def _crossing_free(model: MarketModel, schedule, strict: bool) -> bool:
                       > _MASS_TOL * (1.0 + atoms.total_mass()))
 
 
-def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
-                        solution: Solution | None = None,
+def density_diagnostics(model: MarketModel, solution: Solution | None = None,
                         residual_tol: float = 1e-8) -> DensityDiagnostics:
     """Moments, zero mass, equivalence and martingale check of the dual.
 
@@ -149,16 +164,16 @@ def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
     InfiniteValue when the dual value diverges (no density exists).
     """
     sol = solution if solution is not None else solve_schedule(
-        model, UtilityKind.MMV, cfg)
-    gv = global_values(cumulative_local_utility(model, sol.kind, cfg, sol))
+        model, UtilityKind.MMV)
+    gv = global_values(cumulative_local_utility(model, sol.kind, sol))
     if not gv.finite:
         raise InfiniteValue("dual value is infinite; no density candidate exists")
-    residuals = sigma_martingale_residual(model, sol, sol.kind, cfg)
+    residuals = sigma_martingale_residual(model, sol, sol.kind)
     return DensityDiagnostics(
         mean=1.0,
         second_moment=gv.scale,
         variance=gv.msr2,
-        p_zero=zero_density_probability(model, sol, cfg),
+        p_zero=zero_density_probability(model, sol),
         sigma_mart_residual=residuals,
         equivalent=_crossing_free(model, sol, strict=False),
         is_sigma_martingale=float(np.abs(residuals).max(initial=0.0)) <= residual_tol,
@@ -167,7 +182,6 @@ def density_diagnostics(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
 
 _Z_GRAD = {0: 0.0, 1: -1.0, 2: -2.0}
 _Z_HESS = {0: 0.0, 1: 0.0, 2: 2.0}
-_Z_GROWTH = {0: "bounded", 1: "linear", 2: "quadratic"}
 
 
 def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
@@ -192,24 +206,19 @@ def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
 
 def _mellin_variation(lam, p: int, even: bool) -> VariationFunction:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    d = lam.size
-    if d == 1:
-        l0 = float(lam[0])
-
-        def fn(x):
-            return _zeta(l0 * np.asarray(x, dtype=float), p, even)
-    else:
-        def fn(x):
-            return _zeta(np.asarray(x, dtype=float) @ lam, p, even)
-
-    kinks = (1.0 / float(lam[0]),) if d == 1 and lam[0] != 0.0 else ()
-    return VariationFunction(fn=fn, grad0=_Z_GRAD[p] * lam,
-                             hess0=_Z_HESS[p] * np.outer(lam, lam),
-                             growth=_Z_GROWTH[p], kinks=kinks)
+    grad, hess = _Z_GRAD[p] * lam, _Z_HESS[p] * np.outer(lam, lam)
+    if lam.size > 1:
+        return VariationFunction(lambda x: _zeta(x @ lam, p, even) - truncate(x) @ grad,
+                                 grad, hess)
+    l0 = float(lam[0])
+    # coefficient rows in x of _zeta(l0 x) below and above the bliss point
+    below = ((0.0, 0.0, 0.0), (0.0, -l0, 0.0), (0.0, -2.0 * l0, l0 * l0))[p]
+    above = (((0.0, 0.0, 0.0), (-2.0, l0, 0.0), (0.0, -2.0 * l0, l0 * l0)) if even else
+             ((-2.0, 0.0, 0.0), (0.0, -l0, 0.0), (-2.0, 2.0 * l0, -l0 * l0)))[p]
+    return kinked_variation(l0, below, above, -1.0, grad, hess)
 
 
-def mellin_sign_moments(model: MarketModel, schedule, p: int,
-                        cfg: QuadConfig = DEFAULT_QUAD) -> SignMoments:
+def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
     """Sign-split p-th moment of the signed dual density, p in {0, 1, 2}.
 
     Each half is a combination of two exponentials: drifts of the
@@ -224,15 +233,14 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int,
         acc = 0.0
         for seg, lam in zip(model.segments, seg_lams):
             acc += seg.length * drift_of_variation(
-                _mellin_variation(lam, p, even), seg.chars, cfg)
+                _mellin_variation(lam, p, even), seg.chars)
         jumps = model.atoms.integrate(_zeta(model.atoms.scaled(atom_lams), p, even))
         exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
 
 
-def mv_signed_measure(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
-                      solution: Solution | None = None) -> MVSignedMeasure:
+def mv_signed_measure(model: MarketModel, solution: Solution | None = None) -> MVSignedMeasure:
     """Sign structure of the plain-quadratic dual candidate.
 
     Solves the plain problem if no solution is passed.  Raises
@@ -240,12 +248,12 @@ def mv_signed_measure(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
     no separating object of this kind exists at all.
     """
     sol = solution if solution is not None else solve_schedule(
-        model, UtilityKind.MV, cfg)
-    gv = global_values(cumulative_local_utility(model, UtilityKind.MV, cfg, sol))
+        model, UtilityKind.MV)
+    gv = global_values(cumulative_local_utility(model, UtilityKind.MV, sol))
     if not gv.finite:
         raise InfiniteValue(
             "quadratic dual value is infinite; no separating measure exists")
-    sm0 = mellin_sign_moments(model, sol, 0, cfg)
+    sm0 = mellin_sign_moments(model, sol, 0)
     return MVSignedMeasure(
         mean=1.0,
         variance=gv.msr2,
@@ -265,8 +273,7 @@ def _square_integrable(model: MarketModel) -> bool:
                for side in (-1, +1))
 
 
-def compare_mv_mmv(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
-                   mv_solution: Solution | None = None,
+def compare_mv_mmv(model: MarketModel, mv_solution: Solution | None = None,
                    mmv_solution: Solution | None = None) -> CoincidenceReport:
     """Do the monotone and plain kinds share strategy and dual measure?
 
@@ -283,14 +290,14 @@ def compare_mv_mmv(model: MarketModel, cfg: QuadConfig = DEFAULT_QUAD,
                                  "increments are not square integrable; the "
                                  "equivalence theory does not apply")
     sol_mmv = mmv_solution if mmv_solution is not None else solve_schedule(
-        model, UtilityKind.MMV, cfg)
+        model, UtilityKind.MMV)
     gv_mmv = global_values(cumulative_local_utility(
-        model, UtilityKind.MMV, cfg, sol_mmv))
+        model, UtilityKind.MMV, sol_mmv))
     if not gv_mmv.finite:
         return CoincidenceReport("not_applicable", True, None, None,
                                  "monotone dual value is infinite")
     sol_mv = mv_solution if mv_solution is not None else solve_schedule(
-        model, UtilityKind.MV, cfg)
+        model, UtilityKind.MV)
     cap_ok = _crossing_free(model, sol_mv, strict=True)
     gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())
             / (1.0 + float(np.abs(b.lambda_hat).max()))

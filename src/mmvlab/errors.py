@@ -17,10 +17,6 @@ class UnsupportedMeasure(MmvLabError):
     """Operation not defined for this jump-measure family or dimension."""
 
 
-class QuadratureError(MmvLabError):
-    """Adaptive quadrature failed to converge within the order budget."""
-
-
 class NonIntegrable(MmvLabError):
     """Positive part of a variation integrand diverges; no drift exists."""
 

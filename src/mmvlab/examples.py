@@ -14,7 +14,6 @@ from importlib import resources
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import SchemaError
 from .model import (LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     build_model, cap_jumps)
@@ -86,8 +85,7 @@ def _example6_atoms(n_max: int) -> ScheduledJumps:
     return _bet_table(2.0 - 1.0 / nf, 1.0 / n2.astype(float), points, masses)
 
 
-def example_model(example_id: int, atoms_max: int | None = None,
-                  cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
+def example_model(example_id: int, atoms_max: int | None = None) -> MarketModel:
     """Build a bundled example market.
 
     `atoms_max` truncates the countable families (ids 5 and 6) at the
@@ -105,11 +103,10 @@ def example_model(example_id: int, atoms_max: int | None = None,
                            atoms=atoms, source=None)
     if atoms_max is not None:
         raise SchemaError("atoms_max applies only to examples 5 and 6")
-    return build_model(example_config(example_id), cfg)
+    return build_model(example_config(example_id))
 
 
-def capped_variant(model: MarketModel, cap: float,
-                   cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
+def capped_variant(model: MarketModel, cap: float) -> MarketModel:
     """The same market with every jump capped at `cap` from above.
 
     Capping bounds the upside, which restores square integrability for
@@ -119,7 +116,7 @@ def capped_variant(model: MarketModel, cap: float,
     if model.dim != 1:
         raise SchemaError("jump capping is implemented for one asset only")
     segments = tuple(
-        Segment(seg.t_start, seg.t_end, cap_jumps(seg.chars, cap, cfg))
+        Segment(seg.t_start, seg.t_end, cap_jumps(seg.chars, cap))
         for seg in model.segments)
     atoms = model.atoms.with_points(np.minimum(model.atoms.points, cap))
     return MarketModel(horizon=model.horizon, dim=model.dim,

@@ -24,9 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
-from .drift import ExtendedReal, VariationFunction, drift_of_variation
-from .measures import FiniteAtoms, _as_direction
+from .drift import ExtendedReal, VariationFunction, drift_of_variation, kinked_variation
+from .measures import FiniteAtoms, _as_direction, truncate
 from .model import LocalCharacteristics, MarketModel, small_jump_mean
 
 
@@ -60,25 +59,16 @@ def utility_slope(kind, u):
 
 
 def utility_variation(lam, kind, dim: int | None = None) -> VariationFunction:
-    """The variation x -> g(lam . x) with its expansion and kink data."""
+    """The variation x -> g(lam . x) with its expansion; piecewise in 1-d."""
     kind = _kind(kind)
     lam = _as_direction(lam, dim)
-    d = lam.size
-    if d == 1:
+    hess = -np.outer(lam, lam)
+    if lam.size == 1:
         l0 = float(lam[0])
-
-        def fn(x):
-            return utility(kind, l0 * np.asarray(x, dtype=float))
-    else:
-        def fn(x):
-            return utility(kind, np.asarray(x, dtype=float) @ lam)
-
-    kinks: tuple[float, ...] = ()
-    if kind is UtilityKind.MMV and d == 1 and lam[0] != 0.0:
-        kinks = (1.0 / float(lam[0]),)
-    growth = "bounded" if not np.any(lam) else "quadratic"
-    return VariationFunction(fn=fn, grad0=lam, hess0=-np.outer(lam, lam),
-                             growth=growth, kinks=kinks)
+        quad = (0.0, l0, -0.5 * l0 * l0)
+        frozen = quad if kind is UtilityKind.MV else (0.5, 0.0, 0.0)
+        return kinked_variation(l0, quad, frozen, 0.5, lam, hess)
+    return VariationFunction(lambda x: utility(kind, x @ lam) - truncate(x) @ lam, lam, hess)
 
 
 def slope_variation(lam, kind, component: int = 0,
@@ -95,32 +85,21 @@ def slope_variation(lam, kind, component: int = 0,
     d = lam.size
     if component < 0 or component >= d:
         raise ValueError("component out of range")
-    if d == 1:
-        l0 = float(lam[0])
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return x * utility_slope(kind, l0 * x)
-    else:
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return x[:, component] * utility_slope(kind, x @ lam)
-
     e = np.zeros(d)
     e[component] = 1.0
-    kinks: tuple[float, ...] = ()
-    if kind is UtilityKind.MMV and d == 1 and lam[0] != 0.0:
-        kinks = (1.0 / float(lam[0]),)
-    growth = "linear" if not np.any(lam) else "quadratic"
-    return VariationFunction(fn=fn, grad0=e,
-                             hess0=-(np.outer(e, lam) + np.outer(lam, e)),
-                             growth=growth, kinks=kinks)
+    hess = -(np.outer(e, lam) + np.outer(lam, e))
+    if d == 1:
+        l0 = float(lam[0])
+        linear = (0.0, 1.0, -l0)
+        frozen = linear if kind is UtilityKind.MV else (0.0, 0.0, 0.0)
+        return kinked_variation(l0, linear, frozen, 0.0, e, hess)
+    return VariationFunction(
+        lambda x: x[:, component] * utility_slope(kind, x @ lam) - truncate(x) @ e, e, hess)
 
 
-def local_utility(lam, chars: LocalCharacteristics, kind,
-                  cfg: QuadConfig = DEFAULT_QUAD) -> ExtendedReal:
+def local_utility(lam, chars: LocalCharacteristics, kind) -> ExtendedReal:
     """Drift of the utility variation at position direction lam."""
-    return drift_of_variation(utility_variation(lam, kind, chars.dim), chars, cfg)
+    return drift_of_variation(utility_variation(lam, kind, chars.dim), chars)
 
 
 def _diffuses(cov: np.ndarray, lam: np.ndarray) -> bool:
@@ -138,8 +117,7 @@ def _mass_tol(jumps) -> float:
     return 1e-13 * jumps.total_mass()
 
 
-def asymptotic_slope(direction, chars: LocalCharacteristics,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def asymptotic_slope(direction, chars: LocalCharacteristics) -> float:
     """Limit slope of the local utility along a ray, per unit of |lam|.
 
     The utility decays quadratically against any diffusion and drops to
@@ -157,7 +135,7 @@ def asymptotic_slope(direction, chars: LocalCharacteristics,
     if jumps is not None:
         if jumps.mass_scaled_ge(-lam, 0.0, strict=True) > _mass_tol(jumps):
             return -math.inf
-        sjm = small_jump_mean(chars, cfg)
+        sjm = small_jump_mean(chars)
     else:
         sjm = np.zeros(chars.dim)
     return float(lam @ (chars.b_trunc - sjm))
@@ -306,8 +284,7 @@ def _charged_outcomes(jumps, dim: int) -> np.ndarray:
                      if jumps.mass_scaled_ge([s], 0.0, strict=True) > tol]).reshape(-1, 1)
 
 
-def check_instantaneous_no_arbitrage(model: MarketModel,
-                                     cfg: QuadConfig = DEFAULT_QUAD) -> NoArbReport:
+def check_instantaneous_no_arbitrage(model: MarketModel) -> NoArbReport:
     """Scan every segment and scheduled jump for riskless-win directions.
 
     A direction wins without risk when it sees no diffusion, no charged
@@ -327,7 +304,7 @@ def check_instantaneous_no_arbitrage(model: MarketModel,
         w, V = np.linalg.eigh(ch.cov)
         null_c = V[:, w <= ch.dim * _EPS * max(float(w.max()), 0.0)]
         if null_c.size:
-            witness = _free_lunch(ch.b_trunc - small_jump_mean(ch, cfg), null_c,
+            witness = _free_lunch(ch.b_trunc - small_jump_mean(ch), null_c,
                                   _charged_outcomes(ch.jumps, ch.dim),
                                   _slope_tol(float(np.abs(ch.b_trunc).max())))
         if witness is not None:

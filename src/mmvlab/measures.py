@@ -2,9 +2,9 @@
 
 Every family supports the same small protocol:
 
-* ``integrate(f, breakpoints)``: integral of a vectorized integrand
-  against the (unnormalized) measure, with the domain split at the given
-  outer-coordinate breakpoints before quadrature,
+* ``integrate(f)``: integral against the (unnormalized) measure of a
+  `Pieces` integrand in one dimension; finite atoms also take a
+  vectorized callable, which several-dimensional laws need,
 * ``mass_scaled_ge(lam, level, strict)``: measure of the half-space
   ``{x : lam . x >= level}`` (strictly greater when asked),
 * ``moment_sup_order(side)``: supremum of the orders k for which the
@@ -13,10 +13,12 @@ Every family supports the same small protocol:
 * ``sample(gen, size)``: draws from the normalized probability law,
 * ``total_mass``, ``support_scale``.
 
-Wrapper families (exponential yield transform, cap) translate
-breakpoints and half-space queries into base coordinates recursively,
-so a capped exponential-yield Gaussian still integrates with exact
-kink placement.
+Atoms sum the integrand at their points; tabulated laws apply their
+trapezoid rule with its edges inserted in the grid.  The Gaussian and
+exponential-tail families integrate it exactly from partial moments
+(`_quad`), also in y = e^x - 1 under the exponential yield transform
+(lognormal and power-law moments); a cap adds one constant piece.  A
+divergent tail comes out as the infinity of its sign.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (DEFAULT_QUAD, GAUSS_SPAN, QuadConfig, hermite_gaussian,
-                    laguerre_tail, legendre_panel, split_points)
+from ._quad import (_FACT, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
+                    normal_local_moments, normal_probability, poly_shift, series_integral,
+                    yield_shift)
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
@@ -36,6 +39,11 @@ def truncate(x: np.ndarray) -> np.ndarray:
     """Componentwise truncation h(x)_i = x_i * 1{|x_i| <= 1}."""
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= TRUNCATION_BOUND, x, 0.0)
+
+
+#: the one-dimensional truncation h as an integrand: x on [-1, 1], else 0
+TRUNCATION_PIECES = Pieces((-1.0, 1.0), ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+                           (-1.0, 1.0))
 
 
 def _row_sums(values, rows, n_rows: int) -> np.ndarray:
@@ -57,27 +65,15 @@ def _as_direction(lam, dim: int | None) -> np.ndarray:
 
 
 class JumpMeasure:
-    """Base class; concrete families override the protocol methods."""
+    """Base class of the families, which implement the protocol above.
+
+    Every polynomial moment exists unless a family says otherwise.
+    """
 
     dim: int = 1
 
-    def total_mass(self) -> float:
-        raise NotImplementedError
-
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        raise NotImplementedError
-
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        raise NotImplementedError
-
     def moment_sup_order(self, side: int) -> float:
-        raise NotImplementedError
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def support_scale(self) -> float:
-        raise NotImplementedError
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class FiniteAtoms(JumpMeasure):
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    def integrate(self, f) -> float:
         if self.masses.size == 0:
             return 0.0
         x = self.points[:, 0] if self.dim == 1 else self.points
@@ -118,9 +114,6 @@ class FiniteAtoms(JumpMeasure):
         else:
             sel = s >= level - tol
         return float(self.masses[sel].sum())
-
-    def moment_sup_order(self, side: int) -> float:
-        return math.inf
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         p = self.masses / self.total_mass()
@@ -205,8 +198,48 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
+def _log(v: float) -> float:
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _powers_of_e(row) -> tuple[float, float, float]:
+    """q with c0 + c1 y + c2 y^2 = sum of q[j] e^{jx} at y = e^x - 1."""
+    c0, c1, c2 = row
+    return c0 - c1 + c2, c1 - 2.0 * c2, c2
+
+
+class _LogQuadratic(JumpMeasure):
+    """A density that is log-quadratic on each side of 0, integrated exactly.
+
+    Subclasses give the density's local form at a point (`_local`: log
+    density, alpha and gamma along direction s, as in `_quad`) and the
+    closed form of a long piece (`_long`).
+    """
+
+    def integrate(self, f: Pieces) -> float:
+        return self._exact(f, False)
+
+    def _exact(self, f: Pieces, yields: bool) -> float:
+        """Integral of f(x), or of f(e^x - 1) when yields, against the density."""
+        total = 0.0
+        for lo, hi, row in f.spans(-1.0 if yields else -math.inf):
+            if yields:
+                lo, hi = (-math.inf if lo == -1.0 else math.log1p(lo)), math.log1p(hi)
+            x0, s = (lo, 1.0) if lo >= 0.0 else (hi, -1.0)
+            w = hi - lo
+            log_rho, alpha, gamma = self._local(x0, s)
+            if log_rho == -math.inf:
+                continue
+            if abs(alpha) * w + gamma * w * w <= 1.0 and (w <= 1.0 or not yields):
+                coef = yield_shift(row, x0, s, w) if yields else poly_shift(row, x0, s, w)
+                total += math.exp(log_rho) * series_integral(coef, alpha, gamma, w)
+            else:
+                total += self._long(row, lo, hi, x0, s, log_rho, alpha, w, yields)
+        return total
+
+
 @dataclass(frozen=True)
-class Gaussian1D(JumpMeasure):
+class Gaussian1D(_LogQuadratic):
     """Gaussian jump density with intensity ``rate``: rate * N(mean, variance)."""
 
     mean: float
@@ -228,23 +261,24 @@ class Gaussian1D(JumpMeasure):
     def total_mass(self) -> float:
         return self.rate
 
-    def _pdf(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mean) / self.sd
-        return self.rate * np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+    def _local(self, x0: float, s: float):
+        z0 = (x0 - self.mean) / self.sd
+        log_rho = _log(self.rate / (self.sd * math.sqrt(2.0 * math.pi))) - 0.5 * z0 * z0
+        return log_rho, s * z0 / self.sd, 0.5 / self.variance
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        if self.rate == 0.0:
-            return 0.0
-        lo = self.mean - GAUSS_SPAN * self.sd
-        hi = self.mean + GAUSS_SPAN * self.sd
-        inner = [p for p in breakpoints if lo < p < hi]
-        if not inner:
-            return self.rate * hermite_gaussian(f, self.mean, self.sd, cfg)
-        total = 0.0
-        edges = split_points(lo, hi, inner)
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += legendre_panel(lambda x: np.asarray(f(x)) * self._pdf(x), a, b, cfg)
-        return total
+    def _long(self, row, lo, hi, x0, s, log_rho, alpha, w, yields) -> float:
+        mu, sd = self.mean, self.sd
+        eta = s * (x0 - mu) / sd
+        if not yields or sd * (max(-eta, 0.0) + 3.0) <= 1.0:
+            # local normal moments in units of sd from the near end; under
+            # the yield transform this sums the Taylor series of y there,
+            # which far below e^{jx} would cancel in lognormal moments
+            coef = (yield_shift if yields else poly_shift)(row, x0, s, sd)
+            return self.rate * float(coef @ normal_local_moments(eta, w / sd, coef.size))
+        za, zb = (lo - mu) / sd, (hi - mu) / sd
+        lognormal = [self.rate * math.exp(j * mu + 0.5 * j * j * self.variance)
+                     * normal_probability(za - j * sd, zb - j * sd) for j in range(3)]
+        return dot_moments(_powers_of_e(row), lognormal)
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         lam = float(_as_direction(lam, 1)[0])
@@ -256,9 +290,6 @@ class Gaussian1D(JumpMeasure):
         upper = self.rate * (1.0 - _norm_cdf(z))
         return upper if lam > 0.0 else self.rate - upper
 
-    def moment_sup_order(self, side: int) -> float:
-        return math.inf
-
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.normal(self.mean, self.sd, size=size)
 
@@ -267,7 +298,7 @@ class Gaussian1D(JumpMeasure):
 
 
 @dataclass(frozen=True)
-class ExpTails1D(JumpMeasure):
+class ExpTails1D(_LogQuadratic):
     """Two-sided exponential density c_minus e^{a x} 1{x<0} + c_plus e^{-b x} 1{x>0}."""
 
     c_minus: float
@@ -284,27 +315,22 @@ class ExpTails1D(JumpMeasure):
     def total_mass(self) -> float:
         return self.c_minus / self.a + self.c_plus / self.b
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        total = 0.0
-        left_edges = sorted(set([0.0] + [float(p) for p in breakpoints if p < 0.0]))
-        right_edges = sorted(set([0.0] + [float(p) for p in breakpoints if p > 0.0]))
-        if self.c_minus > 0.0:
-            e0 = left_edges[0]
-            total += (self.c_minus * math.exp(self.a * e0)
-                      * laguerre_tail(f, e0, self.a, -1, cfg))
-            for lo, hi in zip(left_edges[:-1], left_edges[1:]):
-                total += legendre_panel(
-                    lambda x: np.asarray(f(x)) * self.c_minus * np.exp(self.a * x),
-                    lo, hi, cfg)
-        if self.c_plus > 0.0:
-            s0 = right_edges[-1]
-            total += (self.c_plus * math.exp(-self.b * s0)
-                      * laguerre_tail(f, s0, self.b, +1, cfg))
-            for lo, hi in zip(right_edges[:-1], right_edges[1:]):
-                total += legendre_panel(
-                    lambda x: np.asarray(f(x)) * self.c_plus * np.exp(-self.b * x),
-                    lo, hi, cfg)
-        return total
+    def _local(self, x0: float, s: float):
+        if s > 0.0:
+            return _log(self.c_plus) - self.b * x0, self.b, 0.0
+        return _log(self.c_minus) + self.a * x0, self.a, 0.0
+
+    def _long(self, row, lo, hi, x0, s, log_rho, alpha, w, yields) -> float:
+        if not yields:
+            return math.exp(log_rho) * float(poly_shift(row, x0, s) @ exp_moments(alpha, w))
+        if alpha >= 5.0:
+            # a steep tail keeps its mass where y^k is far below e^{jx}:
+            # sum the Taylor series of y against incomplete gamma moments
+            moments = _FACT * gamma_ratios(alpha * w)
+            return math.exp(log_rho) / alpha * float(yield_shift(row, x0, s, 1.0 / alpha) @ moments)
+        powers = [math.exp(log_rho + j * x0) * exp_integral(alpha - j * s, w)
+                  for j in range(3)]
+        return dot_moments(_powers_of_e(row), powers)
 
     def _mass_above(self, t: float) -> float:
         if t >= 0.0:
@@ -319,9 +345,6 @@ class ExpTails1D(JumpMeasure):
         t = level / lam
         above = self._mass_above(t)
         return above if lam > 0.0 else self.total_mass() - above
-
-    def moment_sup_order(self, side: int) -> float:
-        return math.inf
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         p_plus = (self.c_plus / self.b) / self.total_mass()
@@ -367,9 +390,12 @@ class TabulatedDensity1D(JumpMeasure):
     def total_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        x, d = self._with_points(breakpoints)
+    def _trapezoid(self, f, points) -> float:
+        x, d = self._with_points(points)
         return float(np.trapezoid(np.asarray(f(x), dtype=float) * d, x))
+
+    def integrate(self, f: Pieces) -> float:
+        return self._trapezoid(f, f.edges)
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         lam = float(_as_direction(lam, 1)[0])
@@ -384,9 +410,6 @@ class TabulatedDensity1D(JumpMeasure):
         if np.count_nonzero(keep) < 2:
             return 0.0
         return float(np.trapezoid(d[keep], x[keep]))
-
-    def moment_sup_order(self, side: int) -> float:
-        return math.inf
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         cdf = np.concatenate([[0.0], np.cumsum(
@@ -411,9 +434,13 @@ class ExpYieldMeasure(JumpMeasure):
     def total_mass(self) -> float:
         return self.base.total_mass()
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        inner = [math.log1p(p) for p in breakpoints if p > -1.0]
-        return self.base.integrate(lambda x: f(np.expm1(x)), inner, cfg)
+    def integrate(self, f: Pieces) -> float:
+        if isinstance(self.base, _LogQuadratic):
+            return self.base._exact(f, True)
+        if not isinstance(self.base, TabulatedDensity1D):
+            raise UnsupportedMeasure("no exponential yield integral for this base family")
+        return self.base._trapezoid(lambda x: f(np.expm1(x)),
+                                    np.log1p(f.edges[f.edges > -1.0]))
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         lam = float(_as_direction(lam, 1)[0])
@@ -462,9 +489,8 @@ class CappedMeasure(JumpMeasure):
     def total_mass(self) -> float:
         return self.base.total_mass()
 
-    def integrate(self, f, breakpoints=(), cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        inner = [p for p in breakpoints if p < self.cap] + [self.cap]
-        return self.base.integrate(lambda y: f(np.minimum(y, self.cap)), inner, cfg)
+    def integrate(self, f: Pieces) -> float:
+        return self.base.integrate(f.capped(self.cap))
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         lam = float(_as_direction(lam, 1)[0])

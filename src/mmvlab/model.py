@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .errors import InvariantError, SchemaError, UnsupportedMeasure
 from .measures import (CappedMeasure, ExpTails1D, ExpYieldMeasure, FiniteAtoms,
-                       Gaussian1D, JumpMeasure, TabulatedDensity1D, _row_sums,
-                       merge_atoms, merge_rows, row_blocks, row_reduce,
+                       Gaussian1D, JumpMeasure, TabulatedDensity1D, TRUNCATION_PIECES,
+                       _row_sums, merge_atoms, merge_rows, row_blocks, row_reduce,
                        truncate)
 
 _TIME_TOL = 1e-12
@@ -270,17 +269,27 @@ class MarketModel:
             raise InvariantError("scheduled-jump dimension does not match the model")
 
 
-def small_jump_mean(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def small_jump_mean(chars: LocalCharacteristics) -> np.ndarray:
     """Integral of the truncation h against the jump measure, componentwise."""
     d = chars.dim
     if chars.jumps is None:
         return np.zeros(d)
-    return np.array([chars.jumps.integrate(
-        truncate if d == 1 else lambda x, i=i: truncate(x)[:, i],
-        breakpoints=(-1.0, 1.0), cfg=cfg) for i in range(d)])
+    if d == 1:
+        return np.array([chars.jumps.integrate(TRUNCATION_PIECES)])
+    return np.array([chars.jumps.integrate(lambda x, i=i: truncate(x)[:, i])
+                     for i in range(d)])
 
 
-def exp_transform(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD) -> LocalCharacteristics:
+def _retruncated(chars: LocalCharacteristics, image: JumpMeasure) -> LocalCharacteristics:
+    """The same drift and diffusion with jumps replaced by their image:
+    the truncated drift gains the integral of h under the image minus
+    that under the original jumps."""
+    b = chars.b_trunc + (image.integrate(TRUNCATION_PIECES)
+                         - chars.jumps.integrate(TRUNCATION_PIECES))
+    return LocalCharacteristics(b, chars.cov, image)
+
+
+def exp_transform(chars: LocalCharacteristics) -> LocalCharacteristics:
     """Characteristics of the yield process jumping by e^x - 1.
 
     The diffusion matrix and total jump mass are unchanged; the
@@ -289,28 +298,15 @@ def exp_transform(chars: LocalCharacteristics, cfg: QuadConfig = DEFAULT_QUAD) -
     """
     if chars.dim != 1:
         raise UnsupportedMeasure("exponential yield transform is one-dimensional")
-    c = float(chars.cov[0, 0])
-    b = float(chars.b_trunc[0]) + 0.5 * c
+    ito = LocalCharacteristics(chars.b_trunc + 0.5 * chars.cov[0], chars.cov, chars.jumps)
     jumps = chars.jumps
     if jumps is None:
-        return LocalCharacteristics(np.array([b]), chars.cov, None)
-
-    LN2 = math.log(2.0)
-
-    def retrunc(x):
-        y = np.expm1(x)
-        return np.where(np.abs(y) <= 1.0, y, 0.0) - np.where(np.abs(x) <= 1.0, x, 0.0)
-
-    b += jumps.integrate(retrunc, breakpoints=(-1.0, LN2, 1.0), cfg=cfg)
-    if isinstance(jumps, FiniteAtoms):
-        image = merge_atoms(np.expm1(jumps.points), jumps.masses)
-    else:
-        image = ExpYieldMeasure(jumps)
-    return LocalCharacteristics(np.array([b]), chars.cov, image)
+        return ito
+    return _retruncated(ito, merge_atoms(np.expm1(jumps.points), jumps.masses)
+                        if isinstance(jumps, FiniteAtoms) else ExpYieldMeasure(jumps))
 
 
-def cap_jumps(chars: LocalCharacteristics, cap: float,
-              cfg: QuadConfig = DEFAULT_QUAD) -> LocalCharacteristics:
+def cap_jumps(chars: LocalCharacteristics, cap: float) -> LocalCharacteristics:
     """Characteristics after capping jumps at `cap` (one-dimensional).
 
     Used to build variants whose scaled jumps stay at or below one; the
@@ -321,18 +317,8 @@ def cap_jumps(chars: LocalCharacteristics, cap: float,
     jumps = chars.jumps
     if jumps is None:
         return chars
-    b = float(chars.b_trunc[0])
-
-    def retrunc(y):
-        z = np.minimum(y, cap)
-        return np.where(np.abs(z) <= 1.0, z, 0.0) - np.where(np.abs(y) <= 1.0, y, 0.0)
-
-    b += jumps.integrate(retrunc, breakpoints=(-1.0, 1.0, cap), cfg=cfg)
-    if isinstance(jumps, FiniteAtoms):
-        image = merge_atoms(np.minimum(jumps.points, cap), jumps.masses)
-    else:
-        image = CappedMeasure(jumps, cap)
-    return LocalCharacteristics(np.array([b]), chars.cov, image)
+    return _retruncated(chars, merge_atoms(np.minimum(jumps.points, cap), jumps.masses)
+                        if isinstance(jumps, FiniteAtoms) else CappedMeasure(jumps, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +573,7 @@ def _parse_atoms(raw, dim: int, horizon: float, exp: bool):
     return table, norm
 
 
-def build_model(config: dict, cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
+def build_model(config: dict) -> MarketModel:
     """Validate a config mapping and assemble the market model.
 
     Raises SchemaError for malformed documents and InvariantError for
@@ -634,7 +620,7 @@ def build_model(config: dict, cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
         jumps = _parse_jumps(seg.get("jumps"), dim, where + ".jumps")
         chars = LocalCharacteristics(b, c, jumps)
         if kind == "zero":
-            chars = LocalCharacteristics(b + small_jump_mean(chars, cfg), c, jumps)
+            chars = LocalCharacteristics(b + small_jump_mean(chars), c, jumps)
         norm_segments.append({"t_start": t0, "t_end": t1, "b_kind": "trunc",
                               "b": [float(v) for v in chars.b_trunc] if dim > 1
                               else float(chars.b_trunc[0]),
@@ -642,7 +628,7 @@ def build_model(config: dict, cfg: QuadConfig = DEFAULT_QUAD) -> MarketModel:
                               else float(chars.cov[0, 0]),
                               "jumps": _serialize_jumps(jumps)})
         if transform == "exp":
-            chars = exp_transform(chars, cfg)
+            chars = exp_transform(chars)
         segments.append(Segment(t0, t1, chars))
     if abs(cursor - horizon) > _TIME_TOL:
         raise InvariantError("segments must cover [0, horizon)")

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .aggregate import Solution, _split_schedule, solve_schedule
 from .errors import InvariantError, UnsupportedMeasure
 from .localutil import UtilityKind, _kind, utility
@@ -111,7 +110,7 @@ class PathSet:
 class _Grid:
     """Row layout of the step grid and the data one block of draws needs."""
 
-    def __init__(self, model: MarketModel, n_steps: int, cfg: QuadConfig):
+    def __init__(self, model: MarketModel, n_steps: int):
         self.dim = model.dim
         rows = []   # (t_end, tie, dt, seg, atom): steps sort before a
         t0 = 0.0    # jump scheduled at the same instant
@@ -152,7 +151,7 @@ class _Grid:
                     "infinite-activity jump measure cannot be simulated")
             seg_rows = np.flatnonzero(self.seg_index == i)
             dt = self.dt[seg_rows]
-            b0 = np.atleast_1d(chars.b_trunc) - small_jump_mean(chars, cfg)
+            b0 = np.atleast_1d(chars.b_trunc) - small_jump_mean(chars)
             self.drift[seg_rows] = b0[None, :] * dt[:, None]
             cov = np.atleast_2d(chars.cov)
             if np.any(cov):
@@ -257,15 +256,14 @@ def _blocks(sim: SimConfig, grid: _Grid):
         yield first, inc[:sim.n_paths - first]
 
 
-def simulate_paths(model: MarketModel, sim: SimConfig,
-                   cfg: QuadConfig = DEFAULT_QUAD) -> PathSet:
+def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
     """Simulate increments of the yield process on the step grid.
 
     Materializes the full (n_paths, n_rows, dim) array; for large
     studies prefer run_wealth_study, which streams paths and keeps only
     terminal quantities.
     """
-    grid = _Grid(model, sim.n_steps, cfg)
+    grid = _Grid(model, sim.n_steps)
     n_bytes = sim.n_paths * grid.n_rows * grid.dim * 8
     if n_bytes > 2 ** 31:
         raise InvariantError(
@@ -387,8 +385,7 @@ class WealthStudy:
 
 def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
                      x: float = 0.0, gamma: float = 1.0, scale: float = 1.0,
-                     solution: Solution | None = None,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> WealthStudy:
+                     solution: Solution | None = None) -> WealthStudy:
     """Simulate and reduce to terminal wealth without storing paths.
 
     Solves for the optimal schedule when none is passed.  Memory is
@@ -396,8 +393,8 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     """
     kind = _kind(kind)
     if solution is None:
-        solution = solve_schedule(model, kind, cfg)
-    grid = _Grid(model, sim.n_steps, cfg)
+        solution = solve_schedule(model, kind)
+    grid = _Grid(model, sim.n_steps)
     lam_rows = _row_directions(model, grid.seg_index, grid.atom_index, solution)
     bliss = _bliss(x, gamma, scale)
     mmv = kind is UtilityKind.MMV

@@ -22,8 +22,9 @@ represented; both are flagged unbounded and reported at the origin.
 
 One-dimensional laws given by a density are first restricted to the
 directions whose tail moments support a finite value, and monotone-kind
-rays are classified by their asymptotic slope.  The slope of the local
-utility along the allowed side never increases, so the maximizer is the
+rays are classified by their asymptotic slope.  Slopes and values are
+exact sums of partial moments (`_quad`) at every scale of lam.  The
+slope along the allowed side never increases, so the maximizer is the
 first point where it stops pointing outward: a bracket grown from the
 law's scale by factors of 4, Chandrupatla's interpolating steps on the
 slope and a bisection down to adjacent doubles find it, in about ten
@@ -48,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, QuadConfig
 from .drift import drift_of_variation
-from .errors import NonIntegrable, OptimizationError, QuadratureError
+from .errors import NonIntegrable, OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _slope_tol,
                         asymptotic_slope, local_utility, slope_variation, utility,
                         utility_slope)
@@ -140,21 +140,19 @@ class AtomOptima(Sequence):
     __hash__ = None
 
 
-def foc_residual(lam, chars: LocalCharacteristics, kind,
-                 cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
     """Gradient of the local utility: drift of x_i g'(lam . x) per component."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     out = np.empty(chars.dim)
     for i in range(chars.dim):
-        out[i] = drift_of_variation(slope_variation(lam, kind, i, chars.dim),
-                                    chars, cfg)
+        out[i] = drift_of_variation(slope_variation(lam, kind, i, chars.dim), chars)
     return out
 
 
-def _try_foc(lam, chars, kind, cfg) -> np.ndarray | None:
+def _try_foc(lam, chars, kind) -> np.ndarray | None:
     try:
-        res = foc_residual(lam, chars, kind, cfg)
-    except (NonIntegrable, QuadratureError):
+        res = foc_residual(lam, chars, kind)
+    except NonIntegrable:
         return None
     return res if np.all(np.isfinite(res)) else None
 
@@ -335,10 +333,10 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
     return B, w, V, curved, riskless
 
 
-def _unbounded_at_origin(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+def _unbounded_at_origin(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """An unbounded time point reported like a riskless row: lam = 0, value 0."""
     zero = np.zeros(chars.dim)
-    return LocalOptimum(zero, 0.0, _try_foc(zero, chars, kind, cfg), "unbounded_flagged")
+    return LocalOptimum(zero, 0.0, _try_foc(zero, chars, kind), "unbounded_flagged")
 
 
 def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
@@ -412,8 +410,7 @@ def _ties(chars: LocalCharacteristics, kind, lam, curved) -> bool:
     return _cone_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ V[:, ~curved]) is not None
 
 
-def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg,
-                        capped=None) -> LocalOptimum:
+def _maximize_quadratic(chars: LocalCharacteristics, kind, capped=None) -> LocalOptimum:
     """Minimum-norm maximizer lam = C_S^+ B_S on finite atoms or no jumps.
 
     S is the set of capped atoms: empty for the plain kind, which is
@@ -424,16 +421,16 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, cfg,
     """
     B, w, V, curved, riskless = _quadratic_form(chars, capped)
     if riskless:
-        return _unbounded_at_origin(chars, kind, cfg)
+        return _unbounded_at_origin(chars, kind)
     with np.errstate(over="ignore", invalid="ignore"):
         lam = V[:, curved] @ ((V[:, curved].T @ B) / w[curved])
-        value = (local_utility(lam, chars, kind, cfg) if np.isfinite(lam).all()
+        value = (local_utility(lam, chars, kind) if np.isfinite(lam).all()
                  else math.nan)
     if not math.isfinite(value):
-        return _unbounded_at_origin(chars, kind, cfg)
+        return _unbounded_at_origin(chars, kind)
     if value < 0.0:
         lam, value = np.zeros(chars.dim), 0.0
-    res = foc_residual(lam, chars, kind, cfg)
+    res = foc_residual(lam, chars, kind)
     flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
     return LocalOptimum(lam, float(value), res, flag, _ties(chars, kind, lam, curved))
 
@@ -504,7 +501,7 @@ def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
     return hi, f_hi
 
 
-def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
+def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """Root of the slope for a one-dimensional jump law given by a density.
 
     The slope of the concave local utility never increases away from the
@@ -520,7 +517,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     else:
         allow_pos = ok_neg   # losses come from the left tail
         allow_neg = ok_pos
-    res0 = _try_foc([0.0], chars, kind, cfg)
+    res0 = _try_foc([0.0], chars, kind)
 
     def finish(lam, val, res, flag=None, tie=False):
         if flag is None:
@@ -541,15 +538,15 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
             jumps.mass_scaled_ge(np.array([s]), 0.0, strict=True) <= _mass_tol(jumps)
             for s in (-1.0, 1.0)):
         # no risk at all: the value is linear in lam
-        flat = abs(asymptotic_slope([1.0], chars, cfg)) <= slope_tol
+        flat = abs(asymptotic_slope([1.0], chars)) <= slope_tol
         return finish(0.0, 0.0, res0, "flat_direction" if flat else "unbounded_flagged")
 
     # Past every bliss point the monotone utility keeps only the
     # zero-truncation drift, so a positive asymptotic slope is a free
     # lunch; the plain kind penalizes every jump and has no such limit.
     flagged = kind is UtilityKind.MMV and (
-        (allow_pos and asymptotic_slope([1.0], chars, cfg) > slope_tol)
-        or (allow_neg and asymptotic_slope([-1.0], chars, cfg) > slope_tol))
+        (allow_pos and asymptotic_slope([1.0], chars) > slope_tol)
+        or (allow_neg and asymptotic_slope([-1.0], chars) > slope_tol))
 
     # The slope at the origin picks the side.  It is not finite only when
     # the tail opposite the one allowed side lacks a first moment, and
@@ -560,7 +557,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
         return origin()
 
     def slope(t: float) -> float:
-        return side * float(foc_residual([side * t], chars, kind, cfg)[0])
+        return side * float(foc_residual([side * t], chars, kind)[0])
 
     # grow [lo, hi] until the slope at hi stops being positive
     lo, s_lo = 0.0, math.inf if res0 is None else side * float(res0[0])
@@ -576,7 +573,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
     if not flagged:
         # directions within eps^2 of the law's scale count as zero
         hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
-    val = local_utility(side * hi, chars, kind, cfg)
+    val = local_utility(side * hi, chars, kind)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()
     # a slope that also vanishes beyond hi makes hi the near end of a plateau
@@ -585,8 +582,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind, cfg) -> LocalOptimum:
                   "unbounded_flagged" if flagged else None, tie)
 
 
-def maximize_local_utility(chars: LocalCharacteristics, kind,
-                           cfg: QuadConfig = DEFAULT_QUAD) -> LocalOptimum:
+def maximize_local_utility(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """Globally maximize the concave local utility in the position direction.
 
     Finite-atom and jump-free time points are solved exactly: in one
@@ -608,9 +604,9 @@ def maximize_local_utility(chars: LocalCharacteristics, kind,
             return _solve_rows(_rows_from_chars(chars), kind)[0]
         capped = (_capped_atoms(chars) if kind is UtilityKind.MMV
                   and chars.jumps is not None else None)
-        opt = _maximize_quadratic(chars, kind, cfg, capped)
+        opt = _maximize_quadratic(chars, kind, capped)
     else:
-        opt = _maximize_1d(chars, kind, cfg)
+        opt = _maximize_1d(chars, kind)
         if not math.isfinite(opt.value) or opt.value < 0.0:
             raise OptimizationError("search did not produce a finite nonnegative value")
     opt.lambda_hat.setflags(write=False)

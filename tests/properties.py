@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from mmvlab import (DEFAULT_QUAD, CumulativeUtility, FiniteAtoms, JumpAtom,
+from mmvlab import (CumulativeUtility, FiniteAtoms, JumpAtom,
                     LocalCharacteristics, SimConfig, build_model,
                     compounding_dual, det_stoch_exponential,
                     drift_of_variation, maximize_local_utility,
@@ -56,12 +56,10 @@ def random_jump_chars(gen, losses=True):
 def combine_variations(a, xi, b, eta):
     """a*xi + b*eta with the matching expansion data."""
     return VariationFunction(
-        fn=lambda x: a * np.asarray(xi.fn(x), dtype=float)
-        + b * np.asarray(eta.fn(x), dtype=float),
+        integrand=lambda x: a * np.asarray(xi.integrand(x), dtype=float)
+        + b * np.asarray(eta.integrand(x), dtype=float),
         grad0=a * xi.grad0 + b * eta.grad0,
-        hess0=a * xi.hess0 + b * eta.hess0,
-        growth="quadratic",
-        kinks=tuple(sorted(set(xi.kinks) | set(eta.kinks))))
+        hess0=a * xi.hess0 + b * eta.hess0)
 
 
 def check_drift_linearity(n_cases=200, seed=5):

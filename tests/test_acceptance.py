@@ -61,7 +61,7 @@ def test_criterion_1():
                 best - local_utility([1.0, 0.0], chars, "mmv"),
                 best - local_utility([0.0, 1.0], chars, "mmv"))
 
-    compute()  # first call pays one-time quadrature table setup
+    compute()  # first call pays one-time setup
     t0 = time.perf_counter()
     gv, diag, gap_e1, gap_e2 = compute()
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mmvlab
-from mmvlab import DEFAULT_QUAD, solve_schedule
+from mmvlab import solve_schedule
 from mmvlab.cli import run
 
 ZERO_CONFIG = {
@@ -75,26 +75,11 @@ class TestExitCodes:
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
 
-    def test_bad_quad_tolerance(self, zero_config_path, capsys):
-        assert run(["solve", zero_config_path, "--tol-quad", "0.0"]) == 2
-
-    def test_valid_quad_tolerance(self, capsys):
-        ex2 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex2.json")
-        values = []
-        for extra in ([], ["--tol-quad", "1e-9"]):
-            assert run(["solve", ex2, "--format", "json"] + extra) == 0
-            block = json.loads(capsys.readouterr().out)["solution"]["values"]
-            values.append({k: v["value"] for k, v in block.items() if k != "finite"})
-        default, loose = values
-        assert loose.keys() == default.keys()
-        for key, value in default.items():
-            assert loose[key] == pytest.approx(value, abs=1e-6), key
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
-    def test_non_finite_quad_tolerance(self, tol, zero_config_path, capsys):
-        # a NaN or infinite tolerance never reaches the quadrature
+    @pytest.mark.parametrize("tol", ["0.0", "1e-9", "nan", "inf", "1e400"])
+    def test_quad_tolerance_flag_is_gone(self, tol, zero_config_path, capsys):
+        # density laws are integrated exactly, so no tolerance is taken
         assert run(["solve", zero_config_path, "--tol-quad", tol]) == 2
-        assert "--tol-quad must be finite and positive" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol-quad" in capsys.readouterr().err
 
     def test_atoms_max_outside_series_examples(self, capsys):
         assert run(["reproduce", "--example", "4", "--atoms-max", "50"]) == 2
@@ -287,9 +272,9 @@ def test_diagnose_zero_model(zero_config_path, capsys):
 def test_diagnose_solves_each_kind_once(monkeypatch, capsys):
     calls = []
 
-    def counting(model, kind, cfg=DEFAULT_QUAD):
+    def counting(model, kind):
         calls.append(str(kind))
-        return solve_schedule(model, kind, cfg)
+        return solve_schedule(model, kind)
 
     for module in (mmvlab.aggregate, mmvlab.cli, mmvlab.duality):
         monkeypatch.setattr(module, "solve_schedule", counting)

@@ -7,14 +7,10 @@ import pytest
 from mmvlab import (FiniteAtoms, Gaussian1D, LocalCharacteristics,
                     NonIntegrable, VariationFunction, drift_of_variation,
                     local_utility)
+from mmvlab._quad import Pieces
 from mmvlab.localutil import utility_variation
 
 import properties
-
-
-def quadratic(x):
-    x = np.asarray(x, dtype=float)
-    return x * x
 
 
 def test_no_jumps_is_the_pure_head_formula():
@@ -64,7 +60,8 @@ def test_density_drift_against_monte_carlo():
     x = law.sample(gen, 1_000_000)
     xi = utility_variation(lam, "mv", dim=1)
     h = np.where(np.abs(x) <= 1.0, x, 0.0)
-    psi = np.asarray(xi.fn(x)) - lam * h
+    psi = lam * x - 0.5 * (lam * x) ** 2 - lam * h
+    assert float(np.max(np.abs(xi.integrand(x) - psi))) <= 1e-15
     head = lam * 0.05 - 0.5 * lam * lam * 0.02
     est = head + 0.8 * float(np.mean(psi))
     se = 0.8 * float(np.std(psi)) / math.sqrt(x.size)
@@ -77,8 +74,8 @@ def test_heavy_right_tail_sends_quadratic_utility_to_minus_infinity(ex3):
 
 def test_positive_divergence_raises(ex3):
     chars = ex3.segments[0].chars
-    xi = VariationFunction(fn=quadratic, grad0=np.zeros(1),
-                           hess0=2.0 * np.eye(1), growth="quadratic")
+    square = Pieces((), [[0.0, 0.0, 1.0]], ())
+    xi = VariationFunction(square, np.zeros(1), 2.0 * np.eye(1))
     with pytest.raises(NonIntegrable):
         drift_of_variation(xi, chars)
 

@@ -45,15 +45,22 @@ def test_utility_variation_expansion():
     xi = utility_variation(lam, "mmv")
     assert xi.grad0 == pytest.approx(lam)
     assert xi.hess0 == pytest.approx(-np.outer(lam, lam))
-    assert xi.kinks == ()                    # kink tracking is 1d only
-    one = utility_variation(2.0, "mmv", dim=1)
-    assert one.kinks == (0.5,)
-    assert utility_variation(0.0, "mmv", dim=1).growth == "bounded"
-    assert utility_variation(2.0, "mv", dim=1).growth == "quadratic"
+    assert callable(xi.integrand)            # pieces are one-dimensional
+    # in one dimension: kinks at -1, the bliss point and 1; g(2x) - 2h(x)
+    # is -2x^2 inside, 2x - 2x^2 outside below bliss, 1/2 - 2h past it
+    one = utility_variation(2.0, "mmv", dim=1).integrand
+    assert one.edges.tolist() == [-1.0, 0.5, 1.0]
+    assert one.coef.tolist() == [[0.0, 2.0, -2.0], [0.0, 0.0, -2.0],
+                                 [0.5, -2.0, 0.0], [0.5, 0.0, 0.0]]
+    assert one.at.tolist() == [-2.0, -0.5, -1.5]
+    flat = utility_variation(0.0, "mmv", dim=1).integrand
+    assert not flat.coef.any()
 
 
 def test_slope_variation_structure():
-    assert slope_variation(0.0, "mv", dim=1).growth == "linear"
+    # x g'(0) - h(x) is x outside the unit interval and 0 inside
+    linear = slope_variation(0.0, "mv", dim=1).integrand
+    assert linear.coef.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     xi = slope_variation([0.5, 0.25], "mv", component=1)
     assert xi.grad0 == pytest.approx([0.0, 1.0])
     with pytest.raises(ValueError):

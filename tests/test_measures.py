@@ -12,16 +12,11 @@ import pytest
 import mmvlab
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InvariantError,
                     TabulatedDensity1D, UnsupportedMeasure, merge_atoms)
+from mmvlab._quad import Pieces
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure, _sorted_unique
 
-
-def ident(x):
-    return np.asarray(x, dtype=float)
-
-
-def square(x):
-    x = np.asarray(x, dtype=float)
-    return x * x
+ident = Pieces((), [[0.0, 1.0, 0.0]], ())
+square = Pieces((), [[0.0, 0.0, 1.0]], ())
 
 
 class TestFiniteAtoms:
@@ -94,7 +89,8 @@ class TestGaussian:
 
     def test_breakpoints_do_not_change_the_integral(self):
         plain = self.G.integrate(square)
-        split = self.G.integrate(square, breakpoints=(-0.2, 0.0, 0.3))
+        split = self.G.integrate(Pieces((-0.2, 0.0, 0.3), [[0.0, 0.0, 1.0]] * 4,
+                                        (0.04, 0.0, 0.09)))
         assert split == pytest.approx(plain, abs=1e-11)
 
     def test_validation(self):
@@ -221,8 +217,7 @@ class TestExpYield:
     def test_capped_mean_closed_form(self):
         # E[min(e^X - 1, 1)] with tails e^{4x} / e^{-x}:
         # left integral -1/20, right log(2) - 1/2 below the kink, 1/2 above
-        got = self.Y.integrate(lambda y: np.minimum(y, 1.0),
-                               breakpoints=(1.0,))
+        got = self.Y.integrate(Pieces((1.0,), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], (1.0,)))
         assert got == pytest.approx(math.log(2.0) - 0.05, abs=1e-9)
 
 

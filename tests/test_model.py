@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmvlab import (DEFAULT_QUAD, FiniteAtoms, Gaussian1D, InvariantError,
+from mmvlab._quad import Pieces
+from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError,
                     JumpAtom, LocalCharacteristics, SchemaError,
                     UnsupportedMeasure, build_model, cap_jumps, example_model,
                     exp_transform, merge_atoms, serialize_model)
@@ -66,7 +67,7 @@ def test_exp_transform_preserves_mass_and_maps_moments():
     assert img.total_mass() == pytest.approx(0.7, abs=1e-12)
     # E[e^X - 1] under rate * N(mean, var)
     want = 0.7 * (math.exp(0.1 + 0.02) - 1.0)
-    got = img.integrate(lambda y: y, (), DEFAULT_QUAD)
+    got = img.integrate(Pieces((), [[0.0, 1.0, 0.0]], ()))
     assert got == pytest.approx(want, abs=1e-9)
 
 

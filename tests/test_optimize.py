@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import (DEFAULT_QUAD, ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
+from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     build_model, cumulative_local_utility, density_diagnostics,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
+from mmvlab._quad import Pieces
 from mmvlab.drift import drift_of_variation
+from mmvlab.measures import TRUNCATION_PIECES
 from mmvlab.optimize import _maximize_1d, maximize_atom_laws
 
 import properties
@@ -99,9 +101,9 @@ class TestScheduledJump:
         # one value and one slope per component, at the closed form
         calls = []
 
-        def counting(xi, chars, cfg=DEFAULT_QUAD):
+        def counting(xi, chars):
             calls.append(xi)
-            return drift_of_variation(xi, chars, cfg)
+            return drift_of_variation(xi, chars)
 
         for module in (mmvlab.optimize, mmvlab.localutil):
             monkeypatch.setattr(module, "drift_of_variation", counting)
@@ -167,15 +169,15 @@ def test_bounded_quadratic_optimum_on_gain_atoms_is_not_flagged():
 
 
 def test_bounded_quadratic_optimum_on_gain_density_is_not_flagged():
-    # the same on the quadrature path: one-sided exponential gains
+    # the same on a density law: one-sided exponential gains
     chars = LocalCharacteristics(np.array([1.0]), np.zeros((1, 1)),
                                  ExpTails1D(0.0, 1.0, 2.0, 4.0))
     mv = maximize_local_utility(chars, "mv")
     assert mv.boundedness == "interior"
     jumps = chars.jumps
-    h = jumps.integrate(lambda x: np.where(np.abs(x) <= 1.0, x, 0.0), (1.0,))
-    B = 1.0 + jumps.integrate(lambda x: x, (1.0,)) - h
-    C = jumps.integrate(lambda x: x * x, (1.0,))
+    h = jumps.integrate(TRUNCATION_PIECES)
+    B = 1.0 + jumps.integrate(Pieces((), [[0.0, 1.0, 0.0]], ())) - h
+    C = jumps.integrate(Pieces((), [[0.0, 0.0, 1.0]], ()))
     assert float(mv.lambda_hat[0]) == pytest.approx(B / C, rel=1e-8)
     assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
 
@@ -224,9 +226,9 @@ def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     # ten or fewer
     calls = []
 
-    def counting(xi, chars, cfg=DEFAULT_QUAD):
+    def counting(xi, chars):
         calls.append(xi)
-        return drift_of_variation(xi, chars, cfg)
+        return drift_of_variation(xi, chars)
 
     for module in (mmvlab.optimize, mmvlab.localutil):
         monkeypatch.setattr(module, "drift_of_variation", counting)
@@ -243,9 +245,9 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
     # scale away instead of descending to subnormal directions
     calls = []
 
-    def counting(xi, chars, cfg=DEFAULT_QUAD):
+    def counting(xi, chars):
         calls.append(xi)
-        return drift_of_variation(xi, chars, cfg)
+        return drift_of_variation(xi, chars)
 
     for module in (mmvlab.optimize, mmvlab.localutil):
         monkeypatch.setattr(module, "drift_of_variation", counting)
@@ -253,15 +255,18 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
                                 FiniteAtoms(np.array([[1.0]]), np.array([1.0])))
     exact = float(maximize_local_utility(atom, "mv").lambda_hat[0])   # b / 1.25
     calls.clear()
-    searched = float(_maximize_1d(atom, "mv", DEFAULT_QUAD).lambda_hat[0])
-    # the quadrature slope b - 1 + (1 - 1.25 lam) rounds at 1e-16
+    searched = float(_maximize_1d(atom, "mv").lambda_hat[0])
+    # the searched slope b - 1 + (1 - 1.25 lam) rounds at 1e-16
     assert searched == pytest.approx(exact, abs=1e-15)
     assert len(calls) <= 100
     density = LocalCharacteristics(np.array([b]), np.zeros((1, 1)),
                                    ExpTails1D(1.0, 8.0, 1.0, 8.0))
     calls.clear()
     opt = maximize_local_utility(density, "mmv")
-    assert abs(float(opt.lambda_hat[0])) <= 1e-12
+    # no mass lies past the bliss point, so the optimum is b over the
+    # second moment 1/128 of the symmetric law; the slope's tails cancel
+    # to about 1e-20, as the atom slope rounds at 1e-16
+    assert float(opt.lambda_hat[0]) == pytest.approx(128.0 * b, abs=1e-15)
     assert len(calls) <= 100
 
 
@@ -362,7 +367,7 @@ def test_batched_schedule_equals_single_points_bit_for_bit(laws, kind):
 def test_quadratic_closed_form_matches_the_line_search(law, b, c):
     chars = LocalCharacteristics(np.array([b]), np.array([[c]]), law)
     exact = maximize_local_utility(chars, "mv")
-    searched = _maximize_1d(chars, "mv", DEFAULT_QUAD)
+    searched = _maximize_1d(chars, "mv")
     assert exact.boundedness == "interior"
     assert exact.value >= searched.value - 1e-12 * (1.0 + searched.value)
     assert exact.value == pytest.approx(searched.value, rel=1e-9, abs=1e-12)
@@ -397,6 +402,7 @@ def scaled_density_laws(draw):
 
 @given(scaled_density_laws(), st.floats(-20.0, 0.0), st.sampled_from(["mv", "mmv"]))
 @settings(max_examples=40, deadline=None)
+@example((0.0, 0.0625, lambda s: ExpTails1D(0.5 * s, 12.0, s, 12.0)), 0.0, "mmv")
 def test_rescaling_diffusion_and_jumps_keeps_an_interior_optimum(law, log_s, kind):
     # scaling c and the jump measure by s scales the optimum by 1/s
     b, c, jumps = law
