@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of CLI reports against committed goldens.
 
-The files under tests/data/ are the JSON stdout of the commands below;
-a refactor that keeps every figure must reproduce them exactly.  To
-regenerate one after a deliberate change of figures, run its command
-from the repository root, for example
+The files under tests/data/ are the stdout of the commands below, in
+the format their suffix names (json, text or csv); a refactor that
+keeps every figure must reproduce them exactly.  To regenerate one
+after a deliberate change of figures, run its command from the
+repository root, for example
 
     PYTHONPATH=src python -m mmvlab simulate src/mmvlab/examples_data/ex2.json \
         --kind mv --paths 1000 --steps 50 --seed 3 --format json \
@@ -34,6 +35,10 @@ CASES = [
     ("reproduce_ex2.json", ["reproduce", "--example", "2"], 0),
     ("reproduce_ex3.json", ["reproduce", "--example", "3"], 0),
     ("reproduce_ex4.json", ["reproduce", "--example", "4"], 0),
+    # the text and csv renderers and the selftest report
+    ("reproduce_ex4.txt", ["reproduce", "--example", "4"], 0),
+    ("reproduce_ex2.csv", ["reproduce", "--example", "2"], 0),
+    ("selftest.json", ["selftest"], 0),
     ("reproduce_ex5_atoms200.json",
      ["reproduce", "--example", "5", "--atoms-max", "200"], 1),
     ("reproduce_ex5_atoms2000.json",
@@ -64,5 +69,6 @@ CASES = [
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_report_matches_golden(name, argv, code, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)         # the simulate report echoes the config path
-    assert run(argv + ["--format", "json"]) == code
+    fmt = {".json": "json", ".txt": "text", ".csv": "csv"}[Path(name).suffix]
+    assert run(argv + ["--format", fmt]) == code
     assert capsys.readouterr().out == (DATA / name).read_text()
