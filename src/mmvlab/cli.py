@@ -32,7 +32,7 @@ from .duality import (compare_mv_mmv, density_diagnostics,
                       sigma_martingale_residual, zero_density_probability)
 from .drift import drift_of_variation
 from .errors import InfiniteValue, InvariantError, MmvLabError, SchemaError
-from .examples import DEFAULT_ATOMS_MAX, _bet_indices, example_model
+from .examples import DEFAULT_ATOMS_MAX, _bet_indices, example_model, expected_figures
 from .localutil import check_instantaneous_no_arbitrage, utility_variation
 from .model import build_model
 from .montecarlo import SimConfig, estimate_stats, run_wealth_study
@@ -86,24 +86,6 @@ def _stat(ps, target=None) -> dict:
     if target is not None and ps.std_error > 0.0:
         node["pull"] = (float(ps.estimate) - target) / float(ps.std_error)
     return node
-
-
-def _check(name: str, actual, expected, tol=None, mode: str = "abs",
-           source: str = "analytic") -> dict:
-    """One pass/fail entry.  Modes: abs (|a-e|<=tol), le, ge, eq."""
-    if mode == "abs":
-        a = float(actual)
-        ok = math.isfinite(a) and abs(a - float(expected)) <= tol
-    elif mode == "le":
-        ok = float(actual) <= float(expected)
-    elif mode == "ge":
-        ok = float(actual) >= float(expected)
-    elif mode == "eq":
-        ok = actual == expected
-    else:
-        raise ValueError(f"unknown check mode: {mode}")
-    return {"name": name, "actual": actual, "expected": expected,
-            "tol": tol, "mode": mode, "pass": bool(ok), "source": source}
 
 
 def _fmt_cell(value) -> str:
@@ -469,29 +451,17 @@ def _reproduce_1(atoms_max=None):
     sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
     diag = density_diagnostics(model, solution=sol)
     atom = model.atoms[0]
-    unit_values = [
-        drift_of_variation(utility_variation(e, "mmv", dim=2), atom.chars)
-        for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    ]
-    opt_val = sol.atom_optima[0].value
-    figures = {
-        "density_variance": _v(diag.variance),
-        "best_utility_doubled": _v(2.0 * gv.u0),
-        "dual_value": _v(gv.v0),
-        "unit_strategy_values": [_v(v) for v in unit_values],
-        "p_zero": _v(diag.p_zero),
+    return model, {
+        "density_variance": diag.variance,
+        "best_utility_doubled": 2.0 * gv.u0,
+        "dual_value": gv.v0,
+        "unit_strategy_values": [
+            drift_of_variation(utility_variation(e, "mmv", dim=2), atom.chars)
+            for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))],
+        "p_zero": diag.p_zero,
         "equivalent": diag.equivalent,
-    }
-    checks = [
-        _check("density_variance", diag.variance, 2.0 / 3.0, 1e-12),
-        _check("best_utility_doubled", 2.0 * gv.u0, 0.4, 1e-12),
-        _check("dual_value", gv.v0, 1.0 / 3.0, 1e-12),
-        _check("unit_strategy_first", unit_values[0], opt_val, 1e-10),
-        _check("unit_strategy_second", unit_values[1], opt_val, 1e-10),
-        _check("p_zero", diag.p_zero, 0.2, 1e-12),
-        _check("equivalent", diag.equivalent, False, mode="eq"),
-    ]
-    return model, figures, checks, warnings
+        "atom_optimum": sol.atom_optima[0].value,
+    }, warnings
 
 
 def _reproduce_2(atoms_max=None):
@@ -502,60 +472,28 @@ def _reproduce_2(atoms_max=None):
     sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv")
     lam_mv = sol_mv.segment_optima[0].lambda_hat
     lam_mmv = sol_mmv.segment_optima[0].lambda_hat
-    theta_mmv = seg.length * jumps.mass_scaled_ge(lam_mmv, 1.0, strict=False)
-    theta_mv = seg.length * jumps.mass_scaled_ge(lam_mv, 1.0, strict=True)
-    p_zero = zero_density_probability(model, sol_mmv)
     sm1 = mellin_sign_moments(model, sol_mv, 1)
     sm2 = mellin_sign_moments(model, sol_mv, 2)
     capped_mean = 1.0 - sm1.phi_plus
     capped_second = 1.0 - 2.0 * sm1.phi_plus + sm2.phi_plus
-    excess_mean = sm1.phi_minus
-    excess_second = 2.0 * sm1.phi_minus + sm2.phi_minus
-    terminal_mean = gv_mv.mhr2
-    capped_ratio = capped_mean ** 2 / capped_second
-    figures = {
-        "quadratic_direction": _v(float(lam_mv[0])),
-        "quadratic_local_value_doubled": _v(2.0 * sol_mv.segment_optima[0].value),
-        "quadratic_dual_doubled": _v(gv_mv.msr2),
-        "monotone_direction": _v(float(lam_mmv[0])),
-        "monotone_crossing_intensity": _v(theta_mmv),
-        "p_zero": _v(p_zero),
-        "monotone_dual_doubled": _v(gv_mmv.msr2),
-        "terminal_wealth_capped_mean": _v(capped_mean),
-        "terminal_wealth_capped_second_moment": _v(capped_second),
-        "terminal_wealth_excess_mean": _v(excess_mean),
-        "terminal_wealth_excess_second_moment": _v(excess_second),
-        "terminal_wealth_mean": _v(terminal_mean),
-        "capped_mean_square_ratio": _v(capped_ratio),
-        "quadratic_strict_crossing_intensity": _v(theta_mv),
-    }
-    checks = [
-        _check("quadratic_direction", float(lam_mv[0]), 4.4844, 5e-4),
-        _check("quadratic_local_value_doubled",
-               2.0 * sol_mv.segment_optima[0].value, 1.0091, 5e-4),
-        _check("quadratic_dual_doubled", gv_mv.msr2, 1.7430, 2e-3),
-        _check("monotone_direction", float(lam_mmv[0]), 4.5143, 2e-3),
-        _check("monotone_crossing_intensity", theta_mmv, 0.022699, 5e-4),
-        _check("p_zero", p_zero, 0.02244, 5e-4),
-        _check("monotone_dual_doubled", gv_mmv.msr2, 1.7482, 2e-3),
-        _check("terminal_wealth_capped_mean", capped_mean, 0.63373, 1e-3),
-        _check("terminal_wealth_capped_second_moment", capped_second,
-               0.63136, 1e-3),
-        _check("terminal_wealth_excess_mean", excess_mean, 0.0017, 1e-3),
-        _check("terminal_wealth_excess_second_moment", excess_second,
-               0.0041, 1e-3),
-        _check("terminal_wealth_mean", terminal_mean, 0.6354, 1e-3),
-        _check("capped_mean_square_ratio", capped_ratio, 0.6361, 1e-3),
-        _check("quadratic_strict_crossing_intensity", theta_mv,
-               0.022057, 5e-4),
-    ]
-    warnings = warn_v + warn_m
-    warnings.append(
-        "the reference figure 0.022057 for the strict crossing intensity "
-        "is reproduced at the quadratic optimum 4.4844; an alternative "
-        "quoted direction 4.5130 is inconsistent with that optimum and "
-        "gives a different intensity")
-    return model, figures, checks, warnings
+    return model, {
+        "quadratic_direction": float(lam_mv[0]),
+        "quadratic_local_value_doubled": 2.0 * sol_mv.segment_optima[0].value,
+        "quadratic_dual_doubled": gv_mv.msr2,
+        "monotone_direction": float(lam_mmv[0]),
+        "monotone_crossing_intensity":
+            seg.length * jumps.mass_scaled_ge(lam_mmv, 1.0, strict=False),
+        "p_zero": zero_density_probability(model, sol_mmv),
+        "monotone_dual_doubled": gv_mmv.msr2,
+        "terminal_wealth_capped_mean": capped_mean,
+        "terminal_wealth_capped_second_moment": capped_second,
+        "terminal_wealth_excess_mean": sm1.phi_minus,
+        "terminal_wealth_excess_second_moment": 2.0 * sm1.phi_minus + sm2.phi_minus,
+        "terminal_wealth_mean": gv_mv.mhr2,
+        "capped_mean_square_ratio": capped_mean ** 2 / capped_second,
+        "quadratic_strict_crossing_intensity":
+            seg.length * jumps.mass_scaled_ge(lam_mv, 1.0, strict=True),
+    }, warn_v + warn_m
 
 
 def _reproduce_3(atoms_max=None):
@@ -565,30 +503,17 @@ def _reproduce_3(atoms_max=None):
     sol_mv = solve_schedule(model, "mv")
     lam = sol_mmv.segment_optima[0].lambda_hat
     lam0 = float(lam[0])
-    theta = seg.length * seg.chars.jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    p_zero = zero_density_probability(model, sol_mmv)
     residuals = sigma_martingale_residual(model, sol_mmv, "mmv")
-    max_resid = float(np.abs(residuals).max())
-    lam_mv0 = float(sol_mv.segment_optima[0].lambda_hat[0])
-    verdict = compare_mv_mmv(model, mv_solution=sol_mv,
-                             mmv_solution=sol_mmv).verdict
-    figures = {
-        "monotone_direction": _v(lam0),
-        "crossing_intensity": _v(theta),
-        "p_zero": _v(p_zero),
-        "max_martingale_residual": _v(max_resid),
-        "quadratic_direction": _v(lam_mv0),
-        "coincidence_verdict": verdict,
-    }
-    checks = [
-        _check("monotone_direction", lam0, 1.108, 5e-3),
-        _check("crossing_intensity_identity", theta, lam0 / (1.0 + lam0), 1e-6),
-        _check("p_zero", p_zero, 0.4088, 1e-3),
-        _check("max_martingale_residual", max_resid, 0.0, 1e-3),
-        _check("quadratic_direction_zero", lam_mv0, 0.0, 0.0),
-        _check("coincidence_verdict", verdict, "not_applicable", mode="eq"),
-    ]
-    return model, figures, checks, warn_m
+    return model, {
+        "monotone_direction": lam0,
+        "crossing_intensity": seg.length * seg.chars.jumps.mass_scaled_ge(lam, 1.0, strict=False),
+        "p_zero": zero_density_probability(model, sol_mmv),
+        "max_martingale_residual": float(np.abs(residuals).max()),
+        "quadratic_direction": float(sol_mv.segment_optima[0].lambda_hat[0]),
+        "coincidence_verdict": compare_mv_mmv(model, mv_solution=sol_mv,
+                                              mmv_solution=sol_mmv).verdict,
+        "direction_intensity": lam0 / (1.0 + lam0),
+    }, warn_m
 
 
 def _reproduce_4(atoms_max=None):
@@ -596,23 +521,13 @@ def _reproduce_4(atoms_max=None):
     chars = model.segments[0].chars
     sol, cu, gv, warnings, _ = _solve_bundle(model, "mmv")
     diag = density_diagnostics(model, solution=sol)
-    lam0 = float(sol.segment_optima[0].lambda_hat[0])
-    resid = float(sigma_martingale_residual(model, sol, "mmv")[0, 0])
-    drift_id = float(foc_residual([0.0], chars, "mv")[0])
-    figures = {
-        "monotone_direction": _v(lam0),
+    return model, {
+        "monotone_direction": float(sol.segment_optima[0].lambda_hat[0]),
         "equivalent": diag.equivalent,
-        "martingale_residual": _v(resid),
-        "identity_drift": _v(drift_id),
+        "martingale_residual": float(sigma_martingale_residual(model, sol, "mmv")[0, 0]),
+        "identity_drift": float(foc_residual([0.0], chars, "mv")[0]),
         "boundedness": sol.segment_optima[0].boundedness,
-    }
-    checks = [
-        _check("monotone_direction_zero", lam0, 0.0, 0.0),
-        _check("equivalent", diag.equivalent, True, mode="eq"),
-        _check("martingale_residual", resid, -1.0, 1e-8),
-        _check("identity_drift", drift_id, -1.0, 1e-8),
-    ]
-    return model, figures, checks, warnings
+    }, warnings
 
 
 def _reproduce_5(atoms_max=None):
@@ -628,48 +543,22 @@ def _reproduce_5(atoms_max=None):
     def worst(value: np.ndarray, target: float) -> float:
         return float(np.max(n[late] * np.abs(value[late] - target), initial=0.0))
 
-    worst_dir = worst(mv.lambda_hat[:, 0], 1.5)
-    worst_rate = worst(mv.value / model.atoms.weights, 1.125)
-    worst_mhr = worst(2.0 * mmv.value, 0.5)
-    lam1_mv, hr1_mv = float(mv.lambda_hat[0, 0]), 2.0 * float(mv.value[0])
-    lam1_mmv, hr1_mmv = float(mmv.lambda_hat[0, 0]), 2.0 * float(mmv.value[0])
-    partial_mv, tail_mv = cu_mv.increment_sum, cu_mv.tail_sum
-    partial_mmv = cu_mmv.increment_sum
-    figures = {
+    return model, {
         "atoms_max": n_max,
-        "worst_direction_margin": _v(worst_dir),
-        "worst_rate_margin": _v(worst_rate),
-        "worst_hansen_margin": _v(worst_mhr),
-        "first_bet_quadratic_direction": _v(lam1_mv),
-        "first_bet_squared_hansen": _v(hr1_mv),
-        "first_bet_monotone_direction": _v(lam1_mmv),
-        "first_bet_monotone_squared_hansen": _v(hr1_mmv),
-        "quadratic_series_partial": _v(partial_mv),
-        "quadratic_series_tail": _v(tail_mv),
+        "worst_direction_margin": worst(mv.lambda_hat[:, 0], 1.5),
+        "worst_rate_margin": worst(mv.value / model.atoms.weights, 1.125),
+        "worst_hansen_margin": worst(2.0 * mmv.value, 0.5),
+        "first_bet_quadratic_direction": float(mv.lambda_hat[0, 0]),
+        "first_bet_squared_hansen": 2.0 * float(mv.value[0]),
+        "first_bet_monotone_direction": float(mmv.lambda_hat[0, 0]),
+        "first_bet_monotone_squared_hansen": 2.0 * float(mmv.value[0]),
+        "quadratic_series_partial": cu_mv.increment_sum,
+        "quadratic_series_tail": cu_mv.tail_sum,
         "quadratic_series_finite": cu_mv.finite,
-        "monotone_series_partial": _v(partial_mmv, "heuristic"),
+        "monotone_series_partial": cu_mmv.increment_sum,
         "monotone_series_finite": cu_mmv.finite,
-    }
-    checks = [
-        _check("worst_direction_margin", worst_dir, 5.0, mode="le"),
-        _check("worst_rate_margin", worst_rate, 5.0, mode="le"),
-        _check("worst_hansen_margin", worst_mhr, 5.0, mode="le"),
-        _check("first_bet_quadratic_direction", lam1_mv, 88.0 / 73.0, 1e-12),
-        _check("first_bet_squared_hansen", hr1_mv, 121.0 / 292.0, 1e-12),
-        _check("first_bet_monotone_direction", lam1_mmv, 8.0 / 3.0, 1e-12),
-        _check("first_bet_monotone_squared_hansen", hr1_mmv, 0.5, 1e-12),
-        _check("quadratic_series_finite", cu_mv.finite, True, mode="eq"),
-        _check("quadratic_series_tail_small", tail_mv,
-               0.01 * (1.0 + abs(partial_mv)), mode="le"),
-        _check("monotone_series_finite", cu_mmv.finite, False, mode="eq",
-               source="heuristic"),
-        _check("monotone_series_partial_exceeds", partial_mmv, 100.0,
-               mode="ge", source="heuristic"),
-    ]
-    if n_max == DEFAULT_ATOMS_MAX[5]:
-        checks.append(_check("quadratic_series_partial", partial_mv,
-                             1.188224, 1e-3))
-    return model, figures, checks, warn_v + warn_m
+        "quadratic_series_tail_bound": 0.01 * (1.0 + abs(cu_mv.increment_sum)),
+    }, warn_v + warn_m
 
 
 def _reproduce_6(atoms_max=None):
@@ -680,47 +569,86 @@ def _reproduce_6(atoms_max=None):
     jumps = model.atoms
     n, _, cube = _bet_indices(len(jumps) + 1)
     hr2 = 2.0 * sol_mv.atom_optima.value
-    lam1 = float(sol_mv.atom_optima.lambda_hat[0, 0])
-    worst_hr = float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0))
     # every bet has two outcomes; each mean is its law's own dot product
     mean = np.vecdot(jumps.masses.reshape(-1, 2), jumps.points[:, 0].reshape(-1, 2))
-    worst_mean = float(np.max(np.abs(mean + n / (cube.astype(float) + 1.0)), initial=0.0))
     try:
         mv_signed_measure(model, solution=sol_mv)
-        no_measure = False
+        separating = True
     except InfiniteValue as exc:
-        no_measure = True
+        separating = False
         warn_v.append(str(exc))
-    figures = {
+    return model, {
         "atoms_max": n_max,
-        "worst_hansen_deviation": _v(worst_hr),
-        "worst_mean_deviation": _v(worst_mean),
-        "first_bet_quadratic_direction": _v(lam1),
+        "worst_hansen_deviation": float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0)),
+        "worst_mean_deviation":
+            float(np.max(np.abs(mean + n / (cube.astype(float) + 1.0)), initial=0.0)),
+        "first_bet_quadratic_direction": float(sol_mv.atom_optima.lambda_hat[0, 0]),
         "quadratic_finite": gv_mv.finite,
         "monotone_finite": gv_mmv.finite,
-        "separating_measure_exists": not no_measure,
-    }
-    checks = [
-        _check("worst_hansen_deviation", worst_hr, 0.0, 1e-12),
-        _check("worst_mean_deviation", worst_mean, 0.0, 1e-12),
-        _check("quadratic_flagged_infinite", gv_mv.finite, False, mode="eq",
-               source="heuristic"),
-        _check("monotone_flagged_infinite", gv_mmv.finite, False, mode="eq",
-               source="heuristic"),
-        _check("no_separating_measure", no_measure, True, mode="eq"),
-        _check("first_bet_quadratic_direction", lam1, -1.5, 1e-12),
-    ]
-    return model, figures, checks, warn_v + warn_m
+        "separating_measure_exists": separating,
+    }, warn_v + warn_m
 
 
 _REPRODUCERS = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3,
                 4: _reproduce_4, 5: _reproduce_5, 6: _reproduce_6}
 
 
+def _lookup(values: dict, path: str):
+    """The computed value at a dotted path, such as "unit_strategy_values.0"."""
+    for key in path.split("."):
+        values = values[int(key)] if isinstance(values, list) else values[key]
+    return values
+
+
+def _checks(rows: list, values: dict) -> list[dict]:
+    """One pass/fail entry per row of the expected-figures table.
+    Modes: abs (|a-e|<=tol), le, ge, eq."""
+    checks = []
+    for row in rows:
+        actual = _lookup(values, row.get("value", row["name"]))
+        if row.get("negate"):
+            actual = not actual
+        expected = (_lookup(values, row["expected_from"]) if "expected_from" in row
+                    else row["expected"])
+        tol, mode = row.get("tol"), row["mode"]
+        if mode == "abs":
+            a = float(actual)
+            ok = math.isfinite(a) and abs(a - float(expected)) <= tol
+        elif mode == "le":
+            ok = float(actual) <= float(expected)
+        elif mode == "ge":
+            ok = float(actual) >= float(expected)
+        elif mode == "eq":
+            ok = actual == expected
+        else:
+            raise ValueError(f"unknown check mode: {mode}")
+        checks.append({"name": row["name"], "actual": actual, "expected": expected,
+                       "tol": tol, "mode": mode, "pass": bool(ok),
+                       "source": row.get("source", "analytic")})
+    return checks
+
+
+def _figure(value, source: str):
+    """A computed value as a report figure: numbers tagged, flags and labels bare."""
+    if isinstance(value, list):
+        return [_v(x, source) for x in value]
+    return _v(value, source) if isinstance(value, float) else value
+
+
 def _run_reproduce(example_id: int, atoms_max) -> dict:
     t0 = time.perf_counter()
-    model, figures, checks, warnings = _REPRODUCERS[example_id](atoms_max=atoms_max)
+    model, values, warnings = _REPRODUCERS[example_id](atoms_max=atoms_max)
     elapsed = time.perf_counter() - t0
+    table = expected_figures()[str(example_id)]
+    rows = table["checks"]
+    at_default = atoms_max in (None, DEFAULT_ATOMS_MAX.get(example_id))
+    checks = _checks([r for r in rows if at_default or not r.get("default_atoms_only")],
+                     values)
+    # a value compared against is not a figure; a figure takes its checks' source
+    against = {r["expected_from"] for r in rows if "expected_from" in r}
+    sources = {r.get("value", r["name"]): r.get("source", "analytic") for r in rows}
+    figures = {k: _figure(v, sources.get(k, "analytic"))
+               for k, v in values.items() if k not in against}
     n_pass = sum(1 for c in checks if c["pass"])
     print(f"example {example_id}: {n_pass}/{len(checks)} checks passed "
           f"({elapsed:.2f}s)", file=sys.stderr)
@@ -729,7 +657,7 @@ def _run_reproduce(example_id: int, atoms_max) -> dict:
         "model": _model_summary(model),
         "figures": figures,
         "checks": checks,
-        "warnings": warnings,
+        "warnings": warnings + ([table["note"]] if "note" in table else []),
         "all_pass": n_pass == len(checks),
     }
 
@@ -763,38 +691,28 @@ def _cmd_reproduce(args) -> int:
 # selftest
 
 
-def _selftest_checks() -> list[dict]:
-    checks = []
-
+def _selftest_values() -> dict:
     model1 = example_model(1)
-    sol1, cu1, gv1, _, _ = _solve_bundle(model1, "mmv")
-    checks.append(_check("two_asset_bet_utility_doubled", 2.0 * gv1.u0,
-                         0.4, 1e-12))
-    checks.append(_check("two_asset_bet_dual", gv1.v0, 1.0 / 3.0, 1e-12))
-
+    _, _, gv1, _, _ = _solve_bundle(model1, "mmv")
     model3 = example_model(3)
     sol3 = solve_schedule(model3, "mmv")
-    checks.append(_check("one_sided_tails_direction",
-                         float(sol3.segment_optima[0].lambda_hat[0]),
-                         1.1080932585715102, 1e-8))
-
     model4 = example_model(4)
     sol4 = solve_schedule(model4, "mmv")
-    resid4 = float(sigma_martingale_residual(model4, sol4, "mmv")[0, 0])
-    checks.append(_check("heavy_tail_residual", resid4, -1.0, 1e-8))
-
     # Pathwise identity: shortfall below bliss equals the capped product.
-    model2 = example_model(2)
-    study = run_wealth_study(model2, SimConfig(n_paths=64, n_steps=16, seed=7),
-                             "mmv")
+    study = run_wealth_study(example_model(2),
+                             SimConfig(n_paths=64, n_steps=16, seed=7), "mmv")
     shortfall = np.maximum(1.0 - study.terminal_wealth, 0.0)
-    gap = float(np.abs(shortfall - study.capped_exponential).max())
-    checks.append(_check("pathwise_identity_gap", gap, 0.0, 1e-12))
-    return checks
+    return {
+        "two_asset_bet_utility_doubled": 2.0 * gv1.u0,
+        "two_asset_bet_dual": gv1.v0,
+        "one_sided_tails_direction": float(sol3.segment_optima[0].lambda_hat[0]),
+        "heavy_tail_residual": float(sigma_martingale_residual(model4, sol4, "mmv")[0, 0]),
+        "pathwise_identity_gap": float(np.abs(shortfall - study.capped_exponential).max()),
+    }
 
 
 def _cmd_selftest(args) -> int:
-    checks = _selftest_checks()
+    checks = _checks(expected_figures()["selftest"]["checks"], _selftest_values())
     all_pass = all(c["pass"] for c in checks)
     n_pass = sum(1 for c in checks if c["pass"])
     print(f"selftest: {n_pass}/{len(checks)} checks passed", file=sys.stderr)

@@ -9,6 +9,7 @@ count is a parameter.
 """
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -35,6 +36,25 @@ def example_config(example_id: int) -> dict:
     if example_id not in EXAMPLE_IDS:
         raise SchemaError("example id must be one of 1..6")
     ref = resources.files("mmvlab").joinpath(f"examples_data/ex{example_id}.json")
+    return json.loads(ref.read_text())
+
+
+@functools.cache
+def expected_figures() -> dict:
+    """The one table of expected figures, read once per process.
+
+    Keys are the example ids as strings and "selftest".  Each entry has
+    "checks", a list of rows, and may have "note", a warning that every
+    reproduction of the example carries.  A row names its check and the
+    computed value it reads ("value", a dotted path into the values the
+    reproducer returns; the name by default), negated when "negate" is
+    set.  It compares that value with "expected", or with the computed
+    value named by "expected_from", in mode abs (within "tol"), le, ge
+    or eq, and tags the check with "source" (analytic by default).  A
+    row marked "default_atoms_only" applies only at the example's
+    default cutoff.  The result is shared: callers must not mutate it.
+    """
+    ref = resources.files("mmvlab").joinpath("examples_data/expected.json")
     return json.loads(ref.read_text())
 
 

@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines; each
 test prints exactly one "criterion N: PASS|FAIL" line and then asserts.
-Target figures live next to their tolerances below.
+Criteria 1, 2, 4 and 5 run `reproduce` and require every check to
+pass; its expected figures and tolerances, which criteria 6 and 7 also
+read, live in one table, src/mmvlab/examples_data/expected.json.
 """
 import contextlib
 import io
@@ -11,16 +13,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from mmvlab import (InfiniteValue, SimConfig, compare_mv_mmv,
-                    cumulative_local_utility, density_diagnostics,
-                    estimate_stats, example_model, foc_residual,
-                    global_values, local_utility, mellin_sign_moments,
-                    mv_signed_measure, run_wealth_study,
-                    sigma_martingale_residual, solve_schedule,
+from mmvlab import (InfiniteValue, SimConfig, cumulative_local_utility,
+                    estimate_stats, example_model, global_values,
+                    mv_signed_measure, run_wealth_study, solve_schedule,
                     zero_density_probability)
 from mmvlab.cli import run
+from mmvlab.examples import expected_figures
 
 import properties
 
@@ -36,8 +35,13 @@ class Checker:
         if not cond:
             self.fails.append(label)
 
-    def close(self, got: float, want: float, tol: float, label: str) -> None:
-        self.need(abs(got - want) <= tol, f"{label}={got!r} want {want}+-{tol}")
+    def all_checks(self, code: int, report: dict) -> int:
+        """Every check of a reproduce report passes; returns how many ran."""
+        self.need(code == 0, f"exit code {code}")
+        for chk in report["checks"]:
+            self.need(chk["pass"], f"{chk['name']}={chk['actual']!r} {chk['mode']} "
+                                   f"{chk['expected']!r} tol {chk['tol']}")
+        return len(report["checks"])
 
     def finish(self, detail: str) -> None:
         ok = not self.fails
@@ -46,85 +50,46 @@ class Checker:
         assert ok, f"criterion {self.n}: {text}"
 
 
+def _reproduce(example: int) -> tuple[int, dict]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(["reproduce", "--example", str(example)])
+    return code, json.loads(buf.getvalue())
+
+
+def _table(example) -> dict:
+    """The rows of the expected-figures table for `example`, by name."""
+    return {r["name"]: r for r in expected_figures()[str(example)]["checks"]}
+
+
 def test_criterion_1():
     c = Checker(1)
-
-    def compute():
-        model = example_model(1)
-        sol = solve_schedule(model, "mmv")
-        gv = global_values(cumulative_local_utility(model, "mmv",
-                                                    solution=sol))
-        diag = density_diagnostics(model, solution=sol)
-        chars = model.atoms[0].chars
-        best = sol.atom_optima[0].value
-        return (gv, diag,
-                best - local_utility([1.0, 0.0], chars, "mmv"),
-                best - local_utility([0.0, 1.0], chars, "mmv"))
-
-    compute()  # first call pays one-time setup
+    _reproduce(1)  # first call pays one-time setup
     t0 = time.perf_counter()
-    gv, diag, gap_e1, gap_e2 = compute()
+    code, report = _reproduce(1)
     elapsed = time.perf_counter() - t0
 
-    c.close(diag.variance, 2.0 / 3.0, 1e-12, "density variance")
-    c.close(gv.mhr2, 0.4, 1e-12, "max doubled utility")
-    c.close(gv.v0, 1.0 / 3.0, 1e-12, "v0")
-    c.need(abs(gap_e1) <= 1e-10, f"unit strategy (1,0) gap {gap_e1!r}")
-    c.need(abs(gap_e2) <= 1e-10, f"unit strategy (0,1) gap {gap_e2!r}")
+    n = c.all_checks(code, report)
     c.need(elapsed < 0.1, f"runtime {elapsed:.3f}s")
-    c.finish(f"variance 2/3, doubled utility 0.4, v0 1/3, "
-             f"unit gaps {abs(gap_e1):.1e}/{abs(gap_e2):.1e}, "
-             f"{elapsed * 1e3:.0f}ms")
+    c.finish(f"{n} checks of example 1 pass (variance, doubled utility, "
+             f"v0, unit strategies), {elapsed * 1e3:.0f}ms")
 
 
 def test_criterion_2():
     c = Checker(2)
     t0 = time.perf_counter()
-    model = example_model(2)
-    sol_mv = solve_schedule(model, "mv")
-    sol_mmv = solve_schedule(model, "mmv")
-    lam_mv = float(sol_mv.segment_optima[0].lambda_hat[0])
-    lam_mmv = float(sol_mmv.segment_optima[0].lambda_hat[0])
-    gv_mv = global_values(cumulative_local_utility(model, "mv",
-                                                   solution=sol_mv))
-    gv_mmv = global_values(cumulative_local_utility(model, "mmv",
-                                                    solution=sol_mmv))
-    seg = model.segments[0]
-    theta_mmv = seg.length * seg.chars.jumps.mass_scaled_ge(lam_mmv, 1.0)
-    theta_mv = seg.length * seg.chars.jumps.mass_scaled_ge(lam_mv, 1.0,
-                                                           strict=True)
-    p_zero = zero_density_probability(model, sol_mmv)
-    sm1 = mellin_sign_moments(model, sol_mv, 1)
-    sm2 = mellin_sign_moments(model, sol_mv, 2)
-    capped_mean = 1.0 - sm1.phi_plus
-    capped_second = 1.0 - 2.0 * sm1.phi_plus + sm2.phi_plus
-    mellin = (capped_mean, capped_second, sm1.phi_minus,
-              2.0 * sm1.phi_minus + sm2.phi_minus, gv_mv.mhr2,
-              capped_mean ** 2 / capped_second)
+    code, report = _reproduce(2)
     elapsed = time.perf_counter() - t0
 
-    c.close(lam_mv, 4.4844, 5e-4, "quadratic direction")
-    c.close(2.0 * sol_mv.segment_optima[0].value, 1.0091, 5e-4,
-            "doubled quadratic rate")
-    c.close(gv_mv.msr2, 1.7430, 2e-3, "quadratic dual value")
-    c.close(lam_mmv, 4.5143, 2e-3, "monotone direction")
-    c.close(theta_mmv, 0.022699, 5e-4, "monotone crossing intensity")
-    c.close(p_zero, 0.02244, 5e-4, "zero density probability")
-    c.close(gv_mmv.msr2, 1.7482, 2e-3, "monotone dual value")
-    for got, want in zip(mellin, (0.63373, 0.63136, 0.0017, 0.0041,
-                                  0.6354, 0.6361)):
-        c.close(got, want, 1e-3, f"mellin figure {want}")
-    c.close(theta_mv, 0.022057, 5e-4, "strict crossing intensity")
+    n = c.all_checks(code, report)
     # the intensity discrepancy must be surfaced to the user, not only
     # stored in a notes file
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        run(["reproduce", "--example", "2"])
-    warnings = json.loads(buf.getvalue()).get("warnings", [])
-    c.need(any("0.022057" in w for w in warnings),
+    quoted = repr(_table(2)["quadratic_strict_crossing_intensity"]["expected"])
+    c.need(any(quoted in w for w in report["warnings"]),
            "discrepancy note missing from report warnings")
     c.need(elapsed < 5.0, f"runtime {elapsed:.2f}s")
-    c.finish(f"all closed forms within tolerance, note recorded, "
+    c.finish(f"all {n} closed forms within tolerance, note recorded, "
              f"{elapsed:.2f}s")
 
 
@@ -166,48 +131,24 @@ def test_criterion_3():
 
 def test_criterion_4():
     c = Checker(4)
-    model = example_model(3)
-    sol = solve_schedule(model, "mmv")
-    lam = float(sol.segment_optima[0].lambda_hat[0])
-    seg = model.segments[0]
-    theta = seg.length * seg.chars.jumps.mass_scaled_ge(lam, 1.0)
-    p_zero = zero_density_probability(model, sol)
-    residual = sigma_martingale_residual(model, sol, "mmv")
-    worst = max(abs(v) for row in residual for v in np.atleast_1d(row))
-    sol_mv = solve_schedule(model, "mv")
-    lam_mv = float(sol_mv.segment_optima[0].lambda_hat[0])
-    verdict = compare_mv_mmv(model).verdict
-
-    c.close(lam, 1.108, 5e-3, "monotone direction")
-    c.close(theta, lam / (1.0 + lam), 1e-6, "crossing intensity identity")
-    c.close(p_zero, 0.4088, 1e-3, "zero density probability")
-    c.need(worst <= 1e-3, f"martingale residual {worst!r}")
-    c.need(lam_mv == 0.0, f"quadratic direction {lam_mv!r} not exactly 0")
-    c.need(verdict == "not_applicable", f"verdict {verdict!r}")
-    c.finish(f"direction 1.108, intensity identity, p_zero 0.4088, "
-             f"residual {worst:.1e}, quadratic stays out, {verdict}")
+    n = c.all_checks(*_reproduce(3))
+    c.finish(f"{n} checks of example 3 pass (direction, intensity identity, "
+             f"p_zero, residual, quadratic stays out, verdict)")
 
 
 def test_criterion_5():
     c = Checker(5)
-    model = example_model(4)
-    sol = solve_schedule(model, "mmv")
-    lam = float(sol.segment_optima[0].lambda_hat[0])
-    diag = density_diagnostics(model, solution=sol)
-    residual = diag.sigma_mart_residual[0][0]
-    # the drift of the plain yield is the first-order residual at a
-    # zero position, an independent route from the density diagnostics
-    drift_id = float(foc_residual([0.0], model.segments[0].chars, "mv")[0])
-
-    c.need(lam == 0.0, f"direction {lam!r} not exactly 0")
-    c.need(diag.equivalent, "density not flagged equivalent")
-    c.close(residual, -1.0, 1e-8, "martingale residual")
-    c.close(drift_id, -1.0, 1e-8, "drift of identity")
-    c.finish("zero position, equivalent density, both drift routes at -1")
+    n = c.all_checks(*_reproduce(4))
+    c.finish(f"{n} checks of example 4 pass (zero position, equivalent "
+             f"density, both drift routes at -1)")
 
 
 def test_criterion_6():
     c = Checker(6)
+    rows = _table(5)
+    margin = {name: rows[f"worst_{name}_margin"]["expected"]
+              for name in ("direction", "rate", "hansen")}
+    floor_mmv = rows["monotone_series_partial_exceeds"]["expected"]
     model = example_model(5, atoms_max=10_000)
     sol_mv = solve_schedule(model, "mv")
     sol_mmv = solve_schedule(model, "mmv")
@@ -230,22 +171,23 @@ def test_criterion_6():
     tail = math.fsum(incs[incs.size // 2:])
     partial_mmv = math.fsum(cu_mmv.atom_increments)
 
-    c.need(worst_lam <= 5.0, f"n*|lam-3/2| reaches {worst_lam!r}")
-    c.need(worst_val <= 5.0, f"n*|value/weight-9/8| reaches {worst_val!r}")
-    c.need(worst_mhr <= 5.0, f"n*|mhr2-1/2| reaches {worst_mhr!r}")
+    c.need(worst_lam <= margin["direction"], f"n*|lam-3/2| reaches {worst_lam!r}")
+    c.need(worst_val <= margin["rate"], f"n*|value/weight-9/8| reaches {worst_val!r}")
+    c.need(worst_mhr <= margin["hansen"], f"n*|mhr2-1/2| reaches {worst_mhr!r}")
     c.need(cu_mv.finite, "quadratic series flagged divergent")
     c.need(tail <= 0.01 * (1.0 + abs(partial)),
            f"quadratic tail {tail!r} fails the Cauchy check")
     c.need(not cu_mmv.finite, "monotone series not flagged divergent")
-    c.need(partial_mmv > 100.0,
+    c.need(partial_mmv > floor_mmv,
            f"monotone partial sum {partial_mmv!r} too small")
-    c.finish(f"margins {worst_lam:.2f}/{worst_val:.2f}/{worst_mhr:.2f} <= 5, "
+    c.finish(f"margins {worst_lam:.2f}/{worst_val:.2f}/{worst_mhr:.2f} within bounds, "
              f"quadratic sum {partial:.6f} converges, "
              f"monotone partial {partial_mmv:.0f} diverges")
 
 
 def test_criterion_7():
     c = Checker(7)
+    rows = _table(6)
     model = example_model(6, atoms_max=1_000)
     sol_mv = solve_schedule(model, "mv")
     worst_hr = worst_mean = 0.0
@@ -264,8 +206,10 @@ def test_criterion_7():
     except InfiniteValue:
         separating = False
 
-    c.need(worst_hr <= 1e-12, f"per-bet ratio deviates by {worst_hr!r}")
-    c.need(worst_mean <= 1e-12, f"per-bet mean deviates by {worst_mean!r}")
+    c.need(worst_hr <= rows["worst_hansen_deviation"]["tol"],
+           f"per-bet ratio deviates by {worst_hr!r}")
+    c.need(worst_mean <= rows["worst_mean_deviation"]["tol"],
+           f"per-bet mean deviates by {worst_mean!r}")
     c.need(not gv_mv.finite, "quadratic value not flagged infinite")
     c.need(not gv_mmv.finite, "monotone value not flagged infinite")
     c.need(not separating, "a separating measure was reported")

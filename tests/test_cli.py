@@ -10,7 +10,8 @@ import pytest
 
 import mmvlab
 from mmvlab import solve_schedule
-from mmvlab.cli import run
+from mmvlab.cli import _REPRODUCERS, _lookup, _selftest_values, run
+from mmvlab.examples import expected_figures
 
 ZERO_CONFIG = {
     "horizon": 1.0, "dimension": 1,
@@ -163,6 +164,38 @@ class TestReproduce:
         assert run(["selftest"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["all_pass"] is True
+
+
+TABLE_KEYS = ["1", "2", "3", "4", "5", "6", "selftest"]
+ROW_KEYS = {"name", "value", "negate", "expected", "expected_from", "tol", "mode",
+            "source", "default_atoms_only"}
+
+
+class TestExpectedTable:
+    def test_every_example_and_selftest_has_rows(self):
+        assert sorted(expected_figures()) == TABLE_KEYS
+        assert all(expected_figures()[k]["checks"] for k in TABLE_KEYS)
+
+    @pytest.mark.parametrize("key", TABLE_KEYS)
+    def test_rows_are_well_formed(self, key):
+        rows = expected_figures()[key]["checks"]
+        names = [r["name"] for r in rows]
+        assert len(set(names)) == len(names)
+        for r in rows:
+            assert set(r) <= ROW_KEYS, r
+            assert r["mode"] in ("abs", "le", "ge", "eq"), r
+            assert ("tol" in r) == (r["mode"] == "abs"), r
+            assert ("expected" in r) != ("expected_from" in r), r
+
+    @pytest.mark.parametrize("key", TABLE_KEYS)
+    def test_every_row_names_a_returned_value(self, key):
+        # a renamed figure must fail here, not silently drop its check
+        values = (_selftest_values() if key == "selftest"
+                  else _REPRODUCERS[int(key)]()[1])
+        for r in expected_figures()[key]["checks"]:
+            for path in (r.get("value", r["name"]), r.get("expected_from")):
+                if path is not None:
+                    _lookup(values, path)
 
 
 class TestFormats:
