@@ -98,64 +98,55 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _flatten(obj, prefix: str, rows: list) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _flatten(v, f"{prefix}.{i}" if prefix else str(i), rows)
-    else:
-        rows.append((prefix, _fmt_cell(obj)))
-
-
-def _render_csv(report: dict) -> str:
-    rows: list = []
-    _flatten(report, "", rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _is_check_list(value) -> bool:
     return (isinstance(value, list) and value
             and all(isinstance(c, dict) and "pass" in c and "name" in c
                     for c in value))
 
 
-def _text_lines(obj, prefix: str, out: list) -> None:
+def _walk(obj, prefix: str, checks: bool):
+    """(dotted key, leaf) pairs of a report in order.  With `checks`, each
+    entry of a check list under "checks" is one (key, entry) pair."""
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            if k == "checks" and _is_check_list(v):
-                for c in v:
-                    word = "PASS" if c["pass"] else "FAIL"
-                    detail = f"actual={_fmt_cell(c['actual'])}"
-                    if c["mode"] == "abs":
-                        detail += (f" expected={_fmt_cell(c['expected'])}"
-                                   f" tol={_fmt_cell(c['tol'])}")
-                    elif c["mode"] in ("le", "ge"):
-                        sign = "<=" if c["mode"] == "le" else ">="
-                        detail += f" {sign} {_fmt_cell(c['expected'])}"
-                    else:
-                        detail += f" expected={_fmt_cell(c['expected'])}"
-                    out.append(f"{word} {key}.{c['name']}: {detail}"
-                               f" [{c['source']}]")
-            else:
-                _text_lines(v, key, out)
+        items = obj.items()
     elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _text_lines(v, f"{prefix}.{i}" if prefix else str(i), out)
+        items = enumerate(obj)
     else:
-        out.append(f"{prefix} = {_fmt_cell(obj)}")
+        yield prefix, obj
+        return
+    for k, v in items:
+        key = f"{prefix}.{k}" if prefix else str(k)
+        if checks and k == "checks" and _is_check_list(v):
+            yield from ((key, c) for c in v)
+        else:
+            yield from _walk(v, key, checks)
+
+
+def _render_csv(report: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows((key, _fmt_cell(v)) for key, v in _walk(report, "", False))
+    return buf.getvalue()
+
+
+def _check_line(key: str, c: dict) -> str:
+    detail = f"actual={_fmt_cell(c['actual'])}"
+    if c["mode"] == "abs":
+        detail += f" expected={_fmt_cell(c['expected'])} tol={_fmt_cell(c['tol'])}"
+    elif c["mode"] in ("le", "ge"):
+        sign = "<=" if c["mode"] == "le" else ">="
+        detail += f" {sign} {_fmt_cell(c['expected'])}"
+    else:
+        detail += f" expected={_fmt_cell(c['expected'])}"
+    word = "PASS" if c["pass"] else "FAIL"
+    return f"{word} {key}.{c['name']}: {detail} [{c['source']}]"
 
 
 def _render_text(report: dict) -> str:
-    out: list = []
-    _text_lines(report, "", out)
-    return "\n".join(out) + "\n"
+    lines = [_check_line(key, v) if isinstance(v, dict) else f"{key} = {_fmt_cell(v)}"
+             for key, v in _walk(report, "", True)]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(report: dict, args) -> None:
