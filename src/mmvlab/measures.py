@@ -67,13 +67,26 @@ def _as_direction(lam, dim: int | None) -> np.ndarray:
 class JumpMeasure:
     """Base class of the families, which implement the protocol above.
 
-    Every polynomial moment exists unless a family says otherwise.
+    Every polynomial moment exists unless a family says otherwise.  The
+    one-dimensional families give `mass_scaled_ge` as a half-line mass.
     """
 
     dim: int = 1
 
     def moment_sup_order(self, side: int) -> float:
         return math.inf
+
+    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
+        lam = float(_as_direction(lam, 1)[0])
+        if lam == 0.0:
+            hit = (0.0 > level) if strict else (0.0 >= level)
+            return self.total_mass() if hit else 0.0
+        return self._half_line(level / lam, lam > 0.0, strict)
+
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
+        """Mass of {x >= t} if above, else of {x <= t}; the inequality is
+        strict when asked."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -280,15 +293,10 @@ class Gaussian1D(_LogQuadratic):
                      * normal_probability(za - j * sd, zb - j * sd) for j in range(3)]
         return dot_moments(_powers_of_e(row), lognormal)
 
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.rate if hit else 0.0
-        t = level / lam
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
         z = (t - self.mean) / self.sd
         upper = self.rate * (1.0 - _norm_cdf(z))
-        return upper if lam > 0.0 else self.rate - upper
+        return upper if above else self.rate - upper
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.normal(self.mean, self.sd, size=size)
@@ -332,19 +340,12 @@ class ExpTails1D(_LogQuadratic):
                   for j in range(3)]
         return dot_moments(_powers_of_e(row), powers)
 
-    def _mass_above(self, t: float) -> float:
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if t >= 0.0:
-            return (self.c_plus / self.b) * math.exp(-self.b * t)
-        return self.total_mass() - (self.c_minus / self.a) * math.exp(self.a * t)
-
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.total_mass() if hit else 0.0
-        t = level / lam
-        above = self._mass_above(t)
-        return above if lam > 0.0 else self.total_mass() - above
+            upper = (self.c_plus / self.b) * math.exp(-self.b * t)
+        else:
+            upper = self.total_mass() - (self.c_minus / self.a) * math.exp(self.a * t)
+        return upper if above else self.total_mass() - upper
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         p_plus = (self.c_plus / self.b) / self.total_mass()
@@ -397,16 +398,11 @@ class TabulatedDensity1D(JumpMeasure):
     def integrate(self, f: Pieces) -> float:
         return self._trapezoid(f, f.edges)
 
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.total_mass() if hit else 0.0
-        t = level / lam
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
         x, d = self._with_points([t])
         # clip the range instead of masking the integrand: the threshold is
         # a grid point after insertion, so no cell straddles the jump
-        keep = (x >= t) if lam > 0.0 else (x <= t)
+        keep = (x >= t) if above else (x <= t)
         if np.count_nonzero(keep) < 2:
             return 0.0
         return float(np.trapezoid(d[keep], x[keep]))
@@ -442,19 +438,11 @@ class ExpYieldMeasure(JumpMeasure):
         return self.base._trapezoid(lambda x: f(np.expm1(x)),
                                     np.log1p(f.edges[f.edges > -1.0]))
 
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.total_mass() if hit else 0.0
-        t = level / lam
-        if lam > 0.0:
-            if t <= -1.0:
-                return self.total_mass()
-            return self.base.mass_scaled_ge(1.0, math.log1p(t), strict)
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if t <= -1.0:
-            return 0.0
-        return self.base.mass_scaled_ge(-1.0, -math.log1p(t), strict)
+            return self.total_mass() if above else 0.0
+        s = 1.0 if above else -1.0
+        return self.base.mass_scaled_ge(s, s * math.log1p(t), strict)
 
     def moment_sup_order(self, side: int) -> float:
         if side < 0:
@@ -492,17 +480,12 @@ class CappedMeasure(JumpMeasure):
     def integrate(self, f: Pieces) -> float:
         return self.base.integrate(f.capped(self.cap))
 
-    def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
-        lam = float(_as_direction(lam, 1)[0])
-        if lam == 0.0:
-            hit = (0.0 > level) if strict else (0.0 >= level)
-            return self.total_mass() if hit else 0.0
-        t = level / lam
-        if lam > 0.0:
+    def _half_line(self, t: float, above: bool, strict: bool) -> float:
+        if above:
             if t > self.cap or (strict and t >= self.cap):
                 return 0.0
             return self.base.mass_scaled_ge(1.0, t, strict)
-        # lam < 0: event is min(y, cap) <= t (or <)
+        # the event is min(y, cap) <= t (or <)
         if self.cap < t or (not strict and self.cap == t):
             return self.total_mass()
         return self.base.mass_scaled_ge(-1.0, -t, strict)
