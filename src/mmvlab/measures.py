@@ -207,10 +207,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
@@ -295,8 +291,8 @@ class Gaussian1D(_LogQuadratic):
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         z = (t - self.mean) / self.sd
-        upper = self.rate * (1.0 - _norm_cdf(z))
-        return upper if above else self.rate - upper
+        return self.rate * (normal_probability(z, math.inf) if above
+                            else normal_probability(-math.inf, z))
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.normal(self.mean, self.sd, size=size)

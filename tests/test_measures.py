@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,16 @@ class TestGaussian:
         assert self.G.mass_scaled_ge(1.0, t) == pytest.approx(want, abs=1e-14)
         assert self.G.mass_scaled_ge(-1.0, -t) \
             == pytest.approx(0.7 - want, abs=1e-14)
+
+    @pytest.mark.parametrize("t", [3.0, 9.0, 20.0])
+    def test_far_tails_keep_their_relative_precision(self, t):
+        # 1 - Phi(z) taken from erf reads 0.0 beyond z of about 8.3; rounding
+        # z/sqrt(2) alone moves the tail by up to about z^2 * 2.2e-16 relative
+        law = Gaussian1D(0.0, 1.0, 1.0)
+        with mpmath.workdps(40):
+            want = float(mpmath.erfc(mpmath.mpf(t) / mpmath.sqrt(2)) / 2)
+        assert law.mass_scaled_ge(1.0, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert law.mass_scaled_ge(-1.0, t) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_breakpoints_do_not_change_the_integral(self):
         plain = self.G.integrate(square)
