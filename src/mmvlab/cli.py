@@ -30,10 +30,9 @@ from .aggregate import (INFINITE_VALUES, GlobalValues, Solution,
 from .duality import (compare_mv_mmv, density_diagnostics,
                       mellin_sign_moments, mv_signed_measure,
                       sigma_martingale_residual, zero_density_probability)
-from .drift import drift_of_variation
 from .errors import InfiniteValue, InvariantError, MmvLabError, SchemaError
 from .examples import DEFAULT_ATOMS_MAX, _bet_indices, example_model, expected_figures
-from .localutil import check_instantaneous_no_arbitrage, utility_variation
+from .localutil import check_instantaneous_no_arbitrage, local_utility
 from .model import build_model
 from .montecarlo import SimConfig, estimate_stats, run_wealth_study
 from .optimize import foc_residual
@@ -441,14 +440,13 @@ def _reproduce_1(atoms_max=None):
     model = example_model(1)
     sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
     diag = density_diagnostics(model, solution=sol)
-    atom = model.atoms[0]
+    chars = model.atoms[0].chars
     return model, {
         "density_variance": diag.variance,
         "best_utility_doubled": 2.0 * gv.u0,
         "dual_value": gv.v0,
-        "unit_strategy_values": [
-            drift_of_variation(utility_variation(e, "mmv", dim=2), atom.chars)
-            for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))],
+        "unit_strategy_values": [local_utility(e, chars, "mmv")
+                                 for e in ([1.0, 0.0], [0.0, 1.0])],
         "p_zero": diag.p_zero,
         "equivalent": diag.equivalent,
         "atom_optimum": sol.atom_optima[0].value,

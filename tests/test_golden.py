@@ -11,6 +11,13 @@ repository root, for example
         > tests/data/simulate_ex2_mv.json
 
 (progress goes to stderr), and say in the change which figures moved.
+The expected figures of reproduce and selftest live in
+src/mmvlab/examples_data/expected.json; changing one there means
+regenerating reproduce_ex1.json to reproduce_ex4.json,
+reproduce_ex5_atoms200.json, reproduce_ex5_atoms2000.json,
+reproduce_ex6_atoms200.json, reproduce_ex4.txt, reproduce_ex2.csv and
+selftest.json.
+
 Example 5 at 200 atoms fails its monotone partial-sum check (the
 series has not yet grown past the threshold), so it exits 1; at 2 000
 atoms, where a numerical search once stalled on some bets, it passes.
