@@ -29,10 +29,18 @@ fixed:
 An antithetic unit is a pair of paths sharing every draw except the
 sign of the normals.  Each block goes through the vectorized wealth
 reduce at once.
+
+Blocks run on up to _MAX_WORKERS worker threads, one per usable core
+(numpy's draws and array passes release the GIL).  A worker reuses one
+set of block buffers for every block it takes, and each block writes
+only its own span of the outputs, so output does not depend on the
+number of cores or on which worker drew which block.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,11 @@ from .model import MarketModel, small_jump_mean
 # it changes every draw.  A block's (units, rows) temporaries take about
 # 4 MB at 2 000 rows.
 _BLOCK_UNITS = 256
+
+# Most worker threads a run uses.  A worker's buffers (_BlockBuffers) take
+# about 28 MB at 2 000 rows of one asset with antithetic pairs, so the
+# workers of such a run hold at most about 230 MB.
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -180,24 +193,43 @@ class _Grid:
         self.atom_keys = table.row + 1j * cum
 
 
-def _draw_block(gen: np.random.Generator, grid: _Grid,
-                per_unit: int) -> np.ndarray:
+class _BlockBuffers:
+    """One worker's arrays for a block, reused for every block it takes.
+
+    normals, diff and base are (units, rows, dim); block holds the
+    block's increments and factors its gap factors.  np.empty maps pages
+    on first write, so arrays a caller never uses cost no memory.
+    """
+
+    def __init__(self, grid: _Grid, per_unit: int):
+        units, n_rows, dim = _BLOCK_UNITS, grid.n_rows, grid.dim
+        self.normals = np.empty((units, n_rows, dim))
+        self.diff = np.empty((units, n_rows, dim))
+        self.base = np.empty((units, n_rows, dim))
+        self.block = np.empty((units * per_unit, n_rows, dim))
+        self.factors = np.empty((units * per_unit, n_rows))
+
+
+def _draw_block(gen: np.random.Generator, grid: _Grid, per_unit: int,
+                buf: _BlockBuffers, out: np.ndarray | None = None) -> np.ndarray:
     """Increments of one block of _BLOCK_UNITS units, in the draw order
     of the module docstring; shape (units * per_unit, rows, dim).
 
-    Per unit a shared part collects drift, compound-Poisson jumps and
-    the scheduled jump draws; the diffusion part is linear in the
-    normals, so the antithetic partner of base + diff is base - diff.
+    Written into out (a C-contiguous array of that shape) when given,
+    else into buf.block; every temporary is one of buf's arrays.  Per
+    unit a shared part collects drift, compound-Poisson jumps and the
+    scheduled jump draws; the diffusion part is linear in the normals,
+    so the antithetic partner of base + diff is base - diff.
     """
     units, n_rows, dim = _BLOCK_UNITS, grid.n_rows, grid.dim
     diff = None
     if grid.vol is not None:
-        z = gen.standard_normal((units, n_rows, dim))
-        diff = z[..., 0, None] * grid.vol[:, :, 0]
+        z = gen.standard_normal(out=buf.normals)
+        diff = np.multiply(z[..., 0, None], grid.vol[:, :, 0], out=buf.diff)
         for k in range(1, dim):
             diff += z[..., k, None] * grid.vol[:, :, k]
-        del z
-    base = np.repeat(grid.drift[None], units, axis=0)
+    base = buf.base
+    base[:] = grid.drift
     if grid.jump_segments:
         counts = gen.poisson([s[0] for s in grid.jump_segments],
                              size=(units, len(grid.jump_segments)))
@@ -220,14 +252,15 @@ def _draw_block(gen: np.random.Generator, grid: _Grid,
         hit = k < jumps.offsets[1:]
         unit, t = np.nonzero(hit)
         base[unit, grid.atom_rows[t]] = jumps.points[k[hit]]
-    block = np.empty((units, per_unit, n_rows, dim))
+    inc = buf.block if out is None else out
+    block = inc.reshape(units, per_unit, n_rows, dim)
     if diff is None:
         block[:] = base[:, None]
     else:
         np.add(base, diff, out=block[:, 0])
         if per_unit == 2:
             np.subtract(base, diff, out=block[:, 1])
-    return block.reshape(units * per_unit, n_rows, dim)
+    return inc
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -242,18 +275,68 @@ def _unit_layout(sim: SimConfig) -> tuple[int, int]:
     return sim.n_paths, 1
 
 
-def _blocks(sim: SimConfig, grid: _Grid):
-    """Yield (first path index, increments) for each block of units.
+def _worker_count(n_blocks: int) -> int:
+    """Worker threads for n_blocks blocks: min(usable cores, blocks, cap)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_blocks, _MAX_WORKERS))
 
-    increments has shape (paths, rows, dim); the paths of unit k are
-    consecutive, the base + diff path first.  The last block is drawn
-    in full and cut to the path count.
+
+def _run_blocks(sim: SimConfig, grid: _Grid, run_block) -> None:
+    """Call run_block(buf, first, paths, gen) once for every block.
+
+    first is the block's first path index, paths its path count (the
+    last block is cut to the path count) and gen its Philox stream.
+    The blocks go to _worker_count workers; each makes its
+    _BlockBuffers once and reuses them for every block it takes.  A
+    single worker is the calling thread.  The first exception a worker
+    raises stops the others from taking blocks, and is re-raised here
+    once every worker has stopped.
     """
     n_units, per_unit = _unit_layout(sim)
-    for block in range(-(-n_units // _BLOCK_UNITS)):
-        first = block * _BLOCK_UNITS * per_unit
-        inc = _draw_block(_block_generator(sim.seed, block), grid, per_unit)
-        yield first, inc[:sim.n_paths - first]
+    n_blocks = -(-n_units // _BLOCK_UNITS)
+    block_paths = _BLOCK_UNITS * per_unit
+
+    def run(buf, k):
+        first = k * block_paths
+        run_block(buf, first, min(block_paths, sim.n_paths - first),
+                  _block_generator(sim.seed, k))
+
+    n_workers = _worker_count(n_blocks)
+    if n_workers == 1:
+        buf = _BlockBuffers(grid, per_unit)
+        for k in range(n_blocks):
+            run(buf, k)
+        return
+    todo = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            buf = _BlockBuffers(grid, per_unit)
+            while not errors:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                run(buf, k)
+        except BaseException as exc:    # handed to the calling thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, name=f"mmvlab-block-{i}")
+               for i in range(n_workers)]
+    try:
+        for t in workers:
+            t.start()
+    finally:
+        for t in workers:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
@@ -269,8 +352,16 @@ def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
         raise InvariantError(
             "path set too large to materialize; use run_wealth_study")
     out = np.empty((sim.n_paths, grid.n_rows, grid.dim))
-    for first, inc in _blocks(sim, grid):
-        out[first:first + inc.shape[0]] = inc
+    per_unit = _unit_layout(sim)[1]
+
+    def run_block(buf, first, n, gen):
+        # full blocks are drawn in place; the cut last one is copied
+        if n == _BLOCK_UNITS * per_unit:
+            _draw_block(gen, grid, per_unit, buf, out=out[first:first + n])
+        else:
+            out[first:first + n] = _draw_block(gen, grid, per_unit, buf)[:n]
+
+    _run_blocks(sim, grid, run_block)
     return PathSet(increments=out, t_end=grid.t_end, dt=grid.dt,
                    seg_index=grid.seg_index, atom_index=grid.atom_index,
                    model=model, config=sim)
@@ -296,13 +387,14 @@ def _bliss(x: float, gamma: float, scale: float) -> float:
     return x + scale / gamma
 
 
-def _gap_factors(increments: np.ndarray, lam_rows: np.ndarray) -> np.ndarray:
+def _gap_factors(increments: np.ndarray, lam_rows: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Factors 1 - u of (paths, rows, dim) increments, u = increment . direction.
 
     The gap to bliss after row r is the initial gap times the product
-    of the factors up to r.
+    of the factors up to r.  Written into out when given.
     """
-    f = np.einsum("prd,rd->pr", increments, lam_rows)
+    f = np.einsum("prd,rd->pr", increments, lam_rows, out=out)
     np.subtract(1.0, f, out=f)
     return f
 
@@ -402,11 +494,17 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     w_t = np.empty(sim.n_paths)
     capped = np.empty(sim.n_paths)
     r_t = np.empty((sim.n_paths, grid.dim))
-    for first, inc in _blocks(sim, grid):
-        span = slice(first, first + inc.shape[0])
-        g, capped[span] = _terminal_gaps(_gap_factors(inc, lam_rows), mmv)
+    per_unit = _unit_layout(sim)[1]
+
+    def run_block(buf, first, n, gen):
+        inc = _draw_block(gen, grid, per_unit, buf)[:n]
+        span = slice(first, first + n)
+        f = _gap_factors(inc, lam_rows, out=buf.factors[:n])
+        g, capped[span] = _terminal_gaps(f, mmv)
         w_t[span] = bliss - (bliss - x) * g
         r_t[span] = inc.sum(axis=1)
+
+    _run_blocks(sim, grid, run_block)
     return WealthStudy(terminal_wealth=w_t, capped_exponential=capped,
                        terminal_increment=r_t, kind=kind, bliss=bliss,
                        n_rows=grid.n_rows, config=sim)

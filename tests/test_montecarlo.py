@@ -1,5 +1,6 @@
 """Simulation determinism, wealth recursion, and estimators."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mmvlab import (InvariantError, PathStats, SimConfig, build_model,
                     estimate_stats, example_model, run_wealth_study,
                     simulate_paths, solve_schedule, wealth_recursion)
+from mmvlab import montecarlo
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
 import properties
@@ -188,6 +190,102 @@ class TestStudy:
     def test_materialization_guard(self, ex2):
         with pytest.raises(InvariantError):
             simulate_paths(ex2, SimConfig(n_paths=200_000, n_steps=2000))
+
+
+class TestWorkers:
+    """Blocks on 1, 2 or 3 worker threads give the same bits."""
+
+    N_PATHS = 4 * _BLOCK_UNITS + 3      # 3 blocks paired, 5 unpaired
+    SIMS = (SimConfig(n_paths=N_PATHS, n_steps=16, seed=7),
+            SimConfig(n_paths=N_PATHS, n_steps=16, seed=7, antithetic=False))
+
+    @staticmethod
+    def on_workers(monkeypatch, n):
+        """Run blocks on n workers; returns the set of threads that drew."""
+        drew = set()
+        make = montecarlo._block_generator
+
+        def generator(seed, block):
+            drew.add(threading.get_ident())
+            return make(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda n_blocks: n)
+        monkeypatch.setattr(montecarlo, "_block_generator", generator)
+        return drew
+
+    @pytest.mark.parametrize("example, atoms_max", [(2, None), (1, None), (6, 60)])
+    def test_study_does_not_depend_on_the_worker_count(self, monkeypatch,
+                                                       example, atoms_max):
+        model = example_model(example, atoms_max=atoms_max)
+        fields = ("terminal_wealth", "capped_exponential", "terminal_increment")
+        for kind in ("mv", "mmv"):
+            sol = solve_schedule(model, kind)
+            for sim in self.SIMS:
+                runs = []
+                for n in (1, 2, 3):
+                    drew = self.on_workers(monkeypatch, n)
+                    study = run_wealth_study(model, sim, kind, solution=sol)
+                    runs.append([getattr(study, f).tobytes() for f in fields])
+                    assert (drew == {threading.get_ident()}) == (n == 1)
+                assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("example, atoms_max", [(2, None), (6, 60)])
+    def test_paths_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                     example, atoms_max):
+        model = example_model(example, atoms_max=atoms_max)
+        sol = solve_schedule(model, "mmv")
+        for sim in self.SIMS:
+            runs = []
+            for n in (1, 2, 3):
+                self.on_workers(monkeypatch, n)
+                ps = simulate_paths(model, sim)
+                runs.append([ps.increments.tobytes(),
+                             wealth_recursion(ps, sol, "mmv").tobytes(),
+                             capped_exponential(ps, sol).tobytes()])
+            assert runs[0] == runs[1] == runs[2]
+
+    def test_one_block_stays_on_the_calling_thread(self, ex2, ex2_sol_mmv):
+        drew = set()
+        make = montecarlo._block_generator
+
+        def generator(seed, block):
+            drew.add(threading.get_ident())
+            return make(seed, block)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_block_generator", generator)
+            run_wealth_study(ex2, SimConfig(n_paths=2 * _BLOCK_UNITS, n_steps=8),
+                             "mmv", solution=ex2_sol_mmv)
+        assert drew == {threading.get_ident()}
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, ex2,
+                                                   ex2_sol_mmv):
+        self.on_workers(monkeypatch, 2)
+        raised_on = []
+
+        def sample(law, gen, size):
+            raised_on.append(threading.get_ident())
+            raise RuntimeError("sample failed")
+
+        monkeypatch.setattr(type(ex2.segments[0].chars.jumps), "sample", sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sample failed"):
+            run_wealth_study(ex2, SimConfig(n_paths=self.N_PATHS, n_steps=16),
+                             "mmv", solution=ex2_sol_mmv)
+        assert threading.active_count() == before
+        assert raised_on and threading.get_ident() not in raised_on
+
+    def test_worker_count_stays_under_the_cap(self, monkeypatch):
+        # counts only: no thread is started
+        cap = montecarlo._MAX_WORKERS
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        assert montecarlo._worker_count(1000) == cap
+        assert montecarlo._worker_count(2) == min(2, cap)
+        assert montecarlo._worker_count(1) == 1
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        assert montecarlo._worker_count(1000) == cap
 
 
 class TestEstimates:

@@ -341,11 +341,12 @@ def test_merging_per_jump_equals_merging_one_by_one(table):
 @given(tables(), st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
 def test_scheduled_draws_equal_a_search_per_law(table, seed):
-    from mmvlab.montecarlo import _BLOCK_UNITS, _block_generator, _draw_block, _Grid
+    from mmvlab.montecarlo import (_BLOCK_UNITS, _block_generator, _BlockBuffers,
+                                   _draw_block, _Grid)
     zero = LocalCharacteristics(np.zeros(table.dim), np.zeros((table.dim, table.dim)), None)
     model = MarketModel(1.0, table.dim, (Segment(0.0, 1.0, zero),), table)
     grid = _Grid(model, 3)
-    got = _draw_block(_block_generator(seed, 0), grid, 1)
+    got = _draw_block(_block_generator(seed, 0), grid, 1, _BlockBuffers(grid, 1))
     u = _block_generator(seed, 0).random((_BLOCK_UNITS, len(table)))
     want = np.zeros_like(got)
     for t, atom in enumerate(table):
