@@ -439,17 +439,20 @@ def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
     """
     mmv = _kind(kind) is UtilityKind.MMV
     bliss = _bliss(x, gamma, scale)
-    g = np.cumprod(_path_factors(paths, schedule), axis=1)
+    w = np.empty((paths.n_paths, paths.n_rows + 1))
+    w[:, 0] = x
+    g = w[:, 1:]
+    np.cumprod(_path_factors(paths, schedule), axis=1, out=g)
     if mmv:
         # freeze the running product at its first value <= 0
         crossed = g <= 0.0
         hit = np.flatnonzero(crossed.any(axis=1))
         first = crossed[hit].argmax(axis=1)
+        del crossed
         later = np.arange(g.shape[1])[None, :] > first[:, None]
         g[hit] = np.where(later, g[hit, first][:, None], g[hit])
-    w = np.empty((paths.n_paths, paths.n_rows + 1))
-    w[:, 0] = x
-    w[:, 1:] = bliss - (bliss - x) * g
+    g *= bliss - x
+    np.subtract(bliss, g, out=g)
     return w
 
 
