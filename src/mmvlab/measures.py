@@ -337,11 +337,14 @@ class ExpTails1D(_LogQuadratic):
         return dot_moments(_powers_of_e(row), powers)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
+        # the tail beyond t, away from 0, comes from t's own exponential,
+        # so far tails keep their relative precision; the rest is the total
+        # less that tail
         if t >= 0.0:
-            upper = (self.c_plus / self.b) * math.exp(-self.b * t)
+            tail = (self.c_plus / self.b) * math.exp(-self.b * t)
         else:
-            upper = self.total_mass() - (self.c_minus / self.a) * math.exp(self.a * t)
-        return upper if above else self.total_mass() - upper
+            tail = (self.c_minus / self.a) * math.exp(self.a * t)
+        return tail if above == (t >= 0.0) else self.total_mass() - tail
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         p_plus = (self.c_plus / self.b) / self.total_mass()

@@ -141,6 +141,33 @@ class TestExpTails:
         assert self.M.mass_scaled_ge(-1.0, 0.3) == pytest.approx(want_left,
                                                                  abs=1e-14)
 
+    @pytest.mark.parametrize("t", [3.0, -3.0, 9.0, -9.0, 20.0, -20.0])
+    def test_far_tails_keep_their_relative_precision(self, t):
+        # mass of {x >= t} and of {x <= -t}; a lower tail taken as the
+        # total less the rest read 0.0 once below the total's rounding
+        with mpmath.workdps(40):
+            cm, a, cp, b = (mpmath.mpf(v) for v in (1.5, 4.0, 0.5, 2.0))
+
+            def upper(s):
+                s = mpmath.mpf(s)
+                if s >= 0:
+                    return cp / b * mpmath.exp(-b * s)
+                return cp / b + cm / a * -mpmath.expm1(a * s)
+
+            def lower(s):
+                s = mpmath.mpf(s)
+                if s <= 0:
+                    return cm / a * mpmath.exp(a * s)
+                return cm / a + cp / b * -mpmath.expm1(-b * s)
+
+            want_upper, want_lower = float(upper(t)), float(lower(-t))
+        assert self.M.mass_scaled_ge(1.0, t) == pytest.approx(want_upper, rel=1e-13, abs=0.0)
+        assert self.M.mass_scaled_ge(-1.0, t) == pytest.approx(want_lower, rel=1e-13, abs=0.0)
+
+    def test_far_lower_tail_does_not_cancel(self):
+        assert ExpTails1D(1.0, 1.0, 1.0, 1.0).mass_scaled_ge(-1.0, 40.0) \
+            == pytest.approx(math.exp(-40.0), rel=1e-15, abs=0.0)
+
     def test_all_polynomial_moments_exist(self):
         assert self.M.moment_sup_order(1) == math.inf
         assert self.M.moment_sup_order(-1) == math.inf
