@@ -284,6 +284,24 @@ def _charged_outcomes(jumps, dim: int) -> np.ndarray:
                      if jumps.mass_scaled_ge([s], 0.0, strict=True) > tol]).reshape(-1, 1)
 
 
+def _one_sided_jumps(table) -> list[tuple[float, np.ndarray]]:
+    """(time, witness) of every one-dimensional scheduled jump that wins.
+
+    With no drift or diffusion a jump wins exactly when its charged
+    outcomes all lie on one side of 0, with at least one strictly, and
+    the witness is that side, +-1.0: `_free_lunch`'s verdict, read off
+    one min and one max per jump of the table.
+    """
+    x = np.where(table.masses > 0.0, table.points[:, 0], 0.0)
+    lo, hi = np.zeros(len(table)), np.zeros(len(table))
+    np.minimum.at(lo, table.row, x)
+    np.maximum.at(hi, table.row, x)
+    up, down = (lo == 0.0) & (hi > 0.0), (hi == 0.0) & (lo < 0.0)
+    wins = np.flatnonzero(up | down)
+    return [(time, np.array([1.0 if side else -1.0]))
+            for time, side in zip(table.times[wins].tolist(), up[wins].tolist())]
+
+
 def check_instantaneous_no_arbitrage(model: MarketModel) -> NoArbReport:
     """Scan every segment and scheduled jump for riskless-win directions.
 
@@ -295,7 +313,9 @@ def check_instantaneous_no_arbitrage(model: MarketModel) -> NoArbReport:
     leaves none), its zero-truncation drift and its charged outcomes
     (the atoms of a finite law, the signs a density law charges); a
     scheduled jump on its outcomes alone, with no drift or diffusion,
-    read as its slice of the model's table.
+    read as its slice of the model's table.  In one dimension that
+    verdict is the signs of the outcomes, so the scheduled jumps are
+    decided at once from the table (`_one_sided_jumps`).
     """
     witness = None
     witness_time = None
@@ -310,14 +330,17 @@ def check_instantaneous_no_arbitrage(model: MarketModel) -> NoArbReport:
         if witness is not None:
             witness_time = seg.t_start
             break
-    atom_violations = []
-    zero, whole = np.zeros(model.dim), np.eye(model.dim)
     table = model.atoms
-    charged, ends = table.masses > 0.0, table.offsets.tolist()
-    for time, lo, hi in zip(table.times.tolist(), ends[:-1], ends[1:]):
-        w = _free_lunch(zero, whole, table.points[lo:hi][charged[lo:hi]], 0.0)
-        if w is not None:
-            atom_violations.append((time, w))
+    if model.dim == 1:
+        atom_violations = _one_sided_jumps(table)
+    else:
+        atom_violations = []
+        zero, whole = np.zeros(model.dim), np.eye(model.dim)
+        charged, ends = table.masses > 0.0, table.offsets.tolist()
+        for time, lo, hi in zip(table.times.tolist(), ends[:-1], ends[1:]):
+            w = _free_lunch(zero, whole, table.points[lo:hi][charged[lo:hi]], 0.0)
+            if w is not None:
+                atom_violations.append((time, w))
     return NoArbReport(holds=witness is None and not atom_violations,
                        witness_direction=witness, witness_time=witness_time,
                        atom_violations=tuple(atom_violations))

@@ -10,8 +10,8 @@ from mmvlab import (FiniteAtoms, JumpAtom, LocalCharacteristics, MarketModel,
                     check_instantaneous_no_arbitrage, example_model, local_utility,
                     maximize_local_utility, solve_schedule, utility)
 from mmvlab.model import small_jump_mean
-from mmvlab.localutil import (_cone_ray, asymptotic_slope, slope_variation,
-                              utility_slope, utility_variation)
+from mmvlab.localutil import (_cone_ray, _free_lunch, asymptotic_slope,
+                              slope_variation, utility_slope, utility_variation)
 
 import properties
 
@@ -265,6 +265,34 @@ def test_scheduled_jump_verdict_ignores_outcome_scale():
             config = _segment_config(np.zeros(d), 0.1 * np.eye(d),
                                      atoms=[(scaled, masses)])
             assert check_instantaneous_no_arbitrage(build_model(config)).holds == holds
+
+
+def test_one_dimensional_jumps_get_the_general_verdict():
+    # the per-jump min/max decides as _free_lunch does on each jump alone:
+    # outcomes of mixed scales and signs, some of them uncharged
+    gen = np.random.default_rng(41)
+    atoms = []
+    for k in range(400):
+        n = int(gen.integers(1, 6))
+        pts = gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-8.0, 8.0, size=n)
+        shape = gen.integers(3)
+        if shape == 1:
+            pts = np.abs(pts)
+        elif shape == 2:
+            pts = -np.abs(pts)
+        masses = gen.uniform(0.05, 0.3, size=n) * (gen.random(n) < 0.8)
+        atoms.append(JumpAtom(0.001 * (k + 1), FiniteAtoms(pts[:, None], masses / n)))
+    chars = LocalCharacteristics(np.zeros(1), 0.04 * np.eye(1), None)
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), atoms)
+    report = check_instantaneous_no_arbitrage(model)
+    want = []
+    for atom in atoms:
+        law = atom.law
+        w = _free_lunch(np.zeros(1), np.eye(1), law.points[law.masses > 0.0], 0.0)
+        if w is not None:
+            want.append((atom.time, w.tolist()))
+    assert 50 <= len(want) <= 350          # both verdicts occur often
+    assert [(t, w.tolist()) for t, w in report.atom_violations] == want
 
 
 def test_example5_bets_are_all_two_sided():
