@@ -170,8 +170,12 @@ def test_monotone_equals_plain_where_no_mass_passes_bliss(b, c, law):
     assume(law.mass_scaled_ge(lam, 1.0) == 0.0)
     mmv = maximize_local_utility(chars, "mmv")
     assert mmv.boundedness == "interior"
-    assert float(mmv.lambda_hat[0]) == pytest.approx(lam, rel=1e-12)
-    assert mmv.value == pytest.approx(mv.value, rel=1e-12)
+    # below |b| of about 1e-16 the optimum lies in the rounding noise of
+    # the slope, and the two searches part by up to about 1e-9 relative;
+    # there only the absolute bound holds (b = 0 gives lam near 1e-22)
+    near_zero = 1e-12 if abs(b) < 1e-15 else 0.0
+    assert float(mmv.lambda_hat[0]) == pytest.approx(lam, rel=1e-12, abs=near_zero)
+    assert mmv.value == pytest.approx(mv.value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-10, 1e-14, 1e-17, 1e-20])
@@ -184,5 +188,6 @@ def test_scaled_exponential_tails_keep_the_plain_optimum(s):
     mv = maximize_local_utility(chars, "mv")
     mmv = maximize_local_utility(chars, "mmv")
     assert mmv.boundedness == mv.boundedness == "interior"
-    assert float(mmv.lambda_hat[0]) == pytest.approx(float(mv.lambda_hat[0]), rel=1e-12)
+    assert float(mmv.lambda_hat[0]) == pytest.approx(float(mv.lambda_hat[0]),
+                                                     rel=1e-12, abs=0.0)
     assert float(mv.lambda_hat[0]) == pytest.approx(4.3176e-6, rel=1e-4)
