@@ -31,10 +31,10 @@ sign of the normals.  Each block goes through the vectorized wealth
 reduce at once.
 
 Blocks run on up to _MAX_WORKERS = 8 worker threads, at most one per
-usable core (numpy's draws and array passes release the GIL).  A worker reuses one
-set of block buffers for every block it takes, and each block writes
-only its own span of the outputs, so output does not depend on the
-number of cores or on which worker drew which block.
+usable core (numpy's draws and array passes release the GIL).  A
+worker reuses one set of block buffers for every block it takes, and
+each block writes only its own span of the outputs, so output does not
+depend on the number of cores or on which worker drew which block.
 """
 from __future__ import annotations
 

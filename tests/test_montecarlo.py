@@ -1,5 +1,6 @@
 """Simulation determinism, wealth recursion, and estimators."""
 import math
+import sys
 import threading
 
 import numpy as np
@@ -243,6 +244,30 @@ class TestWorkers:
                              wealth_recursion(ps, sol, "mmv").tobytes(),
                              capped_exponential(ps, sol).tobytes()])
             assert runs[0] == runs[1] == runs[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch,
+                                                          ex2, ex2_sol_mmv):
+        # a block lost or drawn twice by racing workers would leave garbage
+        # or a repeated span in the output; bounded in time by the join
+        sim = SimConfig(n_paths=12 * _BLOCK_UNITS + 5, n_steps=4, seed=3,
+                        antithetic=False)
+        fields = ("terminal_wealth", "capped_exponential", "terminal_increment")
+        self.on_workers(monkeypatch, 1)
+        want = run_wealth_study(ex2, sim, "mmv", solution=ex2_sol_mmv)
+        self.on_workers(monkeypatch, 6)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(
+                run_wealth_study(ex2, sim, "mmv", solution=ex2_sol_mmv)), daemon=True)
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        for f in fields:
+            assert getattr(got[0], f).tobytes() == getattr(want, f).tobytes()
 
     def test_one_block_stays_on_the_calling_thread(self, ex2, ex2_sol_mmv):
         drew = set()
