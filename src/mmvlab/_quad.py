@@ -10,10 +10,18 @@ moments.  On a piece on one side of 0, anchored at the end x0 nearest
 0 for exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
 expanded about x0 keep their terms of one sign.  A short piece, |alpha|
 w + gamma w^2 <= 1 for its width w, is summed as the Taylor series of
-the whole integrand (`series_integral`), exact to rounding however
-narrow it is, where differences of antiderivatives would cancel.
-Longer pieces and tails use incomplete gamma functions of integer order
-and normal tail probabilities taken on the side away from the mean.
+the whole integrand (`series_weights`, `series_sum`), exact to rounding
+however narrow it is, where differences of antiderivatives would
+cancel.  Longer pieces and tails use incomplete gamma functions of
+integer order and normal tail probabilities taken on the side away from
+the mean.
+
+What depends on the piece alone (the series weights, the moments, the
+powers of the yield step in `yield_shift`) is computed once; the
+coefficient row enters last, through the maps `poly_shift` and
+`yield_shift` return and one dot product.  The measures keep those
+row-free parts as plans per piece (`measures._LogQuadratic`), and a
+row applied to a kept plan gives the bits of one built anew.
 """
 from __future__ import annotations
 
@@ -65,48 +73,63 @@ class Pieces:
                       np.append(self.at[:j], v))
 
     def spans(self, floor: float = -math.inf):
-        """(lo, hi, row) of every nonzero piece above floor, split at 0."""
+        """(lo, hi, row) of every nonzero piece above floor, split at 0;
+        the row is a list of floats."""
         j = int(np.searchsorted(self.edges, floor, side="right"))
         bounds = [floor, *self.edges[j:].tolist(), math.inf]
-        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:]):
-            if not row.any():
+        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:].tolist()):
+            if not any(row):
                 continue
             for a, b in ((lo, 0.0), (0.0, hi)) if lo < 0.0 < hi else ((lo, hi),):
                 if a < b:
                     yield a, b, row
 
 
-def poly_shift(row, x0: float, s: float, w: float = 1.0) -> np.ndarray:
-    """Coefficients in t/w of the row's polynomial at x0 + s t."""
-    c0, c1, c2 = row
-    return np.array([c0 + x0 * (c1 + x0 * c2), s * (c1 + 2.0 * c2 * x0) * w, c2 * w * w])
+def poly_shift(x0: float, s: float, w: float = 1.0):
+    """The map from a coefficient row to its polynomial's coefficients in
+    t/w at x0 + s t."""
+    def shift(row) -> np.ndarray:
+        c0, c1, c2 = row
+        return np.array([c0 + x0 * (c1 + x0 * c2), s * (c1 + 2.0 * c2 * x0) * w, c2 * w * w])
+    return shift
 
 
-def yield_shift(row, x0: float, s: float, w: float) -> np.ndarray:
-    """Taylor coefficients in t/w of the row's polynomial at expm1(x0 + s t)."""
-    c0, c1, c2 = row
+def yield_shift(x0: float, s: float, w: float):
+    """The map from a coefficient row to the Taylor coefficients in t/w of
+    its polynomial at expm1(x0 + s t).  The powers of the yield step are
+    taken once; a row only scales and adds them."""
     y0 = math.expm1(x0)
     step = math.exp(x0) * (s * w) ** _K / _FACT     # expm1(x0 + s t) - y0
     step[0] = 0.0
-    out = (c1 + 2.0 * c2 * y0) * step + c2 * np.convolve(step, step)[:_N]
-    out[0] = c0 + y0 * (c1 + y0 * c2)
-    return out
+    square = np.convolve(step, step)[:_N]
+
+    def shift(row) -> np.ndarray:
+        c0, c1, c2 = row
+        out = (c1 + 2.0 * c2 * y0) * step + c2 * square
+        out[0] = c0 + y0 * (c1 + y0 * c2)
+        return out
+    return shift
 
 
-def series_integral(coef: np.ndarray, alpha: float, gamma: float, w: float) -> float:
-    """Integral over [0, w] of P(t) exp(-alpha t - gamma t^2), coef holding
-    P's Taylor coefficients in t/w: the exponential's follow from (n+1)
-    d[n+1] = -alpha d[n] - 2 gamma d[n-1] (units of w), and with |alpha| w
-    + gamma w^2 <= 1 the product series converges to rounding in 48 terms.
-    """
+def series_weights(alpha: float, gamma: float, w: float) -> np.ndarray:
+    """Taylor coefficients d in t/w of exp(-alpha t - gamma t^2): (n+1)
+    d[n+1] = -alpha d[n] - 2 gamma d[n-1] (units of w).  With |alpha| w +
+    gamma w^2 <= 1 the product series of `series_sum` converges to
+    rounding in 48 terms."""
     a, g = alpha * w, gamma * w * w
     if g == 0.0:
-        d = (-a) ** _K / _FACT
-    else:
-        d = np.empty(_N)
-        d[0], d[1] = 1.0, -a
-        for n in range(1, _N - 1):
-            d[n + 1] = -(a * d[n] + 2.0 * g * d[n - 1]) / (n + 1)
+        return (-a) ** _K / _FACT
+    d = np.empty(_N)
+    d[0], d[1] = 1.0, -a
+    for n in range(1, _N - 1):
+        d[n + 1] = -(a * d[n] + 2.0 * g * d[n - 1]) / (n + 1)
+    return d
+
+
+def series_sum(coef: np.ndarray, d: np.ndarray, w: float) -> float:
+    """Integral over [0, w] of P(t) exp(-alpha t - gamma t^2), coef holding
+    P's Taylor coefficients in t/w and d the exponential's
+    (`series_weights`)."""
     return w * float(np.convolve(coef, d)[:_N] @ _INV)
 
 

@@ -74,10 +74,8 @@ def kinked_variation(lam: float, below, above, at_bliss: float,
     coef, at = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
-        row = np.array(below if lam * mid < 1.0 else above, dtype=float)
-        if abs(mid) < 1.0:
-            row[1] -= g0
-        coef.append(row)
+        c0, c1, c2 = below if lam * mid < 1.0 else above
+        coef.append((c0, c1 - g0 if abs(mid) < 1.0 else c1, c2))
     for e in edges:
         row = below if lam * e < 1.0 else above
         value = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e

@@ -19,6 +19,16 @@ exponential-tail families integrate it exactly from partial moments
 (`_quad`), also in y = e^x - 1 under the exponential yield transform
 (lognormal and power-law moments); a cap adds one constant piece.  A
 divergent tail comes out as the infinity of its sign.
+
+Those two families keep a plan per piece they have integrated: its
+row-free moments, built once per (lo, hi, yields) and applied to each
+coefficient row with the arithmetic of a fresh build, so every integral
+keeps its bits.  Plans live on the measure instance (its yield and cap
+images share the base's), never in a cache keyed by law parameters: the
+pieces that end at -inf, -1, 0, 1 or inf stay for the instance's
+lifetime, and of the pieces that end at a bliss point 1/lam or a cap
+only the last `_MOVING_PLANS` used.  A model built again starts with
+none.
 """
 from __future__ import annotations
 
@@ -27,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (_FACT, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
-                    normal_local_moments, normal_probability, poly_shift, series_integral,
-                    yield_shift)
+from ._quad import (_FACT, _N, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
+                    normal_local_moments, normal_probability, poly_shift, series_sum,
+                    series_weights, yield_shift)
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
@@ -217,12 +227,27 @@ def _powers_of_e(row) -> tuple[float, float, float]:
     return c0 - c1 + c2, c1 - 2.0 * c2, c2
 
 
+#: piece ends that do not move with the direction lam: pieces between them
+#: are kept for the measure's lifetime, the others only among the last few
+_FIXED_ENDS = frozenset((-math.inf, -1.0, 0.0, 1.0, math.inf))
+_MOVING_PLANS = 8
+_MISSING = object()
+
+
 class _LogQuadratic(JumpMeasure):
     """A density that is log-quadratic on each side of 0, integrated exactly.
 
     Subclasses give the density's local form at a point (`_local`: log
     density, alpha and gamma along direction s, as in `_quad`) and the
-    closed form of a long piece (`_long`).
+    row step of a long piece's closed form (`_long`).
+
+    Each piece's integral is split in two: its plan (`_build_plan`), a
+    step holding everything the coefficient row does not touch (the
+    anchor, the log-density, the series weights, the powers of the yield
+    step and the normal, exponential, gamma or lognormal moments), and
+    the row applied to it.  The moving pieces kept are those of the last
+    few directions, which serve the FOC, value and sign-moment
+    integrals at a solved lam.
     """
 
     def integrate(self, f: Pieces) -> float:
@@ -232,19 +257,43 @@ class _LogQuadratic(JumpMeasure):
         """Integral of f(x), or of f(e^x - 1) when yields, against the density."""
         total = 0.0
         for lo, hi, row in f.spans(-1.0 if yields else -math.inf):
-            if yields:
-                lo, hi = (-math.inf if lo == -1.0 else math.log1p(lo)), math.log1p(hi)
-            x0, s = (lo, 1.0) if lo >= 0.0 else (hi, -1.0)
-            w = hi - lo
-            log_rho, alpha, gamma = self._local(x0, s)
-            if log_rho == -math.inf:
-                continue
-            if abs(alpha) * w + gamma * w * w <= 1.0 and (w <= 1.0 or not yields):
-                coef = yield_shift(row, x0, s, w) if yields else poly_shift(row, x0, s, w)
-                total += math.exp(log_rho) * series_integral(coef, alpha, gamma, w)
-            else:
-                total += self._long(row, lo, hi, x0, s, log_rho, alpha, w, yields)
+            step = self._plan(lo, hi, yields)
+            if step is not None:
+                total += step(row)
         return total
+
+    def _plan(self, lo: float, hi: float, yields: bool):
+        """The row step of the piece (lo, hi), from the memo or built; None
+        where the density vanishes."""
+        fixed, moving = self.__dict__.setdefault("_plans", ({}, {}))
+        key = (lo, hi, yields)
+        if lo in _FIXED_ENDS and hi in _FIXED_ENDS:
+            step = fixed.get(key, _MISSING)
+            if step is _MISSING:
+                step = fixed[key] = self._build_plan(lo, hi, yields)
+            return step
+        step = moving.pop(key, _MISSING)        # put back as the most recent
+        if step is _MISSING:
+            step = self._build_plan(lo, hi, yields)
+            if len(moving) >= _MOVING_PLANS:
+                del moving[next(iter(moving))]
+        moving[key] = step
+        return step
+
+    def _build_plan(self, lo: float, hi: float, yields: bool):
+        if yields:
+            lo, hi = (-math.inf if lo == -1.0 else math.log1p(lo)), math.log1p(hi)
+        x0, s = (lo, 1.0) if lo >= 0.0 else (hi, -1.0)
+        w = hi - lo
+        log_rho, alpha, gamma = self._local(x0, s)
+        if log_rho == -math.inf:
+            return None
+        if abs(alpha) * w + gamma * w * w <= 1.0 and (w <= 1.0 or not yields):
+            rho = math.exp(log_rho)
+            shift = yield_shift(x0, s, w) if yields else poly_shift(x0, s, w)
+            d = series_weights(alpha, gamma, w)
+            return lambda row: rho * series_sum(shift(row), d, w)
+        return self._long(lo, hi, x0, s, log_rho, alpha, w, yields)
 
 
 @dataclass(frozen=True)
@@ -275,19 +324,20 @@ class Gaussian1D(_LogQuadratic):
         log_rho = _log(self.rate / (self.sd * math.sqrt(2.0 * math.pi))) - 0.5 * z0 * z0
         return log_rho, s * z0 / self.sd, 0.5 / self.variance
 
-    def _long(self, row, lo, hi, x0, s, log_rho, alpha, w, yields) -> float:
-        mu, sd = self.mean, self.sd
+    def _long(self, lo, hi, x0, s, log_rho, alpha, w, yields):
+        mu, sd, rate = self.mean, self.sd, self.rate
         eta = s * (x0 - mu) / sd
         if not yields or sd * (max(-eta, 0.0) + 3.0) <= 1.0:
             # local normal moments in units of sd from the near end; under
             # the yield transform this sums the Taylor series of y there,
             # which far below e^{jx} would cancel in lognormal moments
-            coef = (yield_shift if yields else poly_shift)(row, x0, s, sd)
-            return self.rate * float(coef @ normal_local_moments(eta, w / sd, coef.size))
+            shift = (yield_shift if yields else poly_shift)(x0, s, sd)
+            moments = normal_local_moments(eta, w / sd, _N if yields else 3)
+            return lambda row: rate * float(shift(row) @ moments)
         za, zb = (lo - mu) / sd, (hi - mu) / sd
-        lognormal = [self.rate * math.exp(j * mu + 0.5 * j * j * self.variance)
+        lognormal = [rate * math.exp(j * mu + 0.5 * j * j * self.variance)
                      * normal_probability(za - j * sd, zb - j * sd) for j in range(3)]
-        return dot_moments(_powers_of_e(row), lognormal)
+        return lambda row: dot_moments(_powers_of_e(row), lognormal)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         z = (t - self.mean) / self.sd
@@ -324,17 +374,19 @@ class ExpTails1D(_LogQuadratic):
             return _log(self.c_plus) - self.b * x0, self.b, 0.0
         return _log(self.c_minus) + self.a * x0, self.a, 0.0
 
-    def _long(self, row, lo, hi, x0, s, log_rho, alpha, w, yields) -> float:
+    def _long(self, lo, hi, x0, s, log_rho, alpha, w, yields):
         if not yields:
-            return math.exp(log_rho) * float(poly_shift(row, x0, s) @ exp_moments(alpha, w))
+            rho, shift, moments = math.exp(log_rho), poly_shift(x0, s), exp_moments(alpha, w)
+            return lambda row: rho * float(shift(row) @ moments)
         if alpha >= 5.0:
             # a steep tail keeps its mass where y^k is far below e^{jx}:
             # sum the Taylor series of y against incomplete gamma moments
             moments = _FACT * gamma_ratios(alpha * w)
-            return math.exp(log_rho) / alpha * float(yield_shift(row, x0, s, 1.0 / alpha) @ moments)
+            rho, shift = math.exp(log_rho) / alpha, yield_shift(x0, s, 1.0 / alpha)
+            return lambda row: rho * float(shift(row) @ moments)
         powers = [math.exp(log_rho + j * x0) * exp_integral(alpha - j * s, w)
                   for j in range(3)]
-        return dot_moments(_powers_of_e(row), powers)
+        return lambda row: dot_moments(_powers_of_e(row), powers)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         # the tail beyond t, away from 0, comes from t's own exponential,

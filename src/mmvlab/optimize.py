@@ -24,13 +24,18 @@ One-dimensional laws given by a density are first restricted to the
 directions whose tail moments support a finite value, and monotone-kind
 rays are classified by their asymptotic slope.  Slopes and values are
 exact sums of partial moments (`_quad`) at every scale of lam.  The
-slope along the allowed side never increases, so the maximizer is the
-first point where it stops pointing outward: a bracket grown from the
-law's scale by factors of 4, Chandrupatla's interpolating steps on the
-slope and a bisection down to adjacent doubles find it, in about ten
-slope evaluations, and the objective is evaluated once, there.  That
-zero is also the sigma-martingale condition of the dual density, and
-the minimum-norm end of any flat stretch.
+plain slope is B - lam C there too, so its zero is B/C, from the slope
+at the origin and one curvature integral.  The monotone kind has the
+same optimum wherever no mass passes the bliss point 1/lam of B/C (the
+paper's cap condition: the two utilities then agree wherever the law
+has mass).  Elsewhere the slope along the allowed side never
+increases, so the maximizer is the first point where it stops pointing
+outward: a bracket grown from the law's scale by factors of 4,
+Chandrupatla's interpolating steps on the slope and a bisection down to
+adjacent doubles find it, in about ten slope evaluations, and the
+objective is evaluated once, there.  That zero is also the
+sigma-martingale condition of the dual density, and the minimum-norm
+end of any flat stretch.
 
 The monotone kind on several-dimensional atoms is exact too.  Its
 local utility is concave and piecewise quadratic: on the set S of atoms
@@ -49,16 +54,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import drift_of_variation
+from ._quad import Pieces
+from .drift import VariationFunction, drift_of_variation
 from .errors import NonIntegrable, OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _slope_tol,
                         asymptotic_slope, local_utility, slope_variation, utility,
                         utility_slope)
-from .measures import FiniteAtoms, _row_sums, truncate
+from .measures import (CappedMeasure, ExpYieldMeasure, FiniteAtoms, TabulatedDensity1D,
+                       _row_sums, truncate)
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
 _MAX_DIM = 4
+#: x -> x^2, whose drift c + (integral of x^2) is the plain kind's curvature
+#: C, with the slope's fixed edges -1 and 1
+_SQUARE = VariationFunction(Pieces((-1.0, 1.0), [(0.0, 0.0, 1.0)] * 3, (1.0, 1.0)),
+                            [0.0], [[2.0]])
 
 
 @dataclass(frozen=True)
@@ -501,12 +512,23 @@ def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
     return hi, f_hi
 
 
+def _trapezoid_law(jumps) -> bool:
+    """Whether a one-dimensional law is integrated by the trapezoid rule."""
+    while isinstance(jumps, (ExpYieldMeasure, CappedMeasure)):
+        jumps = jumps.base
+    return isinstance(jumps, TabulatedDensity1D)
+
+
 def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """Root of the slope for a one-dimensional jump law given by a density.
 
     The slope of the concave local utility never increases away from the
-    origin, so its first zero is the minimum-norm maximizer: the first
-    double where the slope stops being positive (`_first_nonpositive`).
+    origin, so its first zero is the minimum-norm maximizer: B/C for the
+    plain kind, and for the monotone kind where no mass passes 1/(B/C);
+    otherwise the first double where the slope stops being positive
+    (`_first_nonpositive`).  A B/C within eps^2 of the law's scale is
+    searched too, as is a tabulated law that puts a trapezoid node at
+    1/lam inside its grid.
     """
     kind = _kind(kind)
     jumps = chars.jumps
@@ -555,13 +577,33 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     side = -1.0 if not allow_pos or (allow_neg and down) else 1.0
     if res0 is not None and side * float(res0[0]) <= 0.0:
         return origin()
+    scale = 1.0 / max(jumps.support_scale(), 1e-12)
+
+    # The plain slope B - lam C is linear, so its zero is B / C; where no
+    # mass passes the bliss point 1/lam there, the monotone slope is the
+    # same function up to lam and has the same zero.  A trapezoid rule
+    # puts a node at 1/lam inside its grid, which bends its slope: there
+    # the zero is searched.
+    curv = (drift_of_variation(_SQUARE, chars)
+            if res0 is not None and ok_neg and ok_pos and not flagged else 0.0)
+    if curv > 0.0:
+        lam = float(res0[0]) / curv
+        # directions within eps^2 of the law's scale count as zero: searched
+        if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale and (
+                (kind is UtilityKind.MV and not _trapezoid_law(jumps))
+                or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
+            val = local_utility(lam, chars, kind)
+            if val < 0.0:     # rounding around a maximum at the origin
+                return origin()
+            if math.isfinite(val):
+                return finish(lam, val, foc_residual([lam], chars, kind))
 
     def slope(t: float) -> float:
         return side * float(foc_residual([side * t], chars, kind)[0])
 
     # grow [lo, hi] until the slope at hi stops being positive
     lo, s_lo = 0.0, math.inf if res0 is None else side * float(res0[0])
-    hi = scale = 1.0 / max(jumps.support_scale(), 1e-12)
+    hi = scale
     s_hi = slope(hi)
     for _ in range(40):
         if s_hi <= 0.0:
@@ -592,9 +634,15 @@ def maximize_local_utility(chars: LocalCharacteristics, kind) -> LocalOptimum:
     Newton solve for the monotone kind on atoms (d <= 4).  An unbounded
     several-dimensional point is reported at the origin.  One-dimensional
     density laws are restricted by tail moments to the directions of
-    finite value; their maximizer is the first zero of the slope, found
-    by interpolating steps in a sign bracket that end on the float
-    lattice.
+    finite value; their maximizer is the first zero of the slope.  For
+    the plain kind that is the closed form lam = B/C, B the slope at the
+    origin and C = c + integral of x^2 (four drift evaluations in all);
+    the monotone kind returns the same optimum when no mass lies
+    strictly past its bliss point 1/lam (`mass_scaled_ge(lam, 1, strict)
+    == 0`), the paper's cap condition.  Every other point, a B/C within
+    eps^2 of the law's scale and a plain-kind tabulated law whose grid
+    reaches past 1/lam, is searched by interpolating steps in a sign
+    bracket that end on the float lattice.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")

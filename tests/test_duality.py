@@ -225,3 +225,44 @@ def test_cap_below_the_bliss_edge_makes_the_kinds_coincide(law, b, c, log_terms,
     rep = compare_mv_mmv(capped)
     assert rep.verdict == "coincide"
     assert rep.max_lambda_gap == 0.0
+
+
+def _density_segment(law, b_kind, b, c, t_start, t_end):
+    return {"t_start": t_start, "t_end": t_end, "b_kind": b_kind, "b": b, "c": c,
+            "jumps": law}
+
+
+@given(st.lists(st.tuples(density_laws(), st.sampled_from(["zero", "trunc"]),
+                          st.floats(-0.3, 0.3), st.floats(0.01, 0.09)),
+                min_size=1, max_size=3),
+       st.booleans(), st.floats(0.05, 0.95))
+@settings(max_examples=30, deadline=None)
+def test_splitting_a_segment_keeps_every_optimum_and_the_duality_identity(
+        segments, log_terms, frac):
+    # one-dimensional density laws; the first segment is split in two at
+    # frac of its length.  Each half solves the same characteristics, so
+    # its optimum is the unsplit one bit for bit; and the global values
+    # obey 1 + msr2 = 1/(1 - mhr2)
+    edges = np.linspace(0.0, 1.0, len(segments) + 1).tolist()
+    whole = [_density_segment(*seg, edges[i], edges[i + 1]) for i, seg in enumerate(segments)]
+    cut = edges[0] + frac * (edges[1] - edges[0])
+    split = [_density_segment(*segments[0], edges[0], cut),
+             _density_segment(*segments[0], cut, edges[1]), *whole[1:]]
+    models = []
+    for segs in (whole, split):
+        config = {"horizon": 1.0, "dimension": 1, "segments": segs}
+        if log_terms:
+            config["yield_transform"] = "exp"
+        models.append(build_model(config))
+    for kind in ("mv", "mmv"):
+        optima = solve_schedule(models[0], kind).segment_optima
+        halves = solve_schedule(models[1], kind).segment_optima
+        for got, want in zip(halves, (optima[0], *optima)):
+            assert got.lambda_hat.tobytes() == want.lambda_hat.tobytes()
+            assert got.foc_residual.tobytes() == want.foc_residual.tobytes()
+            assert (got.value, got.boundedness, got.tie_break_applied) \
+                == (want.value, want.boundedness, want.tie_break_applied)
+        for model in models:
+            gv = global_values(cumulative_local_utility(model, kind))
+            if gv.finite:
+                assert 1.0 + gv.msr2 == pytest.approx(1.0 / (1.0 - gv.mhr2), rel=1e-10, abs=0.0)

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,8 @@ from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
 from mmvlab.drift import drift_of_variation
-from mmvlab.measures import TRUNCATION_PIECES
-from mmvlab.optimize import _maximize_1d, maximize_atom_laws
+from mmvlab.measures import TRUNCATION_PIECES, ExpYieldMeasure
+from mmvlab.optimize import maximize_atom_laws
 
 import properties
 
@@ -223,26 +224,16 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     # a bracket, Chandrupatla's steps on the slope and a finish on the
     # float lattice: example 3 mmv takes 16 drift evaluations, the others
-    # ten or fewer
-    calls = []
-
-    def counting(xi, chars):
-        calls.append(xi)
-        return drift_of_variation(xi, chars)
-
-    for module in (mmvlab.optimize, mmvlab.localutil):
-        monkeypatch.setattr(module, "drift_of_variation", counting)
+    # ten or fewer (example 2 mv, B/C in closed form, four)
+    calls = _counting_drifts(monkeypatch)
     for seg in example_model(example).segments:
         calls.clear()
         maximize_local_utility(seg.chars, kind)
         assert 1 <= len(calls) <= 20
 
 
-@pytest.mark.parametrize("b", [2.2250738585e-313, 1e-300, 1e-12])
-def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
-    # a drift far below the law's scale puts the slope's first zero at
-    # the origin to working precision: the search stops eps^2 of the
-    # scale away instead of descending to subnormal directions
+def _counting_drifts(monkeypatch):
+    """The list every drift_of_variation call of the optimizer appends to."""
     calls = []
 
     def counting(xi, chars):
@@ -251,14 +242,22 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
 
     for module in (mmvlab.optimize, mmvlab.localutil):
         monkeypatch.setattr(module, "drift_of_variation", counting)
-    atom = LocalCharacteristics(np.array([b]), np.array([[0.25]]),
-                                FiniteAtoms(np.array([[1.0]]), np.array([1.0])))
-    exact = float(maximize_local_utility(atom, "mv").lambda_hat[0])   # b / 1.25
-    calls.clear()
-    searched = float(_maximize_1d(atom, "mv").lambda_hat[0])
-    # the searched slope b - 1 + (1 - 1.25 lam) rounds at 1e-16
-    assert searched == pytest.approx(exact, abs=1e-15)
+    return calls
+
+
+@pytest.mark.parametrize("b", [2.2250738585e-313, 1e-300, 1e-12])
+def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
+    # a drift far below the law's scale puts the slope's first zero at
+    # the origin to working precision: B/C falls below eps^2 of the
+    # scale, and the search stops there instead of descending to
+    # subnormal directions
+    calls = _counting_drifts(monkeypatch)
+    diffusive = LocalCharacteristics(np.array([b]), np.array([[0.25]]),
+                                     ExpTails1D(1.0, 8.0, 1.0, 8.0))
+    opt = maximize_local_utility(diffusive, "mv")
     assert len(calls) <= 100
+    lam, _ = _scanned_mv_optimum(diffusive)      # b / (0.25 + 1/128)
+    assert float(opt.lambda_hat[0]) == pytest.approx(lam, rel=1e-9, abs=1e-15)
     density = LocalCharacteristics(np.array([b]), np.zeros((1, 1)),
                                    ExpTails1D(1.0, 8.0, 1.0, 8.0))
     calls.clear()
@@ -268,6 +267,29 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
     # to about 1e-20, as the atom slope rounds at 1e-16
     assert float(opt.lambda_hat[0]) == pytest.approx(128.0 * b, abs=1e-15)
     assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("law", [Gaussian1D(0.0, 1e-4, 1.0),
+                                 ExpYieldMeasure(Gaussian1D(0.0, 1e-4, 1.0)),
+                                 ExpTails1D(1.0, 2000.0, 1.0, 2000.0)])
+def test_closed_form_optimum_costs_four_drifts(law, monkeypatch):
+    # mv is B/C: the slope at the origin, the curvature, then the value
+    # and the FOC there; mmv is the same optimum when no mass passes its
+    # bliss point, as on these narrow laws
+    calls = _counting_drifts(monkeypatch)
+    chars = LocalCharacteristics(np.array([0.1]), np.array([[0.05]]), law)
+    opt = {}
+    for kind in ("mv", "mmv"):
+        calls.clear()
+        opt[kind] = maximize_local_utility(chars, kind)
+        assert len(calls) <= 4
+        assert opt[kind].boundedness == "interior"
+    assert law.mass_scaled_ge(opt["mv"].lambda_hat, 1.0, strict=True) == 0.0
+    assert opt["mmv"].lambda_hat.tobytes() == opt["mv"].lambda_hat.tobytes()
+    for seg in example_model(2).segments:
+        calls.clear()
+        maximize_local_utility(seg.chars, "mv")
+        assert len(calls) <= 4
 
 
 def _example5_closed_form(n):
@@ -362,17 +384,71 @@ def test_batched_schedule_equals_single_points_bit_for_bit(laws, kind):
             == (want.value, want.boundedness, want.tie_break_applied)
 
 
-@given(atom_laws(), st.floats(-0.5, 0.5), st.floats(0.0, 0.3))
-@settings(max_examples=60, deadline=None)
-def test_quadratic_closed_form_matches_the_line_search(law, b, c):
+def _mp_integral(law, g, kinks):
+    """Integral of g against a Gaussian or exponential-tail law, or its
+    image under x -> e^x - 1, by mpmath; g kinks at the points kinks."""
+    if isinstance(law, ExpYieldMeasure):
+        return _mp_integral(law.base, lambda x: g(mp.expm1(x)),
+                            [mp.log1p(k) for k in kinks if k > -1])
+    if isinstance(law, Gaussian1D):
+        mu, sd, r = mp.mpf(law.mean), mp.sqrt(mp.mpf(law.variance)), mp.mpf(law.rate)
+        own = [mu + k * sd for k in (-8, -2, 0, 2, 8)]
+
+        def rho(x):
+            return r * mp.npdf(x, mu, sd)
+    else:
+        cm, a, cp, b = map(mp.mpf, (law.c_minus, law.a, law.c_plus, law.b))
+        own = [mp.mpf(0)]
+
+        def rho(x):
+            return cm * mp.exp(a * x) if x < 0 else cp * mp.exp(-b * x)
+    points = [-mp.inf, *sorted(set(map(mp.mpf, kinks)) | set(own)), mp.inf]
+    return mp.quad(lambda x: g(x) * rho(x), points)
+
+
+def _scanned_mv_optimum(chars):
+    """Argmax and maximum of the explicit plain objective B lam - C lam^2/2.
+
+    B = b + integral of x - h(x) and C = c + integral of x^2 come from
+    mpmath quadrature at 20 digits; at 40, a grid of 41 points on [-1e6,
+    1e6] is zoomed to the two cells around its maximum until the cells
+    fall below 1e-30 of the argmax.
+    """
+    law = chars.jumps
+    with mp.workdps(20):
+        B = float(chars.b_trunc[0]) + _mp_integral(
+            law, lambda x: x if abs(x) > 1 else mp.mpf(0), [-1.0, 1.0])
+        C = float(chars.cov[0, 0]) + _mp_integral(law, lambda x: x * x, [])
+    with mp.workdps(40):
+        lo, hi = mp.mpf(-1e6), mp.mpf(1e6)
+        while True:
+            grid = mp.linspace(lo, hi, 41)
+            values = [B * lam - C * lam * lam / 2 for lam in grid]
+            k = max(range(41), key=values.__getitem__)
+            assert 0 < k < 40 or hi - lo < 1e6, "the scan clipped the optimum"
+            if hi - lo <= 1e-30 * (abs(grid[k]) + mp.mpf(1e-300)):
+                return float(grid[k]), float(values[k])
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 40)]
+
+
+_POSITIVE = st.floats(0.1, 3.0)
+density_laws = st.one_of(
+    st.builds(Gaussian1D, st.floats(-0.3, 0.3), st.floats(1e-4, 0.05), _POSITIVE),
+    st.builds(ExpTails1D, _POSITIVE, st.floats(2.5, 40.0), _POSITIVE, st.floats(2.5, 40.0)),
+    st.builds(ExpTails1D, st.just(0.0), st.floats(2.5, 40.0), _POSITIVE, st.floats(2.5, 40.0)),
+).flatmap(lambda law: st.sampled_from([law, ExpYieldMeasure(law)]))
+
+
+@given(density_laws, st.floats(-0.5, 0.5), st.floats(0.0, 0.3))
+@settings(max_examples=30, deadline=None)
+def test_quadratic_closed_form_matches_a_grid_scan(law, b, c):
+    # the plain optimum on a density law is B/C in closed form, no search
     chars = LocalCharacteristics(np.array([b]), np.array([[c]]), law)
-    exact = maximize_local_utility(chars, "mv")
-    searched = _maximize_1d(chars, "mv")
-    assert exact.boundedness == "interior"
-    assert exact.value >= searched.value - 1e-12 * (1.0 + searched.value)
-    assert exact.value == pytest.approx(searched.value, rel=1e-9, abs=1e-12)
-    assert float(exact.lambda_hat[0]) == pytest.approx(
-        float(searched.lambda_hat[0]), rel=1e-9, abs=1e-12)
+    opt = maximize_local_utility(chars, "mv")
+    lam, value = _scanned_mv_optimum(chars)
+    assert opt.boundedness == "interior"
+    assert float(opt.lambda_hat[0]) == pytest.approx(lam, rel=1e-9, abs=1e-15)
+    assert opt.value == pytest.approx(value, rel=1e-9, abs=1e-15)
 
 
 def test_tiny_diffusion_still_bounds_the_monotone_ray():

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mmvlab import ExpTails1D, Gaussian1D, LocalCharacteristics, maximize_local_utility
+from mmvlab import (ExpTails1D, Gaussian1D, LocalCharacteristics, build_model,
+                    maximize_local_utility, solve_schedule)
+from mmvlab._quad import Pieces
 from mmvlab.duality import _mellin_variation
 from mmvlab.localutil import slope_variation, utility_variation
-from mmvlab.measures import TRUNCATION_PIECES, CappedMeasure, ExpYieldMeasure
+from mmvlab.measures import (_MOVING_PLANS, TRUNCATION_PIECES, CappedMeasure,
+                             ExpYieldMeasure)
 
 mp.mp.dps = 40
 
@@ -159,10 +162,13 @@ def test_capped_laws_match_mpmath(base, cap, pieces):
                  st.builds(Gaussian1D, st.floats(-0.05, 0.05), _log_uniform(1e-4, 2e-3),
                            st.floats(0.1, 3.0))))
 @settings(max_examples=40, deadline=None)
+@example(0.0, 0.09375, ExpTails1D(0.0, math.exp(3.0), 1.0, math.exp(3.875)))
 def test_monotone_equals_plain_where_no_mass_passes_bliss(b, c, law):
     # the monotone utility differs from the plain one only past the
     # bliss point 1/lam; with no mass there to float precision the two
-    # optima must coincide
+    # optima must coincide.  At b = 0 the pinned law's optimum lies in
+    # the slope's rounding noise (lam = B/C = 2.6822300930203344e-22),
+    # where two searches once parted by 1e-9 relative
     chars = LocalCharacteristics(np.array([b]), np.array([[c]]), law)
     mv = maximize_local_utility(chars, "mv")
     lam = float(mv.lambda_hat[0])
@@ -170,11 +176,7 @@ def test_monotone_equals_plain_where_no_mass_passes_bliss(b, c, law):
     assume(law.mass_scaled_ge(lam, 1.0) == 0.0)
     mmv = maximize_local_utility(chars, "mmv")
     assert mmv.boundedness == "interior"
-    # below |b| of about 1e-16 the optimum lies in the rounding noise of
-    # the slope, and the two searches part by up to about 1e-9 relative;
-    # there only the absolute bound holds (b = 0 gives lam near 1e-22)
-    near_zero = 1e-12 if abs(b) < 1e-15 else 0.0
-    assert float(mmv.lambda_hat[0]) == pytest.approx(lam, rel=1e-12, abs=near_zero)
+    assert float(mmv.lambda_hat[0]) == pytest.approx(lam, rel=1e-12, abs=0.0)
     assert mmv.value == pytest.approx(mv.value, rel=1e-12, abs=0.0)
 
 
@@ -191,3 +193,97 @@ def test_scaled_exponential_tails_keep_the_plain_optimum(s):
     assert float(mmv.lambda_hat[0]) == pytest.approx(float(mv.lambda_hat[0]),
                                                      rel=1e-12, abs=0.0)
     assert float(mv.lambda_hat[0]) == pytest.approx(4.3176e-6, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# piece plans: a law keeps the row-free part of every piece it integrates
+
+
+_EDGES = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-3.0, 3.0) | \
+    st.floats(1e-9, 1e9).map(lambda v: 1.0 / v)
+_COEFS = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def random_pieces(draw, edges=None):
+    """A `Pieces` of random rows, on the given edges or on 0-4 random ones."""
+    if edges is None:
+        edges = sorted(set(draw(st.lists(_EDGES, max_size=4))))
+    rows = draw(st.lists(st.tuples(_COEFS, _COEFS, _COEFS),
+                         min_size=len(edges) + 1, max_size=len(edges) + 1))
+    at = draw(st.lists(_COEFS, min_size=len(edges), max_size=len(edges)))
+    return Pieces(edges, rows, at)
+
+
+_FAMILIES = {
+    "gaussian": lambda p: Gaussian1D(p[0], p[1], p[2]),
+    "exp_tails": lambda p: ExpTails1D(p[2], 1.0 / p[1], p[2], 2.5 + 20.0 * p[1]),
+    "gaussian_yield": lambda p: ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
+    "exp_tails_yield": lambda p: ExpYieldMeasure(ExpTails1D(p[2], 1.0 / p[1], p[2],
+                                                            2.5 + 20.0 * p[1])),
+    "capped_yield": lambda p: CappedMeasure(ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
+                                            0.5 + p[0]),
+}
+
+
+def _hex(law, f):
+    return float(law.integrate(f)).hex()
+
+
+@given(st.sampled_from(sorted(_FAMILIES)),
+       st.tuples(st.floats(-0.5, 0.5), _log_uniform(1e-3, 1.0), st.floats(0.1, 3.0)),
+       random_pieces(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
+    # a law that has integrated 200 other integrands, among them some on
+    # the same edges with other rows, gives the same bits as a new one
+    fresh, warm = _FAMILIES[family](params), _FAMILIES[family](params)
+    want = _hex(fresh, pieces)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for i in range(197):
+        lam = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0))
+        kind = ("mv", "mmv")[i % 2]
+        f = (utility_variation(lam, kind, 1), slope_variation(lam, kind, 0, 1),
+             _mellin_variation(lam, i % 3, bool(i % 2)))[i % 3].integrand
+        warm.integrate(f if i % 7 else TRUNCATION_PIECES)
+    for _ in range(3):
+        warm.integrate(data.draw(random_pieces(pieces.edges.tolist())))
+    assert _hex(warm, pieces) == want
+    assert _hex(warm, pieces) == want      # and again, from the memo
+
+
+def test_plan_memo_stays_bounded():
+    # 10 000 slope integrals at distinct directions keep every fixed piece
+    # and only the last few pieces that end at a bliss point
+    for law in (ExpTails1D(1.0, 8.0, 2.0, 6.0), ExpYieldMeasure(Gaussian1D(0.05, 0.02, 1.5))):
+        inner = law.base if isinstance(law, ExpYieldMeasure) else law
+        for lam in np.geomspace(1e-3, 1e9, 10_000):
+            law.integrate(slope_variation(float(lam), "mmv", 0, 1).integrand)
+        fixed, moving = inner.__dict__["_plans"]
+        assert len(moving) == _MOVING_PLANS
+        assert len(fixed) <= 6
+        assert all(lo in (-math.inf, -1.0, 0.0, 1.0) and hi in (-1.0, 0.0, 1.0, math.inf)
+                   for lo, hi, _ in fixed)
+
+
+def test_a_model_built_again_holds_no_plans():
+    config = {"horizon": 1.0, "dimension": 1, "yield_transform": "exp", "segments": [
+        {"t_start": 0.0, "t_end": 0.5, "b_kind": "trunc", "b": 0.1, "c": 0.04,
+         "jumps": {"family": "gaussian", "mean": -0.05, "variance": 0.01, "rate": 1.0}},
+        {"t_start": 0.5, "t_end": 1.0, "b_kind": "trunc", "b": 0.2, "c": 0.02,
+         "jumps": {"family": "exp_tails", "c_minus": 1.0, "a": 8.0, "c_plus": 2.0,
+                   "b": 10.0}}]}
+
+    def plans(model):
+        out = []
+        for seg in model.segments:
+            fixed, moving = seg.chars.jumps.base.__dict__.get("_plans", ({}, {}))
+            out.append({*fixed, *moving})
+        return out
+
+    built = plans(build_model(config))      # the truncation integrals of the build
+    first = build_model(config)
+    for kind in ("mv", "mmv"):
+        solve_schedule(first, kind)
+    assert all(len(a) > len(b) for a, b in zip(plans(first), built))
+    assert plans(build_model(config)) == built
