@@ -166,9 +166,9 @@ def test_capped_laws_match_mpmath(base, cap, pieces):
 def test_monotone_equals_plain_where_no_mass_passes_bliss(b, c, law):
     # the monotone utility differs from the plain one only past the
     # bliss point 1/lam; with no mass there to float precision the two
-    # optima must coincide.  At b = 0 the pinned law's optimum lies in
-    # the slope's rounding noise (lam = B/C = 2.6822300930203344e-22),
-    # where two searches once parted by 1e-9 relative
+    # optima must coincide.  The pinned law at b = 0 puts the optimum
+    # in the slope's rounding noise: lam = B/C = 2.6822300930203344e-22
+    # for both kinds
     chars = LocalCharacteristics(np.array([b]), np.array([[c]]), law)
     mv = maximize_local_utility(chars, "mv")
     lam = float(mv.lambda_hat[0])
