@@ -5,13 +5,16 @@ exponential of minus the capped optimal gains: nonnegative, mean one,
 second moment 1 + msr2.  It can vanish with positive probability (the
 cap absorbs at zero once a jump crosses the bliss level) and its
 martingale property is certified locally by the same drift whose zero
-is the first-order condition of the primal problem.
+is the first-order condition of the primal problem, evaluated as the
+solver evaluates it.
 
 The plain quadratic kind produces a signed object instead: its density
 candidate keeps mean one but may charge negative values.  The mass it
 places on either sign is recovered from exponentials of sign-moment
 variations of |1 - u|^p type, which also yield the second moment and
-cross-checks of the wealth identities.
+cross-checks of the wealth identities.  Like every drift, those are
+sums over finite atoms (`localutil._Rows`) and exact integrals against
+a one-dimensional density law.
 """
 from __future__ import annotations
 
@@ -24,9 +27,8 @@ from .aggregate import (CumulativeUtility, Solution, _split_schedule,
                         global_values, solve_schedule)
 from .drift import VariationFunction, drift_of_variation, kinked_variation
 from .errors import InfiniteValue
-from .localutil import UtilityKind, _kind, utility_slope
-from .measures import _row_sums, truncate
-from .model import MarketModel, ScheduledJumps
+from .localutil import UtilityKind, _kind, _rows_from_chars, _rows_from_table
+from .model import MarketModel
 from .optimize import foc_residual
 
 _MASS_TOL = 1e-12
@@ -85,40 +87,22 @@ class CoincidenceReport:
     note: str
 
 
-def _jump_residuals(atoms: ScheduledJumps, lams: np.ndarray, kind) -> np.ndarray:
-    """The (T, d) first-order residuals at the scheduled jumps from the
-    table's columns: `JumpAtom.chars`'s drift plus each law's sum of
-    m (x_i g'(lam . x) - h_i), all laws at once in one dimension and
-    with np.dot per law in several, as each `FiniteAtoms` sums itself."""
-    x, m, h = atoms.points, atoms.masses, truncate(atoms.points)
-    if atoms.dim == 1:
-        slope = utility_slope(kind, atoms.scaled(lams))
-        return (_row_sums(m * h[:, 0], atoms.row, len(atoms))
-                + atoms.integrate(x[:, 0] * slope - h[:, 0]))[:, None]
-    out = np.empty((len(atoms), atoms.dim))
-    ends = atoms.offsets.tolist()
-    for t, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-        slope = utility_slope(kind, x[lo:hi] @ lams[t])
-        for i in range(atoms.dim):
-            out[t, i] = np.dot(m[lo:hi], h[lo:hi, i]) + np.dot(
-                m[lo:hi], x[lo:hi, i] * slope - h[lo:hi, i])
-    return out
-
-
 def sigma_martingale_residual(model: MarketModel, schedule, kind) -> np.ndarray:
     """Drift of the density-weighted increments at each time point.
 
-    Identical to the first-order-condition gradient at the scheduled
-    directions, so a zero residual certifies simultaneously optimality
-    of the schedule and the local martingale property of the dual
-    candidate.  One row per segment, then per scheduled jump, as a
-    read-only array.  Raises NonIntegrable when an integral diverges.
+    It is the first-order-condition gradient at the scheduled directions,
+    so a zero residual certifies both optimality of the schedule and the
+    local martingale property of the dual candidate; evaluated as the
+    solver evaluates it (`foc_residual` per segment, the table's rows at
+    the scheduled jumps), it equals a solution's reported residuals bit
+    for bit.  One row per segment, then per scheduled jump, read-only.
+    Raises NonIntegrable when an integral diverges.
     """
     kind = _kind(kind)
     seg_lams, atom_lams = _split_schedule(model, schedule)
     rows = [foc_residual(lam, seg.chars, kind) for seg, lam in zip(model.segments, seg_lams)]
     res = np.concatenate([np.array(rows, dtype=float).reshape(-1, model.dim),
-                          _jump_residuals(model.atoms, atom_lams, kind)])
+                          _rows_from_table(model.atoms).residual(atom_lams, kind)])
     res.setflags(write=False)
     return res
 
@@ -185,37 +169,32 @@ _Z_HESS = {0: 0.0, 1: 0.0, 2: 2.0}
 
 
 def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
-    """Sign-moment integrand |1-u|^p (even, or split by sign) minus one."""
+    """Sign-moment integrand |1-u|^p (even, or split by sign) minus one;
+    -1 at the bliss point u = 1 itself."""
     u = np.asarray(u, dtype=float)
-    at_one = np.abs(u - 1.0) <= 1e-12 * (1.0 + np.abs(u))
-    if even:
-        if p == 0:
-            return np.where(at_one, -1.0, 0.0)
-        a = np.abs(1.0 - u)
-        core = a if p == 1 else a * a
-        return np.where(at_one, -1.0, core - 1.0)
-    sign = np.where(u < 1.0, 1.0, -1.0)
-    if p == 0:
-        core = sign
-    elif p == 1:
-        core = np.abs(1.0 - u) * sign
-    else:
-        core = (1.0 - u) * (1.0 - u) * sign
-    return np.where(at_one, -1.0, core - 1.0)
+    core = np.abs(1.0 - u) ** p
+    if not even:
+        core = core * np.where(u < 1.0, 1.0, -1.0)
+    return np.where(np.abs(u - 1.0) <= 1e-12 * (1.0 + np.abs(u)), -1.0, core - 1.0)
 
 
-def _mellin_variation(lam, p: int, even: bool) -> VariationFunction:
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    grad, hess = _Z_GRAD[p] * lam, _Z_HESS[p] * np.outer(lam, lam)
-    if lam.size > 1:
-        return VariationFunction(lambda x: _zeta(x @ lam, p, even) - truncate(x) @ grad,
-                                 grad, hess)
-    l0 = float(lam[0])
-    # coefficient rows in x of _zeta(l0 x) below and above the bliss point
-    below = ((0.0, 0.0, 0.0), (0.0, -l0, 0.0), (0.0, -2.0 * l0, l0 * l0))[p]
-    above = (((0.0, 0.0, 0.0), (-2.0, l0, 0.0), (0.0, -2.0 * l0, l0 * l0)) if even else
-             ((-2.0, 0.0, 0.0), (0.0, -l0, 0.0), (-2.0, 2.0 * l0, -l0 * l0)))[p]
-    return kinked_variation(l0, below, above, -1.0, grad, hess)
+def _mellin_variation(lam: float, p: int, even: bool) -> VariationFunction:
+    """The sign-moment variation x -> _zeta(lam x) of a one-dimensional law."""
+    # coefficient rows in x of _zeta(lam x) below and above the bliss point
+    below = ((0.0, 0.0, 0.0), (0.0, -lam, 0.0), (0.0, -2.0 * lam, lam * lam))[p]
+    above = (((0.0, 0.0, 0.0), (-2.0, lam, 0.0), (0.0, -2.0 * lam, lam * lam)) if even else
+             ((-2.0, 0.0, 0.0), (0.0, -lam, 0.0), (-2.0, 2.0 * lam, -lam * lam)))[p]
+    return kinked_variation(lam, below, above, -1.0, _Z_GRAD[p] * lam, _Z_HESS[p] * (lam * lam))
+
+
+def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool) -> float:
+    """Drift of x -> _zeta(lam . x) at a segment: summed over its atoms,
+    as at the scheduled jumps, or integrated against its density."""
+    rows = _rows_from_chars(chars)
+    if rows is None:
+        return drift_of_variation(_mellin_variation(float(lam[0]), p, even), chars)
+    return float(rows.drift(lam[None], lambda u: _zeta(u, p, even),
+                            _Z_GRAD[p], _Z_HESS[p])[0])
 
 
 def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
@@ -232,8 +211,7 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
     for even in (True, False):
         acc = 0.0
         for seg, lam in zip(model.segments, seg_lams):
-            acc += seg.length * drift_of_variation(
-                _mellin_variation(lam, p, even), seg.chars)
+            acc += seg.length * _sign_moment_drift(seg.chars, lam, p, even)
         jumps = model.atoms.integrate(_zeta(model.atoms.scaled(atom_lams), p, even))
         exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),

@@ -7,26 +7,33 @@ vanish at 0 with unit slope and curvature -1, so they share their local
 expansion; they differ only past the bliss point.
 
 The local utility of a position direction lam is the drift of the
-variation u -> g(lam . u) of the increments.  Its supremum over lam is
-finite exactly when the model admits no instantaneous free lunch, which
-`check_instantaneous_no_arbitrage` tests directly and exactly, in every
-dimension, with no direction grid: each time point restricts to the
-null space of its diffusion, where a free lunch is a riskless drift on
-the directions no charged outcome sees or a ray of one polyhedral cone,
-decided by nonnegative least squares on unit rows (`_cone_ray`).  The
-optimizer's tie test asks the same routine.
+variation u -> g(lam . u) of the increments.  Over finitely many atoms,
+or none, it is a sum over the atoms in any dimension, as are its
+gradient (the first-order residual) and the sign-moment drifts: one row
+evaluator (`_Rows`) serves the solver, `local_utility`, `foc_residual`
+and the dual residual.  Against a one-dimensional density law a
+variation is a piecewise integrand the law integrates exactly.
+
+Its supremum over lam is finite exactly when the model admits no
+instantaneous free lunch, which `check_instantaneous_no_arbitrage`
+tests directly and exactly, in every dimension, with no direction grid:
+each time point restricts to the null space of its diffusion, where a
+free lunch is a riskless drift on the directions no charged outcome
+sees or a ray of one polyhedral cone, decided by nonnegative least
+squares on unit rows (`_cone_ray`).  The optimizer's tie test and its
+flat directions ask the same routines.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .drift import ExtendedReal, VariationFunction, drift_of_variation, kinked_variation
-from .measures import FiniteAtoms, _as_direction, truncate
-from .model import LocalCharacteristics, MarketModel, small_jump_mean
+from .measures import FiniteAtoms, _as_direction, _row_sums, truncate
+from .model import LocalCharacteristics, MarketModel, ScheduledJumps, small_jump_mean
 
 
 _EPS = float(np.finfo(float).eps)
@@ -58,58 +65,112 @@ def utility_slope(kind, u):
     return np.where(u < 1.0, 1.0 - u, 0.0)
 
 
-def utility_variation(lam, kind, dim: int | None = None) -> VariationFunction:
-    """The variation x -> g(lam . x) with its expansion; piecewise in 1-d."""
-    kind = _kind(kind)
-    lam = _as_direction(lam, dim)
-    hess = -np.outer(lam, lam)
-    if lam.size == 1:
-        l0 = float(lam[0])
-        quad = (0.0, l0, -0.5 * l0 * l0)
-        frozen = quad if kind is UtilityKind.MV else (0.5, 0.0, 0.0)
-        return kinked_variation(l0, quad, frozen, 0.5, lam, hess)
-    return VariationFunction(lambda x: utility(kind, x @ lam) - truncate(x) @ lam, lam, hess)
+def utility_variation(lam: float, kind) -> VariationFunction:
+    """The variation x -> g(lam x) of a one-dimensional law, piecewise."""
+    quad = (0.0, lam, -0.5 * lam * lam)
+    frozen = quad if _kind(kind) is UtilityKind.MV else (0.5, 0.0, 0.0)
+    return kinked_variation(lam, quad, frozen, 0.5, lam, -(lam * lam))
 
 
-def slope_variation(lam, kind, component: int = 0,
-                    dim: int | None = None) -> VariationFunction:
-    """The variation x -> x_i g'(lam . x), the i-th local utility gradient.
+def slope_variation(lam: float, kind) -> VariationFunction:
+    """The variation x -> x g'(lam x), the local utility's slope at lam.
 
     Its drift is simultaneously the first-order condition residual at
     lam and the drift rate of the candidate density-weighted increment,
     so a zero drift certifies both optimality and the martingale
     property of the dual candidate.
     """
-    kind = _kind(kind)
-    lam = _as_direction(lam, dim)
-    d = lam.size
-    if component < 0 or component >= d:
-        raise ValueError("component out of range")
-    e = np.zeros(d)
-    e[component] = 1.0
-    hess = -(np.outer(e, lam) + np.outer(lam, e))
-    if d == 1:
-        l0 = float(lam[0])
-        linear = (0.0, 1.0, -l0)
-        frozen = linear if kind is UtilityKind.MV else (0.0, 0.0, 0.0)
-        return kinked_variation(l0, linear, frozen, 0.0, e, hess)
-    return VariationFunction(
-        lambda x: x[:, component] * utility_slope(kind, x @ lam) - truncate(x) @ e, e, hess)
+    linear = (0.0, 1.0, -lam)
+    frozen = linear if _kind(kind) is UtilityKind.MV else (0.0, 0.0, 0.0)
+    return kinked_variation(lam, linear, frozen, 0.0, 1.0, -2.0 * lam)
+
+
+# ---------------------------------------------------------------------------
+# finite-atom and jump-free time points: sums over their atoms
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of a * b, added in index order."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Time points with finite-atom or no jumps, flat.
+
+    Row r has truncated drift b[r] (d,) and diffusion c[r] (d, d); its
+    atoms are the outcomes x[i] (d,) and masses m[i] with row[i] == r,
+    in law order.  Sums over a row add in law order and products over
+    coordinates in index order, so a row gives the same bits alone and
+    among others.  Directions lam are (T, d).
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    x: np.ndarray
+    m: np.ndarray
+    row: np.ndarray
+
+    h: np.ndarray = field(init=False, repr=False)     # the truncated outcomes
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", truncate(self.x))
+
+    def sums(self, values) -> np.ndarray:
+        return _row_sums(values, self.row, self.b.shape[0])
+
+    def drift(self, lam, phi, slope: float, curv: float) -> np.ndarray:
+        """Drift of x -> phi(lam . x) per row, phi(0) = 0 with slope and
+        curvature there: slope lam.b + curv lam'c lam/2 + the sum of
+        m (phi(lam . x) - slope lam . h(x))."""
+        at = lam.take(self.row, axis=0)
+        head = slope * _rowdot(self.b, lam) + curv * _rowdot(
+            _rowdot(0.5 * self.c, lam[:, None, :]), lam)
+        return head + self.sums(self.m * (phi(_rowdot(at, self.x))
+                                          - slope * _rowdot(at, self.h)))
+
+    def value(self, lam, kind) -> np.ndarray:     # the local utility
+        return self.drift(lam, lambda u: utility(kind, u), 1.0, -1.0)
+
+    def residual(self, lam, kind) -> np.ndarray:
+        """The (T, d) first-order residuals at lam: b - c lam plus the
+        sum of m (x g'(lam . x) - h(x))."""
+        slope = utility_slope(kind, _rowdot(lam.take(self.row, axis=0), self.x))
+        return self.b - _rowdot(self.c, lam[:, None, :]) + self.sums(
+            self.m[:, None] * (self.x * slope[:, None] - self.h))
+
+
+def _rows_from_chars(chars: LocalCharacteristics) -> _Rows | None:
+    """The one row of a finite-atom or jump-free time point, else None."""
+    jumps = chars.jumps
+    if jumps is not None and not isinstance(jumps, FiniteAtoms):
+        return None
+    x, m = ((np.empty((0, chars.dim)), np.empty(0)) if jumps is None
+            else (jumps.points, jumps.masses))
+    keep = m > 0.0
+    return _Rows(chars.b_trunc[None], chars.cov[None], x.compress(keep, axis=0), m[keep],
+                 np.zeros(int(keep.sum()), dtype=np.intp))
+
+
+def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
+    """Rows of scheduled jumps: no diffusion, drift the mean of h."""
+    x, m, row = jumps.points, jumps.masses, jumps.row
+    b = _row_sums(m[:, None] * truncate(x), row, len(jumps))
+    keep = m > 0.0
+    return _Rows(b, np.zeros((len(jumps), jumps.dim, jumps.dim)), x.compress(keep, axis=0),
+                 m[keep], row[keep])
 
 
 def local_utility(lam, chars: LocalCharacteristics, kind) -> ExtendedReal:
     """Drift of the utility variation at position direction lam."""
-    return drift_of_variation(utility_variation(lam, kind, chars.dim), chars)
-
-
-def _diffuses(cov: np.ndarray, lam: np.ndarray) -> bool:
-    """Whether the diffusion moves along lam, relative to its own size.
-
-    Like `optimize._quadratic_form`'s test of which eigenvalues curve:
-    lam' c lam must exceed eps of the trace of c (in one dimension, its
-    only eigenvalue) per unit of |lam|^2.
-    """
-    return float(lam @ cov @ lam) > _EPS * float(np.trace(cov)) * float(lam @ lam)
+    lam = _as_direction(lam, chars.dim)
+    rows = _rows_from_chars(chars)
+    if rows is not None:
+        return float(rows.value(lam[None], kind)[0])
+    return drift_of_variation(utility_variation(float(lam[0]), kind), chars)
 
 
 def _mass_tol(jumps) -> float:
@@ -129,16 +190,13 @@ def asymptotic_slope(direction, chars: LocalCharacteristics) -> float:
     verdict.
     """
     lam = _as_direction(direction, chars.dim)
-    if _diffuses(chars.cov, lam):
-        return -math.inf
     jumps = chars.jumps
-    if jumps is not None:
-        if jumps.mass_scaled_ge(-lam, 0.0, strict=True) > _mass_tol(jumps):
-            return -math.inf
-        sjm = small_jump_mean(chars)
-    else:
-        sjm = np.zeros(chars.dim)
-    return float(lam @ (chars.b_trunc - sjm))
+    # the diffusion moves along lam when lam' c lam exceeds eps of the
+    # trace of c (in one dimension, its only eigenvalue) per unit |lam|^2
+    if float(lam @ chars.cov @ lam) > _EPS * float(np.trace(chars.cov)) * float(lam @ lam) or (
+            jumps is not None and jumps.mass_scaled_ge(-lam, 0.0, strict=True) > _mass_tol(jumps)):
+        return -math.inf
+    return float(lam @ (chars.b_trunc - small_jump_mean(chars)))
 
 
 @dataclass(frozen=True)
@@ -239,6 +297,30 @@ def _cone_ray(A: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _seen(x: np.ndarray, N: np.ndarray):
+    """What the outcomes x see of span(N) (orthonormal columns), on unit
+    rows: (y, vt, rank), y the unit rows of the outcomes whose part in
+    span(N) is not below 1e-9 of their length, in N's coordinates, and
+    the first `rank` rows of the orthonormal vt spanning what they see,
+    the others what none sees.  Rescaling an outcome never changes it.
+    """
+    k = N.shape[1]
+    y = x @ N
+    if k < x.shape[1]:
+        y = y[np.linalg.norm(y, axis=1) > _RANK_TOL * np.linalg.norm(x, axis=1)]
+    y = y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300)
+    _, s, vt = np.linalg.svd(np.vstack([y, np.zeros((k, k))]), full_matrices=False)
+    return y, vt, int(np.sum(s > _RANK_TOL))
+
+
+def _still(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the range and of null(c), eigenvalues within
+    d eps of the largest counting as zero."""
+    w, V = np.linalg.eigh(cov)
+    zero = w <= cov.shape[0] * _EPS * max(float(w.max()), 0.0)
+    return V[:, ~zero], V[:, zero]
+
+
 def _free_lunch(b0: np.ndarray, N: np.ndarray, x: np.ndarray,
                 drift_tol: float) -> np.ndarray | None:
     """A unit direction that wins without risk at one time point, or None.
@@ -247,19 +329,13 @@ def _free_lunch(b0: np.ndarray, N: np.ndarray, x: np.ndarray,
     basis of null(c) for the diffusion matrix c, and the rows of x the
     charged outcomes.  lam wins when lam' c lam = 0, no outcome has
     lam . x < 0, and lam . b0 >= 0 with some lam . x > 0, or lam . b0 != 0
-    with none.  Inside null(c), an outcome whose part there is below
-    1e-9 of its length is unseen.  A drift on the directions no outcome
-    sees is riskless; on the rest a win is a ray of [x; b0'] u >= 0
-    (`_cone_ray`).  Only directions of outcomes count, so rescaling one
-    never changes the verdict; drifts within drift_tol count as zero.
+    with none.  A drift on the directions no outcome sees (`_seen`) is
+    riskless; on the rest a win is a ray of [x; b0'] u >= 0
+    (`_cone_ray`).  Rescaling an outcome never changes the verdict;
+    drifts within drift_tol count as zero.
     """
     k = N.shape[1]
-    y = x @ N
-    if k < b0.size:
-        y = y[np.linalg.norm(y, axis=1) > _RANK_TOL * np.linalg.norm(x, axis=1)]
-    y = y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300)
-    _, s, vt = np.linalg.svd(np.vstack([y, np.zeros((k, k))]), full_matrices=False)
-    rank = int(np.sum(s > _RANK_TOL))
+    y, vt, rank = _seen(x, N)
     z = vt @ (N.T @ b0)         # the drift in a basis of seen, then unseen directions
     if math.sqrt(z[rank:] @ z[rank:]) > drift_tol:
         z[:rank] = 0.0
@@ -305,24 +381,19 @@ def _one_sided_jumps(table) -> list[tuple[float, np.ndarray]]:
 def check_instantaneous_no_arbitrage(model: MarketModel) -> NoArbReport:
     """Scan every segment and scheduled jump for riskless-win directions.
 
-    A direction wins without risk when it sees no diffusion, no charged
-    outcome against it, and either outcomes along it with a nonnegative
-    zero-truncation drift, or none with a nonzero drift.  Every time
-    point, in any dimension, is decided exactly by `_free_lunch`: a
-    segment on the null space of its diffusion (a full-rank diffusion
-    leaves none), its zero-truncation drift and its charged outcomes
-    (the atoms of a finite law, the signs a density law charges); a
-    scheduled jump on its outcomes alone, with no drift or diffusion,
-    read as its slice of the model's table.  In one dimension that
-    verdict is the signs of the outcomes, so the scheduled jumps are
-    decided at once from the table (`_one_sided_jumps`).
+    Every time point is decided exactly by `_free_lunch`: a segment on
+    the null space of its diffusion, its zero-truncation drift and its
+    charged outcomes (the atoms of a finite law, the signs a density law
+    charges); a scheduled jump on its slice of the model's table alone.
+    In one dimension that verdict is the signs of the outcomes, so the
+    scheduled jumps are decided at once from the table
+    (`_one_sided_jumps`).
     """
     witness = None
     witness_time = None
     for seg in model.segments:
         ch = seg.chars
-        w, V = np.linalg.eigh(ch.cov)
-        null_c = V[:, w <= ch.dim * _EPS * max(float(w.max()), 0.0)]
+        null_c = _still(ch.cov)[1]
         if null_c.size:
             witness = _free_lunch(ch.b_trunc - small_jump_mean(ch), null_c,
                                   _charged_outcomes(ch.jumps, ch.dim),

@@ -3,8 +3,8 @@
 Every family supports the same small protocol:
 
 * ``integrate(f)``: integral against the (unnormalized) measure of a
-  `Pieces` integrand in one dimension; finite atoms also take a
-  vectorized callable, which several-dimensional laws need,
+  `Pieces` integrand in one dimension (finite atoms also take a
+  vectorized callable),
 * ``mass_scaled_ge(lam, level, strict)``: measure of the half-space
   ``{x : lam . x >= level}`` (strictly greater when asked),
 * ``moment_sup_order(side)``: supremum of the orders k for which the
@@ -60,8 +60,11 @@ def _row_sums(values, rows, n_rows: int) -> np.ndarray:
     """Sums of values grouped by row index, added in array order.
 
     A row summed alone and the same row inside a larger array give the
-    same bits, which np.dot and pairwise np.sum do not promise.
+    same bits, which np.dot and pairwise np.sum do not promise.  (N, d)
+    values are summed column by column into (n_rows, d).
     """
+    if values.ndim == 2:
+        return np.array([np.bincount(rows, weights=v, minlength=n_rows) for v in values.T]).T
     return np.bincount(rows, weights=values, minlength=n_rows)
 
 

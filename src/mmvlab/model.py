@@ -107,21 +107,12 @@ class JumpAtom:
 
     @property
     def chars(self) -> LocalCharacteristics:
-        """Characteristics at the jump time.
-
-        In one dimension the truncated drift is summed in atom order, as
-        the batched scheduled-jump solver sums it, so both see the same
-        bits.
-        """
+        """Characteristics at the jump time, the truncated drift summed in
+        atom order as the table's rows sum it (`localutil._rows_from_table`)."""
         law = self.law
-        d = law.dim
-        if d == 1:
-            b = _row_sums(law.masses * truncate(law.points[:, 0]),
-                          np.zeros(law.masses.size, dtype=np.intp), 1)
-        else:
-            b = np.array([law.integrate(lambda x, i=i: truncate(x)[:, i])
-                          for i in range(d)])
-        return LocalCharacteristics(b, np.zeros((d, d)), law)
+        b = _row_sums(law.masses[:, None] * truncate(law.points),
+                      np.zeros(law.masses.size, dtype=np.intp), 1)[0]
+        return LocalCharacteristics(b, np.zeros((law.dim, law.dim)), law)
 
 
 def _first_bad_row(checks, n_rows: int):
@@ -270,14 +261,15 @@ class MarketModel:
 
 
 def small_jump_mean(chars: LocalCharacteristics) -> np.ndarray:
-    """Integral of the truncation h against the jump measure, componentwise."""
-    d = chars.dim
-    if chars.jumps is None:
-        return np.zeros(d)
-    if d == 1:
-        return np.array([chars.jumps.integrate(TRUNCATION_PIECES)])
-    return np.array([chars.jumps.integrate(lambda x, i=i: truncate(x)[:, i])
-                     for i in range(d)])
+    """Integral of the truncation h against the jump measure, componentwise:
+    a dot product per component over atoms, exact over a density law."""
+    jumps = chars.jumps
+    if jumps is None:
+        return np.zeros(chars.dim)
+    if isinstance(jumps, FiniteAtoms):
+        h = truncate(jumps.points)
+        return np.array([float(np.dot(jumps.masses, h[:, i])) for i in range(chars.dim)])
+    return np.array([jumps.integrate(TRUNCATION_PIECES)])
 
 
 def _retruncated(chars: LocalCharacteristics, image: JumpMeasure) -> LocalCharacteristics:
@@ -398,9 +390,14 @@ def _parse_jumps(spec, dim: int, where: str) -> JumpMeasure | None:
     if not isinstance(spec, dict) or "family" not in spec:
         raise SchemaError(f"{where}: jump spec needs a 'family' key")
     family = spec["family"]
+    if not isinstance(family, str):
+        raise SchemaError(f"{where}.family: expected a string")
     if family not in _JUMP_KEYS:
         raise SchemaError(f"{where}: unknown jump family {family!r}")
     _require_keys(spec, _JUMP_KEYS[family], _JUMP_KEYS[family], where)
+    for key in ("masses", "x", "density"):
+        if key in spec and not isinstance(spec[key], (list, tuple)):
+            raise SchemaError(f"{where}.{key}: expected a list")
     if family != "finite_atoms" and dim != 1:
         raise InvariantError(f"{where}: density families require dimension 1")
     if family == "finite_atoms":
@@ -418,8 +415,8 @@ def _parse_jumps(spec, dim: int, where: str) -> JumpMeasure | None:
                           _number(spec["c_plus"], where), _number(spec["b"], where))
     grid = np.array([_number(v, where) for v in spec["x"]])
     dens = np.array([_number(v, where) for v in spec["density"]])
-    if not isinstance(spec["quadrature"], str):
-        raise SchemaError(f"{where}: quadrature rule id must be a string")
+    if spec["quadrature"] != "trapezoid":
+        raise SchemaError(f"{where}.quadrature: unknown rule {spec['quadrature']!r}")
     return TabulatedDensity1D(grid, dens, spec["quadrature"])
 
 

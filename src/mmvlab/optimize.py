@@ -57,11 +57,11 @@ import numpy as np
 from ._quad import Pieces
 from .drift import VariationFunction, drift_of_variation
 from .errors import NonIntegrable, OptimizationError
-from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _slope_tol,
-                        asymptotic_slope, local_utility, slope_variation, utility,
-                        utility_slope)
-from .measures import (CappedMeasure, ExpYieldMeasure, FiniteAtoms, TabulatedDensity1D,
-                       _row_sums, truncate)
+from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _Rows,
+                        _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
+                        asymptotic_slope, local_utility, slope_variation)
+from .measures import (CappedMeasure, ExpYieldMeasure, TabulatedDensity1D, _as_direction,
+                       truncate)
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
@@ -69,7 +69,7 @@ _MAX_DIM = 4
 #: x -> x^2, whose drift c + (integral of x^2) is the plain kind's curvature
 #: C, with the slope's fixed edges -1 and 1
 _SQUARE = VariationFunction(Pieces((-1.0, 1.0), [(0.0, 0.0, 1.0)] * 3, (1.0, 1.0)),
-                            [0.0], [[2.0]])
+                            0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,13 @@ class AtomOptima(Sequence):
 
 
 def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
-    """Gradient of the local utility: drift of x_i g'(lam . x) per component."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.empty(chars.dim)
-    for i in range(chars.dim):
-        out[i] = drift_of_variation(slope_variation(lam, kind, i, chars.dim), chars)
-    return out
+    """Gradient of the local utility: drift of x_i g'(lam . x) per component,
+    summed over atoms (`localutil._Rows`) or integrated against a density."""
+    lam = _as_direction(lam, chars.dim)
+    rows = _rows_from_chars(chars)
+    if rows is not None:
+        return rows.residual(lam[None], kind)[0]
+    return np.array([drift_of_variation(slope_variation(float(lam[0]), kind), chars)])
 
 
 def _try_foc(lam, chars, kind) -> np.ndarray | None:
@@ -172,43 +173,6 @@ def _try_foc(lam, chars, kind) -> np.ndarray | None:
 # exact solver: finite atoms or no jumps
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """One-dimensional time points with finite-atom or no jumps, flat.
-
-    Row r has truncated drift b[r] and diffusion c[r]; its atoms are the
-    entries of x (outcomes) and m (masses) with row[i] == r, in law
-    order, so memory grows with the total number of atoms.
-    """
-
-    b: np.ndarray
-    c: np.ndarray
-    x: np.ndarray
-    m: np.ndarray
-    row: np.ndarray
-
-    def sums(self, values) -> np.ndarray:
-        return _row_sums(values, self.row, self.b.size)
-
-
-def _rows_from_chars(chars: LocalCharacteristics) -> _Rows:
-    if chars.jumps is None:
-        x = m = np.empty(0)
-    else:
-        x, m = chars.jumps.points[:, 0], chars.jumps.masses
-    keep = m > 0.0
-    return _Rows(chars.b_trunc[:1], chars.cov[0, :1], x[keep], m[keep],
-                 np.zeros(int(keep.sum()), dtype=np.intp))
-
-
-def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
-    """Rows of scheduled jumps: drift the mean of h, as in JumpAtom.chars."""
-    x, m, row = jumps.points[:, 0], jumps.masses, jumps.row
-    b = _row_sums(m * truncate(x), row, len(jumps))
-    keep = m > 0.0
-    return _Rows(b, np.zeros(len(jumps)), x[keep], m[keep], row[keep])
-
-
 def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
     """Monotone-kind maximizer of every row by a root scan over its kinks.
 
@@ -217,13 +181,13 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
     which they are frozen.  The first-order condition at mu >= 0 is
     side*b0 - c mu + sum m y (1 - mu y)+; a bisection over each row's
     sorted kinks finds the first kink where it is <= 0, and the root is
-    the closed form on the piece before it.  Returns (lam, unbounded,
-    plateau).
+    the closed form on the piece before it.  The rows are
+    one-dimensional.  Returns (lam, unbounded, plateau).
     """
-    n_rows = rows.b.size
-    r = rows.row
+    n_rows = b0.size
+    r, c = rows.row, rows.c[:, 0, 0]
     side = np.where(slope0 < 0.0, -1.0, 1.0)
-    y = side[r] * rows.x
+    y = side[r] * rows.x[:, 0]
     my, myy = rows.m * y, rows.m * y * y
     gain = y > 0.0
     idx = np.flatnonzero(gain)
@@ -241,7 +205,7 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
 
     sb0 = side * b0
     tail_slope = sb0 + rows.sums(np.where(gain, 0.0, my))
-    flat_tail = ~riskless & (rows.c + rows.sums(np.where(gain, 0.0, myy)) <= 0.0)
+    flat_tail = ~riskless & (c + rows.sums(np.where(gain, 0.0, myy)) <= 0.0)
     unbounded = flat_tail & (tail_slope > tol)
     plateau = flat_tail & ~unbounded & (tail_slope >= -tol)
     last = kink_at(n_kinks - 1, n_kinks > 0, 0.0)
@@ -254,14 +218,14 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
             break
         mid = (lo + hi) // 2
         t = kink_at(mid, open_, 0.0)
-        foc = sb0 - rows.c * t + rows.sums(my * np.maximum(1.0 - t[r] * y, 0.0))
+        foc = sb0 - c * t + rows.sums(my * np.maximum(1.0 - t[r] * y, 0.0))
         down = foc <= 0.0
         hi = np.where(open_ & down, mid, hi)
         lo = np.where(open_ & ~down, mid + 1, lo)
 
     active = ~gain | (rank >= lo[r])
     slope = sb0 + rows.sums(np.where(active, my, 0.0))
-    curv = rows.c + rows.sums(np.where(active, myy, 0.0))
+    curv = c + rows.sums(np.where(active, myy, 0.0))
     mu = np.clip(slope / np.where(curv > 0.0, curv, 1.0),
                  kink_at(lo - 1, lo > 0, 0.0), kink_at(lo, lo < n_kinks, np.inf))
     mu = np.where(unbounded | plateau, last, mu)
@@ -269,33 +233,31 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
 
 
 def _solve_rows(rows: _Rows, kind) -> AtomOptima:
-    """Exact optima of all rows; value, residual and flags vectorized."""
+    """Exact optima of all one-dimensional rows; value, residual and
+    flags vectorized, by the rows' own sums."""
     kind = _kind(kind)
-    x, m, r = rows.x, rows.m, rows.row
-    h = truncate(x)
-    b0 = rows.b - rows.sums(m * h)          # zero-truncation drift
-    slope0 = b0 + rows.sums(m * x)          # B, the slope at the origin
-    curv0 = rows.c + rows.sums(m * x * x)   # C, the curvature at the origin
-    tol = _slope_tol(rows.b)
+    b, x, m = rows.b[:, 0], rows.x[:, 0], rows.m
+    b0 = b - rows.sums(m * rows.h[:, 0])        # zero-truncation drift
+    slope0 = b0 + rows.sums(m * x)              # B, the slope at the origin
+    curv0 = rows.c[:, 0, 0] + rows.sums(m * x * x)  # C, the curvature at the origin
+    tol = _slope_tol(b)
     riskless = curv0 <= 0.0
     unbounded = riskless & (np.abs(slope0) > tol)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is UtilityKind.MV:
             lam = np.where(riskless, 0.0, slope0 / np.where(riskless, 1.0, curv0))
-            tie = np.zeros(rows.b.size, dtype=bool)
+            tie = np.zeros(b.size, dtype=bool)
         else:
             lam, tail_unbounded, tie = _scan_kinks(rows, b0, slope0, riskless, tol)
             unbounded |= tail_unbounded
-        value = rows.b * lam - 0.5 * rows.c * lam * lam + rows.sums(
-            m * (utility(kind, lam[r] * x) - lam[r] * h))
+        value = rows.value(lam[:, None], kind)
     # an optimum beyond the float range is reported like a riskless row
     overflow = ~(np.isfinite(lam) & np.isfinite(value))
     unbounded |= overflow
     # a negative value is rounding around a maximum at the origin
     lam = np.where(overflow | (value < 0.0), 0.0, lam)
     value = np.where(overflow, 0.0, np.maximum(value, 0.0))
-    foc = rows.b - rows.c * lam + rows.sums(
-        m * (x * utility_slope(kind, lam[r] * x) - h))
+    foc = rows.residual(lam[:, None], kind)[:, 0]
     flag = np.where(unbounded, _UNBOUNDED,
                     np.where(riskless | (np.abs(foc) > _FOC_TOL), _FLAT, _INTERIOR))
     return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1),
@@ -318,8 +280,18 @@ def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
     return _solve_rows(_rows_from_table(jumps), kind)
 
 
+def _flat_split(cov: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (curved, flat) of the directions c or an outcome
+    in seen moves and of those none moves, decided scale-free as
+    `localutil._free_lunch` decides them: null(c), less what the unit
+    rows of seen see there, so a tiny-mass atom curves its direction."""
+    moved, N = _still(cov)
+    _, vt, rank = _seen(seen, N)
+    return np.hstack([moved, N @ vt[:rank].T]), N @ vt[rank:].T
+
+
 def _quadratic_form(chars: LocalCharacteristics, capped=None):
-    """B_S, C_S and whether B_S has a part in null(C_S), on atoms or no jumps.
+    """Minimum-norm stationary point of B_S, C_S on atoms or no jumps.
 
     S is the set of atoms in the mask `capped` (none by default).  Where
     the monotone kind caps exactly those, the local utility is, up to a
@@ -327,21 +299,34 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
     m x - sum m h and C_S = c + sum_{not S} m x x'; the plain kind is
     that, with S empty, everywhere.  A maximizer capping S zeroes the
     gradient B_S - C_S lam, so a part of B_S in null(C_S) means none
-    exists.  Returns (B_S, eigenvalues and eigenvectors of C_S, which
-    eigenvalues curve, riskless).
+    exists.  C_S^+ B_S comes from C_S's eigenvectors; where eigenvalues
+    within d eps of its largest are not all flat, C_S is solved on the
+    directions `_flat_split` curves.  Returns (C_S^+ B_S, an orthonormal
+    basis of null(C_S), riskless).
     """
     B = chars.b_trunc.copy()
     C = chars.cov.copy()
+    seen = np.empty((0, chars.dim))
     if chars.jumps is not None:
         x, m = chars.jumps.points, chars.jumps.masses
         free = x if capped is None else np.where(capped[:, None], 0.0, x)
         B += m @ (free - truncate(x))
         C += (free * m[:, None]).T @ free
+        seen = x[(m > 0.0) if capped is None else (m > 0.0) & ~capped]
     w, V = np.linalg.eigh(C)
-    curved = w > chars.dim * np.finfo(float).eps * max(float(w.max()), 0.0)
-    riskless = bool(np.any(np.abs(V[:, ~curved].T @ B)
+    big = w > chars.dim * _EPS * max(float(w.max()), 0.0)
+    curved, flat = (V, V[:, :0]) if big.all() else _flat_split(chars.cov, seen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if big.sum() == curved.shape[1]:
+            lam = V[:, big] @ ((V[:, big].T @ B) / w[big])
+        else:
+            try:
+                lam = curved @ np.linalg.solve(curved.T @ C @ curved, curved.T @ B)
+            except np.linalg.LinAlgError:   # a curvature below the float range
+                lam = np.full(chars.dim, math.inf)
+    riskless = bool(np.any(np.abs(flat.T @ B)
                            > _slope_tol(float(np.abs(chars.b_trunc).max()))))
-    return B, w, V, curved, riskless
+    return lam, flat, riskless
 
 
 def _unbounded_at_origin(chars: LocalCharacteristics, kind) -> LocalOptimum:
@@ -404,21 +389,21 @@ def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
     return x @ lam > 1.0
 
 
-def _ties(chars: LocalCharacteristics, kind, lam, curved) -> bool:
+def _ties(chars: LocalCharacteristics, kind, lam, flat) -> bool:
     """Whether the maximizer set holds points besides lam.
 
-    For the plain kind it is lam + null(C).  For the monotone kind on
-    atoms a step p keeps the value exactly when it keeps c lam and
-    every (1 - lam . x)+: p lies in the null space N of c and of the
-    atoms short of their bliss point, and no atom at its bliss point
-    drops below it (x . p >= 0).
+    For the plain kind it is lam + null(C), spanned by `flat`.  For the
+    monotone kind on atoms a step p keeps the value exactly when it
+    keeps c lam and every (1 - lam . x)+: p lies in the null space N of
+    c and of the atoms short of their bliss point, and no atom at its
+    bliss point drops below it (x . p >= 0).
     """
     if kind is UtilityKind.MV or chars.jumps is None:
-        return bool(not curved.all())
+        return bool(flat.shape[1])
     x, m = chars.jumps.points, chars.jumps.masses
     z = x @ lam
-    _, _, V, curved, _ = _quadratic_form(chars, z > 1.0 - 1e-9)
-    return _cone_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ V[:, ~curved]) is not None
+    flat = _flat_split(chars.cov, x[(m > 0.0) & (z <= 1.0 - 1e-9)])[1]
+    return _cone_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ flat) is not None
 
 
 def _maximize_quadratic(chars: LocalCharacteristics, kind, capped=None) -> LocalOptimum:
@@ -430,11 +415,10 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, capped=None) -> Local
     When C_S is singular the minimum-norm point is taken; a riskless
     drift, or an optimum beyond the float range, is flagged unbounded.
     """
-    B, w, V, curved, riskless = _quadratic_form(chars, capped)
+    lam, flat, riskless = _quadratic_form(chars, capped)
     if riskless:
         return _unbounded_at_origin(chars, kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = V[:, curved] @ ((V[:, curved].T @ B) / w[curved])
         value = (local_utility(lam, chars, kind) if np.isfinite(lam).all()
                  else math.nan)
     if not math.isfinite(value):
@@ -443,7 +427,7 @@ def _maximize_quadratic(chars: LocalCharacteristics, kind, capped=None) -> Local
         lam, value = np.zeros(chars.dim), 0.0
     res = foc_residual(lam, chars, kind)
     flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
-    return LocalOptimum(lam, float(value), res, flag, _ties(chars, kind, lam, curved))
+    return LocalOptimum(lam, float(value), res, flag, _ties(chars, kind, lam, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -627,29 +611,17 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
 def maximize_local_utility(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """Globally maximize the concave local utility in the position direction.
 
-    Finite-atom and jump-free time points are solved exactly: in one
-    dimension by the closed form (plain kind) or the kink scan (monotone
-    kind), in several by the minimum-norm closed form C_S^+ B_S, whose
-    capped set S is empty for the plain kind and read off a regularized
-    Newton solve for the monotone kind on atoms (d <= 4).  An unbounded
-    several-dimensional point is reported at the origin.  One-dimensional
-    density laws are restricted by tail moments to the directions of
-    finite value; their maximizer is the first zero of the slope.  For
-    the plain kind that is the closed form lam = B/C, B the slope at the
-    origin and C = c + integral of x^2 (four drift evaluations in all);
-    the monotone kind returns the same optimum when no mass lies
-    strictly past its bliss point 1/lam (`mass_scaled_ge(lam, 1, strict)
-    == 0`), the paper's cap condition.  Every other point, a B/C within
-    eps^2 of the law's scale and a plain-kind tabulated law whose grid
-    reaches past 1/lam, is searched by interpolating steps in a sign
-    bracket that end on the float lattice.
+    Finite-atom and jump-free time points (d <= 4) are solved exactly,
+    one-dimensional density laws by B/C or a search for the first zero
+    of the slope, as the module docstring describes.
     """
     if chars.dim > _MAX_DIM:
         raise OptimizationError(f"dimension {chars.dim} exceeds the cap {_MAX_DIM}")
     kind = _kind(kind)
-    if chars.jumps is None or isinstance(chars.jumps, FiniteAtoms):
+    rows = _rows_from_chars(chars)
+    if rows is not None:
         if chars.dim == 1:
-            return _solve_rows(_rows_from_chars(chars), kind)[0]
+            return _solve_rows(rows, kind)[0]
         capped = (_capped_atoms(chars) if kind is UtilityKind.MMV
                   and chars.jumps is not None else None)
         opt = _maximize_quadratic(chars, kind, capped)

@@ -70,8 +70,8 @@ def check_drift_linearity(n_cases=200, seed=5):
         chars = random_atom_chars(gen)
         l1, l2 = gen.uniform(-2.0, 2.0, size=2)
         a, b = gen.uniform(-3.0, 3.0, size=2)
-        xi = utility_variation(l1, "mv", 1)
-        eta = utility_variation(l2, "mmv", 1)
+        xi = utility_variation(l1, "mv")
+        eta = utility_variation(l2, "mmv")
         lhs = drift_of_variation(combine_variations(a, xi, b, eta), chars)
         rhs = (a * drift_of_variation(xi, chars)
                + b * drift_of_variation(eta, chars))
@@ -115,7 +115,7 @@ def check_truncation_invariance(n_cases=50, seed=7):
         m_trunc = build_model(serialize_model(m_zero))
         lam = float(gen.uniform(-2.0, 2.0))
         for kind in ("mv", "mmv"):
-            xi = utility_variation(lam, kind, 1)
+            xi = utility_variation(lam, kind)
             d0 = drift_of_variation(xi, m_zero.segments[0].chars)
             d1 = drift_of_variation(xi, m_trunc.segments[0].chars)
             worst = max(worst, abs(d0 - d1))

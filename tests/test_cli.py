@@ -1,15 +1,20 @@
 """Command line behavior: exit codes, formats, determinism."""
+import contextlib
 import copy
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import solve_schedule
+from mmvlab import MmvLabError, build_model, solve_schedule
 from mmvlab.cli import _REPRODUCERS, _lookup, _selftest_values, run
 from mmvlab.examples import expected_figures
 
@@ -108,6 +113,21 @@ class TestExitCodes:
         assert run(["solve", str(p)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("jumps,key", [
+        ({"family": "finite_atoms", "points": [[0.5]], "masses": 5}, "jumps.masses"),
+        ({"family": "tabulated", "x": 3, "density": [1.0, 1.0], "quadrature": "trapezoid"},
+         "jumps.x"),
+        ({"family": ["gaussian"]}, "jumps.family"),
+    ], ids=["scalar_masses", "scalar_grid", "list_family"])
+    def test_malformed_jump_spec(self, jumps, key, tmp_path, capsys):
+        config = copy.deepcopy(ZERO_CONFIG)
+        config["segments"][0]["jumps"] = jumps
+        p = tmp_path / "jumps.json"
+        p.write_text(json.dumps(config))
+        assert run(["solve", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"config.segments[0].{key}: expected a" in err
+
     @pytest.mark.parametrize("kind", ["mv", "mmv"])
     def test_optimum_beyond_the_float_range(self, kind, tmp_path, capsys):
         # lam = b / c overflows: flagged unbounded, values infinite
@@ -144,6 +164,80 @@ class TestExitCodes:
         assert row["direction"]["value"] == [0.0, 0.0]
         assert row["local_value"]["value"] == 0.0
         assert any("unbounded" in w for w in report["warnings"])
+
+
+_JUMP_SPECS = [
+    {"family": "finite_atoms", "points": [[0.5], [-0.5]], "masses": [0.2, 0.3]},
+    {"family": "gaussian", "mean": 0.0, "variance": 0.01, "rate": 1.0},
+    {"family": "exp_tails", "c_minus": 1.0, "a": 8.0, "c_plus": 1.0, "b": 8.0},
+    {"family": "tabulated", "x": [-0.5, 0.0, 0.5], "density": [0.1, 0.4, 0.1],
+     "quadrature": "trapezoid"},
+]
+_JUNK = [None, True, -1, 0, 2.5, math.nan, math.inf, 10 ** 400, "", "exp", "zero",
+         "finite_atoms", [], [0.1], [[0.1]], [[0.1, 0.2], [0.2, 0.1]], {},
+         {"family": "gaussian"}]
+
+
+def _junk(draw):
+    return copy.deepcopy(draw(st.sampled_from(_JUNK)))
+
+
+def _mutate(obj, draw):
+    """Delete a key of obj, set one (known or new) to junk, or add one."""
+    keys = sorted(obj)
+    how = draw(st.sampled_from(["delete", "junk", "junk", "unknown"]))
+    if how == "delete" and keys:
+        del obj[draw(st.sampled_from(keys))]
+    elif how == "unknown":
+        obj["weight"] = 1.0
+    else:
+        obj[draw(st.sampled_from(keys or ["horizon"]))] = _junk(draw)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three of its top-level keys, segments
+    entries or jump specs broken."""
+    config = {"horizon": 1.0, "dimension": 1, "yield_transform": "none",
+              "segments": [{"t_start": 0.0, "t_end": 0.5, "b_kind": "trunc",
+                            "b": 0.1, "c": 0.04},
+                           {"t_start": 0.5, "t_end": 1.0, "b_kind": "zero", "b": 0.05,
+                            "c": 0.02, "jumps": copy.deepcopy(
+                                draw(st.sampled_from(_JUMP_SPECS)))}],
+              "atoms": [{"time": 1.0, "points": [[0.5], [-0.5]], "masses": [0.5, 0.5]}]}
+    for _ in range(draw(st.integers(1, 3))):
+        segments = config.get("segments")
+        where = draw(st.sampled_from(["top", "segments", "entry", "jumps"]))
+        if where == "top" or not isinstance(segments, list) or not segments:
+            _mutate(config, draw)
+        elif where == "segments":
+            segments[draw(st.integers(0, len(segments) - 1))] = _junk(draw)
+        else:
+            seg = segments[draw(st.integers(0, len(segments) - 1))]
+            if not isinstance(seg, dict):
+                continue
+            if where == "jumps" and isinstance(seg.get("jumps"), dict):
+                seg = seg["jumps"]
+            _mutate(seg, draw)
+    return config
+
+
+@given(mutated_configs())
+@settings(max_examples=150, deadline=None)
+def test_rejected_configs_exit_2_without_output(config):
+    # a config the model builder rejects never reaches the solver: exit
+    # 2, empty stdout, and an error message rather than an internal one
+    try:
+        build_model(copy.deepcopy(config))
+    except MmvLabError:
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["solve", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert "rejected" in err.getvalue() and "internal error" not in err.getvalue()
 
 
 class TestReproduce:

@@ -58,7 +58,7 @@ def test_density_drift_against_monte_carlo():
 
     gen = np.random.default_rng(42)
     x = law.sample(gen, 1_000_000)
-    xi = utility_variation(lam, "mv", dim=1)
+    xi = utility_variation(lam, "mv")
     h = np.where(np.abs(x) <= 1.0, x, 0.0)
     psi = lam * x - 0.5 * (lam * x) ** 2 - lam * h
     assert float(np.max(np.abs(xi.integrand(x) - psi))) <= 1e-15

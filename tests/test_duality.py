@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmvlab import (InfiniteValue, build_model, capped_variant, compare_mv_mmv,
+from mmvlab import (FiniteAtoms, InfiniteValue, build_model, capped_variant, compare_mv_mmv,
                     cumulative_local_utility, density_diagnostics,
-                    example_model, global_values, mellin_sign_moments,
+                    example_model, global_values, local_utility, mellin_sign_moments,
                     mv_signed_measure, sigma_martingale_residual,
                     solve_schedule, zero_density_probability)
 
@@ -266,3 +266,63 @@ def test_splitting_a_segment_keeps_every_optimum_and_the_duality_identity(
             gv = global_values(cumulative_local_utility(model, kind))
             if gv.finite:
                 assert 1.0 + gv.msr2 == pytest.approx(1.0 / (1.0 - gv.mhr2), rel=1e-10, abs=0.0)
+
+
+@st.composite
+def consistency_models(draw):
+    """A random model: 1-d or 2-d, segments with finite atoms, no jumps or
+    (in 1-d) a density law, and zero to three scheduled jumps."""
+    dim = draw(st.sampled_from([1, 2]))
+    coords = st.sampled_from([-1.5, -0.75, -0.25, 0.25, 0.5, 1.0, 2.0])
+
+    def vec(lo, hi):
+        v = [draw(st.floats(lo, hi)) for _ in range(dim)]
+        return v if dim > 1 else v[0]
+
+    def law():
+        n = draw(st.integers(1, 4))
+        pts = [[draw(coords) for _ in range(dim)] for _ in range(n)]
+        ms = [draw(st.floats(0.01, 0.24)) for _ in range(n)]     # total at most one
+        return pts, ms
+
+    n_seg = draw(st.integers(1, 3))
+    edges = np.linspace(0.0, 1.0, n_seg + 1).tolist()
+    segments = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        c = vec(0.0, 0.09)
+        seg = {"t_start": t0, "t_end": t1, "b_kind": draw(st.sampled_from(["zero", "trunc"])),
+               "b": vec(-0.3, 0.3), "c": np.diag(np.atleast_1d(c)).tolist() if dim > 1 else c}
+        jumps = draw(st.sampled_from(["atoms", "none"] + ["density"] * (dim == 1)))
+        if jumps == "atoms":
+            pts, ms = law()
+            seg["jumps"] = {"family": "finite_atoms", "points": pts, "masses": ms}
+        elif jumps == "density":
+            seg["jumps"] = draw(density_laws())
+        segments.append(seg)
+    atoms = []
+    for k in range(draw(st.integers(0, 3))):
+        pts, ms = law()
+        atoms.append({"time": 0.25 * (k + 1), "points": pts, "masses": ms})
+    return build_model({"horizon": 1.0, "dimension": dim, "segments": segments,
+                        "atoms": atoms})
+
+
+@given(consistency_models())
+@settings(max_examples=60, deadline=None)
+def test_the_residual_is_the_solvers_first_order_condition_bit_for_bit(model):
+    # the dual residual and the solver's reported residuals are one
+    # evaluation, at segments and scheduled jumps in every dimension; at
+    # finite-atom points the local utility at the optimum is its value
+    for kind in ("mv", "mmv"):
+        sol = solve_schedule(model, kind)
+        stacked = np.concatenate([
+            np.array([o.foc_residual for o in sol.segment_optima]).reshape(-1, model.dim),
+            sol.atom_optima.foc_residual])
+        assert sigma_martingale_residual(model, sol, kind).tobytes() == stacked.tobytes()
+        points = [(seg.chars, opt.lambda_hat, opt.value)
+                  for seg, opt in zip(model.segments, sol.segment_optima)
+                  if seg.chars.jumps is None or isinstance(seg.chars.jumps, FiniteAtoms)]
+        points += [(atom.chars, lam, value) for atom, lam, value in
+                   zip(model.atoms, sol.atom_optima.lambda_hat, sol.atom_optima.value)]
+        for chars, lam, value in points:
+            assert local_utility(lam, chars, kind) == value

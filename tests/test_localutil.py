@@ -10,8 +10,9 @@ from mmvlab import (FiniteAtoms, JumpAtom, LocalCharacteristics, MarketModel,
                     check_instantaneous_no_arbitrage, example_model, local_utility,
                     maximize_local_utility, solve_schedule, utility)
 from mmvlab.model import small_jump_mean
-from mmvlab.localutil import (_cone_ray, _free_lunch, asymptotic_slope,
-                              slope_variation, utility_slope, utility_variation)
+from mmvlab.localutil import (_cone_ray, _free_lunch, _rows_from_chars, _rows_from_table,
+                              asymptotic_slope, slope_variation, utility_slope,
+                              utility_variation)
 
 import properties
 
@@ -40,31 +41,75 @@ def test_local_utility_concavity():
     assert properties.check_concavity(n_triples=1000, seed=11) >= -1e-9
 
 
+def _two_asset_chars():
+    # outcomes past the unit box, at the bliss point of lam and inside it
+    return LocalCharacteristics(
+        np.array([0.1, -0.05]), np.array([[0.04, 0.01], [0.01, 0.09]]),
+        FiniteAtoms(np.array([[1.5, -0.25], [0.5, 0.5], [-0.75, 0.25]]),
+                    np.array([0.25, 0.5, 0.125])))
+
+
 def test_utility_variation_expansion():
-    lam = np.array([0.5, -0.25])
-    xi = utility_variation(lam, "mmv")
-    assert xi.grad0 == pytest.approx(lam)
-    assert xi.hess0 == pytest.approx(-np.outer(lam, lam))
-    assert callable(xi.integrand)            # pieces are one-dimensional
+    # several-dimensional atoms are summed by the row evaluator: b . lam
+    # - lam' c lam / 2 + sum m (g(lam . x) - lam . h(x)), h cutting 1.5
+    chars = _two_asset_chars()
+    lam = np.array([1.5, 0.5])
+    rows = _rows_from_chars(chars)
+    x, m = chars.jumps.points, chars.jumps.masses
+    h = np.where(np.abs(x) <= 1.0, x, 0.0)
+    for kind in ("mv", "mmv"):
+        want = (chars.b_trunc @ lam - 0.5 * lam @ chars.cov @ lam
+                + m @ (utility(kind, x @ lam) - h @ lam))
+        assert rows.value(lam[None], kind)[0] == pytest.approx(want, rel=1e-15)
+        assert local_utility(lam, chars, kind) == rows.value(lam[None], kind)[0]
+    # the monotone kind freezes the 1.5 outcome past its bliss point
+    assert rows.value(lam[None], "mmv")[0] > rows.value(lam[None], "mv")[0]
     # in one dimension: kinks at -1, the bliss point and 1; g(2x) - 2h(x)
     # is -2x^2 inside, 2x - 2x^2 outside below bliss, 1/2 - 2h past it
-    one = utility_variation(2.0, "mmv", dim=1).integrand
+    xi = utility_variation(2.0, "mmv")
+    assert (xi.grad0, xi.hess0) == (2.0, -4.0)
+    one = xi.integrand
     assert one.edges.tolist() == [-1.0, 0.5, 1.0]
     assert one.coef.tolist() == [[0.0, 2.0, -2.0], [0.0, 0.0, -2.0],
                                  [0.5, -2.0, 0.0], [0.5, 0.0, 0.0]]
     assert one.at.tolist() == [-2.0, -0.5, -1.5]
-    flat = utility_variation(0.0, "mmv", dim=1).integrand
+    flat = utility_variation(0.0, "mmv").integrand
     assert not flat.coef.any()
 
 
 def test_slope_variation_structure():
+    # the row evaluator's residual is the gradient b - c lam + sum m
+    # (x g'(lam . x) - h(x)), and the table's rows sum a scheduled jump
+    # as its own view's characteristics do, bit for bit
+    chars = _two_asset_chars()
+    lam = np.array([1.5, 0.5])
+    x, m = chars.jumps.points, chars.jumps.masses
+    h = np.where(np.abs(x) <= 1.0, x, 0.0)
+    for kind in ("mv", "mmv"):
+        got = _rows_from_chars(chars).residual(lam[None], kind)[0]
+        want = (chars.b_trunc - chars.cov @ lam
+                + m @ (x * utility_slope(kind, x @ lam)[:, None] - h))
+        assert got == pytest.approx(want, rel=1e-14)
+    # the plain utility is quadratic, so central differences are exact
+    # to rounding; the monotone one has a kink at the (0.5, 0.5) outcome
+    got = _rows_from_chars(chars).residual(lam[None], "mv")[0]
+    for i, e in enumerate(1e-6 * np.eye(2)):
+        fd = (local_utility(lam + e, chars, "mv") - local_utility(lam - e, chars, "mv")) / 2e-6
+        assert fd == pytest.approx(got[i], abs=1e-8)
+    table = ScheduledJumps.from_atoms([JumpAtom(0.5, chars.jumps),
+                                       JumpAtom(1.0, FiniteAtoms(-x, m))], 2)
+    lams = np.array([lam, -lam])
+    rows = _rows_from_table(table)
+    for t in range(2):
+        alone = _rows_from_chars(table[t].chars)
+        assert rows.b[t].tolist() == alone.b[0].tolist()
+        assert (rows.residual(lams, "mmv")[t].tolist()
+                == alone.residual(lams[t:t + 1], "mmv")[0].tolist())
     # x g'(0) - h(x) is x outside the unit interval and 0 inside
-    linear = slope_variation(0.0, "mv", dim=1).integrand
+    xi = slope_variation(0.5, "mv")
+    assert (xi.grad0, xi.hess0) == (1.0, -1.0)
+    linear = slope_variation(0.0, "mv").integrand
     assert linear.coef.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    xi = slope_variation([0.5, 0.25], "mv", component=1)
-    assert xi.grad0 == pytest.approx([0.0, 1.0])
-    with pytest.raises(ValueError):
-        slope_variation([0.5, 0.25], "mv", component=2)
 
 
 def test_monotone_value_dominates_quadratic_on_random_laws():

@@ -16,6 +16,7 @@ from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
 from mmvlab.drift import drift_of_variation
+from mmvlab.localutil import _Rows
 from mmvlab.measures import TRUNCATION_PIECES, ExpYieldMeasure
 from mmvlab.optimize import maximize_atom_laws
 
@@ -99,18 +100,16 @@ class TestScheduledJump:
         assert opt.value == pytest.approx(0.2, abs=1e-10)
 
     def test_monotone_optimum_costs_no_search(self, ex1, monkeypatch):
-        # one value and one slope per component, at the closed form
-        calls = []
-
-        def counting(xi, chars):
-            calls.append(xi)
-            return drift_of_variation(xi, chars)
-
-        for module in (mmvlab.optimize, mmvlab.localutil):
-            monkeypatch.setattr(module, "drift_of_variation", counting)
-        chars = ex1.atoms[0].chars
-        maximize_local_utility(chars, "mmv")
-        assert 1 <= len(calls) <= 2 * chars.dim + 1
+        # one value and one residual row, at the closed form, summed by
+        # the row evaluator: no variation is integrated
+        calls = _counting_drifts(monkeypatch)
+        for name in ("value", "residual"):
+            def counting(self, *args, _name=name, _method=getattr(_Rows, name)):
+                calls.append(_name)
+                return _method(self, *args)
+            monkeypatch.setattr(_Rows, name, counting)
+        maximize_local_utility(ex1.atoms[0].chars, "mmv")
+        assert sorted(calls) == ["residual", "value"]
 
     def test_monotone_corner_of_two_bliss_points(self):
         # the maximizers are the points past both bliss points; the
@@ -341,6 +340,25 @@ def test_multidimensional_quadratic_flags_a_riskless_drift():
     opt = maximize_local_utility(flat, "mv")
     assert opt.boundedness == "interior" and opt.tie_break_applied
     assert opt.lambda_hat[1] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_a_tiny_opposing_atom_curves_its_direction(kind):
+    # C = diag(1, 1e-30): the second eigenvalue is far below eps of the
+    # first, yet the (0, -1) atom curves that direction, as the atom -1
+    # of the same mass does in one dimension; an eigenvalue cut would
+    # call the drift 0.1 along it riskless
+    law = FiniteAtoms(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
+                      np.array([0.5, 0.5, 1e-30]))
+    opt = maximize_local_utility(
+        LocalCharacteristics(np.array([0.0, 0.1]), np.zeros((2, 2)), law), kind)
+    one = maximize_local_utility(LocalCharacteristics(
+        np.array([0.1]), np.zeros((1, 1)), FiniteAtoms(np.array([[-1.0]]), np.array([1e-30]))),
+        kind)
+    assert opt.boundedness == one.boundedness == "interior"
+    assert float(one.lambda_hat[0]) == pytest.approx(0.1 / 1e-30, rel=1e-12)
+    assert opt.lambda_hat == pytest.approx([0.0, 0.1 / 1e-30], rel=1e-12, abs=1e-12)
+    assert opt.value == pytest.approx(one.value, rel=1e-12)
 
 
 _POINTS = st.floats(-2.0, 3.0).filter(lambda v: abs(v) >= 1e-3)

@@ -99,9 +99,9 @@ def integrands(draw):
     kind = draw(st.sampled_from(["mv", "mmv"]))
     which = draw(st.sampled_from(["utility", "slope", "sign", "truncation"]))
     if which == "utility":
-        return utility_variation(lam, kind, 1).integrand
+        return utility_variation(lam, kind).integrand
     if which == "slope":
-        return slope_variation(lam, kind, 0, 1).integrand
+        return slope_variation(lam, kind).integrand
     if which == "sign":
         return _mellin_variation(lam, draw(st.sampled_from([0, 1, 2])),
                                  draw(st.booleans())).integrand
@@ -141,10 +141,10 @@ def _check(law, pieces):
 
 @given(laws, integrands())
 @settings(max_examples=30, deadline=None)
-@example(ExpTails1D(0.5, 12.0, 1.0, 12.0), utility_variation(1e-7, "mmv", 1).integrand)
-@example(ExpTails1D(0.0, 5.0, 1.0, 5.0), slope_variation(1e13, "mmv", 0, 1).integrand)
-@example(ExpYieldMeasure(Gaussian1D(0.0, 0.01, 1.0)), slope_variation(4.5, "mv", 0, 1).integrand)
-@example(ExpYieldMeasure(ExpTails1D(10.0, 1.0, 3.0, 1.5)), utility_variation(1.0, "mv", 1).integrand)
+@example(ExpTails1D(0.5, 12.0, 1.0, 12.0), utility_variation(1e-7, "mmv").integrand)
+@example(ExpTails1D(0.0, 5.0, 1.0, 5.0), slope_variation(1e13, "mmv").integrand)
+@example(ExpYieldMeasure(Gaussian1D(0.0, 0.01, 1.0)), slope_variation(4.5, "mv").integrand)
+@example(ExpYieldMeasure(ExpTails1D(10.0, 1.0, 3.0, 1.5)), utility_variation(1.0, "mv").integrand)
 def test_closed_forms_match_mpmath(law, pieces):
     _check(law, pieces)
 
@@ -243,7 +243,7 @@ def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
     for i in range(197):
         lam = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0))
         kind = ("mv", "mmv")[i % 2]
-        f = (utility_variation(lam, kind, 1), slope_variation(lam, kind, 0, 1),
+        f = (utility_variation(lam, kind), slope_variation(lam, kind),
              _mellin_variation(lam, i % 3, bool(i % 2)))[i % 3].integrand
         warm.integrate(f if i % 7 else TRUNCATION_PIECES)
     for _ in range(3):
@@ -258,7 +258,7 @@ def test_plan_memo_stays_bounded():
     for law in (ExpTails1D(1.0, 8.0, 2.0, 6.0), ExpYieldMeasure(Gaussian1D(0.05, 0.02, 1.5))):
         inner = law.base if isinstance(law, ExpYieldMeasure) else law
         for lam in np.geomspace(1e-3, 1e9, 10_000):
-            law.integrate(slope_variation(float(lam), "mmv", 0, 1).integrand)
+            law.integrate(slope_variation(float(lam), "mmv").integrand)
         fixed, moving = inner.__dict__["_plans"]
         assert len(moving) == _MOVING_PLANS
         assert len(fixed) <= 6
