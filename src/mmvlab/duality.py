@@ -193,8 +193,7 @@ def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool) -> float:
     rows = _rows_from_chars(chars)
     if rows is None:
         return drift_of_variation(_mellin_variation(float(lam[0]), p, even), chars)
-    return float(rows.drift(lam[None], lambda u: _zeta(u, p, even),
-                            _Z_GRAD[p], _Z_HESS[p])[0])
+    return float(rows.drift(lam[None], lambda u: _zeta(u, p, even), _Z_GRAD[p], _Z_HESS[p])[0])
 
 
 def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:

@@ -299,10 +299,10 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
     m x - sum m h and C_S = c + sum_{not S} m x x'; the plain kind is
     that, with S empty, everywhere.  A maximizer capping S zeroes the
     gradient B_S - C_S lam, so a part of B_S in null(C_S) means none
-    exists.  C_S^+ B_S comes from C_S's eigenvectors; where eigenvalues
-    within d eps of its largest are not all flat, C_S is solved on the
-    directions `_flat_split` curves.  Returns (C_S^+ B_S, an orthonormal
-    basis of null(C_S), riskless).
+    exists.  C_S^+ B_S comes from C_S's eigenvectors, unless eigenvalues
+    within d eps of its largest may hide a free atom's curvature: then C_S
+    is solved on what `_flat_split` curves.  Returns (C_S^+ B_S, a basis
+    of null(C_S), riskless).
     """
     B = chars.b_trunc.copy()
     C = chars.cov.copy()
@@ -315,7 +315,8 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
         seen = x[(m > 0.0) if capped is None else (m > 0.0) & ~capped]
     w, V = np.linalg.eigh(C)
     big = w > chars.dim * _EPS * max(float(w.max()), 0.0)
-    curved, flat = (V, V[:, :0]) if big.all() else _flat_split(chars.cov, seen)
+    curved, flat = ((V[:, big], V[:, ~big]) if big.all() or not len(seen)
+                    else _flat_split(chars.cov, seen))
     with np.errstate(over="ignore", invalid="ignore"):
         if big.sum() == curved.shape[1]:
             lam = V[:, big] @ ((V[:, big].T @ B) / w[big])
