@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -725,7 +726,9 @@ def _add_output_flags(sp) -> None:
                     default="json", help="report format (default json)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser; parsing leaves it as it is, so one serves a process."""
     parser = argparse.ArgumentParser(
         prog="mmvlab",
         description="dynamic mean-variance and monotone mean-variance "

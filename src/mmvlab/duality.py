@@ -31,8 +31,6 @@ from .localutil import UtilityKind, _kind, _rows_from_chars, _rows_from_table
 from .model import MarketModel
 from .optimize import foc_residual
 
-_MASS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
@@ -42,6 +40,8 @@ class DensityDiagnostics:
     `sigma_martingale_residual`: one row per segment in schedule order,
     then per scheduled jump, each the componentwise drift of the
     density-weighted increments, zero for a true local martingale.
+    equivalent is decided from the crossing masses themselves; p_zero,
+    an exponential of them, can round to 0 below about 1e-16.
     """
 
     mean: float
@@ -68,7 +68,12 @@ class SignMoments:
 
 @dataclass(frozen=True)
 class MVSignedMeasure:
-    """Sign structure of the plain-quadratic dual candidate."""
+    """Sign structure of the plain-quadratic dual candidate.
+
+    is_probability is decided from the crossing masses themselves;
+    negative_mass, from exponentials of them, can round to 0 below
+    about 1e-16.
+    """
 
     mean: float
     variance: float
@@ -78,11 +83,16 @@ class MVSignedMeasure:
 
 @dataclass(frozen=True)
 class CoincidenceReport:
-    """Whether the two preference kinds pick the same strategy and dual."""
+    """Whether the two preference kinds pick the same strategy and dual.
+
+    The verdict is the cap condition; max_lambda_gap, the largest
+    relative gap between the two directions, is reported, not tested.
+    note says why the verdict is not_applicable, and is empty otherwise.
+    """
 
     verdict: str                      # "coincide" | "differ" | "not_applicable"
     square_integrable: bool
-    cap_condition: bool | None        # no jump ever crosses the bliss cap
+    cap_condition: bool | None        # no jump mass passes the mv bliss level
     max_lambda_gap: float | None
     note: str
 
@@ -107,37 +117,31 @@ def sigma_martingale_residual(model: MarketModel, schedule, kind) -> np.ndarray:
     return res
 
 
-def zero_density_probability(model: MarketModel, schedule) -> float:
-    """Probability that the dual density candidate hits zero.
-
-    The density is absorbed at zero as soon as some increment crosses
-    the cap, so the complement is a survival event: exponential in the
-    segment crossing intensities, one factor per scheduled jump.
-    """
+def _crossing_masses(model: MarketModel, schedule, strict: bool) -> np.ndarray:
+    """Jump mass at or past (strict: past) the bliss level, with no
+    tolerance: each segment's intensity (0 without jumps), then each
+    scheduled jump's mass."""
     seg_lams, atom_lams = _split_schedule(model, schedule)
-    theta = 0.0
-    for seg, lam in zip(model.segments, seg_lams):
-        jumps = seg.chars.jumps
-        if jumps is None:
-            continue
-        theta += seg.length * jumps.mass_scaled_ge(lam, 1.0, strict=False)
-    crossings = CumulativeUtility(
-        theta, model.atoms.mass_scaled_ge(atom_lams, 1.0, strict=False), True)
+    return np.concatenate([
+        [0.0 if s.chars.jumps is None else s.chars.jumps.mass_scaled_ge(lam, 1.0, strict)
+         for s, lam in zip(model.segments, seg_lams)],
+        model.atoms.mass_scaled_ge(atom_lams, 1.0, strict)])
+
+
+def _absorption_probability(model: MarketModel, masses: np.ndarray) -> float:
+    theta = sum((s.length * m for s, m in zip(model.segments, masses)), 0.0)
+    crossings = CumulativeUtility(float(theta), masses[len(model.segments):], True)
     return 1.0 - det_stoch_exponential(crossings, -1.0).value
 
 
-def _crossing_free(model: MarketModel, schedule, strict: bool) -> bool:
-    seg_lams, atom_lams = _split_schedule(model, schedule)
-    for seg, lam in zip(model.segments, seg_lams):
-        jumps = seg.chars.jumps
-        if jumps is None:
-            continue
-        if jumps.mass_scaled_ge(lam, 1.0, strict) \
-                > _MASS_TOL * (1.0 + jumps.total_mass()):
-            return False
-    atoms = model.atoms
-    return not np.any(atoms.mass_scaled_ge(atom_lams, 1.0, strict)
-                      > _MASS_TOL * (1.0 + atoms.total_mass()))
+def zero_density_probability(model: MarketModel, schedule) -> float:
+    """Probability that the dual density candidate hits zero.
+
+    The density is absorbed at zero as soon as some increment reaches
+    the cap, so the complement is a survival event: exponential in the
+    segment crossing intensities, one factor per scheduled jump.
+    """
+    return _absorption_probability(model, _crossing_masses(model, schedule, strict=False))
 
 
 def density_diagnostics(model: MarketModel, solution: Solution | None = None,
@@ -147,19 +151,19 @@ def density_diagnostics(model: MarketModel, solution: Solution | None = None,
     Solves the monotone problem if no solution is passed.  Raises
     InfiniteValue when the dual value diverges (no density exists).
     """
-    sol = solution if solution is not None else solve_schedule(
-        model, UtilityKind.MMV)
+    sol = solution if solution is not None else solve_schedule(model, UtilityKind.MMV)
     gv = global_values(cumulative_local_utility(model, sol.kind, sol))
     if not gv.finite:
         raise InfiniteValue("dual value is infinite; no density candidate exists")
     residuals = sigma_martingale_residual(model, sol, sol.kind)
+    crossing = _crossing_masses(model, sol, strict=False)
     return DensityDiagnostics(
         mean=1.0,
         second_moment=gv.scale,
         variance=gv.msr2,
-        p_zero=zero_density_probability(model, sol),
+        p_zero=_absorption_probability(model, crossing),
         sigma_mart_residual=residuals,
-        equivalent=_crossing_free(model, sol, strict=False),
+        equivalent=not crossing.any(),
         is_sigma_martingale=float(np.abs(residuals).max(initial=0.0)) <= residual_tol,
     )
 
@@ -224,8 +228,7 @@ def mv_signed_measure(model: MarketModel, solution: Solution | None = None) -> M
     InfiniteValue when the quadratic dual value diverges, in which case
     no separating object of this kind exists at all.
     """
-    sol = solution if solution is not None else solve_schedule(
-        model, UtilityKind.MV)
+    sol = solution if solution is not None else solve_schedule(model, UtilityKind.MV)
     gv = global_values(cumulative_local_utility(model, UtilityKind.MV, sol))
     if not gv.finite:
         raise InfiniteValue(
@@ -235,7 +238,7 @@ def mv_signed_measure(model: MarketModel, solution: Solution | None = None) -> M
         mean=1.0,
         variance=gv.msr2,
         negative_mass=sm0.phi_minus,
-        is_probability=_crossing_free(model, sol, strict=True),
+        is_probability=not _crossing_masses(model, sol, strict=True).any(),
     )
 
 
@@ -256,37 +259,28 @@ def compare_mv_mmv(model: MarketModel, mv_solution: Solution | None = None,
 
     Needs square-integrable increments and a finite monotone dual
     value; otherwise the equivalence theory does not apply and the
-    verdict is not_applicable.  The authoritative test is the cap
-    condition: no jump may cross the bliss level under the quadratic
-    optimum.  The direction gap between the two optima is reported as a
-    cross-check and any disagreement is noted.  Either kind is solved
-    here only when its solution is not passed.
+    verdict is not_applicable.  Otherwise the paper's cap condition
+    decides alone: the kinds coincide exactly when the plain optimum
+    puts no jump mass past its bliss level 1/lambda at any time point.
+    The masses are tested against 0, as the solver tests them before it
+    takes the plain optimum for the monotone kind, so "coincide" means
+    the same optima bit for bit, unless the monotone maximizers form a
+    plateau, of which the plain optimum is then a point.  Either kind
+    is solved here only when its solution is not passed.
     """
     if not _square_integrable(model):
         return CoincidenceReport("not_applicable", False, None, None,
                                  "increments are not square integrable; the "
                                  "equivalence theory does not apply")
-    sol_mmv = mmv_solution if mmv_solution is not None else solve_schedule(
-        model, UtilityKind.MMV)
-    gv_mmv = global_values(cumulative_local_utility(
-        model, UtilityKind.MMV, sol_mmv))
+    sol_mmv = mmv_solution if mmv_solution is not None else solve_schedule(model, UtilityKind.MMV)
+    gv_mmv = global_values(cumulative_local_utility(model, UtilityKind.MMV, sol_mmv))
     if not gv_mmv.finite:
         return CoincidenceReport("not_applicable", True, None, None,
                                  "monotone dual value is infinite")
-    sol_mv = mv_solution if mv_solution is not None else solve_schedule(
-        model, UtilityKind.MV)
-    cap_ok = _crossing_free(model, sol_mv, strict=True)
-    gaps = [float(np.abs(a.lambda_hat - b.lambda_hat).max())
-            / (1.0 + float(np.abs(b.lambda_hat).max()))
-            for a, b in zip(sol_mmv.segment_optima, sol_mv.segment_optima)]
-    a, b = sol_mmv.atom_optima.lambda_hat, sol_mv.atom_optima.lambda_hat
-    gaps.extend((np.abs(a - b).max(axis=1, initial=0.0)
-                 / (1.0 + np.abs(b).max(axis=1, initial=0.0))).tolist())
-    max_gap = max(gaps, default=0.0)
-    directions_agree = max_gap <= 1e-6
-    verdict = "coincide" if cap_ok else "differ"
-    note = ""
-    if cap_ok != directions_agree:
-        note = ("cap condition and direction gap disagree; the cap condition "
-                "is authoritative")
-    return CoincidenceReport(verdict, True, cap_ok, max_gap, note)
+    sol_mv = mv_solution if mv_solution is not None else solve_schedule(model, UtilityKind.MV)
+    cap_ok = not _crossing_masses(model, sol_mv, strict=True).any()
+    a, b = (np.vstack([*sol.segment_lambdas(), sol.atom_optima.lambda_hat])
+            for sol in (sol_mmv, sol_mv))
+    gaps = np.abs(a - b).max(axis=1, initial=0.0) / (1.0 + np.abs(b).max(axis=1, initial=0.0))
+    return CoincidenceReport("coincide" if cap_ok else "differ", True, cap_ok,
+                             float(gaps.max(initial=0.0)), "")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmvlab import (FiniteAtoms, InfiniteValue, build_model, capped_variant, compare_mv_mmv,
@@ -11,6 +11,7 @@ from mmvlab import (FiniteAtoms, InfiniteValue, build_model, capped_variant, com
                     example_model, global_values, local_utility, mellin_sign_moments,
                     mv_signed_measure, sigma_martingale_residual,
                     solve_schedule, zero_density_probability)
+from mmvlab.localutil import _slope_tol
 
 EX2_LAM_MV = 4.484438439009606
 
@@ -326,3 +327,92 @@ def test_the_residual_is_the_solvers_first_order_condition_bit_for_bit(model):
                    zip(model.atoms, sol.atom_optima.lambda_hat, sol.atom_optima.value)]
         for chars, lam, value in points:
             assert local_utility(lam, chars, kind) == value
+
+
+@st.composite
+def criterion_models(draw):
+    """(config, cap): one segment with a 1-d density law, plain or in log
+    terms, or with 1-d or 2-d finite atoms, or one to three 1-d or 2-d
+    scheduled jumps after a diffusion segment.  A 1-d segment law may be
+    capped at cap / lam_mv, cap in [0.3, 1.5]."""
+    family = draw(st.sampled_from(["density", "atoms", "scheduled"]))
+    dim = 1 if family == "density" else draw(st.sampled_from([1, 2]))
+
+    def vec(lo, hi):
+        v = [draw(st.floats(lo, hi)) for _ in range(dim)]
+        return v if dim > 1 else v[0]
+
+    def law():
+        n = draw(st.integers(2, 5))
+        coord = st.floats(-0.9, 1.5).filter(lambda x: abs(x) >= 0.01)  # no zero outcome
+        pts = [[draw(coord) for _ in range(dim)] for _ in range(n)]
+        pts[0] = [-abs(x) - 0.05 for x in pts[0]]       # the first outcome a loss
+        return {"points": pts, "masses": [draw(st.floats(0.05, 0.2)) for _ in range(n)]}
+
+    c = vec(0.01, 0.09)
+    seg = {"t_start": 0.0, "t_end": 1.0, "b_kind": "zero", "b": vec(0.0, 0.3),
+           "c": np.diag(np.atleast_1d(c)).tolist() if dim > 1 else c}
+    config = {"horizon": 1.0, "dimension": dim, "segments": [seg]}
+    if family == "density":
+        seg["jumps"] = draw(density_laws())
+        if draw(st.booleans()):
+            config["yield_transform"] = "exp"
+    elif family == "atoms":
+        seg["jumps"] = {"family": "finite_atoms", **law()}
+    else:
+        config["atoms"] = [{"time": 0.25 * (k + 1), **law()}
+                           for k in range(draw(st.integers(1, 3)))]
+    capped = dim == 1 and family != "scheduled" and draw(st.booleans())
+    return config, draw(st.floats(0.3, 1.5)) if capped else None
+
+
+@given(criterion_models())
+# the searched monotone optimum one ulp below the plain B/C, where the
+# Gaussian mass past bliss (6.8e-18) leaves the slope unchanged
+@example(({"horizon": 1.0, "dimension": 1, "segments": [
+    {"t_start": 0.0, "t_end": 1.0, "b_kind": "zero", "b": 0.1, "c": 0.05,
+     "jumps": {"family": "gaussian", "mean": 0.0, "variance": 0.004, "rate": 1.0}}]}, None))
+# a 2-d jump whose two outcomes sit at the plain bliss level (-6, 10):
+# the monotone maximizers are the plateau where both are capped, and the
+# minimum-norm one is another point of it
+@example(({"horizon": 1.0, "dimension": 2, "segments": [
+    {"t_start": 0.0, "t_end": 1.0, "b_kind": "zero", "b": [0.1, 0.1],
+     "c": [[0.05, 0.0], [0.0, 0.05]]}], "atoms": [
+    {"time": 0.5, "points": [[-1.0, -0.5], [-0.25, -0.05]], "masses": [0.2, 0.2]}]}, None))
+@settings(max_examples=150, deadline=None)
+def test_the_cap_condition_alone_decides_whether_the_kinds_coincide(case):
+    # "coincide" names the plain optimum as a monotone one: bit for bit,
+    # or, where the monotone maximizers form a plateau, a point of it.
+    # "differ" means mass passes the plain bliss level 1/lam_mv; in 1-d
+    # the monotone slope at lam_mv then exceeds the plain one by the mass
+    # integral of x (lam x - 1) past bliss, so |lam_mmv| >= |lam_mv|,
+    # strictly where that excess is above the slope's rounding
+    config, cap = case
+    model = build_model(config)
+    if cap is not None:
+        lam = float(solve_schedule(model, "mv").segment_optima[0].lambda_hat[0])
+        assume(lam > 0.0)
+        model = capped_variant(model, cap / lam)
+    rep = compare_mv_mmv(model)
+    assume(rep.verdict != "not_applicable")
+    mv, mmv = solve_schedule(model, "mv"), solve_schedule(model, "mmv")
+    chars = [seg.chars for seg in model.segments] + [atom.chars for atom in model.atoms]
+    pairs = [*zip(mv.segment_optima, mmv.segment_optima),
+             *zip(mv.atom_optima, mmv.atom_optima)]
+    if rep.verdict == "coincide":
+        for ch, (a, b) in zip(chars, pairs):
+            if b.tie_break_applied and a.lambda_hat.tobytes() != b.lambda_hat.tobytes():
+                assert local_utility(a.lambda_hat, ch, "mmv") == pytest.approx(b.value, rel=1e-14)
+            else:
+                assert (a.lambda_hat.tobytes(), a.value) == (b.lambda_hat.tobytes(), b.value)
+        return
+    if model.dim > 1:
+        return
+    excess = (sigma_martingale_residual(model, mv, "mmv")
+              - sigma_martingale_residual(model, mv, "mv"))[:, 0]
+    for ch, (a, b), e in zip(chars, pairs, np.abs(excess)):
+        lv, lm = abs(float(a.lambda_hat[0])), abs(float(b.lambda_hat[0]))
+        if e > _slope_tol(float(ch.b_trunc[0])):
+            assert lm > lv
+        else:
+            assert lm >= (lv if e > 0.0 else np.nextafter(lv, 0.0))

@@ -25,6 +25,8 @@ atoms, where a numerical search once stalled on some bets, it passes.
 `scheduled_bets300.json` is a config, not a report: a diffusion
 segment (b = 0.1, c = 0.04) and bet n = 1..300 at time n/300 with
 outcomes -1, 1 and 10n, the last of mass 2e-4/n^2, and mean 0.2/n.
+`gaussian_b012.json` is a config too: one segment with b = 0.12,
+c = 0.05 and Gaussian jumps N(0, 0.004) at rate 1.
 """
 from pathlib import Path
 
@@ -65,6 +67,9 @@ CASES = [
     # finite and the crossing and sign-moment products run over every jump
     ("diagnose_scheduled_bets300.json",
      ["diagnose", "tests/data/scheduled_bets300.json"], 0),
+    # a Gaussian mass of 5.6e-13 past the plain bliss level: the kinds
+    # differ, although their optima agree to 1e-13
+    ("diagnose_gaussian_b012.json", ["diagnose", "tests/data/gaussian_b012.json"], 0),
     ("solve_ex5_mmv.json", ["solve", EX.format(5), "--kind", "mmv"], 0),
     ("solve_ex6_mv.json", ["solve", EX.format(6), "--kind", "mv"], 0),
     *((f"simulate_ex{i}_mmv.json",
