@@ -145,25 +145,20 @@ class StrategyDescriptor:
 def solve_schedule(model: MarketModel, kind) -> Solution:
     """Maximize the local utility at every segment and scheduled jump.
 
-    The scheduled jumps of a one-asset model are solved exactly in one
-    batch, straight from the model's table.  The optima are kept on the model
-    instance, per kind, so each is solved once
-    however many diagnostics ask for it; a model built again from the
-    same config solves again.  The memo holds only the optima, not the
-    Solution, so it makes no reference cycle through the model.
+    The scheduled jumps are solved exactly straight from the model's
+    table, in any dimension (`maximize_atom_laws`).  The optima are kept
+    on the model instance, per kind, so each is solved once however many
+    diagnostics ask for it; a model built again from the same config
+    solves again.  The memo holds only the optima, not the Solution, so
+    it makes no reference cycle through the model.
     """
     kind = _kind(kind)
     memo = model.__dict__.setdefault("_optima", {})
     optima = memo.get(kind)
     if optima is None:
-        seg_opts = tuple(maximize_local_utility(seg.chars, kind)
-                         for seg in model.segments)
-        if model.dim == 1:
-            atom_opts = maximize_atom_laws(model.atoms, kind)
-        else:
-            atom_opts = AtomOptima.stack([maximize_local_utility(atom.chars, kind)
-                                          for atom in model.atoms], model.dim)
-        optima = memo[kind] = (seg_opts, atom_opts)
+        optima = memo[kind] = (tuple(maximize_local_utility(seg.chars, kind)
+                                     for seg in model.segments),
+                               maximize_atom_laws(model.atoms, kind))
     return Solution(model, kind, *optima)
 
 

@@ -125,7 +125,7 @@ def _crossing_masses(model: MarketModel, schedule, strict: bool) -> np.ndarray:
     return np.concatenate([
         [0.0 if s.chars.jumps is None else s.chars.jumps.mass_scaled_ge(lam, 1.0, strict)
          for s, lam in zip(model.segments, seg_lams)],
-        model.atoms.mass_scaled_ge(atom_lams, 1.0, strict)])
+        _rows_from_table(model.atoms).mass_ge(atom_lams, 1.0, strict)])
 
 
 def _absorption_probability(model: MarketModel, masses: np.ndarray) -> float:
@@ -210,12 +210,14 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
     if p not in (0, 1, 2):
         raise ValueError("moment order p must be 0, 1 or 2")
     seg_lams, atom_lams = _split_schedule(model, schedule)
+    rows = _rows_from_table(model.atoms)
+    u = rows.scaled(atom_lams)
     exps = []
     for even in (True, False):
         acc = 0.0
         for seg, lam in zip(model.segments, seg_lams):
             acc += seg.length * _sign_moment_drift(seg.chars, lam, p, even)
-        jumps = model.atoms.integrate(_zeta(model.atoms.scaled(atom_lams), p, even))
+        jumps = rows.sums(rows.m * _zeta(u, p, even))
         exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
@@ -258,10 +260,11 @@ def compare_mv_mmv(model: MarketModel, mv_solution: Solution | None = None,
     """Do the monotone and plain kinds share strategy and dual measure?
 
     Needs square-integrable increments and a finite monotone dual
-    value; otherwise the equivalence theory does not apply and the
-    verdict is not_applicable.  Otherwise the paper's cap condition
-    decides alone: the kinds coincide exactly when the plain optimum
-    puts no jump mass past its bliss level 1/lambda at any time point.
+    value, which an unbounded time point rules out; otherwise the
+    equivalence theory does not apply and the verdict is
+    not_applicable.  Otherwise the paper's cap condition decides alone:
+    the kinds coincide exactly when the plain optimum puts no jump mass
+    past its bliss level 1/lambda at any time point.
     The masses are tested against 0, as the solver tests them before it
     takes the plain optimum for the monotone kind, so "coincide" means
     the same optima bit for bit, unless the monotone maximizers form a
@@ -273,8 +276,11 @@ def compare_mv_mmv(model: MarketModel, mv_solution: Solution | None = None,
                                  "increments are not square integrable; the "
                                  "equivalence theory does not apply")
     sol_mmv = mmv_solution if mmv_solution is not None else solve_schedule(model, UtilityKind.MMV)
-    gv_mmv = global_values(cumulative_local_utility(model, UtilityKind.MMV, sol_mmv))
-    if not gv_mmv.finite:
+    try:
+        finite = global_values(cumulative_local_utility(model, UtilityKind.MMV, sol_mmv)).finite
+    except InfiniteValue:       # some time point is unbounded
+        finite = False
+    if not finite:
         return CoincidenceReport("not_applicable", True, None, None,
                                  "monotone dual value is infinite")
     sol_mv = mv_solution if mv_solution is not None else solve_schedule(model, UtilityKind.MV)

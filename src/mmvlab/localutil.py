@@ -122,6 +122,10 @@ class _Rows:
     def sums(self, values) -> np.ndarray:
         return _row_sums(values, self.row, self.b.shape[0])
 
+    def scaled(self, lam) -> np.ndarray:
+        """lam_r . x for every outcome x of every row r."""
+        return _rowdot(lam.take(self.row, axis=0), self.x)
+
     def drift(self, lam, phi, slope: float, curv: float) -> np.ndarray:
         """Drift of x -> phi(lam . x) per row, phi(0) = 0 with slope and
         curvature there: slope lam.b + curv lam'c lam/2 + the sum of
@@ -138,9 +142,26 @@ class _Rows:
     def residual(self, lam, kind) -> np.ndarray:
         """The (T, d) first-order residuals at lam: b - c lam plus the
         sum of m (x g'(lam . x) - h(x))."""
-        slope = utility_slope(kind, _rowdot(lam.take(self.row, axis=0), self.x))
+        slope = utility_slope(kind, self.scaled(lam))
         return self.b - _rowdot(self.c, lam[:, None, :]) + self.sums(
             self.m[:, None] * (self.x * slope[:, None] - self.h))
+
+    def mass_ge(self, lam, level: float, strict: bool) -> np.ndarray:
+        """Mass of {x : lam . x >= level} per row (> level when strict),
+        the level moved by 1e-12 (1 + |level| + the row's largest |lam . x|)."""
+        s = self.scaled(lam)
+        top = np.zeros(self.b.shape[0])
+        np.maximum.at(top, self.row, np.abs(s))
+        tol = (1e-12 * (1.0 + abs(level) + top))[self.row]
+        return self.sums(np.where(s > level + tol if strict else s >= level - tol,
+                                  self.m, 0.0))
+
+    def alone(self):
+        """Each row as a one-row `_Rows` of its own, in row order."""
+        ends = np.searchsorted(self.row, np.arange(self.b.shape[0] + 1)).tolist()
+        for t, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            yield _Rows(self.b[t:t + 1], self.c[t:t + 1], self.x[lo:hi], self.m[lo:hi],
+                        self.row[lo:hi] - t)
 
 
 def _rows_from_chars(chars: LocalCharacteristics) -> _Rows | None:

@@ -29,6 +29,11 @@ pieces that end at -inf, -1, 0, 1 or inf stay for the instance's
 lifetime, and of the pieces that end at a bliss point 1/lam or a cap
 only the last `_MOVING_PLANS` used.  A model built again starts with
 none.
+
+Flat tables of outcomes grouped by row, such as a model's scheduled
+jumps, have two helpers: `merge_rows` merges coincident points within
+a row, and `_row_sums` adds values per row in array order, so a row
+gives the same bits alone and among others.
 """
 from __future__ import annotations
 
@@ -185,32 +190,6 @@ def merge_atoms(points: np.ndarray, masses: np.ndarray) -> FiniteAtoms:
         raise InvariantError("points and masses disagree in length")
     pts, ms, _ = merge_rows(pts, ms, np.zeros(ms.size, dtype=np.intp))
     return FiniteAtoms(pts, ms)
-
-
-def row_blocks(row: np.ndarray, n_rows: int):
-    """The rows of each length, with the indices of their entries.
-
-    `row` groups contiguous entries by row.  Yields (rows, idx) for each
-    length L that occurs, with idx the (len(rows), L) entry indices, so
-    a numpy reduction over idx's last axis treats every row as it would
-    on its own: pairwise sums and BLAS products group terms by length.
-    """
-    if not row.size:
-        return
-    counts = np.bincount(row, minlength=n_rows)
-    start = np.cumsum(counts) - counts
-    # (np.unique would import numpy.ma, about 12 ms and 1 MB, on first use)
-    for length in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        rows = np.flatnonzero(counts == length)
-        yield rows, start[rows, None] + np.arange(length)
-
-
-def row_reduce(reduce, row: np.ndarray, n_rows: int, *columns) -> np.ndarray:
-    """reduce(*columns) of each row alone, along the last axis; 0.0 if empty."""
-    out = np.zeros(n_rows)
-    for rows, idx in row_blocks(row, n_rows):
-        out[rows] = reduce(*(col[idx] for col in columns))
-    return out
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

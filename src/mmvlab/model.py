@@ -16,7 +16,8 @@ flat passes (keys and shapes, then number types, one float conversion
 and finiteness check, then coincident points merged per jump and the
 law invariants checked as array reductions) and reports the first bad
 atom.  The solver, aggregation, the dual diagnostics and the simulator
-read the columns; indexing the table builds a `JumpAtom` view for the
+read the columns in every dimension (the first three as the rows of
+`localutil._Rows`); indexing the table builds a `JumpAtom` view for the
 few readers that need one law object.
 
 The small-jump integrability invariant (the integral of |x|^2 ^ 1 is
@@ -34,8 +35,7 @@ import numpy as np
 from .errors import InvariantError, SchemaError, UnsupportedMeasure
 from .measures import (CappedMeasure, ExpTails1D, ExpYieldMeasure, FiniteAtoms,
                        Gaussian1D, JumpMeasure, TabulatedDensity1D, TRUNCATION_PIECES,
-                       _row_sums, merge_atoms, merge_rows, row_blocks, row_reduce,
-                       truncate)
+                       _row_sums, merge_atoms, merge_rows, truncate)
 
 _TIME_TOL = 1e-12
 _MASS_SLACK = 1e-12     # a scheduled jump's total mass may exceed one by this
@@ -98,12 +98,12 @@ class JumpAtom:
     activity_weight: float = 1.0
 
     def __post_init__(self):
-        if self.law.total_mass() > 1.0 + _MASS_SLACK:
-            raise InvariantError("atom law mass exceeds one")
-        if self.law.masses.size and float(np.min(np.max(np.abs(self.law.points), axis=1))) <= 0.0:
-            raise InvariantError("atom law charges the zero outcome")
-        if self.activity_weight <= 0.0:
-            raise InvariantError("activity weight must be positive")
+        law = self.law
+        bad = _first_bad_row(_law_faults(law.points, law.masses,
+                                         np.zeros(law.masses.size, dtype=np.intp),
+                                         np.array([self.activity_weight], dtype=float)), 1)
+        if bad is not None:
+            raise InvariantError(bad[1])
 
     @property
     def chars(self) -> LocalCharacteristics:
@@ -136,9 +136,9 @@ def _law_faults(points, masses, row, weights):
     return [
         (row[~(masses >= 0.0) | ~np.isfinite(points).all(axis=1)],
          "atom masses must be non-negative and points finite"),
-        # summed as each law sums its own masses, so the bound sees its bits
-        (np.flatnonzero(row_reduce(lambda m: m.sum(axis=1), row, weights.size, masses)
-                        > 1.0 + _MASS_SLACK), "atom law mass exceeds one"),
+        # summed in law order, as `localutil._Rows` sums a jump's outcomes
+        (np.flatnonzero(_row_sums(masses, row, weights.size) > 1.0 + _MASS_SLACK),
+         "atom law mass exceeds one"),
         (row[~points.any(axis=1)], "atom law charges the zero outcome"),
         (np.flatnonzero(~(weights > 0.0)), "activity weight must be positive"),
     ]
@@ -154,9 +154,11 @@ class ScheduledJumps(Sequence):
     negative mass or non-finite point, total mass at most one per jump,
     no zero outcome, positive weights.  Its arrays are read-only.
 
-    As a sequence it holds one `JumpAtom` per jump, built on access, for
-    readers that need a single law object; the solver, the diagnostics
-    and the simulator read the columns.
+    It has no per-jump reductions of its own: the solver and the
+    diagnostics sum over its outcomes as the rows of `localutil._Rows`,
+    and the simulator reads the columns.  As a sequence it holds one
+    `JumpAtom` per jump, built on access, for readers that need a single
+    law object.
     """
 
     def __init__(self, times, weights, points, masses, row):
@@ -190,33 +192,6 @@ class ScheduledJumps(Sequence):
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    # Per-jump versions of the FiniteAtoms protocol, one value per jump.
-    # Each row is reduced on its own (`row_blocks`), so every value has
-    # the bits the jump's own law gives.
-
-    def total_mass(self) -> np.ndarray:
-        return row_reduce(lambda m: m.sum(axis=1), self.row, len(self), self.masses)
-
-    def scaled(self, lams) -> np.ndarray:
-        """lam_t . x for every outcome x of every jump t; lams is (T, d)."""
-        out = np.empty(self.masses.size)
-        for rows, idx in row_blocks(self.row, len(self)):
-            out[idx] = np.matvec(self.points[idx], lams[rows])
-        return out
-
-    def integrate(self, values) -> np.ndarray:
-        """Sum of mass times values over each jump's outcomes."""
-        return row_reduce(np.vecdot, self.row, len(self), self.masses, values)
-
-    def mass_scaled_ge(self, lams, level: float, strict: bool = False) -> np.ndarray:
-        """Mass of {x : lam_t . x >= level} (strictly greater when asked) per jump."""
-        s = self.scaled(lams)
-        top = row_reduce(lambda a: np.abs(a).max(axis=1), self.row, len(self), s)
-        tol = (1e-12 * (1.0 + abs(level) + top))[self.row]
-        sel = s > level + tol if strict else s >= level - tol
-        return row_reduce(lambda m: m.sum(axis=1), self.row[sel], len(self),
-                          self.masses[sel])
 
     def with_points(self, points) -> "ScheduledJumps":
         """The same jumps with new outcomes, coincident ones merged per jump."""

@@ -14,8 +14,9 @@ the first piece where the condition turns nonpositive.  Past the last
 kink only the losses and the diffusion still curve the utility: with
 neither, a zero slope there is a plateau, resolved to its minimum-norm
 end, and a positive slope makes the value unbounded (flagged, never
-chased).  Many one-dimensional time points are solved at once in a flat
-layout (`maximize_atom_laws`).  In several dimensions the plain kind is
+chased).  Such time points are read as rows of `localutil._Rows` in
+every dimension, and the one-dimensional rows of a schedule are solved
+at once (`maximize_atom_laws`).  In several dimensions the plain kind is
 the minimum-norm solution of C lam = B.  For either kind a drift along
 null(C) is riskless, and an optimum beyond the float range cannot be
 represented; both are flagged unbounded and reported at the origin.
@@ -60,8 +61,7 @@ from .errors import NonIntegrable, OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _Rows,
                         _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
                         asymptotic_slope, local_utility, slope_variation)
-from .measures import (CappedMeasure, ExpYieldMeasure, TabulatedDensity1D, _as_direction,
-                       truncate)
+from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D, _as_direction
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
@@ -265,19 +265,25 @@ def _solve_rows(rows: _Rows, kind) -> AtomOptima:
 
 
 def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
-    """Exact optima at every scheduled jump of a one-asset table at once.
+    """Exact optima at every scheduled jump of a table at once.
 
     Each row is the increment law of a fixed jump time, whose
     characteristics are those of `JumpAtom.chars` (truncated drift the
-    mean of h, no diffusion); no characteristics are built.  Each
-    optimum equals `maximize_local_utility` on those characteristics
-    bit for bit.
+    mean of h, no diffusion); no characteristics are built.  One batch
+    solves every row in one dimension, and `_maximize_quadratic` each
+    row in several.  Each optimum equals `maximize_local_utility` on
+    those characteristics bit for bit.
     """
-    if jumps.dim != 1:
-        raise OptimizationError("batched atom laws must be one-dimensional")
+    if jumps.dim > _MAX_DIM:
+        raise OptimizationError(f"dimension {jumps.dim} exceeds the cap {_MAX_DIM}")
     if not len(jumps):
-        return AtomOptima.stack((), 1)
-    return _solve_rows(_rows_from_table(jumps), kind)
+        return AtomOptima.stack((), jumps.dim)
+    kind = _kind(kind)
+    rows = _rows_from_table(jumps)
+    if jumps.dim == 1:
+        return _solve_rows(rows, kind)
+    return AtomOptima.stack([_maximize_quadratic(one, kind) for one in rows.alone()],
+                            jumps.dim)
 
 
 def _flat_split(cov: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,8 +296,8 @@ def _flat_split(cov: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.hstack([moved, N @ vt[:rank].T]), N @ vt[rank:].T
 
 
-def _quadratic_form(chars: LocalCharacteristics, capped=None):
-    """Minimum-norm stationary point of B_S, C_S on atoms or no jumps.
+def _quadratic_form(rows: _Rows, capped=None):
+    """Minimum-norm stationary point of B_S, C_S at one row.
 
     S is the set of atoms in the mask `capped` (none by default).  Where
     the monotone kind caps exactly those, the local utility is, up to a
@@ -304,19 +310,19 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
     is solved on what `_flat_split` curves.  Returns (C_S^+ B_S, a basis
     of null(C_S), riskless).
     """
-    B = chars.b_trunc.copy()
-    C = chars.cov.copy()
-    seen = np.empty((0, chars.dim))
-    if chars.jumps is not None:
-        x, m = chars.jumps.points, chars.jumps.masses
+    x, m = rows.x, rows.m
+    dim = x.shape[1]
+    B = rows.b[0].copy()
+    C = rows.c[0].copy()
+    seen = x if capped is None else x[~capped]
+    if m.size:
         free = x if capped is None else np.where(capped[:, None], 0.0, x)
-        B += m @ (free - truncate(x))
+        B += m @ (free - rows.h)
         C += (free * m[:, None]).T @ free
-        seen = x[(m > 0.0) if capped is None else (m > 0.0) & ~capped]
     w, V = np.linalg.eigh(C)
-    big = w > chars.dim * _EPS * max(float(w.max()), 0.0)
+    big = w > dim * _EPS * max(float(w.max()), 0.0)
     curved, flat = ((V[:, big], V[:, ~big]) if big.all() or not len(seen)
-                    else _flat_split(chars.cov, seen))
+                    else _flat_split(rows.c[0], seen))
     with np.errstate(over="ignore", invalid="ignore"):
         if big.sum() == curved.shape[1]:
             lam = V[:, big] @ ((V[:, big].T @ B) / w[big])
@@ -324,20 +330,14 @@ def _quadratic_form(chars: LocalCharacteristics, capped=None):
             try:
                 lam = curved @ np.linalg.solve(curved.T @ C @ curved, curved.T @ B)
             except np.linalg.LinAlgError:   # a curvature below the float range
-                lam = np.full(chars.dim, math.inf)
+                lam = np.full(dim, math.inf)
     riskless = bool(np.any(np.abs(flat.T @ B)
-                           > _slope_tol(float(np.abs(chars.b_trunc).max()))))
+                           > _slope_tol(float(np.abs(rows.b[0]).max()))))
     return lam, flat, riskless
 
 
-def _unbounded_at_origin(chars: LocalCharacteristics, kind) -> LocalOptimum:
-    """An unbounded time point reported like a riskless row: lam = 0, value 0."""
-    zero = np.zeros(chars.dim)
-    return LocalOptimum(zero, 0.0, _try_foc(zero, chars, kind), "unbounded_flagged")
-
-
-def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
-    """The atoms the minimum-norm monotone maximizer caps, as a mask.
+def _capped_atoms(rows: _Rows) -> np.ndarray:
+    """The atoms the minimum-norm monotone maximizer caps at one row, as a mask.
 
     With B0 = b - sum m h and g(z) = min(z, 1) - min(z, 1)^2 / 2 the
     monotone utility on atoms is U(lam) = B0 . lam - lam' c lam / 2 +
@@ -363,14 +363,15 @@ def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
     longer moves lam is at it to rounding.  eps is 1e-10 of the trace
     of C_0.
     """
-    x, m = chars.jumps.points, chars.jumps.masses
+    x, m, cov = rows.x, rows.m, rows.c[0]
+    dim = x.shape[1]
     xm = x * m[:, None]
-    b0 = chars.b_trunc - m @ truncate(x)
-    trace = float(np.trace(chars.cov + xm.T @ x))
+    b0 = rows.b[0] - m @ rows.h
+    trace = float(np.trace(cov + xm.T @ x))
     if trace <= 0.0:          # no atom moves: nothing ever caps
         return np.zeros(m.size, dtype=bool)
-    c = chars.cov + 1e-10 * trace * np.eye(chars.dim)
-    lam = np.zeros(chars.dim)
+    c = cov + 1e-10 * trace * np.eye(dim)
+    lam = np.zeros(dim)
     free = np.ones(m.size, dtype=bool)
     for _ in range(200):
         gap = 1.0 - x @ lam
@@ -390,8 +391,8 @@ def _capped_atoms(chars: LocalCharacteristics) -> np.ndarray:
     return x @ lam > 1.0
 
 
-def _ties(chars: LocalCharacteristics, kind, lam, flat) -> bool:
-    """Whether the maximizer set holds points besides lam.
+def _ties(rows: _Rows, kind, lam, flat) -> bool:
+    """Whether the maximizer set of one row holds points besides lam.
 
     For the plain kind it is lam + null(C), spanned by `flat`.  For the
     monotone kind on atoms a step p keeps the value exactly when it
@@ -399,36 +400,37 @@ def _ties(chars: LocalCharacteristics, kind, lam, flat) -> bool:
     c and of the atoms short of their bliss point, and no atom at its
     bliss point drops below it (x . p >= 0).
     """
-    if kind is UtilityKind.MV or chars.jumps is None:
+    if kind is UtilityKind.MV or not rows.m.size:
         return bool(flat.shape[1])
-    x, m = chars.jumps.points, chars.jumps.masses
-    z = x @ lam
-    flat = _flat_split(chars.cov, x[(m > 0.0) & (z <= 1.0 - 1e-9)])[1]
-    return _cone_ray(x[(np.abs(z - 1.0) <= 1e-9) & (m > 0.0)] @ flat) is not None
+    z = rows.x @ lam
+    flat = _flat_split(rows.c[0], rows.x[z <= 1.0 - 1e-9])[1]
+    return _cone_ray(rows.x[np.abs(z - 1.0) <= 1e-9] @ flat) is not None
 
 
-def _maximize_quadratic(chars: LocalCharacteristics, kind, capped=None) -> LocalOptimum:
-    """Minimum-norm maximizer lam = C_S^+ B_S on finite atoms or no jumps.
+def _maximize_quadratic(rows: _Rows, kind) -> LocalOptimum:
+    """Minimum-norm maximizer lam = C_S^+ B_S at one row (d >= 2).
 
     S is the set of capped atoms: empty for the plain kind, which is
     B . lam - lam' C lam / 2 everywhere, and for the monotone kind
     without jumps; `_capped_atoms` for the monotone kind on atoms.
     When C_S is singular the minimum-norm point is taken; a riskless
-    drift, or an optimum beyond the float range, is flagged unbounded.
+    drift, or an optimum beyond the float range, is flagged unbounded
+    and reported at the origin with value 0.
     """
-    lam, flat, riskless = _quadratic_form(chars, capped)
-    if riskless:
-        return _unbounded_at_origin(chars, kind)
+    capped = _capped_atoms(rows) if kind is UtilityKind.MMV and rows.m.size else None
+    lam, flat, riskless = _quadratic_form(rows, capped)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = (local_utility(lam, chars, kind) if np.isfinite(lam).all()
-                 else math.nan)
-    if not math.isfinite(value):
-        return _unbounded_at_origin(chars, kind)
-    if value < 0.0:
-        lam, value = np.zeros(chars.dim), 0.0
-    res = foc_residual(lam, chars, kind)
+        value = (float(rows.value(lam[None], kind)[0])
+                 if not riskless and np.isfinite(lam).all() else math.nan)
+    bounded = math.isfinite(value)
+    if not bounded or value < 0.0:      # or rounding around a maximum at the origin
+        lam, value = np.zeros(lam.size), 0.0
+    res = rows.residual(lam[None], kind)[0]
+    if not bounded:
+        return LocalOptimum(lam, 0.0, res if np.isfinite(res).all() else None,
+                            "unbounded_flagged")
     flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
-    return LocalOptimum(lam, float(value), res, flag, _ties(chars, kind, lam, flat))
+    return LocalOptimum(lam, value, res, flag, _ties(rows, kind, lam, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +625,7 @@ def maximize_local_utility(chars: LocalCharacteristics, kind) -> LocalOptimum:
     if rows is not None:
         if chars.dim == 1:
             return _solve_rows(rows, kind)[0]
-        capped = (_capped_atoms(chars) if kind is UtilityKind.MMV
-                  and chars.jumps is not None else None)
-        opt = _maximize_quadratic(chars, kind, capped)
+        opt = _maximize_quadratic(rows, kind)
     else:
         opt = _maximize_1d(chars, kind)
         if not math.isfinite(opt.value) or opt.value < 0.0:

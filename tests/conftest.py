@@ -1,4 +1,4 @@
-"""Session-scoped example models and solved schedules shared across tests."""
+"""Example models, solved schedules and configs shared across tests."""
 import numpy as np
 import pytest
 
@@ -33,6 +33,17 @@ def ex2_sol_mv(ex2):
 @pytest.fixture(scope="session")
 def ex2_sol_mmv(ex2):
     return solve_schedule(ex2, "mmv")
+
+
+@pytest.fixture
+def unbounded_config():
+    """A riskless drift (b = 0.25, c = 0, no jumps), then a scheduled jump:
+    the segment's local utility is unbounded."""
+    return {
+        "horizon": 1.0, "dimension": 1,
+        "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc", "b": 0.25, "c": 0.0}],
+        "atoms": [{"time": 1.0, "points": [[-1.05], [1.0]], "masses": [0.5, 0.5]}],
+    }
 
 
 @pytest.fixture

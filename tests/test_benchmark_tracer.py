@@ -49,11 +49,13 @@ def test_tracer_installs_on_the_package_and_restores_every_original():
         wrapped = _bindings()
         assert sum(wrapped[k] is not v for k, v in before.items()) > 0
         tracer.enabled = True
-        solve_schedule(example_model(1), "mmv")     # two assets: one JumpAtom view
+        model = example_model(1)
+        solve_schedule(model, "mmv")    # solved from the table: no JumpAtom view
+        model.atoms[0].chars            # the one view, read through the wrapper
         tracer.enabled = False
     finally:
         tracer.restore()
     after = _bindings()
     assert [k for k, v in before.items() if after.get(k) is not v] == []
-    assert tracer.counts["optimize.maximize_local_utility"] == 2
+    assert tracer.counts["optimize.maximize_local_utility"] == 1     # the segment
     assert tracer.counts["model.JumpAtom.chars"] == 1

@@ -396,6 +396,16 @@ def test_diagnose_zero_model(zero_config_path, capsys):
     assert report["comparison"]["verdict"] == "coincide"
 
 
+def test_diagnose_with_an_unbounded_time_point_reports_not_applicable(
+        unbounded_config, tmp_path, capsys):
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(unbounded_config))
+    assert run(["diagnose", str(path)]) == 0
+    comparison = json.loads(capsys.readouterr().out)["comparison"]
+    assert comparison["verdict"] == "not_applicable"
+    assert comparison["note"] == "monotone dual value is infinite"
+
+
 def test_diagnose_solves_each_kind_once(monkeypatch, capsys):
     calls = []
 

@@ -185,6 +185,16 @@ class TestCoincidence:
         assert rep.square_integrable is True
         assert "infinite" in rep.note
 
+    def test_unbounded_time_point_not_applicable(self, unbounded_config):
+        # the monotone dual value is infinite, which is a verdict, not an error
+        model = build_model(unbounded_config)
+        with pytest.raises(InfiniteValue):
+            cumulative_local_utility(model, "mmv")
+        rep = compare_mv_mmv(model)
+        assert (rep.verdict, rep.square_integrable, rep.cap_condition, rep.max_lambda_gap) \
+            == ("not_applicable", True, None, None)
+        assert rep.note == "monotone dual value is infinite"
+
 
 @st.composite
 def density_laws(draw):

@@ -100,9 +100,11 @@ def test_slope_variation_structure():
                                        JumpAtom(1.0, FiniteAtoms(-x, m))], 2)
     lams = np.array([lam, -lam])
     rows = _rows_from_table(table)
-    for t in range(2):
+    for t, one in enumerate(rows.alone()):
         alone = _rows_from_chars(table[t].chars)
-        assert rows.b[t].tolist() == alone.b[0].tolist()
+        for got, want in zip((one.b, one.c, one.x, one.m, one.h, one.row),
+                             (alone.b, alone.c, alone.x, alone.m, alone.h, alone.row)):
+            assert got.tobytes() == want.tobytes()
         assert (rows.residual(lams, "mmv")[t].tolist()
                 == alone.residual(lams[t:t + 1], "mmv")[0].tolist())
     # x g'(0) - h(x) is x outside the unit interval and 0 inside

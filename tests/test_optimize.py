@@ -365,13 +365,14 @@ _POINTS = st.floats(-2.0, 3.0).filter(lambda v: abs(v) >= 1e-3)
 
 
 @st.composite
-def atom_laws(draw):
-    """A scheduled-jump law: 1-5 nonzero outcomes, total mass at most one."""
-    pts = draw(st.lists(_POINTS, min_size=1, max_size=5))
+def atom_laws(draw, dim=1):
+    """A scheduled-jump law in dim dimensions: 1-5 outcomes with nonzero
+    coordinates, total mass at most one."""
+    pts = draw(st.lists(st.lists(_POINTS, min_size=dim, max_size=dim), min_size=1, max_size=5))
     ms = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(pts),
                                 max_size=len(pts))))
     ms *= draw(st.floats(0.1, 1.0)) / ms.sum()
-    return FiniteAtoms(np.array(pts)[:, None], ms)
+    return FiniteAtoms(np.array(pts), ms)
 
 
 @given(atom_laws(), st.floats(0.05, 20.0), st.sampled_from(["mv", "mmv"]))
@@ -385,21 +386,24 @@ def test_rescaling_jumps_rescales_the_optimum(law, s, kind):
     assert b.value == pytest.approx(a.value, rel=1e-10, abs=1e-14)
 
 
-@given(st.lists(atom_laws(), min_size=1, max_size=6),
+@given(st.integers(1, 3).flatmap(lambda dim: st.lists(atom_laws(dim), min_size=1,
+                                                     max_size=6)),
        st.sampled_from(["mv", "mmv"]))
 @settings(max_examples=100, deadline=None)
 def test_batched_schedule_equals_single_points_bit_for_bit(laws, kind):
+    dim = laws[0].dim
     atoms = tuple(JumpAtom(0.1 * (i + 1), law) for i, law in enumerate(laws))
-    segment = Segment(0.0, 1.0, LocalCharacteristics(np.zeros(1), np.zeros((1, 1)),
+    segment = Segment(0.0, 1.0, LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)),
                                                      None))
-    model = MarketModel(1.0, 1, (segment,), atoms)
+    model = MarketModel(1.0, dim, (segment,), atoms)
     batched = solve_schedule(model, kind).atom_optima
     for atom, got in zip(atoms, batched):
         want = maximize_local_utility(atom.chars, kind)
         assert got.lambda_hat.tobytes() == want.lambda_hat.tobytes()
         assert got.foc_residual.tobytes() == want.foc_residual.tobytes()
-        assert (got.value, got.boundedness, got.tie_break_applied) \
-            == (want.value, want.boundedness, want.tie_break_applied)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert (got.boundedness, got.tie_break_applied) \
+            == (want.boundedness, want.tie_break_applied)
 
 
 def _mp_integral(law, g, kinks):

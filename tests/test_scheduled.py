@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import (FiniteAtoms, InvariantError, JumpAtom, LocalCharacteristics,
-                    MarketModel, ScheduledJumps, SchemaError, Segment, build_model,
-                    capped_variant, cumulative_local_utility, example_model,
+from mmvlab import (CumulativeUtility, FiniteAtoms, InvariantError, JumpAtom,
+                    LocalCharacteristics, MarketModel, ScheduledJumps, SchemaError, Segment,
+                    build_model, capped_variant, cumulative_local_utility,
+                    det_stoch_exponential, example_model, mellin_sign_moments,
                     solve_schedule)
 from mmvlab.cli import run
+from mmvlab.duality import _crossing_masses, _zeta
 from mmvlab.examples import _example5_atoms, _example6_atoms
 
 
@@ -77,26 +79,28 @@ def law_objects(monkeypatch):
     return counts
 
 
-def _random_laws_config(n_laws: int, seed: int = 0) -> dict:
+def _random_laws_config(n_laws: int, seed: int = 0, dim: int = 1) -> dict:
     rng = np.random.default_rng(seed)
     atoms = []
     for i in range(n_laws):
         k = int(rng.integers(3, 7))
-        pts = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.05, 2.0, size=k)
+        pts = rng.choice([-1.0, 1.0], size=(k, dim)) * rng.uniform(0.05, 2.0, size=(k, dim))
         ms = rng.uniform(0.05, 0.4, size=k)
         ms *= rng.uniform(0.3, 1.0) / ms.sum()
-        atoms.append({"time": (i + 1) / n_laws, "points": [[float(v)] for v in pts],
+        atoms.append({"time": (i + 1) / n_laws, "points": pts.tolist(),
                       "masses": [float(v) for v in ms]})
-    return {"horizon": 1.0, "dimension": 1,
+    return {"horizon": 1.0, "dimension": dim,
             "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
-                          "b": 0.1, "c": 0.05}],
+                          "b": [0.1] * dim, "c": (0.05 * np.eye(dim)).tolist()}],
             "atoms": atoms}
 
 
 def test_building_and_solving_builds_no_per_bet_objects(law_objects):
-    model = example_model(5, atoms_max=2000)
-    for kind in ("mv", "mmv"):
-        cumulative_local_utility(model, kind, solution=solve_schedule(model, kind))
+    models = [example_model(5, atoms_max=2000), example_model(1),
+              build_model(_random_laws_config(50, dim=2))]
+    for model in models:
+        for kind in ("mv", "mmv"):
+            cumulative_local_utility(model, kind, solution=solve_schedule(model, kind))
     build_model(_random_laws_config(1000))
     assert law_objects == {"FiniteAtoms": 0, "JumpAtom": 0}
 
@@ -267,12 +271,13 @@ def test_valid_atoms_solve(block, data):
 
 
 # ---------------------------------------------------------------------------
-# the table's per-jump reductions against each jump's own law
+# the scheduled-jump sums of the diagnostics against a plain loop
 
 
 @st.composite
 def tables(draw):
-    """Random tables: 1-3 dimensions, 0-12 outcomes per jump, some coincident."""
+    """Random tables: 1-3 dimensions, 0-12 outcomes per jump, some
+    coincident, some of zero mass."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 6))
     pool = draw(st.lists(st.lists(st.sampled_from([-1.5, -0.4, 0.0, 0.3, 0.8, 2.0]),
@@ -291,22 +296,64 @@ def tables(draw):
                           np.array(masses), np.array(row, dtype=np.intp))
 
 
+def _charged_outcomes(table, lams):
+    """Per jump, (m, lam . x) of each charged outcome in outcome order,
+    lam . x added over the coordinates in index order."""
+    out = []
+    for t, lam in enumerate(lams.tolist()):
+        pairs = []
+        for k in range(table.offsets[t], table.offsets[t + 1]):
+            x, m = table.points[k].tolist(), float(table.masses[k])
+            if m > 0.0:
+                u = lam[0] * x[0]
+                for i in range(1, len(x)):
+                    u += lam[i] * x[i]
+                pairs.append((m, u))
+        out.append(pairs)
+    return out
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
 @given(tables(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_per_jump_reductions_equal_each_law_bit_for_bit(table, data):
+def test_scheduled_jump_sums_equal_a_plain_loop_bit_for_bit(table, data):
+    # the crossing masses and sign moments read the table's rows; a loop
+    # per jump, adding from 0.0 in outcome order, gives the same bits
+    dim = table.dim
     lams = np.array(data.draw(st.lists(
-        st.lists(st.floats(-3.0, 3.0), min_size=table.dim, max_size=table.dim),
-        min_size=len(table), max_size=len(table))), dtype=float).reshape(-1, table.dim)
-    strict = data.draw(st.booleans())
-    got_ge = table.mass_scaled_ge(lams, 1.0, strict)
-    got_int = table.integrate(np.tanh(table.scaled(lams)))
-    for t, atom in enumerate(table):
-        law = atom.law
-        assert table.total_mass()[t] == law.total_mass()
-        assert got_ge[t] == law.mass_scaled_ge(lams[t], 1.0, strict)
-        f = (lambda x: np.tanh(lams[t, 0] * x)) if table.dim == 1 else \
-            (lambda x: np.tanh(x @ lams[t]))
-        assert got_int[t] == law.integrate(f)
+        st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim),
+        min_size=len(table), max_size=len(table))), dtype=float).reshape(-1, dim)
+    still = Segment(0.0, 1.0, LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)), None))
+    model = MarketModel(1.0, dim, (still,), table)
+    schedule = [np.zeros(dim), *lams]
+    jumps = _charged_outcomes(table, lams)
+    for strict in (False, True):
+        want = []
+        for pairs in jumps:
+            tol = 1e-12 * (1.0 + 1.0 + max((abs(u) for _, u in pairs), default=0.0))
+            acc = 0.0
+            for m, u in pairs:
+                if (u > 1.0 + tol) if strict else (u >= 1.0 - tol):
+                    acc += m
+            want.append(acc)
+        assert _bits(_crossing_masses(model, schedule, strict)[1:]) == _bits(want)
+    for p in (0, 1, 2):
+        exps = []
+        for even in (True, False):
+            sums = []
+            for pairs in jumps:
+                acc = 0.0
+                for m, u in pairs:
+                    acc += m * float(_zeta(u, p, even))
+                sums.append(acc)
+            cu = CumulativeUtility(0.0, np.array(sums), True)
+            exps.append(det_stoch_exponential(cu, 1.0).value)
+        got = mellin_sign_moments(model, schedule, p)
+        assert _bits(got.phi_plus) == _bits(0.5 * (exps[0] + exps[1]))
+        assert _bits(got.phi_minus) == _bits(0.5 * (exps[0] - exps[1]))
 
 
 def _merge_one_by_one(points, masses):
