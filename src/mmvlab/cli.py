@@ -297,11 +297,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.config)
-    if args.paths < 4 or args.steps < 1:
+    if args.paths < 4:
         # antithetic estimates need two complete pairs of paths
-        raise _UsageError("--paths must be at least 4 and --steps positive")
+        raise _UsageError("--paths must be at least 4")
     sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
-    sim = SimConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
+    sim = SimConfig(n_paths=args.paths, seed=args.seed)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
     # estimates line up with the dimensionless analytic ratios.
     study = run_wealth_study(model, sim, args.kind, x=0.0, gamma=1.0,
@@ -345,8 +345,7 @@ def _cmd_simulate(args) -> int:
     report = {
         "command": {"name": "simulate", "config": args.config,
                     "kind": args.kind, "paths": args.paths,
-                    "steps": args.steps, "seed": args.seed,
-                    "antithetic": anti},
+                    "seed": args.seed, "antithetic": anti},
         "model": _model_summary(model),
         "values": _values_block(gv, source),
         "wealth_normalization": {"x": _v(0.0), "gamma": _v(1.0),
@@ -690,7 +689,7 @@ def _selftest_values() -> dict:
     sol4 = solve_schedule(model4, "mmv")
     # Pathwise identity: shortfall below bliss equals the capped product.
     study = run_wealth_study(example_model(2),
-                             SimConfig(n_paths=64, n_steps=16, seed=7), "mmv")
+                             SimConfig(n_paths=64, seed=7), "mmv")
     shortfall = np.maximum(1.0 - study.terminal_wealth, 0.0)
     return {
         "two_asset_bet_utility_doubled": 2.0 * gv1.u0,
@@ -744,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config", help="path to a model config (JSON)")
     sp.add_argument("--kind", choices=("mv", "mmv"), default="mmv")
     sp.add_argument("--paths", type=int, default=10_000)
-    sp.add_argument("--steps", type=int, default=2_000)
     sp.add_argument("--seed", type=int, default=0)
     _add_output_flags(sp)
 

@@ -177,12 +177,23 @@ def _rows_from_chars(chars: LocalCharacteristics) -> _Rows | None:
 
 
 def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
-    """Rows of scheduled jumps: no diffusion, drift the mean of h."""
-    x, m, row = jumps.points, jumps.masses, jumps.row
-    b = _row_sums(m[:, None] * truncate(x), row, len(jumps))
-    keep = m > 0.0
-    return _Rows(b, np.zeros((len(jumps), jumps.dim, jumps.dim)), x.compress(keep, axis=0),
-                 m[keep], row[keep])
+    """Rows of scheduled jumps: no diffusion, drift the mean of h.
+
+    Built on first use and kept on the table, whose every reader (the
+    solver, the residual, the crossing masses, the sign moments) shares
+    them; their arrays are read-only, as the table's are.
+    """
+    rows = jumps._rows
+    if rows is None:
+        x, m, row = jumps.points, jumps.masses, jumps.row
+        b = _row_sums(m[:, None] * truncate(x), row, len(jumps))
+        keep = m > 0.0
+        rows = _Rows(b, np.zeros((len(jumps), jumps.dim, jumps.dim)), x.compress(keep, axis=0),
+                     m[keep], row[keep])
+        for a in (rows.b, rows.c, rows.x, rows.m, rows.row, rows.h):
+            a.setflags(write=False)
+        jumps._rows = rows
+    return rows
 
 
 def local_utility(lam, chars: LocalCharacteristics, kind) -> ExtendedReal:

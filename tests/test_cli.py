@@ -333,15 +333,13 @@ class TestDivergentModel:
 class TestSimulate:
     def test_deterministic_reports(self, zero_config_path, tmp_path, capsys):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["simulate", zero_config_path, "--paths", "64",
-                "--steps", "16", "--seed", "9"]
+        argv = ["simulate", zero_config_path, "--paths", "64", "--seed", "9"]
         assert run(argv + ["--out", str(f1)]) == 0
         assert run(argv + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_zero_model_statistics(self, zero_config_path, capsys):
-        assert run(["simulate", zero_config_path, "--paths", "16",
-                    "--steps", "8"]) == 0
+        assert run(["simulate", zero_config_path, "--paths", "16"]) == 0
         report = json.loads(capsys.readouterr().out)
         est = report["estimates"]
         assert est["terminal_wealth_mean"]["value"] == 0.0
@@ -356,8 +354,11 @@ class TestSimulate:
                  "density_second_moment"})])
     def test_pulls_against_analytic_values(self, kind, with_pull, capsys):
         ex2 = str(Path(mmvlab.__file__).parent / "examples_data" / "ex2.json")
-        assert run(["simulate", ex2, "--kind", kind, "--paths", "200",
-                    "--steps", "20", "--seed", "1"]) == 0
+        # Only a jump crosses bliss and antithetic partners share their
+        # jumps, so the crossing count needs a few hundred pairs to be
+        # nonzero (an estimate with se 0 carries no pull).
+        assert run(["simulate", ex2, "--kind", kind, "--paths", "1000",
+                    "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         values = {k: v["value"] for k, v in report["values"].items()
                   if isinstance(v, dict)}
@@ -385,8 +386,12 @@ class TestSimulate:
         # antithetic estimates need two complete pairs
         assert run(["simulate", zero_config_path, "--paths", "3"]) == 2
         assert capsys.readouterr().out == ""
-        assert run(["simulate", zero_config_path, "--paths", "4",
-                    "--steps", "4"]) == 0
+        assert run(["simulate", zero_config_path, "--paths", "4"]) == 0
+
+    def test_step_count_flag_is_gone(self, zero_config_path, capsys):
+        # the study draws no step grid
+        assert run(["simulate", zero_config_path, "--paths", "4", "--steps", "4"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_diagnose_zero_model(zero_config_path, capsys):

@@ -7,7 +7,7 @@ after a deliberate change of figures, run its command from the
 repository root, for example
 
     PYTHONPATH=src python -m mmvlab simulate src/mmvlab/examples_data/ex2.json \
-        --kind mv --paths 1000 --steps 50 --seed 3 --format json \
+        --kind mv --paths 1000 --seed 3 --format json \
         > tests/data/simulate_ex2_mv.json
 
 (progress goes to stderr), and say in the change which figures moved.
@@ -55,11 +55,9 @@ CASES = [
     ("reproduce_ex6_atoms200.json",
      ["reproduce", "--example", "6", "--atoms-max", "200"], 0),
     ("simulate_ex2_mv.json",
-     ["simulate", EX2, "--kind", "mv", "--paths", "1000", "--steps", "50",
-      "--seed", "3"], 0),
+     ["simulate", EX2, "--kind", "mv", "--paths", "1000", "--seed", "3"], 0),
     ("simulate_ex2_mmv.json",
-     ["simulate", EX2, "--kind", "mmv", "--paths", "1000", "--steps", "50",
-      "--seed", "3"], 0),
+     ["simulate", EX2, "--kind", "mmv", "--paths", "1000", "--seed", "3"], 0),
     # the config parser, the scheduled parts of the dual diagnostics and
     # the scheduled-jump draws, on one and on many scheduled jumps
     *((f"diagnose_ex{i}.json", ["diagnose", EX.format(i)], 0) for i in (1, 5, 6)),
@@ -74,7 +72,7 @@ CASES = [
     ("solve_ex6_mv.json", ["solve", EX.format(6), "--kind", "mv"], 0),
     *((f"simulate_ex{i}_mmv.json",
        ["simulate", EX.format(i), "--kind", "mmv", "--paths", "1000",
-        "--steps", "50", "--seed", "3"], 0) for i in (1, 6)),
+        "--seed", "3"], 0) for i in (1, 6)),
 ]
 
 

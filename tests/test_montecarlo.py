@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mmvlab import (InvariantError, PathStats, SimConfig, build_model,
-                    estimate_stats, example_model, run_wealth_study,
-                    simulate_paths, solve_schedule, wealth_recursion)
+                    cumulative_local_utility, estimate_stats, example_model,
+                    global_values, run_wealth_study, simulate_paths,
+                    solve_schedule, wealth_recursion)
 from mmvlab import montecarlo
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
@@ -49,6 +50,28 @@ def split_jump_model(rate):
             dict(seg, t_start=1.0, t_end=2.0, jumps={
                 "family": "finite_atoms", "points": [[2.0]], "masses": [0.0]})],
         "atoms": [{"time": 0.3, "points": [[0.5]], "masses": [0.5]}],
+    })
+
+
+def two_asset_model():
+    """Two assets over two segments, the first diffusing: compound-Poisson
+    jumps in both, scheduled jumps inside the diffusing segment and at
+    its end."""
+    return build_model({
+        "horizon": 2.0, "dimension": 2,
+        "segments": [
+            {"t_start": 0.0, "t_end": 0.7, "b_kind": "trunc", "b": [0.1, 0.05],
+             "c": [[0.04, 0.01], [0.01, 0.09]],
+             "jumps": {"family": "finite_atoms", "masses": [0.8, 0.9, 0.4],
+                       "points": [[0.3, -0.2], [-0.25, 0.1], [0.6, 0.5]]}},
+            {"t_start": 0.7, "t_end": 2.0, "b_kind": "trunc", "b": [0.02, 0.08],
+             "c": [[0.0, 0.0], [0.0, 0.0]],
+             "jumps": {"family": "finite_atoms", "masses": [0.5, 0.7],
+                       "points": [[0.2, 0.2], [-0.3, -0.1]]}}],
+        "atoms": [{"time": 0.3, "points": [[0.5, 0.4], [-0.4, -0.2]], "masses": [0.4, 0.5]},
+                  {"time": 0.35, "points": [[-0.2, 0.3]], "masses": [0.6]},
+                  {"time": 0.7, "points": [[1.5, 1.2]], "masses": [0.2]},
+                  {"time": 1.5, "points": [[0.1, 0.1], [-0.1, 0.05]], "masses": [0.3, 0.3]}],
     })
 
 
@@ -193,6 +216,95 @@ class TestStudy:
             simulate_paths(ex2, SimConfig(n_paths=200_000, n_steps=2000))
 
 
+class TestExactEngine:
+    """The skeleton gives the horizon; the grid only refines the paths."""
+
+    SIMS = (SimConfig(n_paths=2 * _BLOCK_UNITS + 1, seed=7),
+            SimConfig(n_paths=_BLOCK_UNITS + 1, seed=7, antithetic=False))
+
+    @pytest.mark.parametrize("build", [
+        lambda: example_model(1), lambda: example_model(2),
+        lambda: example_model(5, atoms_max=40), lambda: example_model(6, atoms_max=60),
+        two_asset_model], ids=["ex1", "ex2", "ex5-40", "ex6-60", "two-assets"])
+    def test_terminal_columns_do_not_depend_on_the_step_count(self, build):
+        model = build()
+        for kind in ("mv", "mmv"):
+            sol = solve_schedule(model, kind)
+            for sim in self.SIMS:
+                study = run_wealth_study(model, sim, kind, solution=sol)
+                for steps in (1, 4, 16):
+                    ps = simulate_paths(model, SimConfig(sim.n_paths, steps, sim.seed,
+                                                         sim.antithetic))
+                    w = wealth_recursion(ps, sol, kind)
+                    assert w[:, -1].tobytes() == study.terminal_wealth.tobytes()
+                    assert capped_exponential(ps, sol).tobytes() \
+                        == study.capped_exponential.tobytes()
+                    np.testing.assert_allclose(ps.increments.sum(axis=1),
+                                               study.terminal_increment, rtol=0, atol=1e-13)
+
+    def test_the_study_ignores_the_step_count(self, ex2, ex2_sol_mmv):
+        fields = ("terminal_wealth", "capped_exponential", "terminal_increment")
+        runs = [run_wealth_study(ex2, SimConfig(600, steps, 3), "mmv", solution=ex2_sol_mmv)
+                for steps in (1, 2000)]
+        for f in fields:
+            assert getattr(runs[0], f).tobytes() == getattr(runs[1], f).tobytes()
+
+    def test_lognormal_moments_of_the_gap(self):
+        # G_T = exp(-lam W_T - lam^2 c T / 2 - lam b T) on a pure diffusion
+        lam, b, c = 1.5, 0.12, 0.09
+        sim = SimConfig(n_paths=20_000, seed=11)
+        study = run_wealth_study(pure_diffusion_model(), sim, "mv", solution=[[lam]])
+        gap = 1.0 - study.terminal_wealth
+        for functional, want in (("mean", math.exp(-lam * b)),
+                                 ("second_moment", math.exp(-2.0 * lam * b + lam * lam * c))):
+            st = estimate_stats(gap, functional, antithetic=True)
+            assert abs(st.estimate - want) <= 4.0 * st.std_error, functional
+
+    @pytest.mark.parametrize("model", ["diffusion", "ex2"])
+    def test_bridged_rows_have_the_diffusion_variance(self, model, ex2):
+        # with jumps (ex2) the rows are bridged through the jump times too
+        m, c = (pure_diffusion_model(), 0.09) if model == "diffusion" else (ex2, 0.04)
+        n = 20_000
+        ps = simulate_paths(m, SimConfig(n_paths=n, n_steps=8, seed=13, antithetic=False))
+        levels = ps.levels[:, :, 0]
+        for var, dt in ((levels.var(axis=0, ddof=1), ps.t_end),
+                        (np.diff(levels, axis=1, prepend=0.0).var(axis=0, ddof=1), ps.dt)):
+            want = c * dt
+            assert np.all(np.abs(var - want) <= 4.0 * want * math.sqrt(2.0 / (n - 1)))
+
+    def test_pulls_on_random_small_models(self):
+        # one segment with diffusion and Gaussian, exponential-tail or
+        # finite-atom jumps, drawn from a fixed seed
+        rng = np.random.default_rng(20261019)
+        sim = SimConfig(n_paths=20_000, seed=5)
+        laws = [lambda: {"family": "gaussian", "mean": float(rng.uniform(-0.1, 0.1)),
+                         "variance": float(rng.uniform(0.005, 0.05)),
+                         "rate": float(rng.uniform(0.5, 3.0))},
+                lambda: {"family": "exp_tails", "c_minus": float(rng.uniform(0.5, 2.0)),
+                         "a": float(rng.uniform(4.0, 12.0)),
+                         "c_plus": float(rng.uniform(0.5, 2.0)),
+                         "b": float(rng.uniform(4.0, 12.0))},
+                lambda: {"family": "finite_atoms",
+                         "points": rng.uniform(-0.5, 0.8, size=(3, 1)).tolist(),
+                         "masses": rng.uniform(0.1, 1.0, size=3).tolist()}]
+        for _ in range(2):
+            for law in laws:
+                model = build_model({"horizon": 1.0, "dimension": 1, "segments": [{
+                    "t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
+                    "b": float(rng.uniform(0.05, 0.25)), "c": float(rng.uniform(0.02, 0.1)),
+                    "jumps": law()}]})
+                for kind in ("mv", "mmv"):
+                    sol = solve_schedule(model, kind)
+                    gv = global_values(cumulative_local_utility(model, kind, solution=sol))
+                    study = run_wealth_study(model, sim, kind, solution=sol)
+                    if kind == "mv":
+                        st, want = estimate_stats(study.terminal_wealth, "mean", True), gv.mhr2
+                    else:
+                        z = study.capped_exponential / (1.0 - gv.mhr2)
+                        st, want = estimate_stats(z, "mean", True), 1.0
+                    assert abs(st.estimate - want) <= 5.0 * st.std_error, (model, kind)
+
+
 class TestWorkers:
     """Blocks on 1, 2 or 3 worker threads give the same bits."""
 
@@ -229,6 +341,24 @@ class TestWorkers:
                     runs.append([getattr(study, f).tobytes() for f in fields])
                     assert (drew == {threading.get_ident()}) == (n == 1)
                 assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("example, atoms_max", [(2, None), (1, None), (5, 40)])
+    def test_study_does_not_depend_on_how_blocks_are_grouped(self, monkeypatch,
+                                                             example, atoms_max):
+        # a study reduces runs of blocks at once; runs of 1, 2 or all
+        # blocks, on 1 or 3 workers, give the same bits
+        model = example_model(example, atoms_max=atoms_max)
+        fields = ("terminal_wealth", "capped_exponential", "terminal_increment")
+        for kind in ("mv", "mmv"):
+            sol = solve_schedule(model, kind)
+            for sim in self.SIMS:
+                runs = set()
+                for group, n in ((1, 1), (2, 3), (64, 3)):
+                    monkeypatch.setattr(montecarlo, "_STUDY_GROUP", group)
+                    self.on_workers(monkeypatch, n)
+                    study = run_wealth_study(model, sim, kind, solution=sol)
+                    runs.add(tuple(getattr(study, f).tobytes() for f in fields))
+                assert len(runs) == 1
 
     @pytest.mark.parametrize("example, atoms_max", [(2, None), (6, 60)])
     def test_paths_do_not_depend_on_the_worker_count(self, monkeypatch,

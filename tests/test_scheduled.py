@@ -105,6 +105,35 @@ def test_building_and_solving_builds_no_per_bet_objects(law_objects):
     assert law_objects == {"FiniteAtoms": 0, "JumpAtom": 0}
 
 
+def test_a_table_builds_its_rows_once(monkeypatch):
+    from mmvlab import localutil
+    built = []
+    make = localutil._Rows.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(len(args[0]) if args else 0)
+        make(self, *args, **kwargs)
+
+    model = build_model(_random_laws_config(40, seed=5))
+    table = model.atoms
+    rows = localutil._rows_from_table(table)
+    assert localutil._rows_from_table(table) is rows
+    for a in (rows.b, rows.c, rows.x, rows.m, rows.row, rows.h):
+        assert not a.flags.writeable
+    monkeypatch.setattr(localutil._Rows, "__init__", counting)
+    for kind in ("mv", "mmv"):
+        solve_schedule(model, kind)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "laws.json"
+        path.write_text(json.dumps(_random_laws_config(40, seed=5)))
+        assert run(["diagnose", str(path)]) == 0
+    # the second model's table builds its rows once for the whole report;
+    # the first's were built above, and one-row views build none
+    assert built.count(40) == 1
+
+
 def test_table_rows_are_jump_atom_views():
     model = build_model(_random_laws_config(5, seed=3))
     table = model.atoms
@@ -388,17 +417,20 @@ def test_merging_per_jump_equals_merging_one_by_one(table):
 @given(tables(), st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
 def test_scheduled_draws_equal_a_search_per_law(table, seed):
-    from mmvlab.montecarlo import (_BLOCK_UNITS, _block_generator, _BlockBuffers,
-                                   _draw_block, _Grid)
+    from mmvlab.montecarlo import _BLOCK_UNITS, _block_generator, _draw_skeleton, _Plan
     zero = LocalCharacteristics(np.zeros(table.dim), np.zeros((table.dim, table.dim)), None)
     model = MarketModel(1.0, table.dim, (Segment(0.0, 1.0, zero),), table)
-    grid = _Grid(model, 3)
-    got = _draw_block(_block_generator(seed, 0), grid, 1, _BlockBuffers(grid, 1))
+    sk = _draw_skeleton([_block_generator(seed, 0)], _Plan(model))
+    got = sk.size[np.arange(_BLOCK_UNITS)[:, None], sk.sched_col]
+    # with no diffusion and no other jumps the outcome uniforms come first
     u = _block_generator(seed, 0).random((_BLOCK_UNITS, len(table)))
     want = np.zeros_like(got)
     for t, atom in enumerate(table):
         cum = np.cumsum(atom.law.masses)
         k = np.searchsorted(cum, u[:, t], side="right")
         hit = k < cum.size
-        want[hit, grid.atom_rows[t]] = atom.law.points[k[hit]]
+        want[hit, t] = atom.law.points[k[hit]]
     assert got.tobytes() == want.tobytes()
+    # each unit's jumps are in time order, the scheduled ones in table order at one time
+    times = sk.s[:, :len(table)]
+    assert np.all(np.diff(times, axis=1) >= 0.0)
