@@ -183,7 +183,7 @@ def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
     solver, the residual, the crossing masses, the sign moments) shares
     them; their arrays are read-only, as the table's are.
     """
-    rows = jumps._rows
+    rows = jumps.__dict__.get("_rows")
     if rows is None:
         x, m, row = jumps.points, jumps.masses, jumps.row
         b = _row_sums(m[:, None] * truncate(x), row, len(jumps))
@@ -192,7 +192,7 @@ def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
                      m[keep], row[keep])
         for a in (rows.b, rows.c, rows.x, rows.m, rows.row, rows.h):
             a.setflags(write=False)
-        jumps._rows = rows
+        rows = jumps.__dict__.setdefault("_rows", rows)
     return rows
 
 

@@ -180,7 +180,6 @@ class ScheduledJumps(Sequence):
         self.times, self.weights, self.points, self.masses, self.row = columns
         counts = np.bincount(row, minlength=n)
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self._rows = None       # the rows of `localutil._rows_from_table`, built once
 
     @classmethod
     def from_atoms(cls, atoms, dim: int) -> "ScheduledJumps":

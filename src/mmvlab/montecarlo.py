@@ -46,30 +46,27 @@ output is a pure function of (seed, n_paths, antithetic): n_steps does
 not enter it, and the first n paths of a study are the paths of the
 n-path study.  simulate_paths draws, after the skeleton,
 
-6. one (units, rows of diffusing segments, dim) array of normals, the
-   increments of a free Brownian motion over the rows (a scheduled
-   jump's row has length 0 and uses none of its normals);
-7. one normal vector per compound-Poisson jump time inside a row of a
-   diffusing segment, in the order of 5: the free motion there, bridged
-   across its row,
+6. one (units with a path, rows of diffusing segments, dim) array of
+   normals, one per row,
 
-and takes the path at each row as the free motion plus the piecewise
-linear interpolation, between skeleton points, of the skeleton minus
-the free motion: a Brownian bridge through the skeleton.  So the paths
-are exact at every row, and at a segment end or a scheduled jump they
-are the skeleton's values.  One helper (_horizon) computes the gap at
-the horizon from the skeleton for the study, for wealth_recursion's
-last column and for capped_exponential, so these equal the study's bit
-for bit by construction.
+and fills the rows between two skeleton points of a unit with the
+skeleton's own sequential bridge toward the later point, restarted at
+each point.  So the paths are exact at every row, and a row that ends at
+a segment end or a jump time takes the skeleton's value there (and uses
+none of its normals).  One helper (_horizon) computes the gap at the
+horizon from the skeleton for the study, for wealth_recursion's last
+column and for capped_exponential, so these equal the study's bit for
+bit by construction.
 
 An antithetic unit is a pair of paths sharing every draw except the
 sign of the normals.  Blocks run on up to _MAX_WORKERS = 8 worker
 threads, at most one per usable core (numpy's draws and array passes
 release the GIL): the study reduces runs of _STUDY_GROUP blocks at
-once, the paths and wealth_recursion one block at a time.  Each block
-writes only its own span of the outputs, so output does not depend on
-the number of cores, on which worker took which block or on how the
-blocks were grouped.
+once (fewer where many scheduled jumps widen the skeleton), the paths
+and wealth_recursion one block at a time.  Each block writes only its
+own span of the outputs, so output does not depend on the number of
+cores, on which worker took which block or on how the blocks were
+grouped.
 """
 from __future__ import annotations
 
@@ -94,11 +91,16 @@ _BLOCK_UNITS = 256
 # Most worker threads a run uses.
 _MAX_WORKERS = 8
 
-# Blocks a study reduces at once, each drawn from its own stream.  One
-# block's skeleton is a few small arrays, whose passes hold the GIL; over
-# 64 blocks they release it, so worker threads pay (on a 2-core host, 8
-# blocks per run made two workers slower than one).
+# Most blocks a study reduces at once, each drawn from its own stream.
+# One block's skeleton is a few small arrays, whose passes hold the GIL;
+# over 64 blocks they release it, so worker threads pay (on a 2-core
+# host, 8 blocks per run made two workers slower than one).
 _STUDY_GROUP = 64
+
+# Most values per array of a study's run of skeletons (4 MB): a skeleton
+# is as wide as its scheduled jumps plus its unit's most Poisson jumps,
+# so many scheduled jumps take fewer blocks per run, down to one.
+_STUDY_VALUES = 1 << 19
 
 # Values per pass of the row loops (256 KB), so that a pass stays in cache.
 _CHUNK = 1 << 15
@@ -521,101 +523,89 @@ class _Grid:
 
 
 def _bridge(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skeleton,
-            z: np.ndarray) -> dict:
-    """Draws 6-7 of the module docstring: the diffusion part sigma W of the
-    yield at the end of every row of each diffusing segment, a bridge
-    through the skeleton; per segment a (dim, units, rows) array.
+            z: np.ndarray, m: int) -> dict:
+    """Draws 6 of the module docstring for the first m units of a block and
+    bridges them: the diffusion part sigma W of the yield at the end of
+    every row of each diffusing segment; per segment a (dim, m, rows)
+    array.
+
+    Between two skeleton points a < b of a unit (the segment start, its
+    jump times, its end) the rows follow the skeleton's sequential
+    bridge: Y_t = (W_b - W_t) / (b - t) is a Brownian motion in the clock
+    1 / (b - t), started at (W_b - W_a) / (b - a), so a cumulative sum of
+    the row normals, restarted at each point, draws every row at once.
+    A row that ends at a point takes its value and uses none of its
+    normals.
 
     z is the (units, rows of diffusing segments, dim) array the grid
     normals are drawn into; a worker reuses it for every block, which
-    saves the page faults of a fresh array, and in one dimension it
-    becomes the output in place.
+    saves the page faults of a fresh array, and it becomes the output in
+    place.
     """
     out = {}
     diffusing = np.flatnonzero(plan.diffusing)
     if not diffusing.size:
         return out
-    units, width = sk.valid.shape
     d = plan.dim
+    z = z[:m]
     gen.standard_normal(out=z)
     z = np.moveaxis(z, -1, 0)
-    inner = sk.valid & plan.diffusing[sk.seg] & (sk.s < plan.length[sk.seg])
-    row = np.zeros((units, width), dtype=np.intp)
-    on_edge = np.zeros((units, width), dtype=bool)
-    for i in diffusing:
-        here = inner & (sk.seg == i)
-        row[here] = np.searchsorted(grid.times[i], sk.s[here])
-        on_edge[here] = grid.times[i][row[here]] == sk.s[here]
-    loose = inner & ~on_edge
-    z_loose = np.zeros((units, width, d))
-    z_loose[loose] = gen.standard_normal((int(loose.sum()), d))
-
+    seg, s = sk.seg[:m], sk.s[:m]
+    inner = sk.valid[:m] & plan.diffusing[seg] & (s < plan.length[seg])
     offset = 0
     for i in diffusing:
         s_i = grid.times[i]
-        n_i, length, vol = s_i.size, plan.length[i], plan.vol[i]
-        free = z[:, :, offset:offset + n_i]
+        n_i, length = s_i.size, plan.length[i]
+        w = z[:, :, offset:offset + n_i]
         offset += n_i
-        if d == 1:
-            free *= vol[0, 0] * np.sqrt(np.diff(s_i, prepend=0.0))
-        else:
-            free = np.einsum("jc,cur->jur", vol, free) * np.sqrt(np.diff(s_i, prepend=0.0))
-        np.cumsum(free, axis=2, out=free)
-        known = _rowdot(vol, sk.brown[..., None, :])        # sigma W at the jump times
-        here = inner & (sk.seg == i)
-        # the free motion at the jump times: the row's end on a row end,
-        # else bridged across the row from its start or the jump before
-        free_at = np.zeros((units, width, d))
-        u, k = np.nonzero(here & on_edge)
-        free_at[u, k] = free[:, u, row[u, k]].T
-        for k in np.flatnonzero((here & ~on_edge).any(axis=0)):
-            u = np.flatnonzero(here[:, k] & ~on_edge[:, k])
-            r, s = row[u, k], sk.s[u, k]
-            chained = (here[u, k - 1] & (row[u, k - 1] == r)) if k else np.zeros(u.size, bool)
-            start = np.where(chained, sk.s[u, k - 1], np.where(r > 0, s_i[r - 1], 0.0))
-            f_start = np.where(chained[:, None], free_at[u, k - 1],
-                               np.where((r > 0)[:, None], free[:, u, r - 1].T, 0.0))
-            span = s_i[r] - start
-            free_at[u, k] = (f_start + ((s - start) / span)[:, None] * (free[:, u, r].T - f_start)
-                             + np.sqrt((s - start) * (s_i[r] - s) / span)[:, None]
-                             * _rowdot(vol, z_loose[u, k, None, :]))
-        # The skeleton minus the free motion at the known points (the
-        # segment start, its jump times and its end; each unit's padded
-        # with the end), interpolated linearly at every row from the
-        # known point before it: its time, its gap and the slope after it.
-        n_knots = int(here.sum(axis=1).max()) + 2
-        times = np.full((units, n_knots), length)
+        # each unit's points in time order, padded with the segment end
+        here = inner & (seg == i)
+        n_knots = int(here.sum(axis=1).max(initial=0)) + 2
+        times = np.full((m, n_knots), length)
         times[:, 0] = 0.0
-        gaps = np.empty((d, units, n_knots))
-        w_end = _rowdot(vol, sk.end[:, i, None, :]).T      # sigma W at the end, (dim, units)
-        gaps[:] = (w_end - free[:, :, -1])[:, :, None]
-        gaps[:, :, 0] = 0.0
+        value = np.empty((d, m, n_knots))
+        value[:] = sk.end[:m, i].T[:, :, None]
+        value[:, :, 0] = 0.0
         u, k = np.nonzero(here)
         j = np.cumsum(here, axis=1)[u, k]
-        times[u, j] = sk.s[u, k]
-        gaps[:, u, j] = (known[u, k] - free_at[u, k]).T
-        slope = np.zeros((d, units, n_knots))
-        span = np.diff(times, axis=1)
-        real = span > 0.0                   # not the padding past the end
-        slope[:, :, :-1][:, real] = (np.diff(gaps, axis=2)[:, real] / span[real])
-        # knot k covers the rows from the first past it to the next knot
-        covers = np.diff(np.searchsorted(s_i, times, side="right"), axis=1, append=n_i)
+        times[u, j] = s[u, k]
+        value[:, u, j] = sk.brown[u, k].T
+        # The rows after one point, up to and including the next, are
+        # bridged toward the next, each from the row before it or from
+        # the point, whichever is later.  No row lies between two points
+        # at one time (the padding, or jumps at one instant).
+        upto = np.searchsorted(s_i, times, side="right")
+        covers = np.diff(upto, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_start = np.diff(value, axis=2) / np.diff(times, axis=1)
+        since = np.concatenate([[0.0], s_i[:-1]])
         step = max(1, _CHUNK // n_i)
-        for u0 in range(0, units, step):
+        for u0 in range(0, m, step):
             part = slice(u0, u0 + step)
             cover = covers[part].ravel()
-            since = s_i - np.repeat(times[part].ravel(), cover).reshape(-1, n_i)
+
+            def per_row(a):
+                return np.repeat(a.ravel(), cover).reshape(-1, n_i)
+
+            b = per_row(times[part, 1:])
+            t0 = np.maximum(per_row(times[part, :-1]), since)
+            left = b - s_i
+            scale = np.zeros_like(left)
+            np.divide(s_i - t0, left * (b - t0), out=scale, where=left > 0.0)
+            np.sqrt(scale, out=scale)
+            first = upto[part, :-1]
             for c in range(d):
-                free[c, part] += np.repeat(gaps[c, part].ravel(), cover).reshape(-1, n_i)
-                free[c, part] += np.repeat(slope[c, part].ravel(), cover).reshape(-1, n_i) * since
-        # the rows that end at a known point take its value
-        free[:, :, np.searchsorted(s_i, length):] = w_end[:, :, None]
-        u, k = np.nonzero(here & on_edge)
-        for at in range(int(np.max(np.searchsorted(s_i, sk.s[u, k], side="right") - row[u, k],
-                                   initial=0))):
-            hit = s_i[np.minimum(row[u, k] + at, n_i - 1)] == sk.s[u, k]
-            free[:, u[hit], row[u[hit], k[hit]] + at] = known[u[hit], k[hit]].T
-        out[i] = free
+                walk = w[c, part] * scale
+                np.cumsum(walk, axis=1, out=walk)
+                before = np.where(first > 0, np.take_along_axis(walk, first - 1, axis=1), 0.0)
+                walk -= per_row(y_start[c, part] + before)
+                walk *= left
+                np.add(walk, per_row(value[c, part, 1:]), out=w[c, part])
+        if d == 1:
+            w *= plan.vol[i][0, 0]
+        else:
+            w = np.einsum("jc,cur->jur", plan.vol[i], w)
+        out[i] = w
     return out
 
 
@@ -695,11 +685,12 @@ def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
         if z is None:
             z = local.z = np.empty((_BLOCK_UNITS, n_normals, plan.dim))
         sk = _draw_skeleton(gens, plan)
-        shock = _bridge(gens[0], plan, grid, sk, z)
-        # full blocks are written in place; the cut last one is copied
-        full = n == block_paths
-        out = levels[first:first + n] if full else np.empty((block_paths,) + levels.shape[1:])
-        pair = out.reshape(_BLOCK_UNITS, per_unit, grid.n_rows, plan.dim)
+        m = -(-n // per_unit)       # units with a path in the run
+        shock = _bridge(gens[0], plan, grid, sk, z, m)
+        # whole units are written in place; a cut last unit is copied
+        full = n == m * per_unit
+        out = levels[first:first + n] if full else np.empty((m * per_unit,) + levels.shape[1:])
+        pair = out.reshape(m, per_unit, grid.n_rows, plan.dim)
         for i, rows in enumerate(grid.seg_rows):
             drift = plan.b0[i][:, None] * grid.times[i]
             if i not in shock:
@@ -830,7 +821,8 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     """Simulate and reduce each skeleton to terminal wealth.
 
     Solves for the optimal schedule when none is passed.  Memory is
-    O(n_paths) plus one block's skeleton per worker.
+    O(n_paths) plus one run's skeleton per worker: its arrays hold about
+    _STUDY_VALUES values each, or one block's if that is more.
     """
     kind = _kind(kind)
     if solution is None:
@@ -862,7 +854,11 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
             total = total + np.cumsum(sk.size, axis=1)[:, -1, None]
         r_t[span] = total.reshape(-1, plan.dim)[:n]
 
-    _run_blocks(sim, run, _STUDY_GROUP)
+    # a skeleton's width: the scheduled jumps, the mean Poisson count and
+    # one more (the unit with the most Poisson jumps sets it, a few more)
+    width = len(plan.jumps) + sum(mean for _, mean, _ in plan.jumping) + 1.0
+    group = int(_STUDY_VALUES // (_BLOCK_UNITS * width * plan.dim))
+    _run_blocks(sim, run, min(max(group, 1), _STUDY_GROUP))
     return WealthStudy(terminal_wealth=w_t, capped_exponential=capped,
                        terminal_increment=r_t, kind=kind, bliss=bliss, config=sim)
 

@@ -242,6 +242,19 @@ class TestExactEngine:
                     np.testing.assert_allclose(ps.increments.sum(axis=1),
                                                study.terminal_increment, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("build", [lambda: example_model(2), two_asset_model],
+                             ids=["ex2", "two-assets"])
+    def test_paths_are_a_prefix_of_longer_paths(self, build):
+        # a block bridges only the units it keeps; the grid normals come
+        # last in its stream, so the kept units draw the same ones
+        model = build()
+        for antithetic in (True, False):
+            short, long = (simulate_paths(model, SimConfig(n, 6, 7, antithetic))
+                           for n in (_BLOCK_UNITS + 3, 2 * _BLOCK_UNITS))
+            n = short.n_paths
+            assert short.levels.tobytes() == long.levels[:n].tobytes()
+            assert short.increments.tobytes() == long.increments[:n].tobytes()
+
     def test_the_study_ignores_the_step_count(self, ex2, ex2_sol_mmv):
         fields = ("terminal_wealth", "capped_exponential", "terminal_increment")
         runs = [run_wealth_study(ex2, SimConfig(600, steps, 3), "mmv", solution=ex2_sol_mmv)
@@ -359,6 +372,27 @@ class TestWorkers:
                     study = run_wealth_study(model, sim, kind, solution=sol)
                     runs.add(tuple(getattr(study, f).tobytes() for f in fields))
                 assert len(runs) == 1
+
+    def test_wide_skeletons_take_fewer_blocks_per_run(self, monkeypatch):
+        # 59 scheduled jumps: a budget of three blocks' values runs the
+        # five unpaired blocks as 3 + 2, and the bits stay the same
+        model = example_model(6, atoms_max=60)
+        sol = solve_schedule(model, "mmv")
+        sim = self.SIMS[1]
+        want = run_wealth_study(model, sim, "mmv", solution=sol)
+        runs = []
+        draw = montecarlo._draw_skeleton
+
+        def spy(gens, plan):
+            sk = draw(gens, plan)
+            runs.append((len(gens), sk.s.size))
+            return sk
+
+        monkeypatch.setattr(montecarlo, "_STUDY_VALUES", 3 * _BLOCK_UNITS * 60)
+        monkeypatch.setattr(montecarlo, "_draw_skeleton", spy)
+        got = run_wealth_study(model, sim, "mmv", solution=sol)
+        assert sorted(runs) == [(2, 2 * _BLOCK_UNITS * 59), (3, 3 * _BLOCK_UNITS * 59)]
+        assert got.terminal_wealth.tobytes() == want.terminal_wealth.tobytes()
 
     @pytest.mark.parametrize("example, atoms_max", [(2, None), (6, 60)])
     def test_paths_do_not_depend_on_the_worker_count(self, monkeypatch,
