@@ -573,17 +573,24 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     # the zero is searched.
     curv = (drift_of_variation(_SQUARE, chars)
             if res0 is not None and ok_neg and ok_pos and not flagged else 0.0)
+    floor = 0.0
     if curv > 0.0:
         lam = float(res0[0]) / curv
         # directions within eps^2 of the law's scale count as zero: searched
-        if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale and (
-                (kind is UtilityKind.MV and not _trapezoid_law(jumps))
-                or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
-            val = local_utility(lam, chars, kind)
-            if val < 0.0:     # rounding around a maximum at the origin
-                return origin()
-            if math.isfinite(val):
-                return finish(lam, val, foc_residual([lam], chars, kind))
+        if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale:
+            if ((kind is UtilityKind.MV and not _trapezoid_law(jumps))
+                    or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
+                val = local_utility(lam, chars, kind)
+                if val < 0.0:     # rounding around a maximum at the origin
+                    return origin()
+                if math.isfinite(val):
+                    return finish(lam, val, foc_residual([lam], chars, kind))
+            elif kind is UtilityKind.MMV and not _trapezoid_law(jumps):
+                # The monotone slope exceeds the plain one by the mass
+                # integral of x (lam x - 1) past bliss, so its first zero
+                # is at or past B / C; a search that ends short of it
+                # has met the slope's rounding.
+                floor = side * lam
 
     def slope(t: float) -> float:
         return side * float(foc_residual([side * t], chars, kind)[0])
@@ -602,6 +609,8 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     if not flagged:
         # directions within eps^2 of the law's scale count as zero
         hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
+        if hi < floor:
+            hi, s_hi = floor, slope(floor)
     val = local_utility(side * hi, chars, kind)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()
