@@ -34,9 +34,11 @@ increases, so the maximizer is the first point where it stops pointing
 outward: a bracket grown from the law's scale by factors of 4,
 Chandrupatla's interpolating steps on the slope and a bisection down to
 adjacent doubles find it, in about ten slope evaluations, and the
-objective is evaluated once, there.  That zero is also the
-sigma-martingale condition of the dual density, and the minimum-norm
-end of any flat stretch.
+objective is evaluated once, there.  The monotone slope exceeds the
+plain one by the mass past bliss, so its zero is never short of B/C;
+where that mass is below the slope's rounding and the search ends
+short, B/C is taken.  That zero is also the sigma-martingale condition
+of the dual density, and the minimum-norm end of any flat stretch.
 
 The monotone kind on several-dimensional atoms is exact too.  Its
 local utility is concave and piecewise quadratic: on the set S of atoms
