@@ -304,8 +304,7 @@ def _cmd_simulate(args) -> int:
     sim = SimConfig(n_paths=args.paths, seed=args.seed)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
     # estimates line up with the dimensionless analytic ratios.
-    study = run_wealth_study(model, sim, args.kind, x=0.0, gamma=1.0,
-                             scale=1.0, solution=sol)
+    study = run_wealth_study(model, sim, args.kind, solution=sol)
     anti = sim.antithetic
     util_functional = f"utility_{args.kind}"
     # analytic values of the normalized optimum, where the theory gives one
@@ -349,7 +348,7 @@ def _cmd_simulate(args) -> int:
         "model": _model_summary(model),
         "values": _values_block(gv, source),
         "wealth_normalization": {"x": _v(0.0), "gamma": _v(1.0),
-                                 "bliss": _v(study.bliss)},
+                                 "bliss": _v(1.0)},
         "estimates": estimates,
         "warnings": warnings,
     }

@@ -31,6 +31,9 @@ from .localutil import UtilityKind, _kind, _rows_from_chars, _rows_from_table
 from .model import MarketModel
 from .optimize import foc_residual
 
+# Largest |sigma-martingale residual| of a density that passes the check.
+_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
@@ -144,8 +147,8 @@ def zero_density_probability(model: MarketModel, schedule) -> float:
     return _absorption_probability(model, _crossing_masses(model, schedule, strict=False))
 
 
-def density_diagnostics(model: MarketModel, solution: Solution | None = None,
-                        residual_tol: float = 1e-8) -> DensityDiagnostics:
+def density_diagnostics(model: MarketModel,
+                        solution: Solution | None = None) -> DensityDiagnostics:
     """Moments, zero mass, equivalence and martingale check of the dual.
 
     Solves the monotone problem if no solution is passed.  Raises
@@ -164,7 +167,7 @@ def density_diagnostics(model: MarketModel, solution: Solution | None = None,
         p_zero=_absorption_probability(model, crossing),
         sigma_mart_residual=residuals,
         equivalent=not crossing.any(),
-        is_sigma_martingale=float(np.abs(residuals).max(initial=0.0)) <= residual_tol,
+        is_sigma_martingale=float(np.abs(residuals).max(initial=0.0)) <= _RESIDUAL_TOL,
     )
 
 

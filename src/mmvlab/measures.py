@@ -11,7 +11,10 @@ Every family supports the same small protocol:
   one-sided tail integral of |x|^k is finite (exclusive bound; ``inf``
   when every polynomial moment exists),
 * ``sample(gen, size)``: draws from the normalized probability law,
-* ``total_mass``, ``support_scale``.
+* ``total_mass``, ``support_scale``,
+* ``inner_end(side)``: in one dimension, the least ``side * x`` over the
+  support when that is positive (all the mass on that side, away from
+  0), else 0.
 
 Atoms sum the integrand at their points; tabulated laws apply their
 trapezoid rule with its edges inserted in the grid.  The Gaussian and
@@ -93,6 +96,9 @@ class JumpMeasure:
 
     def moment_sup_order(self, side: int) -> float:
         return math.inf
+
+    def inner_end(self, side: float) -> float:
+        return 0.0
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         lam = float(_as_direction(lam, 1)[0])
@@ -449,6 +455,11 @@ class TabulatedDensity1D(JumpMeasure):
     def support_scale(self) -> float:
         return max(abs(float(self.grid[0])), abs(float(self.grid[-1])))
 
+    def inner_end(self, side: float) -> float:
+        charged = self.density[1:] + self.density[:-1] > 0.0
+        ends = side * np.concatenate([self.grid[:-1][charged], self.grid[1:][charged]])
+        return max(float(ends.min()), 0.0) if ends.size else 0.0
+
 
 @dataclass(frozen=True)
 class ExpYieldMeasure(JumpMeasure):
@@ -493,6 +504,9 @@ class ExpYieldMeasure(JumpMeasure):
         s = self.base.support_scale()
         return max(abs(math.expm1(s)), abs(math.expm1(-s)))
 
+    def inner_end(self, side: float) -> float:
+        return side * math.expm1(side * self.base.inner_end(side))
+
 
 @dataclass(frozen=True)
 class CappedMeasure(JumpMeasure):
@@ -534,3 +548,6 @@ class CappedMeasure(JumpMeasure):
     def support_scale(self) -> float:
         return self.base.support_scale()
 
+    def inner_end(self, side: float) -> float:
+        end = self.base.inner_end(side)
+        return max(min(end, self.cap), 0.0) if side > 0.0 else max(end, -self.cap, 0.0)

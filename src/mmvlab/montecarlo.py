@@ -1,11 +1,11 @@
-"""Exact path simulation and the ceiling wealth recursion.
+"""Exact path simulation and the normalized wealth of the gap strategy.
 
-The gap strategy invests the direction times the gap below the bliss
-level, clamped at zero for the monotone kind and unclamped for the
-plain quadratic kind.  Its gap to bliss is the stochastic exponential
-G = E(-lam . X) of the yield X.  Over a segment with zero-truncation
-drift b0, covariance c = sigma sigma' and direction lam, between jumps
-it is a geometric Brownian motion,
+Wealth is normalized: it starts at 0 and its bliss level is 1.  The gap
+strategy invests the direction times the gap 1 - W, clamped at zero for
+the monotone kind and unclamped for the plain quadratic kind, so the gap
+is the stochastic exponential G = E(-lam . X) of the yield X.  Over a
+segment with zero-truncation drift b0, covariance c = sigma sigma' and
+direction lam, between jumps it is a geometric Brownian motion,
 
     G(s) = G(0) exp(-lam . (b0 s + sigma W_s) - lam' c lam s / 2),
 
@@ -37,9 +37,7 @@ first, in a fixed order:
    scheduled jump's outcome;
 5. one normal vector per jump time before the end of a diffusing
    segment (compound-Poisson and scheduled jumps, whether a scheduled
-   jump moves or not), units in order and each unit's in time order:
-   the Brownian value there, a sequential bridge from the jump before
-   (or the segment start) toward the segment end.
+   jump moves or not), units in order and each unit's in time order.
 
 run_wealth_study reduces the skeleton straight to the horizon, so its
 output is a pure function of (seed, n_paths, antithetic): n_steps does
@@ -47,16 +45,19 @@ not enter it, and the first n paths of a study are the paths of the
 n-path study.  simulate_paths draws, after the skeleton,
 
 6. one (units with a path, rows of diffusing segments, dim) array of
-   normals, one per row,
+   normals, one per row.
 
-and fills the rows between two skeleton points of a unit with the
-skeleton's own sequential bridge toward the later point, restarted at
-each point.  So the paths are exact at every row, and a row that ends at
-a segment end or a jump time takes the skeleton's value there (and uses
-none of its normals).  One helper (_horizon) computes the gap at the
-horizon from the skeleton for the study, for wealth_recursion's last
-column and for capped_exponential, so these equal the study's bit for
-bit by construction.
+One sequential Brownian bridge (_sequential_bridge) places every value
+inside a segment: the skeleton's at its jump times, toward the segment
+end, and the grid's at its row ends, toward the next skeleton point and
+restarted at each.  So the paths are exact at every row, and a row that
+ends at a segment end or a jump time takes the skeleton's value there
+(and uses none of its normals).  Each block's jumps are placed on the
+grid rows once, for the bridge, the increments and wealth_recursion.
+One helper (_horizon) computes the gap at the horizon from the skeleton
+for the study, for wealth_recursion's last column and for
+capped_exponential, so these equal the study's bit for bit by
+construction.
 
 An antithetic unit is a pair of paths sharing every draw except the
 sign of the normals.  Blocks run on up to _MAX_WORKERS = 8 worker
@@ -213,6 +214,46 @@ class _Plan:
         return drift[..., None, :] + _SIGNS[:per_unit, None] * shock[..., None, :]
 
 
+def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
+    """Brownian values at times t in a segment, in place on z (dim, units,
+    times), with W = 0 at the segment start.
+
+    Each unit's times run in order along the last axis, in bridges of
+    `cover` times toward the unit's next point (knot_t, knot_w).  Between
+    points a < b, with Y_a = (W_b - W_a) / (b - a) and t0 the later of a
+    and the time before t,
+    W_t = W_b - (b - t) (Y_a - sum z sqrt((t - t0) / ((b - t) (b - t0)))),
+    summed over the bridge's times up to t: (W_b - W_t) / (b - t) is a
+    Brownian motion in the clock 1 / (b - t).  z holds a normal per time;
+    a time at b takes W_b and uses none.
+    """
+    knot_t = np.concatenate([np.zeros((len(knot_t), 1)), knot_t], axis=1)
+    knot_w = np.concatenate([np.zeros(knot_w.shape[:-1] + (1,)), knot_w], axis=-1)
+    since = np.concatenate([np.zeros(t.shape[:-1] + (1,)), t[..., :-1]], axis=-1)
+
+    def per_time(a):        # one value per bridge, repeated over its times
+        lead = a.shape[:-2]
+        flat = np.repeat(a.reshape(lead + (-1,)), cover.ravel(), axis=-1)
+        return flat.reshape(lead + z.shape[1:])
+
+    b = per_time(knot_t[:, 1:])
+    t0 = np.maximum(per_time(knot_t[:, :-1]), since)
+    left = b - t
+    scale = np.zeros_like(left)
+    np.sqrt(np.divide(t - t0, left * (b - t0), out=scale, where=left > 0.0), out=scale)
+    z *= scale
+    np.cumsum(z, axis=-1, out=z)
+    # the sum restarts at each bridge's first time
+    first = np.cumsum(cover, axis=1) - cover
+    before = np.where(first > 0, np.take_along_axis(z, first[None] - 1, axis=-1), 0.0)
+    span = np.diff(knot_t, axis=1)
+    y_a = np.divide(np.diff(knot_w), span, out=np.zeros_like(before), where=span > 0.0)
+    z -= per_time(y_a + before)
+    z *= left
+    z += per_time(knot_w[..., 1:])
+    return z
+
+
 class _Skeleton:
     """One block's skeleton, per unit.
 
@@ -317,18 +358,17 @@ def _draw_skeleton(gens, plan: _Plan) -> _Skeleton:
             here = inner & (seg == i)
             if not here.any():
                 continue
-            # The sequential bridge toward the segment end, solved in
-            # closed form: (W_L - W_s) / (L - s) is a Brownian motion in
-            # the clock 1 / (L - s), so one cumulative sum per unit draws
-            # every jump time's value.
-            length = plan.length[i]
-            prev = np.zeros((units, width))
-            prev[:, 1:] = np.where(here[:, :-1], s[:, :-1], 0.0)
-            clock = np.zeros((units, width))
-            clock[here] = (s[here] - prev[here]) / ((length - s[here]) * (length - prev[here]))
-            w_end = end[:, i, None, :]
-            slope = w_end / length - np.cumsum(z * np.sqrt(clock)[..., None], axis=1)
-            brown[here] = (w_end - (length - s)[..., None] * slope)[here]
+            # one bridge per unit from the segment start toward its end,
+            # through the unit's jumps there in time order (padded with the end)
+            u, k = np.nonzero(here)
+            j = np.cumsum(here, axis=1)[u, k] - 1
+            t = np.full((units, j.max() + 2), plan.length[i])
+            t[u, j] = s[u, k]
+            w = np.zeros((d,) + t.shape)
+            w[:, u, j] = z[u, k].T
+            _sequential_bridge(w, t, t[:, -1:], end[:, i].T[..., None],
+                               np.full((units, 1), t.shape[1]))
+            brown[u, k] = w[:, u, j].T
     last = diffusing & ~inner
     brown[last] = end[np.nonzero(last)[0], seg[last]]
     return _Skeleton(end, valid, seg, s, src, size, brown, sched_col)
@@ -355,13 +395,15 @@ class _Horizon:
     at the first jump factor <= 0), capped the same with every factor
     capped at 0 (so 0 wherever a factor is <= 0), and log_gap minus the
     log of the continuous factor at each segment start and at the
-    horizon.  Per unit, running is the running product of the jump
-    factors and first the column of the first one <= 0 (-1 if none).
+    horizon.  Per unit, running holds the running products of the jump
+    factors (after none, then after each jump), first is the column of
+    the first factor <= 0 (-1 if none), and ends the continuous part of
+    the yield over each segment, (units, segments, per_unit, dim).
     """
 
-    def __init__(self, gap, capped, log_gap, running, first):
+    def __init__(self, gap, capped, log_gap, running, first, ends):
         self.gap, self.capped, self.log_gap = gap, capped, log_gap
-        self.running, self.first = running, first
+        self.running, self.first, self.ends = running, first, ends
 
 
 def _horizon(sk: _Skeleton, plan: _Plan, way: _Way, per_unit: int, mmv: bool) -> _Horizon:
@@ -372,12 +414,11 @@ def _horizon(sk: _Skeleton, plan: _Plan, way: _Way, per_unit: int, mmv: bool) ->
         log_gap[..., i + 1] = log_gap[..., i] + (
             _rowdot(ends[:, i], way.lam[i]) + way.half_q[i] * plan.length[i])
     f = 1.0 - _rowdot(sk.size, way.dirs[sk.src])
-    running = np.cumprod(f, axis=1)
-    total = running[:, -1] if running.shape[1] else np.ones(units)
-    gap = np.exp(-log_gap[..., -1]) * total[:, None]
-    hit = f <= 0.0
-    crossed = hit.any(axis=1)
-    first = np.where(crossed, hit.argmax(axis=1), -1) if hit.shape[1] else np.full(units, -1)
+    running = np.cumprod(np.concatenate([np.ones((units, 1)), f], axis=1), axis=1)
+    gap = np.exp(-log_gap[..., -1]) * running[:, -1, None]
+    # behind a leading False, argmax - 1 is the first hit, or -1 for none
+    first = np.concatenate([np.zeros((units, 1), bool), f <= 0.0], axis=1).argmax(axis=1) - 1
+    crossed = first >= 0
     capped = np.where(crossed[:, None], 0.0, gap)
     if mmv and crossed.any():
         u = np.flatnonzero(crossed)
@@ -386,9 +427,9 @@ def _horizon(sk: _Skeleton, plan: _Plan, way: _Way, per_unit: int, mmv: bool) ->
         level = plan.level(seg, s, sk.brown[u, k], per_unit)
         ell = log_gap[u, :, seg] + (_rowdot(level, way.lam[seg][:, None, :])
                                     + (way.half_q[seg] * s)[:, None])
-        gap[u] = np.exp(-ell) * running[u, k][:, None]
+        gap[u] = np.exp(-ell) * running[u, k + 1][:, None]
     return _Horizon(gap.reshape(-1), capped.reshape(-1),
-                    log_gap.reshape(units * per_unit, -1), running, first)
+                    log_gap.reshape(units * per_unit, -1), running, first, ends)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -412,49 +453,25 @@ def _worker_count(n_runs: int) -> int:
     return max(1, min(cores, n_runs, _MAX_WORKERS))
 
 
-def _on_workers(n_tasks: int, run) -> None:
-    """Call run(k) for k in range(n_tasks) on _worker_count workers.
+def _on_workers(n_tasks: int, run) -> list:
+    """[run(k) for k in range(n_tasks)], on _worker_count workers.
 
-    A single worker is the calling thread.  The first exception a worker
-    raises stops the others from taking tasks, and is re-raised here
-    once every worker has stopped.
+    A single worker is the calling thread.  The first task (in order)
+    that raises cancels the tasks not yet started, and its exception is
+    re-raised here once every worker has stopped.
     """
     n_workers = _worker_count(n_tasks)
     if n_workers == 1:
-        for k in range(n_tasks):
-            run(k)
-        return
-    todo = iter(range(n_tasks))
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        try:
-            while not errors:
-                with lock:
-                    k = next(todo, None)
-                if k is None:
-                    return
-                run(k)
-        except BaseException as exc:    # handed to the calling thread
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, name=f"mmvlab-block-{i}")
-               for i in range(n_workers)]
-    try:
-        for t in workers:
-            t.start()
-    finally:
-        for t in workers:
-            if t.ident is not None:
-                t.join()
-    if errors:
-        raise errors[0]
+        return [run(k) for k in range(n_tasks)]
+    # imported here: it imports logging, which no other part of a run needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(n_workers, thread_name_prefix="mmvlab-block") as pool:
+        return list(pool.map(run, range(n_tasks)))
 
 
-def _run_blocks(sim: SimConfig, run, group: int = 1) -> None:
-    """Call run(first, paths, gens) for every run of `group` consecutive
-    blocks (the last run may be shorter), on _on_workers.
+def _run_blocks(sim: SimConfig, run, group: int = 1) -> list:
+    """run(first, paths, gens) for every run of `group` consecutive blocks
+    (the last run may be shorter), in order, on _on_workers.
 
     first is the run's first path index, paths its path count (the last
     block is cut to the path count) and gens the Philox streams of its
@@ -469,10 +486,10 @@ def _run_blocks(sim: SimConfig, run, group: int = 1) -> None:
         k = starts[t]
         blocks = range(k, min(k + group, n_blocks))
         first = k * block_paths
-        run(first, min(len(blocks) * block_paths, sim.n_paths - first),
-            [_block_generator(sim.seed, b) for b in blocks])
+        return run(first, min(len(blocks) * block_paths, sim.n_paths - first),
+                   [_block_generator(sim.seed, b) for b in blocks])
 
-    _on_workers(len(starts), run_group)
+    return _on_workers(len(starts), run_group)
 
 
 class _Grid:
@@ -522,91 +539,62 @@ class _Grid:
         return rows
 
 
-def _bridge(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skeleton,
-            z: np.ndarray, m: int) -> dict:
+def _fill_levels(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skeleton,
+                 rows: np.ndarray, z: np.ndarray, pair: np.ndarray) -> None:
     """Draws 6 of the module docstring for the first m units of a block and
-    bridges them: the diffusion part sigma W of the yield at the end of
-    every row of each diffusing segment; per segment a (dim, m, rows)
-    array.
+    writes their levels into pair, (m, paths per unit, rows, dim): the
+    drift plus (for the antithetic partner minus) sigma W.
 
-    Between two skeleton points a < b of a unit (the segment start, its
-    jump times, its end) the rows follow the skeleton's sequential
-    bridge: Y_t = (W_b - W_t) / (b - t) is a Brownian motion in the clock
-    1 / (b - t), started at (W_b - W_a) / (b - a), so a cumulative sum of
-    the row normals, restarted at each point, draws every row at once.
-    A row that ends at a point takes its value and uses none of its
-    normals.
-
-    z is the (units, rows of diffusing segments, dim) array the grid
-    normals are drawn into; a worker reuses it for every block, which
-    saves the page faults of a fresh array, and it becomes the output in
-    place.
+    Between two skeleton points of a unit (the segment start, its jump
+    times, its end) the rows that end after the earlier point and by the
+    later one follow the sequential bridge toward the later point.  rows
+    holds the row of each jump (_Grid.jump_rows).  z is the (units, rows
+    of diffusing segments, dim) array the grid normals are drawn into; a
+    worker reuses it for every block, which saves the page faults of a
+    fresh array.
     """
-    out = {}
-    diffusing = np.flatnonzero(plan.diffusing)
-    if not diffusing.size:
-        return out
+    m, per_unit = pair.shape[:2]
     d = plan.dim
-    z = z[:m]
-    gen.standard_normal(out=z)
-    z = np.moveaxis(z, -1, 0)
+    z = np.moveaxis(gen.standard_normal(out=z[:m]), -1, 0)
     seg, s = sk.seg[:m], sk.s[:m]
     inner = sk.valid[:m] & plan.diffusing[seg] & (s < plan.length[seg])
     offset = 0
-    for i in diffusing:
+    for i, span in enumerate(grid.seg_rows):
         s_i = grid.times[i]
+        drift = plan.b0[i][:, None] * s_i
+        if not plan.diffusing[i]:
+            pair[:, :, span] = drift.T
+            continue
         n_i, length = s_i.size, plan.length[i]
         w = z[:, :, offset:offset + n_i]
         offset += n_i
-        # each unit's points in time order, padded with the segment end
+        # each unit's points after the segment start in time order,
+        # padded with its end, and the number of rows that end by each
         here = inner & (seg == i)
-        n_knots = int(here.sum(axis=1).max(initial=0)) + 2
+        n_knots = int(here.sum(axis=1).max(initial=0)) + 1
         times = np.full((m, n_knots), length)
-        times[:, 0] = 0.0
         value = np.empty((d, m, n_knots))
         value[:] = sk.end[:m, i].T[:, :, None]
-        value[:, :, 0] = 0.0
+        upto = np.full((m, n_knots), n_i)
         u, k = np.nonzero(here)
-        j = np.cumsum(here, axis=1)[u, k]
+        j = np.cumsum(here, axis=1)[u, k] - 1
         times[u, j] = s[u, k]
         value[:, u, j] = sk.brown[u, k].T
-        # The rows after one point, up to and including the next, are
-        # bridged toward the next, each from the row before it or from
-        # the point, whichever is later.  No row lies between two points
-        # at one time (the padding, or jumps at one instant).
-        upto = np.searchsorted(s_i, times, side="right")
-        covers = np.diff(upto, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_start = np.diff(value, axis=2) / np.diff(times, axis=1)
-        since = np.concatenate([[0.0], s_i[:-1]])
-        step = max(1, _CHUNK // n_i)
+        # a jump's row ends at it (a scheduled jump) or after it
+        at = rows[u, k] - span.start
+        upto[u, j] = at + (s_i[at] == s[u, k])
+        covers = np.diff(upto, axis=1, prepend=0)
+        step = max(1, _CHUNK // (d * n_i))
         for u0 in range(0, m, step):
             part = slice(u0, u0 + step)
-            cover = covers[part].ravel()
-
-            def per_row(a):
-                return np.repeat(a.ravel(), cover).reshape(-1, n_i)
-
-            b = per_row(times[part, 1:])
-            t0 = np.maximum(per_row(times[part, :-1]), since)
-            left = b - s_i
-            scale = np.zeros_like(left)
-            np.divide(s_i - t0, left * (b - t0), out=scale, where=left > 0.0)
-            np.sqrt(scale, out=scale)
-            first = upto[part, :-1]
-            for c in range(d):
-                walk = w[c, part] * scale
-                np.cumsum(walk, axis=1, out=walk)
-                before = np.where(first > 0, np.take_along_axis(walk, first - 1, axis=1), 0.0)
-                walk -= per_row(y_start[c, part] + before)
-                walk *= left
-                np.add(walk, per_row(value[c, part, 1:]), out=w[c, part])
+            _sequential_bridge(w[:, part], s_i, times[part], value[:, part], covers[part])
         if d == 1:
             w *= plan.vol[i][0, 0]
         else:
             w = np.einsum("jc,cur->jur", plan.vol[i], w)
-        out[i] = w
-    return out
+        for c in range(d):
+            for p, op in zip(range(per_unit), (np.add, np.subtract)):
+                op(drift[c], w[c], out=pair[:, p, span, c])
 
 
 @dataclass(frozen=True)
@@ -673,10 +661,9 @@ def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
     if n_bytes > 2 ** 31:
         raise InvariantError(
             "path set too large to materialize; use run_wealth_study")
-    levels = np.empty((sim.n_paths, grid.n_rows, plan.dim))
-    per_unit = _unit_layout(sim)[1]
-    block_paths = _BLOCK_UNITS * per_unit
-    blocks = [None] * -(-_unit_layout(sim)[0] // _BLOCK_UNITS)
+    n_units, per_unit = _unit_layout(sim)
+    # whole units; an antithetic partner past the last path is dropped
+    levels = np.empty((n_units * per_unit, grid.n_rows, plan.dim))
     local = threading.local()
     n_normals = sum(grid.times[i].size for i in np.flatnonzero(plan.diffusing))
 
@@ -685,68 +672,44 @@ def simulate_paths(model: MarketModel, sim: SimConfig) -> PathSet:
         if z is None:
             z = local.z = np.empty((_BLOCK_UNITS, n_normals, plan.dim))
         sk = _draw_skeleton(gens, plan)
+        rows = grid.jump_rows(sk, plan)
         m = -(-n // per_unit)       # units with a path in the run
-        shock = _bridge(gens[0], plan, grid, sk, z, m)
-        # whole units are written in place; a cut last unit is copied
-        full = n == m * per_unit
-        out = levels[first:first + n] if full else np.empty((m * per_unit,) + levels.shape[1:])
-        pair = out.reshape(m, per_unit, grid.n_rows, plan.dim)
-        for i, rows in enumerate(grid.seg_rows):
-            drift = plan.b0[i][:, None] * grid.times[i]
-            if i not in shock:
-                pair[:, :, rows] = drift.T
-                continue
-            for j in range(plan.dim):
-                for p, op in zip(range(per_unit), (np.add, np.subtract)):
-                    op(drift[j], shock[i][j], out=pair[:, p, rows, j])
-        if not full:
-            levels[first:first + n] = out[:n]
-        blocks[first // block_paths] = (first, n, sk, grid.jump_rows(sk, plan))
+        pair = levels[first:first + m * per_unit].reshape(m, per_unit, *levels.shape[1:])
+        _fill_levels(gens[0], plan, grid, sk, rows, z, pair)
+        return first, n, sk, rows
 
-    _run_blocks(sim, run_block)
-    return PathSet(levels=levels, t_end=grid.t_end, dt=grid.dt,
+    blocks = tuple(_run_blocks(sim, run_block))
+    return PathSet(levels=levels[:sim.n_paths], t_end=grid.t_end, dt=grid.dt,
                    seg_index=grid.seg_index, atom_index=grid.atom_index,
-                   model=model, config=sim, _blocks=tuple(blocks), _plan=plan, _grid=grid)
+                   model=model, config=sim, _blocks=blocks, _plan=plan, _grid=grid)
 
 
-def _bliss(x: float, gamma: float, scale: float) -> float:
-    if gamma <= 0.0:
-        raise InvariantError("risk aversion must be positive")
-    if scale <= 0.0:
-        raise InvariantError("scale must be positive")
-    return x + scale / gamma
+def wealth_recursion(paths: PathSet, schedule, kind) -> np.ndarray:
+    """Normalized wealth paths of the gap strategy, from 0 toward bliss
+    level 1; shape (n_paths, n_rows + 1).
 
-
-def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
-                     gamma: float = 1.0, scale: float = 1.0) -> np.ndarray:
-    """Wealth paths of the gap strategy; shape (n_paths, n_rows + 1).
-
-    Per row the invested amount is the direction times (bliss - W),
-    clamped at zero for the monotone kind, so bliss - W is the initial
-    gap times the continuous factor to the row's end times the running
-    product of the jump factors up to it, and for the monotone kind
-    stays at its value at the first factor <= 0.  The last column is the
-    study's horizon value.  The defaults give the normalized problem:
-    start at 0, bliss level 1.
+    Per row the invested amount is the direction times the gap 1 - W,
+    clamped at zero for the monotone kind, so the gap is the continuous
+    factor to the row's end times the running product of the jump
+    factors up to it, and for the monotone kind stays at its value at
+    the first factor <= 0.  The last column is the study's horizon
+    value.
     """
     mmv = _kind(kind) is UtilityKind.MMV
-    bliss = _bliss(x, gamma, scale)
     plan, grid = paths._plan, paths._grid
     way = _Way(plan, paths.model, schedule)
     per_unit = _unit_layout(paths.config)[1]
     n_rows, d = paths.n_rows, plan.dim
-    w = np.empty((paths.n_paths, n_rows + 1))
-    w[:, 0] = x
-    # exp(-lam'c lam s / 2) at each row, times minus the initial gap
-    row_factor = -(bliss - x) * np.exp(-np.concatenate(
+    w = np.zeros((paths.n_paths, n_rows + 1))
+    # minus exp(-lam'c lam s / 2) at each row
+    row_factor = -np.exp(-np.concatenate(
         [h * t for h, t in zip(way.half_q, grid.times)]))
 
     def reduce(b):
         first, n, sk, jump_rows = paths._blocks[b]
         h = _horizon(sk, plan, way, per_unit, mmv)
-        horizon = bliss - (bliss - x) * h.gap[:n]      # as the study takes it
-        units, width = sk.valid.shape
-        running = np.concatenate([np.ones((units, 1)), h.running], axis=1)
+        horizon = 1.0 - h.gap[:n]      # as the study takes it
+        units = sk.valid.shape[0]
         covers = np.diff(jump_rows, axis=1, prepend=0, append=n_rows)   # rows per product
         frozen = np.full(units, n_rows)
         if mmv:
@@ -759,24 +722,22 @@ def wealth_recursion(paths: PathSet, schedule, kind, x: float = 0.0,
             p0, p1 = u0 * per_unit, min(u1 * per_unit, n)
             g = w[first + p0:first + p1, 1:]
             levels = paths.levels[first + p0:first + p1]
-            # bliss - W = exp(-lam . level - the log gap at the segment start)
+            # 1 - W = exp(-lam . level - the log gap at the segment start)
             # x the row factor x the running product of the unit's jumps
-            for i, rows in enumerate(grid.seg_rows):
-                part = g[:, rows]
-                np.multiply(levels[:, rows, 0], -way.lam[i, 0], out=part)
+            for i, span in enumerate(grid.seg_rows):
+                part = g[:, span]
+                np.multiply(levels[:, span, 0], -way.lam[i, 0], out=part)
                 for c in range(1, d):
-                    part -= levels[:, rows, c] * way.lam[i, c]
+                    part -= levels[:, span, c] * way.lam[i, c]
                 if i:
                     part -= h.log_gap[p0:p1, i, None]
             np.exp(g, out=g)
-            factor = row_factor
-            if width:
-                factor = np.repeat(running[u0:u1].ravel(), covers[u0:u1].ravel())
-                factor = factor.reshape(u1 - u0, n_rows) * row_factor
+            factor = np.repeat(h.running[u0:u1].ravel(), covers[u0:u1].ravel())
+            factor = factor.reshape(u1 - u0, n_rows) * row_factor
             for j in range(per_unit):
                 part = g[j::per_unit]
-                part *= factor[:part.shape[0]] if width else factor
-            g += bliss
+                part *= factor[:part.shape[0]]
+            g += 1.0
             start = np.repeat(frozen[u0:u1], per_unit)[:p1 - p0]
             held = np.flatnonzero(start < n_rows)
             if held.size:
@@ -792,8 +753,8 @@ def capped_exponential(paths: PathSet, schedule) -> np.ndarray:
     """Terminal product of (1 - u∧1) per path over the path's jumps and
     continuous factor, from the skeleton alone.
 
-    Equals (bliss - W_T)+ / (bliss - x) for the monotone recursion
-    pathwise; also the unnormalized dual density candidate.
+    Equals (1 - W_T)+ for the monotone recursion pathwise; also the
+    unnormalized dual density candidate.
     """
     way = _Way(paths._plan, paths.model, schedule)
     per_unit = _unit_layout(paths.config)[1]
@@ -811,14 +772,13 @@ class WealthStudy:
     capped_exponential: np.ndarray     # (n_paths,) dual density numerator
     terminal_increment: np.ndarray     # (n_paths, dim) yield at the horizon
     kind: UtilityKind
-    bliss: float
     config: SimConfig
 
 
 def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
-                     x: float = 0.0, gamma: float = 1.0, scale: float = 1.0,
                      solution: Solution | None = None) -> WealthStudy:
-    """Simulate and reduce each skeleton to terminal wealth.
+    """Simulate and reduce each skeleton to normalized terminal wealth
+    (start 0, bliss level 1).
 
     Solves for the optimal schedule when none is passed.  Memory is
     O(n_paths) plus one run's skeleton per worker: its arrays hold about
@@ -829,27 +789,22 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
         solution = solve_schedule(model, kind)
     plan = _Plan(model)
     way = _Way(plan, model, solution)
-    bliss = _bliss(x, gamma, scale)
     mmv = kind is UtilityKind.MMV
 
     w_t = np.empty(sim.n_paths)
     capped = np.empty(sim.n_paths)
     r_t = np.empty((sim.n_paths, plan.dim))
     per_unit = _unit_layout(sim)[1]
-    all_segs = np.arange(plan.n_seg)
 
     def run(first, n, gens):
         sk = _draw_skeleton(gens, plan)
         h = _horizon(sk, plan, way, per_unit, mmv)
         span = slice(first, first + n)
-        w_t[span] = bliss - (bliss - x) * h.gap[:n]
+        w_t[span] = 1.0 - h.gap[:n]
         capped[span] = h.capped[:n]
         # the yield at the horizon: continuous parts, then the jumps, each
         # summed in order
-        ends = plan.level(all_segs, plan.length, sk.end, per_unit)
-        total = ends[:, 0]
-        for i in range(1, plan.n_seg):
-            total = total + ends[:, i]
+        total = np.cumsum(h.ends, axis=1)[:, -1]
         if sk.size.shape[1]:
             total = total + np.cumsum(sk.size, axis=1)[:, -1, None]
         r_t[span] = total.reshape(-1, plan.dim)[:n]
@@ -860,7 +815,7 @@ def run_wealth_study(model: MarketModel, sim: SimConfig, kind,
     group = int(_STUDY_VALUES // (_BLOCK_UNITS * width * plan.dim))
     _run_blocks(sim, run, min(max(group, 1), _STUDY_GROUP))
     return WealthStudy(terminal_wealth=w_t, capped_exponential=capped,
-                       terminal_increment=r_t, kind=kind, bliss=bliss, config=sim)
+                       terminal_increment=r_t, kind=kind, config=sim)
 
 
 def estimate_stats(values, functional: str = "mean",
@@ -870,20 +825,12 @@ def estimate_stats(values, functional: str = "mean",
     With antithetic pairing the estimate and its error are computed over
     pair averages (consecutive values form a pair), which is the valid
     estimator for mirrored draws; a lone last value is left out, and at
-    least two complete pairs are needed.  The Sharpe functional uses the
-    large-sample error formula and ignores pairing.
+    least two complete pairs are needed.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     if n < 2:
         raise InvariantError("need at least two paths for an estimate")
-    if functional == "sharpe":
-        m = float(v.mean())
-        s = float(v.std(ddof=1))
-        if s == 0.0:
-            raise InvariantError("constant values have no Sharpe ratio")
-        sr = m / s
-        return PathStats(sr, math.sqrt((1.0 + 0.5 * sr * sr) / n), n)
     if functional == "mean":
         t = v
     elif functional == "second_moment":

@@ -597,6 +597,18 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     def slope(t: float) -> float:
         return side * float(foc_residual([side * t], chars, kind)[0])
 
+    # Without diffusion the curvature of the mass below bliss vanishes once
+    # every jump has passed bliss, at 1 over the support's inner end, and
+    # the slope is flat from there.  It meets that plateau tangentially,
+    # below its own rounding, so a zero plateau's start is tested first.
+    end = jumps.inner_end(side) if float(chars.cov[0, 0]) <= 0.0 else 0.0
+    if kind is UtilityKind.MMV and not flagged and end > 0.0:
+        s_end = slope(1.0 / end)
+        if abs(s_end) <= slope_tol:
+            val = local_utility(side / end, chars, kind)
+            if val >= 0.0:
+                return finish(side / end, val, np.array([side * s_end]), tie=True)
+
     # grow [lo, hi] until the slope at hi stops being positive
     lo, s_lo = 0.0, math.inf if res0 is None else side * float(res0[0])
     hi = scale

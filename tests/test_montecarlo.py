@@ -209,7 +209,7 @@ class TestStudy:
                     if kind == "mmv":
                         crossed = study.capped_exponential == 0.0
                         assert np.any(crossed) == crosses
-                        assert np.all(w[crossed, -1] >= study.bliss)
+                        assert np.all(w[crossed, -1] >= 1.0)
 
     def test_materialization_guard(self, ex2):
         with pytest.raises(InvariantError):
@@ -512,13 +512,6 @@ class TestEstimates:
         assert estimate_stats([2.0, 0.5], "utility_mmv").estimate == 0.4375
         assert estimate_stats([2.0, 0.5], "utility_mv").estimate \
             == pytest.approx(0.1875, abs=1e-15)
-
-    def test_sharpe(self):
-        st = estimate_stats([1.0, 2.0, 3.0], "sharpe")
-        assert st.estimate == 2.0
-        assert st.std_error == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(InvariantError):
-            estimate_stats([1.0, 1.0, 1.0], "sharpe")
 
     def test_errors(self):
         with pytest.raises(InvariantError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mmvlab
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
-                    build_model, cumulative_local_utility, density_diagnostics,
+                    build_model, capped_variant, cumulative_local_utility, density_diagnostics,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
@@ -182,11 +182,14 @@ def test_bounded_quadratic_optimum_on_gain_density_is_not_flagged():
     assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
 
 
-def _tabulated_model(x, density, b, c, b_kind="trunc"):
-    return build_model({"horizon": 1.0, "dimension": 1, "segments": [
+def _tabulated_model(x, density, b, c, b_kind="trunc", log_terms=False):
+    config = {"horizon": 1.0, "dimension": 1, "segments": [
         {"t_start": 0.0, "t_end": 1.0, "b_kind": b_kind, "b": b, "c": c,
          "jumps": {"family": "tabulated", "x": list(x), "density": list(density),
-                   "quadrature": "trapezoid"}}]})
+                   "quadrature": "trapezoid"}}]}
+    if log_terms:
+        config["yield_transform"] = "exp"
+    return build_model(config)
 
 
 def test_tabulated_gains_plateau_takes_its_minimum_norm_end():
@@ -197,6 +200,27 @@ def test_tabulated_gains_plateau_takes_its_minimum_norm_end():
     opt = maximize_local_utility(model.segments[0].chars, "mmv")
     assert float(opt.lambda_hat[0]) == pytest.approx(5.0, rel=1e-12)
     assert opt.value == pytest.approx(0.15, rel=1e-14)
+    assert opt.tie_break_applied
+
+
+@pytest.mark.parametrize("image, inner", [
+    ("plain", {1.0: 0.3, -1.0: 0.3}),
+    ("exp", {1.0: math.expm1(0.3), -1.0: -math.expm1(-0.3)}),
+    ("cap", {1.0: 0.3, -1.0: 0.4})],      # capped at 0.45 and -0.4
+    ids=["plain", "exp", "cap"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tabulated_plateau_start_is_not_left_to_the_search(sign, image, inner):
+    # jumps on sign * [0.3, 0.5] (or their exp-yield or capped image), no
+    # drift, no diffusion: the slope reaches its zero plateau at 1 over
+    # the support's inner end tangentially, so a search stops where it
+    # rounds to zero, short of it (1.3e-8 relative on the plain gains)
+    x = sign * np.linspace(0.3, 0.5, 31)
+    model = _tabulated_model(sorted(x.tolist()), [1.0] * 31, 0.0, 0.0, b_kind="zero",
+                             log_terms=image == "exp")
+    if image == "cap":
+        model = capped_variant(model, 0.45 if sign > 0.0 else -0.4)
+    opt = maximize_local_utility(model.segments[0].chars, "mmv")
+    assert float(opt.lambda_hat[0]) == pytest.approx(sign / inner[sign], rel=1e-15)
     assert opt.tie_break_applied
 
 
