@@ -724,11 +724,11 @@ def wealth_recursion(paths: PathSet, schedule, kind) -> np.ndarray:
             levels = paths.levels[first + p0:first + p1]
             # 1 - W = exp(-lam . level - the log gap at the segment start)
             # x the row factor x the running product of the unit's jumps
-            for i, span in enumerate(grid.seg_rows):
-                part = g[:, span]
-                np.multiply(levels[:, span, 0], -way.lam[i, 0], out=part)
+            for i, rows in enumerate(grid.seg_rows):
+                part = g[:, rows]
+                np.multiply(levels[:, rows, 0], -way.lam[i, 0], out=part)
                 for c in range(1, d):
-                    part -= levels[:, span, c] * way.lam[i, c]
+                    part -= levels[:, rows, c] * way.lam[i, c]
                 if i:
                     part -= h.log_gap[p0:p1, i, None]
             np.exp(g, out=g)

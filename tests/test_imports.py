@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in it (no linter runs here)."""
+"""Every name a package module imports is used in it; the repository runs no linter."""
 import ast
 from pathlib import Path
 
