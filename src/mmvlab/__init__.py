@@ -25,8 +25,7 @@ from .localutil import (UtilityKind, check_instantaneous_no_arbitrage,
 from .measures import (ExpTails1D, FiniteAtoms, Gaussian1D, JumpMeasure,
                        TabulatedDensity1D, merge_atoms)
 from .model import (JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps,
-                    Segment, build_model, cap_jumps, exp_transform,
-                    serialize_model)
+                    Segment, build_model, cap_jumps, exp_transform)
 from .montecarlo import (PathStats, SimConfig, WealthStudy, estimate_stats,
                          run_wealth_study, simulate_paths, wealth_recursion)
 from .optimize import (AtomOptima, LocalOptimum, foc_residual,
@@ -53,7 +52,7 @@ __all__ = [
     "ExpTails1D", "FiniteAtoms", "Gaussian1D", "JumpMeasure",
     "TabulatedDensity1D", "merge_atoms",
     "JumpAtom", "LocalCharacteristics", "MarketModel", "ScheduledJumps", "Segment",
-    "build_model", "cap_jumps", "exp_transform", "serialize_model",
+    "build_model", "cap_jumps", "exp_transform",
     "PathStats", "SimConfig", "WealthStudy", "estimate_stats",
     "run_wealth_study", "simulate_paths", "wealth_recursion",
     "AtomOptima", "LocalOptimum", "foc_residual", "maximize_local_utility",

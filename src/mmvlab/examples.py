@@ -120,7 +120,7 @@ def example_model(example_id: int, atoms_max: int | None = None) -> MarketModel:
             raise SchemaError("atoms_max must be at least 2")
         atoms = _example5_atoms(n_max) if example_id == 5 else _example6_atoms(n_max)
         return MarketModel(horizon=2.0, dim=1, segments=(_series_segment(),),
-                           atoms=atoms, source=None)
+                           atoms=atoms)
     if atoms_max is not None:
         raise SchemaError("atoms_max applies only to examples 5 and 6")
     return build_model(example_config(example_id))
@@ -140,4 +140,4 @@ def capped_variant(model: MarketModel, cap: float) -> MarketModel:
         for seg in model.segments)
     atoms = model.atoms.with_points(np.minimum(model.atoms.points, cap))
     return MarketModel(horizon=model.horizon, dim=model.dim,
-                       segments=segments, atoms=atoms, source=None)
+                       segments=segments, atoms=atoms)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,7 +226,6 @@ class MarketModel:
     dim: int
     segments: tuple[Segment, ...]
     atoms: ScheduledJumps
-    source: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.atoms, ScheduledJumps):
@@ -392,27 +391,7 @@ def _parse_jumps(spec, dim: int, where: str) -> JumpMeasure | None:
     dens = np.array([_number(v, where) for v in spec["density"]])
     if spec["quadrature"] != "trapezoid":
         raise SchemaError(f"{where}.quadrature: unknown rule {spec['quadrature']!r}")
-    return TabulatedDensity1D(grid, dens, spec["quadrature"])
-
-
-def _serialize_jumps(jumps: JumpMeasure | None):
-    if jumps is None:
-        return None
-    if isinstance(jumps, FiniteAtoms):
-        return {"family": "finite_atoms",
-                "points": [list(map(float, p)) for p in jumps.points],
-                "masses": [float(m) for m in jumps.masses]}
-    if isinstance(jumps, Gaussian1D):
-        return {"family": "gaussian", "mean": jumps.mean,
-                "variance": jumps.variance, "rate": jumps.rate}
-    if isinstance(jumps, ExpTails1D):
-        return {"family": "exp_tails", "c_minus": jumps.c_minus, "a": jumps.a,
-                "c_plus": jumps.c_plus, "b": jumps.b}
-    if isinstance(jumps, TabulatedDensity1D):
-        return {"family": "tabulated", "x": [float(v) for v in jumps.grid],
-                "density": [float(v) for v in jumps.density],
-                "quadrature": jumps.quadrature}
-    raise UnsupportedMeasure("transformed measures have no config form")
+    return TabulatedDensity1D(grid, dens)
 
 
 # Stages of the per-atom checks, in the order one atom is checked.
@@ -467,8 +446,8 @@ def _law_shape_fault(points, masses, dim: int, flat: list) -> str | None:
     return None
 
 
-def _parse_atoms(raw, dim: int, horizon: float, exp: bool):
-    """The `atoms` block as a ScheduledJumps table and its normalized form.
+def _parse_atoms(raw, dim: int, horizon: float, exp: bool) -> ScheduledJumps:
+    """The `atoms` block as a ScheduledJumps table.
 
     One pass checks keys and shapes and collects flat lists; the numbers
     are then type-checked, converted and checked for finiteness at once,
@@ -478,7 +457,7 @@ def _parse_atoms(raw, dim: int, horizon: float, exp: bool):
     raises first.
     """
     if not raw and isinstance(raw, (list, tuple, type(None))):
-        return ScheduledJumps.from_atoms((), dim), []
+        return ScheduledJumps.from_atoms((), dim)
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("config.atoms: expected a list")
 
@@ -538,11 +517,7 @@ def _parse_atoms(raw, dim: int, horizon: float, exp: bool):
     if faults:
         raise min(faults, key=lambda f: f[:2])[2]
 
-    table = ScheduledJumps(np.minimum(t, horizon), weights, *merged)
-    rows, mass_list = raw_pts.tolist(), ms.tolist()
-    norm = [{"time": time, "points": rows[b - c:b], "masses": mass_list[b - c:b]}
-            for time, b, c in zip(t.tolist(), ends.tolist(), counts.tolist())]
-    return table, norm
+    return ScheduledJumps(np.minimum(t, horizon), weights, *merged)
 
 
 def build_model(config: dict) -> MarketModel:
@@ -572,7 +547,6 @@ def build_model(config: dict) -> MarketModel:
     if not isinstance(raw_segments, (list, tuple)) or not raw_segments:
         raise SchemaError("config.segments: expected a nonempty list")
     segments: list[Segment] = []
-    norm_segments = []
     cursor = 0.0
     for i, seg in enumerate(raw_segments):
         where = f"config.segments[{i}]"
@@ -593,28 +567,11 @@ def build_model(config: dict) -> MarketModel:
         chars = LocalCharacteristics(b, c, jumps)
         if kind == "zero":
             chars = LocalCharacteristics(b + small_jump_mean(chars), c, jumps)
-        norm_segments.append({"t_start": t0, "t_end": t1, "b_kind": "trunc",
-                              "b": [float(v) for v in chars.b_trunc] if dim > 1
-                              else float(chars.b_trunc[0]),
-                              "c": [[float(v) for v in row] for row in chars.cov] if dim > 1
-                              else float(chars.cov[0, 0]),
-                              "jumps": _serialize_jumps(jumps)})
         if transform == "exp":
             chars = exp_transform(chars)
         segments.append(Segment(t0, t1, chars))
     if abs(cursor - horizon) > _TIME_TOL:
         raise InvariantError("segments must cover [0, horizon)")
 
-    atoms, norm_atoms = _parse_atoms(config.get("atoms"), dim, horizon,
-                                     transform == "exp")
-
-    source = {"horizon": horizon, "dimension": dim, "segments": norm_segments,
-              "atoms": norm_atoms, "yield_transform": transform}
-    return MarketModel(horizon, dim, tuple(segments), atoms, source)
-
-
-def serialize_model(model: MarketModel) -> dict:
-    """Config mapping that rebuilds this model (normalized to b_kind trunc)."""
-    if model.source is None:
-        raise UnsupportedMeasure("model was not built from a config")
-    return model.source
+    atoms = _parse_atoms(config.get("atoms"), dim, horizon, transform == "exp")
+    return MarketModel(horizon, dim, tuple(segments), atoms)

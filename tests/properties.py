@@ -17,7 +17,7 @@ from mmvlab import (CumulativeUtility, FiniteAtoms, JumpAtom,
                     LocalCharacteristics, SimConfig, build_model,
                     compounding_dual, det_stoch_exponential,
                     drift_of_variation, maximize_local_utility,
-                    run_wealth_study, serialize_model, sharpe_hansen_convert,
+                    run_wealth_study, sharpe_hansen_convert,
                     utility, utility_variation, wealth_recursion,
                     simulate_paths, VariationFunction)
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
@@ -103,16 +103,18 @@ def check_truncation_invariance(n_cases=50, seed=7):
 
     The same market is loaded twice: once with the drift stated for the
     untruncated small-jump convention (b_kind zero) and once with the
-    equivalent h-truncated drift written out by serialization.  Any
-    variation must see identical drift through both descriptions.
+    equivalent h-truncated drift (b_kind trunc) read off the first
+    model.  Any variation must see identical drift through both
+    descriptions.
     """
     gen = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
         cfg = _random_config(gen)
         m_zero = build_model(cfg)
-        # serialize_model normalizes to b_kind trunc with the shifted b
-        m_trunc = build_model(serialize_model(m_zero))
+        seg = dict(cfg["segments"][0], b_kind="trunc",
+                   b=float(m_zero.segments[0].chars.b_trunc[0]))
+        m_trunc = build_model(dict(cfg, segments=[seg]))
         lam = float(gen.uniform(-2.0, 2.0))
         for kind in ("mv", "mmv"):
             xi = utility_variation(lam, kind)

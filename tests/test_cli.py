@@ -128,6 +128,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"config.segments[0].{key}: expected a" in err
 
+    @pytest.mark.parametrize("rule", [None, "simpson", 1, ["trapezoid"]],
+                             ids=["missing", "simpson", "number", "list"])
+    def test_tabulated_law_needs_the_trapezoid_rule(self, rule, tmp_path, capsys):
+        jumps = {"family": "tabulated", "x": [-0.5, 0.5], "density": [0.1, 0.1]}
+        if rule is not None:
+            jumps["quadrature"] = rule
+        config = copy.deepcopy(ZERO_CONFIG)
+        config["segments"][0]["jumps"] = jumps
+        p = tmp_path / "quadrature.json"
+        p.write_text(json.dumps(config))
+        assert run(["solve", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config.segments[0].jumps" in err and "quadrature" in err
+
     @pytest.mark.parametrize("kind", ["mv", "mmv"])
     def test_optimum_beyond_the_float_range(self, kind, tmp_path, capsys):
         # lam = b / c overflows: flagged unbounded, values infinite

@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in it; the repository runs no linter."""
+"""Every name a package module imports is used in it, and every private
+top-level name a module defines is read in the package; the repository
+runs no linter."""
 import ast
 from pathlib import Path
 
@@ -35,3 +37,46 @@ def test_an_unused_import_is_found():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from math import inf, sqrt\n__all__ = ['inf']\nx = np.pi\n")
     assert unused_imports(source) == ["os (line 2)", "sqrt (line 4)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants that no module reads.
+
+    `sources` maps module names to their text.  A name is read where it
+    is loaded as a name or as an attribute in any of the modules.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                         and isinstance(t.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined
+            if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a.py": ("_TOL = 1e-12\n_A, _B = range(2)\n_N: int = 3\n__all__ = ['f']\n"
+                 "def _helper():\n    return _A\nclass _Left:\n    pass\n"
+                 "def f():\n    return _helper() + _N\n"),
+        "b.py": "from . import a\n\ndef g():\n    return a._TOL\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _B (line 2)", "a.py: _Left (line 7)"]

@@ -206,9 +206,6 @@ class TestTabulated:
             TabulatedDensity1D(np.array([0.0, 0.0, 1.0]), np.ones(3))
         with pytest.raises(InvariantError):
             TabulatedDensity1D(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-        with pytest.raises(UnsupportedMeasure):
-            TabulatedDensity1D(np.array([0.0, 1.0]), np.ones(2),
-                               quadrature="simpson")
 
     @pytest.mark.parametrize("grid,density", [
         ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
@@ -245,6 +242,14 @@ class TestExpYield:
         assert self.Y.mass_scaled_ge(1.0, -2.0) \
             == pytest.approx(self.Y.total_mass(), abs=1e-14)
         assert self.Y.mass_scaled_ge(-1.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("base", [
+        FiniteAtoms(np.array([[0.5], [-0.5]]), np.array([0.2, 0.3])),
+        ExpYieldMeasure(BASE), CappedMeasure(BASE, 1.0)], ids=["atoms", "yield", "capped"])
+    def test_only_density_laws_are_a_base(self, base):
+        # atoms map to atoms (exp_transform); the images have no integral here
+        with pytest.raises(UnsupportedMeasure):
+            ExpYieldMeasure(base)
 
     def test_moment_orders(self):
         assert self.Y.moment_sup_order(-1) == math.inf

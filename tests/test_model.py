@@ -1,4 +1,4 @@
-"""Config parsing, truncation conventions, transforms, serialization."""
+"""Config parsing, truncation conventions, transforms."""
 import math
 
 import numpy as np
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mmvlab._quad import Pieces
 from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError,
                     JumpAtom, LocalCharacteristics, SchemaError,
-                    UnsupportedMeasure, build_model, cap_jumps, example_model,
-                    exp_transform, merge_atoms, serialize_model)
+                    UnsupportedMeasure, build_model, cap_jumps,
+                    exp_transform, merge_atoms)
 from mmvlab.model import small_jump_mean
 
 
@@ -104,35 +104,6 @@ def test_cap_and_exp_reject_multidimensional_characteristics():
         cap_jumps(chars, 0.5)
     with pytest.raises(UnsupportedMeasure):
         exp_transform(chars)
-
-
-def test_serialize_round_trip_is_stable():
-    cfg = one_segment(b_kind="zero", b=0.1, c=0.02, jumps=ATOM_JUMPS)
-    cfg["atoms"] = [{"time": 1.0, "points": [[0.3]], "masses": [0.4]}]
-    m = build_model(cfg)
-    doc = serialize_model(m)
-    assert doc["segments"][0]["b_kind"] == "trunc"
-    m2 = build_model(doc)
-    assert serialize_model(m2) == doc
-    assert m2.segments[0].chars.b_trunc[0] == m.segments[0].chars.b_trunc[0]
-    assert np.array_equal(m2.atoms[0].law.points, m.atoms[0].law.points)
-
-
-def test_serialize_round_trip_keeps_exp_transform():
-    cfg = one_segment(b=0.2, c=0.04)
-    cfg["yield_transform"] = "exp"
-    m = build_model(cfg)
-    doc = serialize_model(m)
-    assert doc["yield_transform"] == "exp"
-    # stored drift is the log-scale one; the transform reapplies on load
-    assert doc["segments"][0]["b"] == pytest.approx(0.2, abs=1e-15)
-    m2 = build_model(doc)
-    assert m2.segments[0].chars.b_trunc[0] == m.segments[0].chars.b_trunc[0]
-
-
-def test_serialize_requires_config_origin():
-    with pytest.raises(UnsupportedMeasure):
-        serialize_model(example_model(5, atoms_max=3))
 
 
 @pytest.mark.parametrize("mutate, exc", [
