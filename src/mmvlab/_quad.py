@@ -2,12 +2,14 @@
 
 Every one-dimensional integrand put against a jump law is a polynomial
 of degree at most two between its kinks (-1, 1 and the bliss point
-1/lam).  `Pieces` holds one: sorted edges, a coefficient row (c0, c1,
-c2) per piece and the value at each edge.  Atom and tabulated laws
-evaluate it; density laws integrate it piece by piece from partial
-moments.  On a piece on one side of 0, anchored at the end x0 nearest
-0, a density is rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma =
-0 for exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
+1/lam).  `Pieces` holds one as tuples of floats: sorted edges, a
+coefficient row (c0, c1, c2) per piece and the value at each edge.
+Density laws integrate it piece by piece from partial moments, reading
+the tuples alone; atom and tabulated laws evaluate it on their points,
+and only they have it build numpy arrays, once per integrand.  On a
+piece on one side of 0, anchored at the end x0 nearest 0, a density is
+rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma = 0 for
+exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
 expanded about x0 keep their terms of one sign.  A short piece, |alpha|
 w + gamma w^2 <= 1 for its width w, is summed as the Taylor series of
 the whole integrand (`series_weights`, `series_sum`), exact to rounding
@@ -25,6 +27,7 @@ row applied to a kept plan gives the bits of one built anew.
 """
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -44,40 +47,60 @@ class Pieces:
 
     Piece j spans (edges[j-1], edges[j]), with edges[-1] = -inf and
     edges[m] = inf for m edges; coef[j] = (c0, c1, c2) is c0 + c1 x +
-    c2 x^2 on it, and at[j] the value at edges[j] itself.
+    c2 x^2 on it, and at[j] the value at edges[j] itself.  All three
+    are tuples of floats, which the density laws read piece by piece
+    (`spans`).  Evaluating the function on points (`__call__`) builds
+    their arrays, once.
     """
 
-    __slots__ = ("edges", "coef", "at")
+    __slots__ = ("edges", "coef", "at", "_arrays")
 
     def __init__(self, edges, coef, at):
-        self.edges = np.asarray(edges, dtype=float)
-        self.coef = np.asarray(coef, dtype=float).reshape(-1, 3)
-        self.at = np.asarray(at, dtype=float)
+        self._set(tuple(map(float, edges)), tuple(tuple(map(float, row)) for row in coef),
+                  tuple(map(float, at)))
+
+    def _set(self, edges, coef, at) -> "Pieces":
+        self.edges, self.coef, self.at, self._arrays = edges, coef, at, None
+        return self
+
+    @classmethod
+    def of(cls, edges: tuple, coef: tuple, at: tuple) -> "Pieces":
+        """A Pieces from tuples already of floats, taken as they are."""
+        return cls.__new__(cls)._set(edges, coef, at)
 
     def __call__(self, x):
+        if self._arrays is None:
+            self._arrays = (np.array(self.edges, dtype=float),
+                            np.array(self.coef, dtype=float).reshape(-1, 3),
+                            np.array(self.at, dtype=float))
+        edges, coef, at = self._arrays
         x = np.asarray(x, dtype=float)
-        j = np.searchsorted(self.edges, x)
-        c = self.coef[j]
+        j = np.searchsorted(edges, x)
+        c = coef[j]
         value = c[..., 0] + c[..., 1] * x + c[..., 2] * x * x
-        if not self.edges.size:
+        if not edges.size:
             return value
-        k = np.minimum(j, self.edges.size - 1)
-        return np.where(self.edges[k] == x, self.at[k], value)
+        k = np.minimum(j, edges.size - 1)
+        return np.where(edges[k] == x, at[k], value)
 
     def capped(self, cap: float) -> "Pieces":
         """x -> self(min(x, cap)): one constant piece past the cap."""
-        j = int(np.count_nonzero(self.edges < cap))
-        v = float(self(cap))
-        return Pieces(np.append(self.edges[:j], cap),
-                      np.vstack([self.coef[:j + 1], [v, 0.0, 0.0]]),
-                      np.append(self.at[:j], v))
+        cap, edges = float(cap), self.edges
+        j = bisect.bisect_left(edges, cap)
+        if j < len(edges) and edges[j] == cap:
+            v = self.at[j]
+        else:
+            c0, c1, c2 = self.coef[j]
+            v = c0 + c1 * cap + c2 * cap * cap
+        return Pieces.of((*edges[:j], cap), (*self.coef[:j + 1], (v, 0.0, 0.0)),
+                         (*self.at[:j], v))
 
     def spans(self, floor: float = -math.inf):
         """(lo, hi, row) of every nonzero piece above floor, split at 0;
-        the row is a list of floats."""
-        j = int(np.searchsorted(self.edges, floor, side="right"))
-        bounds = [floor, *self.edges[j:].tolist(), math.inf]
-        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:].tolist()):
+        the row is a tuple of floats."""
+        j = bisect.bisect_right(self.edges, floor)
+        bounds = (floor, *self.edges[j:], math.inf)
+        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:]):
             if not any(row):
                 continue
             for a, b in ((lo, 0.0), (0.0, hi)) if lo < 0.0 < hi else ((lo, hi),):

@@ -7,7 +7,10 @@ again of the modeled class, and its per-unit-activity drift is
 
 where h is the unit truncation.  A variation carries that compensated
 jump integrand as a `Pieces` polynomial between the kinks -1, 1 and
-1/lam, which density laws integrate exactly (`_quad`).  Time points
+1/lam, which density laws integrate exactly (`_quad`).  Its table is
+tuples of floats, written by case from where 1/lam falls against -1
+and 1 (`kinked_variation`); no numpy array is built unless a tabulated
+law evaluates it on its grid.  Time points
 whose jumps are finitely many atoms, or absent, in any dimension, are
 sums instead: `localutil._Rows` adds their atoms directly.
 
@@ -47,20 +50,36 @@ def kinked_variation(lam: float, below, above, at_bliss: float,
     F is the polynomial with coefficient row `below` (in x) where
     lam x < 1, the row `above` where lam x > 1, and at_bliss at the
     bliss point x = 1/lam itself.  h takes its inner values at -1 and 1.
+    The table is written by case from where 1/lam falls against -1 and
+    1: each piece takes the row of its side of 1/lam, so the outer piece
+    past a far bliss point takes `above` however close to 1 lam x rounds
+    there.  lam = 0, or a positive lam whose 1/lam overflows, puts no
+    kink at bliss.
     """
     bliss = 1.0 / lam if lam != 0.0 else math.inf
-    edges = sorted({-1.0, 1.0, bliss} - {math.inf})
-    bounds = [edges[0] - 1.0, *edges, edges[-1] + 1.0]
-    coef, at = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        c0, c1, c2 = below if lam * mid < 1.0 else above
-        coef.append((c0, c1 - grad0 if abs(mid) < 1.0 else c1, c2))
-    for e in edges:
+    inner = (below[0], below[1] - grad0, below[2])
+    inner_above = (above[0], above[1] - grad0, above[2])
+    if bliss == math.inf:
+        edges, coef = (-1.0, 1.0), (below, inner, below)
+    elif bliss > 1.0:
+        edges, coef = (-1.0, 1.0, bliss), (below, inner, below, above)
+    elif bliss == 1.0:
+        edges, coef = (-1.0, 1.0), (below, inner, above)
+    elif lam > 0.0:
+        edges, coef = (-1.0, bliss, 1.0), (below, inner, inner_above, above)
+    elif bliss < -1.0:
+        edges, coef = (bliss, -1.0, 1.0), (above, below, inner, below)
+    elif bliss == -1.0:
+        edges, coef = (-1.0, 1.0), (above, inner, below)
+    else:
+        edges, coef = (-1.0, bliss, 1.0), (above, inner_above, inner, below)
+
+    def value(e):       # F at the edge e, less grad0 h(e)
         row = below if lam * e < 1.0 else above
-        value = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e
-        at.append(value - grad0 * e if abs(e) <= 1.0 else value)
-    return VariationFunction(Pieces(edges, coef, at), grad0, hess0)
+        v = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e
+        return v - grad0 * e if abs(e) <= 1.0 else v
+
+    return VariationFunction(Pieces.of(edges, coef, tuple(map(value, edges))), grad0, hess0)
 
 
 def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics) -> ExtendedReal:

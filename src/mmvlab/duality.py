@@ -179,7 +179,10 @@ def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
     """Sign-moment integrand |1-u|^p (even, or split by sign) minus one;
     -1 at the bliss point u = 1 itself."""
     u = np.asarray(u, dtype=float)
-    core = np.abs(1.0 - u) ** p
+    core = np.abs(1.0 - u)
+    # a square as one product: numpy squares an array so, but takes a
+    # scalar to pow, which can round 1 ulp away
+    core = core * core if p == 2 else core ** p
     if not even:
         core = core * np.where(u < 1.0, 1.0, -1.0)
     return np.where(np.abs(u - 1.0) <= 1e-12 * (1.0 + np.abs(u)), -1.0, core - 1.0)

@@ -477,7 +477,7 @@ class ExpYieldMeasure(JumpMeasure):
         if isinstance(self.base, _LogQuadratic):
             return self.base._exact(f, True)
         return self.base._trapezoid(lambda x: f(np.expm1(x)),
-                                    np.log1p(f.edges[f.edges > -1.0]))
+                                    np.log1p([e for e in f.edges if e > -1.0]))
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if t <= -1.0:

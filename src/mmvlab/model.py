@@ -54,10 +54,23 @@ class LocalCharacteristics:
         c = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if c.shape != (b.size, b.size):
             raise InvariantError("diffusion matrix shape does not match drift")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise InvariantError("diffusion matrix must be symmetric")
-        c = 0.5 * (c + c.T)
-        if b.size > 0 and float(np.linalg.eigvalsh(c).min(initial=0.0)) < -1e-10 * (1.0 + abs(c).max()):
+        if not np.isfinite(b).all():
+            raise InvariantError("drift must be finite")
+        if not np.isfinite(c).all():
+            raise InvariantError("diffusion matrix must be finite")
+        if b.size == 1:     # symmetric, with its entry for eigenvalue
+            v = float(c[0, 0])
+            v = 0.5 * (v + v)
+            c, low, top = np.array([[v]]), min(v, 0.0), abs(v)
+        else:
+            if not np.allclose(c, c.T, atol=1e-12):
+                raise InvariantError("diffusion matrix must be symmetric")
+            c = 0.5 * (c + c.T)
+            low = float(np.linalg.eigvalsh(c).min(initial=0.0)) if b.size else 0.0
+            top = float(abs(c).max(initial=0.0))
+        if top == math.inf:     # the symmetric part overflowed
+            raise InvariantError("diffusion matrix must be finite")
+        if low < -1e-10 * (1.0 + top):
             raise InvariantError("diffusion matrix must be positive semidefinite")
         if self.jumps is not None and self.jumps.dim != b.size:
             raise InvariantError("jump measure dimension does not match drift")
@@ -387,8 +400,11 @@ def _parse_jumps(spec, dim: int, where: str) -> JumpMeasure | None:
     if family == "exp_tails":
         return ExpTails1D(_number(spec["c_minus"], where), _number(spec["a"], where),
                           _number(spec["c_plus"], where), _number(spec["b"], where))
-    grid = np.array([_number(v, where) for v in spec["x"]])
-    dens = np.array([_number(v, where) for v in spec["density"]])
+    grid, bad = _floats(spec["x"], lambda k: where)
+    if bad is None:
+        dens, bad = _floats(spec["density"], lambda k: where)
+    if bad is not None:
+        raise bad[1]
     if spec["quadrature"] != "trapezoid":
         raise SchemaError(f"{where}.quadrature: unknown rule {spec['quadrature']!r}")
     return TabulatedDensity1D(grid, dens)

@@ -232,6 +232,8 @@ def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
     since = np.concatenate([np.zeros(t.shape[:-1] + (1,)), t[..., :-1]], axis=-1)
 
     def per_time(a):        # one value per bridge, repeated over its times
+        if cover.shape[1] == 1:     # one bridge per unit: broadcast it
+            return a
         lead = a.shape[:-2]
         flat = np.repeat(a.reshape(lead + (-1,)), cover.ravel(), axis=-1)
         return flat.reshape(lead + z.shape[1:])
@@ -316,7 +318,7 @@ def _draw_skeleton(gens, plan: _Plan) -> _Skeleton:
     cp_unit, cp_seg = np.concatenate(cp_unit), np.concatenate(cp_seg)
     cp_s = np.concatenate([np.empty(0)] + [x for part in cp_s for x in part])
     cp_size = np.concatenate([np.empty((0, d))] + [x for part in cp_size for x in part])
-    order = np.lexsort((cp_s, cp_seg, cp_unit))
+    order = np.argsort((cp_unit * n_seg + cp_seg) + 1j * cp_s, kind="stable")
     cp_unit, cp_seg, cp_s, cp_size = cp_unit[order], cp_seg[order], cp_s[order], cp_size[order]
 
     sched_size = np.zeros((units, n_sched, d))

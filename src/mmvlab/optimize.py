@@ -62,7 +62,7 @@ from .drift import VariationFunction, drift_of_variation
 from .errors import NonIntegrable, OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _Rows,
                         _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
-                        asymptotic_slope, local_utility, slope_variation)
+                        asymptotic_slope, slope_variation, utility_variation)
 from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D, _as_direction
 from .model import LocalCharacteristics, ScheduledJumps
 
@@ -161,14 +161,6 @@ def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
     if rows is not None:
         return rows.residual(lam[None], kind)[0]
     return np.array([drift_of_variation(slope_variation(float(lam[0]), kind), chars)])
-
-
-def _try_foc(lam, chars, kind) -> np.ndarray | None:
-    try:
-        res = foc_residual(lam, chars, kind)
-    except NonIntegrable:
-        return None
-    return res if np.all(np.isfinite(res)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +520,26 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     else:
         allow_pos = ok_neg   # losses come from the left tail
         allow_neg = ok_pos
-    res0 = _try_foc([0.0], chars, kind)
+
+    def foc(lam: float) -> float:       # foc_residual at [lam], as a float
+        return drift_of_variation(slope_variation(lam, kind), chars)
+
+    def value(lam: float) -> float:     # local_utility at [lam]
+        return drift_of_variation(utility_variation(lam, kind), chars)
+
+    try:
+        res0 = foc(0.0)
+    except NonIntegrable:
+        res0 = math.nan
+    if not math.isfinite(res0):
+        res0 = None
 
     def finish(lam, val, res, flag=None, tie=False):
         if flag is None:
-            interior = res is not None and abs(float(res[0])) <= _FOC_TOL
+            interior = res is not None and abs(res) <= _FOC_TOL
             flag = "interior" if interior else "flat_direction"
-        return LocalOptimum(np.array([lam]), float(val), res, flag, tie)
+        return LocalOptimum(np.array([lam]), float(val),
+                            None if res is None else np.array([res]), flag, tie)
 
     def origin():
         # a one-sided domain pins the maximizer at its edge
@@ -562,9 +567,9 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     # The slope at the origin picks the side.  It is not finite only when
     # the tail opposite the one allowed side lacks a first moment, and
     # then it points into that side without bound.
-    down = res0 is not None and float(res0[0]) < 0.0
+    down = res0 is not None and res0 < 0.0
     side = -1.0 if not allow_pos or (allow_neg and down) else 1.0
-    if res0 is not None and side * float(res0[0]) <= 0.0:
+    if res0 is not None and side * res0 <= 0.0:
         return origin()
     scale = 1.0 / max(jumps.support_scale(), 1e-12)
 
@@ -577,16 +582,16 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             if res0 is not None and ok_neg and ok_pos and not flagged else 0.0)
     floor = 0.0
     if curv > 0.0:
-        lam = float(res0[0]) / curv
+        lam = res0 / curv
         # directions within eps^2 of the law's scale count as zero: searched
         if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale:
             if ((kind is UtilityKind.MV and not _trapezoid_law(jumps))
                     or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
-                val = local_utility(lam, chars, kind)
+                val = value(lam)
                 if val < 0.0:     # rounding around a maximum at the origin
                     return origin()
                 if math.isfinite(val):
-                    return finish(lam, val, foc_residual([lam], chars, kind))
+                    return finish(lam, val, foc(lam))
             elif kind is UtilityKind.MMV and not _trapezoid_law(jumps):
                 # The monotone slope exceeds the plain one by the mass
                 # integral of x (lam x - 1) past bliss, so its first zero
@@ -595,7 +600,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
                 floor = side * lam
 
     def slope(t: float) -> float:
-        return side * float(foc_residual([side * t], chars, kind)[0])
+        return side * foc(side * t)
 
     # Without diffusion the curvature of the mass below bliss vanishes once
     # every jump has passed bliss, at 1 over the support's inner end, and
@@ -605,12 +610,12 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     if kind is UtilityKind.MMV and not flagged and end > 0.0:
         s_end = slope(1.0 / end)
         if abs(s_end) <= slope_tol:
-            val = local_utility(side / end, chars, kind)
+            val = value(side / end)
             if val >= 0.0:
-                return finish(side / end, val, np.array([side * s_end]), tie=True)
+                return finish(side / end, val, side * s_end, tie=True)
 
     # grow [lo, hi] until the slope at hi stops being positive
-    lo, s_lo = 0.0, math.inf if res0 is None else side * float(res0[0])
+    lo, s_lo = 0.0, math.inf if res0 is None else side * res0
     hi = scale
     s_hi = slope(hi)
     for _ in range(40):
@@ -625,12 +630,12 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
         hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
         if hi < floor:
             hi, s_hi = floor, slope(floor)
-    val = local_utility(side * hi, chars, kind)
+    val = value(side * hi)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()
     # a slope that also vanishes beyond hi makes hi the near end of a plateau
     tie = bool(not flagged and flat_top and abs(slope(2.0 * hi)) <= slope_tol)
-    return finish(side * hi, val, np.array([side * s_hi]),
+    return finish(side * hi, val, side * s_hi,
                   "unbounded_flagged" if flagged else None, tie)
 
 

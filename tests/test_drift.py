@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mmvlab import (FiniteAtoms, Gaussian1D, LocalCharacteristics,
-                    NonIntegrable, VariationFunction, drift_of_variation,
-                    local_utility)
+from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, LocalCharacteristics, NonIntegrable,
+                    TabulatedDensity1D, VariationFunction, drift_of_variation, local_utility)
 from mmvlab._quad import Pieces
-from mmvlab.localutil import utility_variation
+from mmvlab.drift import kinked_variation
+from mmvlab.measures import CappedMeasure, ExpYieldMeasure
+from mmvlab.localutil import slope_variation, utility_variation
 
 import properties
 
@@ -80,3 +81,113 @@ def test_positive_divergence_raises(ex3):
         drift_of_variation(xi, chars)
 
 
+# ---------------------------------------------------------------------------
+# kinked variations: the table against the construction it replaced
+
+
+def _midpoint_table(lam, below, above, at_bliss, grad0):
+    """The edges, rows and edge values of a kinked variation as they were
+    built before: sorted kinks, each piece's row chosen by the side of
+    1/lam its midpoint falls on (the outer pieces' midpoints 1/2 past
+    the outer kinks)."""
+    bliss = 1.0 / lam if lam != 0.0 else math.inf
+    edges = sorted({-1.0, 1.0, bliss} - {math.inf})
+    bounds = [edges[0] - 1.0, *edges, edges[-1] + 1.0]
+    coef, at = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        c0, c1, c2 = below if lam * mid < 1.0 else above
+        coef.append((c0, c1 - grad0 if abs(mid) < 1.0 else c1, c2))
+    for e in edges:
+        row = below if lam * e < 1.0 else above
+        value = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e
+        at.append(value - grad0 * e if abs(e) <= 1.0 else value)
+    return edges, coef, at
+
+
+def _variation_args(lam):
+    """(below, above, at_bliss, grad0, hess0) of every kinked variation the
+    package builds at lam, as `utility_variation`, `slope_variation` and
+    `duality._mellin_variation` pass them."""
+    quad, linear = (0.0, lam, -0.5 * lam * lam), (0.0, 1.0, -lam)
+    out = [(quad, quad, 0.5, lam, -(lam * lam)), (quad, (0.5, 0.0, 0.0), 0.5, lam, -(lam * lam)),
+           (linear, linear, 0.0, 1.0, -2.0 * lam), (linear, (0.0, 0.0, 0.0), 0.0, 1.0, -2.0 * lam)]
+    for p in (0, 1, 2):
+        below = ((0.0, 0.0, 0.0), (0.0, -lam, 0.0), (0.0, -2.0 * lam, lam * lam))[p]
+        for above in (((0.0, 0.0, 0.0), (-2.0, lam, 0.0), (0.0, -2.0 * lam, lam * lam))[p],
+                      ((-2.0, 0.0, 0.0), (0.0, -lam, 0.0), (-2.0, 2.0 * lam, -lam * lam))[p]):
+            out.append((below, above, -1.0, (0.0, -1.0, -2.0)[p] * lam,
+                        (0.0, 0.0, 2.0)[p] * (lam * lam)))
+    return out
+
+
+def _hex(values):
+    return [[float(v).hex() for v in row] if isinstance(row, (tuple, list)) else float(row).hex()
+            for row in values]
+
+
+def _drift_hex(xi, chars):
+    try:
+        return float(drift_of_variation(xi, chars)).hex()
+    except NonIntegrable:
+        return "NonIntegrable"
+
+
+def _variation_laws():
+    grid = np.linspace(-0.6, 0.9, 13)
+    bases = [Gaussian1D(0.02, 0.04, 1.5), ExpTails1D(2.0, 6.0, 1.5, 3.5),
+             TabulatedDensity1D(grid, np.exp(-8.0 * (grid - 0.1) ** 2))]
+    return [law for base in bases
+            for law in (base, ExpYieldMeasure(base), CappedMeasure(base, 0.45))]
+
+
+def test_kinked_tables_and_drifts_match_the_midpoint_construction():
+    # every kinked variation the package builds, at the kinks' special
+    # directions and at seeded ones, on every one-dimensional density law
+    # plain, in yields and capped: the same table and the same drift bits
+    rng = np.random.default_rng(21)
+    one = math.nextafter(1.0, 2.0) - 1.0
+    lams = [0.0, -0.0, 1.0, -1.0, 1.0 + one, 1.0 - one / 2.0, -(1.0 + one), -(1.0 - one / 2.0),
+            5e-324, -1e300, 1e300]
+    lams += (rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-8.0, 8.0, 40)).tolist()
+    laws = _variation_laws()
+    with np.errstate(all="ignore"):     # lam = 1e300 overflows its rows
+        _check_tables(lams, laws)
+
+
+def _check_tables(lams, laws):
+    for lam in lams:
+        for below, above, at_bliss, grad0, hess0 in _variation_args(lam):
+            xi = kinked_variation(lam, below, above, at_bliss, grad0, hess0)
+            edges, coef, at = _midpoint_table(lam, below, above, at_bliss, grad0)
+            got = xi.integrand
+            assert (_hex(got.edges), _hex(got.coef), _hex(got.at)) == \
+                (_hex(edges), _hex(coef), _hex(at)), lam
+            old = VariationFunction(Pieces(np.array(edges), np.array(coef), np.array(at)),
+                                    grad0, hess0)
+            for law in laws:
+                chars = LocalCharacteristics(np.array([0.05]), np.array([[0.02]]), law)
+                assert _drift_hex(xi, chars) == _drift_hex(old, chars), (lam, law)
+
+
+def test_pieces_past_a_far_bliss_point_take_the_row_beyond_it():
+    # below |lam| = 2^-52 the midpoint 1/2 past 1/lam can round onto it,
+    # and the midpoint construction then gave the outer piece past bliss
+    # the row from before it; the table gives it the row beyond, as
+    # lam x > 1 there.  At lam = -5e-324, 1/lam = -inf, and the piece
+    # (-inf, -1) has lam x < 1 throughout.
+    zero = (0.0, 0.0, 0.0)
+    for lam, piece in ((2.2188185693517155e-16, -1), (-2.2190492039655973e-16, 0),
+                       (-1.012586266402598e-176, 0), (-5e-324, 1)):
+        below = (0.0, 1.0, -lam)
+        want = below if lam == -5e-324 else zero
+        assert kinked_variation(lam, below, zero, 0.0, 1.0, -2.0 * lam).integrand.coef[piece] \
+            == want
+        assert _midpoint_table(lam, below, zero, 0.0, 1.0)[1][piece] != want
+    # so a heavy right tail in yields (no second moment) keeps a finite
+    # monotone slope at a tiny direction, near the slope at 0; the
+    # midpoint table made it -inf
+    law = ExpYieldMeasure(ExpTails1D(1.0, 4.0, 0.5, 1.5))
+    chars = LocalCharacteristics(np.array([0.05]), np.array([[0.0]]), law)
+    got = drift_of_variation(slope_variation(2.2188185693517155e-16, "mmv"), chars)
+    assert got == pytest.approx(drift_of_variation(slope_variation(0.0, "mmv"), chars), rel=1e-6)

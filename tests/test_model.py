@@ -205,6 +205,64 @@ def test_characteristics_invariants():
                              FiniteAtoms(np.array([[0.1]]), np.array([0.1])))
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("b, c, error", [
+    ([0.1], [[_NAN]], (InvariantError, "diffusion matrix must be finite")),
+    ([0.1], [[_INF]], (InvariantError, "diffusion matrix must be finite")),
+    ([0.1], [[-_INF]], (InvariantError, "diffusion matrix must be finite")),
+    ([0.1], [[1e308]], (InvariantError, "diffusion matrix must be finite")),   # 2c overflows
+    ([_NAN], [[0.04]], (InvariantError, "drift must be finite")),
+    ([_INF], [[0.04]], (InvariantError, "drift must be finite")),
+    ([-_INF], [[0.04]], (InvariantError, "drift must be finite")),
+    ([0.1], [[-1e-11]], None),          # within 1e-10 (1 + |c|) of PSD
+    ([0.1], [[-1e-9]], (InvariantError, "diffusion matrix must be positive semidefinite")),
+    ([0.0, 0.1], [[1.0, 0.5], [0.4, 1.0]], (InvariantError, "diffusion matrix must be symmetric")),
+    ([0.0, 0.1], [[1.0, 2.0], [2.0, 1.0]],
+     (InvariantError, "diffusion matrix must be positive semidefinite")),
+    ([0.0, 0.1], [[1.0, _NAN], [_NAN, 1.0]], (InvariantError, "diffusion matrix must be finite")),
+    ([0.0, _INF], [[1.0, 0.0], [0.0, 1.0]], (InvariantError, "drift must be finite")),
+])
+def test_characteristics_error_cases(b, c, error):
+    # each case names its exception and message; a non-finite drift or
+    # diffusion never reaches the solver
+    if error is None:
+        chars = LocalCharacteristics(np.array(b), np.array(c), None)
+        assert chars.cov.tolist() == c
+        return
+    with pytest.raises(error[0]) as info:
+        LocalCharacteristics(np.array(b), np.array(c), None)
+    assert str(info.value) == error[1]
+
+
+def test_one_by_one_characteristics_keep_their_bits():
+    # the scalar checks store what the matrix checks stored: (c + c') / 2
+    for v in (0.04, -0.0, 5e-324, 1e-300, 3.0000000000000004, 8e307):
+        chars = LocalCharacteristics(np.array([0.1]), np.array([[v]]), None)
+        c = np.array([[v]])
+        assert chars.cov.tobytes() == (0.5 * (c + c.T)).tobytes()
+        assert chars.cov.shape == (1, 1) and chars.b_trunc.shape == (1,)
+
+
+@pytest.mark.parametrize("x, density, message", [
+    ([-0.5, True, 0.5], [0.1, 0.4, 0.1], "expected a number, got bool"),
+    ([-0.5, 0.0, "0.5"], [0.1, 0.4, 0.1], "expected a number, got str"),
+    ([-0.5, [0.0], 0.5], [0.1, 0.4, 0.1], "expected a number, got list"),
+    ([-0.5, 10 ** 400, None], [0.1, 0.4, 0.1], "expected a finite number"),
+    ([-0.5, None, 10 ** 400], [0.1, 0.4, 0.1], "expected a number, got NoneType"),
+    ([-0.5, 0.0, 0.5], [0.1, _INF, None], "expected a finite number"),
+    ([-0.5, 0.0, _NAN], [None, 0.4, 0.1], "expected a finite number"),
+    ([-0.5, 0.0, 0.5], [0.1, 0.4, None], "expected a number, got NoneType"),
+])
+def test_tabulated_lists_name_their_first_bad_entry(x, density, message):
+    # x is read before density, each entry in order, the first bad one named
+    jumps = {"family": "tabulated", "x": x, "density": density, "quadrature": "trapezoid"}
+    with pytest.raises(SchemaError) as info:
+        build_model(one_segment(jumps=jumps))
+    assert str(info.value) == f"config.segments[0].jumps: {message}"
+
+
 def test_jump_atom_invariants():
     law = FiniteAtoms(np.array([[0.2]]), np.array([0.5]))
     with pytest.raises(InvariantError):

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mmvlab import (ExpTails1D, Gaussian1D, LocalCharacteristics, build_model,
-                    maximize_local_utility, solve_schedule)
+from mmvlab import (ExpTails1D, Gaussian1D, LocalCharacteristics, TabulatedDensity1D,
+                    build_model, maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
 from mmvlab.duality import _mellin_variation
 from mmvlab.localutil import slope_variation, utility_variation
@@ -223,7 +223,15 @@ _FAMILIES = {
                                                             2.5 + 20.0 * p[1])),
     "capped_yield": lambda p: CappedMeasure(ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
                                             0.5 + p[0]),
+    # no plans: the trapezoid rule reads the arrays a Pieces builds on first use
+    "tabulated_yield": lambda p: ExpYieldMeasure(_tabulated(p)),
+    "capped_tabulated": lambda p: CappedMeasure(_tabulated(p), 0.5 + p[0]),
 }
+
+
+def _tabulated(p):
+    grid = p[0] + 3.0 * math.sqrt(p[1]) * np.linspace(-1.0, 1.0, 25)
+    return TabulatedDensity1D(grid, p[2] * np.exp(-0.5 * (grid - p[0]) ** 2 / p[1]))
 
 
 def _hex(law, f):
@@ -236,9 +244,11 @@ def _hex(law, f):
 @settings(max_examples=40, deadline=None)
 def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
     # a law that has integrated 200 other integrands, among them some on
-    # the same edges with other rows, gives the same bits as a new one
+    # the same edges with other rows, gives the same bits as a new one,
+    # for the integrand taken as its float tuples, built from arrays, or
+    # evaluated again with the arrays its first evaluation on a grid built
     fresh, warm = _FAMILIES[family](params), _FAMILIES[family](params)
-    want = _hex(fresh, pieces)
+    want = _hex(fresh, Pieces.of(pieces.edges, pieces.coef, pieces.at))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for i in range(197):
         lam = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0))
@@ -247,7 +257,8 @@ def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
              _mellin_variation(lam, i % 3, bool(i % 2)))[i % 3].integrand
         warm.integrate(f if i % 7 else TRUNCATION_PIECES)
     for _ in range(3):
-        warm.integrate(data.draw(random_pieces(pieces.edges.tolist())))
+        warm.integrate(data.draw(random_pieces(list(pieces.edges))))
+    assert _hex(warm, Pieces(*map(np.array, (pieces.edges, pieces.coef, pieces.at)))) == want
     assert _hex(warm, pieces) == want
     assert _hex(warm, pieces) == want      # and again, from the memo
 
