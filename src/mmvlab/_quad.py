@@ -5,8 +5,11 @@ of degree at most two between its kinks (-1, 1 and the bliss point
 1/lam).  `Pieces` holds one as tuples of floats: sorted edges, a
 coefficient row (c0, c1, c2) per piece and the value at each edge.
 Density laws integrate it piece by piece from partial moments, reading
-the tuples alone; atom and tabulated laws evaluate it on their points,
-and only they have it build numpy arrays, once per integrand.  On a
+the tuples alone; atom and tabulated laws evaluate it on their points
+(`evaluate`), and only they build numpy arrays from it.  Integrands
+that share their edges, as every variation at one lam does, form a
+block: a law walks the pieces once for all of them (`spans`) and
+applies each one's row in turn.  On a
 piece on one side of 0, anchored at the end x0 nearest 0, a density is
 rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma = 0 for
 exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
@@ -40,6 +43,7 @@ _LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(4 * _N)])
 _BINOM = np.array([[math.comb(n, k) for k in range(_N)] for n in range(_N)], dtype=float)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NAN = (math.nan,)
 
 
 class Pieces:
@@ -50,17 +54,17 @@ class Pieces:
     c2 x^2 on it, and at[j] the value at edges[j] itself.  All three
     are tuples of floats, which the density laws read piece by piece
     (`spans`).  Evaluating the function on points (`__call__`) builds
-    their arrays, once.
+    their arrays.
     """
 
-    __slots__ = ("edges", "coef", "at", "_arrays")
+    __slots__ = ("edges", "coef", "at")
 
     def __init__(self, edges, coef, at):
         self._set(tuple(map(float, edges)), tuple(tuple(map(float, row)) for row in coef),
                   tuple(map(float, at)))
 
     def _set(self, edges, coef, at) -> "Pieces":
-        self.edges, self.coef, self.at, self._arrays = edges, coef, at, None
+        self.edges, self.coef, self.at = edges, coef, at
         return self
 
     @classmethod
@@ -69,19 +73,7 @@ class Pieces:
         return cls.__new__(cls)._set(edges, coef, at)
 
     def __call__(self, x):
-        if self._arrays is None:
-            self._arrays = (np.array(self.edges, dtype=float),
-                            np.array(self.coef, dtype=float).reshape(-1, 3),
-                            np.array(self.at, dtype=float))
-        edges, coef, at = self._arrays
-        x = np.asarray(x, dtype=float)
-        j = np.searchsorted(edges, x)
-        c = coef[j]
-        value = c[..., 0] + c[..., 1] * x + c[..., 2] * x * x
-        if not edges.size:
-            return value
-        k = np.minimum(j, edges.size - 1)
-        return np.where(edges[k] == x, at[k], value)
+        return evaluate((self,), x)[0]
 
     def capped(self, cap: float) -> "Pieces":
         """x -> self(min(x, cap)): one constant piece past the cap."""
@@ -95,17 +87,37 @@ class Pieces:
         return Pieces.of((*edges[:j], cap), (*self.coef[:j + 1], (v, 0.0, 0.0)),
                          (*self.at[:j], v))
 
-    def spans(self, floor: float = -math.inf):
-        """(lo, hi, row) of every nonzero piece above floor, split at 0;
-        the row is a tuple of floats."""
-        j = bisect.bisect_right(self.edges, floor)
-        bounds = (floor, *self.edges[j:], math.inf)
-        for lo, hi, row in zip(bounds[:-1], bounds[1:], self.coef[j:]):
-            if not any(row):
-                continue
-            for a, b in ((lo, 0.0), (0.0, hi)) if lo < 0.0 < hi else ((lo, hi),):
-                if a < b:
-                    yield a, b, row
+
+def evaluate(block, x) -> np.ndarray:
+    """The K integrands of a block, `Pieces` on shared edges, at the
+    points x: a (K, *x.shape) array, each row as one evaluated alone."""
+    x = np.asarray(x, dtype=float)
+    # one table row (edge, c0, c1, c2, value at the edge) per piece of each
+    # integrand in turn; a NaN edge, which no point equals, closes each
+    edges = block[0].edges + _NAN
+    table = np.array([(e, *row, a) for f in block
+                      for e, row, a in zip(edges, f.coef, f.at + _NAN)])
+    flat = x.ravel()
+    j = table[:len(edges), 0].searchsorted(flat)
+    if len(block) > 1:          # integrand k reads the table from row k len(edges)
+        j = (j + len(edges) * np.arange(len(block))[:, None]).ravel()
+        flat = np.concatenate((flat,) * len(block))
+    e, c0, c1, c2, at = table.take(j, axis=0).T
+    value = np.where(e == flat, at, c0 + c1 * flat + c2 * flat * flat)
+    return value.reshape(len(block), *x.shape)
+
+
+def spans(edges: tuple, floor: float = -math.inf) -> list[tuple[float, float, int]]:
+    """(lo, hi, j) of every piece j above floor on these edges, split at 0."""
+    j = bisect.bisect_right(edges, floor)
+    bounds = (floor, *edges[j:], math.inf)
+    out = []
+    for j, lo, hi in zip(range(j, len(edges) + 1), bounds[:-1], bounds[1:]):
+        if lo < 0.0 < hi:
+            out += ((lo, 0.0, j), (0.0, hi, j))
+        elif lo < hi:
+            out.append((lo, hi, j))
+    return out
 
 
 def poly_shift(x0: float, s: float, w: float = 1.0):

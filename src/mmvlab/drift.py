@@ -9,21 +9,26 @@ where h is the unit truncation.  A variation carries that compensated
 jump integrand as a `Pieces` polynomial between the kinks -1, 1 and
 1/lam, which density laws integrate exactly (`_quad`).  Its table is
 tuples of floats, written by case from where 1/lam falls against -1
-and 1 (`kinked_variation`); no numpy array is built unless a tabulated
-law evaluates it on its grid.  Time points
-whose jumps are finitely many atoms, or absent, in any dimension, are
-sums instead: `localutil._Rows` adds their atoms directly.
+and 1 (`kinked_variations`); no numpy array is built unless a tabulated
+law evaluates it on its grid.  Every variation at one lam has the same
+edges, so the ones a caller needs there (the value and the slope at a
+solved lam, the six sign moments) are built as one block, with the case
+taken once, and integrated in one walk of the law
+(`drifts_of_variations`).  Time points whose jumps are finitely many
+atoms, or absent, in any dimension, are sums instead: `localutil._Rows`
+adds their atoms directly.
 
 The value lives in R union {-inf}.  A tail diverges exactly when a
 nonzero coefficient meets an infinite partial moment, in the direction
 of the coefficient's sign: a divergent negative part makes the drift
 -inf by convention, a divergent positive part (or both) raises
-NonIntegrable.
+NonIntegrable, in a block when that row is read (`_checked`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from ._quad import Pieces
 from .errors import NonIntegrable
@@ -33,8 +38,7 @@ from .model import LocalCharacteristics
 ExtendedReal = float
 
 
-@dataclass(frozen=True)
-class VariationFunction:
+class VariationFunction(NamedTuple):
     """The `Pieces` integrand x -> xi(x) - grad0 h(x) of a variation xi,
     with xi's slope grad0 and curvature hess0 at the origin."""
 
@@ -43,56 +47,97 @@ class VariationFunction:
     hess0: float
 
 
-def kinked_variation(lam: float, below, above, at_bliss: float,
-                     grad0: float, hess0: float) -> VariationFunction:
-    """The one-dimensional variation x -> F(lam x), compensated by grad0 h.
+#: the pieces' rows by case, from (below, below less grad0, above less
+#: grad0, above): the inner two lie in [-1, 1], where h is compensated
+_TAKE = {take: itemgetter(*take) for take in ((0, 1, 0), (0, 1, 0, 3), (0, 1, 3), (0, 1, 2, 3),
+                                              (3, 0, 1, 0), (3, 1, 0), (3, 2, 1, 0))}
 
-    F is the polynomial with coefficient row `below` (in x) where
-    lam x < 1, the row `above` where lam x > 1, and at_bliss at the
-    bliss point x = 1/lam itself.  h takes its inner values at -1 and 1.
-    The table is written by case from where 1/lam falls against -1 and
-    1: each piece takes the row of its side of 1/lam, so the outer piece
-    past a far bliss point takes `above` however close to 1 lam x rounds
-    there.  lam = 0, or a positive lam whose 1/lam overflows, puts no
-    kink at bliss.
+
+def kinked_variations(lam: float, specs) -> list[VariationFunction]:
+    """One-dimensional variations x -> F(lam x), compensated by grad0 h,
+    on one table of edges: a block a law integrates in one walk.
+
+    Each spec is (below, above, at_bliss, grad0, hess0): F is the
+    polynomial with coefficient row `below` (in x) where lam x < 1, the
+    row `above` where lam x > 1, and at_bliss at the bliss point
+    x = 1/lam itself.  h takes its inner values at -1 and 1.  The table
+    is written by case from where 1/lam falls against -1 and 1: each
+    piece takes the row of its side of 1/lam, so the outer piece past a
+    far bliss point takes `above` however close to 1 lam x rounds there.
+    lam = 0, or a positive lam whose 1/lam overflows, puts no kink at
+    bliss.  The case is taken once for all the specs.
     """
     bliss = 1.0 / lam if lam != 0.0 else math.inf
-    inner = (below[0], below[1] - grad0, below[2])
-    inner_above = (above[0], above[1] - grad0, above[2])
     if bliss == math.inf:
-        edges, coef = (-1.0, 1.0), (below, inner, below)
+        edges, take = (-1.0, 1.0), _TAKE[0, 1, 0]
     elif bliss > 1.0:
-        edges, coef = (-1.0, 1.0, bliss), (below, inner, below, above)
+        edges, take = (-1.0, 1.0, bliss), _TAKE[0, 1, 0, 3]
     elif bliss == 1.0:
-        edges, coef = (-1.0, 1.0), (below, inner, above)
+        edges, take = (-1.0, 1.0), _TAKE[0, 1, 3]
     elif lam > 0.0:
-        edges, coef = (-1.0, bliss, 1.0), (below, inner, inner_above, above)
+        edges, take = (-1.0, bliss, 1.0), _TAKE[0, 1, 2, 3]
     elif bliss < -1.0:
-        edges, coef = (bliss, -1.0, 1.0), (above, below, inner, below)
+        edges, take = (bliss, -1.0, 1.0), _TAKE[3, 0, 1, 0]
     elif bliss == -1.0:
-        edges, coef = (-1.0, 1.0), (above, inner, below)
+        edges, take = (-1.0, 1.0), _TAKE[3, 1, 0]
     else:
-        edges, coef = (-1.0, bliss, 1.0), (above, inner_above, inner, below)
+        edges, take = (-1.0, bliss, 1.0), _TAKE[3, 2, 1, 0]
+    # per edge: where it falls (at bliss, on the side below it, inside [-1, 1])
+    ends = [(e, e == bliss, lam * e < 1.0, abs(e) <= 1.0) for e in edges]
+    out = []
+    for below, above, at_bliss, grad0, hess0 in specs:
+        at = []
+        for e, is_bliss, is_below, inner in ends:       # F at e, less grad0 h(e)
+            if is_bliss:
+                v = at_bliss
+            else:
+                c0, c1, c2 = below if is_below else above
+                v = c0 + c1 * e + c2 * e * e
+            at.append(v - grad0 * e if inner else v)
+        rows = (below, (below[0], below[1] - grad0, below[2]),
+                (above[0], above[1] - grad0, above[2]), above)
+        out.append(VariationFunction(Pieces.of(edges, take(rows), tuple(at)), grad0, hess0))
+    return out
 
-    def value(e):       # F at the edge e, less grad0 h(e)
-        row = below if lam * e < 1.0 else above
-        v = at_bliss if e == bliss else row[0] + row[1] * e + row[2] * e * e
-        return v - grad0 * e if abs(e) <= 1.0 else v
 
-    return VariationFunction(Pieces.of(edges, coef, tuple(map(value, edges))), grad0, hess0)
+def kinked_variation(lam: float, below, above, at_bliss: float,
+                     grad0: float, hess0: float) -> VariationFunction:
+    """The one variation of `kinked_variations` with this spec."""
+    return kinked_variations(lam, ((below, above, at_bliss, grad0, hess0),))[0]
+
+
+def drifts_of_variations(xis, chars: LocalCharacteristics) -> list:
+    """Per-unit-activity drifts of variations whose integrands share their
+    edges, with one walk of the jump law for all of them.
+
+    Each drift has the bits of `drift_of_variation` on its variation
+    alone.  A drift whose negative part diverges is -inf; one whose
+    positive part diverges is None, which `_checked` turns into
+    NonIntegrable when it is read, so a divergent row costs the others
+    nothing.
+    """
+    b, c = float(chars.b_trunc[0]), float(chars.cov[0, 0])
+    heads = [xi.grad0 * b + 0.5 * xi.hess0 * c for xi in xis]
+    jumps = chars.jumps
+    if jumps is None:
+        return heads
+    vals = jumps.integrate_block([xi.integrand for xi in xis])
+    # inf, or nan (both tails): the positive part diverges
+    return [head + val if val < math.inf else None for head, val in zip(heads, vals)]
+
+
+def _checked(drift) -> ExtendedReal:
+    """A drift of `drifts_of_variations`; NonIntegrable where it is None."""
+    if drift is None:
+        raise NonIntegrable("positive part of the variation diverges")
+    return drift
 
 
 def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics) -> ExtendedReal:
     """Per-unit-activity drift of the variation xi of one-dimensional increments.
 
     Returns -inf when the negative part of the jump integral diverges;
-    raises NonIntegrable when the positive part does.
+    raises NonIntegrable when the positive part does.  It is the block
+    of `drifts_of_variations` with one row.
     """
-    head = xi.grad0 * float(chars.b_trunc[0]) + 0.5 * xi.hess0 * float(chars.cov[0, 0])
-    jumps = chars.jumps
-    if jumps is None:
-        return head
-    val = jumps.integrate(xi.integrand)
-    if not val < math.inf:      # inf, or nan: both tails
-        raise NonIntegrable("positive part of the variation diverges")
-    return head + val
+    return _checked(drifts_of_variations((xi,), chars)[0])

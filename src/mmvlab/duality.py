@@ -14,7 +14,11 @@ places on either sign is recovered from exponentials of sign-moment
 variations of |1 - u|^p type, which also yield the second moment and
 cross-checks of the wealth identities.  Like every drift, those are
 sums over finite atoms (`localutil._Rows`) and exact integrals against
-a one-dimensional density law.
+a one-dimensional density law.  A density segment's six sign-moment
+variations (p = 0, 1, 2, even and odd) share their kinks and are
+integrated as one block, in one walk of its law; the model keeps the
+segment drifts for the last schedule asked (`_sign_walks`), so the
+signed measure and the sign moments of every order read that one walk.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 from .aggregate import (CumulativeUtility, Solution, _split_schedule,
                         cumulative_local_utility, det_stoch_exponential,
                         global_values, solve_schedule)
-from .drift import VariationFunction, drift_of_variation, kinked_variation
+from .drift import VariationFunction, _checked, drifts_of_variations, kinked_variations
 from .errors import InfiniteValue
 from .localutil import UtilityKind, _kind, _rows_from_chars, _rows_from_table
 from .model import MarketModel
@@ -108,12 +112,18 @@ def sigma_martingale_residual(model: MarketModel, schedule, kind) -> np.ndarray:
     local martingale property of the dual candidate; evaluated as the
     solver evaluates it (`foc_residual` per segment, the table's rows at
     the scheduled jumps), it equals a solution's reported residuals bit
-    for bit.  One row per segment, then per scheduled jump, read-only.
-    Raises NonIntegrable when an integral diverges.
+    for bit.  A solution of this model and kind therefore gives its own
+    segment residuals, where it reports them, with no walk.  One row per
+    segment, then per scheduled jump, read-only.  Raises NonIntegrable
+    when an integral diverges.
     """
     kind = _kind(kind)
     seg_lams, atom_lams = _split_schedule(model, schedule)
-    rows = [foc_residual(lam, seg.chars, kind) for seg, lam in zip(model.segments, seg_lams)]
+    solved = ([opt.foc_residual for opt in schedule.segment_optima]
+              if isinstance(schedule, Solution) and schedule.model is model
+              and schedule.kind is kind else [None] * len(seg_lams))
+    rows = [foc_residual(lam, seg.chars, kind) if res is None else res
+            for seg, lam, res in zip(model.segments, seg_lams, solved)]
     res = np.concatenate([np.array(rows, dtype=float).reshape(-1, model.dim),
                           _rows_from_table(model.atoms).residual(atom_lams, kind)])
     res.setflags(write=False)
@@ -188,22 +198,52 @@ def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
     return np.where(np.abs(u - 1.0) <= 1e-12 * (1.0 + np.abs(u)), -1.0, core - 1.0)
 
 
-def _mellin_variation(lam: float, p: int, even: bool) -> VariationFunction:
-    """The sign-moment variation x -> _zeta(lam x) of a one-dimensional law."""
+#: the sign moments of a segment, in block order: (p, even) for p = 0, 1, 2
+_SIGN_ROWS = tuple((p, even) for p in (0, 1, 2) for even in (True, False))
+
+
+def _mellin_variations(lam: float) -> list[VariationFunction]:
+    """The sign-moment variations x -> _zeta(lam x) of a one-dimensional
+    law, one per (p, even) of `_SIGN_ROWS`, as one block."""
     # coefficient rows in x of _zeta(lam x) below and above the bliss point
-    below = ((0.0, 0.0, 0.0), (0.0, -lam, 0.0), (0.0, -2.0 * lam, lam * lam))[p]
-    above = (((0.0, 0.0, 0.0), (-2.0, lam, 0.0), (0.0, -2.0 * lam, lam * lam)) if even else
-             ((-2.0, 0.0, 0.0), (0.0, -lam, 0.0), (-2.0, 2.0 * lam, -lam * lam)))[p]
-    return kinked_variation(lam, below, above, -1.0, _Z_GRAD[p] * lam, _Z_HESS[p] * (lam * lam))
+    below = ((0.0, 0.0, 0.0), (0.0, -lam, 0.0), (0.0, -2.0 * lam, lam * lam))
+    above = {True: ((0.0, 0.0, 0.0), (-2.0, lam, 0.0), (0.0, -2.0 * lam, lam * lam)),
+             False: ((-2.0, 0.0, 0.0), (0.0, -lam, 0.0), (-2.0, 2.0 * lam, -lam * lam))}
+    return kinked_variations(lam, [(below[p], above[even][p], -1.0, _Z_GRAD[p] * lam,
+                                    _Z_HESS[p] * (lam * lam)) for p, even in _SIGN_ROWS])
 
 
-def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool) -> float:
-    """Drift of x -> _zeta(lam . x) at a segment: summed over its atoms,
-    as at the scheduled jumps, or integrated against its density."""
+def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool, walked) -> float:
+    """Drift of x -> _zeta(lam . x) at a segment: read off the walk of
+    its density law (`_sign_walks`), or summed over its atoms, as at the
+    scheduled jumps, where it has no walk."""
+    if walked is not None:
+        return _checked(walked[_SIGN_ROWS.index((p, even))])
     rows = _rows_from_chars(chars)
-    if rows is None:
-        return drift_of_variation(_mellin_variation(float(lam[0]), p, even), chars)
     return float(rows.drift(lam[None], lambda u: _zeta(u, p, even), _Z_GRAD[p], _Z_HESS[p])[0])
+
+
+def _sign_walks(model: MarketModel, seg_lams) -> tuple:
+    """Each segment's six sign-moment drifts at its direction, one per
+    (p, even) of `_SIGN_ROWS`, from one walk of its density law (None
+    where a positive part diverges, as `drifts_of_variations` gives it);
+    None for a segment of finitely many atoms or no jumps, whose sums
+    are taken per order as asked.
+
+    Kept on the model for the last directions asked, keyed by their
+    bytes, so the sign moments of one schedule, of every order and from
+    every caller, walk each segment's law once; other directions replace
+    them.  Like the optima it holds no object, only floats and None, so it
+    makes no reference cycle through the model.
+    """
+    key = b"".join(lam.tobytes() for lam in seg_lams)
+    memo = model.__dict__.get("_sign_walks")
+    if memo is None or memo[0] != key:
+        memo = model.__dict__["_sign_walks"] = (key, tuple(
+            None if _rows_from_chars(seg.chars) is not None
+            else tuple(drifts_of_variations(_mellin_variations(float(lam[0])), seg.chars))
+            for seg, lam in zip(model.segments, seg_lams)))
+    return memo[1]
 
 
 def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
@@ -211,18 +251,20 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
 
     Each half is a combination of two exponentials: drifts of the
     sign-moment variations accumulate over segments, one exact factor
-    per scheduled jump.
+    per scheduled jump.  A density segment's drifts of every order come
+    from one walk, kept for the schedule (`_sign_walks`).
     """
     if p not in (0, 1, 2):
         raise ValueError("moment order p must be 0, 1 or 2")
     seg_lams, atom_lams = _split_schedule(model, schedule)
+    walks = _sign_walks(model, seg_lams)
     rows = _rows_from_table(model.atoms)
     u = rows.scaled(atom_lams)
     exps = []
     for even in (True, False):
         acc = 0.0
-        for seg, lam in zip(model.segments, seg_lams):
-            acc += seg.length * _sign_moment_drift(seg.chars, lam, p, even)
+        for seg, lam, walked in zip(model.segments, seg_lams, walks):
+            acc += seg.length * _sign_moment_drift(seg.chars, lam, p, even, walked)
         jumps = rows.sums(rows.m * _zeta(u, p, even))
         exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),

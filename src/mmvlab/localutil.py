@@ -31,7 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .drift import ExtendedReal, VariationFunction, drift_of_variation, kinked_variation
+from .drift import (ExtendedReal, VariationFunction, drift_of_variation, kinked_variation,
+                    kinked_variations)
+from .errors import InvariantError
 from .measures import FiniteAtoms, _as_direction, _row_sums, truncate
 from .model import LocalCharacteristics, MarketModel, ScheduledJumps, small_jump_mean
 
@@ -65,11 +67,21 @@ def utility_slope(kind, u):
     return np.where(u < 1.0, 1.0 - u, 0.0)
 
 
-def utility_variation(lam: float, kind) -> VariationFunction:
-    """The variation x -> g(lam x) of a one-dimensional law, piecewise."""
+def _utility_spec(lam: float, kind) -> tuple:
     quad = (0.0, lam, -0.5 * lam * lam)
     frozen = quad if _kind(kind) is UtilityKind.MV else (0.5, 0.0, 0.0)
-    return kinked_variation(lam, quad, frozen, 0.5, lam, -(lam * lam))
+    return quad, frozen, 0.5, lam, -(lam * lam)
+
+
+def _slope_spec(lam: float, kind) -> tuple:
+    linear = (0.0, 1.0, -lam)
+    frozen = linear if _kind(kind) is UtilityKind.MV else (0.0, 0.0, 0.0)
+    return linear, frozen, 0.0, 1.0, -2.0 * lam
+
+
+def utility_variation(lam: float, kind) -> VariationFunction:
+    """The variation x -> g(lam x) of a one-dimensional law, piecewise."""
+    return kinked_variation(lam, *_utility_spec(lam, kind))
 
 
 def slope_variation(lam: float, kind) -> VariationFunction:
@@ -80,9 +92,12 @@ def slope_variation(lam: float, kind) -> VariationFunction:
     so a zero drift certifies both optimality and the martingale
     property of the dual candidate.
     """
-    linear = (0.0, 1.0, -lam)
-    frozen = linear if _kind(kind) is UtilityKind.MV else (0.0, 0.0, 0.0)
-    return kinked_variation(lam, linear, frozen, 0.0, 1.0, -2.0 * lam)
+    return kinked_variation(lam, *_slope_spec(lam, kind))
+
+
+def utility_and_slope(lam: float, kind) -> list[VariationFunction]:
+    """`utility_variation` and `slope_variation` at lam, as one block."""
+    return kinked_variations(lam, (_utility_spec(lam, kind), _slope_spec(lam, kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +211,18 @@ def _rows_from_table(jumps: ScheduledJumps) -> _Rows:
     return rows
 
 
+def _finite_direction(lam, dim: int) -> np.ndarray:
+    """lam as a (dim,) direction; InvariantError unless it is finite."""
+    v = _as_direction(lam, dim)
+    if not np.isfinite(v).all():
+        raise InvariantError("direction must be finite")
+    return v
+
+
 def local_utility(lam, chars: LocalCharacteristics, kind) -> ExtendedReal:
-    """Drift of the utility variation at position direction lam."""
-    lam = _as_direction(lam, chars.dim)
+    """Drift of the utility variation at position direction lam, which
+    must be finite."""
+    lam = _finite_direction(lam, chars.dim)
     rows = _rows_from_chars(chars)
     if rows is not None:
         return float(rows.value(lam[None], kind)[0])
@@ -219,9 +243,9 @@ def asymptotic_slope(direction, chars: LocalCharacteristics) -> float:
     capped or fully penalized and only the zero-truncation drift
     survives.  Both tests are relative to the size of the diffusion and
     of the jump measure, so rescaling the two together never changes the
-    verdict.
+    verdict.  The direction must be finite.
     """
-    lam = _as_direction(direction, chars.dim)
+    lam = _finite_direction(direction, chars.dim)
     jumps = chars.jumps
     # the diffusion moves along lam when lam' c lam exceeds eps of the
     # trace of c (in one dimension, its only eigenvalue) per unit |lam|^2

@@ -4,7 +4,10 @@ Every family supports the same small protocol:
 
 * ``integrate(f)``: integral against the (unnormalized) measure of a
   `Pieces` integrand in one dimension (finite atoms also take a
-  vectorized callable),
+  vectorized callable); a density law's ``integrate_block(fs)`` takes K
+  integrands on shared edges in one walk and returns their K integrals,
+  each with the bits of ``integrate`` on it alone, which is the K = 1
+  case,
 * ``mass_scaled_ge(lam, level, strict)``: measure of the half-space
   ``{x : lam . x >= level}`` (strictly greater when asked),
 * ``moment_sup_order(side)``: supremum of the orders k for which the
@@ -17,7 +20,8 @@ Every family supports the same small protocol:
   0), else 0.
 
 Atoms sum the integrand at their points; tabulated laws apply their
-trapezoid rule with its edges inserted in the grid.  The Gaussian and
+trapezoid rule with the block's edges inserted in the grid, one table
+of nodes and density values per block.  The Gaussian and
 exponential-tail families integrate it exactly from partial moments
 (`_quad`), also in y = e^x - 1 under the exponential yield transform
 (lognormal and power-law moments); a cap adds one constant piece.  A
@@ -26,7 +30,8 @@ divergent tail comes out as the infinity of its sign.
 Those two families keep a plan per piece they have integrated: its
 row-free moments, built once per (lo, hi, yields) and applied to each
 coefficient row with the arithmetic of a fresh build, so every integral
-keeps its bits.  Plans live on the measure instance (its yield and cap
+keeps its bits; a block looks each piece's plan up once for all its
+rows.  Plans live on the measure instance (its yield and cap
 images share the base's), never in a cache keyed by law parameters: the
 pieces that end at -inf, -1, 0, 1 or inf stay for the instance's
 lifetime, and of the pieces that end at a bliss point 1/lam or a cap
@@ -45,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (_FACT, _N, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
-                    normal_local_moments, normal_probability, poly_shift, series_sum,
-                    series_weights, yield_shift)
+from ._quad import (_FACT, _N, Pieces, dot_moments, evaluate, exp_integral, exp_moments,
+                    gamma_ratios, normal_local_moments, normal_probability, poly_shift, spans,
+                    series_sum, series_weights, yield_shift)
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
@@ -94,6 +99,13 @@ class JumpMeasure:
 
     dim: int = 1
 
+    def integrate(self, f) -> float:
+        return self.integrate_block((f,))[0]
+
+    def integrate_block(self, fs) -> list[float]:
+        """Integrals of the `Pieces` fs, which share their edges."""
+        raise NotImplementedError
+
     def moment_sup_order(self, side: int) -> float:
         return math.inf
 
@@ -139,6 +151,9 @@ class FiniteAtoms(JumpMeasure):
             return 0.0
         x = self.points[:, 0] if self.dim == 1 else self.points
         return float(np.dot(self.masses, np.asarray(f(x), dtype=float)))
+
+    def integrate_block(self, fs) -> list[float]:
+        return [self.integrate(f) for f in fs]
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         if self.masses.size == 0:
@@ -218,7 +233,7 @@ def _powers_of_e(row) -> tuple[float, float, float]:
 #: piece ends that do not move with the direction lam: pieces between them
 #: are kept for the measure's lifetime, the others only among the last few
 _FIXED_ENDS = frozenset((-math.inf, -1.0, 0.0, 1.0, math.inf))
-_MOVING_PLANS = 8
+_MOVING_PLANS = 32
 _MISSING = object()
 
 
@@ -234,26 +249,42 @@ class _LogQuadratic(JumpMeasure):
     anchor, the log-density, the series weights, the powers of the yield
     step and the normal, exponential, gamma or lognormal moments), and
     the row applied to it.  The moving pieces kept are those of the last
-    few directions, which serve the FOC, value and sign-moment
-    integrals at a solved lam.
+    directions, as many as the probes of a search leave, so the sign
+    moments at a solved lam still find the plans the value and the FOC
+    built there after the other kind's search.
     """
 
-    def integrate(self, f: Pieces) -> float:
-        return self._exact(f, False)
+    def integrate_block(self, fs) -> list[float]:
+        return self._exact(fs, False)
 
-    def _exact(self, f: Pieces, yields: bool) -> float:
-        """Integral of f(x), or of f(e^x - 1) when yields, against the density."""
-        total = 0.0
-        for lo, hi, row in f.spans(-1.0 if yields else -math.inf):
-            step = self._plan(lo, hi, yields)
-            if step is not None:
-                total += step(row)
-        return total
+    def _exact(self, fs, yields: bool) -> list[float]:
+        """Integrals of each f(x), or of f(e^x - 1) when yields, against
+        the density: one walk over the shared pieces, one plan lookup per
+        piece some row is nonzero on, each row's terms added in piece
+        order."""
+        pieces = spans(fs[0].edges, -1.0 if yields else -math.inf)
+        steps = [_MISSING] * len(pieces)
+        totals = []
+        for f in fs:
+            coef, total = f.coef, 0.0
+            for i, (lo, hi, j) in enumerate(pieces):
+                row = coef[j]
+                if any(row):
+                    step = steps[i]
+                    if step is _MISSING:
+                        step = steps[i] = self._plan(lo, hi, yields)
+                    if step is not None:
+                        total += step(row)
+            totals.append(total)
+        return totals
 
     def _plan(self, lo: float, hi: float, yields: bool):
         """The row step of the piece (lo, hi), from the memo or built; None
         where the density vanishes."""
-        fixed, moving = self.__dict__.setdefault("_plans", ({}, {}))
+        plans = self.__dict__.get("_plans")
+        if plans is None:
+            plans = self.__dict__["_plans"] = ({}, {})
+        fixed, moving = plans
         key = (lo, hi, yields)
         if lo in _FIXED_ENDS and hi in _FIXED_ENDS:
             step = fixed.get(key, _MISSING)
@@ -416,26 +447,44 @@ class TabulatedDensity1D(JumpMeasure):
             raise InvariantError("density values must be non-negative and finite")
         object.__setattr__(self, "grid", x)
         object.__setattr__(self, "density", d)
+        object.__setattr__(self, "_ends", (float(x[0]), float(x[-1])))
 
-    def _with_points(self, extra) -> tuple[np.ndarray, np.ndarray]:
-        pts = [p for p in extra if self.grid[0] < p < self.grid[-1]]
-        if not pts:
+    def _nodes(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The grid with the points strictly inside it inserted, and the
+        density interpolated there (exact at the grid's own points).
+
+        The last table built is kept on the law: the integrals and the
+        half-line masses at one lam insert the same points.
+        """
+        lo, hi = self._ends
+        inside = tuple(p for p in points if lo < p < hi)
+        if not inside:
             return self.grid, self.density
-        x = _sorted_unique(np.concatenate([self.grid, np.asarray(pts, dtype=float)]))
-        return x, np.interp(x, self.grid, self.density)
+        last = self.__dict__.get("_last_nodes")
+        if last is None or last[0] != inside:
+            x = _sorted_unique(np.concatenate([self.grid, inside]))
+            last = self.__dict__["_last_nodes"] = (inside, x, np.interp(x, self.grid, self.density))
+        return last[1], last[2]
 
     def total_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
 
-    def _trapezoid(self, f, points) -> float:
-        x, d = self._with_points(points)
-        return float(np.trapezoid(np.asarray(f(x), dtype=float) * d, x))
+    def _trapezoid(self, fs, yields: bool) -> list[float]:
+        """The trapezoid rule for each f(x), or f(e^x - 1) when yields, on
+        one table of nodes: the grid with the edges of fs inserted."""
+        edges = fs[0].edges
+        if yields:
+            edges = np.log1p([e for e in edges if e > -1.0]).tolist()
+        x, d = self._nodes(edges)
+        y = evaluate(fs, np.expm1(x) if yields else x) * d
+        # np.trapezoid's arithmetic, row by row, without its checks
+        return ((x[1:] - x[:-1]) * (y[:, 1:] + y[:, :-1]) / 2.0).sum(-1).tolist()
 
-    def integrate(self, f: Pieces) -> float:
-        return self._trapezoid(f, f.edges)
+    def integrate_block(self, fs) -> list[float]:
+        return self._trapezoid(fs, False)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
-        x, d = self._with_points([t])
+        x, d = self._nodes([t])
         # clip the range instead of masking the integrand: the threshold is
         # a grid point after insertion, so no cell straddles the jump
         keep = (x >= t) if above else (x <= t)
@@ -473,11 +522,10 @@ class ExpYieldMeasure(JumpMeasure):
     def total_mass(self) -> float:
         return self.base.total_mass()
 
-    def integrate(self, f: Pieces) -> float:
+    def integrate_block(self, fs) -> list[float]:
         if isinstance(self.base, _LogQuadratic):
-            return self.base._exact(f, True)
-        return self.base._trapezoid(lambda x: f(np.expm1(x)),
-                                    np.log1p([e for e in f.edges if e > -1.0]))
+            return self.base._exact(fs, True)
+        return self.base._trapezoid(fs, True)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if t <= -1.0:
@@ -519,8 +567,8 @@ class CappedMeasure(JumpMeasure):
     def total_mass(self) -> float:
         return self.base.total_mass()
 
-    def integrate(self, f: Pieces) -> float:
-        return self.base.integrate(f.capped(self.cap))
+    def integrate_block(self, fs) -> list[float]:
+        return self.base.integrate_block([f.capped(self.cap) for f in fs])
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if above:

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -117,7 +118,9 @@ class SimConfig:
     n_steps counts the observation steps per segment of simulate_paths;
     scheduled jumps get extra zero-length rows of their own.  The
     study draws no step grid, so its output is a pure function of
-    (seed, n_paths, antithetic); paths depend on n_steps too.
+    (seed, n_paths, antithetic); paths depend on n_steps too.  The
+    counts and the seed are integers (numpy's included, bools not) and
+    antithetic a bool, checked here.
     """
 
     n_paths: int
@@ -126,6 +129,12 @@ class SimConfig:
     antithetic: bool = True
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+                raise InvariantError(f"{name} must be an integer")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise InvariantError("antithetic must be a bool")
         if self.n_paths < 1:
             raise InvariantError("n_paths must be at least 1")
         if self.n_steps < 1:

@@ -58,12 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import Pieces
-from .drift import VariationFunction, drift_of_variation
-from .errors import NonIntegrable, OptimizationError
-from .localutil import (_EPS, UtilityKind, _cone_ray, _kind, _mass_tol, _Rows,
-                        _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
-                        asymptotic_slope, slope_variation, utility_variation)
-from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D, _as_direction
+from .drift import VariationFunction, _checked, drift_of_variation, drifts_of_variations
+from .errors import OptimizationError
+from .localutil import (_EPS, UtilityKind, _cone_ray, _finite_direction, _kind, _mass_tol,
+                        _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
+                        asymptotic_slope, slope_variation, utility_and_slope,
+                        utility_variation)
+from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
@@ -155,8 +156,9 @@ class AtomOptima(Sequence):
 
 def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
     """Gradient of the local utility: drift of x_i g'(lam . x) per component,
-    summed over atoms (`localutil._Rows`) or integrated against a density."""
-    lam = _as_direction(lam, chars.dim)
+    summed over atoms (`localutil._Rows`) or integrated against a density.
+    lam must be finite."""
+    lam = _finite_direction(lam, chars.dim)
     rows = _rows_from_chars(chars)
     if rows is not None:
         return rows.residual(lam[None], kind)[0]
@@ -527,11 +529,12 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     def value(lam: float) -> float:     # local_utility at [lam]
         return drift_of_variation(utility_variation(lam, kind), chars)
 
-    try:
-        res0 = foc(0.0)
-    except NonIntegrable:
-        res0 = math.nan
-    if not math.isfinite(res0):
+    # the slope at the origin, B, and, where second moments exist, the
+    # curvature x^2, C: both on the edges -1 and 1, so one walk
+    curved = ok_neg and ok_pos
+    res0, *square = drifts_of_variations(
+        [slope_variation(0.0, kind), _SQUARE] if curved else [slope_variation(0.0, kind)], chars)
+    if res0 is not None and not math.isfinite(res0):
         res0 = None
 
     def finish(lam, val, res, flag=None, tie=False):
@@ -578,8 +581,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     # same function up to lam and has the same zero.  A trapezoid rule
     # puts a node at 1/lam inside its grid, which bends its slope: there
     # the zero is searched.
-    curv = (drift_of_variation(_SQUARE, chars)
-            if res0 is not None and ok_neg and ok_pos and not flagged else 0.0)
+    curv = _checked(square[0]) if res0 is not None and curved and not flagged else 0.0
     floor = 0.0
     if curv > 0.0:
         lam = res0 / curv
@@ -587,11 +589,13 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
         if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale:
             if ((kind is UtilityKind.MV and not _trapezoid_law(jumps))
                     or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
-                val = value(lam)
+                # the value and the FOC at lam, in one walk
+                val, res = drifts_of_variations(utility_and_slope(lam, kind), chars)
+                val = _checked(val)
                 if val < 0.0:     # rounding around a maximum at the origin
                     return origin()
                 if math.isfinite(val):
-                    return finish(lam, val, foc(lam))
+                    return finish(lam, val, _checked(res))
             elif kind is UtilityKind.MMV and not _trapezoid_law(jumps):
                 # The monotone slope exceeds the plain one by the mass
                 # integral of x (lam x - 1) past bliss, so its first zero

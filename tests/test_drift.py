@@ -7,7 +7,7 @@ import pytest
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, LocalCharacteristics, NonIntegrable,
                     TabulatedDensity1D, VariationFunction, drift_of_variation, local_utility)
 from mmvlab._quad import Pieces
-from mmvlab.drift import kinked_variation
+from mmvlab.drift import drifts_of_variations, kinked_variation, kinked_variations
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure
 from mmvlab.localutil import slope_variation, utility_variation
 
@@ -108,7 +108,7 @@ def _midpoint_table(lam, below, above, at_bliss, grad0):
 def _variation_args(lam):
     """(below, above, at_bliss, grad0, hess0) of every kinked variation the
     package builds at lam, as `utility_variation`, `slope_variation` and
-    `duality._mellin_variation` pass them."""
+    `duality._mellin_variations` pass them."""
     quad, linear = (0.0, lam, -0.5 * lam * lam), (0.0, 1.0, -lam)
     out = [(quad, quad, 0.5, lam, -(lam * lam)), (quad, (0.5, 0.0, 0.0), 0.5, lam, -(lam * lam)),
            (linear, linear, 0.0, 1.0, -2.0 * lam), (linear, (0.0, 0.0, 0.0), 0.0, 1.0, -2.0 * lam)]
@@ -144,7 +144,8 @@ def _variation_laws():
 def test_kinked_tables_and_drifts_match_the_midpoint_construction():
     # every kinked variation the package builds, at the kinks' special
     # directions and at seeded ones, on every one-dimensional density law
-    # plain, in yields and capped: the same table and the same drift bits
+    # plain, in yields and capped: the same table and the same drift bits,
+    # built alone and as one block integrated in one walk
     rng = np.random.default_rng(21)
     one = math.nextafter(1.0, 2.0) - 1.0
     lams = [0.0, -0.0, 1.0, -1.0, 1.0 + one, 1.0 - one / 2.0, -(1.0 + one), -(1.0 - one / 2.0),
@@ -168,6 +169,16 @@ def _check_tables(lams, laws):
             for law in laws:
                 chars = LocalCharacteristics(np.array([0.05]), np.array([[0.02]]), law)
                 assert _drift_hex(xi, chars) == _drift_hex(old, chars), (lam, law)
+        singles = [kinked_variation(lam, *args) for args in _variation_args(lam)]
+        block = kinked_variations(lam, _variation_args(lam))
+        assert [repr((b.integrand.edges, b.integrand.coef, b.integrand.at, b.grad0, b.hess0))
+                for b in block] == [repr((x.integrand.edges, x.integrand.coef, x.integrand.at,
+                                          x.grad0, x.hess0)) for x in singles], lam
+        for law in laws:
+            chars = LocalCharacteristics(np.array([0.05]), np.array([[0.02]]), law)
+            got = ["NonIntegrable" if v is None else float(v).hex()
+                   for v in drifts_of_variations(block, chars)]
+            assert got == [_drift_hex(xi, chars) for xi in singles], (lam, law)
 
 
 def test_pieces_past_a_far_bliss_point_take_the_row_beyond_it():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mmvlab import (FiniteAtoms, InfiniteValue, build_model, capped_variant, compare_mv_mmv,
-                    cumulative_local_utility, density_diagnostics,
+from mmvlab import (FiniteAtoms, InfiniteValue, NonIntegrable, build_model, capped_variant,
+                    compare_mv_mmv, cumulative_local_utility, density_diagnostics,
                     example_model, global_values, local_utility, mellin_sign_moments,
                     mv_signed_measure, sigma_martingale_residual,
                     solve_schedule, zero_density_probability)
+import mmvlab.drift
 from mmvlab import duality
+from mmvlab.drift import drifts_of_variations
 from mmvlab.localutil import _slope_tol
 
 EX2_LAM_MV = 4.484438439009606
@@ -89,6 +91,113 @@ class TestSignMoments:
     def test_order_out_of_range(self, ex2, ex2_sol_mv):
         with pytest.raises(ValueError):
             mellin_sign_moments(ex2, ex2_sol_mv, 3)
+
+
+def _memo_config(log_terms: bool) -> dict:
+    """Density segments of every family, an atom and a jump-free segment,
+    and two scheduled jumps."""
+    x = np.linspace(-0.4, 0.5, 31)
+    laws = [{"family": "gaussian", "mean": 0.01, "variance": 0.02, "rate": 1.2},
+            {"family": "exp_tails", "c_minus": 1.0, "a": 9.0, "c_plus": 2.0, "b": 11.0},
+            {"family": "tabulated", "x": x.tolist(),
+             "density": (1.5 * np.exp(-0.5 * ((x - 0.05) / 0.12) ** 2)).tolist(),
+             "quadrature": "trapezoid"},
+            {"family": "finite_atoms", "points": [[-0.3], [0.2], [0.6]],
+             "masses": [0.4, 0.5, 0.3]},
+            None]
+    config = {"horizon": 1.0, "dimension": 1, "segments": [
+        {"t_start": 0.2 * i, "t_end": 0.2 * (i + 1), "b_kind": "trunc", "b": 0.05 + 0.03 * i,
+         "c": 0.03, **({} if law is None else {"jumps": law})} for i, law in enumerate(laws)],
+        "atoms": [{"time": 0.3, "points": [[-0.2], [0.4]], "masses": [0.5, 0.5]},
+                  {"time": 0.7, "points": [[-0.1], [0.3]], "masses": [0.6, 0.4]}]}
+    if log_terms:
+        config["yield_transform"] = "exp"
+    return config
+
+
+def _sign_figures(model, schedule, calls) -> dict:
+    """The bytes of each sign-moment figure, p for mellin_sign_moments and
+    "signed" for mv_signed_measure, in the order of calls."""
+    out = {}
+    for call in calls:
+        if call == "signed":
+            out[call] = mv_signed_measure(model, solution=schedule).negative_mass.hex()
+        else:
+            sm = mellin_sign_moments(model, schedule, call)
+            out[call] = (sm.phi_plus.hex(), sm.phi_minus.hex())
+    return out
+
+
+@pytest.mark.parametrize("log_terms", [False, True])
+@pytest.mark.parametrize("order", [(0, 1, 2, "signed"), ("signed", 2, 1, 0), (2, 0, "signed", 1),
+                                   (1, "signed", 0, 2)])
+def test_sign_moments_give_the_same_bytes_in_any_order(order, log_terms):
+    # each figure as a model built anew gives it first, and as one model
+    # gives it after the others, from its memo of the segment drifts
+    config = _memo_config(log_terms)
+    want = {}
+    for call in order:
+        fresh = build_model(config)
+        want.update(_sign_figures(fresh, solve_schedule(fresh, "mv"), [call]))
+    model = build_model(config)
+    sol = solve_schedule(model, "mv")
+    assert _sign_figures(model, sol, order) == want
+    # the directions as a plain schedule read the same memo
+    directions = [*sol.segment_lambdas(), *sol.atom_optima.lambda_hat]
+    orders = [call for call in order if call != "signed"]
+    assert _sign_figures(model, directions, orders) == {p: want[p] for p in orders}
+
+
+@pytest.mark.parametrize("log_terms", [False, True])
+def test_an_mmv_schedule_after_the_mv_one_gets_its_own_figures(log_terms):
+    config = _memo_config(log_terms)
+    model = build_model(config)
+    mv, mmv = solve_schedule(model, "mv"), solve_schedule(model, "mmv")
+    assert any(a.tobytes() != b.tobytes()
+               for a, b in zip(mv.segment_lambdas(), mmv.segment_lambdas()))
+    got_mv = _sign_figures(model, mv, (0, 1, 2))
+    got_mmv = _sign_figures(model, mmv, (0, 1, 2))
+    fresh = build_model(config)
+    assert got_mmv == _sign_figures(fresh, solve_schedule(fresh, "mmv"), (0, 1, 2))
+    assert got_mmv != got_mv
+    # the memo holds one schedule, the last asked for
+    key, walks = model.__dict__["_sign_walks"]
+    assert key == b"".join(lam.tobytes() for lam in mmv.segment_lambdas())
+    assert len(walks) == len(model.segments)
+    assert _sign_figures(model, mv, (0, 1, 2)) == got_mv
+
+
+def test_a_divergent_sign_moment_leaves_the_other_orders(ex3):
+    # past example 3's mmv optimum the heavy right tail makes the sign
+    # moments of orders 1 and 2 diverge; the one walk that takes all six
+    # rows still gives order 0, before and after the others are asked
+    sol = solve_schedule(ex3, "mmv")
+    first = mellin_sign_moments(ex3, sol, 0)
+    for p in (1, 2):
+        with pytest.raises(NonIntegrable, match="positive part of the variation diverges"):
+            mellin_sign_moments(ex3, sol, p)
+    assert mellin_sign_moments(ex3, sol, 0) == first
+    assert 0.0 < first.phi_minus < first.phi_plus
+
+
+def test_diagnose_sign_moments_walk_each_density_segment_once(monkeypatch):
+    # mv_signed_measure and the three mellin_sign_moments of one schedule
+    # walk each density segment's law once, with its six rows; atom and
+    # jump-free segments are sums, not walks
+    walks = []
+
+    def counting(xis, chars):
+        walks.append(tuple(xis))
+        return drifts_of_variations(xis, chars)
+
+    model = build_model(_memo_config(True))
+    sol = solve_schedule(model, "mv")
+    for module in (mmvlab.drift, duality):
+        monkeypatch.setattr(module, "drifts_of_variations", counting)
+    mv_signed_measure(model, solution=sol)
+    for p in (0, 1, 2):
+        mellin_sign_moments(model, sol, p)
+    assert [len(w) for w in walks] == [6, 6, 6]
 
 
 class TestSignedMeasure:
@@ -348,13 +457,16 @@ def consistency_models(draw):
 @settings(max_examples=60, deadline=None)
 def test_the_residual_is_the_solvers_first_order_condition_bit_for_bit(model):
     # the dual residual and the solver's reported residuals are one
-    # evaluation, at segments and scheduled jumps in every dimension; at
+    # evaluation, at segments and scheduled jumps in every dimension, as
+    # the directions alone give it and as the solution gives it; at
     # finite-atom points the local utility at the optimum is its value
     for kind in ("mv", "mmv"):
         sol = solve_schedule(model, kind)
         stacked = np.concatenate([
             np.array([o.foc_residual for o in sol.segment_optima]).reshape(-1, model.dim),
             sol.atom_optima.foc_residual])
+        directions = [*sol.segment_lambdas(), *sol.atom_optima.lambda_hat]
+        assert sigma_martingale_residual(model, directions, kind).tobytes() == stacked.tobytes()
         assert sigma_martingale_residual(model, sol, kind).tobytes() == stacked.tobytes()
         points = [(seg.chars, opt.lambda_hat, opt.value)
                   for seg, opt in zip(model.segments, sol.segment_optima)

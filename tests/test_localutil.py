@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mmvlab import (FiniteAtoms, JumpAtom, LocalCharacteristics, MarketModel,
-                    ScheduledJumps, Segment, build_model,
-                    check_instantaneous_no_arbitrage, example_model, local_utility,
-                    maximize_local_utility, solve_schedule, utility)
+from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError, JumpAtom, LocalCharacteristics,
+                    MarketModel, ScheduledJumps, Segment, TabulatedDensity1D, build_model,
+                    check_instantaneous_no_arbitrage, example_model, foc_residual,
+                    local_utility, maximize_local_utility, solve_schedule, utility)
 from mmvlab.model import small_jump_mean
 from mmvlab.localutil import (_cone_ray, _free_lunch, _rows_from_chars, _rows_from_table,
                               asymptotic_slope, slope_variation, utility_slope,
@@ -145,6 +145,37 @@ def test_asymptotic_slope_pure_drift():
     chars = LocalCharacteristics(np.array([0.3]), np.zeros((1, 1)), law)
     # jumps along the ray survive; only the small-jump mean is subtracted
     assert asymptotic_slope(1.0, chars) == pytest.approx(0.22, abs=1e-15)
+
+
+_DIRECTION_CHARS = {
+    "gaussian": LocalCharacteristics(np.array([0.1]), np.array([[0.04]]),
+                                     Gaussian1D(0.02, 0.01, 1.0)),
+    "tabulated": LocalCharacteristics(np.array([0.1]), np.array([[0.04]]), TabulatedDensity1D(
+        np.linspace(-0.5, 0.5, 11), np.exp(-8.0 * np.linspace(-0.5, 0.5, 11) ** 2))),
+    "atoms": LocalCharacteristics(np.array([0.1]), np.array([[0.04]]),
+                                  FiniteAtoms(np.array([[-0.2], [0.3]]), np.array([0.5, 0.5]))),
+    "atoms_2d": LocalCharacteristics(np.array([0.1, 0.0]), 0.04 * np.eye(2),
+                                     FiniteAtoms(np.array([[-0.2, 0.1], [0.3, -0.1]]),
+                                                 np.array([0.5, 0.5]))),
+    "jump_free": LocalCharacteristics(np.array([0.1]), np.array([[0.04]]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECTION_CHARS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_directions_are_rejected(name, bad):
+    # before, local_utility(nan) raised NonIntegrable with a RuntimeWarning
+    # on a Gaussian law and returned nan on a jump-free time point
+    chars = _DIRECTION_CHARS[name]
+    lam = np.full(chars.dim, 0.5)
+    lam[-1] = bad
+    for call in (lambda: local_utility(lam, chars, "mv"),
+                 lambda: local_utility(lam, chars, "mmv"),
+                 lambda: foc_residual(lam, chars, "mmv"),
+                 lambda: asymptotic_slope(lam, chars)):
+        with pytest.raises(InvariantError, match="^direction must be finite$"):
+            call()
+    assert math.isfinite(local_utility(np.full(chars.dim, 0.5), chars, "mv"))
 
 
 def test_no_arbitrage_holds_on_the_examples(ex1, ex2, ex3, ex4):

@@ -527,3 +527,25 @@ class TestEstimates:
         with pytest.raises(InvariantError):
             PathStats(1.0, -0.1, 5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_paths", 4.0, "n_paths must be an integer"),
+        ("n_paths", True, "n_paths must be an integer"),
+        ("n_paths", "4", "n_paths must be an integer"),
+        ("n_steps", True, "n_steps must be an integer"),
+        ("n_steps", 2.0, "n_steps must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", np.True_, "seed must be an integer"),
+        ("seed", None, "seed must be an integer"),
+        ("antithetic", 1, "antithetic must be a bool"),
+        ("antithetic", "yes", "antithetic must be a bool"),
+    ])
+    def test_config_types_are_checked_at_construction(self, field, value, message):
+        # before, n_paths=4.0 raised a TypeError inside simulate_paths,
+        # n_steps=True simulated one step and seed=1.5 failed at the draw
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            SimConfig(**{"n_paths": 4, field: value})
+
+    def test_config_takes_numpy_integers_and_bools(self):
+        sim = SimConfig(np.int64(4), np.int32(2), np.uint8(7), np.bool_(False))
+        assert (sim.n_paths, sim.n_steps, sim.seed, bool(sim.antithetic)) == (4, 2, 7, False)
+

@@ -15,7 +15,7 @@ from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
-from mmvlab.drift import drift_of_variation
+from mmvlab.drift import drifts_of_variations
 from mmvlab.localutil import _Rows
 from mmvlab.measures import TRUNCATION_PIECES, ExpYieldMeasure
 from mmvlab.optimize import maximize_atom_laws
@@ -102,7 +102,7 @@ class TestScheduledJump:
     def test_monotone_optimum_costs_no_search(self, ex1, monkeypatch):
         # one value and one residual row, at the closed form, summed by
         # the row evaluator: no variation is integrated
-        calls = _counting_drifts(monkeypatch)
+        calls = _counting_walks(monkeypatch)
         for name in ("value", "residual"):
             def counting(self, *args, _name=name, _method=getattr(_Rows, name)):
                 calls.append(_name)
@@ -247,25 +247,27 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     # a bracket, Chandrupatla's steps on the slope and a finish on the
     # float lattice: example 3 mmv takes 16 drift evaluations, the others
-    # ten or fewer (example 2 mv, B/C in closed form, four)
-    calls = _counting_drifts(monkeypatch)
+    # ten or fewer (example 2 mv, B/C in closed form, four in two walks)
+    walks = _counting_walks(monkeypatch)
     for seg in example_model(example).segments:
-        calls.clear()
+        walks.clear()
         maximize_local_utility(seg.chars, kind)
-        assert 1 <= len(calls) <= 20
+        assert 1 <= sum(map(len, walks)) <= 20
 
 
-def _counting_drifts(monkeypatch):
-    """The list every drift_of_variation call of the optimizer appends to."""
-    calls = []
+def _counting_walks(monkeypatch):
+    """The list every walk of a density law appends its block of
+    variations to: a `drifts_of_variations` call, of which
+    `drift_of_variation` is the block of one."""
+    walks = []
 
-    def counting(xi, chars):
-        calls.append(xi)
-        return drift_of_variation(xi, chars)
+    def counting(xis, chars):
+        walks.append(tuple(xis))
+        return drifts_of_variations(xis, chars)
 
-    for module in (mmvlab.optimize, mmvlab.localutil):
-        monkeypatch.setattr(module, "drift_of_variation", counting)
-    return calls
+    for module in (mmvlab.drift, mmvlab.optimize, mmvlab.duality):
+        monkeypatch.setattr(module, "drifts_of_variations", counting)
+    return walks
 
 
 @pytest.mark.parametrize("b", [2.2250738585e-313, 1e-300, 1e-12])
@@ -274,7 +276,7 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
     # the origin to working precision: B/C falls below eps^2 of the
     # scale, and the search stops there instead of descending to
     # subnormal directions
-    calls = _counting_drifts(monkeypatch)
+    calls = _counting_walks(monkeypatch)
     diffusive = LocalCharacteristics(np.array([b]), np.array([[0.25]]),
                                      ExpTails1D(1.0, 8.0, 1.0, 8.0))
     opt = maximize_local_utility(diffusive, "mv")
@@ -296,23 +298,23 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
                                  ExpYieldMeasure(Gaussian1D(0.0, 1e-4, 1.0)),
                                  ExpTails1D(1.0, 2000.0, 1.0, 2000.0)])
 def test_closed_form_optimum_costs_four_drifts(law, monkeypatch):
-    # mv is B/C: the slope at the origin, the curvature, then the value
-    # and the FOC there; mmv is the same optimum when no mass passes its
-    # bliss point, as on these narrow laws
-    calls = _counting_drifts(monkeypatch)
+    # mv is B/C: the slope at the origin and the curvature in one walk,
+    # then the value and the FOC there in another; mmv is the same
+    # optimum when no mass passes its bliss point, as on these narrow laws
+    walks = _counting_walks(monkeypatch)
     chars = LocalCharacteristics(np.array([0.1]), np.array([[0.05]]), law)
     opt = {}
     for kind in ("mv", "mmv"):
-        calls.clear()
+        walks.clear()
         opt[kind] = maximize_local_utility(chars, kind)
-        assert len(calls) <= 4
+        assert [len(w) for w in walks] == [2, 2]
         assert opt[kind].boundedness == "interior"
     assert law.mass_scaled_ge(opt["mv"].lambda_hat, 1.0, strict=True) == 0.0
     assert opt["mmv"].lambda_hat.tobytes() == opt["mv"].lambda_hat.tobytes()
     for seg in example_model(2).segments:
-        calls.clear()
+        walks.clear()
         maximize_local_utility(seg.chars, "mv")
-        assert len(calls) <= 4
+        assert [len(w) for w in walks] == [2, 2]
 
 
 def _example5_closed_form(n):

@@ -20,12 +20,17 @@ from hypothesis import strategies as st
 from mmvlab import (ExpTails1D, Gaussian1D, LocalCharacteristics, TabulatedDensity1D,
                     build_model, maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
-from mmvlab.duality import _mellin_variation
-from mmvlab.localutil import slope_variation, utility_variation
+from mmvlab.duality import _SIGN_ROWS, _mellin_variations
+from mmvlab.localutil import slope_variation, utility_and_slope, utility_variation
 from mmvlab.measures import (_MOVING_PLANS, TRUNCATION_PIECES, CappedMeasure,
                              ExpYieldMeasure)
 
 mp.mp.dps = 40
+
+
+def _mellin_variation(lam, p, even):
+    """The sign-moment variation of order p and parity even at lam."""
+    return _mellin_variations(lam)[_SIGN_ROWS.index((p, even))]
 
 
 def _density(law):
@@ -223,7 +228,8 @@ _FAMILIES = {
                                                             2.5 + 20.0 * p[1])),
     "capped_yield": lambda p: CappedMeasure(ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
                                             0.5 + p[0]),
-    # no plans: the trapezoid rule reads the arrays a Pieces builds on first use
+    # no plans: the trapezoid rule evaluates the integrands on its nodes
+    "tabulated": lambda p: _tabulated(p),
     "tabulated_yield": lambda p: ExpYieldMeasure(_tabulated(p)),
     "capped_tabulated": lambda p: CappedMeasure(_tabulated(p), 0.5 + p[0]),
 }
@@ -246,7 +252,7 @@ def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
     # a law that has integrated 200 other integrands, among them some on
     # the same edges with other rows, gives the same bits as a new one,
     # for the integrand taken as its float tuples, built from arrays, or
-    # evaluated again with the arrays its first evaluation on a grid built
+    # integrated again
     fresh, warm = _FAMILIES[family](params), _FAMILIES[family](params)
     want = _hex(fresh, Pieces.of(pieces.edges, pieces.coef, pieces.at))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -261,6 +267,38 @@ def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
     assert _hex(warm, Pieces(*map(np.array, (pieces.edges, pieces.coef, pieces.at)))) == want
     assert _hex(warm, pieces) == want
     assert _hex(warm, pieces) == want      # and again, from the memo
+
+
+@given(st.sampled_from(sorted(_FAMILIES)),
+       st.tuples(st.floats(-0.5, 0.5), _log_uniform(1e-3, 1.0), st.floats(0.1, 3.0)),
+       st.integers(1, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_warm_blocks_give_the_bits_of_fresh_single_integrals(family, params, k, data):
+    # a block of k integrands on shared edges, integrated in one walk by a
+    # law that has walked other blocks (the value and slope, and the six
+    # sign moments, at other directions and at the block's own bliss
+    # point), gives row by row the bits of k single integrals, each on a
+    # new law
+    edges = sorted(set(data.draw(st.lists(_EDGES, max_size=4))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # rows of generic floats, about one in four of them zero
+    block = [Pieces(edges, rng.normal(size=(len(edges) + 1, 3))
+                    * 10.0 ** rng.uniform(-3.0, 3.0, size=(len(edges) + 1, 1))
+                    * (rng.random((len(edges) + 1, 1)) > 0.25), rng.normal(size=len(edges)))
+             for _ in range(k)]
+    want = [_hex(_FAMILIES[family](params), f) for f in block]
+    warm = _FAMILIES[family](params)
+    # the block's own edges as bliss points, up to the directions' 1e13
+    bliss = [e for e in edges if e not in (-1.0, 1.0) and abs(e) >= 1e-13]
+    lams = [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0)) for _ in range(40)]
+    for i, lam in enumerate(lams + [1.0 / e for e in bliss]):
+        kind = ("mv", "mmv")[i % 2]
+        warm.integrate_block([xi.integrand for xi in utility_and_slope(lam, kind)])
+        warm.integrate_block([xi.integrand for xi in _mellin_variations(lam)])
+    for _ in range(2):
+        assert [float(v).hex() for v in warm.integrate_block(block)] == want
+    # and each row alone, on the warm law
+    assert [_hex(warm, f) for f in block] == want
 
 
 def test_plan_memo_stays_bounded():
