@@ -11,7 +11,6 @@ from .aggregate import (CumulativeUtility, GlobalValues, Solution,
                         cumulative_local_utility, det_stoch_exponential,
                         global_values, sharpe_hansen_convert, solve_schedule,
                         strategy_descriptor)
-from .drift import VariationFunction, drift_of_variation
 from .duality import (CoincidenceReport, DensityDiagnostics, MVSignedMeasure,
                       SignMoments, compare_mv_mmv, density_diagnostics,
                       mellin_sign_moments, mv_signed_measure,
@@ -21,7 +20,7 @@ from .errors import (DomainError, InfiniteValue, InvariantError, MmvLabError,
                      UnsupportedMeasure)
 from .examples import capped_variant, example_config, example_model
 from .localutil import (UtilityKind, check_instantaneous_no_arbitrage,
-                        local_utility, utility, utility_variation)
+                        local_utility, utility)
 from .measures import (ExpTails1D, FiniteAtoms, Gaussian1D, JumpMeasure,
                        TabulatedDensity1D, merge_atoms)
 from .model import (JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps,
@@ -38,7 +37,6 @@ __all__ = [
     "compounding_dual", "cumulative_local_utility", "det_stoch_exponential",
     "global_values", "sharpe_hansen_convert", "solve_schedule",
     "strategy_descriptor",
-    "VariationFunction", "drift_of_variation",
     "CoincidenceReport", "DensityDiagnostics", "MVSignedMeasure",
     "SignMoments", "compare_mv_mmv", "density_diagnostics",
     "mellin_sign_moments", "mv_signed_measure", "sigma_martingale_residual",
@@ -48,7 +46,7 @@ __all__ = [
     "UnsupportedMeasure",
     "capped_variant", "example_config", "example_model",
     "UtilityKind", "check_instantaneous_no_arbitrage", "local_utility",
-    "utility", "utility_variation",
+    "utility",
     "ExpTails1D", "FiniteAtoms", "Gaussian1D", "JumpMeasure",
     "TabulatedDensity1D", "merge_atoms",
     "JumpAtom", "LocalCharacteristics", "MarketModel", "ScheduledJumps", "Segment",

@@ -5,7 +5,7 @@ of degree at most two between its kinks (-1, 1 and the bliss point
 1/lam).  `Pieces` holds one as tuples of floats: sorted edges, a
 coefficient row (c0, c1, c2) per piece and the value at each edge.
 Density laws integrate it piece by piece from partial moments, reading
-the tuples alone; atom and tabulated laws evaluate it on their points
+the tuples alone; tabulated laws evaluate it on their nodes
 (`evaluate`), and only they build numpy arrays from it.  Integrands
 that share their edges, as every variation at one lam does, form a
 block: a law walks the pieces once for all of them (`spans`) and
@@ -53,8 +53,8 @@ class Pieces:
     edges[m] = inf for m edges; coef[j] = (c0, c1, c2) is c0 + c1 x +
     c2 x^2 on it, and at[j] the value at edges[j] itself.  All three
     are tuples of floats, which the density laws read piece by piece
-    (`spans`).  Evaluating the function on points (`__call__`) builds
-    their arrays.
+    (`spans`); a tabulated law evaluates a block of them on its nodes
+    (`evaluate`).
     """
 
     __slots__ = ("edges", "coef", "at")
@@ -71,9 +71,6 @@ class Pieces:
     def of(cls, edges: tuple, coef: tuple, at: tuple) -> "Pieces":
         """A Pieces from tuples already of floats, taken as they are."""
         return cls.__new__(cls)._set(edges, coef, at)
-
-    def __call__(self, x):
-        return evaluate((self,), x)[0]
 
     def capped(self, cap: float) -> "Pieces":
         """x -> self(min(x, cap)): one constant piece past the cap."""

@@ -250,8 +250,10 @@ def strategy_descriptor(model: MarketModel, kind, x: float = 0.0,
     with scale = 1 + msr2, and an infinite msr2 leaves no meaningful
     finite target.
     """
-    if not gamma > 0.0:
-        raise DomainError("risk aversion gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError("risk aversion gamma must be positive and finite")
+    if not math.isfinite(x):
+        raise DomainError("capital x must be finite")
     kind = _kind(kind)
     sol = solution if solution is not None else solve_schedule(model, kind)
     values = global_values(cumulative_local_utility(model, kind, sol))

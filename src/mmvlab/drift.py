@@ -5,18 +5,20 @@ again of the modeled class, and its per-unit-activity drift is
 
     grad0 b_trunc + hess0 c / 2 + integral of (xi - grad0 h) dF,
 
-where h is the unit truncation.  A variation carries that compensated
-jump integrand as a `Pieces` polynomial between the kinks -1, 1 and
-1/lam, which density laws integrate exactly (`_quad`).  Its table is
-tuples of floats, written by case from where 1/lam falls against -1
-and 1 (`kinked_variations`); no numpy array is built unless a tabulated
-law evaluates it on its grid.  Every variation at one lam has the same
-edges, so the ones a caller needs there (the value and the slope at a
-solved lam, the six sign moments) are built as one block, with the case
-taken once, and integrated in one walk of the law
-(`drifts_of_variations`).  Time points whose jumps are finitely many
-atoms, or absent, in any dimension, are sums instead: `localutil._Rows`
-adds their atoms directly.
+where h is the unit truncation.  A variation x -> F(lam x) is its spec
+(below, above, at_bliss, grad0, hess0): the coefficient rows of F
+below and above the bliss point 1/lam, its value there, and xi's slope
+and curvature at the origin.  The compensated jump integrand is a
+`Pieces` polynomial between the kinks -1, 1 and 1/lam, which density
+laws integrate exactly (`_quad`); its table is tuples of floats,
+written by case from where 1/lam falls against -1 and 1
+(`_kinked_pieces`).  Every variation at one lam has the same edges, so
+the ones a caller needs there (the value and the slope at a solved
+lam, the six sign moments) are one block, with the case taken once,
+integrated in one walk of the law (`drifts`); a single drift is the
+block of one.  Time points whose jumps are finitely many atoms, or
+absent, in any dimension, are sums instead: `localutil._Rows` adds
+their atoms directly.
 
 The value lives in R union {-inf}.  A tail diverges exactly when a
 nonzero coefficient meets an infinite partial moment, in the direction
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple
 
 from ._quad import Pieces
 from .errors import NonIntegrable
@@ -38,24 +39,16 @@ from .model import LocalCharacteristics
 ExtendedReal = float
 
 
-class VariationFunction(NamedTuple):
-    """The `Pieces` integrand x -> xi(x) - grad0 h(x) of a variation xi,
-    with xi's slope grad0 and curvature hess0 at the origin."""
-
-    integrand: object
-    grad0: float
-    hess0: float
-
-
 #: the pieces' rows by case, from (below, below less grad0, above less
 #: grad0, above): the inner two lie in [-1, 1], where h is compensated
 _TAKE = {take: itemgetter(*take) for take in ((0, 1, 0), (0, 1, 0, 3), (0, 1, 3), (0, 1, 2, 3),
                                               (3, 0, 1, 0), (3, 1, 0), (3, 2, 1, 0))}
 
 
-def kinked_variations(lam: float, specs) -> list[VariationFunction]:
-    """One-dimensional variations x -> F(lam x), compensated by grad0 h,
-    on one table of edges: a block a law integrates in one walk.
+def _kinked_pieces(lam: float, specs) -> list[Pieces]:
+    """The compensated integrands x -> F(lam x) - grad0 h(x) of the
+    specs' variations, on one table of edges: a block a law integrates
+    in one walk.
 
     Each spec is (below, above, at_bliss, grad0, hess0): F is the
     polynomial with coefficient row `below` (in x) where lam x < 1, the
@@ -85,7 +78,7 @@ def kinked_variations(lam: float, specs) -> list[VariationFunction]:
     # per edge: where it falls (at bliss, on the side below it, inside [-1, 1])
     ends = [(e, e == bliss, lam * e < 1.0, abs(e) <= 1.0) for e in edges]
     out = []
-    for below, above, at_bliss, grad0, hess0 in specs:
+    for below, above, at_bliss, grad0, _ in specs:
         at = []
         for e, is_bliss, is_below, inner in ends:       # F at e, less grad0 h(e)
             if is_bliss:
@@ -96,48 +89,32 @@ def kinked_variations(lam: float, specs) -> list[VariationFunction]:
             at.append(v - grad0 * e if inner else v)
         rows = (below, (below[0], below[1] - grad0, below[2]),
                 (above[0], above[1] - grad0, above[2]), above)
-        out.append(VariationFunction(Pieces.of(edges, take(rows), tuple(at)), grad0, hess0))
+        out.append(Pieces.of(edges, take(rows), tuple(at)))
     return out
 
 
-def kinked_variation(lam: float, below, above, at_bliss: float,
-                     grad0: float, hess0: float) -> VariationFunction:
-    """The one variation of `kinked_variations` with this spec."""
-    return kinked_variations(lam, ((below, above, at_bliss, grad0, hess0),))[0]
+def drifts(lam: float, specs, chars: LocalCharacteristics) -> list:
+    """Per-unit-activity drifts of the variations x -> F(lam x) of the
+    specs (`_kinked_pieces`), with one walk of the jump law for all of
+    them.
 
-
-def drifts_of_variations(xis, chars: LocalCharacteristics) -> list:
-    """Per-unit-activity drifts of variations whose integrands share their
-    edges, with one walk of the jump law for all of them.
-
-    Each drift has the bits of `drift_of_variation` on its variation
-    alone.  A drift whose negative part diverges is -inf; one whose
-    positive part diverges is None, which `_checked` turns into
-    NonIntegrable when it is read, so a divergent row costs the others
-    nothing.
+    Each drift has the bits it has in a block of its own.  A drift whose
+    negative part diverges is -inf; one whose positive part diverges is
+    None, which `_checked` turns into NonIntegrable when it is read, so
+    a divergent row costs the others nothing.
     """
     b, c = float(chars.b_trunc[0]), float(chars.cov[0, 0])
-    heads = [xi.grad0 * b + 0.5 * xi.hess0 * c for xi in xis]
+    heads = [grad0 * b + 0.5 * hess0 * c for _, _, _, grad0, hess0 in specs]
     jumps = chars.jumps
     if jumps is None:
         return heads
-    vals = jumps.integrate_block([xi.integrand for xi in xis])
+    vals = jumps.integrate_block(_kinked_pieces(lam, specs))
     # inf, or nan (both tails): the positive part diverges
     return [head + val if val < math.inf else None for head, val in zip(heads, vals)]
 
 
 def _checked(drift) -> ExtendedReal:
-    """A drift of `drifts_of_variations`; NonIntegrable where it is None."""
+    """A drift of `drifts`; NonIntegrable where it is None."""
     if drift is None:
         raise NonIntegrable("positive part of the variation diverges")
     return drift
-
-
-def drift_of_variation(xi: VariationFunction, chars: LocalCharacteristics) -> ExtendedReal:
-    """Per-unit-activity drift of the variation xi of one-dimensional increments.
-
-    Returns -inf when the negative part of the jump integral diverges;
-    raises NonIntegrable when the positive part does.  It is the block
-    of `drifts_of_variations` with one row.
-    """
-    return _checked(drifts_of_variations((xi,), chars)[0])

@@ -29,7 +29,7 @@ import numpy as np
 from .aggregate import (CumulativeUtility, Solution, _split_schedule,
                         cumulative_local_utility, det_stoch_exponential,
                         global_values, solve_schedule)
-from .drift import VariationFunction, _checked, drifts_of_variations, kinked_variations
+from .drift import _checked, drifts
 from .errors import InfiniteValue
 from .localutil import UtilityKind, _kind, _rows_from_chars, _rows_from_table
 from .model import MarketModel
@@ -202,15 +202,16 @@ def _zeta(u: np.ndarray, p: int, even: bool) -> np.ndarray:
 _SIGN_ROWS = tuple((p, even) for p in (0, 1, 2) for even in (True, False))
 
 
-def _mellin_variations(lam: float) -> list[VariationFunction]:
-    """The sign-moment variations x -> _zeta(lam x) of a one-dimensional
-    law, one per (p, even) of `_SIGN_ROWS`, as one block."""
+def _mellin_specs(lam: float) -> list[tuple]:
+    """The specs (`drift._kinked_pieces`) of the sign-moment variations
+    x -> _zeta(lam x) of a one-dimensional law, one per (p, even) of
+    `_SIGN_ROWS`, as one block."""
     # coefficient rows in x of _zeta(lam x) below and above the bliss point
     below = ((0.0, 0.0, 0.0), (0.0, -lam, 0.0), (0.0, -2.0 * lam, lam * lam))
     above = {True: ((0.0, 0.0, 0.0), (-2.0, lam, 0.0), (0.0, -2.0 * lam, lam * lam)),
              False: ((-2.0, 0.0, 0.0), (0.0, -lam, 0.0), (-2.0, 2.0 * lam, -lam * lam))}
-    return kinked_variations(lam, [(below[p], above[even][p], -1.0, _Z_GRAD[p] * lam,
-                                    _Z_HESS[p] * (lam * lam)) for p, even in _SIGN_ROWS])
+    return [(below[p], above[even][p], -1.0, _Z_GRAD[p] * lam, _Z_HESS[p] * (lam * lam))
+            for p, even in _SIGN_ROWS]
 
 
 def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool, walked) -> float:
@@ -226,7 +227,7 @@ def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool, walked) -> fl
 def _sign_walks(model: MarketModel, seg_lams) -> tuple:
     """Each segment's six sign-moment drifts at its direction, one per
     (p, even) of `_SIGN_ROWS`, from one walk of its density law (None
-    where a positive part diverges, as `drifts_of_variations` gives it);
+    where a positive part diverges, as `drifts` gives it);
     None for a segment of finitely many atoms or no jumps, whose sums
     are taken per order as asked.
 
@@ -241,8 +242,8 @@ def _sign_walks(model: MarketModel, seg_lams) -> tuple:
     if memo is None or memo[0] != key:
         memo = model.__dict__["_sign_walks"] = (key, tuple(
             None if _rows_from_chars(seg.chars) is not None
-            else tuple(drifts_of_variations(_mellin_variations(float(lam[0])), seg.chars))
-            for seg, lam in zip(model.segments, seg_lams)))
+            else tuple(drifts(lam, _mellin_specs(lam), seg.chars))
+            for seg, lam in zip(model.segments, (float(v[0]) for v in seg_lams))))
     return memo[1]
 
 

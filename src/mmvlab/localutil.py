@@ -12,7 +12,8 @@ or none, it is a sum over the atoms in any dimension, as are its
 gradient (the first-order residual) and the sign-moment drifts: one row
 evaluator (`_Rows`) serves the solver, `local_utility`, `foc_residual`
 and the dual residual.  Against a one-dimensional density law a
-variation is a piecewise integrand the law integrates exactly.
+variation is its coefficient spec (`_utility_spec`, `_slope_spec`), and
+`drift.drifts` integrates its piecewise integrand exactly.
 
 Its supremum over lam is finite exactly when the model admits no
 instantaneous free lunch, which `check_instantaneous_no_arbitrage`
@@ -31,8 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drift import (ExtendedReal, VariationFunction, drift_of_variation, kinked_variation,
-                    kinked_variations)
+from .drift import ExtendedReal, _checked, drifts
 from .errors import InvariantError
 from .measures import FiniteAtoms, _as_direction, _row_sums, truncate
 from .model import LocalCharacteristics, MarketModel, ScheduledJumps, small_jump_mean
@@ -68,36 +68,25 @@ def utility_slope(kind, u):
 
 
 def _utility_spec(lam: float, kind) -> tuple:
+    """The spec (`drift._kinked_pieces`) of the variation x -> g(lam x)
+    of a one-dimensional law: its drift is the local utility at lam."""
     quad = (0.0, lam, -0.5 * lam * lam)
     frozen = quad if _kind(kind) is UtilityKind.MV else (0.5, 0.0, 0.0)
     return quad, frozen, 0.5, lam, -(lam * lam)
 
 
 def _slope_spec(lam: float, kind) -> tuple:
-    linear = (0.0, 1.0, -lam)
-    frozen = linear if _kind(kind) is UtilityKind.MV else (0.0, 0.0, 0.0)
-    return linear, frozen, 0.0, 1.0, -2.0 * lam
-
-
-def utility_variation(lam: float, kind) -> VariationFunction:
-    """The variation x -> g(lam x) of a one-dimensional law, piecewise."""
-    return kinked_variation(lam, *_utility_spec(lam, kind))
-
-
-def slope_variation(lam: float, kind) -> VariationFunction:
-    """The variation x -> x g'(lam x), the local utility's slope at lam.
+    """The spec of the variation x -> x g'(lam x), the local utility's
+    slope at lam.
 
     Its drift is simultaneously the first-order condition residual at
     lam and the drift rate of the candidate density-weighted increment,
     so a zero drift certifies both optimality and the martingale
     property of the dual candidate.
     """
-    return kinked_variation(lam, *_slope_spec(lam, kind))
-
-
-def utility_and_slope(lam: float, kind) -> list[VariationFunction]:
-    """`utility_variation` and `slope_variation` at lam, as one block."""
-    return kinked_variations(lam, (_utility_spec(lam, kind), _slope_spec(lam, kind)))
+    linear = (0.0, 1.0, -lam)
+    frozen = linear if _kind(kind) is UtilityKind.MV else (0.0, 0.0, 0.0)
+    return linear, frozen, 0.0, 1.0, -2.0 * lam
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +215,8 @@ def local_utility(lam, chars: LocalCharacteristics, kind) -> ExtendedReal:
     rows = _rows_from_chars(chars)
     if rows is not None:
         return float(rows.value(lam[None], kind)[0])
-    return drift_of_variation(utility_variation(float(lam[0]), kind), chars)
+    lam1 = float(lam[0])
+    return _checked(drifts(lam1, (_utility_spec(lam1, kind),), chars)[0])
 
 
 def _mass_tol(jumps) -> float:

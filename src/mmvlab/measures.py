@@ -2,12 +2,11 @@
 
 Every family supports the same small protocol:
 
-* ``integrate(f)``: integral against the (unnormalized) measure of a
-  `Pieces` integrand in one dimension (finite atoms also take a
-  vectorized callable); a density law's ``integrate_block(fs)`` takes K
-  integrands on shared edges in one walk and returns their K integrals,
-  each with the bits of ``integrate`` on it alone, which is the K = 1
-  case,
+* ``integrate(f)``, density laws only: integral against the
+  (unnormalized) measure of a `Pieces` integrand in one dimension;
+  ``integrate_block(fs)`` takes K integrands on shared edges in one
+  walk and returns their K integrals, each with the bits of
+  ``integrate`` on it alone, which is the K = 1 case,
 * ``mass_scaled_ge(lam, level, strict)``: measure of the half-space
   ``{x : lam . x >= level}`` (strictly greater when asked),
 * ``moment_sup_order(side)``: supremum of the orders k for which the
@@ -19,10 +18,11 @@ Every family supports the same small protocol:
   support when that is positive (all the mass on that side, away from
   0), else 0.
 
-Atoms sum the integrand at their points; tabulated laws apply their
+Finite atoms take no integrand: their readers sum over the points
+(`localutil._Rows`, `model.small_jump_mean`).  Tabulated laws apply their
 trapezoid rule with the block's edges inserted in the grid, one table
 of nodes and density values per block.  The Gaussian and
-exponential-tail families integrate it exactly from partial moments
+exponential-tail families integrate each row exactly from partial moments
 (`_quad`), also in y = e^x - 1 under the exponential yield transform
 (lognormal and power-law moments); a cap adds one constant piece.  A
 divergent tail comes out as the infinity of its sign.
@@ -127,7 +127,7 @@ class JumpMeasure:
 
 @dataclass(frozen=True)
 class FiniteAtoms(JumpMeasure):
-    """Finitely many weighted points in R^d; all integrals are exact sums."""
+    """Finitely many weighted points in R^d; its readers sum over them."""
 
     points: np.ndarray   # shape (n, d)
     masses: np.ndarray   # shape (n,)
@@ -145,15 +145,6 @@ class FiniteAtoms(JumpMeasure):
 
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def integrate(self, f) -> float:
-        if self.masses.size == 0:
-            return 0.0
-        x = self.points[:, 0] if self.dim == 1 else self.points
-        return float(np.dot(self.masses, np.asarray(f(x), dtype=float)))
-
-    def integrate_block(self, fs) -> list[float]:
-        return [self.integrate(f) for f in fs]
 
     def mass_scaled_ge(self, lam, level: float, strict: bool = False) -> float:
         if self.masses.size == 0:

@@ -262,9 +262,9 @@ def small_jump_mean(chars: LocalCharacteristics) -> np.ndarray:
 def _retruncated(chars: LocalCharacteristics, image: JumpMeasure) -> LocalCharacteristics:
     """The same drift and diffusion with jumps replaced by their image:
     the truncated drift gains the integral of h under the image minus
-    that under the original jumps."""
-    b = chars.b_trunc + (image.integrate(TRUNCATION_PIECES)
-                         - chars.jumps.integrate(TRUNCATION_PIECES))
+    that under the original jumps (`small_jump_mean` of each)."""
+    imaged = LocalCharacteristics(chars.b_trunc, chars.cov, image)
+    b = chars.b_trunc + (small_jump_mean(imaged) - small_jump_mean(chars))
     return LocalCharacteristics(b, chars.cov, image)
 
 

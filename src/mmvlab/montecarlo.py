@@ -265,6 +265,18 @@ def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
     return z
 
 
+def _knots(here: np.ndarray, s: np.ndarray, length: float):
+    """Each unit's knots in one diffusing segment: the (unit, column) u, k
+    of its points there (here, from the segment start on), their rank j
+    per unit in time order, and the (units, points + 1) times by rank,
+    padded with the segment length."""
+    u, k = np.nonzero(here)
+    j = np.cumsum(here, axis=1)[u, k] - 1
+    times = np.full((here.shape[0], int(here.sum(axis=1).max(initial=0)) + 1), length)
+    times[u, j] = s[u, k]
+    return u, k, j, times
+
+
 class _Skeleton:
     """One block's skeleton, per unit.
 
@@ -371,10 +383,7 @@ def _draw_skeleton(gens, plan: _Plan) -> _Skeleton:
                 continue
             # one bridge per unit from the segment start toward its end,
             # through the unit's jumps there in time order (padded with the end)
-            u, k = np.nonzero(here)
-            j = np.cumsum(here, axis=1)[u, k] - 1
-            t = np.full((units, j.max() + 2), plan.length[i])
-            t[u, j] = s[u, k]
+            u, k, j, t = _knots(here, s, plan.length[i])
             w = np.zeros((d,) + t.shape)
             w[:, u, j] = z[u, k].T
             _sequential_bridge(w, t, t[:, -1:], end[:, i].T[..., None],
@@ -581,15 +590,10 @@ def _fill_levels(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skelet
         offset += n_i
         # each unit's points after the segment start in time order,
         # padded with its end, and the number of rows that end by each
-        here = inner & (seg == i)
-        n_knots = int(here.sum(axis=1).max(initial=0)) + 1
-        times = np.full((m, n_knots), length)
-        value = np.empty((d, m, n_knots))
+        u, k, j, times = _knots(inner & (seg == i), s, length)
+        value = np.empty((d,) + times.shape)
         value[:] = sk.end[:m, i].T[:, :, None]
-        upto = np.full((m, n_knots), n_i)
-        u, k = np.nonzero(here)
-        j = np.cumsum(here, axis=1)[u, k] - 1
-        times[u, j] = s[u, k]
+        upto = np.full(times.shape, n_i)
         value[:, u, j] = sk.brown[u, k].T
         # a jump's row ends at it (a scheduled jump) or after it
         at = rows[u, k] - span.start

@@ -57,22 +57,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import Pieces
-from .drift import VariationFunction, _checked, drift_of_variation, drifts_of_variations
+from .drift import _checked, drifts
 from .errors import OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _finite_direction, _kind, _mass_tol,
-                        _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_tol, _still,
-                        asymptotic_slope, slope_variation, utility_and_slope,
-                        utility_variation)
+                        _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_spec,
+                        _slope_tol, _still, _utility_spec, asymptotic_slope)
 from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
 _MAX_DIM = 4
-#: x -> x^2, whose drift c + (integral of x^2) is the plain kind's curvature
-#: C, with the slope's fixed edges -1 and 1
-_SQUARE = VariationFunction(Pieces((-1.0, 1.0), [(0.0, 0.0, 1.0)] * 3, (1.0, 1.0)),
-                            0.0, 2.0)
+#: the spec of x -> x^2 at lam = 0, whose drift c + (integral of x^2) is
+#: the plain kind's curvature C, on the slope's fixed edges -1 and 1
+_SQUARE = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0, 0.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,8 @@ def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
     rows = _rows_from_chars(chars)
     if rows is not None:
         return rows.residual(lam[None], kind)[0]
-    return np.array([drift_of_variation(slope_variation(float(lam[0]), kind), chars)])
+    lam1 = float(lam[0])
+    return np.array([_checked(drifts(lam1, (_slope_spec(lam1, kind),), chars)[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +522,16 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
         allow_neg = ok_pos
 
     def foc(lam: float) -> float:       # foc_residual at [lam], as a float
-        return drift_of_variation(slope_variation(lam, kind), chars)
+        return _checked(drifts(lam, (_slope_spec(lam, kind),), chars)[0])
 
     def value(lam: float) -> float:     # local_utility at [lam]
-        return drift_of_variation(utility_variation(lam, kind), chars)
+        return _checked(drifts(lam, (_utility_spec(lam, kind),), chars)[0])
 
     # the slope at the origin, B, and, where second moments exist, the
     # curvature x^2, C: both on the edges -1 and 1, so one walk
     curved = ok_neg and ok_pos
-    res0, *square = drifts_of_variations(
-        [slope_variation(0.0, kind), _SQUARE] if curved else [slope_variation(0.0, kind)], chars)
+    specs = (_slope_spec(0.0, kind), _SQUARE) if curved else (_slope_spec(0.0, kind),)
+    res0, *square = drifts(0.0, specs, chars)
     if res0 is not None and not math.isfinite(res0):
         res0 = None
 
@@ -590,7 +588,8 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             if ((kind is UtilityKind.MV and not _trapezoid_law(jumps))
                     or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
                 # the value and the FOC at lam, in one walk
-                val, res = drifts_of_variations(utility_and_slope(lam, kind), chars)
+                val, res = drifts(lam, (_utility_spec(lam, kind), _slope_spec(lam, kind)),
+                                  chars)
                 val = _checked(val)
                 if val < 0.0:     # rounding around a maximum at the origin
                     return origin()

@@ -13,13 +13,15 @@ import math
 
 import numpy as np
 
-from mmvlab import (CumulativeUtility, FiniteAtoms, JumpAtom,
-                    LocalCharacteristics, SimConfig, build_model,
-                    compounding_dual, det_stoch_exponential,
-                    drift_of_variation, maximize_local_utility,
-                    run_wealth_study, sharpe_hansen_convert,
-                    utility, utility_variation, wealth_recursion,
-                    simulate_paths, VariationFunction)
+from mmvlab import (CumulativeUtility, ExpTails1D, FiniteAtoms, Gaussian1D, JumpAtom,
+                    LocalCharacteristics, SimConfig, TabulatedDensity1D, build_model,
+                    compounding_dual, det_stoch_exponential, local_utility,
+                    maximize_local_utility, run_wealth_study, sharpe_hansen_convert,
+                    utility, wealth_recursion, simulate_paths)
+from mmvlab.drift import drifts
+from mmvlab.duality import _mellin_specs
+from mmvlab.localutil import _slope_spec, _utility_spec
+from mmvlab.measures import CappedMeasure, ExpYieldMeasure
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
 
@@ -53,29 +55,51 @@ def random_jump_chars(gen, losses=True):
     return JumpAtom(1.0, FiniteAtoms(pts[:, None], masses)).chars
 
 
-def combine_variations(a, xi, b, eta):
-    """a*xi + b*eta with the matching expansion data."""
-    return VariationFunction(
-        integrand=lambda x: a * np.asarray(xi.integrand(x), dtype=float)
-        + b * np.asarray(eta.integrand(x), dtype=float),
-        grad0=a * xi.grad0 + b * eta.grad0,
-        hess0=a * xi.hess0 + b * eta.hess0)
+def random_density_chars(gen):
+    """One-dimensional characteristics whose jumps are a Gaussian, an
+    exponential-tail or a tabulated law, plain, in yields or capped; every
+    moment the variations need is finite."""
+    family = int(gen.integers(3))
+    if family == 0:
+        law = Gaussian1D(gen.uniform(-0.1, 0.1), gen.uniform(0.005, 0.05), gen.uniform(0.5, 2.0))
+    elif family == 1:
+        law = ExpTails1D(gen.uniform(0.5, 3.0), gen.uniform(4.0, 15.0), gen.uniform(0.5, 3.0),
+                         gen.uniform(4.0, 15.0))
+    else:
+        grid = np.linspace(-gen.uniform(0.2, 0.6), gen.uniform(0.2, 0.8), int(gen.integers(9, 41)))
+        law = TabulatedDensity1D(grid, gen.uniform(0.5, 2.0) * np.exp(-8.0 * grid * grid))
+    image = int(gen.integers(3))
+    if image == 1:
+        law = ExpYieldMeasure(law)
+    elif image == 2:
+        law = CappedMeasure(law, gen.uniform(0.1, 0.5))
+    return LocalCharacteristics(gen.uniform(-0.3, 0.3, size=1),
+                                np.array([[gen.uniform(0.0, 0.1)]]), law)
+
+
+def combine_specs(a, xi, b, eta):
+    """The spec of a xi + b eta, two specs at one lam: rows, bliss value,
+    slope and curvature combined alike."""
+    def mix(u, v):
+        return tuple(a * s + b * t for s, t in zip(u, v))
+    return mix(xi[0], eta[0]), mix(xi[1], eta[1]), *mix(xi[2:], eta[2:])
 
 
 def check_drift_linearity(n_cases=200, seed=5):
-    """Worst |drift(a xi + b eta) - a drift(xi) - b drift(eta)|."""
+    """Worst |drift(a xi + b eta) - a drift(xi) - b drift(eta)| over pairs
+    of the utility, slope and sign-moment specs at one lam, against
+    density laws."""
     gen = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        chars = random_atom_chars(gen)
-        l1, l2 = gen.uniform(-2.0, 2.0, size=2)
+        chars = random_density_chars(gen)
+        lam = float(gen.uniform(-2.0, 2.0))
         a, b = gen.uniform(-3.0, 3.0, size=2)
-        xi = utility_variation(l1, "mv")
-        eta = utility_variation(l2, "mmv")
-        lhs = drift_of_variation(combine_variations(a, xi, b, eta), chars)
-        rhs = (a * drift_of_variation(xi, chars)
-               + b * drift_of_variation(eta, chars))
-        worst = max(worst, abs(lhs - rhs))
+        specs = [_utility_spec(lam, "mv"), _utility_spec(lam, "mmv"), _slope_spec(lam, "mv"),
+                 _slope_spec(lam, "mmv"), *_mellin_specs(lam)]
+        xi, eta = (specs[i] for i in gen.choice(len(specs), size=2, replace=False))
+        lhs, d_xi, d_eta = drifts(lam, [combine_specs(a, xi, b, eta), xi, eta], chars)
+        worst = max(worst, abs(lhs - (a * d_xi + b * d_eta)))
     return worst
 
 
@@ -117,9 +141,8 @@ def check_truncation_invariance(n_cases=50, seed=7):
         m_trunc = build_model(dict(cfg, segments=[seg]))
         lam = float(gen.uniform(-2.0, 2.0))
         for kind in ("mv", "mmv"):
-            xi = utility_variation(lam, kind)
-            d0 = drift_of_variation(xi, m_zero.segments[0].chars)
-            d1 = drift_of_variation(xi, m_trunc.segments[0].chars)
+            d0 = local_utility(lam, m_zero.segments[0].chars, kind)
+            d1 = local_utility(lam, m_trunc.segments[0].chars, kind)
             worst = max(worst, abs(d0 - d1))
     return worst
 

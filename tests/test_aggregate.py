@@ -233,8 +233,12 @@ def test_strategy_schedule_is_clock_ordered(ex1):
 
 
 def test_strategy_descriptor_rejects_bad_gamma(ex1):
-    with pytest.raises(DomainError):
-        strategy_descriptor(ex1, "mmv", gamma=0.0)
+    # a bliss level x + scale/gamma needs a finite capital and a positive,
+    # finite risk aversion
+    for gamma, x in ((0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan),
+                     (1.0, math.inf), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            strategy_descriptor(ex1, "mmv", x=x, gamma=gamma)
 
 
 def test_strategy_descriptor_requires_finite_dual():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, LocalCharacteristics, NonIntegrable,
-                    TabulatedDensity1D, VariationFunction, drift_of_variation, local_utility)
-from mmvlab._quad import Pieces
-from mmvlab.drift import drifts_of_variations, kinked_variation, kinked_variations
+                    TabulatedDensity1D, local_utility)
+from mmvlab._quad import Pieces, evaluate
+from mmvlab.drift import _checked, _kinked_pieces, drifts
+from mmvlab.duality import _mellin_specs
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure
-from mmvlab.localutil import slope_variation, utility_variation
+from mmvlab.localutil import _slope_spec, _utility_spec
 
 import properties
 
@@ -59,10 +60,10 @@ def test_density_drift_against_monte_carlo():
 
     gen = np.random.default_rng(42)
     x = law.sample(gen, 1_000_000)
-    xi = utility_variation(lam, "mv")
+    integrand = _kinked_pieces(lam, [_utility_spec(lam, "mv")])[0]
     h = np.where(np.abs(x) <= 1.0, x, 0.0)
     psi = lam * x - 0.5 * (lam * x) ** 2 - lam * h
-    assert float(np.max(np.abs(xi.integrand(x) - psi))) <= 1e-15
+    assert float(np.max(np.abs(evaluate([integrand], x)[0] - psi))) <= 1e-15
     head = lam * 0.05 - 0.5 * lam * lam * 0.02
     est = head + 0.8 * float(np.mean(psi))
     se = 0.8 * float(np.std(psi)) / math.sqrt(x.size)
@@ -74,15 +75,18 @@ def test_heavy_right_tail_sends_quadratic_utility_to_minus_infinity(ex3):
 
 
 def test_positive_divergence_raises(ex3):
+    # x -> x^2 against a right tail with no second moment: a block keeps
+    # the divergent row as None, and reading it raises
     chars = ex3.segments[0].chars
-    square = Pieces((), [[0.0, 0.0, 1.0]], ())
-    xi = VariationFunction(square, np.zeros(1), 2.0 * np.eye(1))
+    square = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0, 0.0, 2.0)
+    flat, none = drifts(0.0, [_utility_spec(0.0, "mmv"), square], chars)
+    assert none is None and _checked(flat) == 0.0
     with pytest.raises(NonIntegrable):
-        drift_of_variation(xi, chars)
+        _checked(drifts(0.0, [square], chars)[0])
 
 
 # ---------------------------------------------------------------------------
-# kinked variations: the table against the construction it replaced
+# kinked tables: the table against the construction it replaced
 
 
 def _midpoint_table(lam, below, above, at_bliss, grad0):
@@ -106,9 +110,9 @@ def _midpoint_table(lam, below, above, at_bliss, grad0):
 
 
 def _variation_args(lam):
-    """(below, above, at_bliss, grad0, hess0) of every kinked variation the
-    package builds at lam, as `utility_variation`, `slope_variation` and
-    `duality._mellin_variations` pass them."""
+    """(below, above, at_bliss, grad0, hess0) of every variation the package
+    integrates at lam: the utility and slope specs of both kinds and the
+    six sign-moment specs, written out here."""
     quad, linear = (0.0, lam, -0.5 * lam * lam), (0.0, 1.0, -lam)
     out = [(quad, quad, 0.5, lam, -(lam * lam)), (quad, (0.5, 0.0, 0.0), 0.5, lam, -(lam * lam)),
            (linear, linear, 0.0, 1.0, -2.0 * lam), (linear, (0.0, 0.0, 0.0), 0.0, 1.0, -2.0 * lam)]
@@ -126,11 +130,16 @@ def _hex(values):
             for row in values]
 
 
-def _drift_hex(xi, chars):
-    try:
-        return float(drift_of_variation(xi, chars)).hex()
-    except NonIntegrable:
-        return "NonIntegrable"
+def _drift_hex(drift):
+    return "NonIntegrable" if drift is None else float(drift).hex()
+
+
+def _oracle_drift(pieces, grad0, hess0, chars):
+    """The drift of a variation given by its compensated integrand, with
+    the head and the divergence rule written out."""
+    val = chars.jumps.integrate(pieces)
+    head = grad0 * float(chars.b_trunc[0]) + 0.5 * hess0 * float(chars.cov[0, 0])
+    return head + val if val < math.inf else None
 
 
 def _variation_laws():
@@ -158,27 +167,28 @@ def test_kinked_tables_and_drifts_match_the_midpoint_construction():
 
 def _check_tables(lams, laws):
     for lam in lams:
-        for below, above, at_bliss, grad0, hess0 in _variation_args(lam):
-            xi = kinked_variation(lam, below, above, at_bliss, grad0, hess0)
+        specs = _variation_args(lam)
+        package = [_utility_spec(lam, "mv"), _utility_spec(lam, "mmv"), _slope_spec(lam, "mv"),
+                   _slope_spec(lam, "mmv"), *_mellin_specs(lam)]
+        assert repr(package) == repr(specs), lam
+        block = _kinked_pieces(lam, specs)
+        olds = []
+        for spec, got in zip(specs, block):
+            below, above, at_bliss, grad0, hess0 = spec
             edges, coef, at = _midpoint_table(lam, below, above, at_bliss, grad0)
-            got = xi.integrand
             assert (_hex(got.edges), _hex(got.coef), _hex(got.at)) == \
                 (_hex(edges), _hex(coef), _hex(at)), lam
-            old = VariationFunction(Pieces(np.array(edges), np.array(coef), np.array(at)),
-                                    grad0, hess0)
-            for law in laws:
-                chars = LocalCharacteristics(np.array([0.05]), np.array([[0.02]]), law)
-                assert _drift_hex(xi, chars) == _drift_hex(old, chars), (lam, law)
-        singles = [kinked_variation(lam, *args) for args in _variation_args(lam)]
-        block = kinked_variations(lam, _variation_args(lam))
-        assert [repr((b.integrand.edges, b.integrand.coef, b.integrand.at, b.grad0, b.hess0))
-                for b in block] == [repr((x.integrand.edges, x.integrand.coef, x.integrand.at,
-                                          x.grad0, x.hess0)) for x in singles], lam
+            alone = _kinked_pieces(lam, [spec])[0]
+            assert repr((alone.edges, alone.coef, alone.at)) == \
+                repr((got.edges, got.coef, got.at)), lam
+            olds.append(Pieces(np.array(edges), np.array(coef), np.array(at)))
         for law in laws:
             chars = LocalCharacteristics(np.array([0.05]), np.array([[0.02]]), law)
-            got = ["NonIntegrable" if v is None else float(v).hex()
-                   for v in drifts_of_variations(block, chars)]
-            assert got == [_drift_hex(xi, chars) for xi in singles], (lam, law)
+            want = [_drift_hex(_oracle_drift(old, spec[3], spec[4], chars))
+                    for old, spec in zip(olds, specs)]
+            singles = [_drift_hex(drifts(lam, [spec], chars)[0]) for spec in specs]
+            assert singles == want, (lam, law)
+            assert [_drift_hex(v) for v in drifts(lam, specs, chars)] == want, (lam, law)
 
 
 def test_pieces_past_a_far_bliss_point_take_the_row_beyond_it():
@@ -192,13 +202,14 @@ def test_pieces_past_a_far_bliss_point_take_the_row_beyond_it():
                        (-1.012586266402598e-176, 0), (-5e-324, 1)):
         below = (0.0, 1.0, -lam)
         want = below if lam == -5e-324 else zero
-        assert kinked_variation(lam, below, zero, 0.0, 1.0, -2.0 * lam).integrand.coef[piece] \
-            == want
+        assert _kinked_pieces(lam, [(below, zero, 0.0, 1.0, -2.0 * lam)])[0].coef[piece] == want
         assert _midpoint_table(lam, below, zero, 0.0, 1.0)[1][piece] != want
     # so a heavy right tail in yields (no second moment) keeps a finite
     # monotone slope at a tiny direction, near the slope at 0; the
     # midpoint table made it -inf
     law = ExpYieldMeasure(ExpTails1D(1.0, 4.0, 0.5, 1.5))
     chars = LocalCharacteristics(np.array([0.05]), np.array([[0.0]]), law)
-    got = drift_of_variation(slope_variation(2.2188185693517155e-16, "mmv"), chars)
-    assert got == pytest.approx(drift_of_variation(slope_variation(0.0, "mmv"), chars), rel=1e-6)
+    tiny = 2.2188185693517155e-16
+    got = _checked(drifts(tiny, [_slope_spec(tiny, "mmv")], chars)[0])
+    assert got == pytest.approx(_checked(drifts(0.0, [_slope_spec(0.0, "mmv")], chars)[0]),
+                                rel=1e-6)

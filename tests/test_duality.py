@@ -13,7 +13,7 @@ from mmvlab import (FiniteAtoms, InfiniteValue, NonIntegrable, build_model, capp
                     solve_schedule, zero_density_probability)
 import mmvlab.drift
 from mmvlab import duality
-from mmvlab.drift import drifts_of_variations
+from mmvlab.drift import drifts
 from mmvlab.localutil import _slope_tol
 
 EX2_LAM_MV = 4.484438439009606
@@ -186,14 +186,14 @@ def test_diagnose_sign_moments_walk_each_density_segment_once(monkeypatch):
     # jump-free segments are sums, not walks
     walks = []
 
-    def counting(xis, chars):
-        walks.append(tuple(xis))
-        return drifts_of_variations(xis, chars)
+    def counting(lam, specs, chars):
+        walks.append(tuple(specs))
+        return drifts(lam, specs, chars)
 
     model = build_model(_memo_config(True))
     sol = solve_schedule(model, "mv")
     for module in (mmvlab.drift, duality):
-        monkeypatch.setattr(module, "drifts_of_variations", counting)
+        monkeypatch.setattr(module, "drifts", counting)
     mv_signed_measure(model, solution=sol)
     for p in (0, 1, 2):
         mellin_sign_moments(model, sol, p)

@@ -40,7 +40,7 @@ def test_series_family_first_bet_exact():
                                rtol=0.0, atol=1e-16)
     np.testing.assert_allclose(atom.law.masses, [8 / 9, 1 / 9],
                                rtol=0.0, atol=1e-16)
-    mean = float(atom.law.integrate(lambda x: np.asarray(x)))
+    mean = float(atom.law.masses @ atom.law.points[:, 0])
     assert mean == pytest.approx(-2.0 / 9.0, abs=1e-15)
 
 

@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in it, and every private
-top-level name a module defines is read in the package; the repository
-runs no linter."""
+"""Every name a package module imports is used in it, every private
+top-level name a module defines is read in the package, and every name
+the package exports is bound on it; the repository runs no linter."""
 import ast
 from pathlib import Path
 
@@ -80,3 +80,11 @@ def test_an_unread_private_name_is_found():
         "b.py": "from . import a\n\ndef g():\n    return a._TOL\n",
     }
     assert unread_private_names(sources) == ["a.py: _B (line 2)", "a.py: _Left (line 7)"]
+
+
+def test_every_exported_name_is_bound():
+    # `unused_imports` counts an __all__ entry as used, so a stale one
+    # would pass it and break `from mmvlab import *`
+    import mmvlab
+
+    assert [name for name in mmvlab.__all__ if not hasattr(mmvlab, name)] == []

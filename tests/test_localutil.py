@@ -10,9 +10,9 @@ from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError, JumpAtom, LocalChar
                     check_instantaneous_no_arbitrage, example_model, foc_residual,
                     local_utility, maximize_local_utility, solve_schedule, utility)
 from mmvlab.model import small_jump_mean
+from mmvlab.drift import _kinked_pieces
 from mmvlab.localutil import (_cone_ray, _free_lunch, _rows_from_chars, _rows_from_table,
-                              asymptotic_slope, slope_variation, utility_slope,
-                              utility_variation)
+                              _slope_spec, _utility_spec, asymptotic_slope, utility_slope)
 
 import properties
 
@@ -66,14 +66,14 @@ def test_utility_variation_expansion():
     assert rows.value(lam[None], "mmv")[0] > rows.value(lam[None], "mv")[0]
     # in one dimension: kinks at -1, the bliss point and 1; g(2x) - 2h(x)
     # is -2x^2 inside, 2x - 2x^2 outside below bliss, 1/2 - 2h past it
-    xi = utility_variation(2.0, "mmv")
-    assert (xi.grad0, xi.hess0) == (2.0, -4.0)
-    one = xi.integrand
+    spec = _utility_spec(2.0, "mmv")
+    assert spec[3:] == (2.0, -4.0)
+    one = _kinked_pieces(2.0, [spec])[0]
     assert one.edges == (-1.0, 0.5, 1.0)
     assert one.coef == ((0.0, 2.0, -2.0), (0.0, 0.0, -2.0),
                         (0.5, -2.0, 0.0), (0.5, 0.0, 0.0))
     assert one.at == (-2.0, -0.5, -1.5)
-    flat = utility_variation(0.0, "mmv").integrand
+    flat = _kinked_pieces(0.0, [_utility_spec(0.0, "mmv")])[0]
     assert not any(map(any, flat.coef))
 
 
@@ -108,9 +108,8 @@ def test_slope_variation_structure():
         assert (rows.residual(lams, "mmv")[t].tolist()
                 == alone.residual(lams[t:t + 1], "mmv")[0].tolist())
     # x g'(0) - h(x) is x outside the unit interval and 0 inside
-    xi = slope_variation(0.5, "mv")
-    assert (xi.grad0, xi.hess0) == (1.0, -1.0)
-    linear = slope_variation(0.0, "mv").integrand
+    assert _slope_spec(0.5, "mv")[3:] == (1.0, -1.0)
+    linear = _kinked_pieces(0.0, [_slope_spec(0.0, "mv")])[0]
     assert linear.coef == ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 

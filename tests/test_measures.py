@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import mmvlab
-from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InvariantError,
+from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InvariantError, LocalCharacteristics,
                     TabulatedDensity1D, UnsupportedMeasure, merge_atoms)
 from mmvlab._quad import Pieces
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure, _sorted_unique
+from mmvlab.model import small_jump_mean
 
 ident = Pieces((), [[0.0, 1.0, 0.0]], ())
 square = Pieces((), [[0.0, 0.0, 1.0]], ())
@@ -25,8 +26,11 @@ class TestFiniteAtoms:
                       np.array([0.2, 0.5, 0.3]))
 
     def test_integrate_is_exact(self):
-        want = 0.2 * 0.25 + 0.5 * 0.0625 + 0.3 * 1.0
-        assert self.LAW.integrate(square) == pytest.approx(want, abs=1e-16)
+        # atoms are integrated as exact sums over their points: the mean of
+        # the truncation h keeps the outcome on the unit boundary
+        chars = LocalCharacteristics(np.zeros(1), np.zeros((1, 1)), self.LAW)
+        want = 0.2 * -0.5 + 0.5 * 0.25 + 0.3 * 1.0
+        assert small_jump_mean(chars)[0] == pytest.approx(want, abs=1e-16)
 
     def test_mass_scaled_ge_boundary(self):
         # the point 0.25 sits exactly on the level 1 boundary at lam = 4

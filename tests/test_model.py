@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmvlab._quad import Pieces
+from mmvlab._quad import Pieces, evaluate
 from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError,
                     JumpAtom, LocalCharacteristics, SchemaError,
                     UnsupportedMeasure, build_model, cap_jumps,
                     exp_transform, merge_atoms)
+from mmvlab.measures import TRUNCATION_PIECES
 from mmvlab.model import small_jump_mean
 
 
@@ -91,6 +92,29 @@ def test_cap_jumps_moves_mass_and_redrifts():
     assert capped.jumps.total_mass() == pytest.approx(0.3, abs=1e-15)
     # 2.0 was outside the truncation ball, its capped image 0.8 is inside
     assert capped.b_trunc[0] == pytest.approx(0.2 * 0.8, abs=1e-14)
+
+
+def test_retruncated_atom_drifts_keep_the_bits_of_the_evaluated_truncation():
+    # exp_transform and cap_jumps on atoms add the mean of h under the
+    # image less that under the law, a dot product per coordinate as in
+    # small_jump_mean: the bits of a dot product with the truncation
+    # evaluated as a piecewise integrand, on points on and about the unit
+    # boundary
+    def h_mean(law):
+        return float(np.dot(law.masses, evaluate((TRUNCATION_PIECES,), law.points[:, 0])[0]))
+
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        x = np.where(rng.random(n) < 0.2, rng.choice([-1.0, 1.0, math.log(2.0)], n),
+                     rng.uniform(-2.5, 2.5, n))
+        chars = LocalCharacteristics(rng.uniform(-0.3, 0.3, 1), [[rng.uniform(0.0, 0.1)]],
+                                     FiniteAtoms(x[:, None], rng.uniform(0.01, 0.5, n)))
+        ito = chars.b_trunc + 0.5 * chars.cov[0]
+        for got, base in ((exp_transform(chars), ito),
+                          (cap_jumps(chars, rng.choice([-0.5, 0.8, 1.0, 1.5])), chars.b_trunc)):
+            want = base + (h_mean(got.jumps) - h_mean(chars.jumps))
+            assert got.b_trunc.tobytes() == want.tobytes()
 
 
 def test_cap_jumps_without_jumps_is_identity():

@@ -15,7 +15,7 @@ from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
-from mmvlab.drift import drifts_of_variations
+from mmvlab.drift import drifts
 from mmvlab.localutil import _Rows
 from mmvlab.measures import TRUNCATION_PIECES, ExpYieldMeasure
 from mmvlab.optimize import maximize_atom_laws
@@ -256,17 +256,16 @@ def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
 
 
 def _counting_walks(monkeypatch):
-    """The list every walk of a density law appends its block of
-    variations to: a `drifts_of_variations` call, of which
-    `drift_of_variation` is the block of one."""
+    """The list every walk of a density law appends its block of specs
+    to: a `drifts` call, a single drift being the block of one."""
     walks = []
 
-    def counting(xis, chars):
-        walks.append(tuple(xis))
-        return drifts_of_variations(xis, chars)
+    def counting(lam, specs, chars):
+        walks.append(tuple(specs))
+        return drifts(lam, specs, chars)
 
-    for module in (mmvlab.drift, mmvlab.optimize, mmvlab.duality):
-        monkeypatch.setattr(module, "drifts_of_variations", counting)
+    for module in (mmvlab.drift, mmvlab.localutil, mmvlab.optimize, mmvlab.duality):
+        monkeypatch.setattr(module, "drifts", counting)
     return walks
 
 

@@ -20,17 +20,29 @@ from hypothesis import strategies as st
 from mmvlab import (ExpTails1D, Gaussian1D, LocalCharacteristics, TabulatedDensity1D,
                     build_model, maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
-from mmvlab.duality import _SIGN_ROWS, _mellin_variations
-from mmvlab.localutil import slope_variation, utility_and_slope, utility_variation
+from mmvlab.drift import _kinked_pieces
+from mmvlab.duality import _SIGN_ROWS, _mellin_specs
+from mmvlab.localutil import _slope_spec, _utility_spec
 from mmvlab.measures import (_MOVING_PLANS, TRUNCATION_PIECES, CappedMeasure,
                              ExpYieldMeasure)
 
 mp.mp.dps = 40
 
 
-def _mellin_variation(lam, p, even):
-    """The sign-moment variation of order p and parity even at lam."""
-    return _mellin_variations(lam)[_SIGN_ROWS.index((p, even))]
+def _utility_pieces(lam, kind):
+    """The compensated integrand of the utility variation at lam."""
+    return _kinked_pieces(lam, [_utility_spec(lam, kind)])[0]
+
+
+def _slope_pieces(lam, kind):
+    """The compensated integrand of the slope variation at lam."""
+    return _kinked_pieces(lam, [_slope_spec(lam, kind)])[0]
+
+
+def _mellin_pieces(lam, p, even):
+    """The compensated integrand of the sign-moment variation of order p
+    and parity even at lam."""
+    return _kinked_pieces(lam, _mellin_specs(lam))[_SIGN_ROWS.index((p, even))]
 
 
 def _density(law):
@@ -104,12 +116,11 @@ def integrands(draw):
     kind = draw(st.sampled_from(["mv", "mmv"]))
     which = draw(st.sampled_from(["utility", "slope", "sign", "truncation"]))
     if which == "utility":
-        return utility_variation(lam, kind).integrand
+        return _utility_pieces(lam, kind)
     if which == "slope":
-        return slope_variation(lam, kind).integrand
+        return _slope_pieces(lam, kind)
     if which == "sign":
-        return _mellin_variation(lam, draw(st.sampled_from([0, 1, 2])),
-                                 draw(st.booleans())).integrand
+        return _mellin_pieces(lam, draw(st.sampled_from([0, 1, 2])), draw(st.booleans()))
     return TRUNCATION_PIECES
 
 
@@ -146,10 +157,10 @@ def _check(law, pieces):
 
 @given(laws, integrands())
 @settings(max_examples=30, deadline=None)
-@example(ExpTails1D(0.5, 12.0, 1.0, 12.0), utility_variation(1e-7, "mmv").integrand)
-@example(ExpTails1D(0.0, 5.0, 1.0, 5.0), slope_variation(1e13, "mmv").integrand)
-@example(ExpYieldMeasure(Gaussian1D(0.0, 0.01, 1.0)), slope_variation(4.5, "mv").integrand)
-@example(ExpYieldMeasure(ExpTails1D(10.0, 1.0, 3.0, 1.5)), utility_variation(1.0, "mv").integrand)
+@example(ExpTails1D(0.5, 12.0, 1.0, 12.0), _utility_pieces(1e-7, "mmv"))
+@example(ExpTails1D(0.0, 5.0, 1.0, 5.0), _slope_pieces(1e13, "mmv"))
+@example(ExpYieldMeasure(Gaussian1D(0.0, 0.01, 1.0)), _slope_pieces(4.5, "mv"))
+@example(ExpYieldMeasure(ExpTails1D(10.0, 1.0, 3.0, 1.5)), _utility_pieces(1.0, "mv"))
 def test_closed_forms_match_mpmath(law, pieces):
     _check(law, pieces)
 
@@ -259,8 +270,8 @@ def test_warm_plans_give_the_bits_of_fresh_ones(family, params, pieces, data):
     for i in range(197):
         lam = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0))
         kind = ("mv", "mmv")[i % 2]
-        f = (utility_variation(lam, kind), slope_variation(lam, kind),
-             _mellin_variation(lam, i % 3, bool(i % 2)))[i % 3].integrand
+        f = (_utility_pieces(lam, kind), _slope_pieces(lam, kind),
+             _mellin_pieces(lam, i % 3, bool(i % 2)))[i % 3]
         warm.integrate(f if i % 7 else TRUNCATION_PIECES)
     for _ in range(3):
         warm.integrate(data.draw(random_pieces(list(pieces.edges))))
@@ -293,8 +304,9 @@ def test_warm_blocks_give_the_bits_of_fresh_single_integrals(family, params, k, 
     lams = [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 13.0)) for _ in range(40)]
     for i, lam in enumerate(lams + [1.0 / e for e in bliss]):
         kind = ("mv", "mmv")[i % 2]
-        warm.integrate_block([xi.integrand for xi in utility_and_slope(lam, kind)])
-        warm.integrate_block([xi.integrand for xi in _mellin_variations(lam)])
+        warm.integrate_block(_kinked_pieces(lam, [_utility_spec(lam, kind),
+                                                  _slope_spec(lam, kind)]))
+        warm.integrate_block(_kinked_pieces(lam, _mellin_specs(lam)))
     for _ in range(2):
         assert [float(v).hex() for v in warm.integrate_block(block)] == want
     # and each row alone, on the warm law
@@ -307,7 +319,7 @@ def test_plan_memo_stays_bounded():
     for law in (ExpTails1D(1.0, 8.0, 2.0, 6.0), ExpYieldMeasure(Gaussian1D(0.05, 0.02, 1.5))):
         inner = law.base if isinstance(law, ExpYieldMeasure) else law
         for lam in np.geomspace(1e-3, 1e9, 10_000):
-            law.integrate(slope_variation(float(lam), "mmv").integrand)
+            law.integrate(_slope_pieces(float(lam), "mmv"))
         fixed, moving = inner.__dict__["_plans"]
         assert len(moving) == _MOVING_PLANS
         assert len(fixed) <= 6
