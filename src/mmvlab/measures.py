@@ -18,8 +18,9 @@ Every family supports the same small protocol:
   support when that is positive (all the mass on that side, away from
   0), else 0.
 
-Finite atoms take no integrand: their readers sum over the points
-(`localutil._Rows`, `model.small_jump_mean`).  Tabulated laws apply their
+Finite atoms take no integrand, and say so with UnsupportedMeasure:
+their readers sum over the points (`localutil._Rows`,
+`model.small_jump_mean`).  Tabulated laws apply their
 trapezoid rule with the block's edges inserted in the grid, one table
 of nodes and density values per block.  The Gaussian and
 exponential-tail families integrate each row exactly from partial moments
@@ -142,6 +143,10 @@ class FiniteAtoms(JumpMeasure):
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", ms)
         object.__setattr__(self, "dim", pts.shape[1])
+
+    def integrate_block(self, fs) -> list[float]:
+        raise UnsupportedMeasure("finite atoms take no integrand: their readers sum over "
+                                 "the points and masses")
 
     def total_mass(self) -> float:
         return float(self.masses.sum())

@@ -29,16 +29,31 @@ plain slope is B - lam C there too, so its zero is B/C, from the slope
 at the origin and one curvature integral.  The monotone kind has the
 same optimum wherever no mass passes the bliss point 1/lam of B/C (the
 paper's cap condition: the two utilities then agree wherever the law
-has mass).  Elsewhere the slope along the allowed side never
-increases, so the maximizer is the first point where it stops pointing
-outward: a bracket grown from the law's scale by factors of 4,
-Chandrupatla's interpolating steps on the slope and a bisection down to
-adjacent doubles find it, in about ten slope evaluations, and the
-objective is evaluated once, there.  The monotone slope exceeds the
-plain one by the mass past bliss, so its zero is never short of B/C;
-where that mass is below the slope's rounding and the search ends
-short, B/C is taken.  That zero is also the sigma-martingale condition
-of the dual density, and the minimum-norm end of any flat stretch.
+has mass).  The slope at the origin and C are one walk at lam = 0,
+where no bliss point bends the integrands, so it is the same walk for
+both kinds and is kept on the characteristics for the other one.
+Elsewhere the slope along the allowed side never increases, so the
+maximizer is the first point where it stops pointing outward.  The
+monotone slope exceeds the plain one by the mass past bliss, so that
+point is never short of B/C.  With diffusion the monotone slope is
+convex as well and falls at least as fast as c lam, so Newton's steps
+from B/C rise to its zero, each one walk of the slope and its
+derivative (`_newton_bracket`); steps back of one, two, four ulps from
+the first point past it close a bracket, mostly of adjacent doubles.
+On the benchmark's seeded schedules such a point takes one to six
+Newton walks and 6.6 walks on average, at most 10, the origin's walk
+and the value's included.  Every other searched point grows a bracket
+from the law's scale by factors of 4 and narrows it by Chandrupatla's
+interpolating steps on the slope, in about ten slope walks.  Both end
+with a bisection down to adjacent doubles (`_first_nonpositive`): a
+double where the slope is not positive, one double after a positive
+slope.  Where the rounded slope is monotone at the scale of an ulp that
+is the first double past the last positive slope; where it is not, the
+two searches may end at different sign changes a few ulps apart.
+Where the mass past bliss is below the slope's rounding and the search
+ends short of B/C, B/C is taken.  The objective is evaluated once, at
+the end.  That zero is also the sigma-martingale condition of the dual
+density, and the minimum-norm end of any flat stretch.
 
 The monotone kind on several-dimensional atoms is exact too.  Its
 local utility is concave and piecewise quadratic: on the set S of atoms
@@ -70,6 +85,11 @@ _MAX_DIM = 4
 #: the spec of x -> x^2 at lam = 0, whose drift c + (integral of x^2) is
 #: the plain kind's curvature C, on the slope's fixed edges -1 and 1
 _SQUARE = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0, 0.0, 2.0)
+#: the spec of the monotone slope's derivative in lam, -x^2 below the
+#: bliss point and 0 past it: its drift is -(c + integral of x^2 below bliss)
+_CURVATURE = ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0), 0.0, 0.0, -2.0)
+#: factors of 4 a density search's bracket may grow by
+_GROWTHS = 40
 
 
 @dataclass(frozen=True)
@@ -446,9 +466,12 @@ def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
     one tolerance from a, where the first zero most likely is; two zeros
     in a row fail the test, so a flat stretch is bisected.  A bisection
     on the float lattice then ends with the two ends adjacent doubles,
-    or atol apart where an ulp is smaller than atol: the result is the
-    first double past the last positive value, whatever path the
-    bracket took.
+    or atol apart where an ulp is smaller than atol: the result x has
+    f(x) <= 0 < f(the double before x).  Where the rounded f is monotone
+    at the scale of an ulp, x is the first double past the last positive
+    value.  Where it is not, the bracket's path decides which sign
+    change x is: f of 0, +5.6e-17 and -5.6e-17 at three adjacent doubles
+    has two, and a bracket may end at either.
     """
     a, fa = hi, f_hi
     b, fb = lo, f_lo
@@ -493,6 +516,47 @@ def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
     return hi, f_hi
 
 
+def _newton_bracket(f, slope, t, reach):
+    """A bracket a few ulps wide of the first zero of a convex
+    decreasing slope, by Newton's steps from a point t at or short of it.
+
+    f(t) is the slope and its derivative there, from one walk; slope(t)
+    the slope alone.  The tangent at a point of positive slope lies
+    below a convex slope, so it meets zero short of the first zero: the
+    steps rise toward it, and the first point whose slope is not
+    positive has passed it by rounding alone.  A step under one ulp
+    moves one, and each further such step twice as many, so the slope's
+    rounding at its zero cannot stall them.  From that point steps of
+    one, two, four ulps back find a positive slope again.  Returns
+    (lo, f(lo), hi, f(hi)) with f(lo) > 0 >= f(hi), or lo = hi = t
+    where the slope at t is not positive; None where a step passes
+    reach or the steps have not closed the bracket in _GROWTHS walks.
+    """
+    s, d = f(t)
+    lo, s_lo, ulps = t, s, 1.0
+    for _ in range(_GROWTHS):
+        if s <= 0.0:
+            break
+        lo, s_lo = t, s
+        step, ulp = s / -d, math.ulp(t)
+        if step < ulp:
+            step, ulps = ulps * ulp, 2.0 * ulps
+        t += step
+        if not t <= reach:
+            return None
+        s, d = f(t)
+    if s > 0.0:
+        return None
+    back, ulps = t - math.ulp(t), 2.0
+    while lo < back:
+        s_back = slope(back)
+        if s_back > 0.0:
+            return back, s_back, t, s
+        t, s = back, s_back
+        back, ulps = t - ulps * math.ulp(t), 2.0 * ulps
+    return lo, s_lo, t, s
+
+
 def _trapezoid_law(jumps) -> bool:
     """Whether a one-dimensional law is integrated by the trapezoid rule."""
     while isinstance(jumps, (ExpYieldMeasure, CappedMeasure)):
@@ -506,10 +570,12 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     The slope of the concave local utility never increases away from the
     origin, so its first zero is the minimum-norm maximizer: B/C for the
     plain kind, and for the monotone kind where no mass passes 1/(B/C);
-    otherwise the first double where the slope stops being positive
-    (`_first_nonpositive`).  A B/C within eps^2 of the law's scale is
+    otherwise a double where the slope stops being positive, by Newton's
+    steps from B/C where the monotone kind has diffusion
+    (`_newton_bracket`) and a grown bracket elsewhere, both narrowed by
+    `_first_nonpositive`.  A B/C within eps^2 of the law's scale is
     searched too, as is a tabulated law that puts a trapezoid node at
-    1/lam inside its grid.
+    1/lam inside its grid.  The walk at the origin is kept on chars.
     """
     kind = _kind(kind)
     jumps = chars.jumps
@@ -528,10 +594,15 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
         return _checked(drifts(lam, (_utility_spec(lam, kind),), chars)[0])
 
     # the slope at the origin, B, and, where second moments exist, the
-    # curvature x^2, C: both on the edges -1 and 1, so one walk
+    # curvature x^2, C: both on the edges -1 and 1, so one walk.  lam = 0
+    # has no bliss point, so the walk is the same for both kinds, and it
+    # is kept on the characteristics for the other kind.
     curved = ok_neg and ok_pos
-    specs = (_slope_spec(0.0, kind), _SQUARE) if curved else (_slope_spec(0.0, kind),)
-    res0, *square = drifts(0.0, specs, chars)
+    at_origin = chars.__dict__.get("_origin")
+    if at_origin is None:
+        specs = (_slope_spec(0.0, kind), _SQUARE) if curved else (_slope_spec(0.0, kind),)
+        at_origin = chars.__dict__["_origin"] = tuple(drifts(0.0, specs, chars))
+    res0, *square = at_origin
     if res0 is not None and not math.isfinite(res0):
         res0 = None
 
@@ -551,7 +622,8 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
         return origin()
 
     slope_tol = _slope_tol(float(chars.b_trunc[0]))
-    if float(chars.cov[0, 0]) <= 0.0 and all(
+    c = float(chars.cov[0, 0])
+    if c <= 0.0 and all(
             jumps.mass_scaled_ge(np.array([s]), 0.0, strict=True) <= _mass_tol(jumps)
             for s in (-1.0, 1.0)):
         # no risk at all: the value is linear in lam
@@ -609,7 +681,7 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     # every jump has passed bliss, at 1 over the support's inner end, and
     # the slope is flat from there.  It meets that plateau tangentially,
     # below its own rounding, so a zero plateau's start is tested first.
-    end = jumps.inner_end(side) if float(chars.cov[0, 0]) <= 0.0 else 0.0
+    end = jumps.inner_end(side) if c <= 0.0 else 0.0
     if kind is UtilityKind.MMV and not flagged and end > 0.0:
         s_end = slope(1.0 / end)
         if abs(s_end) <= slope_tol:
@@ -617,22 +689,41 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             if val >= 0.0:
                 return finish(side / end, val, side * s_end, tie=True)
 
-    # grow [lo, hi] until the slope at hi stops being positive
-    lo, s_lo = 0.0, math.inf if res0 is None else side * res0
-    hi = scale
-    s_hi = slope(hi)
-    for _ in range(40):
-        if s_hi <= 0.0:
-            break
-        lo, s_lo, hi = hi, s_hi, 4.0 * hi
+    # With diffusion the monotone slope is convex and falls at least as
+    # fast as c lam, so Newton's steps from the floor B/C bracket its zero
+    # (`_newton_bracket`).  The slope at 2 hi is then at most -c hi: once
+    # c B/C passes the flat tolerance no plateau starts at hi, and the
+    # plateau probe below is not needed.
+    found = None
+    if floor > 0.0 and c * floor > slope_tol:
+        def slope_and_curvature(t: float) -> tuple[float, float]:
+            s, d = drifts(side * t, (_slope_spec(side * t, kind), _CURVATURE), chars)
+            return side * _checked(s), _checked(d)
+
+        found = _newton_bracket(slope_and_curvature, slope, floor,
+                                scale * 4.0 ** _GROWTHS)
+    if found is not None:
+        lo, s_lo, hi, s_hi = found
+        flat_top = False
+        if lo < hi:
+            hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
+    else:
+        # grow [lo, hi] until the slope at hi stops being positive
+        lo, s_lo = 0.0, math.inf if res0 is None else side * res0
+        hi = scale
         s_hi = slope(hi)
-    flagged = flagged or s_hi > 0.0
-    flat_top = abs(s_hi) <= slope_tol
-    if not flagged:
-        # directions within eps^2 of the law's scale count as zero
-        hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
-        if hi < floor:
-            hi, s_hi = floor, slope(floor)
+        for _ in range(_GROWTHS):
+            if s_hi <= 0.0:
+                break
+            lo, s_lo, hi = hi, s_hi, 4.0 * hi
+            s_hi = slope(hi)
+        flagged = flagged or s_hi > 0.0
+        flat_top = abs(s_hi) <= slope_tol
+        if not flagged:
+            # directions within eps^2 of the law's scale count as zero
+            hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
+            if hi < floor:
+                hi, s_hi = floor, slope(floor)
     val = value(side * hi)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()

@@ -32,6 +32,16 @@ class TestFiniteAtoms:
         want = 0.2 * -0.5 + 0.5 * 0.25 + 0.3 * 1.0
         assert small_jump_mean(chars)[0] == pytest.approx(want, abs=1e-16)
 
+    def test_integrals_are_refused_with_a_reason(self):
+        # atoms are summed over their points, never integrated: both entry
+        # points of the integral protocol say so, in one and two dimensions
+        plane = FiniteAtoms(np.array([[0.5, -0.5]]), np.array([0.2]))
+        for law in (self.LAW, plane):
+            with pytest.raises(UnsupportedMeasure, match="finite atoms take no integrand"):
+                law.integrate(square)
+            with pytest.raises(UnsupportedMeasure, match="finite atoms take no integrand"):
+                law.integrate_block((ident, square))
+
     def test_mass_scaled_ge_boundary(self):
         # the point 0.25 sits exactly on the level 1 boundary at lam = 4
         assert self.LAW.mass_scaled_ge(4.0, 1.0) == pytest.approx(0.8)

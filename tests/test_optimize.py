@@ -16,9 +16,10 @@ from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
                     maximize_local_utility, solve_schedule)
 from mmvlab._quad import Pieces
 from mmvlab.drift import drifts
-from mmvlab.localutil import _Rows
-from mmvlab.measures import TRUNCATION_PIECES, ExpYieldMeasure
-from mmvlab.optimize import maximize_atom_laws
+from mmvlab.localutil import _Rows, _slope_spec
+from mmvlab.measures import (TRUNCATION_PIECES, CappedMeasure, ExpYieldMeasure,
+                             TabulatedDensity1D)
+from mmvlab.optimize import _CURVATURE, _SQUARE, maximize_atom_laws
 
 import properties
 
@@ -246,8 +247,9 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     # a bracket, Chandrupatla's steps on the slope and a finish on the
-    # float lattice: example 3 mmv takes 16 drift evaluations, the others
-    # ten or fewer (example 2 mv, B/C in closed form, four in two walks)
+    # float lattice: example 3 mmv, without diffusion, takes 18 slope
+    # walks; example 2 mmv, Newton's steps from B/C, 12 rows in 7 walks;
+    # example 2 mv, B/C in closed form, four rows in two walks
     walks = _counting_walks(monkeypatch)
     for seg in example_model(example).segments:
         walks.clear()
@@ -299,14 +301,16 @@ def test_slope_root_at_the_origin_ends_at_the_law_scale(b, monkeypatch):
 def test_closed_form_optimum_costs_four_drifts(law, monkeypatch):
     # mv is B/C: the slope at the origin and the curvature in one walk,
     # then the value and the FOC there in another; mmv is the same
-    # optimum when no mass passes its bliss point, as on these narrow laws
+    # optimum when no mass passes its bliss point, as on these narrow
+    # laws.  The origin's walk is the same for both kinds and is kept on
+    # the characteristics, so the second kind makes the second walk alone.
     walks = _counting_walks(monkeypatch)
     chars = LocalCharacteristics(np.array([0.1]), np.array([[0.05]]), law)
     opt = {}
-    for kind in ("mv", "mmv"):
+    for kind, want in (("mv", [2, 2]), ("mmv", [2])):
         walks.clear()
         opt[kind] = maximize_local_utility(chars, kind)
-        assert [len(w) for w in walks] == [2, 2]
+        assert [len(w) for w in walks] == want
         assert opt[kind].boundedness == "interior"
     assert law.mass_scaled_ge(opt["mv"].lambda_hat, 1.0, strict=True) == 0.0
     assert opt["mmv"].lambda_hat.tobytes() == opt["mv"].lambda_hat.tobytes()
@@ -314,6 +318,108 @@ def test_closed_form_optimum_costs_four_drifts(law, monkeypatch):
         walks.clear()
         maximize_local_utility(seg.chars, "mv")
         assert [len(w) for w in walks] == [2, 2]
+
+
+def _drawn_chars(seed, family, image="plain", diffusive=True):
+    """Drift, diffusion and a density jump law drawn from the seed, in
+    the ranges of the benchmark's random schedules; built anew on each
+    call, so two calls share no characteristics and no law."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-0.3, 0.3)
+    c = rng.uniform(0.01, 0.09) if diffusive else 0.0
+    if family == "gaussian":
+        law = Gaussian1D(rng.uniform(-0.1, 0.1), rng.uniform(0.005, 0.04), rng.uniform(0.5, 2.0))
+    elif family == "exp_tails":
+        law = ExpTails1D(rng.uniform(0.5, 3.0), rng.uniform(6.0, 15.0),
+                         rng.uniform(0.5, 3.0), rng.uniform(6.0, 15.0))
+    else:
+        x = np.linspace(-rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.8), 31)
+        centre, width = rng.uniform(-0.1, 0.1), rng.uniform(0.05, 0.3)
+        law = TabulatedDensity1D(x, rng.uniform(0.5, 2.0)
+                                 * np.exp(-0.5 * ((x - centre) / width) ** 2) / width)
+    if image in ("yield", "capped_yield"):
+        law = ExpYieldMeasure(law)
+    if image in ("cap", "capped_yield"):
+        law = CappedMeasure(law, rng.uniform(0.05, 0.3))
+    return LocalCharacteristics(np.array([b]), np.array([[c]]), law)
+
+
+@pytest.mark.parametrize("family, image", [("gaussian", "plain"), ("exp_tails", "plain"),
+                                           ("gaussian", "yield"), ("exp_tails", "yield")])
+def test_newton_point_costs_at_most_ten_walks(family, image, monkeypatch):
+    # with diffusion, a monotone point whose mass passes the bliss point
+    # of B/C is found by Newton's steps from B/C, each one walk of the
+    # slope and its derivative, then a bracket a few ulps wide: the
+    # origin's walk, at most six Newton walks and the value, at most ten
+    # walks in all, solved first on its characteristics
+    walks = _counting_walks(monkeypatch)
+    newton_points = 0
+    for seed in range(40):
+        walks.clear()
+        maximize_local_utility(_drawn_chars(seed, family, image), "mmv")
+        newton = [w for w in walks if _CURVATURE in w]
+        if newton:
+            newton_points += 1
+            assert all(len(w) == 2 for w in newton)
+            assert len(newton) <= 6
+            assert len(walks) <= 10
+    assert newton_points >= 30
+
+
+#: draws whose Newton steps leave a bracket two ulps wide with the first
+#: nonpositive slope inside it, which the bisection then finds
+_NARROWED = [(20, "gaussian", "yield"), (134, "gaussian", "plain"),
+             (136, "gaussian", "cap"), (235, "exp_tails", "yield")]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_ends_where_the_slope_turns_nonpositive(seed):
+    # both searches, Newton's steps (with diffusion) and the grown bracket
+    # (without, and on trapezoid laws), end at a double where the slope
+    # is not positive and is positive one double nearer the origin.
+    # Only B/C itself, the floor of the monotone search, may have a
+    # nonpositive slope before it.
+    rng = np.random.default_rng(seed)
+    draws = [(int(rng.integers(2 ** 32)), family, image, diffusive)
+             for family in ("gaussian", "exp_tails", "tabulated")
+             for image in ("plain", "yield", "cap")
+             for diffusive in (True, False) for _ in range(8)]
+    checked = {True: 0, False: 0}
+    for draw in draws + [(*pinned, True) for pinned in _NARROWED]:
+        chars = _drawn_chars(*draw)
+        opt = maximize_local_utility(chars, "mmv")
+        lam = float(opt.lambda_hat[0])
+        res0, curv = drifts(0.0, (_slope_spec(0.0, "mmv"), _SQUARE), chars)
+        if opt.boundedness != "interior" or lam == res0 / curv:
+            continue
+        side = math.copysign(1.0, lam)
+
+        def slope(t):
+            return side * float(foc_residual([t], chars, "mmv")[0])
+
+        assert slope(lam) <= 0.0 < slope(math.nextafter(lam, 0.0)), (draw, lam.hex())
+        checked[draw[3] and draw[1] != "tabulated"] += 1
+    assert min(checked.values()) >= 20
+
+
+@pytest.mark.parametrize("family", ["gaussian", "exp_tails", "tabulated"])
+@pytest.mark.parametrize("image", ["plain", "yield", "cap", "capped_yield"])
+def test_either_kind_first_gives_the_same_bits(family, image):
+    # the origin's walk is kept on the characteristics for the other kind:
+    # solving mv then mmv, mmv then mv, or either alone gives the same bits
+    def bits(o):
+        res = None if o.foc_residual is None else o.foc_residual.tobytes()
+        return o.lambda_hat.tobytes(), o.value.hex(), res, o.boundedness, o.tie_break_applied
+
+    for seed in range(6):
+        diffusive = seed % 2 == 0
+        alone = {kind: bits(maximize_local_utility(_drawn_chars(seed, family, image, diffusive),
+                                                   kind))
+                 for kind in ("mv", "mmv")}
+        for order in (("mv", "mmv"), ("mmv", "mv")):
+            chars = _drawn_chars(seed, family, image, diffusive)
+            for kind in order:
+                assert bits(maximize_local_utility(chars, kind)) == alone[kind], (seed, order)
 
 
 def _example5_closed_form(n):
