@@ -23,8 +23,8 @@ from .localutil import (UtilityKind, check_instantaneous_no_arbitrage,
                         local_utility, utility)
 from .measures import (ExpTails1D, FiniteAtoms, Gaussian1D, JumpMeasure,
                        TabulatedDensity1D, merge_atoms)
-from .model import (JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps,
-                    Segment, build_model, cap_jumps, exp_transform)
+from .model import (LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
+                    build_model, cap_jumps, exp_transform)
 from .montecarlo import (PathStats, SimConfig, WealthStudy, estimate_stats,
                          run_wealth_study, simulate_paths, wealth_recursion)
 from .optimize import (AtomOptima, LocalOptimum, foc_residual,
@@ -49,7 +49,7 @@ __all__ = [
     "utility",
     "ExpTails1D", "FiniteAtoms", "Gaussian1D", "JumpMeasure",
     "TabulatedDensity1D", "merge_atoms",
-    "JumpAtom", "LocalCharacteristics", "MarketModel", "ScheduledJumps", "Segment",
+    "LocalCharacteristics", "MarketModel", "ScheduledJumps", "Segment",
     "build_model", "cap_jumps", "exp_transform",
     "PathStats", "SimConfig", "WealthStudy", "estimate_stats",
     "run_wealth_study", "simulate_paths", "wealth_recursion",

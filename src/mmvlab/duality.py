@@ -214,22 +214,12 @@ def _mellin_specs(lam: float) -> list[tuple]:
             for p, even in _SIGN_ROWS]
 
 
-def _sign_moment_drift(chars, lam: np.ndarray, p: int, even: bool, walked) -> float:
-    """Drift of x -> _zeta(lam . x) at a segment: read off the walk of
-    its density law (`_sign_walks`), or summed over its atoms, as at the
-    scheduled jumps, where it has no walk."""
-    if walked is not None:
-        return _checked(walked[_SIGN_ROWS.index((p, even))])
-    rows = _rows_from_chars(chars)
-    return float(rows.drift(lam[None], lambda u: _zeta(u, p, even), _Z_GRAD[p], _Z_HESS[p])[0])
-
-
 def _sign_walks(model: MarketModel, seg_lams) -> tuple:
     """Each segment's six sign-moment drifts at its direction, one per
-    (p, even) of `_SIGN_ROWS`, from one walk of its density law (None
-    where a positive part diverges, as `drifts` gives it);
-    None for a segment of finitely many atoms or no jumps, whose sums
-    are taken per order as asked.
+    (p, even) of `_SIGN_ROWS`: from one walk of a density law (None
+    where a positive part diverges, as `drifts` gives it), or summed
+    over the row of a segment of finitely many atoms or no jumps, as at
+    the scheduled jumps.
 
     Kept on the model for the last directions asked, keyed by their
     bytes, so the sign moments of one schedule, of every order and from
@@ -240,10 +230,17 @@ def _sign_walks(model: MarketModel, seg_lams) -> tuple:
     key = b"".join(lam.tobytes() for lam in seg_lams)
     memo = model.__dict__.get("_sign_walks")
     if memo is None or memo[0] != key:
-        memo = model.__dict__["_sign_walks"] = (key, tuple(
-            None if _rows_from_chars(seg.chars) is not None
-            else tuple(drifts(lam, _mellin_specs(lam), seg.chars))
-            for seg, lam in zip(model.segments, (float(v[0]) for v in seg_lams))))
+        walks = []
+        for seg, lam in zip(model.segments, seg_lams):
+            rows = _rows_from_chars(seg.chars)
+            if rows is None:
+                lam1 = float(lam[0])
+                walks.append(tuple(drifts(lam1, _mellin_specs(lam1), seg.chars)))
+            else:
+                walks.append(tuple(float(rows.drift(lam[None], lambda u: _zeta(u, p, even),
+                                                    _Z_GRAD[p], _Z_HESS[p])[0])
+                                   for p, even in _SIGN_ROWS))
+        memo = model.__dict__["_sign_walks"] = (key, tuple(walks))
     return memo[1]
 
 
@@ -252,8 +249,8 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
 
     Each half is a combination of two exponentials: drifts of the
     sign-moment variations accumulate over segments, one exact factor
-    per scheduled jump.  A density segment's drifts of every order come
-    from one walk, kept for the schedule (`_sign_walks`).
+    per scheduled jump.  The segment drifts of every order are kept for
+    the schedule, a density segment's from one walk (`_sign_walks`).
     """
     if p not in (0, 1, 2):
         raise ValueError("moment order p must be 0, 1 or 2")
@@ -263,9 +260,10 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
     u = rows.scaled(atom_lams)
     exps = []
     for even in (True, False):
+        k = _SIGN_ROWS.index((p, even))
         acc = 0.0
-        for seg, lam, walked in zip(model.segments, seg_lams, walks):
-            acc += seg.length * _sign_moment_drift(seg.chars, lam, p, even, walked)
+        for seg, walked in zip(model.segments, walks):
+            acc += seg.length * _checked(walked[k])
         jumps = rows.sums(rows.m * _zeta(u, p, even))
         exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),

@@ -17,8 +17,9 @@ and finiteness check, then coincident points merged per jump and the
 law invariants checked as array reductions) and reports the first bad
 atom.  The solver, aggregation, the dual diagnostics and the simulator
 read the columns in every dimension (the first three as the rows of
-`localutil._Rows`); indexing the table builds a `JumpAtom` view for the
-few readers that need one law object.
+`localutil._Rows`).  The table is the only form in which scheduled jumps
+enter a model; indexing it builds a `JumpAtom` view, kept for the one
+reader outside the package that binds its `chars`.
 
 The small-jump integrability invariant (the integral of |x|^2 ^ 1 is
 finite) holds structurally for every supported family: all four have
@@ -93,17 +94,18 @@ class Segment:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpAtom:
     """Fixed jump time: law of the increment, restricted to nonzero outcomes.
 
     Characteristics at the atom use a unit activity weight, so the
     per-unit values coincide with plain expectations under the law.
-    `activity_weight` records the original clock weight when a model is
-    built programmatically from a scheme with non-unit atom weights; it
+    `activity_weight` records the original clock weight of the jump; it
     only rescales display rates, never the compounded increments.
-    Models keep their scheduled jumps in a `ScheduledJumps` table, and
-    indexing it builds these one-row views.
+    A model takes its scheduled jumps only as a `ScheduledJumps` table;
+    this is the one-row view that indexing the table builds, and it
+    stays until the benchmark tracer no longer binds `chars`.  Views
+    compare by identity.
     """
 
     time: float
@@ -169,9 +171,9 @@ class ScheduledJumps(Sequence):
 
     It has no per-jump reductions of its own: the solver and the
     diagnostics sum over its outcomes as the rows of `localutil._Rows`,
-    and the simulator reads the columns.  As a sequence it holds one
-    `JumpAtom` per jump, built on access, for readers that need a single
-    law object.
+    and the simulator reads the columns.  It is the only form in which
+    scheduled jumps enter a model, `empty(dim)` the table of none.  As a
+    sequence it holds one `JumpAtom` view per jump, built on access.
     """
 
     def __init__(self, times, weights, points, masses, row):
@@ -195,12 +197,9 @@ class ScheduledJumps(Sequence):
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
 
     @classmethod
-    def from_atoms(cls, atoms, dim: int) -> "ScheduledJumps":
-        """The table of a sequence of JumpAtom, in the given order."""
-        return cls([a.time for a in atoms], [a.activity_weight for a in atoms],
-                   np.concatenate([np.empty((0, dim))] + [a.law.points for a in atoms]),
-                   np.concatenate([np.empty(0)] + [a.law.masses for a in atoms]),
-                   np.repeat(np.arange(len(atoms)), [a.law.masses.size for a in atoms]))
+    def empty(cls, dim: int) -> "ScheduledJumps":
+        """The table of no scheduled jumps in dimension dim."""
+        return cls((), (), np.empty((0, dim)), (), ())
 
     @property
     def dim(self) -> int:
@@ -221,18 +220,13 @@ class ScheduledJumps(Sequence):
                         FiniteAtoms(self.points[part], self.masses[part]),
                         float(self.weights[t]))
 
-    def __eq__(self, other):    # compares with a tuple of JumpAtom as a tuple does
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, list)) else NotImplemented
-
-    __hash__ = None
-
 
 @dataclass(frozen=True)
 class MarketModel:
     """Horizon, segments and scheduled jumps of a market.
 
-    `atoms` may be given as a sequence of JumpAtom; it is converted once
-    to a `ScheduledJumps` table of dimension `dim`.
+    `atoms` is a `ScheduledJumps` table of dimension `dim`, the only
+    form scheduled jumps are given in.
     """
 
     horizon: float
@@ -242,8 +236,8 @@ class MarketModel:
 
     def __post_init__(self):
         if not isinstance(self.atoms, ScheduledJumps):
-            object.__setattr__(self, "atoms", ScheduledJumps.from_atoms(self.atoms, self.dim))
-        elif self.atoms.dim != self.dim:
+            raise InvariantError("scheduled jumps must be a ScheduledJumps table")
+        if self.atoms.dim != self.dim:
             raise InvariantError("scheduled-jump dimension does not match the model")
 
 
@@ -473,7 +467,7 @@ def _parse_atoms(raw, dim: int, horizon: float, exp: bool) -> ScheduledJumps:
     raises first.
     """
     if not raw and isinstance(raw, (list, tuple, type(None))):
-        return ScheduledJumps.from_atoms((), dim)
+        return ScheduledJumps.empty(dim)
     if not isinstance(raw, (list, tuple)):
         raise SchemaError("config.atoms: expected a list")
 

@@ -165,11 +165,6 @@ class AtomOptima(Sequence):
         return LocalOptimum(self.lambda_hat[i], float(self.value[i]), self.foc_residual[i],
                             BOUNDEDNESS[self.flag[i]], bool(self.tie[i]))
 
-    def __eq__(self, other):    # compares with a tuple of LocalOptimum as a tuple does
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, list)) else NotImplemented
-
-    __hash__ = None
-
 
 def foc_residual(lam, chars: LocalCharacteristics, kind) -> np.ndarray:
     """Gradient of the local utility: drift of x_i g'(lam . x) per component,
@@ -282,7 +277,7 @@ def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
     """Exact optima at every scheduled jump of a table at once.
 
     Each row is the increment law of a fixed jump time, whose
-    characteristics are those of `JumpAtom.chars` (truncated drift the
+    characteristics are those of the table's row view (truncated drift the
     mean of h, no diffusion); no characteristics are built.  One batch
     solves every row in one dimension, and `_maximize_quadratic` each
     row in several.  Each optimum equals `maximize_local_utility` on

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from mmvlab import (CumulativeUtility, ExpTails1D, FiniteAtoms, Gaussian1D, JumpAtom,
-                    LocalCharacteristics, SimConfig, TabulatedDensity1D, build_model,
-                    compounding_dual, det_stoch_exponential, local_utility,
+from mmvlab import (CumulativeUtility, ExpTails1D, FiniteAtoms, Gaussian1D,
+                    LocalCharacteristics, ScheduledJumps, SimConfig, TabulatedDensity1D,
+                    build_model, compounding_dual, det_stoch_exponential, local_utility,
                     maximize_local_utility, run_wealth_study, sharpe_hansen_convert,
                     utility, wealth_recursion, simulate_paths)
 from mmvlab.drift import drifts
@@ -23,6 +23,20 @@ from mmvlab.duality import _mellin_specs
 from mmvlab.localutil import _slope_spec, _utility_spec
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
+
+
+def jump_table(laws, times):
+    """The scheduled jumps of (points (k, d), masses (k,)) laws at the
+    given times, with unit weights, as one table."""
+    return ScheduledJumps(times, np.ones(len(laws)), np.concatenate([p for p, _ in laws]),
+                          np.concatenate([m for _, m in laws]),
+                          np.repeat(np.arange(len(laws)), [len(m) for _, m in laws]))
+
+
+def jump_chars(points, masses):
+    """Characteristics of one scheduled jump of the given law (no
+    diffusion, truncated drift the mean of h), from a one-row table."""
+    return jump_table([(points, masses)], [1.0])[0].chars
 
 
 def random_atom_chars(gen, dim=1, n_points=None):
@@ -52,7 +66,7 @@ def random_jump_chars(gen, losses=True):
         pts = gen.uniform(0.05, 1.5, size=n)
     masses = gen.uniform(0.05, 0.4, size=n)
     masses *= gen.uniform(0.3, 1.0) / masses.sum()
-    return JumpAtom(1.0, FiniteAtoms(pts[:, None], masses)).chars
+    return jump_chars(pts[:, None], masses)
 
 
 def random_density_chars(gen):
@@ -218,7 +232,7 @@ def random_nd_atom_chars(gen, family, dim, n_points):
 
     Diffusion and singular c draw a full-rank and a rank-deficient
     covariance, drift-only laws have none; scheduled jumps have the
-    drift of `JumpAtom.chars`, and gains only put every outcome in the
+    drift of `jump_chars`, and gains only put every outcome in the
     positive orthant, where the monotone maximum is a plateau.
     """
     lo = 0.05 if family == "gains_only" else -0.9
@@ -226,7 +240,7 @@ def random_nd_atom_chars(gen, family, dim, n_points):
     masses = gen.uniform(0.05, 0.4, size=n_points)
     masses *= gen.uniform(0.3, 1.0) / masses.sum()
     if family in ("scheduled_jump", "gains_only"):
-        return JumpAtom(1.0, FiniteAtoms(pts, masses)).chars
+        return jump_chars(pts, masses)
     b = gen.uniform(-0.3, 0.3, size=dim)
     if family == "drift_only":
         c = np.zeros((dim, dim))

@@ -22,7 +22,7 @@ import properties
 def test_solution_structure(ex2_sol_mmv):
     assert ex2_sol_mmv.kind is UtilityKind.MMV
     assert len(ex2_sol_mmv.segment_optima) == 1
-    assert ex2_sol_mmv.atom_optima == ()
+    assert len(ex2_sol_mmv.atom_optima) == 0
     assert len(ex2_sol_mmv.segment_lambdas()) == 1
 
 

@@ -88,3 +88,39 @@ def test_every_exported_name_is_bound():
     import mmvlab
 
     assert [name for name in mmvlab.__all__ if not hasattr(mmvlab, name)] == []
+
+
+def code_references(source: str, name: str) -> list[int]:
+    """Lines where code refers to `name`: as a name, an attribute, an
+    imported name or an __all__ entry; docstrings and comments do not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(name in alias.name.split(".") for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            hit = any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets) \
+                and name in ast.literal_eval(node.value)
+        else:
+            hit = (isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name)
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_model_module_refers_to_the_jump_view():
+    # scheduled jumps enter a model only as a table; `model.JumpAtom` is
+    # the one-row view that indexing it builds, named nowhere else
+    import mmvlab
+
+    found = {path.name: code_references(path.read_text(), "JumpAtom")
+             for path in sorted(SRC.glob("*.py")) if path.name != "model.py"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert "JumpAtom" not in mmvlab.__all__ and not hasattr(mmvlab, "JumpAtom")
+
+
+def test_a_code_reference_is_found():
+    source = ('"""JumpAtom in a docstring."""\nfrom .model import JumpAtom as J\n'
+              "# JumpAtom in a comment\nx = model.JumpAtom\ny = JumpAtom\n"
+              "__all__ = ['JumpAtom']\nz = 'JumpAtom'\n")
+    assert code_references(source, "JumpAtom") == [2, 4, 5, 6]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError, JumpAtom, LocalCharacteristics,
+from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError, LocalCharacteristics,
                     MarketModel, ScheduledJumps, Segment, TabulatedDensity1D, build_model,
                     check_instantaneous_no_arbitrage, example_model, foc_residual,
                     local_utility, maximize_local_utility, solve_schedule, utility)
@@ -96,8 +96,7 @@ def test_slope_variation_structure():
     for i, e in enumerate(1e-6 * np.eye(2)):
         fd = (local_utility(lam + e, chars, "mv") - local_utility(lam - e, chars, "mv")) / 2e-6
         assert fd == pytest.approx(got[i], abs=1e-8)
-    table = ScheduledJumps.from_atoms([JumpAtom(0.5, chars.jumps),
-                                       JumpAtom(1.0, FiniteAtoms(-x, m))], 2)
+    table = properties.jump_table([(x, m), (-x, m)], [0.5, 1.0])
     lams = np.array([lam, -lam])
     rows = _rows_from_table(table)
     for t, one in enumerate(rows.alone()):
@@ -221,10 +220,9 @@ def test_the_scan_reads_scheduled_jumps_from_the_table(monkeypatch):
     # ignored; the scan slices the table and builds no JumpAtom view
     laws = [([[-0.5], [0.5]], [0.5, 0.5]), ([[0.5], [1.0]], [0.2, 0.3]),
             ([[-1.0], [1.0]], [0.0, 0.5])]
-    atoms = [JumpAtom(t, FiniteAtoms(np.array(p), np.array(m)))
-             for t, (p, m) in zip((0.2, 0.5, 0.7), laws)]
     chars = LocalCharacteristics(np.zeros(1), 0.04 * np.eye(1), None)
-    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), atoms)
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),),
+                        properties.jump_table(laws, [0.2, 0.5, 0.7]))
 
     def no_view(self, t):
         raise AssertionError("a JumpAtom view was built")
@@ -348,7 +346,7 @@ def test_one_dimensional_jumps_get_the_general_verdict():
     # the per-jump min/max decides as _free_lunch does on each jump alone:
     # outcomes of mixed scales and signs, some of them uncharged
     gen = np.random.default_rng(41)
-    atoms = []
+    laws = []
     for k in range(400):
         n = int(gen.integers(1, 6))
         pts = gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-8.0, 8.0, size=n)
@@ -358,16 +356,17 @@ def test_one_dimensional_jumps_get_the_general_verdict():
         elif shape == 2:
             pts = -np.abs(pts)
         masses = gen.uniform(0.05, 0.3, size=n) * (gen.random(n) < 0.8)
-        atoms.append(JumpAtom(0.001 * (k + 1), FiniteAtoms(pts[:, None], masses / n)))
+        laws.append((pts[:, None], masses / n))
+    times = 0.001 * np.arange(1, len(laws) + 1)
     chars = LocalCharacteristics(np.zeros(1), 0.04 * np.eye(1), None)
-    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), atoms)
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),),
+                        properties.jump_table(laws, times))
     report = check_instantaneous_no_arbitrage(model)
     want = []
-    for atom in atoms:
-        law = atom.law
-        w = _free_lunch(np.zeros(1), np.eye(1), law.points[law.masses > 0.0], 0.0)
+    for t, (pts, masses) in zip(times.tolist(), laws):
+        w = _free_lunch(np.zeros(1), np.eye(1), pts[masses > 0.0], 0.0)
         if w is not None:
-            want.append((atom.time, w.tolist()))
+            want.append((t, w.tolist()))
     assert 50 <= len(want) <= 350          # both verdicts occur often
     assert [(t, w.tolist()) for t, w in report.atom_violations] == want
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from mmvlab._quad import Pieces, evaluate
 from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError,
-                    JumpAtom, LocalCharacteristics, SchemaError,
+                    LocalCharacteristics, ScheduledJumps, SchemaError,
                     UnsupportedMeasure, build_model, cap_jumps,
                     exp_transform, merge_atoms)
 from mmvlab.measures import TRUNCATION_PIECES
-from mmvlab.model import small_jump_mean
+from mmvlab.model import JumpAtom, small_jump_mean
 
 
 def one_segment(dim=1, **seg):
@@ -30,7 +30,8 @@ ATOM_JUMPS = {"family": "finite_atoms",
 def test_minimal_config_builds():
     m = build_model(one_segment())
     assert m.dim == 1 and m.horizon == 1.0
-    assert len(m.segments) == 1 and m.atoms == ()
+    assert len(m.segments) == 1
+    assert isinstance(m.atoms, ScheduledJumps) and len(m.atoms) == 0 and m.atoms.dim == 1
     assert m.segments[0].chars.jumps is None
     assert m.segments[0].length == 1.0
 

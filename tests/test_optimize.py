@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mmvlab
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InfiniteValue,
-                    JumpAtom, LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
+                    LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     build_model, capped_variant, cumulative_local_utility, density_diagnostics,
                     example_model, foc_residual, local_utility,
                     maximize_local_utility, solve_schedule)
@@ -115,8 +115,8 @@ class TestScheduledJump:
     def test_monotone_corner_of_two_bliss_points(self):
         # the maximizers are the points past both bliss points; the
         # nearest is the corner where both atoms sit at bliss
-        law = FiniteAtoms(np.array([[0.5, 0.2], [0.2, 0.5]]), np.array([0.3, 0.3]))
-        opt = maximize_local_utility(JumpAtom(1.0, law).chars, "mmv")
+        opt = maximize_local_utility(properties.jump_chars(
+            np.array([[0.5, 0.2], [0.2, 0.5]]), np.array([0.3, 0.3])), "mmv")
         assert opt.lambda_hat == pytest.approx([1 / 0.7, 1 / 0.7], rel=1e-14)
         assert opt.value == pytest.approx(0.3, rel=1e-14)
         assert opt.boundedness == "interior"
@@ -162,7 +162,7 @@ def test_bounded_quadratic_optimum_on_gain_atoms_is_not_flagged():
     assert float(mv.lambda_hat[0]) == pytest.approx(5.0, rel=1e-14)
     assert mv.value == pytest.approx(2.5, rel=1e-14)
     assert maximize_local_utility(chars, "mmv").boundedness == "unbounded_flagged"
-    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), ())
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, chars),), ScheduledJumps.empty(1))
     cu = cumulative_local_utility(model, "mv")
     assert cu.continuous_part == pytest.approx(5.0, rel=1e-14)
     with pytest.raises(InfiniteValue):
@@ -446,14 +446,13 @@ def test_example5_monotone_bet_is_exact():
 
 def test_plateau_takes_its_minimum_norm_end():
     # gains only, no diffusion: the monotone utility is flat past 1/0.25
-    law = FiniteAtoms(np.array([[0.5], [0.25], [1.0]]), np.array([0.2, 0.3, 0.1]))
-    opt = maximize_local_utility(JumpAtom(1.0, law).chars, "mmv")
+    points, masses = np.array([[0.5], [0.25], [1.0]]), np.array([0.2, 0.3, 0.1])
+    opt = maximize_local_utility(properties.jump_chars(points, masses), "mmv")
     assert opt.tie_break_applied
     assert opt.boundedness == "interior"
     assert float(opt.lambda_hat[0]) == 4.0
     assert opt.value == pytest.approx(0.3, rel=1e-14)   # every outcome frozen at 1/2
-    mirrored = FiniteAtoms(-law.points, law.masses)
-    opt = maximize_local_utility(JumpAtom(1.0, mirrored).chars, "mmv")
+    opt = maximize_local_utility(properties.jump_chars(-points, masses), "mmv")
     assert float(opt.lambda_hat[0]) == -4.0 and opt.tie_break_applied
 
 
@@ -509,8 +508,8 @@ def atom_laws(draw, dim=1):
 @given(atom_laws(), st.floats(0.05, 20.0), st.sampled_from(["mv", "mmv"]))
 @settings(max_examples=150, deadline=None)
 def test_rescaling_jumps_rescales_the_optimum(law, s, kind):
-    scaled = FiniteAtoms(s * law.points, law.masses)
-    table = ScheduledJumps.from_atoms([JumpAtom(0.5, law), JumpAtom(1.0, scaled)], 1)
+    table = properties.jump_table([(law.points, law.masses), (s * law.points, law.masses)],
+                                  [0.5, 1.0])
     a, b = maximize_atom_laws(table, kind)
     assert float(b.lambda_hat[0]) * s == pytest.approx(float(a.lambda_hat[0]),
                                                        rel=1e-10)
@@ -523,12 +522,13 @@ def test_rescaling_jumps_rescales_the_optimum(law, s, kind):
 @settings(max_examples=100, deadline=None)
 def test_batched_schedule_equals_single_points_bit_for_bit(laws, kind):
     dim = laws[0].dim
-    atoms = tuple(JumpAtom(0.1 * (i + 1), law) for i, law in enumerate(laws))
+    table = properties.jump_table([(law.points, law.masses) for law in laws],
+                                  0.1 * np.arange(1, len(laws) + 1))
     segment = Segment(0.0, 1.0, LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)),
                                                      None))
-    model = MarketModel(1.0, dim, (segment,), atoms)
+    model = MarketModel(1.0, dim, (segment,), table)
     batched = solve_schedule(model, kind).atom_optima
-    for atom, got in zip(atoms, batched):
+    for atom, got in zip(table, batched):
         want = maximize_local_utility(atom.chars, kind)
         assert got.lambda_hat.tobytes() == want.lambda_hat.tobytes()
         assert got.foc_residual.tobytes() == want.foc_residual.tobytes()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import (CumulativeUtility, FiniteAtoms, InvariantError, JumpAtom,
+from mmvlab import (CumulativeUtility, FiniteAtoms, InvariantError,
                     LocalCharacteristics, MarketModel, ScheduledJumps, SchemaError, Segment,
                     build_model, capped_variant, cumulative_local_utility,
                     det_stoch_exponential, example_model, mellin_sign_moments,
@@ -20,6 +20,7 @@ from mmvlab import (CumulativeUtility, FiniteAtoms, InvariantError, JumpAtom,
 from mmvlab.cli import run
 from mmvlab.duality import _crossing_masses, _zeta
 from mmvlab.examples import _example5_atoms, _example6_atoms
+from mmvlab.model import JumpAtom
 
 
 def _bet5(n):
@@ -105,6 +106,25 @@ def test_building_and_solving_builds_no_per_bet_objects(law_objects):
     assert law_objects == {"FiniteAtoms": 0, "JumpAtom": 0}
 
 
+def test_no_command_builds_per_bet_objects(law_objects):
+    config = _random_laws_config(300)
+    built = {}
+    for args in (["diagnose"], ["solve", "--kind", "mv"], ["solve", "--kind", "mmv"],
+                 ["simulate", "--paths", "2000"]):
+        code, _, err = _run_config(config, *args)
+        assert code == 0, err
+        built[" ".join(args)] = dict(law_objects)
+    for example in ("5", "6"):
+        code, _, err = _quiet_run(["reproduce", "--example", example, "--atoms-max", "300"])
+        assert code == 0, err
+        built[f"reproduce {example}"] = dict(law_objects)
+    none = {"FiniteAtoms": 0, "JumpAtom": 0}
+    assert built == dict.fromkeys(built, none)
+    # example 1 reads its one scheduled jump's characteristics from a view
+    assert _quiet_run(["reproduce", "--example", "1"])[0] == 0
+    assert law_objects == {"FiniteAtoms": 1, "JumpAtom": 1}
+
+
 def test_a_table_builds_its_rows_once(monkeypatch):
     from mmvlab import localutil
     built = []
@@ -144,12 +164,32 @@ def test_table_rows_are_jump_atom_views():
     assert np.array_equal(atom.law.points, table.points[k])
     with pytest.raises(ValueError):
         table.masses[0] = 0.5
-    # a tuple of atoms is converted once, to the same table
-    again = MarketModel(1.0, 1, model.segments, tuple(table)).atoms
-    assert isinstance(again, ScheduledJumps)
-    for a, b in zip((again.times, again.weights, again.points, again.masses, again.row),
-                    (table.times, table.weights, table.points, table.masses, table.row)):
-        assert a.tobytes() == b.tobytes()
+    # views compare by identity, never by their multi-outcome laws
+    assert table[0] != table[0] and not table[0] == table[0]
+
+
+@pytest.mark.parametrize("make", [tuple, list])
+def test_a_model_takes_scheduled_jumps_only_as_a_table(make):
+    model = build_model(_random_laws_config(5, seed=3))
+    with pytest.raises(InvariantError, match="ScheduledJumps table"):
+        MarketModel(1.0, 1, model.segments, make(model.atoms))
+    with pytest.raises(InvariantError, match="ScheduledJumps table"):
+        MarketModel(1.0, 1, model.segments, make())
+
+
+def test_the_empty_table_is_a_model_of_no_scheduled_jumps():
+    table = ScheduledJumps.empty(2)
+    assert len(table) == 0 and table.dim == 2 and table.points.shape == (0, 2)
+    chars = LocalCharacteristics(np.array([0.1, 0.05]), np.diag([0.2, 0.1]), None)
+    model = MarketModel(1.0, 2, (Segment(0.0, 1.0, chars),), table)
+    for kind in ("mv", "mmv"):
+        sol = solve_schedule(model, kind)
+        assert len(sol.atom_optima) == 0 and sol.atom_optima.lambda_hat.shape == (0, 2)
+        assert sol.segment_optima[0].boundedness == "interior"
+    with pytest.raises(InvariantError, match="dimension"):
+        MarketModel(1.0, 1, (Segment(0.0, 1.0, LocalCharacteristics(
+            np.zeros(1), np.eye(1), None)),), table)
+    assert build_model(_atoms_config()).atoms.points.shape == (0, 1)
 
 
 def test_table_rejects_what_jump_atoms_reject():
@@ -257,15 +297,20 @@ _FAULTS = ["number", "dimension", "empty", "lengths", "unsorted", "range", "mass
            "zero", "negative", "unknown"]
 
 
-def _solve_config(config):
-    """(exit code, stdout, stderr) of `mmvlab solve` on the config."""
+def _quiet_run(args):
+    """(exit code, stdout, stderr) of `mmvlab` with the given arguments."""
     out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_config(config, command="solve", *options):
+    """(exit code, stdout, stderr) of `mmvlab <command> CONFIG <options>`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["solve", str(path)])
-    return code, out.getvalue(), err.getvalue()
+        return _quiet_run([command, str(path), *options])
 
 
 @given(atoms_blocks(), st.data())
@@ -276,7 +321,7 @@ def test_malformed_atoms_exit_2_at_the_first_bad_atom(block, data):
                                    max_size=2)))
     for i in reversed(bad):     # break the later atom first: "unsorted" reads i - 1
         _break(atoms, i, data.draw(st.sampled_from(_FAULTS)), data.draw, dim)
-    code, out, err = _solve_config(_atoms_config(*atoms, dim=dim))
+    code, out, err = _run_config(_atoms_config(*atoms, dim=dim))
     assert (code, out) == (2, "")
     assert "Traceback" not in err and f"config.atoms[{bad[0]}]" in err
 
@@ -294,7 +339,7 @@ def test_valid_atoms_solve(block, data):
         atom["masses"].append(0.01)
     elif edit == "int" and dim == 1:
         atom["points"][0] = 1          # a bare number is a one-dimensional point
-    code, out, err = _solve_config(_atoms_config(*atoms, dim=dim))
+    code, out, err = _run_config(_atoms_config(*atoms, dim=dim))
     assert code in (0, 1) and "Traceback" not in err
     assert json.loads(out)["model"]["n_scheduled_jumps"] == len(atoms)
 
