@@ -5,11 +5,9 @@ of degree at most two between its kinks (-1, 1 and the bliss point
 1/lam).  `Pieces` holds one as tuples of floats: sorted edges, a
 coefficient row (c0, c1, c2) per piece and the value at each edge.
 Density laws integrate it piece by piece from partial moments, reading
-the tuples alone; tabulated laws evaluate it on their nodes
-(`evaluate`), and only they build numpy arrays from it.  Integrands
-that share their edges, as every variation at one lam does, form a
-block: a law walks the pieces once for all of them (`spans`) and
-applies each one's row in turn.  On a
+the tuples alone.  Integrands that share their edges, as every
+variation at one lam does, form a block: a law walks the pieces once
+for all of them (`spans`) and applies each one's row in turn.  On a
 piece on one side of 0, anchored at the end x0 nearest 0, a density is
 rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma = 0 for
 exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
@@ -19,13 +17,15 @@ the whole integrand (`series_weights`, `series_sum`), exact to rounding
 however narrow it is, where differences of antiderivatives would
 cancel.  Longer pieces and tails use incomplete gamma functions of
 integer order and normal tail probabilities taken on the side away from
-the mean.
+the mean.  A density linear on an interval has the moments of x^k in
+closed form (`linear_moments`) and those of (e^x - 1)^k as a series of
+one sign or exponential moments (`linear_yield_moments`).
 
 What depends on the piece alone (the series weights, the moments, the
 powers of the yield step in `yield_shift`) is computed once; the
 coefficient row enters last, through the maps `poly_shift` and
-`yield_shift` return and one dot product.  The measures keep those
-row-free parts as plans per piece (`measures._LogQuadratic`), and a
+`yield_shift` return, or `dot_moments`.  The measures keep those
+row-free parts as plans per piece (`measures._PlannedDensity`), and a
 row applied to a kept plan gives the bits of one built anew.
 """
 from __future__ import annotations
@@ -43,7 +43,6 @@ _LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(4 * _N)])
 _BINOM = np.array([[math.comb(n, k) for k in range(_N)] for n in range(_N)], dtype=float)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_NAN = (math.nan,)
 
 
 class Pieces:
@@ -53,8 +52,7 @@ class Pieces:
     edges[m] = inf for m edges; coef[j] = (c0, c1, c2) is c0 + c1 x +
     c2 x^2 on it, and at[j] the value at edges[j] itself.  All three
     are tuples of floats, which the density laws read piece by piece
-    (`spans`); a tabulated law evaluates a block of them on its nodes
-    (`evaluate`).
+    (`spans`).
     """
 
     __slots__ = ("edges", "coef", "at")
@@ -83,25 +81,6 @@ class Pieces:
             v = c0 + c1 * cap + c2 * cap * cap
         return Pieces.of((*edges[:j], cap), (*self.coef[:j + 1], (v, 0.0, 0.0)),
                          (*self.at[:j], v))
-
-
-def evaluate(block, x) -> np.ndarray:
-    """The K integrands of a block, `Pieces` on shared edges, at the
-    points x: a (K, *x.shape) array, each row as one evaluated alone."""
-    x = np.asarray(x, dtype=float)
-    # one table row (edge, c0, c1, c2, value at the edge) per piece of each
-    # integrand in turn; a NaN edge, which no point equals, closes each
-    edges = block[0].edges + _NAN
-    table = np.array([(e, *row, a) for f in block
-                      for e, row, a in zip(edges, f.coef, f.at + _NAN)])
-    flat = x.ravel()
-    j = table[:len(edges), 0].searchsorted(flat)
-    if len(block) > 1:          # integrand k reads the table from row k len(edges)
-        j = (j + len(edges) * np.arange(len(block))[:, None]).ravel()
-        flat = np.concatenate((flat,) * len(block))
-    e, c0, c1, c2, at = table.take(j, axis=0).T
-    value = np.where(e == flat, at, c0 + c1 * flat + c2 * flat * flat)
-    return value.reshape(len(block), *x.shape)
 
 
 def spans(edges: tuple, floor: float = -math.inf) -> list[tuple[float, float, int]]:
@@ -163,6 +142,55 @@ def series_sum(coef: np.ndarray, d: np.ndarray, w: float) -> float:
     P's Taylor coefficients in t/w and d the exponential's
     (`series_weights`)."""
     return w * float(np.convolve(coef, d)[:_N] @ _INV)
+
+
+def linear_moments(u, v, ru, rv):
+    """Integrals of x^k, k <= 2, over [u, v] against the density linear from
+    ru at u to rv at v, by Simpson's rule, exact for the cubic integrand: on
+    one side of 0 every term has the sign of its moment."""
+    w = v - u
+    return (0.5 * w * (ru + rv),
+            w / 6.0 * (u * (2.0 * ru + rv) + v * (ru + 2.0 * rv)),
+            w / 12.0 * (ru * (3.0 * u * u + 2.0 * u * v + v * v)
+                        + rv * (u * u + 2.0 * u * v + 3.0 * v * v)))
+
+
+def linear_yield_moments(u: float, v: float, ru: float,
+                         rv: float) -> tuple[float, float, float]:
+    """Integrals of (e^x - 1)^k, k <= 2, over [u, v], on one side of 0,
+    against the density linear from ru at u to rv at v.
+
+    At most 1 wide, the Taylor series in t/w at x0 + s t, x0 the end
+    nearest 0, meets the density's weights (r_near + (n + 1) r_far) /
+    ((n + 1) (n + 2)) >= 0 until a term moves neither sum; (e^x - 1)^2
+    has the coefficients e0 (s w)^n / n! (2 y0 + e0 (2^n - 2)), n >= 1
+    (y0 = e^x0 - 1, e0 = e^x0), which do not cancel near 0.  Wider, it
+    takes e^{jv} (rv A_j + ru B_j), A_j and B_j the positive integrals of
+    e^{-jt} (1 - t/w) and e^{-jt} t/w over [0, w]."""
+    w = v - u
+    m0 = 0.5 * w * (ru + rv)
+    if w > 1.0:
+        e, ev = [m0], math.exp(v)
+        for j, ejv in ((1.0, ev), (2.0, ev * ev)):
+            g0 = -math.expm1(-j * w) / j
+            b = (g0 - w * math.exp(-j * w)) / (j * w)
+            e.append(ejv * (rv * (g0 - b) + ru * b))
+        return m0, e[1] - m0, e[2] - 2.0 * e[1] + m0
+    x0, step, near, far = (u, w, ru, rv) if u >= 0.0 else (v, -w, rv, ru)
+    y0, e0 = math.expm1(x0), math.exp(x0)
+    m1 = 0.5 * y0 * (near + far)
+    m2 = y0 * m1
+    z = power = 1.0
+    for n in range(1, _N):
+        z *= step / n
+        power *= 2.0
+        t1 = e0 * z * (near + (n + 1) * far) / ((n + 1) * (n + 2))
+        t2 = t1 * (2.0 * y0 + e0 * (power - 2.0))
+        if n > 1 and m1 + t1 == m1 and m2 + t2 == m2:
+            break
+        m1 += t1
+        m2 += t2
+    return m0, w * m1, w * m2
 
 
 def exp_moments(alpha: float, w: float) -> np.ndarray:

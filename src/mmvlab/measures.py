@@ -20,24 +20,26 @@ Every family supports the same small protocol:
 
 Finite atoms take no integrand, and say so with UnsupportedMeasure:
 their readers sum over the points (`localutil._Rows`,
-`model.small_jump_mean`).  Tabulated laws apply their
-trapezoid rule with the block's edges inserted in the grid, one table
-of nodes and density values per block.  The Gaussian and
-exponential-tail families integrate each row exactly from partial moments
-(`_quad`), also in y = e^x - 1 under the exponential yield transform
-(lognormal and power-law moments); a cap adds one constant piece.  A
-divergent tail comes out as the infinity of its sign.
+`model.small_jump_mean`).  Every density family integrates each row
+exactly from partial moments (`_quad`), also in y = e^x - 1 under the
+exponential yield transform; a cap adds one constant piece.  The
+Gaussian and exponential-tail families use normal, gamma, lognormal and
+power-law moments, and a divergent tail comes out as the infinity of
+its sign.  A tabulated law is the density linear between its nodes, the
+one np.interp reads: a table of each cell's moments, built once per
+image, gives a piece as a partial cell, a slice of whole cells and a
+partial cell.
 
-Those two families keep a plan per piece they have integrated: its
-row-free moments, built once per (lo, hi, yields) and applied to each
-coefficient row with the arithmetic of a fresh build, so every integral
-keeps its bits; a block looks each piece's plan up once for all its
-rows.  Plans live on the measure instance (its yield and cap
-images share the base's), never in a cache keyed by law parameters: the
-pieces that end at -inf, -1, 0, 1 or inf stay for the instance's
-lifetime, and of the pieces that end at a bliss point 1/lam or a cap
-only the last `_MOVING_PLANS` used.  A model built again starts with
-none.
+Every density family keeps a plan per piece it has integrated
+(`_PlannedDensity`): its row-free moments, built once per (lo, hi,
+yields) and applied to each coefficient row with the arithmetic of a
+fresh build, so every integral keeps its bits; a block looks each
+piece's plan up once for all its rows.  Plans live on the measure
+instance (its yield and cap images share the base's), never in a cache
+keyed by law parameters: the pieces that end at -inf, -1, 0, 1 or inf
+stay for the instance's lifetime, and of the pieces that end at a bliss
+point 1/lam or a cap only the last `_MOVING_PLANS` used.  A model built
+again starts with none.
 
 Flat tables of outcomes grouped by row, such as a model's scheduled
 jumps, have two helpers: `merge_rows` merges coincident points within
@@ -46,14 +48,16 @@ gives the same bits alone and among others.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (_FACT, _N, Pieces, dot_moments, evaluate, exp_integral, exp_moments,
-                    gamma_ratios, normal_local_moments, normal_probability, poly_shift, spans,
-                    series_sum, series_weights, yield_shift)
+from ._quad import (_FACT, _N, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
+                    linear_moments, linear_yield_moments, normal_local_moments,
+                    normal_probability, poly_shift, series_sum, series_weights, spans,
+                    yield_shift)
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
@@ -233,22 +237,14 @@ _MOVING_PLANS = 32
 _MISSING = object()
 
 
-class _LogQuadratic(JumpMeasure):
-    """A density that is log-quadratic on each side of 0, integrated exactly.
+class _PlannedDensity(JumpMeasure):
+    """A one-dimensional density whose integrals are exact per piece.
 
-    Subclasses give the density's local form at a point (`_local`: log
-    density, alpha and gamma along direction s, as in `_quad`) and the
-    row step of a long piece's closed form (`_long`).
-
-    Each piece's integral is split in two: its plan (`_build_plan`), a
-    step holding everything the coefficient row does not touch (the
-    anchor, the log-density, the series weights, the powers of the yield
-    step and the normal, exponential, gamma or lognormal moments), and
-    the row applied to it.  The moving pieces kept are those of the last
-    directions, as many as the probes of a search leave, so the sign
-    moments at a solved lam still find the plans the value and the FOC
-    built there after the other kind's search.
-    """
+    A subclass builds each piece's plan (`_build_plan`): the row step of
+    (lo, hi), or of its preimage under x -> e^x - 1 when yields, or None
+    where the density vanishes.  The moving plans kept, those of the last
+    directions, outlast a search, so the sign moments at a solved lam
+    find the plans the value and the FOC built there."""
 
     def integrate_block(self, fs) -> list[float]:
         return self._exact(fs, False)
@@ -294,6 +290,17 @@ class _LogQuadratic(JumpMeasure):
                 del moving[next(iter(moving))]
         moving[key] = step
         return step
+
+
+class _LogQuadratic(_PlannedDensity):
+    """A density that is log-quadratic on each side of 0.
+
+    Subclasses give the density's local form at a point (`_local`: log
+    density, alpha and gamma along direction s, as in `_quad`) and the
+    row step of a long piece's closed form (`_long`).  A plan holds the
+    anchor, the log-density, the series weights, the powers of the yield
+    step and the normal, exponential, gamma or lognormal moments.
+    """
 
     def _build_plan(self, lo: float, hi: float, yields: bool):
         if yields:
@@ -424,8 +431,9 @@ class ExpTails1D(_LogQuadratic):
 
 
 @dataclass(frozen=True)
-class TabulatedDensity1D(JumpMeasure):
-    """Density given on a finite grid, integrated by the trapezoid rule."""
+class TabulatedDensity1D(_PlannedDensity):
+    """Density given on a finite grid, linear between its nodes (the
+    density np.interp reads) and 0 outside, integrated exactly."""
 
     grid: np.ndarray
     density: np.ndarray
@@ -443,56 +451,74 @@ class TabulatedDensity1D(JumpMeasure):
             raise InvariantError("density values must be non-negative and finite")
         object.__setattr__(self, "grid", x)
         object.__setattr__(self, "density", d)
-        object.__setattr__(self, "_ends", (float(x[0]), float(x[-1])))
-
-    def _nodes(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """The grid with the points strictly inside it inserted, and the
-        density interpolated there (exact at the grid's own points).
-
-        The last table built is kept on the law: the integrals and the
-        half-line masses at one lam insert the same points.
-        """
-        lo, hi = self._ends
-        inside = tuple(p for p in points if lo < p < hi)
-        if not inside:
-            return self.grid, self.density
-        last = self.__dict__.get("_last_nodes")
-        if last is None or last[0] != inside:
-            x = _sorted_unique(np.concatenate([self.grid, inside]))
-            last = self.__dict__["_last_nodes"] = (inside, x, np.interp(x, self.grid, self.density))
-        return last[1], last[2]
+        # the cells the integrals read: the grid's, with the one about 0
+        # split there, so that every cell and every piece is on one side
+        x, d = x.tolist(), d.tolist()
+        i = bisect.bisect_left(x, 0.0)
+        if 0 < i < len(x) and x[i] != 0.0:
+            d.insert(i, d[i - 1] + (d[i] - d[i - 1]) * ((0.0 - x[i - 1]) / (x[i] - x[i - 1])))
+            x.insert(i, 0.0)
+        object.__setattr__(self, "_knots", (x, d))
 
     def total_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
 
-    def _trapezoid(self, fs, yields: bool) -> list[float]:
-        """The trapezoid rule for each f(x), or f(e^x - 1) when yields, on
-        one table of nodes: the grid with the edges of fs inserted."""
-        edges = fs[0].edges
-        if yields:
-            edges = np.log1p([e for e in edges if e > -1.0]).tolist()
-        x, d = self._nodes(edges)
-        y = evaluate(fs, np.expm1(x) if yields else x) * d
-        # np.trapezoid's arithmetic, row by row, without its checks
-        return ((x[1:] - x[:-1]) * (y[:, 1:] + y[:, :-1]) / 2.0).sum(-1).tolist()
+    def _cells(self, yields: bool) -> tuple[list, list, list]:
+        """Each cell's moments of x^k (of (e^x - 1)^k when yields), k = 0, 1, 2,
+        as three lists, built once per image."""
+        key = "_yield_cells" if yields else "_plain_cells"
+        if key not in self.__dict__:
+            x, d = self._knots
+            moments = linear_yield_moments if yields else linear_moments
+            self.__dict__[key] = tuple(map(list, zip(*map(moments, x[:-1], x[1:], d[:-1], d[1:]))))
+        return self.__dict__[key]
 
-    def integrate_block(self, fs) -> list[float]:
-        return self._trapezoid(fs, False)
+    def _moments(self, lo: float, hi: float, yields: bool):
+        """The moments of `_cells` over (lo, hi): a partial cell, a slice of
+        whole cells and a partial cell in one correctly rounded sum; None
+        where (lo, hi) misses the grid."""
+        x, d = self._knots
+        lo, hi = max(lo, x[0]), min(hi, x[-1])
+        if not lo < hi:
+            return None
+        moments = linear_yield_moments if yields else linear_moments
+
+        def part(a: float, b: float, c: int) -> tuple:     # [a, b] inside cell c
+            slope = (d[c + 1] - d[c]) / (x[c + 1] - x[c])
+            return moments(a, b, d[c] + slope * (a - x[c]),
+                           d[c + 1] if b == x[c + 1] else d[c] + slope * (b - x[c]))
+
+        i, j = bisect.bisect_left(x, lo), bisect.bisect_right(x, hi) - 1
+        if i > j:
+            return part(lo, hi, j)
+        below = part(lo, x[i], i - 1) if lo < x[i] else (0.0,) * 3
+        above = part(x[j], hi, j) if x[j] < hi else (0.0,) * 3
+        return tuple(math.fsum((p, *cells[i:j], q))
+                     for p, cells, q in zip(below, self._cells(yields), above))
+
+    def _build_plan(self, lo: float, hi: float, yields: bool):
+        if yields:
+            lo, hi = (-math.inf if lo == -1.0 else math.log1p(lo)), math.log1p(hi)
+        moments = self._moments(lo, hi, yields)
+        return None if moments is None else (lambda row: dot_moments(row, moments))
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
-        x, d = self._nodes([t])
-        # clip the range instead of masking the integrand: the threshold is
-        # a grid point after insertion, so no cell straddles the jump
-        keep = (x >= t) if above else (x <= t)
-        if np.count_nonzero(keep) < 2:
-            return 0.0
-        return float(np.trapezoid(d[keep], x[keep]))
+        # the density has no atom, so the strict and the weak masses agree
+        moments = self._moments(*((t, math.inf) if above else (-math.inf, t)), False)
+        return 0.0 if moments is None else moments[0]
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        cdf = np.concatenate([[0.0], np.cumsum(
-            0.5 * (self.density[1:] + self.density[:-1]) * np.diff(self.grid))])
-        cdf /= cdf[-1]
-        return np.interp(gen.random(size), cdf, self.grid)
+        """One uniform per draw, through the cellwise quadratic inverse CDF."""
+        x, d = self.grid, self.density
+        w = x[1:] - x[:-1]
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * w)))
+        target = gen.random(size) * cum[-1]
+        i = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, w.size - 1)
+        m, r, slope = target - cum[i], d[i], (d[i + 1] - d[i]) / w[i]
+        # the root t of r t + slope t^2 / 2 = m, in the form that does not cancel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = 2.0 * m / (r + np.sqrt(np.maximum(r * r + 2.0 * slope * m, 0.0)))
+        return x[i] + np.clip(np.nan_to_num(t), 0.0, w[i])
 
     def support_scale(self) -> float:
         return max(abs(float(self.grid[0])), abs(float(self.grid[-1])))
@@ -511,17 +537,17 @@ class ExpYieldMeasure(JumpMeasure):
     base: JumpMeasure
 
     def __post_init__(self):
-        if not isinstance(self.base, (Gaussian1D, ExpTails1D, TabulatedDensity1D)):
+        if not isinstance(self.base, _PlannedDensity):
             raise UnsupportedMeasure("exponential yield transform needs a Gaussian, "
                                      "exponential-tail or tabulated base")
+        if isinstance(self.base, TabulatedDensity1D) and not self.base.support_scale() < 709.0:
+            raise InvariantError("a tabulated law in log terms needs its grid inside (-709, 709)")
 
     def total_mass(self) -> float:
         return self.base.total_mass()
 
     def integrate_block(self, fs) -> list[float]:
-        if isinstance(self.base, _LogQuadratic):
-            return self.base._exact(fs, True)
-        return self.base._trapezoid(fs, True)
+        return self.base._exact(fs, True)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         if t <= -1.0:

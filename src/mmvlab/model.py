@@ -400,7 +400,8 @@ def _parse_jumps(spec, dim: int, where: str) -> JumpMeasure | None:
     if bad is not None:
         raise bad[1]
     if spec["quadrature"] != "trapezoid":
-        raise SchemaError(f"{where}.quadrature: unknown rule {spec['quadrature']!r}")
+        raise SchemaError(f"{where}.quadrature: unknown rule {spec['quadrature']!r}; "
+                          "'trapezoid' (the density linear between the nodes) is the only one")
     return TabulatedDensity1D(grid, dens)
 
 

@@ -24,36 +24,29 @@ represented; both are flagged unbounded and reported at the origin.
 One-dimensional laws given by a density are first restricted to the
 directions whose tail moments support a finite value, and monotone-kind
 rays are classified by their asymptotic slope.  Slopes and values are
-exact sums of partial moments (`_quad`) at every scale of lam.  The
-plain slope is B - lam C there too, so its zero is B/C, from the slope
-at the origin and one curvature integral.  The monotone kind has the
-same optimum wherever no mass passes the bliss point 1/lam of B/C (the
-paper's cap condition: the two utilities then agree wherever the law
-has mass).  The slope at the origin and C are one walk at lam = 0,
-where no bliss point bends the integrands, so it is the same walk for
-both kinds and is kept on the characteristics for the other one.
-Elsewhere the slope along the allowed side never increases, so the
-maximizer is the first point where it stops pointing outward.  The
-monotone slope exceeds the plain one by the mass past bliss, so that
-point is never short of B/C.  With diffusion the monotone slope is
-convex as well and falls at least as fast as c lam, so Newton's steps
-from B/C rise to its zero, each one walk of the slope and its
-derivative (`_newton_bracket`); steps back of one, two, four ulps from
-the first point past it close a bracket, mostly of adjacent doubles.
-On the benchmark's seeded schedules such a point takes one to six
-Newton walks and 6.6 walks on average, at most 10, the origin's walk
-and the value's included.  Every other searched point grows a bracket
-from the law's scale by factors of 4 and narrows it by Chandrupatla's
-interpolating steps on the slope, in about ten slope walks.  Both end
-with a bisection down to adjacent doubles (`_first_nonpositive`): a
-double where the slope is not positive, one double after a positive
-slope.  Where the rounded slope is monotone at the scale of an ulp that
-is the first double past the last positive slope; where it is not, the
-two searches may end at different sign changes a few ulps apart.
-Where the mass past bliss is below the slope's rounding and the search
-ends short of B/C, B/C is taken.  The objective is evaluated once, at
-the end.  That zero is also the sigma-martingale condition of the dual
-density, and the minimum-norm end of any flat stretch.
+exact sums of partial moments (`_quad`) at every scale of lam, on every
+density family.  The plain slope is B - lam C, so its zero is B/C, from
+one walk at lam = 0 (the slope at the origin and C), which no bliss
+point bends; it is kept on the characteristics for the other kind.  The
+monotone kind has the same optimum wherever no mass passes the bliss
+point 1/lam of B/C (the paper's cap condition: the two utilities then
+agree wherever the law has mass).  Elsewhere the monotone slope along
+the allowed side falls and is convex, with the derivative -(c + the
+integral of x^2 below bliss): the maximizer is its first zero, never
+short of B/C, and Newton's steps from a point of positive slope rise to
+it, one walk of the slope and its derivative each (`_newton_bracket`).
+They start at B/C with diffusion, and without it at the positive end
+of a bracket grown from the law's scale by factors of 4.  Steps back of
+one, two, four ulps from the first point past the zero close a bracket,
+mostly of adjacent doubles, which a bisection ends
+(`_first_nonpositive`) at a double where the slope is not positive, one
+double after a positive slope: the first double past the last positive
+slope where the rounded slope is monotone at the scale of an ulp, and
+else one of its sign changes a few ulps apart.  Where the mass past
+bliss is below the slope's rounding and the search ends short of B/C,
+B/C is taken.  The objective is evaluated once, at the end.  That zero
+is also the sigma-martingale condition of the dual density, and the
+minimum-norm end of any flat stretch.
 
 The monotone kind on several-dimensional atoms is exact too.  Its
 local utility is concave and piecewise quadratic: on the set S of atoms
@@ -77,7 +70,6 @@ from .errors import OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _finite_direction, _kind, _mass_tol,
                         _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_spec,
                         _slope_tol, _still, _utility_spec, asymptotic_slope)
-from .measures import CappedMeasure, ExpYieldMeasure, TabulatedDensity1D
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
@@ -446,68 +438,24 @@ def _maximize_quadratic(rows: _Rows, kind) -> LocalOptimum:
 # search: one-dimensional density laws
 
 
-def _first_nonpositive(f, lo, f_lo, hi, f_hi, atol):
+def _first_nonpositive(f, lo, hi, f_hi, atol):
     """The first double at which a nonincreasing f stops being positive.
 
-    Takes a bracket with f(lo) > 0 >= f(hi) and returns (x, f(x)).
-    Chandrupatla's step (Adv. Eng. Software 28, 1997) narrows it: the
-    newest end a, the other end b and the end c that a replaced fit an
-    inverse quadratic when they pass his test, and its zero is the next
-    point; otherwise, or when three steps have not halved the bracket,
-    the next point bisects it.  Every point keeps a tolerance, one ulp
-    of the larger end but at least atol, from the ends, so once the
-    estimate is that close the next point lands past it and the bracket
-    collapses.  When a is an exact zero and c is not, the next point is
-    one tolerance from a, where the first zero most likely is; two zeros
-    in a row fail the test, so a flat stretch is bisected.  A bisection
-    on the float lattice then ends with the two ends adjacent doubles,
-    or atol apart where an ulp is smaller than atol: the result x has
-    f(x) <= 0 < f(the double before x).  Where the rounded f is monotone
-    at the scale of an ulp, x is the first double past the last positive
-    value.  Where it is not, the bracket's path decides which sign
-    change x is: f of 0, +5.6e-17 and -5.6e-17 at three adjacent doubles
-    has two, and a bracket may end at either.
-    """
-    a, fa = hi, f_hi
-    b, fb = lo, f_lo
-    c = fc = math.nan
-    t = 0.5
-    widths = [abs(b - a)]
-    while True:
-        tol = max(_EPS * max(abs(a), abs(b)), atol)
-        if widths[-1] <= 2.0 * tol:
+    Bisects a bracket with f(lo) > 0 >= f(hi), at the geometric mean
+    while hi passes 4 lo, to adjacent doubles, or atol apart where an ulp
+    is smaller, and returns (x, f(x)): f(x) <= 0 < f(the double before
+    x).  Where the rounded f is not monotone at the scale of an ulp, the
+    bracket decides which sign change x is: f of 0, +5.6e-17 and
+    -5.6e-17 at three adjacent doubles has two."""
+    while hi - lo > atol:
+        mid = math.sqrt(lo * hi) if hi > 4.0 * lo > 0.0 else 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        tl = tol / widths[-1]
-        x = a + min(max(t, tl), 1.0 - tl) * (b - a)
-        if not min(a, b) < x < max(a, b):
-            break       # rounding left no double strictly inside
-        fx = f(x)
-        if (fx <= 0.0) == (fa <= 0.0):
-            c, fc = a, fa
-        else:
-            c, fc, b, fb = b, fb, a, fa
-        a, fa = x, fx
-        widths.append(abs(b - a))
-        xi = (a - b) / (c - b)
-        phi = (fa - fb) / (fc - fb)
-        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
-            t = 0.5
-        elif fa == 0.0 and fc != 0.0:
-            t = 0.0
-        elif phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            t = (fa / (fb - fa) * fc / (fb - fc)
-                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-        else:
-            t = 0.5
-    lo, hi, f_hi = (b, a, fa) if fa <= 0.0 else (a, b, fb)
-    mid = 0.5 * (lo + hi)
-    while hi - lo > atol and lo < mid < hi:
         f_mid = f(mid)
         if f_mid <= 0.0:
             hi, f_hi = mid, f_mid
         else:
             lo = mid
-        mid = 0.5 * (lo + hi)
     return hi, f_hi
 
 
@@ -525,13 +473,15 @@ def _newton_bracket(f, slope, t, reach):
     one, two, four ulps back find a positive slope again.  Returns
     (lo, f(lo), hi, f(hi)) with f(lo) > 0 >= f(hi), or lo = hi = t
     where the slope at t is not positive; None where a step passes
-    reach or the steps have not closed the bracket in _GROWTHS walks.
-    """
+    reach, a derivative is not finite and negative, or _GROWTHS walks
+    leave the bracket open."""
     s, d = f(t)
     lo, s_lo, ulps = t, s, 1.0
     for _ in range(_GROWTHS):
         if s <= 0.0:
             break
+        if not -math.inf < d < 0.0:
+            return None
         lo, s_lo = t, s
         step, ulp = s / -d, math.ulp(t)
         if step < ulp:
@@ -552,13 +502,6 @@ def _newton_bracket(f, slope, t, reach):
     return lo, s_lo, t, s
 
 
-def _trapezoid_law(jumps) -> bool:
-    """Whether a one-dimensional law is integrated by the trapezoid rule."""
-    while isinstance(jumps, (ExpYieldMeasure, CappedMeasure)):
-        jumps = jumps.base
-    return isinstance(jumps, TabulatedDensity1D)
-
-
 def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     """Root of the slope for a one-dimensional jump law given by a density.
 
@@ -566,11 +509,10 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     origin, so its first zero is the minimum-norm maximizer: B/C for the
     plain kind, and for the monotone kind where no mass passes 1/(B/C);
     otherwise a double where the slope stops being positive, by Newton's
-    steps from B/C where the monotone kind has diffusion
-    (`_newton_bracket`) and a grown bracket elsewhere, both narrowed by
-    `_first_nonpositive`.  A B/C within eps^2 of the law's scale is
-    searched too, as is a tabulated law that puts a trapezoid node at
-    1/lam inside its grid.  The walk at the origin is kept on chars.
+    steps (`_newton_bracket`) from B/C where the monotone kind has
+    diffusion and from a grown bracket's positive end elsewhere, both
+    finished by `_first_nonpositive`.  A B/C within eps^2 of the law's
+    scale is searched too.  The walk at the origin is kept on chars.
     """
     kind = _kind(kind)
     jumps = chars.jumps
@@ -581,9 +523,6 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     else:
         allow_pos = ok_neg   # losses come from the left tail
         allow_neg = ok_pos
-
-    def foc(lam: float) -> float:       # foc_residual at [lam], as a float
-        return _checked(drifts(lam, (_slope_spec(lam, kind),), chars)[0])
 
     def value(lam: float) -> float:     # local_utility at [lam]
         return _checked(drifts(lam, (_utility_spec(lam, kind),), chars)[0])
@@ -640,20 +579,18 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
     if res0 is not None and side * res0 <= 0.0:
         return origin()
     scale = 1.0 / max(jumps.support_scale(), 1e-12)
+    atol = _EPS * _EPS * scale
 
     # The plain slope B - lam C is linear, so its zero is B / C; where no
     # mass passes the bliss point 1/lam there, the monotone slope is the
-    # same function up to lam and has the same zero.  A trapezoid rule
-    # puts a node at 1/lam inside its grid, which bends its slope: there
-    # the zero is searched.
+    # same function up to lam and has the same zero.
     curv = _checked(square[0]) if res0 is not None and curved and not flagged else 0.0
     floor = 0.0
     if curv > 0.0:
         lam = res0 / curv
         # directions within eps^2 of the law's scale count as zero: searched
-        if math.isfinite(lam) and abs(lam) > _EPS * _EPS * scale:
-            if ((kind is UtilityKind.MV and not _trapezoid_law(jumps))
-                    or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0):
+        if math.isfinite(lam) and abs(lam) > atol:
+            if kind is UtilityKind.MV or jumps.mass_scaled_ge([lam], 1.0, strict=True) == 0.0:
                 # the value and the FOC at lam, in one walk
                 val, res = drifts(lam, (_utility_spec(lam, kind), _slope_spec(lam, kind)),
                                   chars)
@@ -662,15 +599,15 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
                     return origin()
                 if math.isfinite(val):
                     return finish(lam, val, _checked(res))
-            elif kind is UtilityKind.MMV and not _trapezoid_law(jumps):
+            else:
                 # The monotone slope exceeds the plain one by the mass
                 # integral of x (lam x - 1) past bliss, so its first zero
                 # is at or past B / C; a search that ends short of it
                 # has met the slope's rounding.
                 floor = side * lam
 
-    def slope(t: float) -> float:
-        return side * foc(side * t)
+    def slope(t: float) -> float:       # side * foc_residual at [side * t], as a float
+        return side * _checked(drifts(side * t, (_slope_spec(side * t, kind),), chars)[0])
 
     # Without diffusion the curvature of the mass below bliss vanishes once
     # every jump has passed bliss, at 1 over the support's inner end, and
@@ -684,25 +621,18 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             if val >= 0.0:
                 return finish(side / end, val, side * s_end, tie=True)
 
-    # With diffusion the monotone slope is convex and falls at least as
-    # fast as c lam, so Newton's steps from the floor B/C bracket its zero
-    # (`_newton_bracket`).  The slope at 2 hi is then at most -c hi: once
-    # c B/C passes the flat tolerance no plateau starts at hi, and the
-    # plateau probe below is not needed.
-    found = None
-    if floor > 0.0 and c * floor > slope_tol:
-        def slope_and_curvature(t: float) -> tuple[float, float]:
-            s, d = drifts(side * t, (_slope_spec(side * t, kind), _CURVATURE), chars)
-            return side * _checked(s), _checked(d)
+    def slope_and_curvature(t: float) -> tuple[float, float]:
+        s, d = drifts(side * t, (_slope_spec(side * t, kind), _CURVATURE), chars)
+        return side * _checked(s), _checked(d)
 
-        found = _newton_bracket(slope_and_curvature, slope, floor,
-                                scale * 4.0 ** _GROWTHS)
-    if found is not None:
-        lo, s_lo, hi, s_hi = found
-        flat_top = False
-        if lo < hi:
-            hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
-    else:
+    # With diffusion the monotone slope falls at least as fast as c lam,
+    # so Newton's steps from the floor B/C bracket its zero.  The slope at
+    # 2 hi is then at most -c hi: once c B/C passes the flat tolerance no
+    # plateau starts at hi.
+    found, flat_top = None, False
+    if floor > 0.0 and c * floor > slope_tol:
+        found = _newton_bracket(slope_and_curvature, slope, floor, scale * 4.0 ** _GROWTHS)
+    if found is None:
         # grow [lo, hi] until the slope at hi stops being positive
         lo, s_lo = 0.0, math.inf if res0 is None else side * res0
         hi = scale
@@ -714,11 +644,25 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             s_hi = slope(hi)
         flagged = flagged or s_hi > 0.0
         flat_top = abs(s_hi) <= slope_tol
-        if not flagged:
-            # directions within eps^2 of the law's scale count as zero
-            hi, s_hi = _first_nonpositive(slope, lo, s_lo, hi, s_hi, _EPS * _EPS * scale)
-            if hi < floor:
-                hi, s_hi = floor, slope(floor)
+        if not flagged and lo == 0.0:
+            # directions within eps^2 of the law's scale count as zero: unread
+            s_atol = slope(atol)
+            if s_atol <= 0.0:
+                hi, s_hi = atol, s_atol
+            else:
+                lo, s_lo = atol, s_atol
+        # the monotone slope is convex with or without diffusion: Newton's
+        # steps from the bracket's positive end, unless lost in rounding
+        if kind is UtilityKind.MMV and not flagged and s_lo > slope_tol:
+            found = _newton_bracket(slope_and_curvature, slope, lo, hi)
+        if found is None:
+            found = lo, s_lo, hi, s_hi
+    if not flagged:
+        lo, _, hi, s_hi = found
+        if lo < hi:
+            hi, s_hi = _first_nonpositive(slope, lo, hi, s_hi, atol)
+        if hi < floor:
+            hi, s_hi = floor, slope(floor)
     val = value(side * hi)
     if val < 0.0:     # rounding around a maximum at the origin
         return origin()

@@ -25,6 +25,16 @@ from mmvlab.measures import CappedMeasure, ExpYieldMeasure
 from mmvlab.montecarlo import _BLOCK_UNITS, capped_exponential
 
 
+def pieces_at(f, x) -> np.ndarray:
+    """The `Pieces` f at the points x, each point read on its own piece
+    (the value at an edge taken from f.at there)."""
+    x = np.asarray(x, dtype=float)
+    edges = np.array(f.edges + (math.nan,))
+    j = edges.searchsorted(x)
+    c0, c1, c2 = np.array(f.coef).T[:, j]
+    return np.where(edges[j] == x, np.array(f.at + (math.nan,))[j], c0 + c1 * x + c2 * x * x)
+
+
 def jump_table(laws, times):
     """The scheduled jumps of (points (k, d), masses (k,)) laws at the
     given times, with unit weights, as one table."""

@@ -6,7 +6,7 @@ import pytest
 
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, LocalCharacteristics, NonIntegrable,
                     TabulatedDensity1D, local_utility)
-from mmvlab._quad import Pieces, evaluate
+from mmvlab._quad import Pieces
 from mmvlab.drift import _checked, _kinked_pieces, drifts
 from mmvlab.duality import _mellin_specs
 from mmvlab.measures import CappedMeasure, ExpYieldMeasure
@@ -63,7 +63,7 @@ def test_density_drift_against_monte_carlo():
     integrand = _kinked_pieces(lam, [_utility_spec(lam, "mv")])[0]
     h = np.where(np.abs(x) <= 1.0, x, 0.0)
     psi = lam * x - 0.5 * (lam * x) ** 2 - lam * h
-    assert float(np.max(np.abs(evaluate([integrand], x)[0] - psi))) <= 1e-15
+    assert float(np.max(np.abs(properties.pieces_at(integrand, x) - psi))) <= 1e-15
     head = lam * 0.05 - 0.5 * lam * lam * 0.02
     est = head + 0.8 * float(np.mean(psi))
     se = 0.8 * float(np.std(psi)) / math.sqrt(x.size)

@@ -234,6 +234,31 @@ class TestTabulated:
         draws = self.T.sample(rng, 1000)
         assert np.all(draws >= -1.0) and np.all(draws <= 1.0)
 
+    @staticmethod
+    def _sawtooth():
+        # 41 nodes, the density 0 at every other one: wide rising cells
+        # and narrow falling ones, where a law uniform within each cell
+        # has its mass too far left
+        rng = np.random.default_rng(41)
+        widths = np.where(np.arange(40) % 2 == 0, rng.uniform(0.2, 0.4, 40),
+                          rng.uniform(0.02, 0.06, 40))
+        return TabulatedDensity1D(np.concatenate(([-1.0], -1.0 + np.cumsum(widths))),
+                                  np.where(np.arange(41) % 2 == 1, rng.uniform(0.5, 2.0, 41), 0.0))
+
+    @pytest.mark.parametrize("law", ["ramp", "sawtooth"])
+    def test_draws_have_the_mean_of_the_linear_density(self, law):
+        # draws follow the density linear between the nodes that the
+        # integrals read: on grid [0, 1] with density [0, 2] the mean is
+        # 2/3, not the 1/2 of a density constant on the cell
+        law = (TabulatedDensity1D(np.array([0.0, 1.0]), np.array([0.0, 2.0])) if law == "ramp"
+               else self._sawtooth())
+        u, v = law.grid[:-1], law.grid[1:]
+        ru, rv = law.density[:-1], law.density[1:]
+        mean = (np.sum((v - u) / 6.0 * (u * (2.0 * ru + rv) + v * (ru + 2.0 * rv)))
+                / np.sum((v - u) * (ru + rv) / 2.0))
+        draws = law.sample(np.random.default_rng(7), 200_000)
+        assert abs(draws.mean() - mean) <= 5.0 * draws.std() / math.sqrt(draws.size)
+
 
 class TestExpYield:
     BASE = ExpTails1D(c_minus=1.0, a=4.0, c_plus=1.0, b=1.0)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmvlab._quad import Pieces, evaluate
+from mmvlab._quad import Pieces
 from mmvlab import (FiniteAtoms, Gaussian1D, InvariantError,
                     LocalCharacteristics, ScheduledJumps, SchemaError,
                     UnsupportedMeasure, build_model, cap_jumps,
                     exp_transform, merge_atoms)
 from mmvlab.measures import TRUNCATION_PIECES
 from mmvlab.model import JumpAtom, small_jump_mean
+
+import properties
 
 
 def one_segment(dim=1, **seg):
@@ -102,7 +104,7 @@ def test_retruncated_atom_drifts_keep_the_bits_of_the_evaluated_truncation():
     # evaluated as a piecewise integrand, on points on and about the unit
     # boundary
     def h_mean(law):
-        return float(np.dot(law.masses, evaluate((TRUNCATION_PIECES,), law.points[:, 0])[0]))
+        return float(np.dot(law.masses, properties.pieces_at(TRUNCATION_PIECES, law.points[:, 0])))
 
     rng = np.random.default_rng(29)
     for _ in range(200):

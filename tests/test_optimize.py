@@ -226,9 +226,9 @@ def test_tabulated_plateau_start_is_not_left_to_the_search(sign, image, inner):
 
 
 def test_tabulated_monotone_optimum_certifies_the_dual_density():
-    # a node at the kink 1/lam makes the trapezoid objective differ from
-    # the integral of its slope; the optimum is the slope's zero, which
-    # is the sigma-martingale condition of the dual density
+    # the optimum is the slope's zero, found by Newton's steps on the
+    # exact integrals of the linear density, and that zero is the
+    # sigma-martingale condition of the dual density
     rng = np.random.default_rng(5)
     lo, hi = -rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.8)
     x = np.linspace(lo, hi, 41)
@@ -246,8 +246,8 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 @pytest.mark.parametrize("example", [2, 3])
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
-    # a bracket, Chandrupatla's steps on the slope and a finish on the
-    # float lattice: example 3 mmv, without diffusion, takes 18 slope
+    # example 3 mmv, without diffusion, grows a bracket by factors of 4
+    # and takes Newton's steps from its positive end: 20 rows in 13
     # walks; example 2 mmv, Newton's steps from B/C, 12 rows in 7 walks;
     # example 2 mv, B/C in closed form, four rows in two walks
     walks = _counting_walks(monkeypatch)
@@ -366,6 +366,33 @@ def test_newton_point_costs_at_most_ten_walks(family, image, monkeypatch):
     assert newton_points >= 30
 
 
+@pytest.mark.parametrize("image", ["plain", "yield", "cap"])
+def test_tabulated_points_take_b_over_c_and_newton(image, monkeypatch):
+    # a tabulated law is integrated exactly, as the density linear between
+    # its nodes, so no node at 1/lam bends its slope: the mv point is B/C
+    # in two walks, and an mmv point with diffusion whose mass passes the
+    # bliss point of B/C takes Newton's steps from there
+    walks = _counting_walks(monkeypatch)
+    newton_points = 0
+    for seed in range(60):
+        chars = _drawn_chars(seed, "tabulated", image)
+        res0, curv = drifts(0.0, (_slope_spec(0.0, "mv"), _SQUARE), chars)
+        walks.clear()
+        mv = maximize_local_utility(chars, "mv")
+        assert len(walks) <= 2 and mv.boundedness == "interior"
+        assert float(mv.lambda_hat[0]) == res0 / curv
+        walks.clear()
+        mmv = maximize_local_utility(chars, "mmv")
+        assert mmv.boundedness == "interior"
+        if chars.jumps.mass_scaled_ge(mv.lambda_hat, 1.0, strict=True) > 0.0:
+            newton_points += 1
+            assert any(_CURVATURE in w for w in walks)
+            assert len(walks) <= 10
+        else:
+            assert mmv.lambda_hat.tobytes() == mv.lambda_hat.tobytes()
+    assert newton_points >= 5
+
+
 #: draws whose Newton steps leave a bracket two ulps wide with the first
 #: nonpositive slope inside it, which the bisection then finds
 _NARROWED = [(20, "gaussian", "yield"), (134, "gaussian", "plain"),
@@ -374,11 +401,11 @@ _NARROWED = [(20, "gaussian", "yield"), (134, "gaussian", "plain"),
 
 @pytest.mark.parametrize("seed", range(3))
 def test_search_ends_where_the_slope_turns_nonpositive(seed):
-    # both searches, Newton's steps (with diffusion) and the grown bracket
-    # (without, and on trapezoid laws), end at a double where the slope
-    # is not positive and is positive one double nearer the origin.
-    # Only B/C itself, the floor of the monotone search, may have a
-    # nonpositive slope before it.
+    # both searches, Newton's steps from B/C (with diffusion) and from
+    # the positive end of a grown bracket (without), end at a double
+    # where the slope is not positive and is positive one double nearer
+    # the origin, on every family.  Only B/C itself, the floor of the
+    # monotone search, may have a nonpositive slope before it.
     rng = np.random.default_rng(seed)
     draws = [(int(rng.integers(2 ** 32)), family, image, diffusive)
              for family in ("gaussian", "exp_tails", "tabulated")
@@ -398,7 +425,7 @@ def test_search_ends_where_the_slope_turns_nonpositive(seed):
             return side * float(foc_residual([t], chars, "mmv")[0])
 
         assert slope(lam) <= 0.0 < slope(math.nextafter(lam, 0.0)), (draw, lam.hex())
-        checked[draw[3] and draw[1] != "tabulated"] += 1
+        checked[draw[3]] += 1
     assert min(checked.values()) >= 20
 
 

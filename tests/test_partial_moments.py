@@ -9,6 +9,7 @@ right sign.  The error allowed is 1e-12 of the integral of |integrand|:
 rounding the integrand pointwise costs about 1e-16 of it, and the rest
 leaves room for the digits the moment combinations may cancel.
 """
+import bisect
 import math
 
 import mpmath as mp
@@ -47,6 +48,17 @@ def _mellin_pieces(lam, p, even):
 
 def _density(law):
     """The law's density as an mpmath function, and the points to split at."""
+    if isinstance(law, TabulatedDensity1D):
+        x, d = ([mp.mpf(v) for v in a] for a in (law.grid, law.density))
+
+        def linear(v):
+            i = bisect.bisect_left(x, v)
+            if v < x[0] or v > x[-1]:
+                return mp.mpf(0)
+            if x[i] == v:
+                return d[i]
+            return d[i - 1] + (d[i] - d[i - 1]) * (v - x[i - 1]) / (x[i] - x[i - 1])
+        return linear, x
     if isinstance(law, Gaussian1D):
         mu, sd, r = mp.mpf(law.mean), mp.sqrt(mp.mpf(law.variance)), mp.mpf(law.rate)
         return (lambda x: r * mp.npdf(x, mu, sd)), [mu + k * sd for k in (-8, -2, 0, 2, 8)]
@@ -142,7 +154,7 @@ laws = st.one_of(exp_tails(), gaussians,
                  exp_tails(yield_tails).map(ExpYieldMeasure), gaussians.map(ExpYieldMeasure))
 
 
-def _check(law, pieces):
+def _check(law, pieces, bound=1e-12):
     got = law.integrate(pieces)
     diverges = _tail_divergence(law, pieces)
     if diverges is not None:
@@ -152,7 +164,7 @@ def _check(law, pieces):
     want = _reference(law, g, list(pieces.edges))
     scale = _reference(law, lambda v: abs(g(v)), _kinks(pieces))
     assert math.isfinite(got)
-    assert abs(got - want) <= 1e-12 * scale + 1e-300, (got, float(want), float(scale))
+    assert abs(got - want) <= bound * scale + 1e-300, (got, float(want), float(scale))
 
 
 @given(laws, integrands())
@@ -171,6 +183,44 @@ def test_closed_forms_match_mpmath(law, pieces):
 @settings(max_examples=20, deadline=None)
 def test_capped_laws_match_mpmath(base, cap, pieces):
     _check(CappedMeasure(base, cap), pieces)
+
+
+@st.composite
+def tabulated_laws(draw):
+    """A tabulated law of 2 to 25 nodes, 2e-6 to 6 wide about a centre
+    near 0, some density values 0: cells next to 0, one straddling it (an
+    even count of nodes about 0) and cells wider than 1, which take
+    exponential moments in log terms."""
+    centre = draw(st.sampled_from([0.0]) | st.floats(-0.5, 0.5))
+    half, n = draw(_log_uniform(1e-6, 3.0)), draw(st.integers(2, 25))
+    dens = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.1, 2.0), min_size=n, max_size=n))
+    return TabulatedDensity1D(centre + half * np.linspace(-1.0, 1.0, n), np.array(dens))
+
+
+#: the error allowed on a tabulated law per image, relative to the integral
+#: of |integrand| as above; the worst seen on 1 500 seeded cases was
+#: 2.6e-16 plain, 3.9e-16 in log terms and 3.6e-16 capped
+_TABULATED_BOUNDS = {"plain": 1e-14, "yield": 1e-14, "capped": 1e-14, "capped_yield": 1e-14}
+_NEAR_ZERO = TabulatedDensity1D(np.array([-2e-6, -1e-6, 1e-6, 3e-6]), np.array([0.0, 1.0, 2.0, 0.5]))
+
+
+@given(st.sampled_from(sorted(_TABULATED_BOUNDS)), tabulated_laws(), st.floats(-0.5, 2.0),
+       integrands())
+@settings(max_examples=30, deadline=None)
+@example("yield", _NEAR_ZERO, 0.0, _slope_pieces(5e5, "mmv"))
+@example("yield", _NEAR_ZERO, 0.0, _mellin_pieces(-1e6, 2, True))
+@example("capped_yield", _NEAR_ZERO, 2e-6, _utility_pieces(1e6, "mv"))
+@example("yield", TabulatedDensity1D(np.array([-3.0, 0.5, 3.0]), np.array([0.5, 2.0, 1.0])),
+         0.0, _slope_pieces(0.05, "mmv"))
+def test_tabulated_closed_forms_match_mpmath(image, base, cap, pieces):
+    # the density linear between the nodes, integrated from its cell
+    # moments, against mpmath on the same density; (e^x - 1)^k cancels in
+    # cells near y = 0 and those that straddle it, where the series of
+    # one sign keeps the bound
+    law = ExpYieldMeasure(base) if image.endswith("yield") else base
+    if image.startswith("capped"):
+        law = CappedMeasure(law, cap)
+    _check(law, pieces, _TABULATED_BOUNDS[image])
 
 
 @given(st.floats(-0.3, 0.3), st.floats(0.001, 0.1),
@@ -239,7 +289,7 @@ _FAMILIES = {
                                                             2.5 + 20.0 * p[1])),
     "capped_yield": lambda p: CappedMeasure(ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
                                             0.5 + p[0]),
-    # no plans: the trapezoid rule evaluates the integrands on its nodes
+    # plans from a table of cell moments: whole cells and partial ones
     "tabulated": lambda p: _tabulated(p),
     "tabulated_yield": lambda p: ExpYieldMeasure(_tabulated(p)),
     "capped_tabulated": lambda p: CappedMeasure(_tabulated(p), 0.5 + p[0]),
