@@ -540,8 +540,10 @@ class ExpYieldMeasure(JumpMeasure):
         if not isinstance(self.base, _PlannedDensity):
             raise UnsupportedMeasure("exponential yield transform needs a Gaussian, "
                                      "exponential-tail or tabulated base")
-        if isinstance(self.base, TabulatedDensity1D) and not self.base.support_scale() < 709.0:
-            raise InvariantError("a tabulated law in log terms needs its grid inside (-709, 709)")
+        # e^x overflows past 709.78, and support_scale takes e^s - 1
+        if not self.base.support_scale() < 709.0:
+            raise InvariantError("a law in log terms needs its support scale below 709, "
+                                 f"not {self.base.support_scale():g}")
 
     def total_mass(self) -> float:
         return self.base.total_mass()

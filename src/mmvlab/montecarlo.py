@@ -48,16 +48,15 @@ n-path study.  simulate_paths draws, after the skeleton,
    normals, one per row.
 
 One sequential Brownian bridge (_sequential_bridge) places every value
-inside a segment: the skeleton's at its jump times, toward the segment
-end, and the grid's at its row ends, toward the next skeleton point and
-restarted at each.  So the paths are exact at every row, and a row that
-ends at a segment end or a jump time takes the skeleton's value there
-(and uses none of its normals).  Each block's jumps are placed on the
-grid rows once, for the bridge, the increments and wealth_recursion.
-One helper (_horizon) computes the gap at the horizon from the skeleton
-for the study, for wealth_recursion's last column and for
-capped_exponential, so these equal the study's bit for bit by
-construction.
+inside a segment: the skeleton's at its real jump times, the units' one
+after another, toward the segment end, and the grid's at its row ends,
+toward the next skeleton point.  So the paths are exact at every row,
+and a row that ends at a segment end or a jump time takes the skeleton's
+value there (and uses none of its normals).  Each block's jumps are
+placed on the grid rows once, for the bridge, the increments and
+wealth_recursion.  One helper (_horizon) computes the gap at the horizon
+from the skeleton for the study, wealth_recursion's last column and
+capped_exponential, so these equal the study's bit for bit.
 
 An antithetic unit is a pair of paths sharing every draw except the
 sign of the normals.  Blocks run on up to _MAX_WORKERS = 8 worker
@@ -104,8 +103,9 @@ _STUDY_GROUP = 64
 # so many scheduled jumps take fewer blocks per run, down to one.
 _STUDY_VALUES = 1 << 19
 
-# Values per pass of the row loops (256 KB), so that a pass stays in cache.
-_CHUNK = 1 << 15
+# Values per pass of the row loops (512 KB): a pass stays in a core's cache,
+# and fewer passes make fewer small numpy calls, which hold the GIL.
+_CHUNK = 1 << 16
 
 # Sign of the normals of a unit's paths: the antithetic partner flips them.
 _SIGNS = np.array([1.0, -1.0])
@@ -224,57 +224,55 @@ class _Plan:
 
 
 def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
-    """Brownian values at times t in a segment, in place on z (dim, units,
-    times), with W = 0 at the segment start.
+    """Brownian values at times t in a segment, in place on z (a normal per
+    time), with W = 0 at the segment start.
 
-    Each unit's times run in order along the last axis, in bridges of
-    `cover` times toward the unit's next point (knot_t, knot_w).  Between
-    points a < b, with Y_a = (W_b - W_a) / (b - a) and t0 the later of a
-    and the time before t,
-    W_t = W_b - (b - t) (Y_a - sum z sqrt((t - t0) / ((b - t) (b - t0)))),
-    summed over the bridge's times up to t: (W_b - W_t) / (b - t) is a
-    Brownian motion in the clock 1 / (b - t).  z holds a normal per time;
-    a time at b takes W_b and uses none.
+    z is (dim, units, times), every unit at the times t, or (dim, times),
+    the units' times one after another in t.  A unit's times run in order,
+    in bridges of cover[u, k] times toward its points (knot_t, knot_w)[u, k],
+    one bridge per unit in the second layout.  Between points a < b, with
+    Y_a = (W_b - W_a) / (b - a) and t0 the time before t (a at a bridge's
+    first), W_t = W_b - (b - t) (Y_a - sum z sqrt((t - t0) / ((b - t) (b - t0))))
+    summed over the bridge up to t: (W_b - W_t) / (b - t) is a Brownian motion
+    in the clock 1 / (b - t).  Per time, b - t0 is the time before's b - t; a
+    time at b takes W_b (scale 0, as b - t and the product are 0), no normal.
     """
-    knot_t = np.concatenate([np.zeros((len(knot_t), 1)), knot_t], axis=1)
-    knot_w = np.concatenate([np.zeros(knot_w.shape[:-1] + (1,)), knot_w], axis=-1)
-    since = np.concatenate([np.zeros(t.shape[:-1] + (1,)), t[..., :-1]], axis=-1)
+    dense = z.ndim == 3
+    nz = np.flatnonzero(cover)          # the bridges with a time, in order
+    rep, u = cover.ravel()[nz], nz // cover.shape[1]
+    i = nz + u                          # a bridge's start among the knots padded with 0
+    kt = np.concatenate([np.zeros((len(knot_t), 1)), knot_t], axis=1).ravel()
+    kw = np.concatenate([np.zeros(knot_w.shape[:-1] + (1,)), knot_w], -1).reshape(len(knot_w), -1)
+    a, span = kt[i], kt[i + 1] - kt[i]
+    # each bridge's first time, along its unit or along all the times
+    first = np.cumsum(cover, axis=1 if dense else None).ravel()[nz] - rep
+    at = (u, first) if dense else (first,)
 
-    def per_time(a):        # one value per bridge, repeated over its times
-        if cover.shape[1] == 1:     # one bridge per unit: broadcast it
-            return a
-        lead = a.shape[:-2]
-        flat = np.repeat(a.reshape(lead + (-1,)), cover.ravel(), axis=-1)
-        return flat.reshape(lead + z.shape[1:])
+    def per_time(v):        # one value per bridge, repeated over its times
+        return np.repeat(v, rep, axis=-1).reshape(v.shape[:-1] + z.shape[1:])
 
-    b = per_time(knot_t[:, 1:])
-    t0 = np.maximum(per_time(knot_t[:, :-1]), since)
-    left = b - t
-    scale = np.zeros_like(left)
-    np.sqrt(np.divide(t - t0, left * (b - t0), out=scale, where=left > 0.0), out=scale)
-    z *= scale
-    np.cumsum(z, axis=-1, out=z)
-    # the sum restarts at each bridge's first time
-    first = np.cumsum(cover, axis=1) - cover
-    before = np.where(first > 0, np.take_along_axis(z, first[None] - 1, axis=-1), 0.0)
-    span = np.diff(knot_t, axis=1)
-    y_a = np.divide(np.diff(knot_w), span, out=np.zeros_like(before), where=span > 0.0)
+    left = per_time(kt[i + 1])
+    left -= t
+    den = np.empty_like(left)
+    np.multiply(left.reshape(-1)[1:], left.reshape(-1)[:-1], out=den.reshape(-1)[1:])
+    den[at] = first_den = left[at] * span
+    # den is 0 exactly where left is, and so is the scale there
+    np.divide(np.diff(t, prepend=0.0), den, out=den, where=left > 0.0)
+    den[at] = np.divide(t[first] - a, first_den, out=np.zeros_like(a), where=left[at] > 0.0)
+    z *= np.sqrt(den, out=den)
+    if dense:
+        np.cumsum(z, axis=-1, out=z)
+        before = np.where(first > 0, z[:, u, first - 1], 0.0)
+    else:                   # one bridge per unit: its sum in cumsum's order
+        before = 0.0
+        for j in range(1, int(rep.max(initial=0))):
+            z[:, first[rep > j] + j] += z[:, first[rep > j] + j - 1]
+    y_a = np.divide(kw[:, i + 1] - kw[:, i], span, out=np.zeros((len(kw), len(i))),
+                    where=span > 0.0)
     z -= per_time(y_a + before)
     z *= left
-    z += per_time(knot_w[..., 1:])
+    z += per_time(kw[:, i + 1])
     return z
-
-
-def _knots(here: np.ndarray, s: np.ndarray, length: float):
-    """Each unit's knots in one diffusing segment: the (unit, column) u, k
-    of its points there (here, from the segment start on), their rank j
-    per unit in time order, and the (units, points + 1) times by rank,
-    padded with the segment length."""
-    u, k = np.nonzero(here)
-    j = np.cumsum(here, axis=1)[u, k] - 1
-    times = np.full((here.shape[0], int(here.sum(axis=1).max(initial=0)) + 1), length)
-    times[u, j] = s[u, k]
-    return u, k, j, times
 
 
 class _Skeleton:
@@ -375,20 +373,18 @@ def _draw_skeleton(gens, plan: _Plan) -> _Skeleton:
     diffusing = valid & plan.diffusing[seg]
     inner = diffusing & (s < plan.length[seg])
     if bridge_z:
-        z = np.zeros((units, width, d))
-        z[inner] = np.concatenate(bridge_z)
+        # per segment one bridge per unit toward its end, through the unit's
+        # jumps there; the units' jumps one after another, as drawn
+        u, k = np.nonzero(inner)
+        z = np.concatenate(bridge_z).T
         for i in np.flatnonzero(plan.diffusing):
-            here = inner & (seg == i)
-            if not here.any():
-                continue
-            # one bridge per unit from the segment start toward its end,
-            # through the unit's jumps there in time order (padded with the end)
-            u, k, j, t = _knots(here, s, plan.length[i])
-            w = np.zeros((d,) + t.shape)
-            w[:, u, j] = z[u, k].T
-            _sequential_bridge(w, t, t[:, -1:], end[:, i].T[..., None],
-                               np.full((units, 1), t.shape[1]))
-            brown[u, k] = w[:, u, j].T
+            here = np.flatnonzero(seg[u, k] == i)
+            uu, kk = u[here], k[here]
+            starts = np.flatnonzero(np.diff(uu, prepend=-1))
+            cover = np.diff(starts, append=uu.size)[:, None]
+            w = _sequential_bridge(z[:, here], s[uu, kk], np.full(cover.shape, plan.length[i]),
+                                   end[uu[starts], i].T[..., None], cover)
+            brown[uu, kk] = w.T
     last = diffusing & ~inner
     brown[last] = end[np.nonzero(last)[0], seg[last]]
     return _Skeleton(end, valid, seg, s, src, size, brown, sched_col)
@@ -568,10 +564,9 @@ def _fill_levels(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skelet
     Between two skeleton points of a unit (the segment start, its jump
     times, its end) the rows that end after the earlier point and by the
     later one follow the sequential bridge toward the later point.  rows
-    holds the row of each jump (_Grid.jump_rows).  z is the (units, rows
-    of diffusing segments, dim) array the grid normals are drawn into; a
-    worker reuses it for every block, which saves the page faults of a
-    fresh array.
+    holds the row of each jump (_Grid.jump_rows).  z, (units, rows of
+    diffusing segments, dim), takes the grid normals: a worker reuses it
+    for every block, saving a fresh array's page faults.
     """
     m, per_unit = pair.shape[:2]
     d = plan.dim
@@ -588,13 +583,16 @@ def _fill_levels(gen: np.random.Generator, plan: _Plan, grid: _Grid, sk: _Skelet
         n_i, length = s_i.size, plan.length[i]
         w = z[:, :, offset:offset + n_i]
         offset += n_i
-        # each unit's points after the segment start in time order,
-        # padded with its end, and the number of rows that end by each
-        u, k, j, times = _knots(inner & (seg == i), s, length)
-        value = np.empty((d,) + times.shape)
-        value[:] = sk.end[:m, i].T[:, :, None]
-        upto = np.full(times.shape, n_i)
+        # each unit's points by their rank j in time order, padded with
+        # the segment end, and the number of rows that end by each
+        here = inner & (seg == i)
+        u, k = np.nonzero(here)
+        j = np.cumsum(here, axis=1)[u, k] - 1
+        times = np.full((m, int(here.sum(axis=1).max(initial=0)) + 1), length)
+        times[u, j] = s[u, k]
+        value = np.repeat(sk.end[:m, i].T[:, :, None], times.shape[1], axis=2)
         value[:, u, j] = sk.brown[u, k].T
+        upto = np.full(times.shape, n_i)
         # a jump's row ends at it (a scheduled jump) or after it
         at = rows[u, k] - span.start
         upto[u, j] = at + (s_i[at] == s[u, k])
@@ -705,17 +703,17 @@ def wealth_recursion(paths: PathSet, schedule, kind) -> np.ndarray:
 
     Per row the invested amount is the direction times the gap 1 - W,
     clamped at zero for the monotone kind, so the gap is the continuous
-    factor to the row's end times the running product of the jump
-    factors up to it, and for the monotone kind stays at its value at
-    the first factor <= 0.  The last column is the study's horizon
-    value.
+    factor to the row's end times the running product of the jump factors
+    up to it (a unit's partners take it in one pass), and for the monotone
+    kind stays at its value at the first factor <= 0.  The last column is
+    the study's horizon value.  Each block writes its rows whole.
     """
     mmv = _kind(kind) is UtilityKind.MMV
     plan, grid = paths._plan, paths._grid
     way = _Way(plan, paths.model, schedule)
     per_unit = _unit_layout(paths.config)[1]
     n_rows, d = paths.n_rows, plan.dim
-    w = np.zeros((paths.n_paths, n_rows + 1))
+    w = np.empty((paths.n_paths, n_rows + 1))
     # minus exp(-lam'c lam s / 2) at each row
     row_factor = -np.exp(-np.concatenate(
         [h * t for h, t in zip(way.half_q, grid.times)]))
@@ -724,18 +722,20 @@ def wealth_recursion(paths: PathSet, schedule, kind) -> np.ndarray:
         first, n, sk, jump_rows = paths._blocks[b]
         h = _horizon(sk, plan, way, per_unit, mmv)
         horizon = 1.0 - h.gap[:n]      # as the study takes it
+        w[first:first + n, 0] = 0.0
         units = sk.valid.shape[0]
         covers = np.diff(jump_rows, axis=1, prepend=0, append=n_rows)   # rows per product
         frozen = np.full(units, n_rows)
         if mmv:
             crossed = np.flatnonzero(h.first >= 0)
             frozen[crossed] = jump_rows[crossed, h.first[crossed]]
-        # a few units at a time, so that the passes over their rows stay in cache
+        # a few units at a time in a buffer: passes on w's strided rows run slower
         step = max(1, _CHUNK // (per_unit * n_rows))
+        buf = np.empty((step * per_unit, n_rows))
         for u0 in range(0, min(units, -(-n // per_unit)), step):
             u1 = min(u0 + step, units)
             p0, p1 = u0 * per_unit, min(u1 * per_unit, n)
-            g = w[first + p0:first + p1, 1:]
+            g = buf[:p1 - p0]
             levels = paths.levels[first + p0:first + p1]
             # 1 - W = exp(-lam . level - the log gap at the segment start)
             # x the row factor x the running product of the unit's jumps
@@ -749,16 +749,16 @@ def wealth_recursion(paths: PathSet, schedule, kind) -> np.ndarray:
             np.exp(g, out=g)
             factor = np.repeat(h.running[u0:u1].ravel(), covers[u0:u1].ravel())
             factor = factor.reshape(u1 - u0, n_rows) * row_factor
-            for j in range(per_unit):
-                part = g[j::per_unit]
-                part *= factor[:part.shape[0]]
+            k = (p1 - p0) // per_unit       # a unit's partners at once, then a lone path
+            g[:k * per_unit].reshape(k, per_unit, n_rows)[...] *= factor[:k, None]
+            g[k * per_unit:] *= factor[k:k + 1]
             g += 1.0
             start = np.repeat(frozen[u0:u1], per_unit)[:p1 - p0]
             held = np.flatnonzero(start < n_rows)
-            if held.size:
-                later = np.arange(n_rows) >= start[held, None]
-                g[held] = np.where(later, horizon[p0 + held, None], g[held])
+            later = np.arange(n_rows) >= start[held, None]
+            g[held] = np.where(later, horizon[p0 + held, None], g[held])
             g[:, -1] = horizon[p0:p1]
+            w[first + p0:first + p1, 1:] = g
 
     _on_workers(len(paths._blocks), reduce)
     return w

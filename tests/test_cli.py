@@ -128,6 +128,24 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"config.segments[0].{key}: expected a" in err
 
+    @pytest.mark.parametrize("jumps,scale", [
+        ({"family": "gaussian", "mean": 0.0, "variance": 90000.0, "rate": 1.0}, "900"),
+        ({"family": "exp_tails", "c_minus": 0.5, "a": 0.004, "c_plus": 0.5, "b": 5.0}, "750"),
+    ], ids=["gaussian", "exp_tails"])
+    @pytest.mark.parametrize("kind", ["mv", "mmv"])
+    def test_log_term_law_past_the_exp_range(self, jumps, scale, kind, tmp_path, capsys):
+        # e^x of the support scale overflows: the config is rejected, not
+        # an internal OverflowError
+        config = copy.deepcopy(ZERO_CONFIG)
+        config["yield_transform"] = "exp"
+        config["segments"][0].update(c=[[0.04]], jumps=jumps)
+        p = tmp_path / "log_terms.json"
+        p.write_text(json.dumps(config))
+        assert run(["solve", str(p), "--kind", kind]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "rejected" in err and f"below 709, not {scale}" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("rule", [None, "simpson", 1, ["trapezoid"]],
                              ids=["missing", "simpson", "number", "list"])
     def test_tabulated_law_needs_the_trapezoid_rule(self, rule, tmp_path, capsys):

@@ -75,6 +75,21 @@ def two_asset_model():
     })
 
 
+def scheduled_bridge_model():
+    """One diffusing unit segment (c = 0.04) with compound-Poisson jumps at
+    rate 3 and three scheduled jumps inside it, one at a step's end (n_steps
+    = 8): the skeleton bridges through both kinds of jump time."""
+    return build_model({
+        "horizon": 1.0, "dimension": 1,
+        "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc", "b": [0.1],
+                      "c": [[0.04]], "jumps": {"family": "finite_atoms",
+                                               "points": [[0.2], [-0.1]], "masses": [1.5, 1.5]}}],
+        "atoms": [{"time": 0.3, "points": [[0.1], [-0.1]], "masses": [0.5, 0.5]},
+                  {"time": 0.5, "points": [[0.2]], "masses": [0.4]},
+                  {"time": 0.8, "points": [[-0.1], [0.3]], "masses": [0.3, 0.2]}],
+    })
+
+
 class TestDeterminism:
     def test_same_seed_is_bitwise_identical(self, ex2):
         sim = SimConfig(n_paths=16, n_steps=8, seed=5)
@@ -273,10 +288,12 @@ class TestExactEngine:
             st = estimate_stats(gap, functional, antithetic=True)
             assert abs(st.estimate - want) <= 4.0 * st.std_error, functional
 
-    @pytest.mark.parametrize("model", ["diffusion", "ex2"])
+    @pytest.mark.parametrize("model", ["diffusion", "ex2", "scheduled"])
     def test_bridged_rows_have_the_diffusion_variance(self, model, ex2):
-        # with jumps (ex2) the rows are bridged through the jump times too
-        m, c = (pure_diffusion_model(), 0.09) if model == "diffusion" else (ex2, 0.04)
+        # with jumps (ex2) the rows are bridged through the jump times too;
+        # a row that ends at a scheduled time takes the skeleton's value there
+        m, c = {"diffusion": (pure_diffusion_model(), 0.09), "ex2": (ex2, 0.04),
+                "scheduled": (scheduled_bridge_model(), 0.04)}[model]
         n = 20_000
         ps = simulate_paths(m, SimConfig(n_paths=n, n_steps=8, seed=13, antithetic=False))
         levels = ps.levels[:, :, 0]
