@@ -230,12 +230,12 @@ def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
     z is (dim, units, times), every unit at the times t, or (dim, times),
     the units' times one after another in t.  A unit's times run in order,
     in bridges of cover[u, k] times toward its points (knot_t, knot_w)[u, k],
-    one bridge per unit in the second layout.  Between points a < b, with
-    Y_a = (W_b - W_a) / (b - a) and t0 the time before t (a at a bridge's
-    first), W_t = W_b - (b - t) (Y_a - sum z sqrt((t - t0) / ((b - t) (b - t0))))
-    summed over the bridge up to t: (W_b - W_t) / (b - t) is a Brownian motion
-    in the clock 1 / (b - t).  Per time, b - t0 is the time before's b - t; a
-    time at b takes W_b (scale 0, as b - t and the product are 0), no normal.
+    one bridge per unit in the second layout, summed in a (units, most times)
+    table.  Between points a < b, with Y_a = (W_b - W_a) / (b - a) and t0 the
+    time before t (a at a bridge's first), W_t = W_b - (b - t) (Y_a - sum z
+    sqrt((t - t0) / ((b - t) (b - t0)))) summed over the bridge up to t:
+    (W_b - W_t) / (b - t) is a Brownian motion in the clock 1 / (b - t).  b - t0
+    is the time before's b - t; a time at b takes W_b (scale 0), no normal.
     """
     dense = z.ndim == 3
     nz = np.flatnonzero(cover)          # the bridges with a time, in order
@@ -244,29 +244,31 @@ def _sequential_bridge(z, t, knot_t, knot_w, cover) -> np.ndarray:
     kt = np.concatenate([np.zeros((len(knot_t), 1)), knot_t], axis=1).ravel()
     kw = np.concatenate([np.zeros(knot_w.shape[:-1] + (1,)), knot_w], -1).reshape(len(knot_w), -1)
     a, span = kt[i], kt[i + 1] - kt[i]
-    # each bridge's first time, along its unit or along all the times
+    # a bridge's first time along its unit or all the times; at: its flat index
     first = np.cumsum(cover, axis=1 if dense else None).ravel()[nz] - rep
-    at = (u, first) if dense else (first,)
+    at = first + u * z.shape[-1] if dense else first
 
     def per_time(v):        # one value per bridge, repeated over its times
         return np.repeat(v, rep, axis=-1).reshape(v.shape[:-1] + z.shape[1:])
 
     left = per_time(kt[i + 1])
     left -= t
-    den = np.empty_like(left)
-    np.multiply(left.reshape(-1)[1:], left.reshape(-1)[:-1], out=den.reshape(-1)[1:])
-    den[at] = first_den = left[at] * span
+    lf, den = left.reshape(-1), np.empty_like(left)
+    df = den.reshape(-1)
+    np.multiply(lf[1:], lf[:-1], out=df[1:])
+    df[at] = first_den = lf[at] * span
     # den is 0 exactly where left is, and so is the scale there
     np.divide(np.diff(t, prepend=0.0), den, out=den, where=left > 0.0)
-    den[at] = np.divide(t[first] - a, first_den, out=np.zeros_like(a), where=left[at] > 0.0)
+    df[at] = np.divide(t[first] - a, first_den, out=np.zeros_like(a), where=lf[at] > 0.0)
     z *= np.sqrt(den, out=den)
     if dense:
         np.cumsum(z, axis=-1, out=z)
         before = np.where(first > 0, z[:, u, first - 1], 0.0)
-    else:                   # one bridge per unit: its sum in cumsum's order
-        before = 0.0
-        for j in range(1, int(rep.max(initial=0))):
-            z[:, first[rep > j] + j] += z[:, first[rep > j] + j - 1]
+    else:                   # one bridge per unit: its row of a table padded by rank
+        b, j = per_time(np.arange(rep.size)), np.arange(len(t)) - per_time(first)
+        pad = np.zeros((len(z), rep.size, int(rep.max(initial=0))))
+        pad[:, b, j] = z
+        z[:], before = np.cumsum(pad, axis=-1, out=pad)[:, b, j], 0.0
     y_a = np.divide(kw[:, i + 1] - kw[:, i], span, out=np.zeros((len(kw), len(i))),
                     where=span > 0.0)
     z -= per_time(y_a + before)
@@ -373,10 +375,8 @@ def _draw_skeleton(gens, plan: _Plan) -> _Skeleton:
     diffusing = valid & plan.diffusing[seg]
     inner = diffusing & (s < plan.length[seg])
     if bridge_z:
-        # per segment one bridge per unit toward its end, through the unit's
-        # jumps there; the units' jumps one after another, as drawn
-        u, k = np.nonzero(inner)
-        z = np.concatenate(bridge_z).T
+        # per segment one bridge per unit toward its end, through its jumps there
+        (u, k), z = np.nonzero(inner), np.concatenate(bridge_z).T
         for i in np.flatnonzero(plan.diffusing):
             here = np.flatnonzero(seg[u, k] == i)
             uu, kk = u[here], k[here]
