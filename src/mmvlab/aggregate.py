@@ -58,6 +58,10 @@ def _split_schedule(model: MarketModel, schedule) -> tuple[list, np.ndarray]:
     n_seg = len(model.segments)
     if len(lams) != n_seg + len(model.atoms):
         raise ValueError("schedule length does not match the model's time points")
+    bad = next((i for i, lam in enumerate(lams) if lam.shape != (model.dim,)), None)
+    if bad is not None:
+        raise ValueError(f"schedule entry {bad} has shape {lams[bad].shape}, "
+                         f"not the model's ({model.dim},)")
     return lams[:n_seg], np.array(lams[n_seg:], dtype=float).reshape(-1, model.dim)
 
 

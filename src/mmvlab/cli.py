@@ -300,8 +300,11 @@ def _cmd_simulate(args) -> int:
     if args.paths < 4:
         # antithetic estimates need two complete pairs of paths
         raise _UsageError("--paths must be at least 4")
+    try:
+        sim = SimConfig(n_paths=args.paths, seed=args.seed)
+    except InvariantError as exc:
+        raise _UsageError(f"--{exc}") from None
     sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
-    sim = SimConfig(n_paths=args.paths, seed=args.seed)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
     # estimates line up with the dimensionless analytic ratios.
     study = run_wealth_study(model, sim, args.kind, solution=sol)

@@ -360,11 +360,12 @@ def _seen(x: np.ndarray, N: np.ndarray):
 
 
 def _still(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the range and of null(c), eigenvalues within
-    d eps of the largest counting as zero."""
+    """A root r of c (c = r r', orthogonal columns) and an orthonormal
+    basis of null(c), eigenvalues within d eps of the largest counting
+    as zero."""
     w, V = np.linalg.eigh(cov)
     zero = w <= cov.shape[0] * _EPS * max(float(w.max()), 0.0)
-    return V[:, ~zero], V[:, zero]
+    return V[:, ~zero] * np.sqrt(w[~zero]), V[:, zero]
 
 
 def _free_lunch(b0: np.ndarray, N: np.ndarray, x: np.ndarray,

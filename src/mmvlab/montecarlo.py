@@ -119,8 +119,8 @@ class SimConfig:
     scheduled jumps get extra zero-length rows of their own.  The
     study draws no step grid, so its output is a pure function of
     (seed, n_paths, antithetic); paths depend on n_steps too.  The
-    counts and the seed are integers (numpy's included, bools not) and
-    antithetic a bool, checked here.
+    counts and the seed are integers (numpy's included, bools not), the
+    seed one of the 2^64 Philox keys, and antithetic a bool, checked here.
     """
 
     n_paths: int
@@ -139,6 +139,8 @@ class SimConfig:
             raise InvariantError("n_paths must be at least 1")
         if self.n_steps < 1:
             raise InvariantError("n_steps must be at least 1")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise InvariantError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -449,7 +451,7 @@ def _horizon(sk: _Skeleton, plan: _Plan, way: _Way, per_unit: int, mmv: bool) ->
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -48,14 +48,14 @@ B/C is taken.  The objective is evaluated once, at the end.  That zero
 is also the sigma-martingale condition of the dual density, and the
 minimum-norm end of any flat stretch.
 
-The monotone kind on several-dimensional atoms is exact too.  Its
-local utility is concave and piecewise quadratic: on the set S of atoms
-it caps it has slope B_S and curvature C_S, and the minimum-norm
-maximizer is C_S^+ B_S for the S that maximizer caps strictly.  A
-regularized Newton solve, with an exact line search over the bliss
-kinks, reads off S (`_capped_atoms`); the optima need not be unique,
-since the monotone utility is flat beyond its bliss level, and the
-cone test of `localutil` tells whether they are (`_ties`).
+Several-dimensional atoms are solved exactly by one active set over
+the set S of capped atoms (`_maximize_atoms`), where the utility has
+slope B_S and curvature C_S; each candidate is the minimum-norm C_S^+
+B_S from a QR factor of the atoms' rows, never a formed C_S, so
+rotating the model rotates the optimum.  The plain kind is the first
+candidate, S empty.  In every dimension an atom optimum is interior
+where its first-order residual is below _FOC_TOL (1 + |lam| tr C), the
+scale of its rounding, and a bounded point no risk curves is a tie.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ import numpy as np
 from .drift import _checked, drifts
 from .errors import OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _finite_direction, _kind, _mass_tol,
-                        _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_spec,
+                        _nnls, _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_spec,
                         _slope_tol, _still, _utility_spec, asymptotic_slope)
 from .model import LocalCharacteristics, ScheduledJumps
 
@@ -97,8 +97,9 @@ class LocalOptimum:
     law; an unbounded several-dimensional point, a riskless drift and an
     optimum beyond the float range are reported at the origin with value
     0.  tie_break_applied marks a maximizer set of more than one point,
-    of which lambda_hat is the minimum-norm one.  value is always finite
-    and nonnegative.  The optima this module returns have read-only
+    of which lambda_hat is the minimum-norm one: a still time point (no
+    drift, diffusion or jump mass) is "interior" with a tie in every
+    dimension.  value is always finite and nonnegative.  The optima this module returns have read-only
     arrays, since solved schedules share them.
     """
 
@@ -260,9 +261,10 @@ def _solve_rows(rows: _Rows, kind) -> AtomOptima:
     value = np.where(overflow, 0.0, np.maximum(value, 0.0))
     foc = rows.residual(lam[:, None], kind)[:, 0]
     flag = np.where(unbounded, _UNBOUNDED,
-                    np.where(riskless | (np.abs(foc) > _FOC_TOL), _FLAT, _INTERIOR))
+                    np.where(np.abs(foc) > _FOC_TOL * (1.0 + np.abs(lam) * curv0), _FLAT, _INTERIOR))
+    # a bounded riskless row is maximized by every lam
     return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1),
-                      flag.astype(np.int8), tie)
+                      flag.astype(np.int8), (tie | riskless) & ~unbounded)
 
 
 def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
@@ -271,7 +273,7 @@ def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
     Each row is the increment law of a fixed jump time, whose
     characteristics are those of the table's row view (truncated drift the
     mean of h, no diffusion); no characteristics are built.  One batch
-    solves every row in one dimension, and `_maximize_quadratic` each
+    solves every row in one dimension, and `_maximize_atoms` each
     row in several.  Each optimum equals `maximize_local_utility` on
     those characteristics bit for bit.
     """
@@ -283,155 +285,142 @@ def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
     rows = _rows_from_table(jumps)
     if jumps.dim == 1:
         return _solve_rows(rows, kind)
-    return AtomOptima.stack([_maximize_quadratic(one, kind) for one in rows.alone()],
+    return AtomOptima.stack([_maximize_atoms(one, kind) for one in rows.alone()],
                             jumps.dim)
 
 
-def _flat_split(cov: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (curved, flat) of the directions c or an outcome
-    in seen moves and of those none moves, decided scale-free as
-    `localutil._free_lunch` decides them: null(c), less what the unit
-    rows of seen see there, so a tiny-mass atom curves its direction."""
-    moved, N = _still(cov)
-    _, vt, rank = _seen(seen, N)
-    return np.hstack([moved, N @ vt[:rank].T]), N @ vt[rank:].T
+#: lam . x within this times 1 + |x| |lam| of the bliss level 1 is at bliss
+_AT_BLISS = 1e-9
 
 
-def _quadratic_form(rows: _Rows, capped=None):
-    """Minimum-norm stationary point of B_S, C_S at one row.
+def _split(still, x) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of what c or an outcome in x curves and of the
+    rest, null(C_S), given `localutil._still(c)`: null(c) less what the
+    outcomes' unit rows see there (`localutil._seen`), decided
+    scale-free, so a tiny-mass atom curves its direction."""
+    root, N = still
+    _, vt, rank = _seen(x, N)
+    return (np.hstack([root / np.linalg.norm(root, axis=0), N @ vt[:rank].T]),
+            N @ vt[rank:].T)
 
-    S is the set of atoms in the mask `capped` (none by default).  Where
-    the monotone kind caps exactly those, the local utility is, up to a
-    constant, B_S . lam - lam' C_S lam / 2 with B_S = b + sum_{not S}
-    m x - sum m h and C_S = c + sum_{not S} m x x'; the plain kind is
-    that, with S empty, everywhere.  A maximizer capping S zeroes the
-    gradient B_S - C_S lam, so a part of B_S in null(C_S) means none
-    exists.  C_S^+ B_S comes from C_S's eigenvectors, unless eigenvalues
-    within d eps of its largest may hide a free atom's curvature: then C_S
-    is solved on what `_flat_split` curves.  Returns (C_S^+ B_S, a basis
-    of null(C_S), riskless).
+
+def _piece(rows: _Rows, free, still) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum-norm maximizer C_S^+ B_S of one row's piece where the
+    atoms outside the mask free are capped, B_S, and a basis of null(C_S).
+
+    On that piece the local utility is, up to a constant, B_S . lam -
+    lam' C_S lam / 2 with B_S = b - sum m h + sum_free m x and C_S = c +
+    sum_free m x x'.  On what it curves (`_split`) C_S = T'T, with T the
+    QR factor of the rows of a root of c and of sqrt(m) x, heaviest
+    first: C_S is never formed, so no rounding of its large entries
+    hides a small curvature, in any axes.  C_S^+ B_S is not finite
+    where it passes the float range.
     """
-    x, m = rows.x, rows.m
-    dim = x.shape[1]
-    B = rows.b[0].copy()
-    C = rows.c[0].copy()
-    seen = x if capped is None else x[~capped]
-    if m.size:
-        free = x if capped is None else np.where(capped[:, None], 0.0, x)
-        B += m @ (free - rows.h)
-        C += (free * m[:, None]).T @ free
-    w, V = np.linalg.eigh(C)
-    big = w > dim * _EPS * max(float(w.max()), 0.0)
-    curved, flat = ((V[:, big], V[:, ~big]) if big.all() or not len(seen)
-                    else _flat_split(rows.c[0], seen))
+    x, m = rows.x[free], rows.m[free]
+    curved, flat = _split(still, x)
+    rooted = np.vstack([still[0].T, np.sqrt(m)[:, None] * x])
+    rooted = rooted[np.argsort(-np.linalg.norm(rooted, axis=1), kind="stable")]
+    B = rows.b[0] - rows.m @ rows.h + m @ x
     with np.errstate(over="ignore", invalid="ignore"):
-        if big.sum() == curved.shape[1]:
-            lam = V[:, big] @ ((V[:, big].T @ B) / w[big])
-        else:
-            try:
-                lam = curved @ np.linalg.solve(curved.T @ C @ curved, curved.T @ B)
-            except np.linalg.LinAlgError:   # a curvature below the float range
-                lam = np.full(dim, math.inf)
-    riskless = bool(np.any(np.abs(flat.T @ B)
-                           > _slope_tol(float(np.abs(rows.b[0]).max()))))
-    return lam, flat, riskless
+        try:
+            # T is upper triangular, which LU inverts without pivoting
+            Ti = np.linalg.solve(np.linalg.qr(rooted @ curved, mode="r"),
+                                 np.eye(curved.shape[1]))
+            lam = curved @ (Ti @ (Ti.T @ (curved.T @ B)))
+        except np.linalg.LinAlgError:   # a curvature below the float range
+            lam = np.full(B.size, math.inf)
+    return lam, B, flat
 
 
-def _capped_atoms(rows: _Rows) -> np.ndarray:
-    """The atoms the minimum-norm monotone maximizer caps at one row, as a mask.
+def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
+    """Minimum-norm maximizer at one row (d >= 2), by an exact active set.
 
-    With B0 = b - sum m h and g(z) = min(z, 1) - min(z, 1)^2 / 2 the
-    monotone utility on atoms is U(lam) = B0 . lam - lam' c lam / 2 +
-    sum m g(lam . x): concave and piecewise quadratic.  Two maximizers
-    share c lam and every (1 - lam . x)+, so the maximizer set is cut
-    out by fixing those.  Let S be the atoms with lam . x > 1 at the
-    minimum-norm maximizer lam^; atoms at their bliss point count as
-    free.  Every direction in null(C_S) keeps c lam and the free atoms
-    fixed and the capped ones capped near lam^, so it moves within the
-    maximizer set both ways; lam^ is therefore orthogonal to null(C_S)
-    and equals C_S^+ B_S.  U is unbounded exactly when some p has
-    c p = 0, x . p >= 0 for every atom and B0 . p > 0; any S holding
-    the atoms with x . p > 0, which cap far out along p, then has p in
-    null(C_S) and B_S . p = B0 . p > 0.
-
-    S is read off the maximizer of U - eps |lam|^2 / 2, which tends to
-    lam^ as eps -> 0.  Newton's method finds it from the origin: each
-    direction solves (C_S + eps I) p = grad on the current piece, and
-    along lam + t p the slope is piecewise linear in t with a kink
-    where an atom reaches its bliss point, so the best t in [0, 1] is
-    exact.  A step that crosses no kink and leaves the free atoms as
-    they were has landed on the stationary point, and one that no
-    longer moves lam is at it to rounding.  eps is 1e-10 of the trace
-    of C_0.
+    On atoms g(z) = (1 - (1 - z)+^2) / 2, so the monotone kind minimizes
+    lam' c lam / 2 - B0 . lam + sum m s^2 / 2 over lam and slacks s with
+    lam . x + s >= 1 per atom, B0 = b - sum m h.  A working set is a set
+    of free atoms (s = 1 - lam . x; s = 0 on the capped rest), whose
+    optimum is its piece's (`_piece`).  The primal active-set method
+    (Nocedal and Wright 2006, alg. 16.3) starts at lam = 0, s = 1, all
+    free, and steps toward each piece's optimum, freeing a capped atom
+    whose constraint blocks the step; a part of B_S in null(C_S) is a
+    ray, followed to its first blocking atom, or else unbounded.  An
+    optimum is accepted by its KKT signs, free atoms at or short of
+    bliss and capped ones at or past it; else the free atom with the
+    most negative multiplier m (1 - lam . x) is capped.  The objective
+    falls from one optimum to the next, so no working set recurs.  The
+    maximizers keep c lam and lam . x on the atoms short of bliss, and
+    the others at or past it: a tie when some step in the null space N
+    of c and those atoms keeps every atom at bliss there
+    (`localutil._cone_ray`), resolved by a least-distance problem on N,
+    an NNLS (Lawson and Hanson 1974, ch. 23).  A riskless drift, or an
+    optimum beyond the float range, is reported unbounded at the origin.
     """
-    x, m, cov = rows.x, rows.m, rows.c[0]
-    dim = x.shape[1]
-    xm = x * m[:, None]
-    b0 = rows.b[0] - m @ rows.h
-    trace = float(np.trace(cov + xm.T @ x))
-    if trace <= 0.0:          # no atom moves: nothing ever caps
-        return np.zeros(m.size, dtype=bool)
-    c = cov + 1e-10 * trace * np.eye(dim)
-    lam = np.zeros(dim)
-    free = np.ones(m.size, dtype=bool)
-    for _ in range(200):
-        gap = 1.0 - x @ lam
-        pull = b0 - c @ lam
-        p = np.linalg.solve(c + xm[free].T @ x[free], pull + np.maximum(gap, 0.0) @ xm)
-        y = x @ p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kinks = gap / y
-        t = np.concatenate(([0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]))
-        slope = pull @ p - (p @ c @ p) * t + np.maximum(gap - t[:, None] * y, 0.0) @ (m * y)
-        # the slope falls, so its zero (or an end of [0, 1]) is interpolated exactly
-        lam, last = lam + np.interp(0.0, -slope, t) * p, lam
-        was, free = free, x @ lam < 1.0
-        if (t.size == 2 and np.array_equal(free, was)) or \
-                np.linalg.norm(lam - last) <= 1e-15 * np.linalg.norm(lam):
+    x, m, dim = rows.x, rows.m, rows.x.shape[1]
+    norms, still = np.linalg.norm(x, axis=1), _still(rows.c[0])
+
+    def near(lam):      # the distance from bliss that counts as at bliss
+        return _AT_BLISS * (1.0 + norms * math.sqrt(lam @ lam))
+
+    mmv = _kind(kind) is UtilityKind.MMV
+    free, recurred = np.ones(m.size, dtype=bool), set()
+    lam, s = np.zeros(dim), np.ones(m.size)
+    tol = _slope_tol(float(np.linalg.norm(rows.b[0])))
+    while True:
+        target, B, flat = _piece(rows, free, still)
+        ray = flat @ (flat.T @ B)
+        if math.sqrt(ray @ ray) > tol:
+            step, to_s, end = ray, s, math.inf
+        elif np.isfinite(target).all():
+            step, to_s, end = target - lam, np.where(free, 1.0 - x @ target, 0.0), 1.0
+        else:                           # an optimum beyond the float range
+            step, to_s, end = np.zeros(dim), s, math.inf
+        rate = x @ step + to_s - s
+        block = np.flatnonzero(~free & (rate < 0.0))
+        t = np.maximum(x[block] @ lam + s[block] - 1.0, 0.0) / -rate[block]
+        if t.size and t.min() < end:
+            k = int(np.argmin(t))
+            lam, s = lam + t[k] * step, s + t[k] * (to_s - s)
+            free[block[k]] = True
+            continue
+        bounded = end < math.inf
+        if not bounded:
             break
-    return x @ lam > 1.0
-
-
-def _ties(rows: _Rows, kind, lam, flat) -> bool:
-    """Whether the maximizer set of one row holds points besides lam.
-
-    For the plain kind it is lam + null(C), spanned by `flat`.  For the
-    monotone kind on atoms a step p keeps the value exactly when it
-    keeps c lam and every (1 - lam . x)+: p lies in the null space N of
-    c and of the atoms short of their bliss point, and no atom at its
-    bliss point drops below it (x . p >= 0).
-    """
-    if kind is UtilityKind.MV or not rows.m.size:
-        return bool(flat.shape[1])
-    z = rows.x @ lam
-    flat = _flat_split(rows.c[0], rows.x[z <= 1.0 - 1e-9])[1]
-    return _cone_ray(rows.x[np.abs(z - 1.0) <= 1e-9] @ flat) is not None
-
-
-def _maximize_quadratic(rows: _Rows, kind) -> LocalOptimum:
-    """Minimum-norm maximizer lam = C_S^+ B_S at one row (d >= 2).
-
-    S is the set of capped atoms: empty for the plain kind, which is
-    B . lam - lam' C lam / 2 everywhere, and for the monotone kind
-    without jumps; `_capped_atoms` for the monotone kind on atoms.
-    When C_S is singular the minimum-norm point is taken; a riskless
-    drift, or an optimum beyond the float range, is flagged unbounded
-    and reported at the origin with value 0.
-    """
-    capped = _capped_atoms(rows) if kind is UtilityKind.MMV and rows.m.size else None
-    lam, flat, riskless = _quadratic_form(rows, capped)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (float(rows.value(lam[None], kind)[0])
-                 if not riskless and np.isfinite(lam).all() else math.nan)
-    bounded = math.isfinite(value)
+        lam, s = target, to_s
+        past = np.where(free, x @ lam - 1.0, 0.0)
+        over = past > near(lam)
+        if not mmv or not over.any():
+            break
+        if free.tobytes() in recurred:
+            raise OptimizationError("an active set recurred")
+        recurred.add(free.tobytes())
+        free[np.argmax(np.where(over, m * past, -math.inf))] = False
+    if bounded:
+        z, bliss = x @ lam, near(lam)
+        short = z < 1.0 - bliss if mmv else np.ones(m.size, dtype=bool)
+        at = ~short & (z <= 1.0 + bliss)
+        flat = _split(still, x[short])[1]
+        tie = _cone_ray(x[at] @ flat) is not None
+        if tie and at.any():
+            # the nearest maximizer perp + N w has the least |w| with
+            # lam . x >= min(z, 1) off the short atoms, which lam meets;
+            # it is C_S^+ B_S for the atoms it caps strictly
+            perp = lam - flat @ (flat.T @ lam)
+            G, h = x[~short] @ flat, np.minimum(z[~short], 1.0) - x[~short] @ perp
+            r = _nnls(np.vstack([G.T, h]), np.eye(flat.shape[1] + 1)[-1])[1]
+            lam = perp - flat @ (r[:-1] / r[-1])
+            lam = _piece(rows, x @ lam <= 1.0 + near(lam), still)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(rows.value(lam[None], kind)[0])
+        bounded = math.isfinite(value)
     if not bounded or value < 0.0:      # or rounding around a maximum at the origin
-        lam, value = np.zeros(lam.size), 0.0
+        lam, value = np.zeros(dim), 0.0
     res = rows.residual(lam[None], kind)[0]
     if not bounded:
         return LocalOptimum(lam, 0.0, res if np.isfinite(res).all() else None,
                             "unbounded_flagged")
-    flag = "interior" if float(np.abs(res).max()) <= _FOC_TOL else "flat_direction"
-    return LocalOptimum(lam, value, res, flag, _ties(rows, kind, lam, flat))
+    curv = float(np.trace(rows.c[0])) + m @ (norms * norms)
+    stationary = float(np.abs(res).max()) <= _FOC_TOL * (1.0 + math.sqrt(lam @ lam) * curv)
+    return LocalOptimum(lam, value, res, "interior" if stationary else "flat_direction", tie)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +675,7 @@ def maximize_local_utility(chars: LocalCharacteristics, kind) -> LocalOptimum:
     if rows is not None:
         if chars.dim == 1:
             return _solve_rows(rows, kind)[0]
-        opt = _maximize_quadratic(rows, kind)
+        opt = _maximize_atoms(rows, kind)
     else:
         opt = _maximize_1d(chars, kind)
         if not math.isfinite(opt.value) or opt.value < 0.0:

@@ -257,3 +257,31 @@ def test_unbounded_time_point_raises():
     })
     with pytest.raises(InfiniteValue):
         cumulative_local_utility(model, "mv")
+
+
+def _two_jump_model(dim):
+    """One still segment and two scheduled jumps in dim dimensions."""
+    return mmvlab.build_model({
+        "horizon": 1.0, "dimension": dim,
+        "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "zero", "b": [0.1] * dim,
+                      "c": (0.05 * np.eye(dim)).tolist()}],
+        "atoms": [{"time": t, "points": [[-0.5] * dim, [0.5] * dim], "masses": [0.2, 0.2]}
+                  for t in (0.3, 0.6)]})
+
+
+@pytest.mark.parametrize("dim, lams", [
+    # a 1-d model given 2-component jump directions: they were read as
+    # four 1-d ones, and the sums returned figures or a broadcast error
+    (1, [[1.0], [1.0, 2.0], [0.5, 0.5]]),
+    # a 2-d model given 1-component jump directions: two of them were read
+    # as one row, and the sums raised an IndexError
+    (2, [[1.0, 1.0], [1.0], [2.0]])],
+    ids=["long", "short"])
+def test_a_schedule_entry_of_the_wrong_length_is_named(dim, lams):
+    model = _two_jump_model(dim)
+    schedule = [np.array(v) for v in lams]
+    for call in (lambda: mmvlab.zero_density_probability(model, schedule),
+                 lambda: mmvlab.mellin_sign_moments(model, schedule, 1),
+                 lambda: mmvlab.sigma_martingale_residual(model, schedule, "mmv")):
+        with pytest.raises(ValueError, match=rf"^schedule entry 1 has shape \({len(lams[1])},\)"):
+            call()

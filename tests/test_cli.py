@@ -420,6 +420,11 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         assert run(["simulate", zero_config_path, "--paths", "4"]) == 0
 
+    def test_bad_seed(self, zero_config_path, capsys):
+        for seed in ("-1", str(2 ** 64)):
+            assert run(["simulate", zero_config_path, "--paths", "4", "--seed", seed]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_step_count_flag_is_gone(self, zero_config_path, capsys):
         # the study draws no step grid
         assert run(["simulate", zero_config_path, "--paths", "4", "--steps", "4"]) == 2

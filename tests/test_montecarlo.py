@@ -562,6 +562,14 @@ class TestEstimates:
         with pytest.raises(InvariantError, match=f"^{message}$"):
             SimConfig(**{"n_paths": 4, field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_a_seed_outside_the_philox_keys_is_rejected(self, seed):
+        # a seed was masked to 64 bits: 2**64 drew the seed-0 study, and -1
+        # became 2**64 - 1
+        with pytest.raises(InvariantError, match=r"^seed must lie in \[0, 2\*\*64\)$"):
+            SimConfig(n_paths=4, seed=seed)
+        assert SimConfig(n_paths=4, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_config_takes_numpy_integers_and_bools(self):
         sim = SimConfig(np.int64(4), np.int32(2), np.uint8(7), np.bool_(False))
         assert (sim.n_paths, sim.n_steps, sim.seed, bool(sim.antithetic)) == (4, 2, 7, False)

@@ -18,7 +18,7 @@ from mmvlab._quad import Pieces
 from mmvlab.drift import drifts
 from mmvlab.localutil import _Rows, _slope_spec
 from mmvlab.measures import (TRUNCATION_PIECES, CappedMeasure, ExpYieldMeasure,
-                             TabulatedDensity1D)
+                             TabulatedDensity1D, truncate)
 from mmvlab.optimize import _CURVATURE, _SQUARE, maximize_atom_laws
 
 import properties
@@ -516,6 +516,71 @@ def test_a_tiny_opposing_atom_curves_its_direction(kind):
     assert float(one.lambda_hat[0]) == pytest.approx(0.1 / 1e-30, rel=1e-12)
     assert opt.lambda_hat == pytest.approx([0.0, 0.1 / 1e-30], rel=1e-12, abs=1e-12)
     assert opt.value == pytest.approx(one.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_a_still_point_has_one_verdict_in_every_dimension(dim, kind):
+    # no drift, no diffusion and no jump mass: every lam maximizes the
+    # zero utility, so the origin is stationary and a tie.  The 1-d rows
+    # called it flat_direction without a tie, several dimensions interior
+    # with one.
+    still = LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)), None)
+    massless = properties.jump_table([(np.ones((2, dim)), np.zeros(2))], [0.5])
+    for opt in (maximize_local_utility(still, kind), maximize_atom_laws(massless, kind)[0]):
+        assert (opt.boundedness, opt.tie_break_applied) == ("interior", True)
+        assert opt.lambda_hat.tolist() == [0.0] * dim and opt.value == 0.0
+
+
+def _rotated(chars, Q):
+    """chars in the axes Q: points, diffusion and zero-truncation drift
+    turned by Q (the truncation h is componentwise, so b moves with it)."""
+    x, m = chars.jumps.points, chars.jumps.masses
+    b0 = chars.b_trunc - m @ truncate(x)
+    return LocalCharacteristics(Q @ b0 + m @ truncate(x @ Q.T), Q @ chars.cov @ Q.T,
+                                FiniteAtoms(x @ Q.T, m))
+
+
+@st.composite
+def rotated_atom_laws(draw):
+    """Several-dimensional atom characteristics of a family of
+    `properties.random_nd_atom_chars`, a random rotation, and a kind."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from([2, 3]))
+    chars = properties.random_nd_atom_chars(gen, draw(st.sampled_from(properties._ND_FAMILIES)),
+                                            dim, int(gen.integers(2, 8)))
+    q, r = np.linalg.qr(gen.normal(size=(dim, dim)))
+    return chars, q * np.sign(np.diag(r)), draw(st.sampled_from(["mv", "mmv"]))
+
+
+_TURN = np.array([[math.cos(math.pi / 6), -math.sin(math.pi / 6)],
+                  [math.sin(math.pi / 6), math.cos(math.pi / 6)]])
+_TINY = LocalCharacteristics(np.array([0.0, 0.1]), np.zeros((2, 2)), FiniteAtoms(
+    np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.5, 0.5, 1e-30])))
+
+
+# a 1e-30 curvature, rounded away where C = c + sum m x x' is formed in
+# axes turned by 30 degrees: lam fell from 1e29 to 1.3e16 and its verdict
+# to flat_direction
+@example((_TINY, _TURN, "mv"))
+@example((_TINY, _TURN, "mmv"))
+@given(rotated_atom_laws())
+@settings(max_examples=200, deadline=None)
+def test_rotating_the_model_rotates_the_optimum(case):
+    # with the condition scaling of check_atoms_nd_vs_enumeration: the
+    # value sums terms of size |C_S| |lam|^2, and lam is determined to
+    # rounding times the condition of C_S, S the atoms capped at lam
+    chars, Q, kind = case
+    a, b = (maximize_local_utility(ch, kind) for ch in (chars, _rotated(chars, Q)))
+    assert (b.boundedness, b.tie_break_applied) == (a.boundedness, a.tie_break_applied)
+    lam, x, m = a.lambda_hat, chars.jumps.points, chars.jumps.masses
+    norm = float(np.linalg.norm(lam))
+    free = x @ lam <= 1.0 + 1e-9 * (1.0 + np.linalg.norm(x, axis=1) * norm) \
+        if kind == "mmv" else np.ones(m.size, dtype=bool)
+    sv = np.linalg.svd(chars.cov + (x[free] * m[free, None]).T @ x[free], compute_uv=False)
+    cond = sv[0] / sv[sv > sv[0] * sv.size * np.finfo(float).eps][-1] if sv[0] > 0.0 else 1.0
+    assert abs(b.value - a.value) <= 1e-12 * (1.0 + abs(a.value) + sv[0] * norm * norm)
+    assert np.linalg.norm(Q.T @ b.lambda_hat - lam) <= 1e-9 * (1.0 + norm) * max(1.0, 1e-6 * cond)
 
 
 _POINTS = st.floats(-2.0, 3.0).filter(lambda v: abs(v) >= 1e-3)
