@@ -60,8 +60,7 @@ def _split_schedule(model: MarketModel, schedule) -> tuple[list, np.ndarray]:
         raise ValueError("schedule length does not match the model's time points")
     bad = next((i for i, lam in enumerate(lams) if lam.shape != (model.dim,)), None)
     if bad is not None:
-        raise ValueError(f"schedule entry {bad} has shape {lams[bad].shape}, "
-                         f"not the model's ({model.dim},)")
+        raise ValueError(f"schedule entry {bad} has shape {lams[bad].shape}, not ({model.dim},)")
     return lams[:n_seg], np.array(lams[n_seg:], dtype=float).reshape(-1, model.dim)
 
 

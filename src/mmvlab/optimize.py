@@ -308,13 +308,11 @@ def _piece(rows: _Rows, free, still) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The minimum-norm maximizer C_S^+ B_S of one row's piece where the
     atoms outside the mask free are capped, B_S, and a basis of null(C_S).
 
-    On that piece the local utility is, up to a constant, B_S . lam -
-    lam' C_S lam / 2 with B_S = b - sum m h + sum_free m x and C_S = c +
-    sum_free m x x'.  On what it curves (`_split`) C_S = T'T, with T the
-    QR factor of the rows of a root of c and of sqrt(m) x, heaviest
-    first: C_S is never formed, so no rounding of its large entries
-    hides a small curvature, in any axes.  C_S^+ B_S is not finite
-    where it passes the float range.
+    There the utility is B_S . lam - lam' C_S lam / 2 up to a constant,
+    B_S = b - sum m h + sum_free m x, C_S = c + sum_free m x x'.  On what
+    it curves (`_split`) C_S = T'T, T the QR factor of the rows of a root
+    of c and of sqrt(m) x, heaviest first: C_S is never formed, so no
+    rounding of its large entries hides a small curvature, in any axes.
     """
     x, m = rows.x[free], rows.m[free]
     curved, flat = _split(still, x)
@@ -398,7 +396,8 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
         z, bliss = x @ lam, near(lam)
         short = z < 1.0 - bliss if mmv else np.ones(m.size, dtype=bool)
         at = ~short & (z <= 1.0 + bliss)
-        flat = _split(still, x[short])[1]
+        if not np.array_equal(short, free):
+            flat = _split(still, x[short])[1]
         tie = _cone_ray(x[at] @ flat) is not None
         if tie and at.any():
             # the nearest maximizer perp + N w has the least |w| with
