@@ -98,9 +98,9 @@ class LocalOptimum:
     optimum beyond the float range are reported at the origin with value
     0.  tie_break_applied marks a maximizer set of more than one point,
     of which lambda_hat is the minimum-norm one: a still time point (no
-    drift, diffusion or jump mass) is "interior" with a tie in every
-    dimension.  value is always finite and nonnegative.  The optima this module returns have read-only
-    arrays, since solved schedules share them.
+    drift, diffusion or jump mass) is "interior" and a tie in every
+    dimension.  value is always finite and nonnegative.  The returned
+    optima have read-only arrays, since solved schedules share them.
     """
 
     lambda_hat: np.ndarray
@@ -260,8 +260,8 @@ def _solve_rows(rows: _Rows, kind) -> AtomOptima:
     lam = np.where(overflow | (value < 0.0), 0.0, lam)
     value = np.where(overflow, 0.0, np.maximum(value, 0.0))
     foc = rows.residual(lam[:, None], kind)[:, 0]
-    flag = np.where(unbounded, _UNBOUNDED,
-                    np.where(np.abs(foc) > _FOC_TOL * (1.0 + np.abs(lam) * curv0), _FLAT, _INTERIOR))
+    off = np.abs(foc) > _FOC_TOL * (1.0 + np.abs(lam) * curv0)    # beyond its rounding
+    flag = np.where(unbounded, _UNBOUNDED, np.where(off, _FLAT, _INTERIOR))
     # a bounded riskless row is maximized by every lam
     return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1),
                       flag.astype(np.int8), (tie | riskless) & ~unbounded)
