@@ -357,7 +357,7 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
     norms, still = np.linalg.norm(x, axis=1), _still(rows.c[0])
 
     def near(lam):      # the distance from bliss that counts as at bliss
-        return _AT_BLISS * (1.0 + norms * math.sqrt(lam @ lam))
+        return _AT_BLISS * (1.0 + norms * math.hypot(*lam))
 
     mmv = _kind(kind) is UtilityKind.MMV
     free, recurred = np.ones(m.size, dtype=bool), set()
@@ -418,7 +418,7 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
         return LocalOptimum(lam, 0.0, res if np.isfinite(res).all() else None,
                             "unbounded_flagged")
     curv = float(np.trace(rows.c[0])) + m @ (norms * norms)
-    stationary = float(np.abs(res).max()) <= _FOC_TOL * (1.0 + math.sqrt(lam @ lam) * curv)
+    stationary = float(np.abs(res).max()) <= _FOC_TOL * (1.0 + math.hypot(*lam) * curv)
     return LocalOptimum(lam, value, res, "interior" if stationary else "flat_direction", tie)
 
 
