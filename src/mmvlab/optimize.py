@@ -362,11 +362,11 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
     mmv = _kind(kind) is UtilityKind.MMV
     free, recurred = np.ones(m.size, dtype=bool), set()
     lam, s = np.zeros(dim), np.ones(m.size)
-    tol = _slope_tol(float(np.linalg.norm(rows.b[0])))
+    tol = _slope_tol(math.hypot(*rows.b[0]))
     while True:
         target, B, flat = _piece(rows, free, still)
         ray = flat @ (flat.T @ B)
-        if math.sqrt(ray @ ray) > tol:
+        if math.hypot(*ray) > tol:
             step, to_s, end = ray, s, math.inf
         elif np.isfinite(target).all():
             step, to_s, end = target - lam, np.where(free, 1.0 - x @ target, 0.0), 1.0
