@@ -522,9 +522,8 @@ def test_a_tiny_opposing_atom_curves_its_direction(kind):
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_a_still_point_has_one_verdict_in_every_dimension(dim, kind):
     # no drift, no diffusion and no jump mass: every lam maximizes the
-    # zero utility, so the origin is stationary and a tie.  The 1-d rows
-    # called it flat_direction without a tie, several dimensions interior
-    # with one.
+    # zero utility, so the origin is stationary and a tie, in 1-d rows as
+    # in several dimensions
     still = LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)), None)
     massless = properties.jump_table([(np.ones((2, dim)), np.zeros(2))], [0.5])
     for opt in (maximize_local_utility(still, kind), maximize_atom_laws(massless, kind)[0]):
@@ -559,9 +558,8 @@ _TINY = LocalCharacteristics(np.array([0.0, 0.1]), np.zeros((2, 2)), FiniteAtoms
     np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.5, 0.5, 1e-30])))
 
 
-# a 1e-30 curvature, rounded away where C = c + sum m x x' is formed in
-# axes turned by 30 degrees: lam fell from 1e29 to 1.3e16 and its verdict
-# to flat_direction
+# a 1e-30 curvature that C = c + sum m x x', formed in axes turned by 30
+# degrees, rounds away (lam 1.3e16 instead of 1e29, and flat_direction)
 @example((_TINY, _TURN, "mv"))
 @example((_TINY, _TURN, "mmv"))
 @given(rotated_atom_laws())
