@@ -406,7 +406,8 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
             perp = lam - flat @ (flat.T @ lam)
             G, h = x[~short] @ flat, np.minimum(z[~short], 1.0) - x[~short] @ perp
             r = _nnls(np.vstack([G.T, h]), np.eye(flat.shape[1] + 1)[-1])[1]
-            lam = perp - flat @ (r[:-1] / r[-1])
+            if r[-1] > 0.0:     # 0 where |w| passes 1 / eps: keep lam, which meets them
+                lam = perp - flat @ (r[:-1] / r[-1])
             lam = _piece(rows, x @ lam <= 1.0 + near(lam), still)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(rows.value(lam[None], kind)[0])

@@ -518,6 +518,19 @@ def test_a_tiny_opposing_atom_curves_its_direction(kind):
     assert opt.value == pytest.approx(one.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_a_curvature_past_rounding_of_the_atoms_still_has_a_verdict(kind):
+    # c = 2.8e-65 on one axis and one atom on the diagonal: the piece's
+    # optimum lands 4e47 out by rounding alone, at bliss to within its
+    # size, and the least distance of that tie passes 1 / eps, where
+    # the NNLS residual's last entry rounds to 0
+    chars = LocalCharacteristics(
+        np.zeros(2), np.diag([0.0, float.fromhex("0x1.75e4856d705bcp-215")]),
+        FiniteAtoms(np.array([[-1.5, -1.5]]), np.array([0.125])))
+    opt = maximize_local_utility(chars, kind)
+    assert np.isfinite(opt.lambda_hat).all() and opt.value >= 0.0
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_a_still_point_has_one_verdict_in_every_dimension(dim, kind):
