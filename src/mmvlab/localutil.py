@@ -322,8 +322,8 @@ def _cone_ray(A: np.ndarray) -> np.ndarray | None:
     test of their own.  With one column the test is the signs.
     """
     n, k = A.shape
-    if k == 0 or n == 0:        # no rows bound no direction
-        return np.eye(k)[0] if k else None
+    if k == 0:
+        return None
     A = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-300)
     if k == 1:
         return (np.ones(1) if (A >= 0.0).all()
@@ -360,11 +360,8 @@ def _seen(x: np.ndarray, N: np.ndarray):
 
 
 def _still(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A root r of c (c = r r', orthogonal columns) and an orthonormal
-    basis of null(c), eigenvalues within d eps of the largest counting
-    as zero."""
-    if not cov.any():
-        return np.empty((cov.shape[0], 0)), np.eye(cov.shape[0])
+    """A root r = V sqrt(w) of c = V diag(w) V' and an orthonormal basis of
+    null(c), eigenvalues within d eps of the largest counting as zero."""
     w, V = np.linalg.eigh(cov)
     zero = w <= cov.shape[0] * _EPS * max(float(w.max()), 0.0)
     return V[:, ~zero] * np.sqrt(w[~zero]), V[:, zero]

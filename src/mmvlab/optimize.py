@@ -16,9 +16,8 @@ neither, a zero slope there is a plateau, resolved to its minimum-norm
 end, and a positive slope makes the value unbounded (flagged, never
 chased).  Such time points are read as rows of `localutil._Rows` in
 every dimension, and the one-dimensional rows of a schedule are solved
-at once (`maximize_atom_laws`).  In several dimensions the plain kind is
-the minimum-norm solution of C lam = B.  For either kind a drift along
-null(C) is riskless, and an optimum beyond the float range cannot be
+at once (`maximize_atom_laws`).  For either kind a drift along null(C)
+is riskless, and an optimum beyond the float range cannot be
 represented; both are flagged unbounded and reported at the origin.
 
 One-dimensional laws given by a density are first restricted to the
@@ -51,11 +50,8 @@ minimum-norm end of any flat stretch.
 Several-dimensional atoms are solved exactly by one active set over
 the set S of capped atoms (`_maximize_atoms`), where the utility has
 slope B_S and curvature C_S; each candidate is the minimum-norm C_S^+
-B_S from a QR factor of the atoms' rows, never a formed C_S, so
-rotating the model rotates the optimum.  The plain kind is the first
-candidate, S empty.  In every dimension an atom optimum is interior
-where its first-order residual is below _FOC_TOL (1 + |lam| tr C), the
-scale of its rounding, and a bounded point no risk curves is a tie.
+B_S (`_piece`), and the plain kind's optimum is the first, S empty.  In
+every dimension a bounded point that no risk curves is a tie.
 """
 from __future__ import annotations
 
@@ -260,11 +256,9 @@ def _solve_rows(rows: _Rows, kind) -> AtomOptima:
     lam = np.where(overflow | (value < 0.0), 0.0, lam)
     value = np.where(overflow, 0.0, np.maximum(value, 0.0))
     foc = rows.residual(lam[:, None], kind)[:, 0]
-    off = np.abs(foc) > _FOC_TOL * (1.0 + np.abs(lam) * curv0)    # beyond its rounding
-    flag = np.where(unbounded, _UNBOUNDED, np.where(off, _FLAT, _INTERIOR))
-    # a bounded riskless row is maximized by every lam
-    return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1),
-                      flag.astype(np.int8), (tie | riskless) & ~unbounded)
+    flag = np.where(unbounded, _UNBOUNDED, np.where(np.abs(foc) > _FOC_TOL, _FLAT, _INTERIOR))
+    return AtomOptima(lam.reshape(-1, 1), value, foc.reshape(-1, 1), flag.astype(np.int8),
+                      (tie | riskless) & ~unbounded)    # every lam ties on a riskless row
 
 
 def maximize_atom_laws(jumps: ScheduledJumps, kind) -> AtomOptima:
@@ -294,10 +288,9 @@ _AT_BLISS = 1e-9
 
 
 def _split(still, x) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of what c or an outcome in x curves and of the
-    rest, null(C_S), given `localutil._still(c)`: null(c) less what the
-    outcomes' unit rows see there (`localutil._seen`), decided
-    scale-free, so a tiny-mass atom curves its direction."""
+    """Orthonormal bases of what c (`localutil._still`) or an outcome in
+    x curves and of null(C_S), null(c) less what the outcomes' unit rows
+    see there (`localutil._seen`): scale-free, so a tiny atom curves."""
     root, N = still
     _, vt, rank = _seen(x, N)
     return (np.hstack([root / np.linalg.norm(root, axis=0), N @ vt[:rank].T]),
@@ -309,21 +302,27 @@ def _piece(rows: _Rows, free, still) -> tuple[np.ndarray, np.ndarray, np.ndarray
     atoms outside the mask free are capped, B_S, and a basis of null(C_S).
 
     There the utility is B_S . lam - lam' C_S lam / 2 up to a constant,
-    B_S = b - sum m h + sum_free m x, C_S = c + sum_free m x x'.  On what
-    it curves (`_split`) C_S = T'T, T the QR factor of the rows of a root
-    of c and of sqrt(m) x, heaviest first: C_S is never formed, so no
-    rounding of its large entries hides a small curvature, in any axes.
+    B_S = b + sum m (x - h), C_S = c + sum m x x', x zeroed where capped.
+    C_S's eigenvectors give C_S^+ B_S when as many of its eigenvalues pass
+    d eps of the largest as `_split` finds curved directions.  Else a
+    small curvature was rounded away in C_S, and C_S = T'T is solved on
+    what `_split` curves, T the QR factor of the rows of a root of c and
+    of sqrt(m) x, heaviest first: never summed, they keep it in any axes.
     """
-    x, m = rows.x[free], rows.m[free]
-    curved, flat = _split(still, x)
-    rooted = np.vstack([still[0].T, np.sqrt(m)[:, None] * x])
-    rooted = rooted[np.argsort(-np.linalg.norm(rooted, axis=1), kind="stable")]
-    B = rows.b[0] - rows.m @ rows.h + m @ x
+    x, m = np.where(free[:, None], rows.x, 0.0), rows.m
+    B = rows.b[0] + m @ (x - rows.h)
+    C = rows.c[0] + (x * m[:, None]).T @ x
+    w, V = np.linalg.eigh(C)
+    big = w > w.size * _EPS * max(float(w.max()), 0.0)
+    curved, flat = (V, V[:, :0]) if big.all() else _split(still, rows.x[free])
     with np.errstate(over="ignore", invalid="ignore"):
+        if big.sum() == curved.shape[1]:
+            return V[:, big] @ ((V[:, big].T @ B) / w[big]), B, flat
+        rooted = np.vstack([still[0].T, np.sqrt(m)[:, None] * x])
+        rooted = rooted[np.argsort(-np.linalg.norm(rooted, axis=1), kind="stable")]
         try:
-            # T is upper triangular, which LU inverts without pivoting
-            Ti = np.linalg.solve(np.linalg.qr(rooted @ curved, mode="r"),
-                                 np.eye(curved.shape[1]))
+            T = np.linalg.qr(rooted @ curved, mode="r")   # triangular: LU needs no pivot
+            Ti = np.linalg.solve(T, np.eye(T.shape[0]))
             lam = curved @ (Ti @ (Ti.T @ (curved.T @ B)))
         except np.linalg.LinAlgError:   # a curvature below the float range
             lam = np.full(B.size, math.inf)
@@ -335,26 +334,28 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
 
     On atoms g(z) = (1 - (1 - z)+^2) / 2, so the monotone kind minimizes
     lam' c lam / 2 - B0 . lam + sum m s^2 / 2 over lam and slacks s with
-    lam . x + s >= 1 per atom, B0 = b - sum m h.  A working set is a set
-    of free atoms (s = 1 - lam . x; s = 0 on the capped rest), whose
-    optimum is its piece's (`_piece`).  The primal active-set method
-    (Nocedal and Wright 2006, alg. 16.3) starts at lam = 0, s = 1, all
-    free, and steps toward each piece's optimum, freeing a capped atom
-    whose constraint blocks the step; a part of B_S in null(C_S) is a
-    ray, followed to its first blocking atom, or else unbounded.  An
-    optimum is accepted by its KKT signs, free atoms at or short of
-    bliss and capped ones at or past it; else the free atom with the
-    most negative multiplier m (1 - lam . x) is capped.  The objective
-    falls from one optimum to the next, so no working set recurs.  The
-    maximizers keep c lam and lam . x on the atoms short of bliss, and
-    the others at or past it: a tie when some step in the null space N
-    of c and those atoms keeps every atom at bliss there
-    (`localutil._cone_ray`), resolved by a least-distance problem on N,
-    an NNLS (Lawson and Hanson 1974, ch. 23).  A riskless drift, or an
-    optimum beyond the float range, is reported unbounded at the origin.
+    lam . x + s >= 1 per atom, B0 = b - sum m h.  The primal active-set
+    method (Nocedal and Wright 2006, alg. 16.3) starts at lam = 0, all
+    atoms free (s = 1 - lam . x; s = 0 if capped), and steps toward each
+    piece's optimum (`_piece`), freeing a capped atom that blocks the
+    step; a part of B_S in null(C_S) is a ray to the first blocking atom,
+    or else unbounded.  At an optimum with free atoms past bliss the one
+    with the most negative multiplier m (1 - lam . x) is capped; the
+    objective falls, so no working set recurs.  The maximizers keep c lam
+    and lam . x on the atoms short of bliss, and the others at or past
+    it: a tie when a step in the null space N of c and those atoms keeps
+    every atom at bliss there (`localutil._cone_ray`), resolved by a
+    least-distance NNLS on N (Lawson and Hanson 1974, ch. 23).  Each test
+    reads lam . x as the residual sums it (`_Rows.scaled`), whose rounding
+    grows with |lam| and the curvature of lam's piece.  A riskless drift,
+    or an optimum beyond the float range, is reported unbounded at the
+    origin.
     """
     x, m, dim = rows.x, rows.m, rows.x.shape[1]
     norms, still = np.linalg.norm(x, axis=1), _still(rows.c[0])
+
+    def dot(lam):       # lam . x per atom, summed as the residual sums it
+        return rows.scaled(lam[None])
 
     def near(lam):      # the distance from bliss that counts as at bliss
         return _AT_BLISS * (1.0 + norms * math.hypot(*lam))
@@ -369,12 +370,12 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
         if math.hypot(*ray) > tol:
             step, to_s, end = ray, s, math.inf
         elif np.isfinite(target).all():
-            step, to_s, end = target - lam, np.where(free, 1.0 - x @ target, 0.0), 1.0
+            step, to_s, end = target - lam, np.where(free, 1.0 - dot(target), 0.0), 1.0
         else:                           # an optimum beyond the float range
             step, to_s, end = np.zeros(dim), s, math.inf
-        rate = x @ step + to_s - s
+        rate = dot(step) + to_s - s
         block = np.flatnonzero(~free & (rate < 0.0))
-        t = np.maximum(x[block] @ lam + s[block] - 1.0, 0.0) / -rate[block]
+        t = np.maximum(dot(lam)[block] + s[block] - 1.0, 0.0) / -rate[block]
         if t.size and t.min() < end:
             k = int(np.argmin(t))
             lam, s = lam + t[k] * step, s + t[k] * (to_s - s)
@@ -384,7 +385,7 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
         if not bounded:
             break
         lam, s = target, to_s
-        past = np.where(free, x @ lam - 1.0, 0.0)
+        past = np.where(free, dot(lam) - 1.0, 0.0)
         over = past > near(lam)
         if not mmv or not over.any():
             break
@@ -393,7 +394,7 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
         recurred.add(free.tobytes())
         free[np.argmax(np.where(over, m * past, -math.inf))] = False
     if bounded:
-        z, bliss = x @ lam, near(lam)
+        z, bliss = dot(lam), near(lam)
         short = z < 1.0 - bliss if mmv else np.ones(m.size, dtype=bool)
         at = ~short & (z <= 1.0 + bliss)
         if not np.array_equal(short, free):
@@ -404,11 +405,11 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
             # lam . x >= min(z, 1) off the short atoms, which lam meets;
             # it is C_S^+ B_S for the atoms it caps strictly
             perp = lam - flat @ (flat.T @ lam)
-            G, h = x[~short] @ flat, np.minimum(z[~short], 1.0) - x[~short] @ perp
+            G, h = x[~short] @ flat, np.minimum(z[~short], 1.0) - dot(perp)[~short]
             r = _nnls(np.vstack([G.T, h]), np.eye(flat.shape[1] + 1)[-1])[1]
             if r[-1] > 0.0:     # 0 where |w| passes 1 / eps: keep lam, which meets them
                 lam = perp - flat @ (r[:-1] / r[-1])
-            lam = _piece(rows, x @ lam <= 1.0 + near(lam), still)[0]
+            lam = _piece(rows, dot(lam) <= 1.0 + near(lam), still)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(rows.value(lam[None], kind)[0])
         bounded = math.isfinite(value)
@@ -418,7 +419,8 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
     if not bounded:
         return LocalOptimum(lam, 0.0, res if np.isfinite(res).all() else None,
                             "unbounded_flagged")
-    curv = float(np.trace(rows.c[0])) + m @ (norms * norms)
+    held = (dot(lam) <= 1.0 + near(lam)) | (not mmv)     # the atoms lam's piece curves on
+    curv = float(np.trace(rows.c[0])) + m[held] @ (norms[held] * norms[held])
     stationary = float(np.abs(res).max()) <= _FOC_TOL * (1.0 + math.hypot(*lam) * curv)
     return LocalOptimum(lam, value, res, "interior" if stationary else "flat_direction", tie)
 
