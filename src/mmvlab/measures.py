@@ -161,11 +161,7 @@ class FiniteAtoms(JumpMeasure):
         v = _as_direction(lam, self.dim)
         s = self.points @ v
         tol = 1e-12 * (1.0 + abs(level) + float(np.max(np.abs(s), initial=0.0)))
-        if strict:
-            sel = s > level + tol
-        else:
-            sel = s >= level - tol
-        return float(self.masses[sel].sum())
+        return float(self.masses[s > level + tol if strict else s >= level - tol].sum())
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         p = self.masses / self.total_mass()
@@ -188,12 +184,16 @@ def merge_rows(points: np.ndarray, masses: np.ndarray, row: np.ndarray):
     one by one gives.  Outcomes of nonpositive merged mass are dropped.
     Returns the new (points, masses, row).
     """
-    n = masses.size
-    order = np.lexsort((*points.T[::-1], row))    # stable: ties stay in order
+    # stably by the later coordinates, then by (row, first coordinate), a
+    # row index exact as a float (`_pair_key`): ties stay in array order
+    order = np.arange(masses.size)
+    for k in range(points.shape[1] - 1, 0, -1):
+        order = order[np.argsort(points[order, k], kind="stable")]
+    order = order[np.argsort(_pair_key(row[order], points[order, 0]), kind="stable")]
     ps, rs = points[order], row[order]
     dup = (rs[1:] == rs[:-1]) & (ps[1:] == ps[:-1]).all(axis=1)
     if dup.any():
-        group = np.empty(n, dtype=np.intp)
+        group = np.empty(order.size, dtype=np.intp)
         group[order] = np.cumsum(np.concatenate(([True], ~dup))) - 1
         first = order[np.concatenate(([True], ~dup))]
         masses = np.bincount(group, weights=masses)
@@ -211,6 +211,15 @@ def merge_atoms(points: np.ndarray, masses: np.ndarray) -> FiniteAtoms:
         raise InvariantError("points and masses disagree in length")
     pts, ms, _ = merge_rows(pts, ms, np.zeros(ms.size, dtype=np.intp))
     return FiniteAtoms(pts, ms)
+
+
+def _pair_key(major, minor) -> np.ndarray:
+    """major + 1j minor, its parts set, not summed: 1j * inf is nan + inf j.
+    numpy orders complex values by real, then imaginary part (any with a NaN
+    part last); a stable argsort keeps ties in input order."""
+    key = np.empty(np.shape(minor), dtype=complex)
+    key.real, key.imag = major, minor
+    return key
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ import numpy as np
 from .aggregate import Solution, _split_schedule, solve_schedule
 from .errors import InvariantError, UnsupportedMeasure
 from .localutil import UtilityKind, _kind, _rowdot, utility
-from .measures import _sorted_unique
+from .measures import _pair_key, _sorted_unique
 from .model import MarketModel, small_jump_mean
 
 # Units per block.  The block size is part of the stream layout: changing
@@ -200,11 +200,11 @@ class _Plan:
         # bridge point of the skeleton
         self.n_inner_sched = int(np.sum(self.diffusing[self.sched_seg]
                                         & (self.sched_s < self.length[self.sched_seg])))
-        # The scheduled jumps in time order (at one instant, in table
-        # order), keyed (segment, time) as complex numbers: numpy orders
-        # those lexicographically, so one searchsorted places a
-        # compound-Poisson jump among them.
-        self.sched_order = np.lexsort((np.arange(len(table)), self.sched_s, self.sched_seg))
+        # The scheduled jumps in time order (at one instant, in table order:
+        # the sort is stable), keyed (segment, time) as complex numbers, a
+        # segment index exact as a float (`_pair_key`), so one searchsorted
+        # places a compound-Poisson jump among them.
+        self.sched_order = np.argsort(_pair_key(self.sched_seg, self.sched_s), kind="stable")
         self.sched_keys = (self.sched_seg + 1j * self.sched_s)[self.sched_order]
         # Each jump's cumulative masses, summed within the jump as np.cumsum
         # sums one law, keyed (jump, cumulative mass) the same way, so one
@@ -535,7 +535,7 @@ class _Grid:
         # instant stay in table order
         t_end = np.concatenate([ends, table.times])
         tie = np.repeat([0, 1], [ends.size, len(table)])
-        order = np.lexsort((tie, t_end))
+        order = np.argsort(_pair_key(t_end, tie), kind="stable")   # times are exact floats
         self.n_rows = t_end.size
         self.t_end = t_end[order]
         self.dt = np.concatenate([ends - starts, np.zeros(len(table))])[order]

@@ -51,7 +51,9 @@ Several-dimensional atoms are solved exactly by one active set over
 the set S of capped atoms (`_maximize_atoms`), where the utility has
 slope B_S and curvature C_S; each candidate is the minimum-norm C_S^+
 B_S (`_piece`), and the plain kind's optimum is the first, S empty.  In
-every dimension a bounded point that no risk curves is a tie.
+every dimension a bounded point that no risk curves is a tie; a still
+row (no charged atom, and a drift and diffusion exactly zero) is that
+tie at the origin, answered before any factorization.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ from .errors import OptimizationError
 from .localutil import (_EPS, UtilityKind, _cone_ray, _finite_direction, _kind, _mass_tol,
                         _nnls, _Rows, _rows_from_chars, _rows_from_table, _seen, _slope_spec,
                         _slope_tol, _still, _utility_spec, asymptotic_slope)
+from .measures import _pair_key
 from .model import LocalCharacteristics, ScheduledJumps
 
 _FOC_TOL = 1e-8
@@ -190,7 +193,7 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
     gain = y > 0.0
     idx = np.flatnonzero(gain)
     kink = 1.0 / y[idx]
-    order = np.lexsort((kink, r[idx]))
+    order = np.argsort(_pair_key(r[idx], kink), kind="stable")     # rows are exact floats
     idx, kink = idx[order], kink[order]
     n_kinks = np.bincount(r[idx], minlength=n_rows)
     first = np.cumsum(n_kinks) - n_kinks
@@ -352,6 +355,9 @@ def _maximize_atoms(rows: _Rows, kind) -> LocalOptimum:
     origin.
     """
     x, m, dim = rows.x, rows.m, rows.x.shape[1]
+    if not (m.size or rows.b.any() or rows.c.any()):     # still: the tie at 0, unfactorized
+        lam = np.zeros(dim)
+        return LocalOptimum(lam, 0.0, rows.residual(lam[None], kind)[0], "interior", True)
     norms, still = np.linalg.norm(x, axis=1), _still(rows.c[0])
 
     def dot(lam):       # lam . x per atom, summed as the residual sums it

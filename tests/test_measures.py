@@ -9,12 +9,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mmvlab
 from mmvlab import (ExpTails1D, FiniteAtoms, Gaussian1D, InvariantError, LocalCharacteristics,
                     TabulatedDensity1D, UnsupportedMeasure, merge_atoms)
 from mmvlab._quad import Pieces
-from mmvlab.measures import CappedMeasure, ExpYieldMeasure, _sorted_unique
+from mmvlab.measures import (CappedMeasure, ExpYieldMeasure, _pair_key, _sorted_unique,
+                             merge_rows)
 from mmvlab.model import small_jump_mean
 
 ident = Pieces((), [[0.0, 1.0, 0.0]], ())
@@ -348,6 +351,82 @@ def test_merge_atoms_combines_exact_duplicates():
     assert rows[0][0] == 0.25
     assert rows[0][1] == pytest.approx(0.3, abs=1e-15)
     assert rows[1] == (0.5, 0.3)
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1.0, -1.0]
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 53 - 1)),
+                          st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False))),
+                max_size=40),
+       st.booleans())
+def test_a_stable_complex_key_sort_is_a_lexicographic_sort(pairs, presorted):
+    # numpy orders complex values by real, then imaginary part, and a
+    # stable sort keeps ties in input order: for majors exact as floats
+    # and minors with ties, signed zeros, infinities and subnormals, the
+    # permutation is the lexicographic one
+    major = np.array([p[0] for p in pairs], dtype=np.int64)
+    minor = np.array([p[1] for p in pairs], dtype=float)
+    if presorted:
+        major = np.sort(major)
+    got = np.argsort(_pair_key(major, minor), kind="stable")
+    assert got.tolist() == np.lexsort((minor, major)).tolist()
+
+
+def _merge_rows_by_lexsort(points, masses, row):
+    """`merge_rows` as it sorted (row, point) with np.lexsort: the
+    reference the complex-key sort must match bit for bit."""
+    n = masses.size
+    order = np.lexsort((*points.T[::-1], row))
+    ps, rs = points[order], row[order]
+    dup = (rs[1:] == rs[:-1]) & (ps[1:] == ps[:-1]).all(axis=1)
+    if dup.any():
+        group = np.empty(n, dtype=np.intp)
+        group[order] = np.cumsum(np.concatenate(([True], ~dup))) - 1
+        first = order[np.concatenate(([True], ~dup))]
+        masses = np.bincount(group, weights=masses)
+        place = np.argsort(first)
+        points, masses, row = points[first[place]], masses[place], row[first[place]]
+    keep = masses > 0.0
+    return points[keep], masses[keep], row[keep]
+
+
+def _atom_law_table(gen, n_laws, grid=None):
+    """Outcomes, masses and rows of n_laws 1-d laws of 3-6 outcomes, one
+    loss and one gain each, as the atom_laws benchmark draws them;
+    outcomes rounded to a grid coincide within a law."""
+    points, masses, row = [], [], []
+    for i in range(n_laws):
+        n = int(gen.integers(3, 7))
+        signs = np.concatenate([[-1.0, 1.0], gen.choice([-1.0, 1.0], size=n - 2)])
+        x = signs * np.where(signs < 0, gen.uniform(0.05, 1.6, n), gen.uniform(0.05, 2.5, n))
+        m = gen.uniform(0.05, 0.4, n)
+        points.append(x if grid is None else np.round(x / grid) * grid)
+        masses.append(m * gen.uniform(0.3, 1.0) / m.sum())
+        row.append(np.full(n, i))
+    return np.concatenate(points)[:, None], np.concatenate(masses), np.concatenate(row)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_merge_rows_keeps_the_lexicographic_bits(dim):
+    # coincident points, -0.0 beside +0.0, zero masses and repeated rows
+    gen = np.random.default_rng(29 + dim)
+    for _ in range(20):
+        n = int(gen.integers(1, 40))
+        points = gen.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, dim))
+        masses = gen.choice([0.0, 0.1, 0.25, 1e-300], size=n)
+        row = np.sort(gen.integers(0, 4, size=n))
+        got, want = merge_rows(points, masses, row), _merge_rows_by_lexsort(points, masses, row)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("grid", [None, 0.1])
+def test_merge_rows_keeps_the_bits_of_a_benchmark_table(grid):
+    points, masses, row = _atom_law_table(np.random.default_rng(1000), 1000, grid)
+    got, want = merge_rows(points, masses, row), _merge_rows_by_lexsort(points, masses, row)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert grid is None or got[1].size < masses.size        # the grid merged some
 
 
 def test_sorted_unique_is_np_unique(rng):

@@ -534,17 +534,57 @@ def test_a_curvature_past_rounding_of_the_atoms_still_has_a_verdict(kind):
     assert opt.lambda_hat.tolist() == [0.0, 0.0] and opt.boundedness == "flat_direction"
 
 
+class _Factorized(Exception):
+    pass
+
+
+def _refuse_factorizations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Factorized
+    for name in ("eigh", "svd", "qr", "lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def _bits(opt):
+    return ([v.hex() for v in opt.lambda_hat.tolist()], opt.value.hex(),
+            [v.hex() for v in opt.foc_residual.tolist()], opt.boundedness, opt.tie_break_applied)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
-def test_a_still_point_has_one_verdict_in_every_dimension(dim, kind):
+def test_a_still_point_has_one_verdict_in_every_dimension(dim, kind, monkeypatch):
     # no drift, no diffusion and no jump mass: every lam maximizes the
     # zero utility, so the origin is stationary and a tie, in 1-d rows as
-    # in several dimensions
-    still = LocalCharacteristics(np.zeros(dim), np.zeros((dim, dim)), None)
+    # in several dimensions.  It is answered before any factorization, a
+    # drift of -0.0 is as still as +0.0, and every figure is +0.0.
+    signed = np.where(np.arange(dim) == 0, -0.0, 0.0)
+    still = [LocalCharacteristics(b, np.zeros((dim, dim)), None) for b in (np.zeros(dim), signed)]
     massless = properties.jump_table([(np.ones((2, dim)), np.zeros(2))], [0.5])
-    for opt in (maximize_local_utility(still, kind), maximize_atom_laws(massless, kind)[0]):
-        assert (opt.boundedness, opt.tie_break_applied) == ("interior", True)
-        assert opt.lambda_hat.tolist() == [0.0] * dim and opt.value == 0.0
+    _refuse_factorizations(monkeypatch)
+    for opt in [maximize_local_utility(p, kind) for p in still] + [
+            maximize_atom_laws(massless, kind)[0]]:
+        assert _bits(opt) == ([(0.0).hex()] * dim, (0.0).hex(), [(0.0).hex()] * dim,
+                              "interior", True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_a_point_next_to_still_keeps_the_active_set(dim, kind, monkeypatch):
+    # a drift or a diffusion entry of 1e-300, or an atom of mass 1e-30,
+    # is not still: it takes the active set, whose optimum (pinned from it
+    # before still points were answered apart) is the tied origin
+    e, zero = np.eye(dim)[0], np.zeros((dim, dim))
+    near = {"drift": LocalCharacteristics(1e-300 * e, zero, None),
+            "diffusion": LocalCharacteristics(np.zeros(dim), np.diag(1e-300 * e), None),
+            "atom": LocalCharacteristics(np.zeros(dim), zero, FiniteAtoms(e[None], [1e-30]))}
+    for name, chars in near.items():
+        res = [1e-300 if name == "drift" and i == 0 else 0.0 for i in range(dim)]
+        assert _bits(maximize_local_utility(chars, kind)) == (
+            [(0.0).hex()] * dim, (0.0).hex(), [v.hex() for v in res], "interior", True)
+    _refuse_factorizations(monkeypatch)
+    for chars in near.values():
+        with pytest.raises(_Factorized):
+            maximize_local_utility(chars, kind)
 
 
 def _rotated(chars, Q):
