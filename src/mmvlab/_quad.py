@@ -13,7 +13,7 @@ rho(x0) exp(-alpha t - gamma t^2) at x0 + s t (gamma = 0 for
 exponential tails, 1/(2 sigma^2) for a Gaussian), and polynomials
 expanded about x0 keep their terms of one sign.  A short piece, |alpha|
 w + gamma w^2 <= 1 for its width w, is summed as the Taylor series of
-the whole integrand (`series_weights`, `series_sum`), exact to rounding
+the whole integrand (`series_weights`, `_HILBERT`), exact to rounding
 however narrow it is, where differences of antiderivatives would
 cancel.  Longer pieces and tails use incomplete gamma functions of
 integer order and normal tail probabilities taken on the side away from
@@ -21,12 +21,16 @@ the mean.  A density linear on an interval has the moments of x^k in
 closed form (`linear_moments`) and those of (e^x - 1)^k as a series of
 one sign or exponential moments (`linear_yield_moments`).
 
-What depends on the piece alone (the series weights, the moments, the
-powers of the yield step in `yield_shift`) is computed once; the
-coefficient row enters last, through the maps `poly_shift` and
-`yield_shift` return, or `dot_moments`.  The measures keep those
-row-free parts as plans per piece (`measures._PlannedDensity`), and a
-row applied to a kept plan gives the bits of one built anew.
+What depends on the piece alone is computed once, as a plan (a, m0,
+m1, m2) (`anchored_moments`): the piece's integrals of (v - a)^k, k <= 2,
+for v = x, or y = e^x - 1 under the yield transform, about an anchor a,
+the near end x0 or y0 of a series or local-moment piece, -1 for
+lognormal and power-law moments of y + 1 = e^x, 0 for a tabulated cell.
+A row (c0, c1, c2) enters last, as its coefficients about a, c0 + a c1 +
+a^2 c2, c1 + 2 a c2 and c2, against the three moments; where a moment
+is infinite, `dot_moments` decides.  The measures keep the plans per
+piece (`measures._PlannedDensity`), and a row applied to a kept plan
+gives the bits of one built anew.
 """
 from __future__ import annotations
 
@@ -38,7 +42,10 @@ import numpy as np
 _N = 48                                 # Taylor terms of a short piece
 _K = np.arange(_N)
 _FACT = np.array([math.factorial(k) for k in range(_N)], dtype=float)
-_INV = 1.0 / (_K + 1.0)
+#: (_HILBERT @ d)[i], the sum over j < 48 - i of d[j] / (i + j + 1): the
+#: integral over [0, 1] of t^i times the series d, cut at degree 47; a
+#: Hankel matrix, read from 1/(k + 1) padded with one 0
+_HILBERT = np.append(1.0 / (_K + 1.0), 0.0)[np.minimum(_K[:, None] + _K, _N)]
 _LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(4 * _N)])
 _BINOM = np.array([[math.comb(n, k) for k in range(_N)] for n in range(_N)], dtype=float)
 _SQRT2 = math.sqrt(2.0)
@@ -96,37 +103,11 @@ def spans(edges: tuple, floor: float = -math.inf) -> list[tuple[float, float, in
     return out
 
 
-def poly_shift(x0: float, s: float, w: float = 1.0):
-    """The map from a coefficient row to its polynomial's coefficients in
-    t/w at x0 + s t."""
-    def shift(row) -> np.ndarray:
-        c0, c1, c2 = row
-        return np.array([c0 + x0 * (c1 + x0 * c2), s * (c1 + 2.0 * c2 * x0) * w, c2 * w * w])
-    return shift
-
-
-def yield_shift(x0: float, s: float, w: float):
-    """The map from a coefficient row to the Taylor coefficients in t/w of
-    its polynomial at expm1(x0 + s t).  The powers of the yield step are
-    taken once; a row only scales and adds them."""
-    y0 = math.expm1(x0)
-    step = math.exp(x0) * (s * w) ** _K / _FACT     # expm1(x0 + s t) - y0
-    step[0] = 0.0
-    square = np.convolve(step, step)[:_N]
-
-    def shift(row) -> np.ndarray:
-        c0, c1, c2 = row
-        out = (c1 + 2.0 * c2 * y0) * step + c2 * square
-        out[0] = c0 + y0 * (c1 + y0 * c2)
-        return out
-    return shift
-
-
 def series_weights(alpha: float, gamma: float, w: float) -> np.ndarray:
     """Taylor coefficients d in t/w of exp(-alpha t - gamma t^2): (n+1)
     d[n+1] = -alpha d[n] - 2 gamma d[n-1] (units of w).  With |alpha| w +
-    gamma w^2 <= 1 the product series of `series_sum` converges to
-    rounding in 48 terms."""
+    gamma w^2 <= 1 its products with the Taylor rows of a quadratic, in x
+    or in e^x - 1, converge to rounding in 48 terms."""
     a, g = alpha * w, gamma * w * w
     if g == 0.0:
         return (-a) ** _K / _FACT
@@ -137,11 +118,20 @@ def series_weights(alpha: float, gamma: float, w: float) -> np.ndarray:
     return d
 
 
-def series_sum(coef: np.ndarray, d: np.ndarray, w: float) -> float:
-    """Integral over [0, w] of P(t) exp(-alpha t - gamma t^2), coef holding
-    P's Taylor coefficients in t/w and d the exponential's
-    (`series_weights`)."""
-    return w * float(np.convolve(coef, d)[:_N] @ _INV)
+def anchored_moments(x0: float, s: float, w: float, c: float, weights,
+                     yields: bool) -> tuple[float, float, float, float]:
+    """The plan (a, m0, m1, m2) of a piece at x0 + s t whose integrals of
+    (t/w)^n, n < len(weights), are c times weights: m_k integrates (v -
+    a)^k, for v = x about a = x0, or, when yields, for y = expm1(x0 + s t)
+    about a = y0, through the Taylor rows in t/w of y - y0 and its square."""
+    m0 = c * float(weights[0])
+    if not yields:
+        u = s * w
+        return x0, m0, c * u * float(weights[1]), c * u * u * float(weights[2])
+    step = math.exp(x0) * (s * w) ** _K / _FACT     # expm1(x0 + s t) - y0
+    step[0] = 0.0
+    square = np.convolve(step, step)[:_N]
+    return math.expm1(x0), m0, c * float(step @ weights), c * float(square @ weights)
 
 
 def linear_moments(u, v, ru, rv):

@@ -31,10 +31,12 @@ image, gives a piece as a partial cell, a slice of whole cells and a
 partial cell.
 
 Every density family keeps a plan per piece it has integrated
-(`_PlannedDensity`): its row-free moments, built once per (lo, hi,
-yields) and applied to each coefficient row with the arithmetic of a
-fresh build, so every integral keeps its bits; a block looks each
-piece's plan up once for all its rows.  Plans live on the measure
+(`_PlannedDensity`): one tuple (a, m0, m1, m2) of its moments of
+(v - a)^k about an anchor a (`_quad.anchored_moments`), built once per
+(lo, hi, yields).  Each coefficient row is re-anchored at a and meets
+the three moments with one arithmetic in every family, so every
+integral keeps its bits; a block looks each piece's plan up once for
+all its rows.  Plans live on the measure
 instance (its yield and cap images share the base's), never in a cache
 keyed by law parameters: the pieces that end at -inf, -1, 0, 1 or inf
 stay for the instance's lifetime, and of the pieces that end at a bliss
@@ -54,10 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (_FACT, _N, Pieces, dot_moments, exp_integral, exp_moments, gamma_ratios,
-                    linear_moments, linear_yield_moments, normal_local_moments,
-                    normal_probability, poly_shift, series_sum, series_weights, spans,
-                    yield_shift)
+from ._quad import (_FACT, _HILBERT, _N, Pieces, anchored_moments, dot_moments, exp_integral,
+                    exp_moments, gamma_ratios, linear_moments, linear_yield_moments,
+                    normal_local_moments, normal_probability, series_weights, spans)
 from .errors import InvariantError, UnsupportedMeasure
 
 TRUNCATION_BOUND = 1.0
@@ -233,12 +234,6 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _powers_of_e(row) -> tuple[float, float, float]:
-    """q with c0 + c1 y + c2 y^2 = sum of q[j] e^{jx} at y = e^x - 1."""
-    c0, c1, c2 = row
-    return c0 - c1 + c2, c1 - 2.0 * c2, c2
-
-
 #: piece ends that do not move with the direction lam: pieces between them
 #: are kept for the measure's lifetime, the others only among the last few
 _FIXED_ENDS = frozenset((-math.inf, -1.0, 0.0, 1.0, math.inf))
@@ -249,11 +244,12 @@ _MISSING = object()
 class _PlannedDensity(JumpMeasure):
     """A one-dimensional density whose integrals are exact per piece.
 
-    A subclass builds each piece's plan (`_build_plan`): the row step of
-    (lo, hi), or of its preimage under x -> e^x - 1 when yields, or None
-    where the density vanishes.  The moving plans kept, those of the last
-    directions, outlast a search, so the sign moments at a solved lam
-    find the plans the value and the FOC built there."""
+    A subclass builds each piece's plan (`_build_plan`): the anchored
+    moments (a, m0, m1, m2) of `_quad` over (lo, hi), of x, or of y = e^x
+    - 1 over its preimage when yields, or None where the density
+    vanishes.  The moving plans kept, those of the last directions,
+    outlast a search, so the sign moments at a solved lam find the plans
+    the value and the FOC built there."""
 
     def integrate_block(self, fs) -> list[float]:
         return self._exact(fs, False)
@@ -262,25 +258,30 @@ class _PlannedDensity(JumpMeasure):
         """Integrals of each f(x), or of f(e^x - 1) when yields, against
         the density: one walk over the shared pieces, one plan lookup per
         piece some row is nonzero on, each row's terms added in piece
-        order."""
+        order.  A row meets a plan (a, m0, m1, m2) as its coefficients
+        about a; a nan, where an infinite moment meets them, goes to the
+        rule of `dot_moments`."""
         pieces = spans(fs[0].edges, -1.0 if yields else -math.inf)
-        steps = [_MISSING] * len(pieces)
+        plans = [_MISSING] * len(pieces)
         totals = []
         for f in fs:
             coef, total = f.coef, 0.0
             for i, (lo, hi, j) in enumerate(pieces):
-                row = coef[j]
-                if any(row):
-                    step = steps[i]
-                    if step is _MISSING:
-                        step = steps[i] = self._plan(lo, hi, yields)
-                    if step is not None:
-                        total += step(row)
+                c0, c1, c2 = coef[j]
+                if c0 or c1 or c2:
+                    plan = plans[i]
+                    if plan is _MISSING:
+                        plan = plans[i] = self._plan(lo, hi, yields)
+                    if plan is not None:
+                        a, m0, m1, m2 = plan
+                        k0, k1 = c0 + a * c1 + a * a * c2, c1 + 2.0 * a * c2
+                        v = c2 * m2 + k1 * m1 + k0 * m0
+                        total += v if v == v else dot_moments((k0, k1, c2), plan[1:])
             totals.append(total)
         return totals
 
     def _plan(self, lo: float, hi: float, yields: bool):
-        """The row step of the piece (lo, hi), from the memo or built; None
+        """The plan of the piece (lo, hi), from the memo or built; None
         where the density vanishes."""
         plans = self.__dict__.get("_plans")
         if plans is None:
@@ -288,17 +289,17 @@ class _PlannedDensity(JumpMeasure):
         fixed, moving = plans
         key = (lo, hi, yields)
         if lo in _FIXED_ENDS and hi in _FIXED_ENDS:
-            step = fixed.get(key, _MISSING)
-            if step is _MISSING:
-                step = fixed[key] = self._build_plan(lo, hi, yields)
-            return step
-        step = moving.pop(key, _MISSING)        # put back as the most recent
-        if step is _MISSING:
-            step = self._build_plan(lo, hi, yields)
+            plan = fixed.get(key, _MISSING)
+            if plan is _MISSING:
+                plan = fixed[key] = self._build_plan(lo, hi, yields)
+            return plan
+        plan = moving.pop(key, _MISSING)        # put back as the most recent
+        if plan is _MISSING:
+            plan = self._build_plan(lo, hi, yields)
             if len(moving) >= _MOVING_PLANS:
                 del moving[next(iter(moving))]
-        moving[key] = step
-        return step
+        moving[key] = plan
+        return plan
 
 
 class _LogQuadratic(_PlannedDensity):
@@ -306,9 +307,10 @@ class _LogQuadratic(_PlannedDensity):
 
     Subclasses give the density's local form at a point (`_local`: log
     density, alpha and gamma along direction s, as in `_quad`) and the
-    row step of a long piece's closed form (`_long`).  A plan holds the
-    anchor, the log-density, the series weights, the powers of the yield
-    step and the normal, exponential, gamma or lognormal moments.
+    plan of a long piece's closed form (`_long`).  Every plan is anchored
+    at the piece's near end, from the series weights contracted once, or
+    from normal, exponential or gamma moments, or at -1 from lognormal
+    and power-law moments.
     """
 
     def _build_plan(self, lo: float, hi: float, yields: bool):
@@ -320,10 +322,9 @@ class _LogQuadratic(_PlannedDensity):
         if log_rho == -math.inf:
             return None
         if abs(alpha) * w + gamma * w * w <= 1.0 and (w <= 1.0 or not yields):
-            rho = math.exp(log_rho)
-            shift = yield_shift(x0, s, w) if yields else poly_shift(x0, s, w)
-            d = series_weights(alpha, gamma, w)
-            return lambda row: rho * series_sum(shift(row), d, w)
+            hilbert = _HILBERT if yields else _HILBERT[:3]
+            return anchored_moments(x0, s, w, math.exp(log_rho) * w,
+                                    hilbert @ series_weights(alpha, gamma, w), yields)
         return self._long(lo, hi, x0, s, log_rho, alpha, w, yields)
 
 
@@ -362,13 +363,12 @@ class Gaussian1D(_LogQuadratic):
             # local normal moments in units of sd from the near end; under
             # the yield transform this sums the Taylor series of y there,
             # which far below e^{jx} would cancel in lognormal moments
-            shift = (yield_shift if yields else poly_shift)(x0, s, sd)
-            moments = normal_local_moments(eta, w / sd, _N if yields else 3)
-            return lambda row: rate * float(shift(row) @ moments)
+            return anchored_moments(x0, s, sd, rate,
+                                    normal_local_moments(eta, w / sd, _N if yields else 3),
+                                    yields)
         za, zb = (lo - mu) / sd, (hi - mu) / sd
-        lognormal = [rate * math.exp(j * mu + 0.5 * j * j * self.variance)
-                     * normal_probability(za - j * sd, zb - j * sd) for j in range(3)]
-        return lambda row: dot_moments(_powers_of_e(row), lognormal)
+        return (-1.0, *(rate * math.exp(j * mu + 0.5 * j * j * self.variance)
+                        * normal_probability(za - j * sd, zb - j * sd) for j in range(3)))
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         z = (t - self.mean) / self.sd
@@ -407,17 +407,14 @@ class ExpTails1D(_LogQuadratic):
 
     def _long(self, lo, hi, x0, s, log_rho, alpha, w, yields):
         if not yields:
-            rho, shift, moments = math.exp(log_rho), poly_shift(x0, s), exp_moments(alpha, w)
-            return lambda row: rho * float(shift(row) @ moments)
+            return anchored_moments(x0, s, 1.0, math.exp(log_rho), exp_moments(alpha, w), False)
         if alpha >= 5.0:
             # a steep tail keeps its mass where y^k is far below e^{jx}:
             # sum the Taylor series of y against incomplete gamma moments
-            moments = _FACT * gamma_ratios(alpha * w)
-            rho, shift = math.exp(log_rho) / alpha, yield_shift(x0, s, 1.0 / alpha)
-            return lambda row: rho * float(shift(row) @ moments)
-        powers = [math.exp(log_rho + j * x0) * exp_integral(alpha - j * s, w)
-                  for j in range(3)]
-        return lambda row: dot_moments(_powers_of_e(row), powers)
+            return anchored_moments(x0, s, 1.0 / alpha, math.exp(log_rho) / alpha,
+                                    _FACT * gamma_ratios(alpha * w), True)
+        return (-1.0, *(math.exp(log_rho + j * x0) * exp_integral(alpha - j * s, w)
+                        for j in range(3)))
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         # the tail beyond t, away from 0, comes from t's own exponential,
@@ -509,7 +506,7 @@ class TabulatedDensity1D(_PlannedDensity):
         if yields:
             lo, hi = (-math.inf if lo == -1.0 else math.log1p(lo)), math.log1p(hi)
         moments = self._moments(lo, hi, yields)
-        return None if moments is None else (lambda row: dot_moments(row, moments))
+        return None if moments is None else (0.0, *moments)
 
     def _half_line(self, t: float, above: bool, strict: bool) -> float:
         # the density has no atom, so the strict and the weak masses agree

@@ -456,15 +456,16 @@ def _first_nonpositive(f, lo, hi, f_hi, atol):
     return hi, f_hi
 
 
-def _newton_bracket(f, slope, t, reach):
+def _newton_bracket(f, slope, t, reach, first=None):
     """A bracket a few ulps wide of the first zero of a convex
     decreasing slope, by Newton's steps from a point t at or short of it.
 
-    f(t) is the slope and its derivative there, from one walk; slope(t)
-    the slope alone.  The tangent at a point of positive slope lies
-    below a convex slope, so it meets zero short of the first zero: the
-    steps rise toward it, and the first point whose slope is not
-    positive has passed it by rounding alone.  A step under one ulp
+    f(t) is the slope and its derivative there, from one walk (first,
+    where the caller has them at the start); slope(t) the slope alone.
+    The tangent at a point of positive slope lies below a convex slope,
+    so it meets zero short of the first zero: the steps rise toward it,
+    and the first point whose slope is not positive has passed it by
+    rounding alone.  A step under one ulp
     moves one, and each further such step twice as many, so the slope's
     rounding at its zero cannot stall them.  From that point steps of
     one, two, four ulps back find a positive slope again.  Returns
@@ -472,7 +473,7 @@ def _newton_bracket(f, slope, t, reach):
     where the slope at t is not positive; None where a step passes
     reach, a derivative is not finite and negative, or _GROWTHS walks
     leave the bracket open."""
-    s, d = f(t)
+    s, d = f(t) if first is None else first
     lo, s_lo, ulps = t, s, 1.0
     for _ in range(_GROWTHS):
         if s <= 0.0:
@@ -649,9 +650,13 @@ def _maximize_1d(chars: LocalCharacteristics, kind) -> LocalOptimum:
             else:
                 lo, s_lo = atol, s_atol
         # the monotone slope is convex with or without diffusion: Newton's
-        # steps from the bracket's positive end, unless lost in rounding
+        # steps from the bracket's positive end, unless lost in rounding;
+        # past the origin the slope there is walked, so the first step
+        # walks the curvature alone
         if kind is UtilityKind.MMV and not flagged and s_lo > slope_tol:
-            found = _newton_bracket(slope_and_curvature, slope, lo, hi)
+            first = None if lo == 0.0 else (
+                s_lo, _checked(drifts(side * lo, (_CURVATURE,), chars)[0]))
+            found = _newton_bracket(slope_and_curvature, slope, lo, hi, first)
         if found is None:
             found = lo, s_lo, hi, s_hi
     if not flagged:

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in it, every private
-top-level name a module defines is read in the package, and every name
+top-level name a module defines is read in the package, every public
+one of the private kernel `_quad` is read outside it, and every name
 the package exports is bound on it; the repository runs no linter."""
 import ast
 from pathlib import Path
@@ -48,23 +49,29 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                names = [t.id for t in ast.walk(node) if isinstance(t, ast.Name)
-                         and isinstance(t.ctx, ast.Store)]
-            else:
-                continue
-            defined += [(module, name, node.lineno) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        defined += [(module, name, line) for name, line in top_level_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
+        read |= names_read(tree)
     return [f"{module}: {name} (line {line})" for module, name, line in defined
             if name not in read]
+
+
+def top_level_names(tree) -> list[tuple[str, int]]:
+    """(name, line) of the functions, classes and constants a module defines."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            out += [(t.id, node.lineno) for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+    return out
+
+
+def names_read(tree) -> set[str]:
+    """Names a module loads, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_private_name_is_read():
@@ -80,6 +87,38 @@ def test_an_unread_private_name_is_found():
         "b.py": "from . import a\n\ndef g():\n    return a._TOL\n",
     }
     assert unread_private_names(sources) == ["a.py: _B (line 2)", "a.py: _Left (line 7)"]
+
+
+def unread_public_names(sources: dict[str, str], module: str) -> list[str]:
+    """Public top-level names of a private module that no other module reads.
+
+    The private module's public names exist for the rest of the package;
+    one that only the module itself reads, or none, is a dead kernel.
+    """
+    read = set().union(*(names_read(ast.parse(source)) for name, source in sources.items()
+                         if name != module))
+    return [f"{module}: {name} (line {line})"
+            for name, line in top_level_names(ast.parse(sources[module]))
+            if not name.startswith("_") and name not in read]
+
+
+def test_every_public_kernel_name_is_read_elsewhere():
+    # `unread_private_names` covers the kernel's private names
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources, "_quad.py") == []
+
+
+def test_an_unread_public_name_is_found():
+    sources = {
+        "_k.py": ("_N = 3\nSCALE = 2.0\ndef used():\n    return shift(_N)\n"
+                  "def shift(x):\n    return x\nclass Kept:\n    pass\n"),
+        "b.py": "from ._k import Kept, used\n\ndef g():\n    return used(), Kept\n",
+        "c.py": "from . import _k\n\nh = _k.SCALE\n",
+    }
+    assert unread_public_names(sources, "_k.py") == ["_k.py: shift (line 5)"]
+    del sources["c.py"]
+    assert unread_public_names(sources, "_k.py") == ["_k.py: SCALE (line 2)",
+                                                     "_k.py: shift (line 5)"]
 
 
 def test_every_exported_name_is_bound():

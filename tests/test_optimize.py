@@ -247,9 +247,12 @@ def test_tabulated_monotone_optimum_certifies_the_dual_density():
 @pytest.mark.parametrize("kind", ["mv", "mmv"])
 def test_density_optimum_costs_one_bisection(example, kind, monkeypatch):
     # example 3 mmv, without diffusion, grows a bracket by factors of 4
-    # and takes Newton's steps from its positive end: 20 rows in 13
-    # walks; example 2 mmv, Newton's steps from B/C, 12 rows in 7 walks;
-    # example 2 mv, B/C in closed form, four rows in two walks
+    # and takes Newton's steps from its positive end, whose slope it has
+    # walked, so the first step walks the curvature alone: 20 rows in 15
+    # walks, two steps back and one bisection of them from a slope that
+    # rounds to 0.0 one ulp past the root; example 2 mmv, Newton's steps
+    # from B/C, 12 rows in 7 walks; example 2 mv, B/C in closed form, four
+    # rows in two walks
     walks = _counting_walks(monkeypatch)
     for seg in example_model(example).segments:
         walks.clear()

@@ -271,13 +271,13 @@ _COEFS = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1e3, 1e3)
 
 
 @st.composite
-def random_pieces(draw, edges=None):
+def random_pieces(draw, edges=None, coefs=_COEFS):
     """A `Pieces` of random rows, on the given edges or on 0-4 random ones."""
     if edges is None:
         edges = sorted(set(draw(st.lists(_EDGES, max_size=4))))
-    rows = draw(st.lists(st.tuples(_COEFS, _COEFS, _COEFS),
+    rows = draw(st.lists(st.tuples(coefs, coefs, coefs),
                          min_size=len(edges) + 1, max_size=len(edges) + 1))
-    at = draw(st.lists(_COEFS, min_size=len(edges), max_size=len(edges)))
+    at = draw(st.lists(coefs, min_size=len(edges), max_size=len(edges)))
     return Pieces(edges, rows, at)
 
 
@@ -289,6 +289,8 @@ _FAMILIES = {
                                                             2.5 + 20.0 * p[1])),
     "capped_yield": lambda p: CappedMeasure(ExpYieldMeasure(Gaussian1D(p[0], p[1], p[2])),
                                             0.5 + p[0]),
+    "capped_exp_tails": lambda p: CappedMeasure(ExpTails1D(p[2], 1.0 / p[1], p[2],
+                                                           2.5 + 20.0 * p[1]), 0.5 + p[0]),
     # plans from a table of cell moments: whole cells and partial ones
     "tabulated": lambda p: _tabulated(p),
     "tabulated_yield": lambda p: ExpYieldMeasure(_tabulated(p)),
@@ -361,6 +363,72 @@ def test_warm_blocks_give_the_bits_of_fresh_single_integrals(family, params, k, 
         assert [float(v).hex() for v in warm.integrate_block(block)] == want
     # and each row alone, on the warm law
     assert [_hex(warm, f) for f in block] == want
+
+
+#: coefficients far from the subnormal range, where 2^-20 times one is exact
+_NORMAL_COEFS = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+
+
+def _scaled(f, j):
+    """f times 2^j, as a `Pieces`."""
+    return Pieces.of(f.edges, tuple(tuple(math.ldexp(c, j) for c in row) for row in f.coef),
+                     tuple(math.ldexp(v, j) for v in f.at))
+
+
+@given(st.sampled_from(sorted(_FAMILIES)),
+       st.tuples(st.floats(-0.5, 0.5), _log_uniform(1e-3, 1.0), st.floats(0.1, 3.0)),
+       st.integers(1, 4), st.integers(-20, 20), st.data())
+@settings(max_examples=60, deadline=None)
+def test_power_of_two_rows_scale_their_integrals_exactly(family, params, k, j, data):
+    # a row enters an integral only through products and sums with it, so
+    # 2^j times the integrands gives 2^j times their integrals to the bit,
+    # alone and in a block; a step that is not homogeneous in the row (a
+    # cut-off on its size, a term added to it) breaks this.  Integrals
+    # near the subnormal range, where scaling rounds, are left out.
+    block = [data.draw(random_pieces(coefs=_NORMAL_COEFS))]
+    block += [data.draw(random_pieces(list(block[0].edges), _NORMAL_COEFS))
+              for _ in range(k - 1)]
+    law = _FAMILIES[family](params)
+    want = law.integrate_block(block)
+    assume(all(v == 0.0 or not abs(v) < 2.0 ** -900 for v in want))
+    want = [math.ldexp(v, j).hex() for v in want]
+    scaled = [_scaled(f, j) for f in block]
+    assert [v.hex() for v in law.integrate_block(scaled)] == want
+    assert [_hex(_FAMILIES[family](params), f) for f in scaled] == want
+
+
+#: rows whose coefficients about the power-law anchor -1 lead with c2 (the
+#: third and fourth have c1 = 2 c2, so no first-order term there), with c1
+#: where c2 = 0, and a constant; each with its negative
+_DIVERGENT_ROWS = [(1.0, -2.0, 3.0), (-1.0, 2.0, -3.0), (0.0, 2.0, 1.0), (0.0, -2.0, -1.0),
+                   (0.5, 1.5, 0.0), (-0.5, -1.5, 0.0), (2.0, 0.0, 0.0), (-2.0, 0.0, 0.0)]
+
+
+def _kind(v):
+    return "+" if v == math.inf else "-" if v == -math.inf else "f" if math.isfinite(v) else "n"
+
+
+@pytest.mark.parametrize("b, kinds", [(0.5, "+-+-+-ff"), (1.0, "+-+-+-ff"), (1.5, "+-+-ffff"),
+                                      (2.0, "+-+-ffff"), (3.0, "ffffffff")])
+def test_divergent_rows_keep_their_kind_alone_and_in_blocks(b, kinds):
+    # y^k on the right tail of the image of e^{-b x} diverges for k >= b:
+    # the highest nonzero coefficient that meets an infinite moment gives
+    # the infinity of its sign (a +inf drift is None), whatever the lower
+    # ones hold; a finite row in the same block keeps its bits
+    edges = (-0.5, 0.5, 3.0)
+
+    def law():
+        return ExpYieldMeasure(ExpTails1D(1.0, 4.0, 2.0, b))
+
+    finite = Pieces(edges, ((0.0, 1.0, 0.0),) * 3 + ((1.0, 0.0, 0.0),), edges)
+    alone = law().integrate(finite)
+    assert math.isfinite(alone)
+    for (c0, c1, c2), kind in zip(_DIVERGENT_ROWS, kinds):
+        f = Pieces(edges, ((c0, c1, c2),) * 4, [c0 + c1 * e + c2 * e * e for e in edges])
+        assert _kind(law().integrate(f)) == kind
+        got = law().integrate_block([finite, f, finite])
+        assert _kind(got[1]) == kind
+        assert got[0].hex() == got[2].hex() == alone.hex()
 
 
 def test_plan_memo_stays_bounded():
