@@ -18,15 +18,16 @@ meaningless truncated numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InfiniteValue
-from .localutil import UtilityKind, _kind
+from .localutil import UtilityKind, _kind, _Rows, _rows_from_chars, _rows_from_table
 from .model import MarketModel
-from .optimize import AtomOptima, LocalOptimum, maximize_atom_laws, maximize_local_utility
+from .optimize import (AtomOptima, LocalOptimum, _solve_rows, maximize_atom_laws,
+                       maximize_local_utility)
 
 _DIVERGENCE_MIN_ATOMS = 64
 _DIVERGENCE_TAIL_FRAC = 0.01
@@ -145,11 +146,36 @@ class StrategyDescriptor:
     scale: float
 
 
+def _joined_rows(model: MarketModel) -> tuple[_Rows | None, dict[int, int]]:
+    """The rows of a one-dimensional model solved as one batch, and the
+    row of each segment among them: the table's rows as it numbers them
+    (`localutil._rows_from_table`), then one per segment whose jumps are
+    absent or finitely many atoms.  Without such a segment they are the
+    table's own rows, and without any row None.  Kept on the model."""
+    joined = model.__dict__.get("_joined")
+    if joined is None:
+        n = len(model.atoms)
+        segs = {i: one for i, seg in enumerate(model.segments)
+                if (one := _rows_from_chars(seg.chars)) is not None}
+        rows = _rows_from_table(model.atoms) if n else None
+        if segs:
+            parts = ([rows] if n else []) + [*segs.values()]
+            starts = np.cumsum([0] + [p.b.shape[0] for p in parts[:-1]])
+            rows = _Rows(*(np.concatenate([getattr(p, a) for p in parts]) for a in "bcxm"),
+                         np.concatenate([p.row + s for p, s in zip(parts, starts)]))
+        joined = model.__dict__["_joined"] = (rows, dict(zip(segs, range(n, n + len(segs)))))
+    return joined
+
+
 def solve_schedule(model: MarketModel, kind) -> Solution:
     """Maximize the local utility at every segment and scheduled jump.
 
     The scheduled jumps are solved exactly straight from the model's
-    table, in any dimension (`maximize_atom_laws`).  The optima are kept
+    table, in any dimension (`maximize_atom_laws`).  In one dimension the
+    jump-free and finite-atom segments join them as rows of one batch
+    (`_joined_rows`), solved once per kind, and only the segments with
+    a density law are searched one by one (`maximize_local_utility`);
+    a row has the same bits in the batch as alone.  The optima are kept
     on the model instance, per kind, so each is solved once however many
     diagnostics ask for it; a model built again from the same config
     solves again.  The memo holds only the optima, not the Solution, so
@@ -159,9 +185,17 @@ def solve_schedule(model: MarketModel, kind) -> Solution:
     memo = model.__dict__.setdefault("_optima", {})
     optima = memo.get(kind)
     if optima is None:
-        optima = memo[kind] = (tuple(maximize_local_utility(seg.chars, kind)
-                                     for seg in model.segments),
-                               maximize_atom_laws(model.atoms, kind))
+        rows, at = _joined_rows(model) if model.dim == 1 else (None, {})
+        if rows is None:
+            optima = (tuple(maximize_local_utility(seg.chars, kind) for seg in model.segments),
+                      maximize_atom_laws(model.atoms, kind))
+        else:
+            batch, n = _solve_rows(rows, kind), len(model.atoms)
+            optima = (tuple(batch[at[i]] if i in at else maximize_local_utility(seg.chars, kind)
+                            for i, seg in enumerate(model.segments)),
+                      AtomOptima(*(getattr(batch, f.name)[:n] for f in fields(AtomOptima)))
+                      if at else batch)
+        memo[kind] = optima
     return Solution(model, kind, *optima)
 
 

@@ -15,10 +15,12 @@ kink only the losses and the diffusion still curve the utility: with
 neither, a zero slope there is a plateau, resolved to its minimum-norm
 end, and a positive slope makes the value unbounded (flagged, never
 chased).  Such time points are read as rows of `localutil._Rows` in
-every dimension, and the one-dimensional rows of a schedule are solved
-at once (`maximize_atom_laws`).  For either kind a drift along null(C)
-is riskless, and an optimum beyond the float range cannot be
-represented; both are flagged unbounded and reported at the origin.
+every dimension.  In one dimension a schedule's rows, its scheduled
+jumps and its jump-free and finite-atom segments, are solved at once
+(`_solve_rows`, from `aggregate.solve_schedule`).  For either kind a
+drift along null(C) is riskless, and an optimum beyond the float range
+cannot be represented; both are flagged unbounded and reported at the
+origin, +0.0.
 
 One-dimensional laws given by a density are first restricted to the
 directions whose tail moments support a finite value, and monotone-kind
@@ -230,7 +232,7 @@ def _scan_kinks(rows: _Rows, b0, slope0, riskless, tol):
     mu = np.clip(slope / np.where(curv > 0.0, curv, 1.0),
                  kink_at(lo - 1, lo > 0, 0.0), kink_at(lo, lo < n_kinks, np.inf))
     mu = np.where(unbounded | plateau, last, mu)
-    return side * np.where(riskless, 0.0, mu), unbounded, plateau
+    return np.where(riskless, 0.0, side * mu), unbounded, plateau
 
 
 def _solve_rows(rows: _Rows, kind) -> AtomOptima:

@@ -5,16 +5,18 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmvlab
-from mmvlab import (CumulativeUtility, DomainError, InfiniteValue,
+from mmvlab import (CumulativeUtility, DomainError, FiniteAtoms, InfiniteValue,
+                    LocalCharacteristics, MarketModel, ScheduledJumps, Segment,
                     UtilityKind, compare_mv_mmv, compounding_dual,
                     cumulative_local_utility, density_diagnostics,
                     det_stoch_exponential, example_model, global_values,
-                    mv_signed_measure, sharpe_hansen_convert, solve_schedule,
-                    strategy_descriptor)
+                    maximize_local_utility, mv_signed_measure, sharpe_hansen_convert,
+                    solve_schedule, strategy_descriptor)
+from mmvlab.optimize import maximize_atom_laws
 
 import properties
 
@@ -78,6 +80,111 @@ def test_the_memo_makes_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _one_dim_model(segments, laws=()):
+    """A one-dimensional model of unit segments (b, c, FiniteAtoms or
+    None), in order, and scheduled jumps of (points, masses) laws spread
+    evenly over its horizon."""
+    segs = tuple(Segment(float(i), float(i + 1), LocalCharacteristics(
+        np.array([b]), np.array([[c]]), law)) for i, (b, c, law) in enumerate(segments))
+    n = len(segs)
+    table = (properties.jump_table(laws, n * np.arange(1, len(laws) + 1) / len(laws))
+             if laws else ScheduledJumps.empty(1))
+    return MarketModel(float(n), 1, segs, table)
+
+
+#: drifts and diffusions at the ends of the float range, signed zeros included
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300)
+_OUTCOMES = st.one_of(st.floats(-2.0, -1e-3), st.floats(1e-3, 3.0),
+                      st.sampled_from((1e-300, -1e-300, 5e-324)))
+
+
+@st.composite
+def row_models(draw):
+    """One-dimensional models of 1-4 segments, each jump-free or with a
+    finite-atom law (some masses zero), and 0-60 scheduled jumps."""
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0)))
+        c = draw(st.one_of(st.sampled_from([v for v in _EDGES if not v < 0.0]),
+                           st.floats(0.0, 2.0)))
+        pts = draw(st.lists(_OUTCOMES, max_size=5))
+        ms = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                           min_size=len(pts), max_size=len(pts)))
+        law = draw(st.sampled_from([None, FiniteAtoms(np.array(pts).reshape(-1, 1), ms)]))
+        segments.append((b, c, law))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    laws = []
+    for _ in range(draw(st.integers(0, 60))):
+        n = int(gen.integers(1, 6))
+        pts = gen.uniform(-2.0, 3.0, n)
+        ms = gen.uniform(0.05, 1.0, n)
+        laws.append((np.where(np.abs(pts) < 1e-3, 0.5, pts)[:, None],
+                     ms * gen.uniform(0.1, 1.0) / ms.sum()))
+    return _one_dim_model(segments, laws)
+
+
+def _same_optimum(got, want) -> bool:
+    return (got.lambda_hat.tobytes(), np.float64(got.value).tobytes(),
+            got.foc_residual.tobytes(), got.boundedness, got.tie_break_applied) \
+        == (want.lambda_hat.tobytes(), np.float64(want.value).tobytes(),
+            want.foc_residual.tobytes(), want.boundedness, want.tie_break_applied)
+
+
+@example(_one_dim_model([(-0.5, 0.0, None)]))      # riskless, against the drift
+@given(row_models())
+@settings(max_examples=150, deadline=None)
+def test_joined_rows_keep_every_bit(model):
+    for kind in ("mv", "mmv"):
+        sol = solve_schedule(model, kind)
+        for seg, got in zip(model.segments, sol.segment_optima):
+            assert _same_optimum(got, maximize_local_utility(seg.chars, kind))
+        want = maximize_atom_laws(model.atoms, kind)
+        for name in ("lambda_hat", "value", "foc_residual", "flag", "tie"):
+            a, b = getattr(sol.atom_optima, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.fixture
+def count_row_solves(monkeypatch):
+    """Calls of `optimize._solve_rows`, from either module that binds it."""
+    calls = []
+    solve = mmvlab.optimize._solve_rows
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for module in (mmvlab.optimize, mmvlab.aggregate):
+        monkeypatch.setattr(module, "_solve_rows", counting)
+    return calls
+
+
+def test_row_time_points_are_one_batch_per_kind(count_solves, count_row_solves):
+    law = FiniteAtoms(np.array([[-0.4], [0.9]]), np.array([0.3, 0.2]))
+    model = _one_dim_model([(0.1, 0.05, None), (0.2, 0.0, law)],
+                           [(np.array([[-0.5], [1.2]]), np.array([0.4, 0.3]))] * 5)
+    for kind in ("mv", "mmv"):
+        solve_schedule(model, kind)
+    assert len(count_row_solves) == 2
+    assert count_solves == []
+
+
+def test_a_model_without_row_time_points_solves_no_rows(count_solves, count_row_solves):
+    for kind in ("mv", "mmv"):
+        solve_schedule(example_model(2), kind)     # one density segment, no scheduled jump
+    assert count_row_solves == []
+    assert len(count_solves) == 2
+
+
+@pytest.mark.parametrize("kind", ["mv", "mmv"])
+def test_a_riskless_point_reports_the_origin_as_positive_zero(kind):
+    model = _one_dim_model([(-0.5, 0.0, None)])
+    for opt in (maximize_local_utility(model.segments[0].chars, kind),
+                solve_schedule(model, kind).segment_optima[0]):
+        assert opt.lambda_hat.tobytes() == np.zeros(1).tobytes()
+        assert (opt.value, opt.boundedness) == (0.0, "unbounded_flagged")
 
 
 def test_single_jump_aggregation_is_exact(ex1):
