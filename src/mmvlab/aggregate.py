@@ -8,12 +8,12 @@ gives the best attainable expected utility u0 = (1 - E)/2, its dual
 bound v0 = (1/E - 1)/2, and the squared performance ratios
 mhr2 = 2 u0 and msr2 = 2 v0, linked by 1 + msr2 = 1/(1 - mhr2).
 
-Models built from an infinite series of scheduled jumps are truncated
-to finitely many atoms, so divergence of the underlying series is
-detected heuristically from the truncated increments: a Cauchy test on
-the last half of the series plus an absolute runaway bound.  When it
-fires, the values are reported as infinite rather than as the
-meaningless truncated numbers.
+A model has finitely many scheduled jumps, so its values follow exactly
+from E: finite while every factor 1 - k is positive and 1 - E < 1 in
+floats (dual values up to about 9e15), saturated beyond.  Whether an
+infinite series of jumps converges is a property of the series, which
+the countable examples decide analytically (`examples`).  An unbounded
+time point raises InfiniteValue.
 """
 from __future__ import annotations
 
@@ -28,11 +28,6 @@ from .localutil import UtilityKind, _kind, _Rows, _rows_from_chars, _rows_from_t
 from .model import MarketModel
 from .optimize import (AtomOptima, LocalOptimum, _solve_rows, maximize_atom_laws,
                        maximize_local_utility)
-
-_DIVERGENCE_MIN_ATOMS = 64
-_DIVERGENCE_TAIL_FRAC = 0.01
-_DIVERGENCE_PARTIAL_CAP = 100.0
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -71,15 +66,13 @@ class CumulativeUtility:
 
     continuous_part collects the segment contributions; atom_increments
     is a read-only copy, one float per scheduled jump in model order (at
-    the model's `atoms.times`).  finite is the divergence verdict for
-    the underlying (possibly truncated) series.  The exact sums of the
-    increments, all of them and the last half, are taken once, on first
-    use, for the divergence test and every report that shows them.
+    the model's `atoms.times`).  Whether the values they give are finite
+    is for `global_values` to say.  The exact sum of the increments is
+    taken once, on first use, for every report that shows it.
     """
 
     continuous_part: float
     atom_increments: np.ndarray
-    finite: bool
 
     def __post_init__(self):
         incs = np.array(self.atom_increments, dtype=float)
@@ -91,11 +84,6 @@ class CumulativeUtility:
     @cached_property
     def increment_sum(self) -> float:
         return math.fsum(self.atom_increments.tolist())
-
-    @cached_property
-    def tail_sum(self) -> float:
-        incs = self.atom_increments
-        return math.fsum(incs[incs.size // 2:].tolist())
 
 
 @dataclass(frozen=True)
@@ -110,9 +98,10 @@ class DetExponential:
 class GlobalValues:
     """Global best utility and its dual bound, with performance ratios.
 
-    u0 = (1 - E)/2 < 1/2 and mhr2 = 2 u0 stay finite even for divergent
-    models (they saturate at 1/2 and 1); v0, msr2 and scale = 1 + msr2
-    are reported as inf and finite is False in that case.
+    finite means that every factor 1 - k of E is positive and 1 - E < 1
+    (dual values up to about 9e15).  Otherwise the values leave the float
+    range and saturate: u0 = 1/2, mhr2 = 1, and v0, msr2 and scale =
+    1 + msr2 read inf.
     """
 
     u0: float
@@ -123,7 +112,7 @@ class GlobalValues:
     finite: bool
 
 
-#: values reported for a model whose dual value is infinite
+#: values reported for a model whose values are infinite or leave the float range
 INFINITE_VALUES = GlobalValues(u0=0.5, v0=math.inf, msr2=math.inf, mhr2=1.0,
                                scale=math.inf, finite=False)
 
@@ -199,14 +188,6 @@ def solve_schedule(model: MarketModel, kind) -> Solution:
     return Solution(model, kind, *optima)
 
 
-def _diverges(cu: CumulativeUtility) -> bool:
-    if cu.atom_increments.size < _DIVERGENCE_MIN_ATOMS:
-        return False
-    partial = cu.continuous_part + cu.increment_sum
-    return (cu.tail_sum > _DIVERGENCE_TAIL_FRAC * (1.0 + abs(partial))
-            or partial > _DIVERGENCE_PARTIAL_CAP)
-
-
 def cumulative_local_utility(model: MarketModel, kind,
                              solution: Solution | None = None) -> CumulativeUtility:
     """Integrate twice the maximal local utility rate over the clock."""
@@ -216,9 +197,7 @@ def cumulative_local_utility(model: MarketModel, kind,
         raise InfiniteValue("local utility is unbounded at some time point")
     cont = math.fsum(2.0 * opt.value * seg.length
                      for seg, opt in zip(model.segments, sol.segment_optima))
-    cu = CumulativeUtility(cont, 2.0 * sol.atom_optima.value, True)
-    object.__setattr__(cu, "finite", not _diverges(cu))    # keeps the cached sums
-    return cu
+    return CumulativeUtility(cont, 2.0 * sol.atom_optima.value)
 
 
 def det_stoch_exponential(cu: CumulativeUtility, sign: float = -1.0) -> DetExponential:
@@ -245,14 +224,15 @@ def compounding_dual(cu: CumulativeUtility) -> CumulativeUtility:
     incs = cu.atom_increments
     if (incs >= 1.0).any():
         raise DomainError("increment at or above 1 has no compounding dual")
-    return CumulativeUtility(cu.continuous_part, incs / (1.0 - incs), cu.finite)
+    return CumulativeUtility(cu.continuous_part, incs / (1.0 - incs))
 
 
 def global_values(cu: CumulativeUtility) -> GlobalValues:
-    """Best global utility and dual bound from the cumulative clock sum."""
+    """Best global utility and dual bound from the cumulative clock sum;
+    `INFINITE_VALUES` when a factor 1 - k is at or below 0 or 1 - E
+    rounds to 1 (E at or below 2**-54, an underflow to 0 included)."""
     det = det_stoch_exponential(cu, -1.0)
-    if (not cu.finite) or det.nonpositive_factor or det.value <= 0.0 \
-            or not math.isfinite(det.value):
+    if det.nonpositive_factor or not 1.0 - det.value < 1.0:
         return INFINITE_VALUES
     u0 = 0.5 * (1.0 - det.value)
     v0 = 0.5 * (1.0 / det.value - 1.0)

@@ -7,7 +7,7 @@ its optimal strategy by Monte Carlo, `diagnose` the dual side,
 
 Reports are deterministic for fixed arguments; wall-clock timing and
 progress go to stderr only.  Every computed number carries a source
-tag: analytic, mc (with a standard error), or heuristic.  Exit codes:
+tag: analytic, or mc (with a standard error).  Exit codes:
 0 success, 1 computation failure or failed checks, 2 usage or config
 error.  Non-finite numbers are serialized as the strings "inf",
 "-inf", "nan" in JSON and CSV output.
@@ -32,7 +32,9 @@ from .duality import (compare_mv_mmv, density_diagnostics,
                       mellin_sign_moments, mv_signed_measure,
                       sigma_martingale_residual, zero_density_probability)
 from .errors import InfiniteValue, InvariantError, MmvLabError, SchemaError
-from .examples import DEFAULT_ATOMS_MAX, _bet_indices, example_model, expected_figures
+from .examples import (DEFAULT_ATOMS_MAX, EX5_FROM, EX5_HANSEN, EX5_RATE, _bet_indices,
+                       example5_series_finite, example6_series_finite, example_model,
+                       expected_figures)
 from .localutil import check_instantaneous_no_arbitrage, local_utility
 from .model import build_model
 from .montecarlo import SimConfig, estimate_stats, run_wealth_study
@@ -227,48 +229,41 @@ def _solution_rows(model, sol) -> tuple[list, bool]:
     return rows, total > _MAX_PER_TIME_ROWS
 
 
-def _values_block(gv: GlobalValues, source: str) -> dict:
+def _values_block(gv: GlobalValues) -> dict:
     return {
-        "best_utility": _v(gv.u0, source),
-        "dual_value": _v(gv.v0, source),
-        "max_squared_sharpe": _v(gv.msr2, source),
-        "max_squared_hansen": _v(gv.mhr2, source),
-        "wealth_scale": _v(gv.scale, source),
+        "best_utility": _v(gv.u0),
+        "dual_value": _v(gv.v0),
+        "max_squared_sharpe": _v(gv.msr2),
+        "max_squared_hansen": _v(gv.mhr2),
+        "wealth_scale": _v(gv.scale),
         "finite": gv.finite,
     }
 
 
 def _solve_bundle(model, kind: str):
-    """Solve, aggregate, and classify finiteness.
-
-    Returns (solution, cumulative-or-None, global values, warnings,
-    source tag for the value block).
-    """
+    """(solution, cumulative or None, global values, warnings) of one kind."""
     warnings: list[str] = []
     sol = solve_schedule(model, kind)
     try:
         cu = cumulative_local_utility(model, kind, sol)
     except InfiniteValue as exc:
         warnings.append(f"{kind}: {exc}")
-        return sol, None, INFINITE_VALUES, warnings, "analytic"
+        return sol, None, INFINITE_VALUES, warnings
     gv = global_values(cu)
-    source = "analytic"
-    if not cu.finite:
-        source = "heuristic"
+    if not gv.finite:
         warnings.append(
-            f"{kind}: cumulative series flagged divergent by the "
-            "partial-sum heuristic; values reported as infinite")
-    return sol, cu, gv, warnings, source
+            f"{kind}: the values leave the float range (1 - E rounds to 1 "
+            "or a factor 1 - k is not positive); reported as saturated")
+    return sol, cu, gv, warnings
 
 
-def _cumulative_block(cu, source: str) -> dict | None:
+def _cumulative_block(cu) -> dict | None:
     if cu is None:
         return None
     return {
-        "continuous_part": _v(cu.continuous_part, source),
-        "jump_increment_sum": _v(cu.increment_sum, source),
+        "continuous_part": _v(cu.continuous_part),
+        "jump_increment_sum": _v(cu.increment_sum),
         "n_jump_increments": cu.atom_increments.size,
-        "finite": cu.finite,
     }
 
 
@@ -278,7 +273,7 @@ def _cumulative_block(cu, source: str) -> dict | None:
 
 def _cmd_solve(args) -> int:
     model = _load_model(args.config)
-    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
+    sol, cu, gv, warnings = _solve_bundle(model, args.kind)
     rows, truncated = _solution_rows(model, sol)
     report = {
         "command": {"name": "solve", "config": args.config, "kind": args.kind},
@@ -286,8 +281,8 @@ def _cmd_solve(args) -> int:
         "solution": {
             "per_time": rows,
             "per_time_truncated": truncated,
-            "cumulative": _cumulative_block(cu, source),
-            "values": _values_block(gv, source),
+            "cumulative": _cumulative_block(cu),
+            "values": _values_block(gv),
         },
         "warnings": warnings,
     }
@@ -304,7 +299,7 @@ def _cmd_simulate(args) -> int:
         sim = SimConfig(n_paths=args.paths, seed=args.seed)
     except InvariantError as exc:
         raise _UsageError(f"--{exc}") from None
-    sol, cu, gv, warnings, source = _solve_bundle(model, args.kind)
+    sol, cu, gv, warnings = _solve_bundle(model, args.kind)
     # Wealth is normalized to bliss level 1 (x=0, gamma=1, scale=1) so the
     # estimates line up with the dimensionless analytic ratios.
     study = run_wealth_study(model, sim, args.kind, solution=sol)
@@ -330,7 +325,7 @@ def _cmd_simulate(args) -> int:
             ("prob_wealth_ge_one", "prob_ge_one"),
             ("expected_utility", util_functional))
     }
-    if gv.finite and gv.mhr2 < 1.0:
+    if gv.finite:
         z = study.capped_exponential / (1.0 - gv.mhr2)
         estimates["density_mean"] = _stat(estimate_stats(z, "mean", anti),
                                           targets.get("density_mean"))
@@ -338,7 +333,7 @@ def _cmd_simulate(args) -> int:
             estimate_stats(z, "second_moment", anti),
             targets.get("density_second_moment"))
     else:
-        warnings.append("dual density undefined (infinite value); "
+        warnings.append("dual density undefined (saturated values); "
                         "density estimates omitted")
     estimates["terminal_increment_mean"] = [
         _stat(estimate_stats(study.terminal_increment[:, i], "mean", anti))
@@ -349,7 +344,7 @@ def _cmd_simulate(args) -> int:
                     "kind": args.kind, "paths": args.paths,
                     "seed": args.seed, "antithetic": anti},
         "model": _model_summary(model),
-        "values": _values_block(gv, source),
+        "values": _values_block(gv),
         "wealth_normalization": {"x": _v(0.0), "gamma": _v(1.0),
                                  "bliss": _v(1.0)},
         "estimates": estimates,
@@ -360,8 +355,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _diag_monotone(model) -> tuple[dict, list[str], Solution]:
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
-    block: dict = {"values": _values_block(gv, source)}
+    sol, cu, gv, warnings = _solve_bundle(model, "mmv")
+    block: dict = {"values": _values_block(gv)}
     if gv.finite:
         diag = density_diagnostics(model, solution=sol)
         max_resid = float(np.abs(diag.sigma_mart_residual).max(initial=0.0))
@@ -376,14 +371,14 @@ def _diag_monotone(model) -> tuple[dict, list[str], Solution]:
         }
     else:
         block["density"] = None
-        warnings.append("monotone dual value is infinite; "
-                        "no density candidate exists")
+        warnings.append("monotone values are saturated; "
+                        "no density candidate is reported")
     return block, warnings, sol
 
 
 def _diag_quadratic(model) -> tuple[dict, list[str], Solution]:
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mv")
-    block: dict = {"values": _values_block(gv, source)}
+    sol, cu, gv, warnings = _solve_bundle(model, "mv")
+    block: dict = {"values": _values_block(gv)}
     if gv.finite:
         meas = mv_signed_measure(model, solution=sol)
         block["signed_measure"] = {
@@ -394,8 +389,8 @@ def _diag_quadratic(model) -> tuple[dict, list[str], Solution]:
         }
     else:
         block["signed_measure"] = None
-        warnings.append("quadratic dual value is infinite; "
-                        "no separating measure exists")
+        warnings.append("quadratic values are saturated; "
+                        "no separating measure is reported")
     return block, warnings, sol
 
 
@@ -440,7 +435,7 @@ def _cmd_diagnose(args) -> int:
 
 def _reproduce_1(atoms_max=None):
     model = example_model(1)
-    sol, cu, gv, warnings, source = _solve_bundle(model, "mmv")
+    sol, cu, gv, warnings = _solve_bundle(model, "mmv")
     diag = density_diagnostics(model, solution=sol)
     chars = model.atoms[0].chars
     return model, {
@@ -459,8 +454,8 @@ def _reproduce_2(atoms_max=None):
     model = example_model(2)
     seg = model.segments[0]
     jumps = seg.chars.jumps
-    sol_mv, cu_mv, gv_mv, warn_v, _ = _solve_bundle(model, "mv")
-    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv")
+    sol_mv, cu_mv, gv_mv, warn_v = _solve_bundle(model, "mv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m = _solve_bundle(model, "mmv")
     lam_mv = sol_mv.segment_optima[0].lambda_hat
     lam_mmv = sol_mmv.segment_optima[0].lambda_hat
     sm1 = mellin_sign_moments(model, sol_mv, 1)
@@ -490,7 +485,7 @@ def _reproduce_2(atoms_max=None):
 def _reproduce_3(atoms_max=None):
     model = example_model(3)
     seg = model.segments[0]
-    sol_mmv, cu_mmv, gv_mmv, warn_m, _ = _solve_bundle(model, "mmv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m = _solve_bundle(model, "mmv")
     sol_mv = solve_schedule(model, "mv")
     lam = sol_mmv.segment_optima[0].lambda_hat
     lam0 = float(lam[0])
@@ -510,7 +505,7 @@ def _reproduce_3(atoms_max=None):
 def _reproduce_4(atoms_max=None):
     model = example_model(4)
     chars = model.segments[0].chars
-    sol, cu, gv, warnings, _ = _solve_bundle(model, "mmv")
+    sol, cu, gv, warnings = _solve_bundle(model, "mmv")
     diag = density_diagnostics(model, solution=sol)
     return model, {
         "monotone_direction": float(sol.segment_optima[0].lambda_hat[0]),
@@ -524,60 +519,57 @@ def _reproduce_4(atoms_max=None):
 def _reproduce_5(atoms_max=None):
     n_max = DEFAULT_ATOMS_MAX[5] if atoms_max is None else atoms_max
     model = example_model(5, atoms_max=n_max)
-    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv")
-    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv")
+    sol_mv, cu_mv, gv_mv, warn_v = _solve_bundle(model, "mv")
+    sol_mmv, cu_mmv, gv_mmv, warn_m = _solve_bundle(model, "mmv")
 
     n = np.arange(2, len(model.atoms) + 2)
-    late = n >= 10
+    late = n >= EX5_FROM
     mv, mmv = sol_mv.atom_optima, sol_mmv.atom_optima
 
     def worst(value: np.ndarray, target: float) -> float:
         return float(np.max(n[late] * np.abs(value[late] - target), initial=0.0))
 
+    rate_margin = worst(mv.value / model.atoms.weights, EX5_RATE)
+    hansen_margin = worst(2.0 * mmv.value, EX5_HANSEN)
+    mv_finite, mmv_finite = example5_series_finite(rate_margin, hansen_margin)
     return model, {
         "atoms_max": n_max,
         "worst_direction_margin": worst(mv.lambda_hat[:, 0], 1.5),
-        "worst_rate_margin": worst(mv.value / model.atoms.weights, 1.125),
-        "worst_hansen_margin": worst(2.0 * mmv.value, 0.5),
+        "worst_rate_margin": rate_margin,
+        "worst_hansen_margin": hansen_margin,
         "first_bet_quadratic_direction": float(mv.lambda_hat[0, 0]),
         "first_bet_squared_hansen": 2.0 * float(mv.value[0]),
         "first_bet_monotone_direction": float(mmv.lambda_hat[0, 0]),
         "first_bet_monotone_squared_hansen": 2.0 * float(mmv.value[0]),
         "quadratic_series_partial": cu_mv.increment_sum,
-        "quadratic_series_tail": cu_mv.tail_sum,
-        "quadratic_series_finite": cu_mv.finite,
+        "quadratic_series_finite": mv_finite,
         "monotone_series_partial": cu_mmv.increment_sum,
-        "monotone_series_finite": cu_mmv.finite,
-        "quadratic_series_tail_bound": 0.01 * (1.0 + abs(cu_mv.increment_sum)),
+        "monotone_series_finite": mmv_finite,
     }, warn_v + warn_m
 
 
 def _reproduce_6(atoms_max=None):
     n_max = DEFAULT_ATOMS_MAX[6] if atoms_max is None else atoms_max
     model = example_model(6, atoms_max=n_max)
-    sol_mv, cu_mv, gv_mv, warn_v, src_v = _solve_bundle(model, "mv")
-    sol_mmv, cu_mmv, gv_mmv, warn_m, src_m = _solve_bundle(model, "mmv")
+    sol_mv, cu_mv, gv_mv, warnings = _solve_bundle(model, "mv")
     jumps = model.atoms
     n, _, cube = _bet_indices(len(jumps) + 1)
     hr2 = 2.0 * sol_mv.atom_optima.value
     # every bet has two outcomes; each mean is its law's own dot product
     mean = np.vecdot(jumps.masses.reshape(-1, 2), jumps.points[:, 0].reshape(-1, 2))
-    try:
-        mv_signed_measure(model, solution=sol_mv)
-        separating = True
-    except InfiniteValue as exc:
-        separating = False
-        warn_v.append(str(exc))
+    deviation = float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0))
+    mv_finite, mmv_finite = example6_series_finite(deviation, n_max)
     return model, {
         "atoms_max": n_max,
-        "worst_hansen_deviation": float(np.max(np.abs(hr2 - 1.0 / (n + 1.0)), initial=0.0)),
+        "worst_hansen_deviation": deviation,
         "worst_mean_deviation":
             float(np.max(np.abs(mean + n / (cube.astype(float) + 1.0)), initial=0.0)),
         "first_bet_quadratic_direction": float(sol_mv.atom_optima.lambda_hat[0, 0]),
-        "quadratic_finite": gv_mv.finite,
-        "monotone_finite": gv_mmv.finite,
-        "separating_measure_exists": separating,
-    }, warn_v + warn_m
+        "quadratic_finite": mv_finite,
+        "monotone_finite": mmv_finite,
+        # a separating measure exists exactly when the mv series converges
+        "separating_measure_exists": mv_finite,
+    }, warnings
 
 
 _REPRODUCERS = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3,
@@ -597,8 +589,6 @@ def _checks(rows: list, values: dict) -> list[dict]:
     checks = []
     for row in rows:
         actual = _lookup(values, row.get("value", row["name"]))
-        if row.get("negate"):
-            actual = not actual
         expected = (_lookup(values, row["expected_from"]) if "expected_from" in row
                     else row["expected"])
         tol, mode = row.get("tol"), row["mode"]
@@ -614,16 +604,15 @@ def _checks(rows: list, values: dict) -> list[dict]:
         else:
             raise ValueError(f"unknown check mode: {mode}")
         checks.append({"name": row["name"], "actual": actual, "expected": expected,
-                       "tol": tol, "mode": mode, "pass": bool(ok),
-                       "source": row.get("source", "analytic")})
+                       "tol": tol, "mode": mode, "pass": bool(ok), "source": "analytic"})
     return checks
 
 
-def _figure(value, source: str):
+def _figure(value):
     """A computed value as a report figure: numbers tagged, flags and labels bare."""
     if isinstance(value, list):
-        return [_v(x, source) for x in value]
-    return _v(value, source) if isinstance(value, float) else value
+        return [_v(x) for x in value]
+    return _v(value) if isinstance(value, float) else value
 
 
 def _run_reproduce(example_id: int, atoms_max) -> dict:
@@ -635,11 +624,9 @@ def _run_reproduce(example_id: int, atoms_max) -> dict:
     at_default = atoms_max in (None, DEFAULT_ATOMS_MAX.get(example_id))
     checks = _checks([r for r in rows if at_default or not r.get("default_atoms_only")],
                      values)
-    # a value compared against is not a figure; a figure takes its checks' source
+    # a value compared against is not a figure
     against = {r["expected_from"] for r in rows if "expected_from" in r}
-    sources = {r.get("value", r["name"]): r.get("source", "analytic") for r in rows}
-    figures = {k: _figure(v, sources.get(k, "analytic"))
-               for k, v in values.items() if k not in against}
+    figures = {k: _figure(v) for k, v in values.items() if k not in against}
     n_pass = sum(1 for c in checks if c["pass"])
     print(f"example {example_id}: {n_pass}/{len(checks)} checks passed "
           f"({elapsed:.2f}s)", file=sys.stderr)
@@ -684,7 +671,7 @@ def _cmd_reproduce(args) -> int:
 
 def _selftest_values() -> dict:
     model1 = example_model(1)
-    _, _, gv1, _, _ = _solve_bundle(model1, "mmv")
+    _, _, gv1, _ = _solve_bundle(model1, "mmv")
     model3 = example_model(3)
     sol3 = solve_schedule(model3, "mmv")
     model4 = example_model(4)

@@ -143,7 +143,7 @@ def _crossing_masses(model: MarketModel, schedule, strict: bool) -> np.ndarray:
 
 def _absorption_probability(model: MarketModel, masses: np.ndarray) -> float:
     theta = sum((s.length * m for s, m in zip(model.segments, masses)), 0.0)
-    crossings = CumulativeUtility(float(theta), masses[len(model.segments):], True)
+    crossings = CumulativeUtility(float(theta), masses[len(model.segments):])
     return 1.0 - det_stoch_exponential(crossings, -1.0).value
 
 
@@ -162,7 +162,8 @@ def density_diagnostics(model: MarketModel,
     """Moments, zero mass, equivalence and martingale check of the dual.
 
     Solves the monotone problem if no solution is passed.  Raises
-    InfiniteValue when the dual value diverges (no density exists).
+    InfiniteValue when the values are not finite (`global_values`), and
+    no density is computed.
     """
     sol = solution if solution is not None else solve_schedule(model, UtilityKind.MMV)
     gv = global_values(cumulative_local_utility(model, sol.kind, sol))
@@ -265,7 +266,7 @@ def mellin_sign_moments(model: MarketModel, schedule, p: int) -> SignMoments:
         for seg, walked in zip(model.segments, walks):
             acc += seg.length * _checked(walked[k])
         jumps = rows.sums(rows.m * _zeta(u, p, even))
-        exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps, True), 1.0).value)
+        exps.append(det_stoch_exponential(CumulativeUtility(acc, jumps), 1.0).value)
     return SignMoments(p=p, phi_plus=0.5 * (exps[0] + exps[1]),
                        phi_minus=0.5 * (exps[0] - exps[1]))
 
@@ -274,8 +275,8 @@ def mv_signed_measure(model: MarketModel, solution: Solution | None = None) -> M
     """Sign structure of the plain-quadratic dual candidate.
 
     Solves the plain problem if no solution is passed.  Raises
-    InfiniteValue when the quadratic dual value diverges, in which case
-    no separating object of this kind exists at all.
+    InfiniteValue when the quadratic values are not finite
+    (`global_values`), and no separating measure is computed.
     """
     sol = solution if solution is not None else solve_schedule(model, UtilityKind.MV)
     gv = global_values(cumulative_local_utility(model, UtilityKind.MV, sol))

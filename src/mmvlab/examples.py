@@ -47,12 +47,11 @@ def expected_figures() -> dict:
     "checks", a list of rows, and may have "note", a warning that every
     reproduction of the example carries.  A row names its check and the
     computed value it reads ("value", a dotted path into the values the
-    reproducer returns; the name by default), negated when "negate" is
-    set.  It compares that value with "expected", or with the computed
-    value named by "expected_from", in mode abs (within "tol"), le, ge
-    or eq, and tags the check with "source" (analytic by default).  A
-    row marked "default_atoms_only" applies only at the example's
-    default cutoff.  The result is shared: callers must not mutate it.
+    reproducer returns; the name by default).  It compares that value
+    with "expected", or with the computed value named by
+    "expected_from", in mode abs (within "tol"), le, ge or eq.  A row
+    marked "default_atoms_only" applies only at the example's default
+    cutoff.  The result is shared: callers must not mutate it.
     """
     ref = resources.files("mmvlab").joinpath("examples_data/expected.json")
     return json.loads(ref.read_text())
@@ -103,6 +102,34 @@ def _example6_atoms(n_max: int) -> ScheduledJumps:
     points = np.stack([-(nf + 1.0) / d, (n3 - n).astype(float) / d], axis=1)
     masses = np.stack([n3.astype(float) / d, 1.0 / d], axis=1)
     return _bet_table(2.0 - 1.0 / nf, 1.0 / n2.astype(float), points, masses)
+
+
+#: example 5's margins run from bet EX5_FROM, against the limits of k/(2w) (mv) and k (mmv)
+EX5_FROM, EX5_RATE, EX5_HANSEN = 10, 1.125, 0.5
+
+
+def example5_series_finite(rate_margin: float,
+                           hansen_margin: float) -> tuple[bool | None, bool | None]:
+    """Whether example 5's (mv, mmv) clock series are finite; None where a
+    margin past its bound licenses no verdict.  From bet n = 10 on, a
+    rate margin n |k/(2w) - 9/8| (w = 1/n^2) of at most 9/8 * 10 keeps
+    each mv increment k below 9/(2 n^2), so the mv series converges; a
+    Hansen margin n |k - 1/2| of at most 10/4 keeps each mmv increment
+    above 1/4, so that series diverges."""
+    mv = True if rate_margin <= EX5_RATE * EX5_FROM else None
+    mmv = False if hansen_margin <= 0.5 * EX5_HANSEN * EX5_FROM else None
+    return mv, mmv
+
+
+def example6_series_finite(hansen_deviation: float,
+                           n_max: int) -> tuple[bool | None, bool | None]:
+    """Whether example 6's (mv, mmv) clock series are finite; None where
+    the deviation licenses no verdict.  A deviation |k - 1/(n+1)| of at
+    most 1/(2 (n_max + 1)) over bets n = 2..n_max keeps each mv increment
+    k above 1/(2 (n+1)), so the mv series diverges with the harmonic
+    series; each mmv increment is at least the mv one, so that one too."""
+    mv = False if hansen_deviation <= 0.5 / (n_max + 1.0) else None
+    return mv, mv
 
 
 def example_model(example_id: int, atoms_max: int | None = None) -> MarketModel:

@@ -47,5 +47,20 @@ def unbounded_config():
 
 
 @pytest.fixture
+def saturated_config():
+    """80 identical bets of -0.1 or 0.9, of masses 1/2: each mv increment
+    is 0.16/0.41, so E = (0.25/0.41)**80, about 7e-18, and 1 - E rounds
+    to 1; the values of both kinds leave the float range."""
+    atoms = [{"time": round(0.01 * k, 2), "points": [[-0.1], [0.9]],
+              "masses": [0.5, 0.5]} for k in range(1, 81)]
+    return {
+        "horizon": 1.0, "dimension": 1,
+        "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
+                      "b": [0.0], "c": [[0.0]]}],
+        "atoms": atoms,
+    }
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260818)

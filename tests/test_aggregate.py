@@ -190,7 +190,6 @@ def test_a_riskless_point_reports_the_origin_as_positive_zero(kind):
 def test_single_jump_aggregation_is_exact(ex1):
     cu = cumulative_local_utility(ex1, "mmv")
     assert cu.continuous_part == 0.0
-    assert cu.finite
     assert cu.atom_increments.shape == (1,)
     assert ex1.atoms.times.tolist() == [1.0]
     assert cu.atom_increments[0] == pytest.approx(0.4, abs=1e-12)
@@ -222,13 +221,13 @@ def test_exponential_inversion_identity():
 
 
 def test_compounding_dual_rejects_unit_increment():
-    cu = CumulativeUtility(0.0, (1.0,), True)
+    cu = CumulativeUtility(0.0, (1.0,))
     with pytest.raises(DomainError):
         compounding_dual(cu)
 
 
 def test_nonpositive_factor_is_flagged():
-    cu = CumulativeUtility(0.2, (1.0, 0.5), True)
+    cu = CumulativeUtility(0.2, (1.0, 0.5))
     det = det_stoch_exponential(cu, -1.0)
     assert det.nonpositive_factor
     assert det.value == 0.0
@@ -248,7 +247,7 @@ def _sequential_exponential(continuous, incs, sign):
 @given(st.floats(0.0, 3.0), st.lists(st.floats(0.0, 2.0), max_size=200),
        st.sampled_from([-1.0, 1.0]))
 def test_exponential_multiplies_in_model_order(continuous, incs, sign):
-    det = det_stoch_exponential(CumulativeUtility(continuous, incs, True), sign)
+    det = det_stoch_exponential(CumulativeUtility(continuous, incs), sign)
     value, bad = _sequential_exponential(continuous, incs, sign)
     assert repr(det.value) == repr(value)       # bit for bit, signed zeros too
     assert det.nonpositive_factor is bad
@@ -259,7 +258,7 @@ def test_exponential_order_on_random_clock_sums():
     for n in (0, 1, 7, 8, 9, 64, 1000, 4097):
         incs = gen.uniform(0.0, 1.2, size=n)
         for sign in (-1.0, 1.0):
-            det = det_stoch_exponential(CumulativeUtility(0.7, incs, True), sign)
+            det = det_stoch_exponential(CumulativeUtility(0.7, incs), sign)
             assert (det.value, det.nonpositive_factor) \
                 == _sequential_exponential(0.7, incs.tolist(), sign)
 
@@ -269,7 +268,7 @@ def test_exponential_order_on_random_clock_sums():
 def test_compounding_dual_rejects_any_increment_at_or_above_one(incs, big, data):
     incs.insert(data.draw(st.integers(0, len(incs))), big)
     with pytest.raises(DomainError):
-        compounding_dual(CumulativeUtility(0.0, incs, True))
+        compounding_dual(CumulativeUtility(0.0, incs))
 
 
 def test_increments_are_a_read_only_array_of_one_float_per_jump():
@@ -278,16 +277,71 @@ def test_increments_are_a_read_only_array_of_one_float_per_jump():
     with pytest.raises(ValueError):
         cu.atom_increments[0] = 0.0
     passed = np.array([0.1, 0.2])
-    CumulativeUtility(0.0, passed, True)
+    CumulativeUtility(0.0, passed)
     assert passed.flags.writeable           # the caller's array is copied, not frozen
     with pytest.raises(ValueError):         # (time, increment) pairs are refused
-        CumulativeUtility(0.0, ((0.5, 0.1),), True)
+        CumulativeUtility(0.0, ((0.5, 0.1),))
 
 
 def test_divergent_series_yields_the_saturated_values():
-    gv = global_values(CumulativeUtility(0.3, (), False))
-    assert (gv.u0, gv.mhr2, gv.finite) == (0.5, 1.0, False)
-    assert gv.v0 == math.inf and gv.msr2 == math.inf and gv.scale == math.inf
+    for continuous, incs in ((0.3, (0.5, 1.0)),         # a factor 1 - k at 0
+                             (0.0, (0.2, 1.5, 0.1)),    # a factor below 0
+                             (0.0, (0.5,) * 54),        # E = 2**-54: 1 - E rounds to 1
+                             (37.5, ()),                # E = exp(-37.5), about 5.2e-17
+                             (800.0, (0.1,))):          # E underflows to 0
+        gv = global_values(CumulativeUtility(continuous, incs))
+        assert (gv.u0, gv.mhr2, gv.finite) == (0.5, 1.0, False)
+        assert gv.v0 == math.inf and gv.msr2 == math.inf and gv.scale == math.inf
+
+
+def test_the_last_e_above_the_float_range_is_finite():
+    gv = global_values(CumulativeUtility(0.0, (0.5,) * 53))      # E = 2**-53
+    assert gv.finite and gv.mhr2 == 1.0 - 2.0 ** -53
+    assert gv.v0 == 0.5 * (2.0 ** 53 - 1.0)
+
+
+def _coin_flips(n):
+    """n bets of -0.1 or 0.1, of masses 0.45 and 0.55: each mv increment is 0.01."""
+    return (0.0, 0.0, np.tile([[-0.1, 0.1]], (n, 1)), np.tile([[0.45, 0.55]], (n, 1)))
+
+
+@st.composite
+def bet_tables(draw):
+    """(b, c, points (n, 2), masses (n, 2)): one segment of drift b and
+    diffusion c, then n = 1..5 000 two-outcome bets -a and a of masses p
+    and 1 - p, whose mv increments (1 - 2p)**2 lie in [0, k_max] within 1."""
+    n = draw(st.integers(1, 5_000))
+    k_max = draw(st.floats(0.0, 0.999))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = 0.5 * (1.0 - np.sqrt(gen.uniform(0.0, k_max, size=n)) * gen.choice([-1.0, 1.0], size=n))
+    a = gen.uniform(1e-3, 10.0, size=n)
+    return (draw(st.floats(-1.0, 1.0)), draw(st.floats(1e-3, 1.0)),
+            np.stack([-a, a], axis=1), np.stack([p, 1.0 - p], axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bet_tables(), st.none())
+@example(_coin_flips(63), 0.44178711568335205)
+@example(_coin_flips(64), 0.4513001168518709)
+def test_finite_tables_get_their_exact_values(table, exact_v0):
+    b, c, points, masses = table
+    n = len(points)
+    laws = [(points[i].reshape(2, 1), masses[i]) for i in range(n)]
+    model = MarketModel(1.0, 1, (Segment(0.0, 1.0, LocalCharacteristics(
+        np.array([b]), np.array([[c]]), None)),),
+        properties.jump_table(laws, np.arange(1, n + 1) / n))
+    cu = cumulative_local_utility(model, "mv")
+    value, _ = _sequential_exponential(cu.continuous_part, cu.atom_increments.tolist(), -1.0)
+    gv = global_values(cu)
+    assert gv.finite is (1.0 - value < 1.0)
+    if exact_v0 is not None:
+        assert gv.v0 == exact_v0
+    if gv.finite:
+        want = (0.5 * (1.0 - value), 0.5 * (1.0 / value - 1.0))
+        assert (gv.u0, gv.v0) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert (gv.mhr2, gv.msr2, gv.scale) \
+            == pytest.approx((2.0 * want[0], 2.0 * want[1], 1.0 + 2.0 * want[1]),
+                             rel=1e-12, abs=0.0)
 
 
 def test_ratio_identity_on_random_clock_sums():
@@ -296,8 +350,7 @@ def test_ratio_identity_on_random_clock_sums():
         n = int(gen.integers(0, 8))
         gen.uniform(0.0, 1.0, size=n)       # the jump times, which aggregation ignores
         incs = gen.uniform(0.0, 0.9, size=n)
-        gv = global_values(CumulativeUtility(float(gen.uniform(0.0, 2.0)),
-                                             incs, True))
+        gv = global_values(CumulativeUtility(float(gen.uniform(0.0, 2.0)), incs))
         # compare in the bounded coordinate: mhr2 = 1 - 1/scale is
         # well-conditioned even when the scale is huge
         assert gv.mhr2 == pytest.approx(1.0 - 1.0 / gv.scale, abs=5e-15)
@@ -349,9 +402,9 @@ def test_strategy_descriptor_rejects_bad_gamma(ex1):
 
 
 def test_strategy_descriptor_requires_finite_dual():
-    model = example_model(6, atoms_max=100)
+    model = example_model(5, atoms_max=100)     # mmv: E about 5.6e-28
     with pytest.raises(InfiniteValue):
-        strategy_descriptor(model, "mv")
+        strategy_descriptor(model, "mmv")
 
 
 def test_unbounded_time_point_raises():

@@ -32,19 +32,6 @@ def zero_config_path(tmp_path):
     return str(p)
 
 
-def divergent_config() -> dict:
-    # 80 identical profitable bets: the aggregated series runs away,
-    # which the partial-sum heuristic must flag as infinite
-    atoms = [{"time": round(0.01 * k, 2), "points": [[-0.1], [0.9]],
-              "masses": [0.5, 0.5]} for k in range(1, 81)]
-    return {
-        "horizon": 1.0, "dimension": 1,
-        "segments": [{"t_start": 0.0, "t_end": 1.0, "b_kind": "trunc",
-                      "b": [0.0], "c": [[0.0]]}],
-        "atoms": atoms,
-    }
-
-
 class TestExitCodes:
     def test_solve_zero_model(self, zero_config_path, capsys):
         assert run(["solve", zero_config_path]) == 0
@@ -285,6 +272,18 @@ class TestReproduce:
         report = json.loads(capsys.readouterr().out)
         assert report["all_pass"] is True
         assert report["figures"]["quadratic_finite"] is False
+        check = {c["name"]: c for c in report["checks"]}["no_separating_measure"]
+        assert (check["actual"], check["pass"]) == (False, True)
+
+    def test_example_5_series_verdicts_do_not_depend_on_the_cutoff(self, capsys):
+        verdicts = []
+        for cutoff in (["--atoms-max", "100"], ["--atoms-max", "200"], []):
+            assert run(["reproduce", "--example", "5", *cutoff]) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            verdicts.append([c for c in checks if c["name"].endswith("_series_finite")])
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert [(c["name"], c["actual"], c["pass"]) for c in verdicts[0]] \
+            == [("quadratic_series_finite", True, True), ("monotone_series_finite", False, True)]
 
     def test_selftest(self, capsys):
         assert run(["selftest"]) == 0
@@ -293,8 +292,8 @@ class TestReproduce:
 
 
 TABLE_KEYS = ["1", "2", "3", "4", "5", "6", "selftest"]
-ROW_KEYS = {"name", "value", "negate", "expected", "expected_from", "tol", "mode",
-            "source", "default_atoms_only"}
+ROW_KEYS = {"name", "value", "expected", "expected_from", "tol", "mode",
+            "default_atoms_only"}
 
 
 class TestExpectedTable:
@@ -345,21 +344,21 @@ class TestFormats:
         report = json.loads(capsys.readouterr().out)
         node = report["solution"]["values"]["best_utility"]
         assert set(node) >= {"value", "source"}
-        assert node["source"] in ("analytic", "mc", "heuristic")
+        assert node["source"] in ("analytic", "mc")
 
 
 class TestDivergentModel:
-    def test_infinite_values_are_results(self, tmp_path, capsys):
+    def test_infinite_values_are_results(self, saturated_config, tmp_path, capsys):
         p = tmp_path / "divergent.json"
-        p.write_text(json.dumps(divergent_config()))
+        p.write_text(json.dumps(saturated_config))
         assert run(["solve", str(p)]) == 0
         report = json.loads(capsys.readouterr().out)
         values = report["solution"]["values"]
         assert values["dual_value"]["value"] == "inf"
         assert values["wealth_scale"]["value"] == "inf"
         assert values["finite"] is False
-        assert values["dual_value"]["source"] == "heuristic"
-        assert report["warnings"]
+        assert values["dual_value"]["source"] == "analytic"
+        assert ["float range" in w for w in report["warnings"]] == [True]
 
 
 class TestSimulate:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mmvlab import (FiniteAtoms, InfiniteValue, NonIntegrable, build_model, capped_variant,
                     compare_mv_mmv, cumulative_local_utility, density_diagnostics,
-                    example_model, global_values, local_utility, mellin_sign_moments,
+                    global_values, local_utility, mellin_sign_moments,
                     mv_signed_measure, sigma_martingale_residual,
                     solve_schedule, zero_density_probability)
 import mmvlab.drift
@@ -214,9 +214,9 @@ class TestSignedMeasure:
         assert sm.negative_mass == pytest.approx(0.2, abs=1e-12)
         assert not sm.is_probability
 
-    def test_divergent_series_raises(self):
+    def test_divergent_series_raises(self, saturated_config):
         with pytest.raises(InfiniteValue):
-            mv_signed_measure(example_model(6, atoms_max=80))
+            mv_signed_measure(build_model(saturated_config))
 
     def test_passed_solution_is_used(self, ex2, ex2_sol_mv):
         assert mv_signed_measure(ex2, solution=ex2_sol_mv) == mv_signed_measure(ex2)
@@ -290,8 +290,8 @@ class TestCoincidence:
         assert compare_mv_mmv(ex2, mv_solution=ex2_sol_mv,
                               mmv_solution=ex2_sol_mmv) == compare_mv_mmv(ex2)
 
-    def test_divergent_series_not_applicable(self):
-        rep = compare_mv_mmv(example_model(6, atoms_max=100))
+    def test_divergent_series_not_applicable(self, saturated_config):
+        rep = compare_mv_mmv(build_model(saturated_config))
         assert rep.verdict == "not_applicable"
         assert rep.square_integrable is True
         assert "infinite" in rep.note

@@ -1,10 +1,15 @@
 """Bundled example markets: configs, generated families, capped variants."""
+import json
+import math
+
 import numpy as np
 import pytest
 
+import mmvlab.cli
 from mmvlab import (SchemaError, build_model, capped_variant, example_config,
                     example_model)
-from mmvlab.examples import DEFAULT_ATOMS_MAX, EXAMPLE_IDS
+from mmvlab.examples import (DEFAULT_ATOMS_MAX, EXAMPLE_IDS, example5_series_finite,
+                             example6_series_finite)
 
 
 def test_id_catalog():
@@ -48,6 +53,31 @@ def test_default_cutoffs_build():
     assert len(example_model(5).atoms) == 9_999
     assert len(example_model(6).atoms) == 999
     assert example_model(5).horizon == 2.0
+
+
+def test_series_verdicts_hold_up_to_their_comparison_bounds():
+    # example 5: mv increments below twice 9/(4 n^2), mmv ones above 1/4, from bet 10
+    assert example5_series_finite(11.25, 2.5) == (True, False)
+    assert example5_series_finite(0.0, 0.0) == (True, False)
+    assert example5_series_finite(math.nextafter(11.25, math.inf),
+                                  math.nextafter(2.5, math.inf)) == (None, None)
+    assert example5_series_finite(math.nan, math.inf) == (None, None)
+    # example 6: mv increments above half of 1/(n + 1) up to the cutoff
+    assert example6_series_finite(0.5 / 1001.0, 1_000) == (False, False)
+    assert example6_series_finite(math.nextafter(0.5 / 1001.0, 1.0), 1_000) == (None, None)
+    assert example6_series_finite(math.nan, 1_000) == (None, None)
+
+
+@pytest.mark.parametrize("ex_id,verdicts", [(5, "example5_series_finite"),
+                                            (6, "example6_series_finite")])
+def test_an_unlicensed_series_verdict_fails_the_reproduction(ex_id, verdicts, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(mmvlab.cli, verdicts, lambda *margins: (None, None))
+    assert mmvlab.cli.run(["reproduce", "--example", str(ex_id), "--atoms-max", "50"]) == 1
+    failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+    assert failed == {5: ["quadratic_series_finite", "monotone_series_finite"],
+                      6: ["quadratic_flagged_infinite", "monotone_flagged_infinite",
+                          "no_separating_measure"]}[ex_id]
 
 
 def test_cutoff_validation():

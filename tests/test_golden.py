@@ -18,9 +18,9 @@ reproduce_ex5_atoms200.json, reproduce_ex5_atoms2000.json,
 reproduce_ex6_atoms200.json, reproduce_ex4.txt, reproduce_ex2.csv and
 selftest.json.
 
-Example 5 at 200 atoms fails its monotone partial-sum check (the
-series has not yet grown past the threshold), so it exits 1; at 2 000
-atoms, where a numerical search once stalled on some bets, it passes.
+Examples 5 and 6 carry analytic series verdicts, so every truncation
+passes and exits 0: example 5 at 200 atoms, and at 2 000 atoms, where a
+numerical search once stalled on some bets.
 
 `scheduled_bets300.json` is a config, not a report: a diffusion
 segment (b = 0.1, c = 0.04) and bet n = 1..300 at time n/300 with
@@ -49,7 +49,7 @@ CASES = [
     ("reproduce_ex2.csv", ["reproduce", "--example", "2"], 0),
     ("selftest.json", ["selftest"], 0),
     ("reproduce_ex5_atoms200.json",
-     ["reproduce", "--example", "5", "--atoms-max", "200"], 1),
+     ["reproduce", "--example", "5", "--atoms-max", "200"], 0),
     ("reproduce_ex5_atoms2000.json",
      ["reproduce", "--example", "5", "--atoms-max", "2000"], 0),
     ("reproduce_ex6_atoms200.json",

@@ -423,7 +423,7 @@ def test_scheduled_jump_sums_equal_a_plain_loop_bit_for_bit(table, data):
                 for m, u in pairs:
                     acc += m * float(_zeta(u, p, even))
                 sums.append(acc)
-            cu = CumulativeUtility(0.0, np.array(sums), True)
+            cu = CumulativeUtility(0.0, np.array(sums))
             exps.append(det_stoch_exponential(cu, 1.0).value)
         got = mellin_sign_moments(model, schedule, p)
         assert _bits(got.phi_plus) == _bits(0.5 * (exps[0] + exps[1]))
